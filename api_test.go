@@ -36,7 +36,10 @@ func TestComputeZeroOptionsMeansDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Energy != b.Energy {
+	// The default is 2 ranks × 2 threads, and which worker's partial sum a
+	// term lands in is the scheduler's choice: two runs of one configuration
+	// agree to rounding, not bit for bit.
+	if math.Abs(a.Energy-b.Energy) > 1e-12*math.Abs(b.Energy) {
 		t.Errorf("zero options %v != defaults %v", a.Energy, b.Energy)
 	}
 }

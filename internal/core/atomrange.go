@@ -36,7 +36,7 @@ func (s *BornSolver) approxIntegralsRange(a, q, lo, hi int32, sNode, sAtom []flo
 		if an.Start >= lo && an.Start+an.Count <= hi {
 			// Node fully owned: collect at the node as usual.
 			diff := qn.Center.Sub(an.Center)
-			sNode[a] += s.nodeWN[q].Dot(diff) * s.kernel(d2)
+			sNode[a] += s.nodeWN(q).Dot(diff) * s.kernel(d2)
 			st.FarEval++
 			return
 		}
@@ -46,7 +46,7 @@ func (s *BornSolver) approxIntegralsRange(a, q, lo, hi int32, sNode, sAtom []flo
 		from, to := clampRange(an.Start, an.Start+an.Count, lo, hi)
 		for i := from; i < to; i++ {
 			dv := qn.Center.Sub(s.TA.Points[i])
-			sAtom[i] += s.nodeWN[q].Dot(dv) * s.kernel(dv.Norm2())
+			sAtom[i] += s.nodeWN(q).Dot(dv) * s.kernel(dv.Norm2())
 			st.FarEval++
 		}
 		return
@@ -63,7 +63,7 @@ func (s *BornSolver) approxIntegralsRange(a, q, lo, hi int32, sNode, sAtom []flo
 				if d2 < 1e-12 {
 					continue
 				}
-				acc += s.wn[j].Dot(dv) * s.kernel(d2)
+				acc += s.wn(j).Dot(dv) * s.kernel(d2)
 			}
 			sAtom[i] += acc
 		}

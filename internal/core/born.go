@@ -124,16 +124,16 @@ type BornSolver struct {
 	TA *octree.Tree // atoms octree
 	TQ *octree.Tree // quadrature-points octree
 
-	cfg    BornConfig
-	sepK2  float64     // squared-form separation constant, sepFactor2((1+ε)^(1/p))
-	r4     bool        // Coulomb-field r⁴ integrand instead of r⁶
-	atomR  []float64   // vdW radii, T_A tree order
-	wn     []geom.Vec3 // w_q·n_q per q-point, T_Q tree order
-	nodeWN []geom.Vec3 // Σ w_q·n_q per T_Q node (the paper's ñ_Q)
-	rcap   float64     // Born-radius cap (molecule diameter)
+	cfg   BornConfig
+	sepK2 float64   // squared-form separation constant, sepFactor2((1+ε)^(1/p))
+	r4    bool      // Coulomb-field r⁴ integrand instead of r⁶
+	atomR []float64 // vdW radii, T_A tree order
+	rcap  float64   // Born-radius cap (molecule diameter)
 
-	// SoA mirrors of wn for the flat near-field kernels, and of nodeWN
-	// for the flat far-field kernels (lists.go).
+	// w_q·n_q per q-point in T_Q tree order, and Σ w_q·n_q per T_Q node
+	// (the paper's ñ_Q), stored once, as the coordinate streams the flat
+	// kernels read (lists.go); the recursive oracle reassembles vectors
+	// through wn and nodeWN.
 	wnX, wnY, wnZ    []float64
 	wnNX, wnNY, wnNZ []float64
 
@@ -171,21 +171,19 @@ func NewBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig
 	for i := range mol.Atoms {
 		apos[i] = mol.Atoms[i].Pos
 	}
-	s.TA = octree.Build(apos, cfg.LeafSize)
+	s.TA = octree.BuildOwned(apos, cfg.LeafSize)
 	s.atomR = make([]float64, mol.N())
 	for i, orig := range s.TA.Perm {
 		s.atomR[i] = mol.Atoms[orig].Radius
 	}
 
-	s.TQ = octree.Build(surface.Positions(qpts), cfg.LeafSize)
-	s.wn = make([]geom.Vec3, len(qpts))
+	s.TQ = octree.BuildOwned(surface.Positions(qpts), cfg.LeafSize)
 	s.wnX = make([]float64, len(qpts))
 	s.wnY = make([]float64, len(qpts))
 	s.wnZ = make([]float64, len(qpts))
 	for i, orig := range s.TQ.Perm {
-		q := qpts[orig]
+		q := &qpts[orig]
 		w := q.Normal.Scale(q.Weight)
-		s.wn[i] = w
 		s.wnX[i], s.wnY[i], s.wnZ[i] = w.X, w.Y, w.Z
 	}
 	// Per-node ñ_Q aggregated bottom-up: leaves sum their own point range,
@@ -193,7 +191,6 @@ func NewBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig
 	// always have larger indices than their parent, so one reverse sweep is
 	// O(nodes + points) instead of the O(points · depth) of summing every
 	// point under every ancestor.
-	s.nodeWN = make([]geom.Vec3, len(s.TQ.Nodes))
 	s.wnNX = make([]float64, len(s.TQ.Nodes))
 	s.wnNY = make([]float64, len(s.TQ.Nodes))
 	s.wnNZ = make([]float64, len(s.TQ.Nodes))
@@ -202,16 +199,15 @@ func NewBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig
 		var sum geom.Vec3
 		if nd.Leaf {
 			for i := nd.Start; i < nd.Start+nd.Count; i++ {
-				sum = sum.Add(s.wn[i])
+				sum = sum.Add(s.wn(i))
 			}
 		} else {
 			for _, ch := range nd.Children {
 				if ch != octree.NoChild {
-					sum = sum.Add(s.nodeWN[ch])
+					sum = sum.Add(s.nodeWN(ch))
 				}
 			}
 		}
-		s.nodeWN[n] = sum
 		s.wnNX[n], s.wnNY[n], s.wnNZ[n] = sum.X, sum.Y, sum.Z
 	}
 
@@ -233,6 +229,21 @@ func NewBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig
 		s.f32 = newBornSoA32(s)
 	}
 	return s
+}
+
+// wn returns w_q·n_q of the q-point at tree-order index j.
+func (s *BornSolver) wn(j int32) geom.Vec3 { return geom.Vec3{X: s.wnX[j], Y: s.wnY[j], Z: s.wnZ[j]} }
+
+// nodeWN returns ñ_Q of T_Q node q.
+func (s *BornSolver) nodeWN(q int32) geom.Vec3 {
+	return geom.Vec3{X: s.wnNX[q], Y: s.wnNY[q], Z: s.wnNZ[q]}
+}
+
+// MemoryBytes is the memory the solver holds: both octrees, the per-point
+// and per-node payload streams, and the storage tier's mirrors.
+func (s *BornSolver) MemoryBytes() int64 {
+	floats := len(s.atomR) + 3*len(s.wnX) + 3*len(s.wnNX) + len(s.aRange) + len(s.aCent)
+	return s.TA.MemoryBytes() + s.TQ.MemoryBytes() + 8*int64(floats) + s.TierBytes()
 }
 
 // Eps returns the configured approximation parameter.
@@ -272,7 +283,7 @@ func (s *BornSolver) approxIntegrals(a, q int32, sNode, sAtom []float64, st *Sta
 		// Far enough: one pseudo q-point at Q's center against one pseudo
 		// atom at A's center. s_A += ñ_Q·(c_Q − c_A) / r_AQ⁶.
 		diff := qn.Center.Sub(an.Center)
-		sNode[a] += s.nodeWN[q].Dot(diff) * s.kernel(d2)
+		sNode[a] += s.nodeWN(q).Dot(diff) * s.kernel(d2)
 		st.FarEval++
 		return
 	}
@@ -290,7 +301,7 @@ func (s *BornSolver) approxIntegrals(a, q int32, sNode, sAtom []float64, st *Sta
 				if d2 < 1e-12 {
 					continue // q-point coincides with the atom center
 				}
-				acc += s.wn[j].Dot(dv) * s.kernel(d2)
+				acc += s.wn(j).Dot(dv) * s.kernel(d2)
 			}
 			sAtom[i] += acc
 		}
@@ -323,7 +334,7 @@ func (s *BornSolver) approxIntegralsDual(a, q int32, sNode, sAtom []float64, st 
 	d2 := an.Center.Dist2(qn.Center)
 	if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
 		diff := qn.Center.Sub(an.Center)
-		sNode[a] += s.nodeWN[q].Dot(diff) * s.kernel(d2)
+		sNode[a] += s.nodeWN(q).Dot(diff) * s.kernel(d2)
 		st.FarEval++
 		return
 	}
@@ -340,7 +351,7 @@ func (s *BornSolver) approxIntegralsDual(a, q int32, sNode, sAtom []float64, st 
 				if d2 < 1e-12 {
 					continue
 				}
-				acc += s.wn[j].Dot(dv) * s.kernel(d2)
+				acc += s.wn(j).Dot(dv) * s.kernel(d2)
 			}
 			sAtom[i] += acc
 		}

@@ -59,19 +59,29 @@ func TestDualFrontierCompletesToDual(t *testing.T) {
 	bs := NewBornSolver(m, q, BornConfig{Eps: 0.9})
 
 	n1, a1 := bs.NewAccumulators()
-	bs.AccumulateDual(n1, a1)
+	want := bs.AccumulateDual(n1, a1)
 
+	// The frontier keeps the recursion's visit order, so the sums are not
+	// merely close: every accumulator sees the same additions in the same
+	// order, and the step counts add up to the recursion's.
 	n2, a2 := bs.NewAccumulators()
-	for _, pr := range bs.DualFrontier(64) {
-		bs.AccumulateDualPair(pr[0], pr[1], n2, a2)
+	front, got := bs.DualFrontier(64)
+	if len(front) < 64 {
+		t.Fatalf("frontier too small: %d pairs", len(front))
+	}
+	for _, pr := range front {
+		got.Add(bs.AccumulateDualPair(pr.A, pr.B, n2, a2))
+	}
+	if got != want {
+		t.Errorf("frontier stats %+v, recursion %+v", got, want)
 	}
 	for i := range n1 {
-		if math.Abs(n1[i]-n2[i]) > 1e-12*(1+math.Abs(n1[i])) {
+		if n1[i] != n2[i] {
 			t.Fatalf("node accumulator %d differs: %v vs %v", i, n1[i], n2[i])
 		}
 	}
 	for i := range a1 {
-		if math.Abs(a1[i]-a2[i]) > 1e-12*(1+math.Abs(a1[i])) {
+		if a1[i] != a2[i] {
 			t.Fatalf("atom accumulator %d differs: %v vs %v", i, a1[i], a2[i])
 		}
 	}
@@ -102,13 +112,13 @@ func TestFrontierRequestLargerThanTree(t *testing.T) {
 	// with all-terminal pairs.
 	m, q := testMol(60, 94)
 	bs := NewBornSolver(m, q, BornConfig{Eps: 0.9})
-	fr := bs.DualFrontier(1 << 20)
+	fr, _ := bs.DualFrontier(1 << 20)
 	if len(fr) == 0 {
 		t.Fatal("empty frontier")
 	}
 	n2, a2 := bs.NewAccumulators()
 	for _, pr := range fr {
-		bs.AccumulateDualPair(pr[0], pr[1], n2, a2)
+		bs.AccumulateDualPair(pr.A, pr.B, n2, a2)
 	}
 	n1, a1 := bs.NewAccumulators()
 	bs.AccumulateDual(n1, a1)

@@ -7,47 +7,48 @@ import "octgb/internal/octree"
 // pairs that a work-stealing pool can execute in parallel — the nested
 // parallelism the paper gets from cilk++'s spawn on the recursive calls.
 
-// DualFrontier expands the Born dual-tree recursion breadth-first until at
-// least minPairs independent pairs exist (or the recursion bottoms out).
-// Completing AccumulateDualPair on every returned pair is equivalent to
-// AccumulateDual.
-func (s *BornSolver) DualFrontier(minPairs int) [][2]int32 {
+// DualFrontier expands the Born dual-tree recursion level by level, every
+// expandable pair replaced in place by its children, until at least
+// minPairs independent pairs exist (or the recursion bottoms out). The
+// pairs stay in the recursion's visit order, so completing them in
+// sequence (AccumulateDualPair, StreamBornDual) adds every term in the
+// order AccumulateDual does; the second result counts the recursion steps
+// the expansion took on the pairs' behalf.
+func (s *BornSolver) DualFrontier(minPairs int) ([]NodePair, Stats) {
+	var st Stats
 	if len(s.TA.Nodes) == 0 || len(s.TQ.Nodes) == 0 {
-		return nil
+		return nil, st
 	}
-	queue := [][2]int32{{0, 0}}
-	for len(queue) < minPairs {
-		// Find the first expandable pair.
-		expanded := false
-		for i, pr := range queue {
-			a, q := pr[0], pr[1]
-			an, qn := &s.TA.Nodes[a], &s.TQ.Nodes[q]
+	front := []NodePair{{0, 0}}
+	for expanded := true; expanded && len(front) < minPairs; {
+		expanded = false
+		next := make([]NodePair, 0, 2*len(front))
+		for _, pr := range front {
+			an, qn := &s.TA.Nodes[pr.A], &s.TQ.Nodes[pr.B]
 			d2 := an.Center.Dist2(qn.Center)
 			if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) || (an.Leaf && qn.Leaf) {
-				continue // terminal; cannot expand
+				next = append(next, pr) // terminal; cannot expand
+				continue
 			}
-			queue = append(queue[:i], queue[i+1:]...)
+			expanded = true
+			st.NodesVisited++
 			if qn.Leaf || (!an.Leaf && an.Radius >= qn.Radius) {
 				for _, ch := range an.Children {
 					if ch != octree.NoChild {
-						queue = append(queue, [2]int32{ch, q})
+						next = append(next, NodePair{ch, pr.B})
 					}
 				}
 			} else {
 				for _, ch := range qn.Children {
 					if ch != octree.NoChild {
-						queue = append(queue, [2]int32{a, ch})
+						next = append(next, NodePair{pr.A, ch})
 					}
 				}
 			}
-			expanded = true
-			break
 		}
-		if !expanded {
-			break
-		}
+		front = next
 	}
-	return queue
+	return front, st
 }
 
 // AccumulateDualPair runs the dual-tree Born recursion from the given

@@ -43,6 +43,12 @@ type InteractionList struct {
 	Near  []NodePair
 	Far   []NodePair
 	stats Stats
+	stack pairStack // the builders' traversal stack, kept so a tile can resume
+
+	// done of total is how far the traversal filling the list has come
+	// (leaves traversed, or point pairs its entries cover); add sizes a
+	// full list's next backing array from it.
+	done, total int64
 }
 
 // Stats returns the traversal's work counters: NodesVisited from the
@@ -56,7 +62,28 @@ func (l *InteractionList) Stats() Stats { return l.stats }
 func (l *InteractionList) reset() {
 	l.Near = l.Near[:0]
 	l.Far = l.Far[:0]
+	l.stack = l.stack[:0]
 	l.stats = Stats{}
+	l.done, l.total = 0, 0
+}
+
+// add appends p to list, one of l's two lists. Lists run to millions of
+// entries and are built once, so growing them is most of what a cold build
+// costs beyond its traversal: append's 1.25× policy copies a large list
+// about four times over. A traversal knows how far it has come, so a full
+// list is instead regrown to the length it is heading for (an eighth
+// over), and lands in nearly exactly-sized storage after a copy or two.
+func (l *InteractionList) add(list []NodePair, p NodePair) []NodePair {
+	if n := len(list); n == cap(list) {
+		want := 2 * n // progress unknown: double
+		if l.total > 0 && l.done > 0 {
+			want = int(float64(n) * float64(l.total) / float64(l.done) * 1.125)
+		}
+		grown := make([]NodePair, n, n+max(min(want, 8*n)-n, n/4, 1024))
+		copy(grown, list)
+		list = grown
+	}
+	return append(list, p)
 }
 
 // pairStack is a tiny explicit stack of node pairs reused across the
@@ -90,16 +117,24 @@ func (s *BornSolver) BuildBornList(qLo, qHi int) *InteractionList {
 // rather than re-paying the append growth every pose.
 func (s *BornSolver) BuildBornListInto(l *InteractionList, qLo, qHi int) *InteractionList {
 	l.reset()
+	l.total = int64(qHi - qLo)
+	s.fillBornLeaves(l, qLo, qHi, math.MaxInt)
+	return l
+}
+
+// fillBornLeaves appends the traversals of whole q-leaves, from qLo on,
+// until l holds at least limit entries or qHi is reached, and returns the
+// first leaf it did not traverse.
+func (s *BornSolver) fillBornLeaves(l *InteractionList, qLo, qHi, limit int) int {
 	if len(s.TA.Nodes) == 0 || len(s.TQ.Nodes) == 0 {
-		return l
+		return qHi
 	}
-	var stack pairStack
-	for ql := qLo; ql < qHi; ql++ {
+	stack := l.stack[:0]
+	ql := qLo
+	for ; ql < qHi && len(l.Near)+len(l.Far) < limit; ql++ {
 		q := s.TQ.LeafIdx[ql]
 		qn := &s.TQ.Nodes[q]
-		qlo, qhi := s.TQ.PointRange(q)
-		qCount := int64(qhi - qlo)
-		stack = stack[:0]
+		qCount := int64(qn.Count)
 		stack.push(0, q)
 		for len(stack) > 0 {
 			p := stack.pop()
@@ -108,12 +143,12 @@ func (s *BornSolver) BuildBornListInto(l *InteractionList, qLo, qHi int) *Intera
 			an := &s.TA.Nodes[a]
 			d2 := an.Center.Dist2(qn.Center)
 			if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
-				l.Far = append(l.Far, NodePair{a, q})
+				l.Far = l.add(l.Far, NodePair{a, q})
 				l.stats.FarEval++
 				continue
 			}
 			if an.Leaf {
-				l.Near = append(l.Near, NodePair{a, q})
+				l.Near = l.add(l.Near, NodePair{a, q})
 				l.stats.NearPairs += int64(an.Count) * qCount
 				continue
 			}
@@ -126,8 +161,10 @@ func (s *BornSolver) BuildBornListInto(l *InteractionList, qLo, qHi int) *Intera
 				}
 			}
 		}
+		l.done++
 	}
-	return l
+	l.stack = stack
+	return ql
 }
 
 // BuildBornDualList runs the dual-tree traversal of AccumulateDual and
@@ -141,12 +178,19 @@ func (s *BornSolver) BuildBornDualList() *InteractionList {
 // backing arrays.
 func (s *BornSolver) BuildBornDualListInto(l *InteractionList) *InteractionList {
 	l.reset()
-	if len(s.TA.Nodes) == 0 || len(s.TQ.Nodes) == 0 {
-		return l
+	if len(s.TA.Nodes) != 0 && len(s.TQ.Nodes) != 0 {
+		l.stack.push(0, 0)
+		l.total = int64(len(s.TA.Points)) * int64(len(s.TQ.Points))
+		s.fillBornDual(l, math.MaxInt)
 	}
-	var stack pairStack
-	stack.push(0, 0)
-	for len(stack) > 0 {
+	return l
+}
+
+// fillBornDual continues the dual-tree traversal held on l's stack until
+// the stack is empty or l holds at least limit entries.
+func (s *BornSolver) fillBornDual(l *InteractionList, limit int) {
+	stack := l.stack
+	for len(stack) > 0 && len(l.Near)+len(l.Far) < limit {
 		p := stack.pop()
 		a, q := p.A, p.B
 		l.stats.NodesVisited++
@@ -154,14 +198,16 @@ func (s *BornSolver) BuildBornDualListInto(l *InteractionList) *InteractionList 
 		qn := &s.TQ.Nodes[q]
 		d2 := an.Center.Dist2(qn.Center)
 		if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
-			l.Far = append(l.Far, p)
+			l.Far = l.add(l.Far, p)
 			l.stats.FarEval++
+			l.done += int64(an.Count) * int64(qn.Count)
 			continue
 		}
 		switch {
 		case an.Leaf && qn.Leaf:
-			l.Near = append(l.Near, p)
+			l.Near = l.add(l.Near, p)
 			l.stats.NearPairs += int64(an.Count) * int64(qn.Count)
+			l.done += int64(an.Count) * int64(qn.Count)
 		case qn.Leaf || (!an.Leaf && an.Radius >= qn.Radius):
 			for c := 7; c >= 0; c-- {
 				if ch := an.Children[c]; ch != octree.NoChild {
@@ -176,7 +222,58 @@ func (s *BornSolver) BuildBornDualListInto(l *InteractionList) *InteractionList 
 			}
 		}
 	}
-	return l
+	l.stack = stack
+}
+
+// bornTileEntries is the size at which the streamed Born phase cuts its
+// tiles: 32 KB of node pairs, still cache-resident when the kernels read
+// back what the traversal just wrote.
+const bornTileEntries = 4096
+
+// StreamBornLeaves is EvalBornList(BuildBornList(qLo, qHi)) without the
+// list: the single-tree traversal fills tile up to bornTileEntries, the
+// range kernels evaluate it, and the same storage takes the next tile —
+// the engines' Born phase, whose lists are read once and never kept.
+// Tiles end on q-leaf boundaries and far entries touch only sNode, near
+// entries only sAtom, so every accumulator sees its additions in list
+// order and the result is bitwise that of the materialised form.
+func (s *BornSolver) StreamBornLeaves(tile *InteractionList, qLo, qHi int, sNode, sAtom []float64) Stats {
+	return s.streamBornLeaves(tile, qLo, qHi, bornTileEntries, sNode, sAtom)
+}
+
+func (s *BornSolver) streamBornLeaves(tile *InteractionList, qLo, qHi, limit int, sNode, sAtom []float64) Stats {
+	tile.reset()
+	for qLo < qHi {
+		qLo = s.fillBornLeaves(tile, qLo, qHi, limit)
+		s.evalBornTile(tile, sNode, sAtom)
+	}
+	return tile.stats
+}
+
+// StreamBornDual is the streamed form of the dual-tree traversal below the
+// given root pairs, taken in order (DualFrontier's roots, or {0, 0} for
+// the whole traversal) — see StreamBornLeaves.
+func (s *BornSolver) StreamBornDual(tile *InteractionList, roots []NodePair, sNode, sAtom []float64) Stats {
+	return s.streamBornDual(tile, roots, bornTileEntries, sNode, sAtom)
+}
+
+func (s *BornSolver) streamBornDual(tile *InteractionList, roots []NodePair, limit int, sNode, sAtom []float64) Stats {
+	tile.reset()
+	for i := len(roots) - 1; i >= 0; i-- {
+		tile.stack.push(roots[i].A, roots[i].B)
+	}
+	for len(tile.stack) > 0 {
+		s.fillBornDual(tile, limit)
+		s.evalBornTile(tile, sNode, sAtom)
+	}
+	return tile.stats
+}
+
+// evalBornTile evaluates the entries a tile holds and empties it, keeping
+// its Stats and traversal stack for the next fill.
+func (s *BornSolver) evalBornTile(tile *InteractionList, sNode, sAtom []float64) {
+	s.EvalBornList(tile, sNode, sAtom)
+	tile.Near, tile.Far = tile.Near[:0], tile.Far[:0]
 }
 
 // EvalBornNearPair evaluates one near-field list entry exactly: every
@@ -352,11 +449,11 @@ func buildEpolLeafList(l *InteractionList, t *octree.Tree, sep float64, vLo, vHi
 		return l
 	}
 	sep2 := sep * sep // same squared constant the solver stores
-	var stack pairStack
+	l.total = int64(vHi - vLo)
+	stack := l.stack
 	for vl := vLo; vl < vHi; vl++ {
 		v := t.LeafIdx[vl]
 		vn := &t.Nodes[v]
-		stack = stack[:0]
 		stack.push(0, v)
 		for len(stack) > 0 {
 			p := stack.pop()
@@ -364,13 +461,13 @@ func buildEpolLeafList(l *InteractionList, t *octree.Tree, sep float64, vLo, vHi
 			l.stats.NodesVisited++
 			un := &t.Nodes[u]
 			if un.Leaf {
-				l.Near = append(l.Near, NodePair{u, v})
+				l.Near = l.add(l.Near, NodePair{u, v})
 				l.stats.NearPairs += int64(un.Count) * int64(vn.Count)
 				continue
 			}
 			d2 := un.Center.Dist2(vn.Center)
 			if epolFar2(d2, un.Radius, vn.Radius, sep2) {
-				l.Far = append(l.Far, NodePair{u, v})
+				l.Far = l.add(l.Far, NodePair{u, v})
 				if nnz != nil {
 					l.stats.FarEval += nnz(u) * nnz(v)
 				}
@@ -382,7 +479,9 @@ func buildEpolLeafList(l *InteractionList, t *octree.Tree, sep float64, vLo, vHi
 				}
 			}
 		}
+		l.done++
 	}
+	l.stack = stack
 	return l
 }
 
@@ -429,6 +528,7 @@ func (s *EpolSolver) BuildEpolDualListInto(l *InteractionList) *InteractionList 
 	if len(s.T.Nodes) == 0 {
 		return l
 	}
+	l.total = int64(len(s.T.Points)) * int64(len(s.T.Points))
 	var stack pairStack
 	stack.push(0, 0)
 	for len(stack) > 0 {
@@ -439,13 +539,15 @@ func (s *EpolSolver) BuildEpolDualListInto(l *InteractionList) *InteractionList 
 		vn := &s.T.Nodes[v]
 		d2 := un.Center.Dist2(vn.Center)
 		if u != v && epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
-			l.Far = append(l.Far, p)
+			l.Far = l.add(l.Far, p)
 			l.stats.FarEval += s.nnz(u) * s.nnz(v)
+			l.done += int64(un.Count) * int64(vn.Count)
 			continue
 		}
 		if un.Leaf && vn.Leaf {
-			l.Near = append(l.Near, p)
+			l.Near = l.add(l.Near, p)
 			l.stats.NearPairs += int64(un.Count) * int64(vn.Count)
+			l.done += int64(un.Count) * int64(vn.Count)
 			continue
 		}
 		if vn.Leaf || (!un.Leaf && un.Radius >= vn.Radius) {

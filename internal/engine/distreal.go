@@ -86,7 +86,7 @@ func newDistDataSetup(pr *Problem, P int, o Options) *distDataSetup {
 	bs := core.NewBornSolver(pr.Mol, pr.QPts, bc)
 	sNode, sAtom := bs.NewAccumulators()
 	if s.useFlat {
-		bs.EvalBornList(bs.BuildBornList(0, bs.NumQLeaves()), sNode, sAtom)
+		bs.StreamBornLeaves(new(core.InteractionList), 0, bs.NumQLeaves(), sNode, sAtom)
 	} else {
 		for l := 0; l < bs.NumQLeaves(); l++ {
 			bs.AccumulateQLeaf(l, sNode, sAtom)

@@ -117,14 +117,13 @@ type Options struct {
 	// Division selects node-based (default) or atom-based division.
 	Division Division
 	// UseFlatKernels selects the two-phase treecode in the real engines:
-	// the traversal runs once as list construction and the arithmetic as
-	// flat SoA kernels over the recorded interaction lists (see
-	// core.InteractionList). Defaults to on (Auto); Off forces the
-	// recursive fused traversal, which is kept as the reference oracle.
-	// Work counters are identical either way for the distributed engines;
-	// OctCilk's flat path reports the full dual traversal's NodesVisited
-	// where the recursive path omits the frontier pre-expansion steps.
-	// Energies and radii agree to ~1e-12 (summation order differs).
+	// the traversal records interaction lists (see core.InteractionList —
+	// streamed through small tiles in the Born phase, whole in the E_pol
+	// phase) and the arithmetic runs as flat SoA kernels over them.
+	// Defaults to on (Auto); Off forces the recursive fused traversal,
+	// which is kept as the reference oracle. Work counters are identical
+	// either way; energies and radii agree to ~1e-12 (summation order
+	// differs).
 	UseFlatKernels Toggle
 	// TopoCollectives selects the topology-aware collective algorithms in
 	// the cluster layer (recursive-doubling allreduce, ring allgatherv,

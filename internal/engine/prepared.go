@@ -76,36 +76,23 @@ func prepareCilk(pr *Problem, o Options) *Prepared {
 
 	p := &Prepared{Pr: pr, bs: bs, opts: o}
 	sNode, sAtom := bs.NewAccumulators()
-	if o.UseFlatKernels.enabled(true) {
-		list := bs.BuildBornDualList()
-		p.BornStats = list.Stats()
-		p.BornSched = evalBornListParallel(bs, list, pool, sNode, sAtom)
-	} else {
-		frontier := bs.DualFrontier(8 * o.Threads * o.Threads)
-		accN := make([][]float64, pool.Workers())
-		accA := make([][]float64, pool.Workers())
-		statsW := make([]core.Stats, pool.Workers())
-		p.BornSched = pool.ParallelFor(len(frontier), 1, func(w, lo, hi int) {
-			if accN[w] == nil {
-				accN[w], accA[w] = bs.NewAccumulators()
+	// The frontier pairs are the units of the phase: enough of them for the
+	// pool to balance, each completed by streaming its part of the dual
+	// traversal through the worker's tile (or by the recursive oracle).
+	front, expand := bs.DualFrontier(32 * o.Threads)
+	run := func(tile *core.InteractionList, lo, hi int, sNode, sAtom []float64) core.Stats {
+		return bs.StreamBornDual(tile, front[lo:hi], sNode, sAtom)
+	}
+	if !o.UseFlatKernels.enabled(true) {
+		run = func(_ *core.InteractionList, lo, hi int, sNode, sAtom []float64) (st core.Stats) {
+			for _, r := range front[lo:hi] {
+				st.Add(bs.AccumulateDualPair(r.A, r.B, sNode, sAtom))
 			}
-			for i := lo; i < hi; i++ {
-				statsW[w].Add(bs.AccumulateDualPair(frontier[i][0], frontier[i][1], accN[w], accA[w]))
-			}
-		})
-		for w := range accN {
-			if accN[w] == nil {
-				continue
-			}
-			for i := range sNode {
-				sNode[i] += accN[w][i]
-			}
-			for i := range sAtom {
-				sAtom[i] += accA[w][i]
-			}
-			p.BornStats.Add(statsW[w])
+			return st
 		}
 	}
+	p.BornStats, p.BornSched = bornPhase(bs, pool, len(front), max(1, len(front)/(16*o.Threads)), sNode, sAtom, run)
+	p.BornStats.Add(expand)
 	observePhase(o.Observe, "born", "engine.born", 0, bornStart, time.Since(bornStart))
 	pushStart := time.Now()
 	rTree := make([]float64, n)
@@ -188,26 +175,15 @@ func (p *Prepared) evalEpol(o Options) RealReport {
 // new request's Born-phase parameters.
 func (p *Prepared) Options() Options { return p.opts }
 
-// MemoryBytes estimates the resident size of the Prepared — the figure the
-// serving cache charges against its byte budget. It covers the dominant
-// allocations: both octrees, the per-point and per-node solver payloads,
-// the surface points, and the radii/charge vectors.
+// MemoryBytes is the resident size of the Prepared — the figure the serving
+// cache charges against its byte budget: the Born solver (both octrees and
+// its payload streams), the molecule's atoms, the surface points, and the
+// charge and radii vectors.
 func (p *Prepared) MemoryBytes() int64 {
 	const (
-		atomBytes  = 40 // 5 float64 per atom
-		qptBytes   = 56 // Pos + Normal + Weight
-		vec3Bytes  = 24
-		floatBytes = 8
+		atomBytes = 40 // Pos + Radius + Charge
+		qptBytes  = 56 // Pos + Normal + Weight
 	)
-	n := int64(p.Pr.Mol.N())
-	q := int64(len(p.Pr.QPts))
-	nodesQ := int64(len(p.bs.TQ.Nodes))
-	size := p.bs.TA.MemoryBytes() + p.bs.TQ.MemoryBytes()
-	size += n * atomBytes                       // molecule atoms
-	size += q * qptBytes                        // surface points
-	size += q * (vec3Bytes + 3*floatBytes)      // wn + SoA mirrors
-	size += nodesQ * (vec3Bytes + 3*floatBytes) // nodeWN + SoA mirrors
-	size += n * 3 * floatBytes                  // radii, charges, atomR
-	size += p.bs.TierBytes()                    // f32 storage-tier mirrors
-	return size
+	return p.bs.MemoryBytes() + int64(cap(p.Pr.Mol.Atoms))*atomBytes + int64(cap(p.Pr.QPts))*qptBytes +
+		8*int64(len(p.Pr.Charges)+len(p.BornRadii))
 }

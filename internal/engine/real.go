@@ -103,38 +103,30 @@ func runNaiveReal(pr *Problem, o Options) RealReport {
 	return rep
 }
 
-// evalBornListParallel evaluates a Born interaction list with the pool —
-// far and near entries form one combined index space that the workers
-// chunk and steal — reducing per-worker private accumulators into
-// sNode/sAtom.
-func evalBornListParallel(bs *core.BornSolver, list *core.InteractionList, pool *sched.Pool, sNode, sAtom []float64) sched.Stats {
-	nf := len(list.Far)
-	total := nf + len(list.Near)
-	if total == 0 {
-		return sched.Stats{}
-	}
+// bornPhase is the Born phase of one rank (Fig. 4 step 2): the n units of
+// its traversal — q-leaves of the rank's segment, or dual-tree frontier
+// pairs — are divided over the pool, and run completes the units [lo, hi)
+// into the accumulators it is handed, through the worker's own tile.
+// Building a unit's interactions is part of run, so it happens inside the
+// parallel region. Worker 0 accumulates straight into sNode/sAtom and the
+// other workers' private accumulators are reduced into them afterwards; a
+// pool runs its chunks in ascending order on one worker, which makes
+// Threads == 1 the serial evaluation, addition for addition.
+func bornPhase(bs *core.BornSolver, pool *sched.Pool, n, grain int, sNode, sAtom []float64,
+	run func(tile *core.InteractionList, lo, hi int, sNode, sAtom []float64) core.Stats) (core.Stats, sched.Stats) {
 	accN := make([][]float64, pool.Workers())
 	accA := make([][]float64, pool.Workers())
-	st := pool.ParallelFor(total, 0, func(w, lo, hi int) {
+	accN[0], accA[0] = sNode, sAtom
+	tiles := make([]core.InteractionList, pool.Workers())
+	statsW := make([]core.Stats, pool.Workers())
+	st := pool.ParallelFor(n, grain, func(w, lo, hi int) {
 		if accN[w] == nil {
 			accN[w], accA[w] = bs.NewAccumulators()
 		}
-		if lo < nf {
-			fhi := hi
-			if fhi > nf {
-				fhi = nf
-			}
-			bs.EvalBornFarRange(list, lo, fhi, accN[w])
-		}
-		if hi > nf {
-			nlo := lo
-			if nlo < nf {
-				nlo = nf
-			}
-			bs.EvalBornNearRange(list, nlo-nf, hi-nf, accA[w])
-		}
+		statsW[w].Add(run(&tiles[w], lo, hi, accN[w], accA[w]))
 	})
-	for w := range accN {
+	total := statsW[0]
+	for w := 1; w < len(accN); w++ {
 		if accN[w] == nil {
 			continue
 		}
@@ -144,8 +136,9 @@ func evalBornListParallel(bs *core.BornSolver, list *core.InteractionList, pool 
 		for i := range sAtom {
 			sAtom[i] += accA[w][i]
 		}
+		total.Add(statsW[w])
 	}
-	return st
+	return total, st
 }
 
 // evalEpolListParallel evaluates an energy interaction list with the pool
@@ -183,9 +176,9 @@ func evalEpolListParallel(es *core.EpolSolver, list *core.InteractionList, pool 
 }
 
 // runCilkReal executes the dual-tree algorithm with one rank and a
-// work-stealing pool: by default the two-phase flat path (dual interaction
-// lists + SoA kernels), or the recursive dual-tree frontier when
-// UseFlatKernels is Off. It is the composition of the preprocessing half
+// work-stealing pool over the dual-tree frontier: by default the two-phase
+// flat path (interaction lists + SoA kernels), or the recursive traversal
+// when UseFlatKernels is Off. It is the composition of the preprocessing half
 // (prepareCilk: trees + Born radii) and the evaluation half
 // ((*Prepared).evalEpol) — the same two halves the serving layer runs
 // separately around its prepared-problem cache, so the cold path and the
@@ -272,50 +265,25 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 	}
 
 	// Step 2: approximated integrals for this rank's q-leaf segment. The
-	// flat path builds the segment's interaction list once and streams it;
-	// the recursive path fuses traversal and arithmetic per q-leaf.
+	// flat path streams the segment's interactions through per-worker
+	// tiles; the recursive path fuses traversal and arithmetic per q-leaf.
 	useFlat := o.UseFlatKernels.enabled(true)
 	sNode, sAtom := bs.NewAccumulators()
 	seg := partition.ForRank(bs.NumQLeaves(), P, rank)
-	switch {
-	case useFlat:
-		list := bs.BuildBornList(seg.Lo, seg.Hi)
-		rep.BornStats = list.Stats()
-		if o.Threads == 1 {
-			bs.EvalBornList(list, sNode, sAtom)
-		} else {
-			rep.Sched = evalBornListParallel(bs, list, pool, sNode, sAtom)
-		}
-	case o.Threads == 1:
-		for l := seg.Lo; l < seg.Hi; l++ {
-			rep.BornStats.Add(bs.AccumulateQLeaf(l, sNode, sAtom))
-		}
-	default:
-		accN := make([][]float64, pool.Workers())
-		accA := make([][]float64, pool.Workers())
-		statsW := make([]core.Stats, pool.Workers())
-		st := pool.ParallelFor(seg.Len(), 1, func(w, lo, hi int) {
-			if accN[w] == nil {
-				accN[w], accA[w] = bs.NewAccumulators()
+	grain := 0
+	run := func(tile *core.InteractionList, lo, hi int, sNode, sAtom []float64) core.Stats {
+		return bs.StreamBornLeaves(tile, seg.Lo+lo, seg.Lo+hi, sNode, sAtom)
+	}
+	if !useFlat {
+		grain = 1
+		run = func(_ *core.InteractionList, lo, hi int, sNode, sAtom []float64) (st core.Stats) {
+			for l := seg.Lo + lo; l < seg.Lo+hi; l++ {
+				st.Add(bs.AccumulateQLeaf(l, sNode, sAtom))
 			}
-			for l := lo; l < hi; l++ {
-				statsW[w].Add(bs.AccumulateQLeaf(seg.Lo+l, accN[w], accA[w]))
-			}
-		})
-		rep.Sched = st
-		for w := range accN {
-			if accN[w] == nil {
-				continue
-			}
-			for i := range sNode {
-				sNode[i] += accN[w][i]
-			}
-			for i := range sAtom {
-				sAtom[i] += accA[w][i]
-			}
-			rep.BornStats.Add(statsW[w])
+			return st
 		}
 	}
+	rep.BornStats, rep.Sched = bornPhase(bs, pool, seg.Len(), grain, sNode, sAtom, run)
 
 	lap(&rep.Phases.Born, po.born, "engine.born")
 

@@ -1,0 +1,142 @@
+package engine
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"octgb/internal/cluster"
+	"octgb/internal/core"
+	"octgb/internal/molecule"
+	"octgb/internal/surface"
+	"octgb/internal/testutil"
+)
+
+// materialisedRadii is the Born phase as the engines ran it before lists
+// were streamed — one whole list, built and then evaluated, through the
+// public builders — for the single-tree (dual = false) or dual traversal.
+func materialisedRadii(pr *Problem, dual bool) (*core.BornSolver, []float64, core.Stats) {
+	bs := core.NewBornSolver(pr.Mol, pr.QPts, core.BornConfig{Eps: 0.9})
+	list := bs.BuildBornList(0, bs.NumQLeaves())
+	if dual {
+		list = bs.BuildBornDualList()
+	}
+	sNode, sAtom := bs.NewAccumulators()
+	st := bs.EvalBornList(list, sNode, sAtom)
+	n := int32(pr.Mol.N())
+	rTree := make([]float64, n)
+	bs.PushIntegrals(sNode, sAtom, 0, n, rTree)
+	return bs, bs.RadiiToOriginal(rTree), st
+}
+
+// TestStreamedEnginesMatchMaterialised runs the streamed Born phase through
+// every engine shape and both transports against that reference: the same
+// work counters always, the same bits in the Born radii when one thread
+// per rank keeps the addition order (one rank) or the energy to 1e-12
+// (any decomposition).
+func TestStreamedEnginesMatchMaterialised(t *testing.T) {
+	defer testutil.Watchdog(t, 0)()
+	pr := testProblem(500, 31)
+
+	bs, radii, bornSt := materialisedRadii(pr, false)
+	es := core.NewEpolSolver(bs.TA, pr.Charges, radii, core.EpolConfig{Eps: 0.9})
+	raw, _ := es.EvalEpolList(es.BuildEpolList(0, bs.TA.NumLeaves()))
+	want := raw * core.EnergyScale()
+
+	check := func(t *testing.T, rep RealReport, ranks, threads int) {
+		t.Helper()
+		if e := relErr(rep.Energy, want); e > 1e-12 {
+			t.Errorf("energy %v, materialised %v (rel %v)", rep.Energy, want, e)
+		}
+		if ranks == 1 && threads == 1 {
+			for i := range radii {
+				if math.Float64bits(rep.BornRadii[i]) != math.Float64bits(radii[i]) {
+					t.Fatalf("Born radius %d = %v, materialised %v", i, rep.BornRadii[i], radii[i])
+				}
+			}
+		}
+	}
+	for _, ranks := range []int{1, 2, 3, 5} {
+		for _, threads := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("local/%dx%d", ranks, threads), func(t *testing.T) {
+				rep, err := RunReal(pr, OctMPICilk, Options{Ranks: ranks, Threads: threads})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, rep, ranks, threads)
+				if rep.BornStats != bornSt {
+					t.Errorf("BornStats %+v, materialised %+v", rep.BornStats, bornSt)
+				}
+			})
+			t.Run(fmt.Sprintf("tcp/%dx%d", ranks, threads), func(t *testing.T) {
+				reps := make([]RealReport, ranks)
+				overTCP(t, ranks, ranks > 2, func(c cluster.Comm, rank int) error {
+					rep, err := RunRank(c, pr, Options{Threads: threads})
+					reps[rank] = rep
+					return err
+				})
+				var st core.Stats
+				for _, rep := range reps {
+					check(t, rep, ranks, threads)
+					st.Add(rep.BornStats)
+				}
+				if st != bornSt {
+					t.Errorf("BornStats %+v, materialised %+v", st, bornSt)
+				}
+			})
+		}
+	}
+
+	// The shared-memory engine streams the dual traversal.
+	_, dualRadii, dualSt := materialisedRadii(pr, true)
+	for _, threads := range []int{1, 2, 4} {
+		p, err := Prepare(pr, Options{Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.BornStats != dualSt {
+			t.Errorf("Prepare threads=%d: BornStats %+v, materialised %+v", threads, p.BornStats, dualSt)
+		}
+		for i := range dualRadii {
+			if threads == 1 && math.Float64bits(p.BornRadii[i]) != math.Float64bits(dualRadii[i]) {
+				t.Fatalf("Prepare: Born radius %d = %v, materialised %v", i, p.BornRadii[i], dualRadii[i])
+			}
+			if e := relErr(p.BornRadii[i], dualRadii[i]); e > 1e-12 {
+				t.Fatalf("Prepare threads=%d: Born radius %d = %v, materialised %v", threads, i, p.BornRadii[i], dualRadii[i])
+			}
+		}
+	}
+}
+
+// TestColdSolveAllocationCeiling keeps the cold path's allocation from
+// creeping back: while the engines materialised their Born lists this solve
+// allocated 65 MB; streamed, it takes 7.0 MB in 470 objects (the q-points,
+// the two octrees, the solver's coordinate streams, the E_pol list and the
+// pools' task closures). The ceiling is that with 1.5× headroom.
+func TestColdSolveAllocationCeiling(t *testing.T) {
+	mol := molecule.GenerateProtein("alloc", 1000, 5)
+	solve := func() {
+		pr := NewProblem(mol, surface.Default())
+		if _, err := RunReal(pr, OctMPICilk, Options{Ranks: 2, Threads: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve() // template cache, first-use tables
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	for i := 0; i < runs; i++ {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	objects := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("cold 1000-atom solve: %.1f MB in %.0f objects", bytes/1e6, objects)
+	if bytes > 1.5*7.0e6 {
+		t.Errorf("cold solve allocates %.1f MB, ceiling %.1f MB", bytes/1e6, 1.5*7.0)
+	}
+	if objects > 1.5*470 {
+		t.Errorf("cold solve allocates %.0f objects, ceiling %.0f", objects, 1.5*470)
+	}
+}

@@ -21,7 +21,12 @@ func EmptyAABB() AABB {
 func NewAABB(pts ...Vec3) AABB {
 	b := EmptyAABB()
 	for _, p := range pts {
-		b = b.ExpandPoint(p)
+		// The built-ins, not ExpandPoint's math.Min/Max: octree builds call
+		// this on every point set, and the library calls cost several times
+		// the comparison they wrap.
+		b.Min.X, b.Max.X = min(b.Min.X, p.X), max(b.Max.X, p.X)
+		b.Min.Y, b.Max.Y = min(b.Min.Y, p.Y), max(b.Max.Y, p.Y)
+		b.Min.Z, b.Max.Z = min(b.Min.Z, p.Z), max(b.Max.Z, p.Z)
 	}
 	return b
 }

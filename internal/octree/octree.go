@@ -13,6 +13,7 @@ package octree
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"octgb/internal/geom"
 )
@@ -60,6 +61,8 @@ type Tree struct {
 	// evaluation reads only a node's center; streaming these avoids
 	// striding through the ~120-byte Node structs once per far entry.
 	CX, CY, CZ []float64
+
+	oct []uint8 // Build's scratch: each point's octant in the node being split
 }
 
 // FillSoA (re)derives the X/Y/Z coordinate mirrors from Points and the
@@ -83,15 +86,21 @@ func (t *Tree) FillSoA() {
 // Build constructs an octree over pts with the given maximum leaf size
 // (≤0 selects DefaultLeafSize). The input slice is not modified.
 func Build(pts []geom.Vec3, leafSize int) *Tree {
+	return BuildOwned(append([]geom.Vec3(nil), pts...), leafSize)
+}
+
+// BuildOwned is Build taking ownership of pts: the slice becomes the
+// tree's Points and is reordered in place, which spares callers that
+// extracted the positions for this build a second copy of them.
+func BuildOwned(pts []geom.Vec3, leafSize int) *Tree {
 	if leafSize <= 0 {
 		leafSize = DefaultLeafSize
 	}
 	t := &Tree{
-		Points:   make([]geom.Vec3, len(pts)),
+		Points:   pts,
 		Perm:     make([]int32, len(pts)),
 		LeafSize: leafSize,
 	}
-	copy(t.Points, pts)
 	for i := range t.Perm {
 		t.Perm[i] = int32(i)
 	}
@@ -107,8 +116,10 @@ func Build(pts []geom.Vec3, leafSize int) *Tree {
 			Max: root.Max.Add(geom.V(0.5, 0.5, 0.5)),
 		}
 	}
-	t.Nodes = make([]Node, 0, 2*len(pts)/leafSize+8)
+	t.Nodes = make([]Node, 0, 3*len(pts)/leafSize+8) // surface leaves fill to about a third
+	t.oct = make([]uint8, len(pts))
 	t.build(root, 0, int32(len(pts)), 0, NoChild)
+	t.oct = nil
 	t.computeGeometry(0)
 	for i := range t.Nodes {
 		if t.Nodes[i].Leaf {
@@ -135,10 +146,26 @@ func (t *Tree) build(box geom.AABB, start, count int32, depth int, parent int32)
 		return idx
 	}
 
-	// Count points per octant.
+	// Classify every point once: the octant codes are kept beside the
+	// points and travel with them through the bucket sort.
+	c := box.Center()
+	oct := t.oct[start : start+count]
+	pts := t.Points[start : start+count][:len(oct)]
+	perm := t.Perm[start : start+count][:len(oct)]
 	var cnt [8]int32
-	for i := start; i < start+count; i++ {
-		cnt[box.OctantIndex(t.Points[i])]++
+	for i, p := range pts {
+		var o uint8
+		if p.X >= c.X {
+			o |= 1
+		}
+		if p.Y >= c.Y {
+			o |= 2
+		}
+		if p.Z >= c.Z {
+			o |= 4
+		}
+		oct[i] = o
+		cnt[o]++
 	}
 	// If all points land in one octant of a tiny box, give up (coincident).
 	if box.Size().MaxComponent() < 1e-9 {
@@ -146,28 +173,26 @@ func (t *Tree) build(box geom.AABB, start, count int32, depth int, parent int32)
 		return idx
 	}
 
-	// Prefix sums → bucket offsets.
+	// Prefix sums → bucket offsets (relative to start).
 	var off, next [8]int32
-	off[0] = start
 	for o := 1; o < 8; o++ {
 		off[o] = off[o-1] + cnt[o-1]
 	}
 	next = off
 
 	// In-place cycle sort into buckets.
-	for o := 0; o < 8; o++ {
+	for o := uint8(0); o < 8; o++ {
 		end := off[o] + cnt[o]
 		for i := next[o]; i < end; {
-			p := t.Points[i]
-			dst := box.OctantIndex(p)
+			dst := oct[i]
 			if dst == o {
 				i++
-				next[o] = i
 				continue
 			}
 			j := next[dst]
-			t.Points[i], t.Points[j] = t.Points[j], t.Points[i]
-			t.Perm[i], t.Perm[j] = t.Perm[j], t.Perm[i]
+			pts[i], pts[j] = pts[j], pts[i]
+			perm[i], perm[j] = perm[j], perm[i]
+			oct[i], oct[j] = oct[j], dst
 			next[dst]++
 		}
 	}
@@ -177,7 +202,7 @@ func (t *Tree) build(box geom.AABB, start, count int32, depth int, parent int32)
 		if cnt[o] == 0 {
 			continue
 		}
-		child := t.build(box.Octant(o), off[o], cnt[o], depth+1, idx)
+		child := t.build(box.Octant(o), start+off[o], cnt[o], depth+1, idx)
 		t.Nodes[idx].Children[o] = child
 	}
 	return idx
@@ -245,14 +270,13 @@ func (t *Tree) Height() int {
 	return h
 }
 
-// MemoryBytes estimates the memory footprint of the tree structure in
-// bytes; used by the replication-cost model (pure-MPI ranks each hold a
-// full copy, the paper's §IV-B memory argument).
+// MemoryBytes is the memory the tree's slices hold, in bytes; used by the
+// serving cache's byte budget and by the replication-cost model (pure-MPI
+// ranks each hold a full copy, the paper's §IV-B memory argument).
 func (t *Tree) MemoryBytes() int64 {
-	const nodeBytes = int64(8*6+8*4+8*4+4+4+4+8) + 8 // struct estimate incl. padding
-	// Points (AoS) plus the X/Y/Z SoA mirrors: 24 + 24 bytes per point;
-	// nodes additionally carry the 24-byte CX/CY/CZ center mirrors.
-	return int64(len(t.Nodes))*(nodeBytes+24) + int64(len(t.Points))*48 + int64(len(t.Perm))*4
+	return int64(cap(t.Nodes))*int64(unsafe.Sizeof(Node{})) +
+		int64(cap(t.Points))*24 + int64(cap(t.Perm)+cap(t.LeafIdx))*4 +
+		int64(cap(t.X)+cap(t.Y)+cap(t.Z)+cap(t.CX)+cap(t.CY)+cap(t.CZ))*8
 }
 
 // Transform returns a copy of the tree with the rigid transform applied to

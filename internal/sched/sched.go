@@ -31,7 +31,7 @@ type Stats struct {
 	Executed     int64 // tasks executed
 	Steals       int64 // successful steals
 	FailedSteals int64 // steal attempts that found an empty deque or lost a race
-	Parks        int64 // idle backoffs (Gosched yields after a dry spin burst)
+	Parks        int64 // times a worker went to sleep for lack of work
 }
 
 // Add accumulates other into s — the aggregation the engines use when
@@ -195,6 +195,13 @@ type Pool struct {
 
 	pending int64 // outstanding tasks across all deques + in flight
 
+	// Idle workers sleep on idle (guarded by idleMu); sleepers counts the
+	// workers between registering as idle and waking, so a Spawn only
+	// takes the lock when somebody may need the signal.
+	idleMu   sync.Mutex
+	idle     sync.Cond
+	sleepers atomic.Int32
+
 	panicMu  sync.Mutex
 	panicked interface{} // first task panic value, re-raised by Run
 }
@@ -206,6 +213,7 @@ func NewPool(p int) *Pool {
 		p = runtime.GOMAXPROCS(0)
 	}
 	pl := &Pool{p: p, deques: make([]deque, p)}
+	pl.idle.L = &pl.idleMu
 	for i := range pl.deques {
 		pl.deques[i].init()
 	}
@@ -219,7 +227,9 @@ func NewMutexPool(p int) *Pool {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{p: p, mdeques: make([]mutexDeque, p)}
+	pl := &Pool{p: p, mdeques: make([]mutexDeque, p)}
+	pl.idle.L = &pl.idleMu
+	return pl
 }
 
 // Workers returns the worker count.
@@ -240,11 +250,19 @@ func (pl *Pool) pop(w int) (*Task, bool) {
 	return pl.deques[w].pop()
 }
 
-func (pl *Pool) stealFrom(victim int) (*Task, bool) {
+// stealFrom takes the oldest task of victim's deque, counting the outcome.
+func (pl *Pool) stealFrom(victim int) (t *Task, ok bool) {
 	if pl.mdeques != nil {
-		return pl.mdeques[victim].steal()
+		t, ok = pl.mdeques[victim].steal()
+	} else {
+		t, ok = pl.deques[victim].steal()
 	}
-	return pl.deques[victim].steal()
+	if ok {
+		atomic.AddInt64(&pl.stats.Steals, 1)
+	} else {
+		atomic.AddInt64(&pl.stats.FailedSteals, 1)
+	}
+	return t, ok
 }
 
 // Spawn enqueues t on the given worker's deque. It may only be called from
@@ -253,6 +271,11 @@ func (pl *Pool) stealFrom(victim int) (*Task, bool) {
 func (pl *Pool) Spawn(worker int, t Task) {
 	atomic.AddInt64(&pl.pending, 1)
 	pl.push(worker, &t)
+	if pl.sleepers.Load() > 0 {
+		pl.idleMu.Lock()
+		pl.idle.Signal()
+		pl.idleMu.Unlock()
+	}
 }
 
 // Run executes root and everything it transitively spawns, returning when
@@ -286,40 +309,62 @@ func (pl *Pool) Run(root Task) Stats {
 	}
 }
 
+// drySweeps is how many times over a worker tries the other deques before
+// it goes to sleep: long enough to catch the next spawn of a running
+// ParallelFor split, short enough not to occupy a core somebody else
+// (another rank's pool, an HTTP handler) has work for.
+const drySweeps = 4
+
 func (pl *Pool) workerLoop(w int) {
 	rng := rand.New(rand.NewSource(int64(w)*2654435761 + 97))
-	idleSpins := 0
 	for {
-		if t, ok := pl.pop(w); ok {
-			pl.exec(w, *t)
-			idleSpins = 0
-			continue
-		}
+		t, ok := pl.pop(w)
 		// Local deque empty: try to steal the oldest work from a random
 		// victim (stealing oldest reduces inter-thread communication, as
 		// the paper notes for cilk++).
-		if pl.p > 1 {
+		for dry := 0; !ok && dry < drySweeps*(pl.p-1); dry++ {
 			victim := rng.Intn(pl.p - 1)
 			if victim >= w {
 				victim++
 			}
-			if t, ok := pl.stealFrom(victim); ok {
-				atomic.AddInt64(&pl.stats.Steals, 1)
-				pl.exec(w, *t)
-				idleSpins = 0
+			t, ok = pl.stealFrom(victim)
+		}
+		if !ok {
+			if t, ok = pl.park(w); !ok {
+				return
+			}
+		}
+		pl.exec(w, *t)
+	}
+}
+
+// park puts worker w, whose own deque is empty, to sleep until a Spawn
+// signals or the run ends; it returns a stolen task, or false once nothing
+// is pending. No wake-up is lost: the worker registers in sleepers before
+// one last sweep of the other deques, and a Spawn pushes before it reads
+// sleepers, so either the sweep sees the task or the Spawn sees the
+// sleeper — and then signals under idleMu, which the worker holds until
+// it is waiting. Work left in a deque the sweep lost a race for is not
+// stranded either: its owner is awake and pops it.
+func (pl *Pool) park(w int) (*Task, bool) {
+	pl.idleMu.Lock()
+	defer pl.idleMu.Unlock()
+	for atomic.LoadInt64(&pl.pending) != 0 {
+		pl.sleepers.Add(1)
+		for v := 0; v < pl.p; v++ {
+			if v == w {
 				continue
 			}
-			atomic.AddInt64(&pl.stats.FailedSteals, 1)
+			if t, ok := pl.stealFrom(v); ok {
+				pl.sleepers.Add(-1)
+				return t, true
+			}
 		}
-		if atomic.LoadInt64(&pl.pending) == 0 {
-			return
-		}
-		idleSpins++
-		if idleSpins > 64 {
-			atomic.AddInt64(&pl.stats.Parks, 1)
-			runtime.Gosched()
-		}
+		atomic.AddInt64(&pl.stats.Parks, 1)
+		pl.idle.Wait()
+		pl.sleepers.Add(-1)
 	}
+	return nil, false
 }
 
 func (pl *Pool) exec(w int, t Task) {
@@ -332,7 +377,11 @@ func (pl *Pool) exec(w int, t Task) {
 			pl.panicMu.Unlock()
 		}
 		atomic.AddInt64(&pl.stats.Executed, 1)
-		atomic.AddInt64(&pl.pending, -1)
+		if atomic.AddInt64(&pl.pending, -1) == 0 {
+			pl.idleMu.Lock()
+			pl.idle.Broadcast() // the run is over: release the sleepers
+			pl.idleMu.Unlock()
+		}
 	}()
 	t(w)
 }

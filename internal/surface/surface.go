@@ -14,11 +14,12 @@ package surface
 
 import (
 	"math"
+	"sync"
 
 	"octgb/internal/geom"
 	"octgb/internal/molecule"
-	"octgb/internal/octree"
 	"octgb/internal/quadrature"
+	"octgb/internal/sched"
 )
 
 // QPoint is one surface quadrature point: location, unit outward normal of
@@ -61,7 +62,16 @@ func Default() Options { return Options{SubdivLevel: 1, Degree: 1, RadiusScale: 
 
 // Sample generates the surface quadrature point set of mol.
 func Sample(mol *molecule.Molecule, opt Options) []QPoint {
-	q, _ := SampleOwned(mol, opt)
+	q, _ := sample(mol, opt, 1)
+	return q
+}
+
+// SampleParallel is Sample with the atoms divided over a work-stealing
+// pool of `workers` threads (≤ 0 selects GOMAXPROCS). Every atom's points
+// land at a precomputed offset, so the output is identical to Sample's
+// under any schedule.
+func SampleParallel(mol *molecule.Molecule, opt Options, workers int) []QPoint {
+	q, _ := sample(mol, opt, workers)
 	return q
 }
 
@@ -73,85 +83,127 @@ func Sample(mol *molecule.Molecule, opt Options) []QPoint {
 // invariant. Burial culling is decided at sampling time and not revisited
 // by such transports (see engine.Session).
 func SampleOwned(mol *molecule.Molecule, opt Options) ([]QPoint, []int32) {
+	return sample(mol, opt, 1)
+}
+
+// template is the quadrature of the unit sphere every atom sphere is a
+// scaled copy of: unit directions and weights summing to exactly 4π.
+type template struct {
+	dir []geom.Vec3
+	w   []float64
+}
+
+// templates caches one template per (SubdivLevel, Degree): building one
+// subdivides and projects an icosahedron, as much work as sampling a small
+// molecule with it.
+var templates sync.Map // [2]int → *template
+
+func templateFor(level, degree int) *template {
+	key := [2]int{level, degree}
+	if t, ok := templates.Load(key); ok {
+		return t.(*template)
+	}
+	mesh := quadrature.Icosphere(level)
+	rule := quadrature.Rule(degree)
+	// Calibrate weights so an isolated unit sphere integrates to exactly 4π
+	// (flat facets slightly under-tile the sphere).
+	areaFix := 4 * math.Pi / mesh.TotalArea()
+	t := &template{}
+	for i := range mesh.Tris {
+		area := mesh.TriangleArea(i) * areaFix
+		for _, p := range rule {
+			t.dir = append(t.dir, mesh.PointAt(i, p.A, p.B, p.C).Unit())
+			t.w = append(t.w, p.W*area)
+		}
+	}
+	templates.Store(key, t)
+	return t
+}
+
+// sample is the one sampler body. A point on atom i's sphere can only be
+// buried by an atom whose sphere overlaps i's, so each atom gathers those
+// neighbours once (one ball query on the atom-center octree) and tests
+// every template direction against that short list; the survivors are
+// recorded as a bitmask first, so the output is allocated once at its
+// exact size and filled at per-atom offsets, atom-major in template order.
+func sample(mol *molecule.Molecule, opt Options, workers int) ([]QPoint, []int32) {
 	opt = opt.withDefaults()
 	n := mol.N()
 	if n == 0 {
 		return nil, nil
 	}
+	tpl := templateFor(opt.SubdivLevel, opt.Degree)
+	scale := opt.RadiusScale
+	tree, maxR := centerTree(mol, scale)
+	words := (len(tpl.dir) + 63) / 64
+	keep := make([]uint64, n*words)
+	start := make([]int32, n+1) // start[i+1] holds atom i's count until the prefix sum
 
-	mesh := quadrature.Icosphere(opt.SubdivLevel)
-	rule := quadrature.Rule(opt.Degree)
-	// Calibrate weights so an isolated unit sphere integrates to exactly 4π
-	// (flat facets slightly under-tile the sphere).
-	areaFix := 4 * math.Pi / mesh.TotalArea()
-
-	// Precompute per-triangle unit directions and per-point weights on the
-	// unit sphere; scale by r and r² per atom.
-	type protoPoint struct {
-		dir geom.Vec3
-		w   float64 // weight on the unit sphere (sums to 4π)
-	}
-	protos := make([]protoPoint, 0, len(mesh.Tris)*len(rule))
-	for i := range mesh.Tris {
-		area := mesh.TriangleArea(i) * areaFix
-		for _, p := range rule {
-			protos = append(protos, protoPoint{
-				dir: mesh.PointAt(i, p.A, p.B, p.C).Unit(),
-				w:   p.W * area,
+	pool := sched.NewPool(workers)
+	type neighbours struct{ x, y, z, thr []float64 }
+	scratch := make([]neighbours, pool.Workers())
+	pool.ParallelFor(n, 0, func(w, lo, hi int) {
+		nb := &scratch[w]
+		for i := lo; i < hi; i++ {
+			ai := &mol.Atoms[i]
+			ri := ai.Radius * scale
+			nb.x, nb.y, nb.z, nb.thr = nb.x[:0], nb.y[:0], nb.z[:0], nb.thr[:0]
+			// The 1e-9 slack keeps the list a superset of what a per-point
+			// query finds: a sphere that far outside cannot bury strictly.
+			tree.ForEachInBall(ai.Pos, (ri+maxR)*(1+1e-9), func(ti int32) bool {
+				j := tree.Perm[ti]
+				a := &mol.Atoms[j]
+				r := a.Radius * scale
+				if reach := ri + r; int(j) != i && a.Pos.Dist2(ai.Pos) <= reach*reach*(1+1e-9) {
+					nb.x, nb.y, nb.z = append(nb.x, a.Pos.X), append(nb.y, a.Pos.Y), append(nb.z, a.Pos.Z)
+					nb.thr = append(nb.thr, r*r*(1-1e-12))
+				}
+				return true
 			})
-		}
-	}
-
-	// Octree over atom centers for burial queries.
-	centers := make([]geom.Vec3, n)
-	maxR := 0.0
-	for i, a := range mol.Atoms {
-		centers[i] = a.Pos
-		if r := a.Radius * opt.RadiusScale; r > maxR {
-			maxR = r
-		}
-	}
-	tree := octree.Build(centers, 0)
-
-	out := make([]QPoint, 0, n*4)
-	owners := make([]int32, 0, n*4)
-	for i := range mol.Atoms {
-		ai := &mol.Atoms[i]
-		ri := ai.Radius * opt.RadiusScale
-		for _, pp := range protos {
-			p := ai.Pos.Add(pp.dir.Scale(ri))
-			if buried(tree, mol, opt.RadiusScale, p, int32(i), maxR) {
-				continue
+			mask := keep[i*words : (i+1)*words]
+			for k, dir := range tpl.dir {
+				if !buriedBy(nb.x, nb.y, nb.z, nb.thr, ai.Pos.Add(dir.Scale(ri))) {
+					mask[k/64] |= 1 << (k % 64)
+					start[i+1]++
+				}
 			}
-			out = append(out, QPoint{
-				Pos:    p,
-				Normal: pp.dir,
-				Weight: pp.w * ri * ri,
-			})
-			owners = append(owners, int32(i))
 		}
+	})
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
 	}
+
+	out := make([]QPoint, start[n])
+	owners := make([]int32, start[n])
+	pool.ParallelFor(n, 0, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ai := &mol.Atoms[i]
+			ri := ai.Radius * scale
+			at := start[i]
+			for k, dir := range tpl.dir {
+				if keep[i*words+k/64]&(1<<(k%64)) == 0 {
+					continue
+				}
+				out[at] = QPoint{Pos: ai.Pos.Add(dir.Scale(ri)), Normal: dir, Weight: tpl.w[k] * ri * ri}
+				owners[at] = int32(i)
+				at++
+			}
+		}
+	})
 	return out, owners
 }
 
-// buried reports whether point p (on atom self's sphere) lies strictly
-// inside any other atom's sphere.
-func buried(tree *octree.Tree, mol *molecule.Molecule, scale float64, p geom.Vec3, self int32, maxR float64) bool {
-	hit := false
-	tree.ForEachInBall(p, maxR, func(ti int32) bool {
-		j := tree.Perm[ti]
-		if j == self {
+// buriedBy reports whether p lies strictly inside any sphere of the
+// neighbour list: centers x, y, z, and thr the squared radius shrunk by
+// the strictness margin.
+func buriedBy(x, y, z, thr []float64, p geom.Vec3) bool {
+	for j := range thr {
+		dx, dy, dz := x[j]-p.X, y[j]-p.Y, z[j]-p.Z
+		if dx*dx+dy*dy+dz*dz < thr[j] {
 			return true
 		}
-		a := &mol.Atoms[j]
-		r := a.Radius * scale
-		if a.Pos.Dist2(p) < r*r*(1-1e-12) {
-			hit = true
-			return false
-		}
-		return true
-	})
-	return hit
+	}
+	return false
 }
 
 // TotalArea returns the summed quadrature weight — the exposed molecular
