@@ -135,28 +135,28 @@ bench-stream-check:
 ## BENCHMARK.json) between a base commit and the working tree, the way a
 ## performance claim has to be shown: both cmd/bench binaries are built
 ## once (the base from a `git archive` of BASE under .bench_build/, which
-## unlike a worktree leaves nothing registered in .git), every workload is
-## run PAIRS times on each side with tracing off and the side that goes
-## first alternating from pair to pair, all runs of a side are appended to
-## one fresh result file under .bench_out/, and `cmd/bench -compare` prints
-## the verdict per (workload, metric) under the contract's bounds.
-##   make bench-compare BASE=HEAD~1 [PAIRS=5 SEED=1 RUN_SECONDS=30 WORKLOADS="cold_solve ..."]
+## unlike a worktree leaves nothing registered in .git), every workload of
+## the contract is run for the contract's run_seconds in ten pairs with
+## tracing off and the side that goes first alternating from pair to pair,
+## all runs of a side are appended to one fresh result file under
+## .bench_out/, and `cmd/bench -compare` prints the verdict per (workload,
+## metric) under the contract's bounds. SEED picks the inputs, so a claim
+## can be checked on a seed development never saw. Needs jq.
+##   make bench-compare BASE=HEAD~1 [SEED=1]
 BASE ?= HEAD
-PAIRS ?= 5
 SEED ?= 1
-RUN_SECONDS ?= 30
-WORKLOADS ?= cold_solve warm_serve stream_md
 bench-compare:
 	rm -rf .bench_build/base && mkdir -p .bench_build/base .bench_out
 	git archive $(BASE) | tar -x -C .bench_build/base
 	cd .bench_build/base && $(GO) build -o ../bench-base ./cmd/bench
 	$(GO) build -o .bench_build/bench-head ./cmd/bench
 	rm -f .bench_out/compare-base.json .bench_out/compare-head.json
-	@for i in $$(seq 1 $(PAIRS)); do for w in $(WORKLOADS); do \
+	@seconds=$$(jq -r .run_seconds BENCHMARK.json) && workloads=$$(jq -r '.workloads[].name' BENCHMARK.json) || exit 1; \
+	for i in 1 2 3 4 5 6 7 8 9 10; do for w in $$workloads; do \
 		if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
 		for side in $$order; do \
-			echo "pair $$i/$(PAIRS) $$w $$side"; \
-			.bench_build/bench-$$side --workload $$w --seed $(SEED) --seconds $(RUN_SECONDS) --trace 0 \
+			echo "pair $$i/10 $$w $$side"; \
+			.bench_build/bench-$$side --workload $$w --seed $(SEED) --seconds $$seconds --trace 0 \
 				--out .bench_out/compare-$$side.json >/dev/null || exit 1; \
 		done; \
 	done; done

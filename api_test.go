@@ -36,11 +36,31 @@ func TestComputeZeroOptionsMeansDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Zero options must resolve to the same ε and engine as the defaults:
+	// the work counters are a function of those alone and repeat exactly.
+	if a.Report.BornStats != b.Report.BornStats || a.Report.EpolStats != b.Report.EpolStats {
+		t.Errorf("zero options did different work: born %+v vs %+v, epol %+v vs %+v",
+			a.Report.BornStats, b.Report.BornStats, a.Report.EpolStats, b.Report.EpolStats)
+	}
 	// The default is 2 ranks × 2 threads, and which worker's partial sum a
-	// term lands in is the scheduler's choice: two runs of one configuration
-	// agree to rounding, not bit for bit.
+	// term lands in is the scheduler's choice, so the energies of two runs
+	// agree to rounding only. With one thread per rank the addition order is
+	// fixed and the same comparison is bit for bit.
 	if math.Abs(a.Energy-b.Energy) > 1e-12*math.Abs(b.Energy) {
 		t.Errorf("zero options %v != defaults %v", a.Energy, b.Energy)
+	}
+	o := DefaultOptions()
+	o.Threads = 1
+	c, err := Compute(mol, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Compute(mol, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Energy != d.Energy {
+		t.Errorf("2 ranks × 1 thread is not repeatable: %v != %v", c.Energy, d.Energy)
 	}
 }
 

@@ -44,11 +44,6 @@ type InteractionList struct {
 	Far   []NodePair
 	stats Stats
 	stack pairStack // the builders' traversal stack, kept so a tile can resume
-
-	// done of total is how far the traversal filling the list has come
-	// (leaves traversed, or point pairs its entries cover); add sizes a
-	// full list's next backing array from it.
-	done, total int64
 }
 
 // Stats returns the traversal's work counters: NodesVisited from the
@@ -64,26 +59,6 @@ func (l *InteractionList) reset() {
 	l.Far = l.Far[:0]
 	l.stack = l.stack[:0]
 	l.stats = Stats{}
-	l.done, l.total = 0, 0
-}
-
-// add appends p to list, one of l's two lists. Lists run to millions of
-// entries and are built once, so growing them is most of what a cold build
-// costs beyond its traversal: append's 1.25× policy copies a large list
-// about four times over. A traversal knows how far it has come, so a full
-// list is instead regrown to the length it is heading for (an eighth
-// over), and lands in nearly exactly-sized storage after a copy or two.
-func (l *InteractionList) add(list []NodePair, p NodePair) []NodePair {
-	if n := len(list); n == cap(list) {
-		want := 2 * n // progress unknown: double
-		if l.total > 0 && l.done > 0 {
-			want = int(float64(n) * float64(l.total) / float64(l.done) * 1.125)
-		}
-		grown := make([]NodePair, n, n+max(min(want, 8*n)-n, n/4, 1024))
-		copy(grown, list)
-		list = grown
-	}
-	return append(list, p)
 }
 
 // pairStack is a tiny explicit stack of node pairs reused across the
@@ -117,7 +92,6 @@ func (s *BornSolver) BuildBornList(qLo, qHi int) *InteractionList {
 // rather than re-paying the append growth every pose.
 func (s *BornSolver) BuildBornListInto(l *InteractionList, qLo, qHi int) *InteractionList {
 	l.reset()
-	l.total = int64(qHi - qLo)
 	s.fillBornLeaves(l, qLo, qHi, math.MaxInt)
 	return l
 }
@@ -143,12 +117,12 @@ func (s *BornSolver) fillBornLeaves(l *InteractionList, qLo, qHi, limit int) int
 			an := &s.TA.Nodes[a]
 			d2 := an.Center.Dist2(qn.Center)
 			if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
-				l.Far = l.add(l.Far, NodePair{a, q})
+				l.Far = append(l.Far, NodePair{a, q})
 				l.stats.FarEval++
 				continue
 			}
 			if an.Leaf {
-				l.Near = l.add(l.Near, NodePair{a, q})
+				l.Near = append(l.Near, NodePair{a, q})
 				l.stats.NearPairs += int64(an.Count) * qCount
 				continue
 			}
@@ -161,7 +135,6 @@ func (s *BornSolver) fillBornLeaves(l *InteractionList, qLo, qHi, limit int) int
 				}
 			}
 		}
-		l.done++
 	}
 	l.stack = stack
 	return ql
@@ -180,7 +153,6 @@ func (s *BornSolver) BuildBornDualListInto(l *InteractionList) *InteractionList 
 	l.reset()
 	if len(s.TA.Nodes) != 0 && len(s.TQ.Nodes) != 0 {
 		l.stack.push(0, 0)
-		l.total = int64(len(s.TA.Points)) * int64(len(s.TQ.Points))
 		s.fillBornDual(l, math.MaxInt)
 	}
 	return l
@@ -198,16 +170,14 @@ func (s *BornSolver) fillBornDual(l *InteractionList, limit int) {
 		qn := &s.TQ.Nodes[q]
 		d2 := an.Center.Dist2(qn.Center)
 		if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
-			l.Far = l.add(l.Far, p)
+			l.Far = append(l.Far, p)
 			l.stats.FarEval++
-			l.done += int64(an.Count) * int64(qn.Count)
 			continue
 		}
 		switch {
 		case an.Leaf && qn.Leaf:
-			l.Near = l.add(l.Near, p)
+			l.Near = append(l.Near, p)
 			l.stats.NearPairs += int64(an.Count) * int64(qn.Count)
-			l.done += int64(an.Count) * int64(qn.Count)
 		case qn.Leaf || (!an.Leaf && an.Radius >= qn.Radius):
 			for c := 7; c >= 0; c-- {
 				if ch := an.Children[c]; ch != octree.NoChild {
@@ -449,7 +419,6 @@ func buildEpolLeafList(l *InteractionList, t *octree.Tree, sep float64, vLo, vHi
 		return l
 	}
 	sep2 := sep * sep // same squared constant the solver stores
-	l.total = int64(vHi - vLo)
 	stack := l.stack
 	for vl := vLo; vl < vHi; vl++ {
 		v := t.LeafIdx[vl]
@@ -461,13 +430,13 @@ func buildEpolLeafList(l *InteractionList, t *octree.Tree, sep float64, vLo, vHi
 			l.stats.NodesVisited++
 			un := &t.Nodes[u]
 			if un.Leaf {
-				l.Near = l.add(l.Near, NodePair{u, v})
+				l.Near = append(l.Near, NodePair{u, v})
 				l.stats.NearPairs += int64(un.Count) * int64(vn.Count)
 				continue
 			}
 			d2 := un.Center.Dist2(vn.Center)
 			if epolFar2(d2, un.Radius, vn.Radius, sep2) {
-				l.Far = l.add(l.Far, NodePair{u, v})
+				l.Far = append(l.Far, NodePair{u, v})
 				if nnz != nil {
 					l.stats.FarEval += nnz(u) * nnz(v)
 				}
@@ -479,7 +448,6 @@ func buildEpolLeafList(l *InteractionList, t *octree.Tree, sep float64, vLo, vHi
 				}
 			}
 		}
-		l.done++
 	}
 	l.stack = stack
 	return l
@@ -528,7 +496,6 @@ func (s *EpolSolver) BuildEpolDualListInto(l *InteractionList) *InteractionList 
 	if len(s.T.Nodes) == 0 {
 		return l
 	}
-	l.total = int64(len(s.T.Points)) * int64(len(s.T.Points))
 	var stack pairStack
 	stack.push(0, 0)
 	for len(stack) > 0 {
@@ -539,15 +506,13 @@ func (s *EpolSolver) BuildEpolDualListInto(l *InteractionList) *InteractionList 
 		vn := &s.T.Nodes[v]
 		d2 := un.Center.Dist2(vn.Center)
 		if u != v && epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
-			l.Far = l.add(l.Far, p)
+			l.Far = append(l.Far, p)
 			l.stats.FarEval += s.nnz(u) * s.nnz(v)
-			l.done += int64(un.Count) * int64(vn.Count)
 			continue
 		}
 		if un.Leaf && vn.Leaf {
-			l.Near = l.add(l.Near, p)
+			l.Near = append(l.Near, p)
 			l.stats.NearPairs += int64(un.Count) * int64(vn.Count)
-			l.done += int64(un.Count) * int64(vn.Count)
 			continue
 		}
 		if vn.Leaf || (!un.Leaf && un.Radius >= vn.Radius) {

@@ -67,23 +67,3 @@ func sameBits(t *testing.T, name string, st, wantSt Stats, n, wantN, a, wantA []
 		}
 	}
 }
-
-// TestListGrowthLandsNearExactSize pins what the progress-sized growth is
-// for: a cold build ends with little more backing storage than entries.
-func TestListGrowthLandsNearExactSize(t *testing.T) {
-	m, q := testMol(2000, 78)
-	bs := NewBornSolver(m, q, BornConfig{Eps: 0.9})
-	for name, l := range map[string]*InteractionList{
-		"single": bs.BuildBornList(0, bs.NumQLeaves()),
-		"dual":   bs.BuildBornDualList(),
-	} {
-		for kind, list := range map[string][]NodePair{"near": l.Near, "far": l.Far} {
-			if len(list) < 10000 {
-				t.Fatalf("%s %s: only %d entries, the test needs a list that grew", name, kind, len(list))
-			}
-			if float64(cap(list)) > 1.4*float64(len(list)) {
-				t.Errorf("%s %s: cap %d for %d entries, want within 1.4×", name, kind, cap(list), len(list))
-			}
-		}
-	}
-}

@@ -161,12 +161,12 @@ func centerTree(m *molecule.Molecule, scale float64) (*octree.Tree, float64) {
 			maxR = r
 		}
 	}
-	return octree.Build(centers, 0), maxR
+	return octree.BuildOwned(centers, 0), maxR
 }
 
 // buriedByAny reports whether p lies strictly inside any atom of mol —
 // the cross-molecule half of Sample's burial rule, where no atom is
-// "self". The strictness threshold matches buried exactly so composed
+// "self". The strictness threshold matches buriedBy's exactly so composed
 // surfaces reproduce Sample's culling decisions.
 func buriedByAny(tree *octree.Tree, mol *molecule.Molecule, scale float64, p geom.Vec3, maxR float64) bool {
 	hit := false

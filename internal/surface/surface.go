@@ -67,11 +67,11 @@ func Sample(mol *molecule.Molecule, opt Options) []QPoint {
 }
 
 // SampleParallel is Sample with the atoms divided over a work-stealing
-// pool of `workers` threads (≤ 0 selects GOMAXPROCS). Every atom's points
-// land at a precomputed offset, so the output is identical to Sample's
-// under any schedule.
+// pool of `workers` threads (≤ 1 is the serial Sample). Every atom's
+// points land at a precomputed offset, so the output is identical to
+// Sample's under any schedule.
 func SampleParallel(mol *molecule.Molecule, opt Options, workers int) []QPoint {
-	q, _ := sample(mol, opt, workers)
+	q, _ := sample(mol, opt, max(workers, 1))
 	return q
 }
 
