@@ -24,6 +24,7 @@ type bornNearArgs struct {
 	sAtom  *float64  // 56: near-field accumulator, indexed by atom row
 	nv     int64     // 64: padded tile length in elements (multiple of 4)
 	r4     int64     // 72: nonzero → 1/d⁴ integrand, else 1/d⁶
+	base   int64     // 80: atom row i accumulates into sAtom[i-base]
 }
 
 // bornNearRunAVX2 evaluates every (atom row × tile point) pair of the
@@ -34,13 +35,45 @@ type bornNearArgs struct {
 //go:noescape
 func bornNearRunAVX2(a *bornNearArgs)
 
-// evalBornNearRangeVec is EvalBornNearRange's amd64 vector path. Row
-// sums reassociate across the 4 lanes, so per-element results differ
-// from the scalar kernel only by summation rounding — well inside the
-// 1e-12 golden pins (the near integrand has no catastrophic
-// cancellation: see TestBornNearVecMatchesScalar).
-func (s *BornSolver) evalBornNearRangeVec(near []NodePair, sAtom []float64) {
-	var tile [6 * bornTileCap]float64
+// packBornTile repacks q-leaf q's coordinates and quadrature weights into
+// the zero-padded tile and returns the padded length. ok is false when the
+// leaf holds more than bornTileCap points; the caller then runs the scalar
+// kernel.
+func (s *BornSolver) packBornTile(tile *[6 * bornTileCap]float64, q int32) (nv int, ok bool) {
+	qlo, qhi := s.TQ.PointRange(q)
+	n := int(qhi - qlo)
+	if n > bornTileCap {
+		return 0, false
+	}
+	qx := s.TQ.X[qlo:qhi]
+	qy := s.TQ.Y[qlo:qhi][:n]
+	qz := s.TQ.Z[qlo:qhi][:n]
+	wx := s.wnX[qlo:qhi][:n]
+	wy := s.wnY[qlo:qhi][:n]
+	wz := s.wnZ[qlo:qhi][:n]
+	for k := 0; k < n; k++ {
+		tile[0*bornTileCap+k] = qx[k]
+		tile[1*bornTileCap+k] = qy[k]
+		tile[2*bornTileCap+k] = qz[k]
+		tile[3*bornTileCap+k] = wx[k]
+		tile[4*bornTileCap+k] = wy[k]
+		tile[5*bornTileCap+k] = wz[k]
+	}
+	nv = (n + 3) &^ 3
+	for k := n; k < nv; k++ {
+		tile[0*bornTileCap+k] = 0
+		tile[1*bornTileCap+k] = 0
+		tile[2*bornTileCap+k] = 0
+		tile[3*bornTileCap+k] = 0
+		tile[4*bornTileCap+k] = 0
+		tile[5*bornTileCap+k] = 0
+	}
+	return nv, true
+}
+
+// bornVecArgs is the argument block both vector paths start from: every
+// field but the per-run ones (ents, nents, nv, base).
+func (s *BornSolver) bornVecArgs(tile *[6 * bornTileCap]float64, sAtom []float64) bornNearArgs {
 	args := bornNearArgs{
 		tile:   &tile[0],
 		ranges: &s.aRange[0],
@@ -52,46 +85,59 @@ func (s *BornSolver) evalBornNearRangeVec(near []NodePair, sAtom []float64) {
 	if s.r4 {
 		args.r4 = 1
 	}
+	return args
+}
+
+// evalBornNearRangeVec is EvalBornNearRange's amd64 vector path. Row
+// sums reassociate across the 4 lanes, so per-element results differ
+// from the scalar kernel only by summation rounding — well inside the
+// 1e-12 golden pins (the near integrand has no catastrophic
+// cancellation: see TestBornNearVecMatchesScalar).
+func (s *BornSolver) evalBornNearRangeVec(near []NodePair, sAtom []float64) {
+	var tile [6 * bornTileCap]float64
+	args := s.bornVecArgs(&tile, sAtom)
 	for len(near) > 0 {
 		q := near[0].B
 		run := 1
 		for run < len(near) && near[run].B == q {
 			run++
 		}
-		qlo, qhi := s.TQ.PointRange(q)
-		n := int(qhi - qlo)
-		if n > bornTileCap {
-			s.evalBornNearRun(near[:run], q, sAtom)
+		nv, ok := s.packBornTile(&tile, q)
+		if !ok {
+			s.evalBornNearRun(near[:run], q, sAtom, 0)
 			near = near[run:]
 			continue
-		}
-		qx := s.TQ.X[qlo:qhi]
-		qy := s.TQ.Y[qlo:qhi][:n]
-		qz := s.TQ.Z[qlo:qhi][:n]
-		wx := s.wnX[qlo:qhi][:n]
-		wy := s.wnY[qlo:qhi][:n]
-		wz := s.wnZ[qlo:qhi][:n]
-		for k := 0; k < n; k++ {
-			tile[0*bornTileCap+k] = qx[k]
-			tile[1*bornTileCap+k] = qy[k]
-			tile[2*bornTileCap+k] = qz[k]
-			tile[3*bornTileCap+k] = wx[k]
-			tile[4*bornTileCap+k] = wy[k]
-			tile[5*bornTileCap+k] = wz[k]
-		}
-		nv := (n + 3) &^ 3
-		for k := n; k < nv; k++ {
-			tile[0*bornTileCap+k] = 0
-			tile[1*bornTileCap+k] = 0
-			tile[2*bornTileCap+k] = 0
-			tile[3*bornTileCap+k] = 0
-			tile[4*bornTileCap+k] = 0
-			tile[5*bornTileCap+k] = 0
 		}
 		args.ents = &near[0]
 		args.nents = int64(run)
 		args.nv = int64(nv)
 		bornNearRunAVX2(&args)
 		near = near[run:]
+	}
+}
+
+// evalBornRowBlocksVec is EvalBornRowBlocks' amd64 vector path: the tile
+// buffer and the argument block are set up once, and each q-leaf is one
+// single-entry run of the same kernel with the accumulator rebased onto
+// the entry's block — the arithmetic of evalBornNearRangeVec on a
+// one-entry list, without its per-call set-up.
+func (s *BornSolver) evalBornRowBlocksVec(a int32, qLeaves []int32, out []float64) {
+	var tile [6 * bornTileCap]float64
+	alo, ahi := s.TA.PointRange(a)
+	cnt := int(ahi - alo)
+	one := [1]NodePair{{A: a}} // the kernels read only an entry's A side
+	args := s.bornVecArgs(&tile, out)
+	args.ents = &one[0]
+	args.nents = 1
+	for k, ql := range qLeaves {
+		q := s.TQ.LeafIdx[ql]
+		nv, ok := s.packBornTile(&tile, q)
+		if !ok {
+			s.evalBornNearRun(one[:], q, out[k*cnt:(k+1)*cnt], alo)
+			continue
+		}
+		args.nv = int64(nv)
+		args.base = int64(alo) - int64(k*cnt)
+		bornNearRunAVX2(&args)
 	}
 }

@@ -12,7 +12,8 @@
 // tile's weight rows, then t = (w·d)/d²ᵏ and a bitwise AND with the
 // d² ≥ 1e-12 compare mask — coincident pairs and zero-padding lanes both
 // land on ±0 contributions exactly like the scalar guard. Row sums
-// horizontally reduce into sAtom[row].
+// horizontally reduce into sAtom[row − base]; the base is folded into the
+// accumulator pointer once, on entry.
 //
 // Register plan (both exponent variants):
 //   DX tile · BX/R15 entry cursor/end · R14 aRange · R8..R10 atom SoA
@@ -36,6 +37,9 @@ TEXT ·bornNearRunAVX2(SB), NOSPLIT, $0-8
 	MOVQ 40(AX), R9            // atom y
 	MOVQ 48(AX), R10           // atom z
 	MOVQ 56(AX), R11           // sAtom
+	MOVQ 80(AX), SI
+	SHLQ $3, SI
+	SUBQ SI, R11               // rebased: row i accumulates at sAtom[i-base]
 	MOVQ 64(AX), R12
 	SHLQ $3, R12               // tile length in bytes
 	MOVQ 72(AX), AX            // exponent selector

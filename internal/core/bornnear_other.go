@@ -8,6 +8,11 @@ func (s *BornSolver) evalBornNearRangeVec(near []NodePair, sAtom []float64) {
 	panic("core: vector kernel dispatched without AVX2 support")
 }
 
+// Stub for the amd64-only row-batched vector path; likewise unreachable.
+func (s *BornSolver) evalBornRowBlocksVec(a int32, qLeaves []int32, out []float64) {
+	panic("core: vector kernel dispatched without AVX2 support")
+}
+
 // Stub for the amd64-only far-field vector path; likewise unreachable.
 func (s *BornSolver) evalBornFarRangeVec(far []NodePair, sNode []float64) {
 	panic("core: vector kernel dispatched without AVX2 support")

@@ -22,6 +22,9 @@ import (
 //     full sweep produces: BornFarTerm, EpolFarTerm, BornRadiusFromSums
 //     (EvalBornNearPair / EvalEpolNearPair in lists.go already qualify —
 //     they always take the scalar run path, never the vectorized one);
+//   - the row-major batched near evaluator EvalBornRowBlocks, which fills
+//     one T_A leaf's block against each of a list of q-leaves with the
+//     bits EvalBornNearRange gives the same entry alone;
 //   - slack-aware single-driver list builders that classify against a
 //     caller-supplied driver ball with BOTH sides' radii inflated by the
 //     slack margin, so every far decision stays valid while geometry
@@ -113,6 +116,39 @@ func (s *BornSolver) BornRadiusFromSums(i int32, sum float64) float64 {
 	return gb.BornFromIntegral(sum, s.atomR[i], s.rcap)
 }
 
+// EvalBornRowBlocks evaluates the T_A leaf a against each of the q-leaves
+// in qLeaves (dense T_Q leaf indices, as BuildBornList counts them) and
+// writes entry k's block — the q-leaf's contribution to each atom of a, in
+// row order — to out[k·Count(a) : (k+1)·Count(a)]. It is the row-major
+// counterpart of a driver's EvalBornNearRange call: there one q-tile sweeps
+// many A-leaves, here one A-leaf meets many q-tiles, and the per-call work
+// (tile buffer, kernel argument block, tier dispatch) is done once for the
+// whole list instead of once per entry. Each block carries exactly the bits
+// EvalBornNearRange produces for the one-entry list {(a, q)} into a zeroed
+// accumulator, on either path and either storage tier.
+func (s *BornSolver) EvalBornRowBlocks(a int32, qLeaves []int32, out []float64) {
+	alo, ahi := s.TA.PointRange(a)
+	cnt := int(ahi - alo)
+	out = out[:len(qLeaves)*cnt]
+	if len(out) == 0 {
+		return
+	}
+	clear(out)
+	if hasAVX2FMA && s.f32 == nil {
+		s.evalBornRowBlocksVec(a, qLeaves, out)
+		return
+	}
+	one := [1]NodePair{{A: a}} // the run kernels read only an entry's A side
+	for k, ql := range qLeaves {
+		q := s.TQ.LeafIdx[ql]
+		if s.f32 != nil {
+			s.evalBornNearRunF32(one[:], q, out[k*cnt:(k+1)*cnt], alo)
+		} else {
+			s.evalBornNearRun(one[:], q, out[k*cnt:(k+1)*cnt], alo)
+		}
+	}
+}
+
 // FarTotals pushes per-node far sums down T_A: out[n] = out[parent] +
 // sNode[n], the cumulative ancestor total pushDown carries, computed for
 // every node in one forward sweep (parents precede children in the
@@ -145,9 +181,9 @@ func (s *BornSolver) BuildBornDriverSlack(l *InteractionList, qLeaf int32, ballC
 	qlo, qhi := s.TQ.PointRange(qLeaf)
 	qCount := int64(qhi - qlo)
 	rq := ballR + SlackMargin(ballR, slackFactor, minSlack)
-	var stack pairStack
+	stack := &l.stack // the list's own stack: no allocation once it has grown
 	stack.push(0, qLeaf)
-	for len(stack) > 0 {
+	for len(*stack) > 0 {
 		p := stack.pop()
 		a := p.A
 		l.stats.NodesVisited++
@@ -224,9 +260,9 @@ func (s *EpolSolver) BuildEpolDriverSlack(l *InteractionList, vLeaf int32, ballC
 	}
 	vCount := int64(s.T.Nodes[vLeaf].Count)
 	rv := ballR + SlackMargin(ballR, slackFactor, minSlack)
-	var stack pairStack
+	stack := &l.stack
 	stack.push(0, vLeaf)
-	for len(stack) > 0 {
+	for len(*stack) > 0 {
 		p := stack.pop()
 		u := p.A
 		l.stats.NodesVisited++

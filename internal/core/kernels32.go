@@ -14,7 +14,7 @@ import "math"
 func sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 
 // evalBornNearRunF32 is evalBornNearRun on the float32 mirrors.
-func (s *BornSolver) evalBornNearRunF32(entries []NodePair, q int32, sAtom []float64) {
+func (s *BornSolver) evalBornNearRunF32(entries []NodePair, q int32, sAtom []float64, base int32) {
 	m := s.f32
 	qlo, qhi := s.TQ.PointRange(q)
 	ax, ay, az := m.ax, m.ay, m.az
@@ -86,10 +86,11 @@ func (s *BornSolver) evalBornNearRunF32(entries []NodePair, q int32, sAtom []flo
 					}
 				}
 			}
-			sAtom[i] += c0
-			sAtom[i+1] += c1
-			sAtom[i+2] += c2
-			sAtom[i+3] += c3
+			row := sAtom[i-base : i-base+4]
+			row[0] += c0
+			row[1] += c1
+			row[2] += c2
+			row[3] += c3
 		}
 		for ; i < ahi; i++ {
 			px, py, pz := ax[i], ay[i], az[i]
@@ -111,7 +112,7 @@ func (s *BornSolver) evalBornNearRunF32(entries []NodePair, q int32, sAtom []flo
 					}
 				}
 			}
-			sAtom[i] += acc
+			sAtom[i-base] += acc
 		}
 	}
 }

@@ -123,6 +123,68 @@ func TestBornNearVecMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestBornRowBlocksMatchPerEntry holds the row-batched evaluator to the
+// per-entry call it replaces in the session: for an A-leaf and a list of
+// q-leaves, block k must carry the bits EvalBornNearRange leaves in a zeroed
+// accumulator for the one-entry list {(a, q_k)} — on the vector and the
+// pure-Go path, for both integrands, on the float32 tier, with q-leaves
+// wider than bornTileCap (the vector path's scalar fallback), and for an
+// empty partner list.
+func TestBornRowBlocksMatchPerEntry(t *testing.T) {
+	m, q := testMol(600, 83)
+	for _, cfg := range []BornConfig{
+		{Eps: 0.9},
+		{Eps: 0.9, Exponent: 4},
+		{Eps: 0.9, Precision: Float32},
+		{Eps: 0.9, LeafSize: 3 * bornTileCap}, // q-leaves up to 192 points wide
+	} {
+		bs := NewBornSolver(m, q, cfg)
+		wide := 0
+		for _, ql := range bs.TQ.LeafIdx {
+			if lo, hi := bs.TQ.PointRange(ql); int(hi-lo) > bornTileCap {
+				wide++
+			}
+		}
+		if cfg.LeafSize > bornTileCap && wide == 0 {
+			t.Fatalf("%+v: no q-leaf wider than the tile; scalar fallback untested", cfg)
+		}
+		// Every third q-leaf, so consecutive entries pack different tiles.
+		var qLeaves []int32
+		for ql := 0; ql < bs.NumQLeaves(); ql += 3 {
+			qLeaves = append(qLeaves, int32(ql))
+		}
+		check := func(path string) {
+			_, want := bs.NewAccumulators()
+			var one InteractionList
+			for _, a := range bs.TA.LeafIdx[:min(8, len(bs.TA.LeafIdx))] {
+				lo, hi := bs.TA.PointRange(a)
+				cnt := int(hi - lo)
+				got := make([]float64, len(qLeaves)*cnt+1)
+				got[len(got)-1] = 42 // one past the last block: must stay untouched
+				bs.EvalBornRowBlocks(a, qLeaves, got)
+				for k, ql := range qLeaves {
+					clear(want[lo:hi])
+					one.Near = append(one.Near[:0], NodePair{A: a, B: bs.TQ.LeafIdx[ql]})
+					bs.EvalBornNearRange(&one, 0, 1, want)
+					for j := 0; j < cnt; j++ {
+						if g, w := got[k*cnt+j], want[int(lo)+j]; math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("%+v %s: leaf %d entry %d row %d: batched %v, per-entry %v", cfg, path, a, k, j, g, w)
+						}
+					}
+				}
+				if got[len(got)-1] != 42 {
+					t.Fatalf("%+v %s: leaf %d: wrote past the last block", cfg, path, a)
+				}
+				bs.EvalBornRowBlocks(a, nil, got[:0]) // empty partner list: nothing to write, no panic
+			}
+		}
+		if hasAVX2FMA {
+			check("vec")
+		}
+		forceScalar(func() { check("scalar") })
+	}
+}
+
 // TestEpolNearVecMatchesScalar pins the AVX2 energy near kernel (vector
 // exp, gathered 2^j table, Go-side self-pair correction) against the
 // scalar kernel on the same list.

@@ -252,10 +252,10 @@ func (s *BornSolver) evalBornTile(tile *InteractionList, sNode, sAtom []float64)
 func (s *BornSolver) EvalBornNearPair(a, q int32, sAtom []float64) {
 	one := [1]NodePair{{a, q}}
 	if s.f32 != nil {
-		s.evalBornNearRunF32(one[:], q, sAtom)
+		s.evalBornNearRunF32(one[:], q, sAtom, 0)
 		return
 	}
-	s.evalBornNearRun(one[:], q, sAtom)
+	s.evalBornNearRun(one[:], q, sAtom, 0)
 }
 
 // EvalBornNearRange evaluates the near entries [lo, hi) of the list.
@@ -280,9 +280,9 @@ func (s *BornSolver) EvalBornNearRange(l *InteractionList, lo, hi int, sAtom []f
 			run++
 		}
 		if s.f32 != nil {
-			s.evalBornNearRunF32(near[:run], q, sAtom)
+			s.evalBornNearRunF32(near[:run], q, sAtom, 0)
 		} else {
-			s.evalBornNearRun(near[:run], q, sAtom)
+			s.evalBornNearRun(near[:run], q, sAtom, 0)
 		}
 		near = near[run:]
 	}
@@ -299,7 +299,11 @@ func (s *BornSolver) EvalBornNearRange(l *InteractionList, lo, hi int, sAtom []f
 // spills loop invariants and reloads slice bases; see DESIGN.md §11).
 // On amd64 with AVX2+FMA the run is instead handed to the vector kernel
 // in bornnear_amd64.s, which jams rows in SIMD registers.
-func (s *BornSolver) evalBornNearRun(entries []NodePair, q int32, sAtom []float64) {
+//
+// Atom row i accumulates into sAtom[i-base]: base is 0 for a tree-order
+// accumulator and the leaf's first row when sAtom is one entry's block
+// (EvalBornRowBlocks).
+func (s *BornSolver) evalBornNearRun(entries []NodePair, q int32, sAtom []float64, base int32) {
 	qlo, qhi := s.TQ.PointRange(q)
 	ax, ay, az := s.TA.X, s.TA.Y, s.TA.Z
 	qx := s.TQ.X[qlo:qhi]
@@ -332,7 +336,7 @@ func (s *BornSolver) evalBornNearRun(entries []NodePair, q int32, sAtom []float6
 					}
 				}
 			}
-			sAtom[i] += acc
+			sAtom[i-base] += acc
 		}
 	}
 }

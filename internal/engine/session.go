@@ -3,7 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"octgb/internal/core"
 	"octgb/internal/geom"
@@ -41,19 +41,33 @@ import (
 //     contribution to each atom of the leaf — and the energy phase one
 //     value per (u-leaf, driver) near entry. A cached entry is a pure
 //     function of its two leaves' atom data, so exactly the entries whose
-//     inputs changed are re-evaluated each frame; row and driver sums are
-//     then rebuilt as plain float64 additions over the caches in a
-//     canonical order (drivers ascending, entries in traversal order).
-//     Every path — incremental, resweep, refresh, creation — evaluates an
-//     entry through the same single-entry range-evaluator call, and there
-//     is NO subtract-old/add-new arithmetic anywhere, so a clean cache
-//     entry is BITWISE the value a full recompute would produce: a session
-//     with ResweepEvery=1 (every frame recomputes every value from current
+//     inputs changed are re-evaluated each frame, and the sums over them
+//     are rebuilt as plain float64 additions in a canonical order. For a
+//     Born row that order is a FIXED TWO-LEVEL TREE: the row's blocks sit
+//     in ascending driver order (slot s of P), every bornGroup consecutive
+//     slots are added left to right into one group sum, and the row is the
+//     left-to-right sum of its group sums. A rewritten block dirties only
+//     its group, so a frame re-adds the groups that changed plus one short
+//     pass over the group sums — O(changed blocks), not O(dirty rows ×
+//     partners). The energy phase sums a driver's entry values in
+//     traversal order and the drivers ascending. Every path —
+//     incremental, resweep, refresh, creation — evaluates a block or an
+//     entry through the same range evaluators (the row-major and the
+//     driver-major Born evaluator give an entry the same bits) and sums
+//     through the same group and row functions, and there is NO
+//     subtract-old/add-new arithmetic anywhere, so a clean cache entry is
+//     BITWISE the value a full recompute would produce: a session with
+//     ResweepEvery=1 (every frame recomputes every value from current
 //     state) is the from-scratch oracle, and the incremental path must
 //     match it exactly, not merely within a drift tolerance.
 //     ResweepEvery's periodic full resweep therefore re-verifies rather
 //     than repairs; it bounds the blast radius of any dirty-tracking
 //     defect.
+//
+// The per-driver and per-row stores are capacity-capped views cut from a
+// few large allocations (sessionArenas), not individually grown slices: a
+// view that a re-derivation outgrows moves to the heap on its own and
+// cannot run into its neighbour.
 //
 // One deliberate, bounded staleness knob sits between the two phases:
 // exact Born radii (rTree) are maintained every frame, but the energy
@@ -64,7 +78,7 @@ import (
 // pinning the frame cost at a full energy near-field sweep. The push rule
 // is a deterministic function of the frame stream alone (resweeps
 // recompute values but do not force pushes), so oracle and incremental
-// sessions hold bitwise-identical pushed radii and the 1e-12 oracle
+// sessions hold bitwise-identical pushed radii and the bitwise oracle
 // contract is untouched; the cost is a bounded absolute offset of order
 // RadiusTolerance against a zero-tolerance session, far below the
 // treecode approximation error. RadiusTolerance < 0 disables the gate.
@@ -103,12 +117,17 @@ type Session struct {
 
 	// rowBlk holds the per-(row, driver) near blocks ROW-major: row leaf a
 	// keeps its partners' blocks contiguous in ascending driver order
-	// (slot s of P, each Count(a) wide), so the per-frame row resum is a
-	// single sequential sweep instead of one pointer chase per tiny block.
-	// The trade is that a row's slots shift when its partner MEMBERSHIP
-	// changes; rederiveBorn detects exactly those rows (symmetric diff of
-	// the old and new near list) and they re-derive all their blocks.
-	rowBlk [][]float64 // per T_A leaf node id
+	// (slot s of P, each Count(a) wide). rowGrp holds the first level of
+	// the row's canonical sum — group g is the left-to-right sum of slots
+	// [g·bornGroup, (g+1)·bornGroup) — and the row itself is the
+	// left-to-right sum of its groups; grpDirty marks the groups a block
+	// write invalidated. The trade of the row-major layout is that a row's
+	// slots shift when its partner MEMBERSHIP changes; rederiveBorn repairs
+	// exactly those rows (symmetric difference of the old and new near
+	// list) and they re-evaluate all their blocks.
+	rowBlk   [][]float64 // per T_A leaf node id
+	rowGrp   [][]float64 // per T_A leaf node id: ⌈P/bornGroup⌉ group sums
+	grpDirty [][]bool    // per T_A leaf node id: groups to re-add
 
 	sNodeFar  []float64 // per T_A node: canonical far sums
 	farTotal  []float64 // per T_A node: pushed-down ancestor totals
@@ -135,20 +154,22 @@ type Session struct {
 	// refresh. disp* hold per-leaf maximum point displacements against
 	// those references; refBallR* the driver-ball radius the slack budget
 	// is anchored to.
-	refPosA, epochPosA     []geom.Vec3
-	refPosQ, epochPosQ     []geom.Vec3
-	dispRefA, dispEpochA   []float64
-	dispRefQ, dispEpochQ   []float64
-	refBallRA, refBallRQ   []float64
-	nodeDispA, nodeDispQ   []float64 // epoch-bubble scratch, per node
+	refPosA, epochPosA   []geom.Vec3
+	refPosQ, epochPosQ   []geom.Vec3
+	dispRefA, dispEpochA []float64
+	dispRefQ, dispEpochQ []float64
+	refBallRA, refBallRQ []float64
+	nodeDispA, nodeDispQ []float64 // epoch-bubble scratch, per node
 
 	frame  int
 	energy float64
 
+	arenas sessionArenas
+
 	// Per-frame scratch (mark bits cleared lazily via the id lists).
 	scratch        core.InteractionList
-	rowPairs       core.InteractionList // reusable single-entry pair view
-	rowScratch     []float64            // full-length row scratch for block evals
+	rowPairs       core.InteractionList // one driver's near entries as pairs
+	rowScratch     []float64            // full-length row scratch for driver block evals
 	movedA, movedQ []int32              // moved leaf node ids this frame
 	markA, markQ   []bool
 	dirtyRows      []int32 // T_A leaf node ids with dirty near rows
@@ -161,7 +182,71 @@ type Session struct {
 	fullV          []bool    // per driver: re-evaluate the whole segment this frame
 	slotDirty      []int32   // T_A leaf node ids whose partner membership changed
 	markSlot       []bool
+	farDirty       []int32 // T_A node ids whose far sum a re-derivation changed
+	markFar        []bool
 	oldNear        []int32 // rederiveBorn scratch: the driver's previous near list
+	oldSlot        []int32 // and the slots its entries held
+}
+
+// bornGroup is the number of consecutive block-store slots one group sum
+// of a Born row covers. It fixes the shape of the canonical sum, so it is a
+// constant of the session format, not a tuning knob: 16 makes the second
+// level of a 2 000-partner row 125 additions per atom and keeps a group's
+// re-add (16 blocks) cheaper than the block evaluation that dirtied it.
+const bornGroup = 16
+
+// sessionArenas owns the backing storage of the per-driver and per-row
+// stores. Traversal output (near and far lists, far values), whose length
+// is known only once a driver's traversal has run, is cut from chunked
+// slabs; everything derived from those lists is counted first and cut from
+// one exact allocation. A structural refresh reuses all of it.
+type sessionArenas struct {
+	near, far, epolFar slab[int32]
+	farVal             slab[float64]
+	epolNear           slab[core.NodePair]
+
+	slots, partners, partnerPos       []int32
+	blocks, groups                    []float64
+	marks                             []bool
+	epolVals                          []float64
+	epolPartners, epolPartnerPos, ent []int32
+}
+
+// slabShare sizes a slab's chunks: a chunk holds slabShare entries per
+// driver, a few per cent of what the drivers' lists come to (a Born driver
+// at the default ε has ~70 near and ~230 far entries).
+const slabShare = 32
+
+// slab cuts capacity-capped slices out of equally sized chunks, allocating
+// a chunk whenever the current one cannot hold the next cut (one larger
+// than a chunk gets a chunk of its own). reset hands the same chunks out
+// again.
+type slab[T any] struct {
+	chunk     int // chunk length
+	chunks    [][]T
+	cur, used int
+}
+
+func (s *slab[T]) reset(chunk int) { s.chunk, s.cur, s.used = chunk, 0, 0 }
+
+func (s *slab[T]) take(n int) []T {
+	for ; s.cur < len(s.chunks); s.cur, s.used = s.cur+1, 0 {
+		if c := s.chunks[s.cur]; s.used+n <= len(c) {
+			s.used += n
+			return c[s.used-n : s.used : s.used]
+		}
+	}
+	s.chunks = append(s.chunks, make([]T, max(n, s.chunk)))
+	s.used = n
+	return s.chunks[s.cur][:n:n]
+}
+
+// cut takes the next n elements of a counted arena as a view that cannot
+// grow into what follows it.
+func cut[T any](buf *[]T, n int) []T {
+	v := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return v
 }
 
 // SessionOptions configures a streaming session.
@@ -295,6 +380,14 @@ func NewSession(mol *molecule.Molecule, o SessionOptions) (*Session, error) {
 	ss.qLeafOf = tq.PointLeaves()
 	ss.qOwner = make([][]int32, m.N())
 	ss.qOff = make([]geom.Vec3, len(qpts))
+	owned := make([]int32, m.N())
+	for _, ow := range owners {
+		owned[ow]++
+	}
+	ownerBuf := make([]int32, len(qpts))
+	for i := range ss.qOwner {
+		ss.qOwner[i] = cut(&ownerBuf, int(owned[i]))[:0]
+	}
 	for j, orig := range tq.Perm {
 		ow := owners[orig]
 		ss.qOff[j] = qpts[orig].Pos.Sub(m.Atoms[ow].Pos)
@@ -303,13 +396,15 @@ func NewSession(mol *molecule.Molecule, o SessionOptions) (*Session, error) {
 	ss.aDense = denseLeafIndex(len(ta.Nodes), ta.LeafIdx)
 	ss.qDense = denseLeafIndex(len(tq.Nodes), tq.LeafIdx)
 
-	nA, nQ := len(ta.Points), len(tq.Points)
+	nA := len(ta.Points)
 	la, lq := len(ta.LeafIdx), len(tq.LeafIdx)
 	ss.bornNear = make([][]int32, lq)
 	ss.bornFar = make([][]int32, lq)
 	ss.bornFarVal = make([][]float64, lq)
 	ss.bornEntrySlot = make([][]int32, lq)
 	ss.rowBlk = make([][]float64, len(ta.Nodes))
+	ss.rowGrp = make([][]float64, len(ta.Nodes))
+	ss.grpDirty = make([][]bool, len(ta.Nodes))
 	ss.bornPartners = make([][]int32, len(ta.Nodes))
 	ss.bornPartnerPos = make([][]int32, len(ta.Nodes))
 	ss.sNodeFar = make([]float64, len(ta.Nodes))
@@ -342,11 +437,19 @@ func NewSession(mol *molecule.Molecule, o SessionOptions) (*Session, error) {
 	ss.markQ = make([]bool, len(tq.Nodes))
 	ss.markRow = make([]bool, len(ta.Nodes))
 	ss.markSlot = make([]bool, len(ta.Nodes))
+	ss.markFar = make([]bool, len(ta.Nodes))
 	ss.markV = make([]bool, la)
 	ss.markU = make([]bool, len(ta.Nodes))
 	ss.dirtyEnt = make([][]int32, la)
 	ss.fullV = make([]bool, la)
-	_ = nQ
+	// The per-frame id lists hold each leaf at most once, so their final
+	// capacity is known now and no frame has to grow them.
+	ss.movedA = make([]int32, 0, la)
+	ss.movedQ = make([]int32, 0, lq)
+	ss.dirtyRows = make([]int32, 0, la)
+	ss.dirtyV = make([]int32, 0, la)
+	ss.listU = make([]int32, 0, la)
+	ss.slotDirty = make([]int32, 0, la)
 
 	ss.rebuildStructure()
 	return ss, nil
@@ -413,8 +516,8 @@ func (ss *Session) Step(d FrameDelta) (FrameReport, error) {
 			}
 		}
 	}
-	sortInt32(ss.movedA)
-	sortInt32(ss.movedQ)
+	slices.Sort(ss.movedA)
+	slices.Sort(ss.movedQ)
 
 	// Refresh per-leaf displacement maxima for the moved leaves, then
 	// bubble epoch displacements up both trees; any node beyond its slack
@@ -450,14 +553,12 @@ func (ss *Session) Step(d FrameDelta) (FrameReport, error) {
 		}
 	}
 	if bornStruct {
-		ss.rebuildBornPartners()
-		ss.recomputeFarSums()
+		ss.sumFarNodes(false)
 		// Rows whose partner membership changed have shifted block slots:
 		// resize their stores now (the resweep path writes through slots
 		// too); their block values are rebuilt in the incremental pass.
 		for _, a := range ss.slotDirty {
-			ss.sizeRowBlocks(a)
-			ss.markDirtyRow(a)
+			ss.sizeRowStores(a)
 		}
 	}
 	if epolStruct {
@@ -476,10 +577,9 @@ func (ss *Session) Step(d FrameDelta) (FrameReport, error) {
 
 	// Born near blocks: a cached block is a pure function of its driver's
 	// q-points and its row's atom positions, so re-evaluate every block of
-	// a moved (or re-derived) driver and, for each moved row, its block in
-	// every partnered driver; then rebuild the dirty rows from the caches
-	// with plain additions in canonical driver order. rederiveBorn marked
-	// the old and new rows of re-derived drivers already.
+	// a moved (or re-derived) driver, driver-major, and every block of a
+	// moved row, row-major; then re-add the groups those writes dirtied
+	// and rebuild the dirty rows from their group sums.
 	for _, l := range ss.movedQ {
 		ql := int(ss.qDense[l])
 		ss.recomputeDriverBlocks(ql)
@@ -488,22 +588,15 @@ func (ss *Session) Step(d FrameDelta) (FrameReport, error) {
 		}
 	}
 	for _, l := range ss.movedA {
-		ss.markDirtyRow(l)
-		pp, pk := ss.bornPartners[l], ss.bornPartnerPos[l]
-		for idx := range pp {
-			ss.recomputeBornBlock(int(pp[idx]), int(pk[idx]))
-		}
+		ss.recomputeRowBlocks(l)
 	}
 	// Slot-shifted rows rebuild ALL their blocks: values of unmoved
 	// partners are unchanged but live at new offsets, and re-evaluating
-	// through the canonical entry path reproduces them bitwise.
+	// them reproduces them bitwise.
 	for _, a := range ss.slotDirty {
-		pp, pk := ss.bornPartners[a], ss.bornPartnerPos[a]
-		for idx := range pp {
-			ss.recomputeBornBlock(int(pp[idx]), int(pk[idx]))
-		}
+		ss.recomputeRowBlocks(a)
 	}
-	sortInt32(ss.dirtyRows)
+	slices.Sort(ss.dirtyRows)
 	for _, a := range ss.dirtyRows {
 		ss.resumBornRow(a)
 	}
@@ -525,7 +618,7 @@ func (ss *Session) Step(d FrameDelta) (FrameReport, error) {
 	// are then re-evaluated grouped per driver — one v-tile pack per
 	// driver in the vector path — and dirty drivers resum their cached
 	// entries in traversal order.
-	sortInt32(ss.listU)
+	slices.Sort(ss.listU)
 	for _, u := range ss.listU {
 		if vl := ss.aDense[u]; vl >= 0 {
 			ss.fullV[vl] = true
@@ -540,7 +633,7 @@ func (ss *Session) Step(d FrameDelta) (FrameReport, error) {
 			ss.markDirtyV(vl)
 		}
 	}
-	sortInt32(ss.dirtyV)
+	slices.Sort(ss.dirtyV)
 	for _, vl := range ss.dirtyV {
 		if ss.fullV[vl] {
 			ss.es.EvalEpolNearEntryValues(ss.epolNear[vl], nil, ss.epolNearVal[vl])
@@ -645,69 +738,110 @@ func (ss *Session) epochBreach() bool {
 }
 
 // rederiveBorn rebuilds one Born driver segment against the refit ball of
-// the driver's current points, recomputes its cached far values, marks the
-// old and new partner rows dirty, and resets the driver's slack budget.
+// the driver's current points, recomputes its cached far values, repairs
+// the reverse index of the rows that entered or left its near list, marks
+// the T_A nodes of its old and new far list for a far re-sum, and resets
+// the driver's slack budget. The driver's blocks are left stale: only a
+// moved driver can breach, and the frame re-evaluates a moved driver's
+// blocks regardless.
 func (ss *Session) rederiveBorn(qLeaf int32) {
 	ql := ss.qDense[qLeaf]
 	ss.oldNear = append(ss.oldNear[:0], ss.bornNear[ql]...)
-	for _, a := range ss.bornNear[ql] {
-		ss.markDirtyRow(a)
+	ss.oldSlot = append(ss.oldSlot[:0], ss.bornEntrySlot[ql]...)
+	for _, a := range ss.bornFar[ql] {
+		ss.markFarDirty(a)
 	}
 	c, r := currentBall(ss.bs.TQ, qLeaf)
 	ss.bs.BuildBornDriverSlack(&ss.scratch, qLeaf, c, r, ss.opts.SlackFactor, ss.opts.MinSlack)
 	ss.bornNear[ql] = appendANodes(ss.bornNear[ql][:0], ss.scratch.Near)
 	ss.bornFar[ql] = appendANodes(ss.bornFar[ql][:0], ss.scratch.Far)
-	ss.bornFarVal[ql] = ss.bornFarVal[ql][:0]
+	ss.bornFarVal[ql] = resize(ss.bornFarVal[ql], len(ss.bornFar[ql]))
+	ss.fillBornFarVals(int(ql))
 	for _, a := range ss.bornFar[ql] {
-		ss.bornFarVal[ql] = append(ss.bornFarVal[ql], ss.bs.BornFarTerm(a, qLeaf))
+		ss.markFarDirty(a)
 	}
-	for _, a := range ss.bornNear[ql] {
-		ss.markDirtyRow(a)
-	}
-	// Rows entering or leaving this driver's near list are the rows whose
-	// partner membership — and hence row-major slot layout — changes. Both
-	// lists come out of the traversal in ascending node order, so the
-	// symmetric difference is a single merge.
+
+	// Both near lists come out of the traversal in ascending node order, so
+	// one merge finds the rows that left (the driver comes out of the row's
+	// partner list), the rows that entered (it goes in, at its place in the
+	// ascending order), and the rows that stayed (same slot; only the
+	// entry's index within the driver's list may have moved). A row that
+	// left or entered has shifted slots from the change on.
+	old, nw := ss.oldNear, ss.bornNear[ql]
+	slots := resize(ss.bornEntrySlot[ql], len(nw))
+	ss.bornEntrySlot[ql] = slots
 	i, j := 0, 0
-	nw := ss.bornNear[ql]
-	for i < len(ss.oldNear) && j < len(nw) {
+	for i < len(old) || j < len(nw) {
 		switch {
-		case ss.oldNear[i] == nw[j]:
+		case j == len(nw) || (i < len(old) && old[i] < nw[j]):
+			a, at := old[i], int(ss.oldSlot[i])
+			ss.bornPartners[a] = slices.Delete(ss.bornPartners[a], at, at+1)
+			ss.bornPartnerPos[a] = slices.Delete(ss.bornPartnerPos[a], at, at+1)
+			ss.reslotRow(a, at)
 			i++
+		case i == len(old) || nw[j] < old[i]:
+			a := nw[j]
+			at, _ := slices.BinarySearch(ss.bornPartners[a], ql)
+			ss.bornPartners[a] = slices.Insert(ss.bornPartners[a], at, ql)
+			ss.bornPartnerPos[a] = slices.Insert(ss.bornPartnerPos[a], at, int32(j))
+			ss.reslotRow(a, at)
 			j++
-		case ss.oldNear[i] < nw[j]:
-			ss.markSlotDirty(ss.oldNear[i])
-			i++
 		default:
-			ss.markSlotDirty(nw[j])
+			slots[j] = ss.oldSlot[i]
+			ss.bornPartnerPos[nw[j]][slots[j]] = int32(j)
+			i++
 			j++
 		}
-	}
-	for ; i < len(ss.oldNear); i++ {
-		ss.markSlotDirty(ss.oldNear[i])
-	}
-	for ; j < len(nw); j++ {
-		ss.markSlotDirty(nw[j])
 	}
 	ss.resetRefQ(qLeaf, r)
 }
 
-func (ss *Session) markSlotDirty(aLeaf int32) {
+// reslotRow rewrites, after a partner was inserted at or deleted from slot
+// `from` of row aLeaf, the slot every later partner's entry records, and
+// marks the row slot-shifted.
+func (ss *Session) reslotRow(aLeaf int32, from int) {
+	pp, pk := ss.bornPartners[aLeaf], ss.bornPartnerPos[aLeaf]
+	for at := from; at < len(pp); at++ {
+		ss.bornEntrySlot[pp[at]][pk[at]] = int32(at)
+	}
 	if !ss.markSlot[aLeaf] {
 		ss.markSlot[aLeaf] = true
 		ss.slotDirty = append(ss.slotDirty, aLeaf)
 	}
 }
 
-// sizeRowBlocks sizes one row's block store to its current partner count;
-// the values are rebuilt by whoever changed the layout.
-func (ss *Session) sizeRowBlocks(aLeaf int32) {
-	need := len(ss.bornPartners[aLeaf]) * int(ss.bs.TA.Nodes[aLeaf].Count)
-	if cap(ss.rowBlk[aLeaf]) < need {
-		ss.rowBlk[aLeaf] = make([]float64, need)
-	} else {
-		ss.rowBlk[aLeaf] = ss.rowBlk[aLeaf][:need]
+func (ss *Session) markFarDirty(aNode int32) {
+	if !ss.markFar[aNode] {
+		ss.markFar[aNode] = true
+		ss.farDirty = append(ss.farDirty, aNode)
 	}
+}
+
+// fillBornFarVals recomputes one driver's cached far-entry values.
+func (ss *Session) fillBornFarVals(ql int) {
+	qLeaf := ss.bs.TQ.LeafIdx[ql]
+	vals := ss.bornFarVal[ql]
+	for k, a := range ss.bornFar[ql] {
+		vals[k] = ss.bs.BornFarTerm(a, qLeaf)
+	}
+}
+
+// rowStoreSizes returns the lengths of one row's block store, group sums
+// and group marks at its current partner count.
+func (ss *Session) rowStoreSizes(aLeaf int32) (blocks, groups, marks int) {
+	cnt := int(ss.bs.TA.Nodes[aLeaf].Count)
+	p := len(ss.bornPartners[aLeaf])
+	g := (p + bornGroup - 1) / bornGroup
+	return p * cnt, g * cnt, g
+}
+
+// sizeRowStores resizes one row's stores after its partner count changed;
+// the values are rebuilt by whoever changed the layout.
+func (ss *Session) sizeRowStores(aLeaf int32) {
+	nBlk, nGrp, nMark := ss.rowStoreSizes(aLeaf)
+	ss.rowBlk[aLeaf] = resize(ss.rowBlk[aLeaf], nBlk)
+	ss.rowGrp[aLeaf] = resize(ss.rowGrp[aLeaf], nGrp)
+	ss.grpDirty[aLeaf] = resize(ss.grpDirty[aLeaf], nMark)
 }
 
 // rederiveEpol is rederiveBorn's energy-phase counterpart: the driver's
@@ -722,7 +856,7 @@ func (ss *Session) rederiveEpol(aLeaf int32) {
 	ss.es.BuildEpolDriverSlack(&ss.scratch, aLeaf, c, r, ss.opts.SlackFactor, ss.opts.MinSlack)
 	ss.epolNear[vl] = append(ss.epolNear[vl][:0], ss.scratch.Near...)
 	ss.epolFar[vl] = appendANodes(ss.epolFar[vl][:0], ss.scratch.Far)
-	ss.epolNearVal[vl] = resizeF64(ss.epolNearVal[vl], len(ss.epolNear[vl]))
+	ss.epolNearVal[vl] = resize(ss.epolNearVal[vl], len(ss.epolNear[vl]))
 	ss.recomputeEpolFar(vl)
 	ss.markDirtyV(int32(vl))
 	lo, hi := ss.bs.TA.PointRange(aLeaf)
@@ -738,106 +872,178 @@ func (ss *Session) resetRefQ(qLeaf int32, ballR float64) {
 	ss.refBallRQ[qLeaf] = ballR
 }
 
-// rebuildBornPartners re-derives the reverse index (T_A leaf -> drivers
-// whose near lists contain it, plus the entry position within each), in
-// ascending driver order.
+// rebuildBornPartners derives the reverse index (T_A leaf -> drivers whose
+// near lists contain it, plus the entry position within each), in
+// ascending driver order, and every entry's slot in its row — counted
+// first, so each list is filled in place in an exactly sized view.
 func (ss *Session) rebuildBornPartners() {
-	for i := range ss.bornPartners {
-		ss.bornPartners[i] = ss.bornPartners[i][:0]
-		ss.bornPartnerPos[i] = ss.bornPartnerPos[i][:0]
+	ta, ar := ss.bs.TA, &ss.arenas
+	count := make([]int32, len(ta.Nodes))
+	total := 0
+	for _, near := range ss.bornNear {
+		for _, a := range near {
+			count[a]++
+		}
+		total += len(near)
 	}
-	for ql := range ss.bornNear {
-		slots := ss.bornEntrySlot[ql][:0]
-		for k, a := range ss.bornNear[ql] {
+	ar.slots = resize(ar.slots, total)
+	ar.partners = resize(ar.partners, total)
+	ar.partnerPos = resize(ar.partnerPos, total)
+	slots, partners, partnerPos := ar.slots, ar.partners, ar.partnerPos
+	for _, a := range ta.LeafIdx {
+		ss.bornPartners[a] = cut(&partners, int(count[a]))[:0]
+		ss.bornPartnerPos[a] = cut(&partnerPos, int(count[a]))[:0]
+	}
+	for ql, near := range ss.bornNear {
+		ss.bornEntrySlot[ql] = cut(&slots, len(near))
+		for k, a := range near {
+			// Drivers are visited ascending, so the append position IS the
+			// entry's slot in the row's partner-ordered block store.
+			ss.bornEntrySlot[ql][k] = int32(len(ss.bornPartners[a]))
 			ss.bornPartners[a] = append(ss.bornPartners[a], int32(ql))
 			ss.bornPartnerPos[a] = append(ss.bornPartnerPos[a], int32(k))
-			// Drivers are visited ascending, so the append position IS the
-			// entry's final slot in the row's partner-ordered block store.
-			slots = append(slots, int32(len(ss.bornPartners[a])-1))
 		}
-		ss.bornEntrySlot[ql] = slots
 	}
 }
 
-func (ss *Session) rebuildEpolPartners() {
-	for i := range ss.epolPartners {
-		ss.epolPartners[i] = ss.epolPartners[i][:0]
-		ss.epolPartnerPos[i] = ss.epolPartnerPos[i][:0]
+// rebuildRowStores cuts every row's block store, group sums and group
+// marks to its partner count out of three counted arenas. The values are
+// rebuilt by the caller.
+func (ss *Session) rebuildRowStores() {
+	ta, ar := ss.bs.TA, &ss.arenas
+	var nBlk, nGrp, nMark int
+	for _, a := range ta.LeafIdx {
+		b, g, m := ss.rowStoreSizes(a)
+		nBlk, nGrp, nMark = nBlk+b, nGrp+g, nMark+m
 	}
-	for vl := range ss.epolNear {
-		for k, p := range ss.epolNear[vl] {
+	ar.blocks = resize(ar.blocks, nBlk)
+	ar.groups = resize(ar.groups, nGrp)
+	ar.marks = resize(ar.marks, nMark)
+	blocks, groups, marks := ar.blocks, ar.groups, ar.marks
+	for _, a := range ta.LeafIdx {
+		b, g, m := ss.rowStoreSizes(a)
+		ss.rowBlk[a] = cut(&blocks, b)
+		ss.rowGrp[a] = cut(&groups, g)
+		ss.grpDirty[a] = cut(&marks, m)
+	}
+}
+
+// rebuildEpolPartners derives the energy phase's reverse index (u-leaf ->
+// drivers whose near lists contain it, ascending) and sizes each driver's
+// dirty-entry list to its near list — a frame names each entry at most
+// once — all counted first and cut from exact arenas.
+func (ss *Session) rebuildEpolPartners() {
+	ta, ar := ss.bs.TA, &ss.arenas
+	count := make([]int32, len(ta.Nodes))
+	total := 0
+	for _, near := range ss.epolNear {
+		for _, p := range near {
+			count[p.A]++
+		}
+		total += len(near)
+	}
+	ar.epolPartners = resize(ar.epolPartners, total)
+	ar.epolPartnerPos = resize(ar.epolPartnerPos, total)
+	ar.ent = resize(ar.ent, total)
+	partners, partnerPos, ent := ar.epolPartners, ar.epolPartnerPos, ar.ent
+	for _, u := range ta.LeafIdx {
+		ss.epolPartners[u] = cut(&partners, int(count[u]))[:0]
+		ss.epolPartnerPos[u] = cut(&partnerPos, int(count[u]))[:0]
+	}
+	for vl, near := range ss.epolNear {
+		ss.dirtyEnt[vl] = cut(&ent, len(near))[:0]
+		for k, p := range near {
 			ss.epolPartners[p.A] = append(ss.epolPartners[p.A], int32(vl))
 			ss.epolPartnerPos[p.A] = append(ss.epolPartnerPos[p.A], int32(k))
 		}
 	}
 }
 
-// recomputeFarSums rebuilds the canonical per-node far sums from the
-// cached far-entry values (drivers ascending, entries in traversal order)
-// and pushes them down the atoms tree.
-func (ss *Session) recomputeFarSums() {
-	for i := range ss.sNodeFar {
-		ss.sNodeFar[i] = 0
+// sumFarNodes rebuilds the canonical per-node far sums from the cached
+// far-entry values (drivers ascending, entries in traversal order) and
+// pushes them down the atoms tree: every node's with all set, otherwise
+// those of the nodes re-derivations marked (markFarDirty) — each in the
+// same order, so a partial rebuild leaves the bits a full one would.
+func (ss *Session) sumFarNodes(all bool) {
+	if all {
+		zero(ss.sNodeFar)
 	}
-	for ql := range ss.bornFar {
+	for _, a := range ss.farDirty {
+		ss.sNodeFar[a] = 0
+	}
+	for ql, far := range ss.bornFar {
 		vals := ss.bornFarVal[ql]
-		for k, a := range ss.bornFar[ql] {
-			ss.sNodeFar[a] += vals[k]
+		for k, a := range far {
+			if all || ss.markFar[a] {
+				ss.sNodeFar[a] += vals[k]
+			}
 		}
 	}
+	for _, a := range ss.farDirty {
+		ss.markFar[a] = false
+	}
+	ss.farDirty = ss.farDirty[:0]
 	ss.bs.FarTotals(ss.sNodeFar, ss.farTotal)
 }
 
-// recomputeBornBlock re-evaluates one (driver, row) near entry into its
-// cached block: the row range of the scratch is zeroed, the single entry
-// runs through the SAME range evaluator every other path uses, and the
-// result is copied out. Single-entry evaluation is the canonical value of
-// an entry everywhere, so cached blocks are bitwise reproducible.
-func (ss *Session) recomputeBornBlock(ql, k int) {
-	a := ss.bornNear[ql][k]
-	lo, hi := ss.bs.TA.PointRange(a)
-	for i := lo; i < hi; i++ {
-		ss.rowScratch[i] = 0
+// sumSlots writes to dst the left-to-right sum of src's consecutive
+// len(dst)-wide slots. Both levels of a Born row's canonical sum — blocks
+// into a group, groups into the row — are this one loop. Columns are summed
+// four at a time in registers: a column's additions happen in slot order
+// whichever way the loop nest is turned, and this way no partial sum makes
+// the round trip through dst.
+func sumSlots(dst, src []float64) {
+	w := len(dst)
+	src = src[:len(src)/w*w]
+	j := 0
+	for ; j+4 <= w; j += 4 {
+		var s0, s1, s2, s3 float64
+		for at := j; at < len(src); at += w {
+			v := src[at : at+4 : at+4]
+			s0 += v[0]
+			s1 += v[1]
+			s2 += v[2]
+			s3 += v[3]
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
 	}
-	ss.rowPairs.Near = append(ss.rowPairs.Near[:0], core.NodePair{A: a, B: ss.bs.TQ.LeafIdx[ql]})
-	ss.bs.EvalBornNearRange(&ss.rowPairs, 0, 1, ss.rowScratch)
-	cnt := int(hi - lo)
-	s := int(ss.bornEntrySlot[ql][k])
-	copy(ss.rowBlk[a][s*cnt:(s+1)*cnt], ss.rowScratch[lo:hi])
+	for ; j < w; j++ {
+		var sum float64
+		for at := j; at < len(src); at += w {
+			sum += src[at]
+		}
+		dst[j] = sum
+	}
 }
 
-// resumBornRow rebuilds one T_A leaf's near-field row from its row-major
-// block store — plain float64 additions over a contiguous sweep, slot
-// order being ascending driver order, the canonical order every full
-// recompute uses.
+// resumBornRow rebuilds one T_A leaf's near-field row in the canonical
+// two-level order: the dirty groups are re-added from the row's block
+// store, then the row from its group sums.
 func (ss *Session) resumBornRow(aLeaf int32) {
 	lo, hi := ss.bs.TA.PointRange(aLeaf)
-	row := ss.sAtomNear[lo:hi]
-	for j := range row {
-		row[j] = 0
-	}
 	cnt := int(hi - lo)
-	blk := ss.rowBlk[aLeaf]
-	for s := 0; s+cnt <= len(blk); s += cnt {
-		b := blk[s : s+cnt]
-		for j := range b {
-			row[j] += b[j]
+	blk, grp := ss.rowBlk[aLeaf], ss.rowGrp[aLeaf]
+	for g, dirty := range ss.grpDirty[aLeaf] {
+		if dirty {
+			ss.grpDirty[aLeaf][g] = false
+			end := min((g+1)*bornGroup*cnt, len(blk))
+			sumSlots(grp[g*cnt:(g+1)*cnt], blk[g*bornGroup*cnt:end])
 		}
 	}
+	sumSlots(ss.sAtomNear[lo:hi], grp)
 }
 
 // recomputeDriverBlocks re-evaluates every cached block of one Born
-// driver in a single range call: a driver's entries share its q-tile, and
+// driver in a single range call — a driver's entries share its q-tile, and
 // each entry writes a disjoint row range of the scratch, so the batched
-// call produces every block bitwise as a single-entry call would.
+// call produces every block bitwise as a single-entry call would — and
+// marks the group of every block it rewrote.
 func (ss *Session) recomputeDriverBlocks(ql int) {
 	qNode := ss.bs.TQ.LeafIdx[ql]
 	pairs := ss.rowPairs.Near[:0]
 	for _, a := range ss.bornNear[ql] {
 		lo, hi := ss.bs.TA.PointRange(a)
-		for i := lo; i < hi; i++ {
-			ss.rowScratch[i] = 0
-		}
+		clear(ss.rowScratch[lo:hi])
 		pairs = append(pairs, core.NodePair{A: a, B: qNode})
 	}
 	ss.rowPairs.Near = pairs
@@ -846,9 +1052,22 @@ func (ss *Session) recomputeDriverBlocks(ql int) {
 	for k, a := range ss.bornNear[ql] {
 		lo, hi := ss.bs.TA.PointRange(a)
 		cnt := int(hi - lo)
-		s := int(slots[k])
-		copy(ss.rowBlk[a][s*cnt:(s+1)*cnt], ss.rowScratch[lo:hi])
+		at := int(slots[k])
+		copy(ss.rowBlk[a][at*cnt:(at+1)*cnt], ss.rowScratch[lo:hi])
+		ss.grpDirty[a][at/bornGroup] = true
 	}
+}
+
+// recomputeRowBlocks re-evaluates every cached block of one T_A leaf, row-
+// major: its partners' blocks are contiguous in ascending driver order, so
+// the row-batched evaluator writes the block store in place. The whole row
+// is then dirty.
+func (ss *Session) recomputeRowBlocks(aLeaf int32) {
+	ss.bs.EvalBornRowBlocks(aLeaf, ss.bornPartners[aLeaf], ss.rowBlk[aLeaf])
+	for g := range ss.grpDirty[aLeaf] {
+		ss.grpDirty[aLeaf][g] = true
+	}
+	ss.markDirtyRow(aLeaf)
 }
 
 // resumEpolNear rebuilds one driver's near sum from its cached entry
@@ -888,14 +1107,9 @@ func (ss *Session) sumEnergy() float64 {
 // resweep re-verifies the caches against the session's own semantics.
 func (ss *Session) resweep() {
 	for ql := range ss.bornFar {
-		qLeaf := ss.bs.TQ.LeafIdx[ql]
-		vals := ss.bornFarVal[ql][:0]
-		for _, a := range ss.bornFar[ql] {
-			vals = append(vals, ss.bs.BornFarTerm(a, qLeaf))
-		}
-		ss.bornFarVal[ql] = vals
+		ss.fillBornFarVals(ql)
 	}
-	ss.recomputeFarSums()
+	ss.sumFarNodes(true)
 	for ql := range ss.bornNear {
 		ss.recomputeDriverBlocks(ql)
 	}
@@ -926,24 +1140,30 @@ func (ss *Session) refresh() {
 func (ss *Session) rebuildStructure() {
 	sf, ms := ss.opts.SlackFactor, ss.opts.MinSlack
 	ta, tq := ss.bs.TA, ss.bs.TQ
+	ar := &ss.arenas
+	ar.near.reset(slabShare * len(tq.LeafIdx))
+	ar.far.reset(slabShare * len(tq.LeafIdx))
+	ar.farVal.reset(slabShare * len(tq.LeafIdx))
+	ar.epolNear.reset(slabShare * len(ta.LeafIdx))
+	ar.epolFar.reset(slabShare * len(ta.LeafIdx))
 
+	maxNear := 0
 	for ql, qLeaf := range tq.LeafIdx {
 		c, r := currentBall(tq, qLeaf)
 		ss.bs.BuildBornDriverSlack(&ss.scratch, qLeaf, c, r, sf, ms)
-		ss.bornNear[ql] = appendANodes(ss.bornNear[ql][:0], ss.scratch.Near)
-		ss.bornFar[ql] = appendANodes(ss.bornFar[ql][:0], ss.scratch.Far)
-		vals := ss.bornFarVal[ql][:0]
-		for _, a := range ss.bornFar[ql] {
-			vals = append(vals, ss.bs.BornFarTerm(a, qLeaf))
-		}
-		ss.bornFarVal[ql] = vals
+		ss.bornNear[ql] = appendANodes(ar.near.take(len(ss.scratch.Near))[:0], ss.scratch.Near)
+		ss.bornFar[ql] = appendANodes(ar.far.take(len(ss.scratch.Far))[:0], ss.scratch.Far)
+		ss.bornFarVal[ql] = ar.farVal.take(len(ss.scratch.Far))
+		ss.fillBornFarVals(ql)
 		ss.refBallRQ[qLeaf] = r
+		maxNear = max(maxNear, len(ss.scratch.Near))
+	}
+	if cap(ss.rowPairs.Near) < maxNear {
+		ss.rowPairs.Near = make([]core.NodePair, 0, maxNear)
 	}
 	ss.rebuildBornPartners()
-	for _, a := range ta.LeafIdx {
-		ss.sizeRowBlocks(a)
-	}
-	ss.recomputeFarSums()
+	ss.rebuildRowStores()
+	ss.sumFarNodes(true)
 	for ql := range ss.bornNear {
 		ss.recomputeDriverBlocks(ql)
 	}
@@ -958,13 +1178,19 @@ func (ss *Session) rebuildStructure() {
 	// Fresh energy solver: re-bins charges against the current (exact)
 	// radii and rebuilds every mirror from the current positions.
 	ss.es = core.NewEpolSolver(ta, ss.charges, ss.bs.RadiiToOriginal(ss.rTree), ss.ecfg)
+	nVals := 0
 	for vl, aLeaf := range ta.LeafIdx {
 		c, r := currentBall(ta, aLeaf)
 		ss.es.BuildEpolDriverSlack(&ss.scratch, aLeaf, c, r, sf, ms)
-		ss.epolNear[vl] = append(ss.epolNear[vl][:0], ss.scratch.Near...)
-		ss.epolFar[vl] = appendANodes(ss.epolFar[vl][:0], ss.scratch.Far)
-		ss.epolNearVal[vl] = resizeF64(ss.epolNearVal[vl], len(ss.epolNear[vl]))
+		ss.epolNear[vl] = append(ar.epolNear.take(len(ss.scratch.Near))[:0], ss.scratch.Near...)
+		ss.epolFar[vl] = appendANodes(ar.epolFar.take(len(ss.scratch.Far))[:0], ss.scratch.Far)
 		ss.refBallRA[aLeaf] = r
+		nVals += len(ss.scratch.Near)
+	}
+	ar.epolVals = resize(ar.epolVals, nVals)
+	vals := ar.epolVals
+	for vl := range ss.epolNear {
+		ss.epolNearVal[vl] = cut(&vals, len(ss.epolNear[vl]))
 	}
 	ss.rebuildEpolPartners()
 	for vl := range ss.nearVal {
@@ -1060,13 +1286,11 @@ func appendANodes(dst []int32, pairs []core.NodePair) []int32 {
 	return dst
 }
 
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
-
-func resizeF64(s []float64, n int) []float64 {
+// resize returns s with length n, reallocating only when its capacity
+// falls short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
