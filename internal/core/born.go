@@ -24,11 +24,14 @@ import (
 	"octgb/internal/surface"
 )
 
-// Stats counts the work a traversal performed; the deterministic counters
+// Stats counts the work a traversal performed — the interactions it
+// EVALUATED, not the ones its result stands for: the dual energy traversal
+// evaluates each unordered node pair once and counts it once, though the
+// value counts twice (EpolSolver.EnergyDual). The deterministic counters
 // feed the virtual-time machine model and the complexity tests.
 type Stats struct {
-	FarEval      int64 // far-field (approximated) cell interactions
-	NearPairs    int64 // exact point-point interactions
+	FarEval      int64 // far-field (approximated) cell interactions evaluated
+	NearPairs    int64 // exact point-point interactions evaluated
 	NodesVisited int64 // recursion steps
 }
 

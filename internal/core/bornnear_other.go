@@ -20,7 +20,7 @@ func (s *BornSolver) evalBornFarRangeVec(far []NodePair, sNode []float64) {
 
 // Stub for the amd64-only energy near-field vector path; likewise
 // unreachable.
-func (s *EpolSolver) evalEpolNearRangeVec(near []NodePair) float64 {
+func (s *EpolSolver) evalEpolNearRangeVec(near []NodePair, symmetric bool) float64 {
 	panic("core: vector kernel dispatched without AVX2 support")
 }
 

@@ -239,8 +239,11 @@ func (s *EpolSolver) LeafEnergy(vLeaf int) (float64, Stats) {
 	return e, st
 }
 
-// EnergyScale is the constant −τ·k_e/2 that converts the raw ordered-pair
-// sum into kcal/mol.
+// EnergyScale is the constant −τ·k_e/2 that converts a raw sum — Σ over all
+// ordered atom pairs (i, j), the diagonal included, of q_i·q_j/f_GB — into
+// kcal/mol. The leaf-driven traversals add every ordered pair; the dual
+// traversal adds each unordered pair once and doubles it (EnergyDual), so
+// both produce the same raw sum and share the constant.
 func EnergyScale() float64 {
 	return -0.5 * gb.Tau(gb.SolventDielectric) * gb.CoulombConstant
 }
@@ -318,58 +321,139 @@ func (s *EpolSolver) binPairTerm(d2 float64, binSum int, qi, qj float64) float64
 // binIndex returns the Born-radius bin of atom i (tree order).
 func (s *EpolSolver) binIndex(i int32) int { return int(s.binOf[i]) }
 
-// EnergyDual runs the dual-tree variant over ordered node pairs starting at
-// (root, root) — the OCT_CILK algorithm. It returns the raw ordered-pair
-// sum (scale by EnergyScale) and the work counters.
+// EnergyDual runs the dual-tree variant — the OCT_CILK algorithm — from the
+// root's self pair and returns the raw sum (scale by EnergyScale) with the
+// work counters of the pairs it evaluated.
+//
+// The pair term q_i·q_j/f_GB is symmetric, so the traversal visits each
+// UNORDERED node pair once. A self pair (u, u) is one exact diagonal block
+// when u is a leaf; otherwise it is replaced by its children's self pairs
+// (c_i, c_i) and their mutual pairs (c_i, c_j), i < j. A mutual pair is
+// accepted as far-field when well separated, evaluated exactly when both
+// nodes are leaves, and otherwise replaced by the pairs of one node with
+// the children of the other — the non-leaf, or of two non-leaves the one
+// with the larger radius. That choice does not depend on which node is
+// written first, so (u, v) decomposes into exactly the mirror image of
+// what (v, u) would, and a mutual pair's value stands for both: the raw
+// sum is Σ self + 2·Σ mutual, the factor applied where a mutual pair is
+// evaluated.
 func (s *EpolSolver) EnergyDual() (float64, Stats) {
-	var st Stats
 	if len(s.T.Nodes) == 0 {
-		return 0, st
+		return 0, Stats{}
 	}
-	e := s.epolDual(0, 0, &st)
-	return e, st
+	return s.EnergyDualPair(0, 0)
 }
 
-func (s *EpolSolver) epolDual(u, v int32, st *Stats) float64 {
-	st.NodesVisited++
-	un := &s.T.Nodes[u]
-	vn := &s.T.Nodes[v]
-	d2 := un.Center.Dist2(vn.Center)
-	if u != v && epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
-		return s.binApprox(u, v, d2, st)
+// epolPairKind is what the dual traversal does with a node pair.
+type epolPairKind int
+
+const (
+	epolSplit epolPairKind = iota // replaced by its children (epolChildren)
+	epolNear                      // exact block: a leaf's self pair, or two leaves
+	epolFar                       // well-separated mutual pair: bin-pair approximation
+)
+
+// epolKind classifies one pair of the dual traversal. It and epolChildren
+// are the whole decomposition rule; the recursion, the list builder and
+// the frontier only differ in what they do with the outcome.
+func (s *EpolSolver) epolKind(p NodePair) epolPairKind {
+	un := &s.T.Nodes[p.A]
+	if p.A == p.B {
+		if un.Leaf {
+			return epolNear
+		}
+		return epolSplit
 	}
-	if un.Leaf && vn.Leaf {
-		ulo, uhi := s.T.PointRange(u)
-		vlo, vhi := s.T.PointRange(v)
-		var sum float64
+	vn := &s.T.Nodes[p.B]
+	switch {
+	case epolFar2(un.Center.Dist2(vn.Center), un.Radius, vn.Radius, s.sep2):
+		return epolFar
+	case un.Leaf && vn.Leaf:
+		return epolNear
+	}
+	return epolSplit
+}
+
+// epolChildren appends the pairs that replace an epolSplit pair to dst, in
+// REVERSE visit order — dst is usually a traversal stack, which then pops
+// them in visit order: for a self pair (c_0, c_0), (c_0, c_1) … (c_0, c_7),
+// (c_1, c_1), (c_1, c_2) …; for a mutual pair the split node's children in
+// ascending order, each paired with the other node.
+func (s *EpolSolver) epolChildren(p NodePair, dst []NodePair) []NodePair {
+	un := &s.T.Nodes[p.A]
+	if p.A == p.B {
+		for i := 7; i >= 0; i-- {
+			ci := un.Children[i]
+			if ci == octree.NoChild {
+				continue
+			}
+			for j := 7; j > i; j-- {
+				if cj := un.Children[j]; cj != octree.NoChild {
+					dst = append(dst, NodePair{ci, cj})
+				}
+			}
+			dst = append(dst, NodePair{ci, ci})
+		}
+		return dst
+	}
+	vn := &s.T.Nodes[p.B]
+	if vn.Leaf || (!un.Leaf && un.Radius >= vn.Radius) {
+		for c := 7; c >= 0; c-- {
+			if ch := un.Children[c]; ch != octree.NoChild {
+				dst = append(dst, NodePair{ch, p.B})
+			}
+		}
+		return dst
+	}
+	// A mutual pair is unordered, so the children of the split node are
+	// written first whichever it was: the pairs of one split then share
+	// their B, and the near kernels pack a v-leaf once per such run.
+	for c := 7; c >= 0; c-- {
+		if ch := vn.Children[c]; ch != octree.NoChild {
+			dst = append(dst, NodePair{ch, p.A})
+		}
+	}
+	return dst
+}
+
+// epolDual is the recursive form of the dual traversal below one pair. It
+// returns what the pair contributes to the raw sum, a mutual pair's factor
+// of two included.
+func (s *EpolSolver) epolDual(p NodePair, st *Stats) float64 {
+	st.NodesVisited++
+	var e float64
+	switch s.epolKind(p) {
+	case epolFar:
+		e = s.binApprox(p.A, p.B, s.T.Nodes[p.A].Center.Dist2(s.T.Nodes[p.B].Center), st)
+	case epolNear:
+		// Exact atom pairs between the two leaves — for a self pair every
+		// ordered pair of the leaf, with the diagonal f_GB(i,i) = R_i.
+		ulo, uhi := s.T.PointRange(p.A)
+		vlo, vhi := s.T.PointRange(p.B)
 		for i := ulo; i < uhi; i++ {
 			pi, qi, ri := s.T.Points[i], s.q[i], s.R[i]
 			for j := vlo; j < vhi; j++ {
 				if i == j {
-					sum += qi * qi / ri
+					e += qi * qi / ri
 					continue
 				}
-				sum += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j], s.cfg.Math)
+				e += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j], s.cfg.Math)
 			}
 		}
 		st.NearPairs += int64(uhi-ulo) * int64(vhi-vlo)
-		return sum
-	}
-	var sum float64
-	if vn.Leaf || (!un.Leaf && un.Radius >= vn.Radius) {
-		for _, ch := range un.Children {
-			if ch != octree.NoChild {
-				sum += s.epolDual(ch, v, st)
-			}
+	default:
+		// 8 self + 28 mutual pairs is the most a split produces.
+		var buf [36]NodePair
+		kids := s.epolChildren(p, buf[:0])
+		for k := len(kids) - 1; k >= 0; k-- {
+			e += s.epolDual(kids[k], st)
 		}
-	} else {
-		for _, ch := range vn.Children {
-			if ch != octree.NoChild {
-				sum += s.epolDual(u, ch, st)
-			}
-		}
+		return e
 	}
-	return sum
+	if p.A != p.B {
+		e *= 2
+	}
+	return e
 }
 
 // Restrict returns a copy of the solver in which every atom NOT under one

@@ -135,7 +135,7 @@ func (s *EpolSolver) evalEpolNearOneVec(args *epolNearArgs, near []NodePair, k i
 	return val
 }
 
-func (s *EpolSolver) evalEpolNearRangeVec(near []NodePair) float64 {
+func (s *EpolSolver) evalEpolNearRangeVec(near []NodePair, symmetric bool) float64 {
 	var tile [6 * epolTileCap]float64
 	args := epolNearArgs{
 		tile:   &tile[0],
@@ -147,14 +147,11 @@ func (s *EpolSolver) evalEpolNearRangeVec(near []NodePair) float64 {
 	var sum float64
 	for len(near) > 0 {
 		v := near[0].B
-		run := 1
-		for run < len(near) && near[run].B == v {
-			run++
-		}
+		run, w := epolRun(near, symmetric)
 		vlo, vhi := s.T.PointRange(v)
 		n := int(vhi - vlo)
 		if n > epolTileCap {
-			sum += s.evalEpolNearRun(near[:run], v)
+			sum += w * s.evalEpolNearRun(near[:run], v)
 			near = near[run:]
 			continue
 		}
@@ -183,11 +180,12 @@ func (s *EpolSolver) evalEpolNearRangeVec(near []NodePair) float64 {
 		args.ents = &near[0]
 		args.nents = int64(run)
 		args.nv = int64(nv)
-		sum += epolNearRunAVX2(&args)
+		sum += w * epolNearRunAVX2(&args)
 		// Self-pair correction: the lane computed the smooth kernel at
 		// d² = +0 exactly (the vectorized exp returns exactly 1.0 there),
 		// i.e. qᵢ²/√(fl(Rᵢ²)). Subtract that bit pattern and add the exact
-		// diagonal qᵢ²/Rᵢ the treecode defines (f_GB(i,i) = Rᵢ).
+		// diagonal qᵢ²/Rᵢ the treecode defines (f_GB(i,i) = Rᵢ). A self
+		// pair counts once in either kind of list, so no weight here.
 		for _, p := range near[:run] {
 			if p.A != v {
 				continue

@@ -87,26 +87,6 @@ func TestDualFrontierCompletesToDual(t *testing.T) {
 	}
 }
 
-func TestEpolDualFrontierCompletes(t *testing.T) {
-	m, q := testMol(400, 93)
-	R := gb.BornRadiiR6(m, q)
-	es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9})
-
-	full, _ := es.EnergyDual()
-	var sum float64
-	fr := es.EpolDualFrontier(100)
-	if len(fr) < 50 {
-		t.Fatalf("frontier too small: %d pairs", len(fr))
-	}
-	for _, pr := range fr {
-		e, _ := es.EnergyDualPair(pr[0], pr[1])
-		sum += e
-	}
-	if e := relErr(sum, full); e > 1e-12 {
-		t.Errorf("frontier sum %v != dual %v", sum, full)
-	}
-}
-
 func TestFrontierRequestLargerThanTree(t *testing.T) {
 	// Asking for more pairs than the recursion contains must terminate
 	// with all-terminal pairs.

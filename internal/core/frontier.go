@@ -1,6 +1,10 @@
 package core
 
-import "octgb/internal/octree"
+import (
+	"slices"
+
+	"octgb/internal/octree"
+)
 
 // This file provides frontier decompositions of the dual-tree traversals:
 // a breadth-first expansion of the recursion into independent (node, node)
@@ -59,50 +63,43 @@ func (s *BornSolver) AccumulateDualPair(a, q int32, sNode, sAtom []float64) Stat
 	return st
 }
 
-// EpolDualFrontier expands the energy dual-tree recursion breadth-first
-// into at least minPairs independent ordered pairs.
-func (s *EpolSolver) EpolDualFrontier(minPairs int) [][2]int32 {
+// EpolDualFrontier expands the energy dual traversal (EnergyDual) level by
+// level, every pair that splits replaced in place by its children, until
+// at least minPairs independent pairs exist (or the traversal bottoms
+// out). Self pairs have A == B. The pairs stay in visit order, so
+// completing them in sequence (EnergyDualPair, StreamEpolDual) visits what
+// EnergyDual visits, in its order; the second result counts the visits the
+// expansion made on the pairs' behalf.
+func (s *EpolSolver) EpolDualFrontier(minPairs int) ([]NodePair, Stats) {
+	var st Stats
 	if len(s.T.Nodes) == 0 {
-		return nil
+		return nil, st
 	}
-	queue := [][2]int32{{0, 0}}
-	for len(queue) < minPairs {
-		expanded := false
-		for i, pr := range queue {
-			u, v := pr[0], pr[1]
-			un, vn := &s.T.Nodes[u], &s.T.Nodes[v]
-			d2 := un.Center.Dist2(vn.Center)
-			if (u != v && epolFar2(d2, un.Radius, vn.Radius, s.sep2)) || (un.Leaf && vn.Leaf) {
+	front := []NodePair{{0, 0}}
+	for expanded := true; expanded && len(front) < minPairs; {
+		expanded = false
+		next := make([]NodePair, 0, 2*len(front))
+		for _, p := range front {
+			if s.epolKind(p) != epolSplit {
+				next = append(next, p) // terminal; cannot expand
 				continue
 			}
-			queue = append(queue[:i], queue[i+1:]...)
-			if vn.Leaf || (!un.Leaf && un.Radius >= vn.Radius) {
-				for _, ch := range un.Children {
-					if ch != octree.NoChild {
-						queue = append(queue, [2]int32{ch, v})
-					}
-				}
-			} else {
-				for _, ch := range vn.Children {
-					if ch != octree.NoChild {
-						queue = append(queue, [2]int32{u, ch})
-					}
-				}
-			}
 			expanded = true
-			break
+			st.NodesVisited++
+			mark := len(next)
+			next = s.epolChildren(p, next)
+			slices.Reverse(next[mark:])
 		}
-		if !expanded {
-			break
-		}
+		front = next
 	}
-	return queue
+	return front, st
 }
 
-// EnergyDualPair runs the energy dual-tree recursion from one ordered
-// node pair and returns the raw sum (scale by EnergyScale).
+// EnergyDualPair runs the energy dual-tree recursion from one node pair —
+// a self pair when u == v — and returns what it contributes to the raw sum
+// (scale by EnergyScale), a mutual pair's factor of two included.
 func (s *EpolSolver) EnergyDualPair(u, v int32) (float64, Stats) {
 	var st Stats
-	e := s.epolDual(u, v, &st)
+	e := s.epolDual(NodePair{u, v}, &st)
 	return e, st
 }

@@ -44,6 +44,11 @@ type InteractionList struct {
 	Far   []NodePair
 	stats Stats
 	stack pairStack // the builders' traversal stack, kept so a tile can resume
+
+	// symmetric marks the list of the dual energy traversal, which holds
+	// each unordered node pair once: the energy kernels count an entry with
+	// A != B twice (EnergyDual). Every other list holds ordered pairs.
+	symmetric bool
 }
 
 // Stats returns the traversal's work counters: NodesVisited from the
@@ -59,6 +64,7 @@ func (l *InteractionList) reset() {
 	l.Far = l.Far[:0]
 	l.stack = l.stack[:0]
 	l.stats = Stats{}
+	l.symmetric = false
 }
 
 // pairStack is a tiny explicit stack of node pairs reused across the
@@ -488,52 +494,63 @@ func (s *EpolSolver) CompleteFarStats(l *InteractionList) {
 }
 
 // BuildEpolDualList runs the dual-tree energy traversal of EnergyDual and
-// returns its interaction list.
+// returns its interaction list: each unordered node pair once, a leaf's
+// self pair as a near entry with A == B. The list carries the mutual
+// pairs' factor of two itself, so EvalEpolList of it is the full raw sum.
 func (s *EpolSolver) BuildEpolDualList() *InteractionList {
-	return s.BuildEpolDualListInto(new(InteractionList))
-}
-
-// BuildEpolDualListInto is BuildEpolDualList reusing an existing list's
-// backing arrays.
-func (s *EpolSolver) BuildEpolDualListInto(l *InteractionList) *InteractionList {
-	l.reset()
-	if len(s.T.Nodes) == 0 {
-		return l
-	}
-	var stack pairStack
-	stack.push(0, 0)
-	for len(stack) > 0 {
-		p := stack.pop()
-		u, v := p.A, p.B
-		l.stats.NodesVisited++
-		un := &s.T.Nodes[u]
-		vn := &s.T.Nodes[v]
-		d2 := un.Center.Dist2(vn.Center)
-		if u != v && epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
-			l.Far = append(l.Far, p)
-			l.stats.FarEval += s.nnz(u) * s.nnz(v)
-			continue
-		}
-		if un.Leaf && vn.Leaf {
-			l.Near = append(l.Near, p)
-			l.stats.NearPairs += int64(un.Count) * int64(vn.Count)
-			continue
-		}
-		if vn.Leaf || (!un.Leaf && un.Radius >= vn.Radius) {
-			for c := 7; c >= 0; c-- {
-				if ch := un.Children[c]; ch != octree.NoChild {
-					stack.push(ch, v)
-				}
-			}
-		} else {
-			for c := 7; c >= 0; c-- {
-				if ch := vn.Children[c]; ch != octree.NoChild {
-					stack.push(u, ch)
-				}
-			}
-		}
+	l := &InteractionList{symmetric: true}
+	if len(s.T.Nodes) != 0 {
+		l.stack.push(0, 0)
+		s.fillEpolDual(l, math.MaxInt)
 	}
 	return l
+}
+
+// fillEpolDual continues the dual energy traversal held on l's stack until
+// the stack is empty or l holds at least limit entries.
+func (s *EpolSolver) fillEpolDual(l *InteractionList, limit int) {
+	stack := l.stack
+	for len(stack) > 0 && len(l.Near)+len(l.Far) < limit {
+		p := stack.pop()
+		l.stats.NodesVisited++
+		switch s.epolKind(p) {
+		case epolFar:
+			l.Far = append(l.Far, p)
+			l.stats.FarEval += s.nnz(p.A) * s.nnz(p.B)
+		case epolNear:
+			l.Near = append(l.Near, p)
+			l.stats.NearPairs += int64(s.T.Nodes[p.A].Count) * int64(s.T.Nodes[p.B].Count)
+		default:
+			stack = s.epolChildren(p, stack)
+		}
+	}
+	l.stack = stack
+}
+
+// StreamEpolDual is EvalEpolList(BuildEpolDualList()) below the given root
+// pairs, taken in order (EpolDualFrontier's pairs, or {0, 0} for the whole
+// traversal), without the list: the traversal fills tile up to
+// bornTileEntries, the range kernels sum it, and the same storage takes the
+// next tile. It returns the roots' part of the raw sum and the Stats of
+// the traversal below them.
+func (s *EpolSolver) StreamEpolDual(tile *InteractionList, roots []NodePair) (float64, Stats) {
+	return s.streamEpolDual(tile, roots, bornTileEntries)
+}
+
+func (s *EpolSolver) streamEpolDual(tile *InteractionList, roots []NodePair, limit int) (float64, Stats) {
+	tile.reset()
+	tile.symmetric = true
+	for i := len(roots) - 1; i >= 0; i-- {
+		tile.stack.push(roots[i].A, roots[i].B)
+	}
+	var raw float64
+	for len(tile.stack) > 0 {
+		s.fillEpolDual(tile, limit)
+		e, _ := s.EvalEpolList(tile)
+		raw += e
+		tile.Near, tile.Far = tile.Near[:0], tile.Far[:0]
+	}
+	return raw, tile.stats
 }
 
 // nnz returns the number of occupied Born-radius bins of a node — the
@@ -544,7 +561,8 @@ func (s *EpolSolver) nnz(n int32) int64 {
 
 // EvalEpolNearPair evaluates one exact near-field entry: all ordered atom
 // pairs (u-leaf rows × v-leaf columns), including self pairs when the
-// leaves coincide. Returns the raw (unscaled) sum.
+// leaves coincide. Returns the block's own raw (unscaled) sum; what an entry
+// counts for in its list is applied by the range kernels.
 func (s *EpolSolver) EvalEpolNearPair(u, v int32) float64 {
 	one := [1]NodePair{{u, v}}
 	switch {
@@ -726,33 +744,53 @@ func (s *EpolSolver) EvalEpolFarPair(u, v int32) float64 {
 }
 
 // EvalEpolNearRange sums the near entries [lo, hi) of the list. The
-// leaf-driven builder emits near entries in runs sharing a v-leaf, so
-// entries are processed run-blocked: the v-side tile is sliced once per
-// run and swept over every u-row of every entry in the run.
+// builders emit near entries in runs sharing a v-leaf, so entries are
+// processed run-blocked: the v-side tile is sliced once per run and swept
+// over every u-row of every entry in the run. In a symmetric list a run's
+// sum counts twice unless it is a leaf's self pair (epolRun).
 func (s *EpolSolver) EvalEpolNearRange(l *InteractionList, lo, hi int) float64 {
 	near := l.Near[lo:hi]
 	if hasAVX2FMA && s.f32 == nil && s.cfg.Math != gb.Approximate &&
 		len(near) > 0 && len(s.uPos) > 0 {
-		return s.evalEpolNearRangeVec(near)
+		return s.evalEpolNearRangeVec(near, l.symmetric)
 	}
 	var sum float64
 	for len(near) > 0 {
 		v := near[0].B
-		run := 1
-		for run < len(near) && near[run].B == v {
-			run++
-		}
+		run, w := epolRun(near, l.symmetric)
 		switch {
 		case s.f32 != nil:
-			sum += s.evalEpolNearRunF32(near[:run], v)
+			sum += w * s.evalEpolNearRunF32(near[:run], v)
 		case s.cfg.Math == gb.Approximate:
-			sum += s.evalEpolNearRunApprox(near[:run], v)
+			sum += w * s.evalEpolNearRunApprox(near[:run], v)
 		default:
-			sum += s.evalEpolNearRun(near[:run], v)
+			sum += w * s.evalEpolNearRun(near[:run], v)
 		}
 		near = near[run:]
 	}
 	return sum
+}
+
+// epolRun returns the length of the leading run of near — the entries that
+// share near[0]'s v-leaf — and what the run's sum counts for. An ordered
+// list's entries all count once. A symmetric list's count twice, except a
+// leaf's self pair (A == B), which is therefore a run of its own.
+func epolRun(near []NodePair, symmetric bool) (run int, weight float64) {
+	v := near[0].B
+	run = 1
+	if !symmetric {
+		for run < len(near) && near[run].B == v {
+			run++
+		}
+		return run, 1
+	}
+	if near[0].A == v {
+		return 1, 1
+	}
+	for run < len(near) && near[run].B == v && near[run].A != v {
+		run++
+	}
+	return run, 2
 }
 
 // EvalEpolNearEntryValues evaluates near entries of ONE driver segment in
@@ -796,24 +834,27 @@ func (s *EpolSolver) evalEpolNearEntryScalar(near []NodePair, k int, v int32) fl
 	}
 }
 
-// EvalEpolFarRange sums the far entries [lo, hi) of the list.
+// EvalEpolFarRange sums the far entries [lo, hi) of the list — twice over
+// in a symmetric list, whose far entries are all mutual pairs.
 func (s *EpolSolver) EvalEpolFarRange(l *InteractionList, lo, hi int) float64 {
 	var sum float64
 	if s.f32 != nil {
 		for _, p := range l.Far[lo:hi] {
 			sum += s.evalEpolFarPairF32(p.A, p.B)
 		}
-		return sum
+	} else {
+		for _, p := range l.Far[lo:hi] {
+			sum += s.EvalEpolFarPair(p.A, p.B)
+		}
 	}
-	for _, p := range l.Far[lo:hi] {
-		sum += s.EvalEpolFarPair(p.A, p.B)
+	if l.symmetric {
+		sum *= 2
 	}
 	return sum
 }
 
 // EvalEpolList evaluates a whole energy interaction list serially and
-// returns the raw ordered-pair sum (scale by EnergyScale) plus the list's
-// Stats.
+// returns the raw sum (scale by EnergyScale) plus the list's Stats.
 func (s *EpolSolver) EvalEpolList(l *InteractionList) (float64, Stats) {
 	return s.EvalEpolNearRange(l, 0, len(l.Near)) + s.EvalEpolFarRange(l, 0, len(l.Far)), l.stats
 }

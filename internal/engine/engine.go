@@ -118,8 +118,9 @@ type Options struct {
 	Division Division
 	// UseFlatKernels selects the two-phase treecode in the real engines:
 	// the traversal records interaction lists (see core.InteractionList —
-	// streamed through small tiles in the Born phase, whole in the E_pol
-	// phase) and the arithmetic runs as flat SoA kernels over them.
+	// streamed through small tiles, except the leaf-driven E_pol list of
+	// OCT_MPI / OCT_MPI+CILK, which is built whole while the radii are in
+	// flight) and the arithmetic runs as flat SoA kernels over them.
 	// Defaults to on (Auto); Off forces the recursive fused traversal,
 	// which is kept as the reference oracle. Work counters are identical
 	// either way; energies and radii agree to ~1e-12 (summation order

@@ -141,27 +141,35 @@ func (p *Prepared) evalEpol(o Options) RealReport {
 	}
 	es := core.NewEpolSolver(p.bs.TA, p.Pr.Charges, p.BornRadii, core.EpolConfig{Eps: o.EpolEps, Math: o.Math, Precision: o.Precision})
 	pool := sched.NewPool(o.Threads)
-	var raw float64
-	var s2 sched.Stats
-	if o.UseFlatKernels.enabled(true) {
-		list := es.BuildEpolDualList()
-		rep.EpolStats = list.Stats()
-		raw, s2 = evalEpolListParallel(es, list, pool)
-	} else {
-		ef := es.EpolDualFrontier(8 * o.Threads * o.Threads)
-		partial := make([]float64, pool.Workers())
-		estatsW := make([]core.Stats, pool.Workers())
-		s2 = pool.ParallelFor(len(ef), 1, func(w, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e, st := es.EnergyDualPair(ef[i][0], ef[i][1])
-				partial[w] += e
-				estatsW[w].Add(st)
+	// As in the Born phase, the frontier pairs are the units: each chunk of
+	// them is completed by streaming its part of the dual traversal through
+	// the worker's tile (or by the recursion), so the traversal runs inside
+	// the parallel region and no list is materialised.
+	front, expand := es.EpolDualFrontier(32 * o.Threads)
+	run := es.StreamEpolDual
+	if !o.UseFlatKernels.enabled(true) {
+		run = func(_ *core.InteractionList, roots []core.NodePair) (raw float64, st core.Stats) {
+			for _, r := range roots {
+				e, s := es.EnergyDualPair(r.A, r.B)
+				raw += e
+				st.Add(s)
 			}
-		})
-		for w := range partial {
-			raw += partial[w]
-			rep.EpolStats.Add(estatsW[w])
+			return raw, st
 		}
+	}
+	tiles := make([]core.InteractionList, pool.Workers())
+	partial := make([]float64, pool.Workers())
+	statsW := make([]core.Stats, pool.Workers())
+	s2 := pool.ParallelFor(len(front), max(1, len(front)/(16*o.Threads)), func(w, lo, hi int) {
+		e, st := run(&tiles[w], front[lo:hi])
+		partial[w] += e
+		statsW[w].Add(st)
+	})
+	var raw float64
+	rep.EpolStats = expand
+	for w := range partial {
+		raw += partial[w]
+		rep.EpolStats.Add(statsW[w])
 	}
 	rep.Energy = raw * core.EnergyScale()
 	rep.Sched = p.BornSched

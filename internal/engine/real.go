@@ -27,6 +27,10 @@ type RealReport struct {
 	BornRadii []float64 // original order
 	Wall      time.Duration
 	BornStats core.Stats
+	// EpolStats counts the energy-phase work as performed (core.Stats):
+	// every ordered leaf-against-tree interaction for OCT_MPI and
+	// OCT_MPI+CILK, each unordered node pair once for OCT_CILK's symmetric
+	// dual traversal — about half as much for the same energy.
 	EpolStats core.Stats
 	Sched     sched.Stats // aggregated work-stealing statistics
 	Phases    PhaseTimings
@@ -141,8 +145,11 @@ func bornPhase(bs *core.BornSolver, pool *sched.Pool, n, grain int, sNode, sAtom
 	return total, st
 }
 
-// evalEpolListParallel evaluates an energy interaction list with the pool
-// and returns the raw ordered-pair sum.
+// evalEpolListParallel evaluates a materialised energy interaction list
+// with the pool and returns its raw sum. It is the evaluator of the
+// leaf-driven engines (OCT_MPI+CILK), whose list is built while the radii
+// allgather is in flight; OCT_CILK streams its dual traversal instead
+// ((*Prepared).evalEpol).
 func evalEpolListParallel(es *core.EpolSolver, list *core.InteractionList, pool *sched.Pool) (float64, sched.Stats) {
 	nn := len(list.Near)
 	total := nn + len(list.Far)

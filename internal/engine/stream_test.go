@@ -140,3 +140,88 @@ func TestColdSolveAllocationCeiling(t *testing.T) {
 		t.Errorf("cold solve allocates %.0f objects, ceiling %.0f", objects, 1.5*580)
 	}
 }
+
+// TestStreamedEvalEpolMatchesMaterialised holds the shared-memory engine's
+// streamed E_pol phase to the materialised dual list it replaced (through
+// the public builder, as cmd/bench's probe replays it): the same energy to
+// 1e-12 and the same work counters at any thread count and on either
+// kernel path, the same bits whenever one thread fixes the order — and
+// the dual traversal still lands where the leaf-driven engines do.
+func TestStreamedEvalEpolMatchesMaterialised(t *testing.T) {
+	pr := testProblem(700, 33)
+	p, err := Prepare(pr, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := core.NewEpolSolver(p.bs.TA, pr.Charges, p.BornRadii, core.EpolConfig{Eps: 0.9})
+	raw, wantSt := es.EvalEpolList(es.BuildEpolDualList())
+	want := raw * core.EnergyScale()
+
+	var serial float64
+	for _, flat := range []Toggle{On, Off} {
+		for _, threads := range []int{1, 2, 4} {
+			rep, err := p.EvalEpol(Options{Threads: threads, UseFlatKernels: flat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e := relErr(rep.Energy, want); e > 1e-12 {
+				t.Errorf("flat=%v threads=%d: energy %v, materialised %v (rel %v)", flat, threads, rep.Energy, want, e)
+			}
+			if rep.EpolStats != wantSt {
+				t.Errorf("flat=%v threads=%d: EpolStats %+v, materialised %+v", flat, threads, rep.EpolStats, wantSt)
+			}
+			if flat == On && threads == 1 {
+				serial = rep.Energy
+			}
+		}
+	}
+	again, err := p.EvalEpol(Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(again.Energy) != math.Float64bits(serial) {
+		t.Errorf("Threads=1 repeated: %v, then %v", serial, again.Energy)
+	}
+
+	mpi, err := RunReal(pr, OctMPI, Options{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := relErr(serial, mpi.Energy); e > 0.05 {
+		t.Errorf("OCT_CILK %v vs OCT_MPI %v (rel %v)", serial, mpi.Energy, e)
+	}
+}
+
+// TestWarmEvalEpolAllocationCeiling keeps the E_pol list from quietly
+// coming back: while EvalEpol materialised it, a warm evaluation of this
+// 2 000-atom Prepared allocated 3.70 MB; streamed, it takes 0.33 MB in 149
+// objects (the EpolSolver's per-evaluation tables, the frontier, one tile
+// and the pool). The ceiling is that with 1.5× headroom.
+func TestWarmEvalEpolAllocationCeiling(t *testing.T) {
+	p, err := Prepare(testProblem(2000, 9), Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := func() {
+		if _, err := p.EvalEpol(Options{Threads: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eval()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	for i := 0; i < runs; i++ {
+		eval()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	objects := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("warm 2000-atom EvalEpol: %.2f MB in %.0f objects", bytes/1e6, objects)
+	if bytes > 1.5*0.33e6 {
+		t.Errorf("warm EvalEpol allocates %.2f MB, ceiling %.2f MB", bytes/1e6, 1.5*0.33)
+	}
+	if objects > 1.5*149 {
+		t.Errorf("warm EvalEpol allocates %.0f objects, ceiling %.0f", objects, 1.5*149)
+	}
+}

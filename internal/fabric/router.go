@@ -252,8 +252,25 @@ func writeRouterError(w http.ResponseWriter, status int, token, detail string) {
 }
 
 // readBody buffers the request body for replay across failover attempts.
+// A declared Content-Length sizes the buffer once — io.ReadAll's doubling
+// growth allocates about four times the body — and a declared length over
+// the limit is refused unread. The read stays behind MaxBytesReader and
+// takes at most the declared bytes, so a lying header can make the router
+// neither allocate past the limit nor read past the declared length; a
+// body shorter than declared is an error.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouterBody))
+	src := http.MaxBytesReader(w, r.Body, maxRouterBody)
+	var body []byte
+	var err error
+	switch n := r.ContentLength; {
+	case n > maxRouterBody:
+		err = errors.New("declared length exceeds limit")
+	case n >= 0:
+		body = make([]byte, n)
+		_, err = io.ReadFull(src, body)
+	default: // unknown length (chunked)
+		body, err = io.ReadAll(src)
+	}
 	if err != nil {
 		writeRouterError(w, http.StatusRequestEntityTooLarge, "too_large", "request body exceeds limit")
 		return nil, false
