@@ -714,7 +714,9 @@ func (s *EpolSolver) evalEpolNearRunApprox(entries []NodePair, v int32) float64 
 
 // EvalEpolFarPair evaluates one far-field bin-pair entry over the
 // compressed nonzero-bin layout. Returns the raw sum. The squared center
-// distance comes straight from the SoA node-center mirrors (no sqrt).
+// distance comes straight from the SoA node-center mirrors (no sqrt), and
+// the exponential is the near kernels' expNeg (its argument is never
+// positive), within 1e-15 relative of math.Exp.
 func (s *EpolSolver) EvalEpolFarPair(u, v int32) float64 {
 	cx, cy, cz := s.T.CX, s.T.CY, s.T.CZ
 	ddx, ddy, ddz := cx[u]-cx[v], cy[u]-cy[v], cz[u]-cz[v]
@@ -737,7 +739,7 @@ func (s *EpolSolver) EvalEpolFarPair(u, v int32) float64 {
 		qi, bi := nzQ[a], nzBin[a]
 		for b := vLo; b < vHi; b++ {
 			rr := binRR[bi+nzBin[b]]
-			sum += qi * nzQ[b] / math.Sqrt(d2+rr*math.Exp(-d2/(4*rr)))
+			sum += qi * nzQ[b] / math.Sqrt(d2+rr*expNeg(-d2/(4*rr)))
 		}
 	}
 	return sum

@@ -27,6 +27,31 @@ type fabricWorker struct {
 	srv   *serve.Server
 	ts    *httptest.Server
 	agent *Worker
+
+	// What crossed the hop into this worker: requests, and request-body
+	// bytes its handlers actually read.
+	requests  atomic.Int64
+	bodyBytes atomic.Int64
+	// busy makes the heartbeats report a saturated pool, whatever the load.
+	busy atomic.Bool
+}
+
+// countedBody counts the bytes a handler reads from a request body.
+type countedBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (c countedBody) Read(p []byte) (int, error) {
+	n, err := c.ReadCloser.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+func (fw *fabricWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	fw.requests.Add(1)
+	r.Body = countedBody{r.Body, &fw.bodyBytes}
+	fw.srv.Handler().ServeHTTP(w, r)
 }
 
 // kill simulates a crash: the HTTP side and the registration link both
@@ -50,6 +75,12 @@ func (fw *fabricWorker) kill() {
 // ring.
 func newFabric(t *testing.T, n int, cfg RouterConfig) (*Router, *httptest.Server, []*fabricWorker) {
 	t.Helper()
+	return newFabricOf(t, n, cfg, serve.Config{Workers: 2, Threads: 1})
+}
+
+// newFabricOf is newFabric with the workers' serve configuration given.
+func newFabricOf(t *testing.T, n int, cfg RouterConfig, scfg serve.Config) (*Router, *httptest.Server, []*fabricWorker) {
+	t.Helper()
 	cfg.Addr = "unused"
 	cfg.MembershipAddr = "unused"
 	if cfg.Timeout == 0 {
@@ -71,8 +102,8 @@ func newFabric(t *testing.T, n int, cfg RouterConfig) (*Router, *httptest.Server
 	workers := make([]*fabricWorker, n)
 	for i := range workers {
 		fw := &fabricWorker{id: fmt.Sprintf("w%d", i)}
-		fw.srv = serve.New(serve.Config{Workers: 2, Threads: 1})
-		fw.ts = httptest.NewServer(fw.srv.Handler())
+		fw.srv = serve.New(scfg)
+		fw.ts = httptest.NewServer(fw)
 		srv := fw.srv
 		agent, err := StartWorker(WorkerConfig{
 			RouterAddr: rt.MembershipAddr(),
@@ -80,7 +111,12 @@ func newFabric(t *testing.T, n int, cfg RouterConfig) (*Router, *httptest.Server
 			Advertise:  strings.TrimPrefix(fw.ts.URL, "http://"),
 			Epoch:      1,
 			Timeout:    cfg.Timeout,
-			Load:       ServeLoad(srv),
+			Load: func() LoadReport {
+				if fw.busy.Load() {
+					return LoadReport{Workers: 2, Inflight: 2, QueueDepth: 5}
+				}
+				return ServeLoad(srv)()
+			},
 		})
 		if err != nil {
 			t.Fatal(err)

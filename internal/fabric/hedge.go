@@ -63,13 +63,13 @@ type hedgeResult struct {
 // Each leg is itself a failover chain (tryEach), so hedging composes with
 // crash failover: the primary leg walks [owner, replica...] and the hedge
 // leg walks the reverse.
-func (rt *Router) hedged(ctx context.Context, order []string, path, contentType string, body []byte) (*http.Response, string, error) {
+func (rt *Router) hedged(ctx context.Context, order []string, up upstream) (*http.Response, string, error) {
 	primCtx, cancelPrim := context.WithCancel(ctx)
 	hedgeCtx, cancelHedge := context.WithCancel(ctx)
 
 	results := make(chan hedgeResult, 2)
 	run := func(leg int, c context.Context, ids []string) {
-		resp, worker, err := rt.tryEach(c, ids, path, contentType, body)
+		resp, worker, err := rt.tryEach(c, ids, up)
 		results <- hedgeResult{resp: resp, worker: worker, err: err, leg: leg}
 	}
 	go run(0, primCtx, order)

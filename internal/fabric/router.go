@@ -3,14 +3,12 @@ package fabric
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -18,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"octgb/internal/molecule"
 	"octgb/internal/obs"
 	"octgb/internal/serve"
 )
@@ -25,11 +24,6 @@ import (
 // DefaultReplicas is the replication factor R: hot keys and failover both
 // use the key's first R distinct ring owners.
 const DefaultReplicas = 2
-
-// maxRouterBody bounds request buffering, matching the workers' own
-// request-body bound so the router never rejects what a worker would
-// accept.
-const maxRouterBody = 256 << 20
 
 // sessionIDSep joins a worker ID and a worker-local session ID into the
 // routed session ID clients hold ("worker~s-abc-0001"). Worker IDs cannot
@@ -71,6 +65,7 @@ type routerMetrics struct {
 
 	forwarded      atomic.Int64 // requests relayed to a worker (any status)
 	retries        atomic.Int64 // failover retries after a transport error
+	probeMisses    atomic.Int64 // hash-only sends answered unknown_molecule (body re-sent, not a failover)
 	spills         atomic.Int64 // load spills: busy primary skipped for an idle replica
 	hotSpreads     atomic.Int64 // hot keys alternated across their replica set
 	noWorkers      atomic.Int64 // rejected: empty ring
@@ -225,23 +220,6 @@ func (rt *Router) logf(format string, args ...any) {
 	}
 }
 
-// hashAtoms reproduces molecule.Hash over the wire-form atom 5-tuples, so
-// the router derives the same routing key the workers use as cache key
-// material without materializing a molecule.
-func hashAtoms(atoms [][5]float64) uint64 {
-	h := sha256.New()
-	var buf [40]byte
-	for _, a := range atoms {
-		for i, v := range a {
-			binary.LittleEndian.PutUint64(buf[8*i:8*i+8], math.Float64bits(v))
-		}
-		h.Write(buf[:])
-	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return KeyHash(sum)
-}
-
 // writeRouterError mirrors the workers' error contract (serve.ErrorResponse
 // tokens) so clients see one vocabulary whether a reject came from a
 // worker's admission gate or from the router itself.
@@ -251,78 +229,78 @@ func writeRouterError(w http.ResponseWriter, status int, token, detail string) {
 	_ = json.NewEncoder(w).Encode(serve.ErrorResponse{Error: token, Detail: detail})
 }
 
-// readBody buffers the request body for replay across failover attempts.
-// A declared Content-Length sizes the buffer once — io.ReadAll's doubling
-// growth allocates about four times the body — and a declared length over
-// the limit is refused unread. The read stays behind MaxBytesReader and
-// takes at most the declared bytes, so a lying header can make the router
-// neither allocate past the limit nor read past the declared length; a
-// body shorter than declared is an error.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	src := http.MaxBytesReader(w, r.Body, maxRouterBody)
-	var body []byte
-	var err error
-	switch n := r.ContentLength; {
-	case n > maxRouterBody:
-		err = errors.New("declared length exceeds limit")
-	case n >= 0:
-		body = make([]byte, n)
-		_, err = io.ReadFull(src, body)
-	default: // unknown length (chunked)
-		body, err = io.ReadAll(src)
+// upstream is one client request as the router forwards it. probe, when
+// set, is the hash-only form of body: send tries it first, and a worker
+// that holds the molecule prepared never sees, decodes or hashes the atoms.
+type upstream struct {
+	path, contentType string
+	probe, body       []byte
+}
+
+// writeReject answers a request refused at the wire boundary with the
+// status and token a worker would give it.
+func writeReject(w http.ResponseWriter, err error) {
+	status, token := serve.RejectStatus(err)
+	writeRouterError(w, status, token, err.Error())
+}
+
+// readRouted reads and decodes a molecule-bearing request with the workers'
+// own decoder — one wire contract on both tiers — and resolves the molecule
+// that keys it (picked by keyMol once req is decoded) to its content hash.
+// On false the reject has been written.
+func readRouted(w http.ResponseWriter, r *http.Request, req json.Unmarshaler, keyMol func() *serve.MoleculeJSON) (up upstream, hash [molecule.HashSize]byte, ok bool) {
+	if r.Method != http.MethodPost {
+		writeRouterError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
+		return up, hash, false
+	}
+	body, err := serve.ReadRequest(w, r, req)
+	if err == nil {
+		_, hash, err = keyMol().Resolve()
 	}
 	if err != nil {
-		writeRouterError(w, http.StatusRequestEntityTooLarge, "too_large", "request body exceeds limit")
-		return nil, false
+		writeReject(w, err)
+		return up, hash, false
 	}
-	return body, true
+	return upstream{path: r.URL.Path, contentType: r.Header.Get("Content-Type"), body: body}, hash, true
 }
 
 func (rt *Router) handleEnergy(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeRouterError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	body, ok := readBody(w, r)
+	var req serve.EnergyRequest
+	up, hash, ok := readRouted(w, r, &req, func() *serve.MoleculeJSON { return &req.Molecule })
 	if !ok {
 		return
 	}
-	var req serve.EnergyRequest
-	if err := json.Unmarshal(body, &req); err != nil || len(req.Molecule.Atoms) == 0 {
-		writeRouterError(w, http.StatusBadRequest, "bad_request", "invalid energy request")
-		return
+	if len(req.Molecule.Atoms) > 0 {
+		// Ask by content hash first: on a warm hit the ~200-byte probe is all
+		// that crosses the hop. The digest is the one the worker's cache key
+		// is made of, computed here from the atoms, not taken from the client.
+		req.Molecule = serve.MoleculeJSON{Name: req.Molecule.Name, Hash: hex.EncodeToString(hash[:])}
+		up.probe, _ = json.Marshal(req) // a struct of strings and numbers cannot fail
 	}
-	rt.forward(w, r, hashAtoms(req.Molecule.Atoms), body, true)
+	rt.forward(w, r, KeyHash(hash), up, true)
 }
 
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeRouterError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
 	var req serve.SweepRequest
-	if err := json.Unmarshal(body, &req); err != nil || len(req.Ligand.Atoms) == 0 {
-		writeRouterError(w, http.StatusBadRequest, "bad_request", "invalid sweep request")
-		return
-	}
 	// Route by receptor when present: the receptor is the shared, heavy,
 	// cache-resident side of a docking sweep (the paper's workload), so
 	// all sweeps against one receptor land on the shard that has its
 	// surface and octree prepared. Ligand-only sweeps route by ligand.
-	key := hashAtoms(req.Ligand.Atoms)
-	if req.Receptor != nil && len(req.Receptor.Atoms) > 0 {
-		key = hashAtoms(req.Receptor.Atoms)
+	up, hash, ok := readRouted(w, r, &req, func() *serve.MoleculeJSON {
+		if req.Receptor != nil {
+			return req.Receptor
+		}
+		return &req.Ligand
+	})
+	if !ok {
+		return
 	}
-	rt.forward(w, r, key, body, true)
+	rt.forward(w, r, KeyHash(hash), up, true)
 }
 
 // forward routes one idempotent request: plan the owner order, optionally
 // hedge, fail over on transport errors, relay the first response.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key uint64, body []byte, hedgeable bool) {
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key uint64, up upstream, hedgeable bool) {
 	order := rt.plan(key)
 	if len(order) == 0 {
 		rt.met.noWorkers.Add(1)
@@ -330,7 +308,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key uint64, bo
 		return
 	}
 	if hedgeable && len(order) >= 2 && rt.cfg.HedgeDelay >= 0 {
-		resp, worker, err := rt.hedged(r.Context(), order, r.URL.Path, r.Header.Get("Content-Type"), body)
+		resp, worker, err := rt.hedged(r.Context(), order, up)
 		if err != nil {
 			rt.met.upstreamFailed.Add(1)
 			writeRouterError(w, http.StatusBadGateway, "upstream_failed", err.Error())
@@ -339,7 +317,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key uint64, bo
 		rt.relay(w, resp, worker, nil)
 		return
 	}
-	resp, worker, err := rt.tryEach(r.Context(), order, r.URL.Path, r.Header.Get("Content-Type"), body)
+	resp, worker, err := rt.tryEach(r.Context(), order, up)
 	if err != nil {
 		rt.met.upstreamFailed.Add(1)
 		writeRouterError(w, http.StatusBadGateway, "upstream_failed", err.Error())
@@ -348,24 +326,40 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key uint64, bo
 	rt.relay(w, resp, worker, nil)
 }
 
-// send performs one upstream attempt against worker id. A non-nil error
-// is a transport failure (dial, reset, torn body) — the worker is suspect
-// and the caller should fail over; HTTP-level errors come back as
-// responses.
-func (rt *Router) send(ctx context.Context, id, path, contentType string, body []byte) (*http.Response, error) {
+// send performs one upstream attempt against worker id: the hash-only probe
+// when there is one, and the full body to the same worker only if it
+// answers that it does not hold the hash (evicted, restarted, never seen) —
+// a miss of the probe, not a failover. A non-nil error is a transport
+// failure (dial, reset, torn body) — the worker is suspect and the caller
+// should fail over; HTTP-level errors come back as responses.
+func (rt *Router) send(ctx context.Context, id string, up upstream) (*http.Response, error) {
 	info, ok := rt.mem.Member(id)
 	if !ok {
 		return nil, fmt.Errorf("worker %s no longer registered", id)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+info.Addr+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	post := func(body []byte) (*http.Response, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+info.Addr+up.path, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		if up.contentType != "" {
+			req.Header.Set("Content-Type", up.contentType)
+		}
+		return rt.client.Do(req)
 	}
 	start := time.Now()
-	resp, err := rt.client.Do(req)
+	first := up.body
+	if up.probe != nil {
+		first = up.probe
+	}
+	resp, err := post(first)
+	if err == nil && up.probe != nil && unknownMolecule(resp) {
+		rt.met.probeMisses.Add(1)
+		if rt.cfg.Observe != nil {
+			rt.cfg.Observe.Counter("octgb_fabric_probe_misses_total", "", "Hash-only sends the worker did not hold; the body was re-sent to it.").Inc()
+		}
+		resp, err = post(up.body)
+	}
 	if err != nil {
 		// A cancelled context is our own doing (client gone or hedge
 		// loser cut short) — only organic transport errors make the
@@ -379,6 +373,23 @@ func (rt *Router) send(ctx context.Context, id, path, contentType string, body [
 	rt.upstreamLat.Observe(d)
 	rt.workerLat(id).Observe(d)
 	return resp, nil
+}
+
+// unknownMolecule reports whether resp is a worker's typed answer to a
+// hash it does not hold, and consumes it if so; any other response is left
+// whole for relay.
+func unknownMolecule(resp *http.Response) bool {
+	if resp.StatusCode != http.StatusNotFound {
+		return false
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var e serve.ErrorResponse
+	if err == nil && json.Unmarshal(b, &e) == nil && e.Error == serve.UnknownMolecule {
+		return true
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(b))
+	return false
 }
 
 // workerLat returns the per-shard upstream latency histogram (Observe
@@ -409,7 +420,7 @@ func retryableStatus(code int) bool {
 // move to the next owner; the first relayable response wins. The last
 // response is relayed even if it is a reject, so a fully-loaded fleet
 // still answers with the workers' own backpressure contract.
-func (rt *Router) tryEach(ctx context.Context, order []string, path, contentType string, body []byte) (*http.Response, string, error) {
+func (rt *Router) tryEach(ctx context.Context, order []string, up upstream) (*http.Response, string, error) {
 	var lastErr error
 	for i, id := range order {
 		if err := ctx.Err(); err != nil {
@@ -421,7 +432,7 @@ func (rt *Router) tryEach(ctx context.Context, order []string, path, contentType
 				rt.cfg.Observe.Counter("octgb_fabric_retries_total", "", "Failover retries onto a replica shard.").Inc()
 			}
 		}
-		resp, err := rt.send(ctx, id, path, contentType, body)
+		resp, err := rt.send(ctx, id, up)
 		if err != nil {
 			lastErr = err
 			continue
@@ -467,26 +478,18 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, worker strin
 // frame carries its shard. Creates are not hedged — a session is state,
 // and hedging one would strand a twin on the loser shard.
 func (rt *Router) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeRouterError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	body, ok := readBody(w, r)
+	var req serve.StreamCreateRequest
+	up, hash, ok := readRouted(w, r, &req, func() *serve.MoleculeJSON { return &req.Molecule })
 	if !ok {
 		return
 	}
-	var req serve.StreamCreateRequest
-	if err := json.Unmarshal(body, &req); err != nil || len(req.Molecule.Atoms) == 0 {
-		writeRouterError(w, http.StatusBadRequest, "bad_request", "invalid stream create request")
-		return
-	}
-	order := rt.plan(hashAtoms(req.Molecule.Atoms))
+	order := rt.plan(KeyHash(hash))
 	if len(order) == 0 {
 		rt.met.noWorkers.Add(1)
 		writeRouterError(w, http.StatusServiceUnavailable, "no_workers", "no workers registered")
 		return
 	}
-	resp, worker, err := rt.tryEach(r.Context(), order, r.URL.Path, r.Header.Get("Content-Type"), body)
+	resp, worker, err := rt.tryEach(r.Context(), order, up)
 	if err != nil {
 		rt.met.upstreamFailed.Add(1)
 		writeRouterError(w, http.StatusBadGateway, "upstream_failed", err.Error())
@@ -516,8 +519,9 @@ func (rt *Router) handleStreamSticky(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, http.StatusNotFound, "not_found", "session shard lost: "+routedID)
 		return
 	}
-	body, ok := readBody(w, r)
-	if !ok {
+	body, err := serve.ReadBody(w, r)
+	if err != nil {
+		writeReject(w, err)
 		return
 	}
 	path := "/v1/stream/" + sid
@@ -599,6 +603,7 @@ type RouterStats struct {
 	Requests struct {
 		Forwarded      int64 `json:"forwarded"`
 		Retries        int64 `json:"retries"`
+		ProbeMisses    int64 `json:"probe_misses"`
 		Spills         int64 `json:"spills"`
 		HotSpreads     int64 `json:"hot_spreads"`
 		NoWorkers      int64 `json:"no_workers"`
@@ -633,6 +638,7 @@ func (rt *Router) Stats() RouterStats {
 	out.Ring.VNodes = rt.mem.Ring().vnodes
 	out.Requests.Forwarded = rt.met.forwarded.Load()
 	out.Requests.Retries = rt.met.retries.Load()
+	out.Requests.ProbeMisses = rt.met.probeMisses.Load()
 	out.Requests.Spills = rt.met.spills.Load()
 	out.Requests.HotSpreads = rt.met.hotSpreads.Load()
 	out.Requests.NoWorkers = rt.met.noWorkers.Load()

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"octgb/internal/obs"
+	"octgb/internal/serve"
 )
 
 // stubWorker is a scriptable upstream: an httptest server plus a worker
@@ -101,24 +102,31 @@ func newRouterHarness(t *testing.T, n int, cfg RouterConfig) (*Router, *httptest
 	return rt, front, workers
 }
 
-// energyBody builds a small valid energy request; seed varies the routing
+// energyAtoms is the molecule of energyBody(seed); seed varies the routing
 // key.
-func energyBody(seed int) []byte {
+func energyAtoms(seed int) serve.MoleculeJSON {
 	atoms := make([][5]float64, 4)
 	for i := range atoms {
 		atoms[i] = [5]float64{float64(i) * 3, float64(seed), 0, 1.5, 0.1}
 	}
-	b, _ := json.Marshal(map[string]any{"molecule": map[string]any{"atoms": atoms}})
+	return serve.MoleculeJSON{Atoms: atoms}
+}
+
+// energyBody builds a small valid energy request.
+func energyBody(seed int) []byte {
+	b, _ := json.Marshal(serve.EnergyRequest{Molecule: energyAtoms(seed)})
 	return b
 }
 
-// keyOf extracts the routing key the router would derive for energyBody(seed).
+// keyOf is the routing key the router derives for energyBody(seed): the
+// ring's view of the molecule content hash.
 func keyOf(seed int) uint64 {
-	atoms := make([][5]float64, 4)
-	for i := range atoms {
-		atoms[i] = [5]float64{float64(i) * 3, float64(seed), 0, 1.5, 0.1}
+	mj := energyAtoms(seed)
+	mol, err := mj.ToMolecule()
+	if err != nil {
+		panic(err)
 	}
-	return hashAtoms(atoms)
+	return KeyHash(mol.Hash())
 }
 
 // stubByID finds the stub a ring owner ID refers to.
@@ -425,56 +433,5 @@ func TestRouterBadRequest(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/energy: %d, want 405", resp2.StatusCode)
-	}
-}
-
-// TestReadBodySizedFromContentLength: a declared length is read into one
-// exactly-sized buffer and never past it, an unknown length still reads to
-// EOF, and a body that is declared too large or comes up short is refused
-// with the router's 413.
-func TestReadBodySizedFromContentLength(t *testing.T) {
-	payload := bytes.Repeat([]byte("0123456789abcdef"), 13000) // 208 kB, a warm_serve body
-	read := func(body io.Reader, declared int64) ([]byte, bool, *httptest.ResponseRecorder) {
-		r := httptest.NewRequest(http.MethodPost, "/v1/energy", body)
-		r.ContentLength = declared
-		w := httptest.NewRecorder()
-		got, ok := readBody(w, r)
-		return got, ok, w
-	}
-
-	got, ok, _ := read(bytes.NewReader(payload), int64(len(payload)))
-	if !ok || !bytes.Equal(got, payload) || cap(got) != len(payload) {
-		t.Errorf("declared length: ok=%v len=%d cap=%d, want the %d-byte payload in a buffer of its size", ok, len(got), cap(got), len(payload))
-	}
-	got, ok, _ = read(bytes.NewReader(payload), -1)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Errorf("unknown length: ok=%v len=%d, want the %d-byte payload", ok, len(got), len(payload))
-	}
-	if got, ok, _ = read(strings.NewReader(""), 0); !ok || len(got) != 0 {
-		t.Errorf("empty body: ok=%v len=%d", ok, len(got))
-	}
-
-	// A header that understates the body: only the declared bytes are taken.
-	src := bytes.NewReader(payload)
-	if got, ok, _ = read(src, 100); !ok || !bytes.Equal(got, payload[:100]) || src.Len() != len(payload)-100 {
-		t.Errorf("understated length: ok=%v len=%d, %d bytes left unread", ok, len(got), src.Len())
-	}
-	// A header that overstates it, within the limit and beyond: refused, and
-	// beyond the limit without reading (or allocating for) a byte.
-	for _, declared := range []int64{int64(len(payload)) + 1, maxRouterBody + 1} {
-		src := bytes.NewReader(payload)
-		_, ok, w := read(src, declared)
-		if ok || w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), "too_large") {
-			t.Errorf("declared %d: ok=%v status=%d body=%q, want a too_large 413", declared, ok, w.Code, w.Body.String())
-		}
-		if declared > maxRouterBody && src.Len() != len(payload) {
-			t.Errorf("declared %d: %d bytes read before the reject", declared, len(payload)-src.Len())
-		}
-	}
-
-	allocs := testing.AllocsPerRun(20, func() { read(bytes.NewReader(payload), int64(len(payload))) })
-	unknown := testing.AllocsPerRun(20, func() { read(bytes.NewReader(payload), -1) })
-	if allocs >= unknown {
-		t.Errorf("declared length costs %v allocations, unknown %v: the sized read should be cheaper", allocs, unknown)
 	}
 }

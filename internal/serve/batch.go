@@ -158,7 +158,7 @@ func (s *Server) runSweep(b *pendingSweep) {
 	// Shared preprocessing: ligand (always) and receptor (if present)
 	// through the prepared cache, plus their isolated energies for deltas.
 	eo := s.engineOpts(b.opts)
-	ligB, ligSrc, err := s.cache.get(cacheKey(b.lig, b.opts), func() (*built, error) {
+	ligB, ligSrc, err := s.cache.get(cacheKey(b.lig.HashString(), b.opts), func() (*built, error) {
 		return s.buildPrepared(b.lig, b.opts)
 	})
 	if err != nil {
@@ -175,7 +175,7 @@ func (s *Server) runSweep(b *pendingSweep) {
 	var eRec float64
 	if b.rec != nil {
 		var recSrc cacheSource
-		recB, recSrc, err = s.cache.get(cacheKey(b.rec, b.opts), func() (*built, error) {
+		recB, recSrc, err = s.cache.get(cacheKey(b.rec.HashString(), b.opts), func() (*built, error) {
 			return s.buildPrepared(b.rec, b.opts)
 		})
 		if err != nil {

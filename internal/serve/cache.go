@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 	"time"
 
@@ -69,8 +70,13 @@ func newPrepCache(maxBytes int64, m *metrics) *prepCache {
 	return c
 }
 
+// errUnknownMolecule is get's answer to a lookup (nil build) of a key that
+// is neither resident nor being built.
+var errUnknownMolecule = errors.New("serve: unknown molecule")
+
 // get returns the cached value for key, building it at most once across
-// concurrent callers. build runs outside the cache lock.
+// concurrent callers. build runs outside the cache lock. A nil build only
+// looks up: it joins an in-flight build but never starts one.
 func (c *prepCache) get(key string, build func() (*built, error)) (*built, cacheSource, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -84,6 +90,10 @@ func (c *prepCache) get(key string, build func() (*built, error)) (*built, cache
 		c.metrics.cacheCoalesced.Add(1)
 		<-fc.done
 		return fc.val, sourceWait, fc.err
+	}
+	if build == nil {
+		c.mu.Unlock()
+		return nil, "", errUnknownMolecule
 	}
 	fc := &flightCall{done: make(chan struct{})}
 	c.flight[key] = fc

@@ -179,12 +179,12 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	same := molecule.GenerateProtein("other-name", 50, 1)
 	base := evalOpts{bornEps: 0.9, epolEps: 0.9, surf: surface.Default()}
 
-	if cacheKey(mol, base) != cacheKey(same, base) {
+	if cacheKey(mol.HashString(), base) != cacheKey(same.HashString(), base) {
 		t.Fatalf("key depends on molecule name")
 	}
 	epol := base
 	epol.epolEps = 0.5
-	if cacheKey(mol, base) != cacheKey(mol, epol) {
+	if cacheKey(mol.HashString(), base) != cacheKey(mol.HashString(), epol) {
 		t.Fatalf("key depends on ε_E (evaluation-time knob must share the entry)")
 	}
 	for name, mut := range map[string]func(*evalOpts){
@@ -194,12 +194,12 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	} {
 		o := base
 		mut(&o)
-		if cacheKey(mol, base) == cacheKey(mol, o) {
+		if cacheKey(mol.HashString(), base) == cacheKey(mol.HashString(), o) {
 			t.Fatalf("key ignores %s", name)
 		}
 	}
 	other := molecule.GenerateProtein("m", 50, 2)
-	if cacheKey(mol, base) == cacheKey(other, base) {
+	if cacheKey(mol.HashString(), base) == cacheKey(other.HashString(), base) {
 		t.Fatalf("key ignores molecule content")
 	}
 }

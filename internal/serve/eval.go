@@ -14,6 +14,7 @@ import (
 // worker and consumed by the waiting handler.
 type energyOutcome struct {
 	energy    float64
+	atoms     int
 	bornRadii []float64
 	src       cacheSource
 	engine    string
@@ -75,11 +76,13 @@ func (s *Server) buildPrepared(mol *molecule.Molecule, o evalOpts) (*built, erro
 }
 
 // evalEnergy runs on a worker: prepared-problem lookup (singleflight
-// build on miss) followed by the E_pol evaluation. Work whose deadline
-// already passed while queued is abandoned before any computation. span is
-// the request's root span ID (0 with observability off); the cache and
-// eval stages are traced under it.
-func (s *Server) evalEnergy(ctx context.Context, mol *molecule.Molecule, o evalOpts, span uint64) energyOutcome {
+// build on miss) followed by the E_pol evaluation. A nil mol is a hash-only
+// request: it is served from a resident or in-flight entry under key, or
+// fails with errUnknownMolecule — it can never build, so never insert. Work
+// whose deadline already passed while queued is abandoned before any
+// computation. span is the request's root span ID (0 with observability
+// off); the cache and eval stages are traced under it.
+func (s *Server) evalEnergy(ctx context.Context, key string, mol *molecule.Molecule, o evalOpts, span uint64) energyOutcome {
 	out := energyOutcome{startedAt: time.Now()}
 	if ctx.Err() != nil {
 		s.metrics.canceled.Add(1)
@@ -87,15 +90,17 @@ func (s *Server) evalEnergy(ctx context.Context, mol *molecule.Molecule, o evalO
 		return out
 	}
 	cacheStart := time.Now()
-	b, src, err := s.cache.get(cacheKey(mol, o), func() (*built, error) {
-		return s.buildPrepared(mol, o)
-	})
+	var build func() (*built, error)
+	if mol != nil {
+		build = func() (*built, error) { return s.buildPrepared(mol, o) }
+	}
+	b, src, err := s.cache.get(key, build)
 	s.sobs.stage(nil, "serve.cache", span, cacheStart, time.Since(cacheStart))
 	if err != nil {
 		out.err = err
 		return out
 	}
-	out.src = src
+	out.src, out.atoms = src, b.prep.Pr.Mol.N()
 	if src == sourceBuild {
 		out.surfaceMS = float64(b.surfaceNS) / 1e6
 		out.prepareMS = float64(b.prepareNS) / 1e6

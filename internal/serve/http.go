@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -17,7 +19,12 @@ import (
 // [x, y, z, radius, charge] (Å, Å, elementary charges).
 type MoleculeJSON struct {
 	Name  string       `json:"name,omitempty"`
-	Atoms [][5]float64 `json:"atoms"`
+	Atoms [][5]float64 `json:"atoms,omitempty"`
+	// Hash is the hex molecule.Hash of the atoms. Sent without atoms on
+	// /v1/energy it asks for a molecule the server already holds prepared
+	// (404 unknown_molecule when it does not); sent with atoms it must match
+	// them. See Resolve.
+	Hash string `json:"hash,omitempty"`
 }
 
 // FromMolecule converts to the wire form (used by clients and benches).
@@ -242,17 +249,14 @@ type StreamCloseResponse struct {
 
 // ErrorResponse is every non-2xx payload. Error is a stable machine token:
 // bad_request, too_large, queue_full, shed_load, draining,
-// deadline_exceeded, eval_failed, method_not_allowed, not_found.
+// deadline_exceeded, eval_failed, method_not_allowed, not_found,
+// unknown_molecule.
 type ErrorResponse struct {
 	RequestID    string `json:"request_id"`
 	Error        string `json:"error"`
 	Detail       string `json:"detail,omitempty"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
-
-// maxBodyBytes bounds request decoding (a 200k-atom molecule is ~20 MB of
-// JSON; leave generous headroom).
-const maxBodyBytes = 256 << 20
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -304,17 +308,18 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 	span := s.sobs.spanID()
 
 	var req EnergyRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, reqID, "bad_request", err.Error(), 0)
+	if _, err := ReadRequest(w, r, &req); err != nil {
+		s.reject(w, reqID, err)
 		return
 	}
-	mol, err := req.Molecule.ToMolecule()
+	// mol is nil for a hash-only request: the lookup below then serves it
+	// from a resident (or in-flight) entry or not at all.
+	mol, sum, err := req.Molecule.Resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, reqID, "bad_request", err.Error(), 0)
+		s.reject(w, reqID, err)
 		return
 	}
-	if mol.N() > s.cfg.MaxAtoms {
+	if mol != nil && mol.N() > s.cfg.MaxAtoms {
 		writeError(w, http.StatusRequestEntityTooLarge, reqID, "too_large",
 			fmt.Sprintf("%d atoms exceeds limit %d", mol.N(), s.cfg.MaxAtoms), 0)
 		return
@@ -325,7 +330,8 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	queued := time.Now()
 	outCh := make(chan energyOutcome, 1)
-	if err := s.submit(func() { outCh <- s.evalEnergy(ctx, mol, opts, span) }); err != nil {
+	key := cacheKey(hex.EncodeToString(sum[:]), opts)
+	if err := s.submit(func() { outCh <- s.evalEnergy(ctx, key, mol, opts, span) }); err != nil {
 		s.admissionError(w, reqID, err)
 		return
 	}
@@ -333,6 +339,10 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 	case out := <-outCh:
 		s.sobs.stage(s.sobs.queueWait, "serve.queue", span, queued, out.startedAt.Sub(queued))
 		s.sobs.request(s.sobs.reqEnergy, "serve.energy", span, reqStart)
+		if errors.Is(out.err, errUnknownMolecule) {
+			writeError(w, http.StatusNotFound, reqID, UnknownMolecule, "no prepared entry for this hash and these options; send the atoms", 0)
+			return
+		}
 		if out.err != nil {
 			s.metrics.failed.Add(1)
 			writeError(w, http.StatusInternalServerError, reqID, "eval_failed", out.err.Error(), 0)
@@ -341,8 +351,8 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 		s.metrics.completed.Add(1)
 		resp := EnergyResponse{
 			RequestID: reqID,
-			Name:      mol.Name,
-			Atoms:     mol.N(),
+			Name:      req.Molecule.Name,
+			Atoms:     out.atoms,
 			Energy:    out.energy,
 			Cache:     string(out.src),
 			Engine:    out.engine,
@@ -356,7 +366,7 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 		if req.IncludeRadii {
 			resp.BornRadii = out.bornRadii
 		}
-		s.logf("serve: %s energy %s atoms=%d cache=%s E=%.6g (%s)", reqID, mol.Name, mol.N(), out.src, out.energy, out.engine)
+		s.logf("serve: %s energy %s atoms=%d cache=%s E=%.6g (%s)", reqID, req.Molecule.Name, out.atoms, out.src, out.energy, out.engine)
 		writeJSON(w, http.StatusOK, resp)
 	case <-ctx.Done():
 		s.metrics.deadlineMisses.Add(1)
@@ -377,20 +387,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	span := s.sobs.spanID()
 
 	var req SweepRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, reqID, "bad_request", err.Error(), 0)
+	if _, err := ReadRequest(w, r, &req); err != nil {
+		s.reject(w, reqID, err)
 		return
 	}
-	lig, err := req.Ligand.ToMolecule()
+	lig, err := req.Ligand.resolveAtoms()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, reqID, "bad_request", "ligand: "+err.Error(), 0)
+		s.reject(w, reqID, fmt.Errorf("ligand: %w", err))
 		return
 	}
 	var rec *molecule.Molecule
 	if req.Receptor != nil {
-		if rec, err = req.Receptor.ToMolecule(); err != nil {
-			writeError(w, http.StatusBadRequest, reqID, "bad_request", "receptor: "+err.Error(), 0)
+		if rec, err = req.Receptor.resolveAtoms(); err != nil {
+			s.reject(w, reqID, fmt.Errorf("receptor: %w", err))
 			return
 		}
 	}
@@ -469,6 +478,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// reject answers a request refused at the wire boundary (see RejectStatus).
+func (s *Server) reject(w http.ResponseWriter, reqID string, err error) {
+	status, token := RejectStatus(err)
+	writeError(w, status, reqID, token, err.Error(), 0)
+}
+
 func (s *Server) admissionError(w http.ResponseWriter, reqID string, err error) {
 	switch err {
 	case errQueueFull:
@@ -539,13 +554,14 @@ type evalOpts struct {
 	surf    surface.Options
 }
 
-// cacheKey identifies a prepared problem: molecule content hash plus every
-// parameter the preprocessing depends on. The precision tier is part of
-// the key — Prepare bakes the tier's storage mirrors into the solver, so
-// f64 and f32 prepareds for one molecule are distinct entries.
-func cacheKey(mol *molecule.Molecule, o evalOpts) string {
+// cacheKey identifies a prepared problem: molecule content hash (lowercase
+// hex, as molecule.HashString) plus every parameter the preprocessing
+// depends on. The precision tier is part of the key — Prepare bakes the
+// tier's storage mirrors into the solver, so f64 and f32 prepareds for one
+// molecule are distinct entries.
+func cacheKey(hash string, o evalOpts) string {
 	return fmt.Sprintf("%s|b%g|s%d|d%d|r%g|p%s",
-		mol.HashString(), o.bornEps, o.surf.SubdivLevel, o.surf.Degree, o.surf.RadiusScale, o.prec)
+		hash, o.bornEps, o.surf.SubdivLevel, o.surf.Degree, o.surf.RadiusScale, o.prec)
 }
 
 func msBetween(a, b time.Time) float64 {

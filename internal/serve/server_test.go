@@ -470,3 +470,107 @@ func TestServerStartAddr(t *testing.T) {
 		t.Fatal("listener still accepting after shutdown")
 	}
 }
+
+// TestServerEnergyByHash: a hash without atoms is served from the prepared
+// entry of exactly that molecule and those preparation options — never
+// another entry's energy — and otherwise answers 404 unknown_molecule
+// without building or inserting anything; a hash that arrives with atoms is
+// checked against them; one that arrives while its entry is being built
+// joins the build.
+func TestServerEnergyByHash(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	s, ts := newTestServer(t, Config{Workers: 4, Threads: 1})
+
+	mol := molecule.GenerateProtein("byhash", 120, 17)
+	only := func(o *OptionsJSON) EnergyRequest {
+		return EnergyRequest{Molecule: MoleculeJSON{Name: "asked-by-hash", Hash: mol.HashString()}, Options: o, IncludeRadii: true}
+	}
+	var e ErrorResponse
+	if code := postJSON(t, ts.URL+"/v1/energy", only(nil), &e); code != http.StatusNotFound || e.Error != UnknownMolecule {
+		t.Fatalf("hash of a molecule never sent: %d %q, want 404 %s", code, e.Error, UnknownMolecule)
+	}
+	if entries, _ := s.cache.stats(); entries != 0 || s.metrics.cacheBuilds.Load() != 0 || s.metrics.cacheMisses.Load() != 0 {
+		t.Fatalf("a hash-only request touched the cache: entries=%d builds=%d misses=%d", entries, s.metrics.cacheBuilds.Load(), s.metrics.cacheMisses.Load())
+	}
+
+	var full EnergyResponse
+	if code := postJSON(t, ts.URL+"/v1/energy", EnergyRequest{Molecule: FromMolecule(mol)}, &full); code != http.StatusOK {
+		t.Fatalf("full request: status %d", code)
+	}
+	var got EnergyResponse
+	if code := postJSON(t, ts.URL+"/v1/energy", only(nil), &got); code != http.StatusOK {
+		t.Fatalf("hash of a prepared molecule: status %d", code)
+	}
+	if got.Cache != string(sourceHit) || got.Energy != full.Energy || got.Atoms != mol.N() || got.Name != "asked-by-hash" || len(got.BornRadii) != mol.N() {
+		t.Errorf("by hash: %+v; by atoms energy %.17g", got, full.Energy)
+	}
+	// ε_E is an evaluation-time knob: same entry, another energy.
+	if code := postJSON(t, ts.URL+"/v1/energy", only(&OptionsJSON{EpolEps: 0.4}), &got); code != http.StatusOK || got.Cache != string(sourceHit) || got.Energy == full.Energy {
+		t.Errorf("by hash, other epol_eps: status %d cache %q energy %.17g (default %.17g)", code, got.Cache, got.Energy, full.Energy)
+	}
+	// Preparation options key the entry: the same hash under another ε_B,
+	// precision or surface is a molecule this server does not hold.
+	for name, o := range map[string]*OptionsJSON{
+		"born_eps": {BornEps: 0.5}, "precision": {Precision: "f32"}, "subdiv_level": {SubdivLevel: 2}, "degree": {Degree: 3},
+	} {
+		if code := postJSON(t, ts.URL+"/v1/energy", only(o), &e); code != http.StatusNotFound || e.Error != UnknownMolecule {
+			t.Errorf("by hash, other %s: %d %q, want 404 %s", name, code, e.Error, UnknownMolecule)
+		}
+	}
+	if entries, _ := s.cache.stats(); entries != 1 || s.metrics.cacheBuilds.Load() != 1 {
+		t.Errorf("entries=%d builds=%d after the hash-only misses, want 1 and 1", entries, s.metrics.cacheBuilds.Load())
+	}
+
+	// A hash is never trusted over atoms that arrive with it.
+	other := molecule.GenerateProtein("other", 40, 18)
+	liar := EnergyRequest{Molecule: FromMolecule(other)}
+	liar.Molecule.Hash = mol.HashString()
+	if code := postJSON(t, ts.URL+"/v1/energy", liar, &e); code != http.StatusBadRequest || e.Error != "bad_request" {
+		t.Errorf("atoms under another molecule's hash: %d %q, want 400 bad_request", code, e.Error)
+	}
+	liar.Molecule.Hash = other.HashString()
+	if code := postJSON(t, ts.URL+"/v1/energy", liar, &got); code != http.StatusOK || got.Cache != string(sourceBuild) {
+		t.Errorf("atoms under their own hash: status %d cache %q", code, got.Cache)
+	}
+
+	// In flight: hold a build open, ask for its key by hash, release.
+	slow := molecule.GenerateProtein("slow", 60, 19)
+	key := cacheKey(slow.HashString(), s.resolveOpts(nil))
+	release := make(chan struct{})
+	buildDone := make(chan error, 1)
+	go func() {
+		_, _, err := s.cache.get(key, func() (*built, error) {
+			<-release
+			return s.buildPrepared(slow, s.resolveOpts(nil))
+		})
+		buildDone <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.cache.mu.Lock()
+		_, flying := s.cache.flight[key]
+		s.cache.mu.Unlock()
+		if flying {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("build never took flight")
+		}
+	}
+	joined := make(chan int, 1)
+	var coalesced EnergyResponse
+	go func() {
+		joined <- postJSON(t, ts.URL+"/v1/energy", EnergyRequest{Molecule: MoleculeJSON{Hash: slow.HashString()}}, &coalesced)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.metrics.cacheCoalesced.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("hash-only request never joined the build in flight")
+		}
+	}
+	close(release)
+	if err := <-buildDone; err != nil {
+		t.Fatal(err)
+	}
+	if code := <-joined; code != http.StatusOK || coalesced.Cache != string(sourceWait) || coalesced.Atoms != slow.N() {
+		t.Errorf("hash-only during the build: status %d %+v, want 200 coalesced", code, coalesced)
+	}
+}

@@ -112,14 +112,13 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	span := s.sobs.spanID()
 
 	var req StreamCreateRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, reqID, "bad_request", err.Error(), 0)
+	if _, err := ReadRequest(w, r, &req); err != nil {
+		s.reject(w, reqID, err)
 		return
 	}
-	mol, err := req.Molecule.ToMolecule()
+	mol, err := req.Molecule.resolveAtoms()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, reqID, "bad_request", err.Error(), 0)
+		s.reject(w, reqID, err)
 		return
 	}
 	if mol.N() > s.cfg.MaxAtoms {
