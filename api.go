@@ -86,8 +86,8 @@ const (
 type Options struct {
 	// Engine selects the parallel algorithm (default OctMPICilk).
 	Engine Kind
-	// Ranks and Threads set the process/thread decomposition
-	// (defaults 2 × number of available threads handled by the engine).
+	// Ranks and Threads set the process/thread decomposition (default
+	// 2 × 2, taken when Engine, Ranks and Threads are all unset).
 	Ranks, Threads int
 	// BornEps and EpolEps are the approximation parameters (default 0.9,
 	// the paper's operating point). Smaller is more accurate and slower.
@@ -95,10 +95,6 @@ type Options struct {
 	// ApproximateMath enables the fast inverse-sqrt/exp kernels
 	// (~1.4× faster, few-percent energy shift).
 	ApproximateMath bool
-	// DisableFlatKernels forces the recursive fused traversals instead of
-	// the default two-phase interaction-list path (identical results to
-	// ~1e-12; the flat path is faster — see DESIGN.md).
-	DisableFlatKernels bool
 	// Precision selects the flat kernels' storage tier (default Float64;
 	// Float32 trades ~1e-6 relative error for half the kernel memory —
 	// note the f64 tier keeps the AVX2 vector kernels, so on amd64 it is
@@ -133,8 +129,11 @@ func Compute(mol *Molecule, o Options) (*Result, error) {
 	if err := mol.Validate(); err != nil {
 		return nil, fmt.Errorf("octgb: %w", err)
 	}
-	if o.Engine == 0 && o.Ranks == 0 && o.Threads == 0 && o.BornEps == 0 {
-		o = DefaultOptions()
+	// An unset decomposition takes the default one and a zero ε is the
+	// engine's 0.9; every other field is the caller's.
+	if o.Engine == 0 && o.Ranks == 0 && o.Threads == 0 {
+		d := DefaultOptions()
+		o.Engine, o.Ranks, o.Threads = d.Engine, d.Ranks, d.Threads
 	}
 	pr := engine.NewProblem(mol, o.Surface)
 	eo := engine.Options{
@@ -146,9 +145,6 @@ func Compute(mol *Molecule, o Options) (*Result, error) {
 	}
 	if o.ApproximateMath {
 		eo.Math = gb.Approximate
-	}
-	if o.DisableFlatKernels {
-		eo.UseFlatKernels = engine.Off
 	}
 	rep, err := engine.RunReal(pr, o.Engine, eo)
 	if err != nil {

@@ -64,6 +64,45 @@ func TestComputeZeroOptionsMeansDefaults(t *testing.T) {
 	}
 }
 
+// TestComputePartialOptionsKeepTheirFields: leaving the decomposition unset
+// defaults only the decomposition — the fields the caller did set reach the
+// engine, so the run equals the fully spelled one.
+func TestComputePartialOptionsKeepTheirFields(t *testing.T) {
+	mol := GenerateProtein("api-partial", 1500, 4) // large enough for a far field, so ε matters
+	base, err := Compute(mol, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name           string
+		short, spelled Options
+	}{
+		{"ApproximateMath", Options{ApproximateMath: true},
+			Options{Engine: OctMPICilk, Ranks: 2, Threads: 2, BornEps: 0.9, EpolEps: 0.9, ApproximateMath: true}},
+		{"EpolEps", Options{EpolEps: 0.3},
+			Options{Engine: OctMPICilk, Ranks: 2, Threads: 2, BornEps: 0.9, EpolEps: 0.3}},
+	} {
+		got, err := Compute(mol, c.short)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Compute(mol, c.spelled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Energy == base.Energy {
+			t.Errorf("%s: option dropped, energy is the default run's %v", c.name, got.Energy)
+		}
+		if math.Abs(got.Energy-want.Energy) > 1e-12*math.Abs(want.Energy) {
+			t.Errorf("%s: %v, fully spelled %v", c.name, got.Energy, want.Energy)
+		}
+		if got.Report.BornStats != want.Report.BornStats || got.Report.EpolStats != want.Report.EpolStats {
+			t.Errorf("%s: work differs from the fully spelled run: born %+v vs %+v, epol %+v vs %+v", c.name,
+				got.Report.BornStats, want.Report.BornStats, got.Report.EpolStats, want.Report.EpolStats)
+		}
+	}
+}
+
 func TestComputeRejectsBadInput(t *testing.T) {
 	if _, err := Compute(nil, DefaultOptions()); err == nil {
 		t.Error("nil molecule accepted")

@@ -139,9 +139,9 @@ type timedPairwise interface {
 // WrapChaos wraps a communicator with the fault-injection layer. The inner
 // communicator must expose the tagged pairwise substrate (an in-process
 // LocalGroup rank or a TCP mesh rank — not a star transport). Collectives
-// on the returned Comm always run the topology-aware algorithms of
-// collectives.go over the chaos protocol, regardless of the inner group's
-// configuration; the wrapper also implements Messenger and NonBlocking.
+// on the returned Comm run the topology-aware algorithms of
+// collectives.go over the chaos protocol; the wrapper also implements
+// Messenger.
 //
 // A nil or empty plan yields a transparent wrapper that still speaks the
 // seq+CRC framing — the fault-free baseline of a chaos experiment runs
@@ -166,7 +166,7 @@ func WrapChaos(inner Comm, plan *FaultPlan) (Comm, error) {
 	return cc, nil
 }
 
-// chaosComm implements Comm, Messenger and NonBlocking over the chaos
+// chaosComm implements Comm and Messenger over the chaos
 // protocol. All injection state is guarded by mu; the blocking part of a
 // receive runs outside the lock.
 type chaosComm struct {

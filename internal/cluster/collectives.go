@@ -39,24 +39,6 @@ import (
 // chunk streams can never mix across operations — which is what makes the
 // non-blocking forms safe to overlap with each other and with p2p traffic.
 
-// Algorithm selects the collective implementation of a transport.
-type Algorithm int
-
-const (
-	// Topo selects the topology-aware algorithms of this file (default).
-	Topo Algorithm = iota
-	// Star selects the root-star / central-monitor reference
-	// implementations — the correctness oracle and fallback.
-	Star
-)
-
-func (a Algorithm) String() string {
-	if a == Star {
-		return "star"
-	}
-	return "topo"
-}
-
 // collChunkWords is the pipelining chunk: 8192 float64 words = 64 KiB per
 // frame. Every payload is sent as max(1, ⌈n/collChunkWords⌉) frames; the
 // guaranteed ≥1 frame keeps zero-length stages (barrier tokens, empty
@@ -69,19 +51,6 @@ const collChunkWords = 8192
 // called once.
 type Request interface {
 	Wait() error
-}
-
-// NonBlocking is the optional asynchronous extension of Comm: initiation
-// returns immediately and the operation proceeds in the background, which
-// lets callers overlap communication with independent compute (the
-// engines overlap the Born-radius Allgatherv with energy-phase list
-// construction). All ranks must initiate collectives — blocking or not —
-// in the same order. Implementations without genuine asynchrony (the star
-// transports) complete the operation synchronously at initiation and
-// return an already-done Request, which is correct but overlap-free.
-type NonBlocking interface {
-	IAllreduceSum(buf []float64) Request
-	IAllgatherv(segment []float64, counts []int, out []float64) Request
 }
 
 // request is the Request implementation shared by the async collectives.

@@ -140,19 +140,19 @@ func compareToReference(t *testing.T, label string, ref, got [][]float64) {
 
 // TestTopoCollectivesMatchStarReference is the core property test: every
 // collective on the in-process transport, topology-aware algorithms vs.
-// the monitor-based star oracle, across power-of-two and non-power-of-two
-// rank counts.
+// the monitor-based star oracle (star_ref_test.go), across power-of-two and
+// non-power-of-two rank counts.
 func TestTopoCollectivesMatchStarReference(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	for _, p := range []int{1, 2, 3, 5, 8, 13} {
 		ref, err := collectiveWorkload(p, func(fn func(c Comm) error) error {
-			return RunLocalAlgo(p, nil, Star, fn)
+			return runStarReference(p, fn)
 		})
 		if err != nil {
 			t.Fatalf("p=%d star: %v", p, err)
 		}
 		topo, err := collectiveWorkload(p, func(fn func(c Comm) error) error {
-			return RunLocalAlgo(p, nil, Topo, fn)
+			return RunLocal(p, nil, fn)
 		})
 		if err != nil {
 			t.Fatalf("p=%d topo: %v", p, err)
@@ -168,7 +168,7 @@ func TestMeshCollectivesMatchStarReference(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		ref, err := collectiveWorkload(p, func(fn func(c Comm) error) error {
-			return RunLocalAlgo(p, nil, Star, fn)
+			return runStarReference(p, fn)
 		})
 		if err != nil {
 			t.Fatalf("p=%d star: %v", p, err)
@@ -189,7 +189,7 @@ func TestTCPStarCollectivesStillMatch(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	p := 5
 	ref, err := collectiveWorkload(p, func(fn func(c Comm) error) error {
-		return RunLocalAlgo(p, nil, Star, fn)
+		return runStarReference(p, fn)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,10 +240,9 @@ func TestTCPStarCollectivesStillMatch(t *testing.T) {
 func overlapStress(p, rounds, n int) func(c Comm) error {
 	return func(c Comm) error {
 		rank := c.Rank()
-		msgr, okM := c.(Messenger)
-		nb, okNB := c.(NonBlocking)
-		if !okM || !okNB {
-			return fmt.Errorf("rank %d: transport lacks Messenger/NonBlocking", rank)
+		msgr, ok := c.(Messenger)
+		if !ok {
+			return fmt.Errorf("rank %d: transport lacks Messenger", rank)
 		}
 		counts := make([]int, p)
 		total := 0
@@ -261,8 +260,8 @@ func overlapStress(p, rounds, n int) func(c Comm) error {
 				seg[i] = float64(100*rank + i)
 			}
 			out := make([]float64, total)
-			r1 := nb.IAllreduceSum(sum)
-			r2 := nb.IAllgatherv(seg, counts, out)
+			r1 := c.IAllreduceSum(sum)
+			r2 := c.IAllgatherv(seg, counts, out)
 
 			// p2p traffic racing the in-flight collectives.
 			payload := []float64{float64(rank), float64(round)}
@@ -401,11 +400,5 @@ func TestMeshCloseUnblocksPeers(t *testing.T) {
 	}
 	if rootErr == nil && errs[1] == nil {
 		t.Fatal("no rank observed the dead peer")
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if Topo.String() != "topo" || Star.String() != "star" {
-		t.Fatalf("Algorithm strings: %v %v", Topo, Star)
 	}
 }

@@ -1,64 +1,32 @@
 package cluster
 
 import (
-	"fmt"
 	"sync"
-	"time"
 
 	"octgb/internal/obs"
 )
 
 // LocalGroup is an in-process communicator group: P ranks running as
-// goroutines in one address space. Two collective implementations are
-// wired in:
-//
-//   - Topo (default): the topology-aware algorithms of collectives.go,
-//     routed over the group's (from, to) mailbox grid exactly like the TCP
-//     mesh routes them over sockets — recursive doubling, ring, binomial
-//     tree, dissemination — including the non-blocking forms.
-//   - Star: every collective rendezvouses through a single
-//     generation-counted monitor; simple, obviously correct for arbitrary
-//     collective sequences, and kept as the oracle the topology-aware
-//     path is tested against.
+// goroutines in one address space. Its collectives are the topology-aware
+// algorithms of collectives.go, routed over the group's (from, to) mailbox
+// grid exactly like the TCP mesh routes them over sockets — recursive
+// doubling, ring, binomial tree, dissemination — including the
+// non-blocking forms.
 //
 // The mailbox grid is fully pre-built at construction time, so the p2p
 // Send/Recv path and the collective stages index it without taking any
 // group-wide lock.
 type LocalGroup struct {
 	size int
-	algo Algorithm
 	hook CollectiveHook
 	obs  *obs.Observer
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	gen     int64
-	arrived int
-	kind    string
-	bufs    []collArg
-	result  []float64
 
 	grid []*tagBox // (from, to) mailboxes, row-major from*size+to
 }
 
-type collArg struct {
-	buf    []float64
-	counts []int
-	out    []float64
-	root   int
-}
-
-// NewLocalGroup creates a group of p ranks using the topology-aware
-// collectives. hook may be nil.
+// NewLocalGroup creates a group of p ranks. hook may be nil.
 func NewLocalGroup(p int, hook CollectiveHook) *LocalGroup {
-	return NewLocalGroupAlgo(p, hook, Topo)
-}
-
-// NewLocalGroupAlgo creates a group with an explicit collective algorithm
-// selection (Star is the monitor-based reference).
-func NewLocalGroupAlgo(p int, hook CollectiveHook, algo Algorithm) *LocalGroup {
-	g := &LocalGroup{size: p, algo: algo, hook: hook, bufs: make([]collArg, p)}
-	g.cond = sync.NewCond(&g.mu)
+	g := &LocalGroup{size: p, hook: hook}
 	g.grid = make([]*tagBox, p*p)
 	for i := range g.grid {
 		g.grid[i] = newTagBox()
@@ -88,7 +56,7 @@ func (g *LocalGroup) Comm(rank int) Comm {
 }
 
 // Run executes fn on every rank of the group concurrently and returns the
-// first error. It is the instance form of RunLocalAlgo, for callers that
+// first error. It is the instance form of RunLocal, for callers that
 // configure the group (WithObserver) before running.
 func (g *LocalGroup) Run(fn func(c Comm) error) error {
 	errs := make([]error, g.size)
@@ -109,15 +77,9 @@ func (g *LocalGroup) Run(fn func(c Comm) error) error {
 	return nil
 }
 
-// RunLocal runs fn on p in-process ranks with the topology-aware
-// collectives and returns the first error.
+// RunLocal runs fn on p in-process ranks and returns the first error.
 func RunLocal(p int, hook CollectiveHook, fn func(c Comm) error) error {
-	return RunLocalAlgo(p, hook, Topo, fn)
-}
-
-// RunLocalAlgo is RunLocal with an explicit collective algorithm.
-func RunLocalAlgo(p int, hook CollectiveHook, algo Algorithm, fn func(c Comm) error) error {
-	return NewLocalGroupAlgo(p, hook, algo).Run(fn)
+	return NewLocalGroup(p, hook).Run(fn)
 }
 
 type localComm struct {
@@ -129,150 +91,15 @@ type localComm struct {
 func (c *localComm) Rank() int { return c.rank }
 func (c *localComm) Size() int { return c.g.size }
 
-// rendezvous implements the generic "everyone deposits, last one computes,
-// everyone copies out" monitor collective (Star algorithm). complete runs
-// exactly once (under the monitor) when the last rank arrives; copyOut runs
-// per rank before it leaves. A rank cannot enter collective k+1 before
-// every rank has left collective k, because arrival counting restarts only
-// after the generation bump and copyOut happens under the same critical
-// section.
-func (c *localComm) rendezvous(kind string, arg collArg, complete func(bufs []collArg) []float64, copyOut func(result []float64, arg collArg)) error {
-	g := c.g
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.arrived > 0 && g.kind != kind {
-		return fmt.Errorf("cluster: rank %d entered %q while group is in %q", c.rank, kind, g.kind)
-	}
-	g.kind = kind
-	myGen := g.gen
-	g.bufs[c.rank] = arg
-	g.arrived++
-	if g.arrived == g.size {
-		g.result = complete(g.bufs)
-		if g.hook != nil {
-			g.hook(kind, len(g.result))
-		}
-		g.arrived = 0
-		g.gen++
-		g.cond.Broadcast()
-	} else {
-		for g.gen == myGen {
-			g.cond.Wait()
-		}
-	}
-	if copyOut != nil {
-		copyOut(g.result, arg)
-	}
-	return nil
-}
-
-// starDone records one completed Star-algorithm collective into the
-// group's observer (the Topo path records inside coll); returns err.
-func (c *localComm) starDone(kind string, words int, start time.Time, err error) error {
-	if err == nil {
-		recordCollective(c.coll.obs, kind, c.rank, words, start)
-	}
-	return err
-}
-
-func (c *localComm) Barrier() error {
-	if c.g.algo == Topo {
-		return c.coll.Barrier()
-	}
-	start := time.Now()
-	return c.starDone("barrier", 0, start, c.rendezvous("barrier", collArg{},
-		func([]collArg) []float64 { return nil }, nil))
-}
-
-func (c *localComm) AllreduceSum(buf []float64) error {
-	if c.g.algo == Topo {
-		return c.coll.AllreduceSum(buf)
-	}
-	start := time.Now()
-	return c.starDone("allreduce", len(buf), start, c.rendezvous("allreduce", collArg{buf: buf},
-		func(bufs []collArg) []float64 {
-			res := make([]float64, len(buf))
-			for _, b := range bufs {
-				for i, v := range b.buf {
-					res[i] += v
-				}
-			}
-			return res
-		},
-		func(result []float64, arg collArg) { copy(arg.buf, result) }))
-}
-
-func (c *localComm) AllreduceMax(buf []float64) error {
-	if c.g.algo == Topo {
-		return c.coll.AllreduceMax(buf)
-	}
-	start := time.Now()
-	return c.starDone("allreducemax", len(buf), start, c.rendezvous("allreducemax", collArg{buf: buf},
-		func(bufs []collArg) []float64 {
-			res := append([]float64(nil), bufs[0].buf...)
-			for _, b := range bufs[1:] {
-				for i, v := range b.buf {
-					if v > res[i] {
-						res[i] = v
-					}
-				}
-			}
-			return res
-		},
-		func(result []float64, arg collArg) { copy(arg.buf, result) }))
-}
-
+func (c *localComm) Barrier() error                   { return c.coll.Barrier() }
+func (c *localComm) AllreduceSum(buf []float64) error { return c.coll.AllreduceSum(buf) }
+func (c *localComm) AllreduceMax(buf []float64) error { return c.coll.AllreduceMax(buf) }
 func (c *localComm) Allgatherv(segment []float64, counts []int, out []float64) error {
-	if c.g.algo == Topo {
-		return c.coll.Allgatherv(segment, counts, out)
-	}
-	if _, err := checkGatherArgs(c.rank, segment, counts, out); err != nil {
-		return err
-	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	start := time.Now()
-	return c.starDone("allgatherv", total, start, c.rendezvous("allgatherv", collArg{buf: segment, counts: counts, out: out},
-		func(bufs []collArg) []float64 {
-			res := make([]float64, total)
-			at := 0
-			for r := 0; r < len(bufs); r++ {
-				copy(res[at:], bufs[r].buf)
-				at += counts[r]
-			}
-			return res
-		},
-		func(result []float64, arg collArg) { copy(arg.out, result) }))
+	return c.coll.Allgatherv(segment, counts, out)
 }
+func (c *localComm) Bcast(buf []float64, root int) error { return c.coll.Bcast(buf, root) }
 
-func (c *localComm) Bcast(buf []float64, root int) error {
-	if c.g.algo == Topo {
-		return c.coll.Bcast(buf, root)
-	}
-	start := time.Now()
-	return c.starDone("bcast", len(buf), start, c.rendezvous("bcast", collArg{buf: buf, root: root},
-		func(bufs []collArg) []float64 {
-			return append([]float64(nil), bufs[root].buf...)
-		},
-		func(result []float64, arg collArg) { copy(arg.buf, result) }))
-}
-
-// IAllreduceSum initiates a non-blocking allreduce. On the Star algorithm
-// the operation completes synchronously (monitor collectives cannot
-// overlap), preserving semantics without overlap.
-func (c *localComm) IAllreduceSum(buf []float64) Request {
-	if c.g.algo == Topo {
-		return c.coll.IAllreduceSum(buf)
-	}
-	return doneRequest(c.AllreduceSum(buf))
-}
-
-// IAllgatherv initiates a non-blocking allgatherv (synchronous under Star).
+func (c *localComm) IAllreduceSum(buf []float64) Request { return c.coll.IAllreduceSum(buf) }
 func (c *localComm) IAllgatherv(segment []float64, counts []int, out []float64) Request {
-	if c.g.algo == Topo {
-		return c.coll.IAllgatherv(segment, counts, out)
-	}
-	return doneRequest(c.Allgatherv(segment, counts, out))
+	return c.coll.IAllgatherv(segment, counts, out)
 }

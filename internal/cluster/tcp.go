@@ -27,14 +27,14 @@ func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 //   - Star (default): rank 0 is the root of a star; workers send their
 //     collective contributions to the root, the root combines them and
 //     sends the result back. O(P·m) at the root, but simple, correct, and
-//     the oracle the mesh is tested against.
+//     what a mesh that cannot be built degrades to.
 //   - Mesh (WithMesh, both sides): during the handshake every worker
 //     reports a private listen port, the root broadcasts the address
 //     table, and the workers connect pairwise. Collectives then run the
 //     topology-aware algorithms of collectives.go over the mesh
 //     (recursive doubling / ring / binomial / dissemination), point-to-point
-//     messaging (Messenger) and the non-blocking collectives (NonBlocking)
-//     become available, and the root is no longer a bandwidth bottleneck.
+//     messaging (Messenger) becomes available, the non-blocking collectives
+//     genuinely overlap, and the root is no longer a bandwidth bottleneck.
 //
 // Failure hardening (see failure.go for the model): every frame carries a
 // CRC32C, payload sizes are bounded so arbitrary bytes cannot force huge
@@ -688,7 +688,7 @@ func (rc *rankConn) readBlob() ([]byte, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Star transport (fallback and correctness oracle)
+// Star transport (default wiring and mesh fallback)
 // ---------------------------------------------------------------------------
 
 // tcpRoot is rank 0 of the star.
@@ -953,7 +953,7 @@ func (c *tcpWorker) IAllgatherv(segment []float64, counts []int, out []float64) 
 // to every peer (the root's star connections double as its links), a
 // dedicated reader goroutine per link demultiplexing tagged frames into
 // per-peer mailboxes, and the topology-aware collectives on top. It
-// implements Comm, Messenger, NonBlocking and FailureDetector.
+// implements Comm, Messenger and FailureDetector.
 type meshComm struct {
 	rank, size int
 	timeout    time.Duration

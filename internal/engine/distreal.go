@@ -43,7 +43,7 @@ func RunDistributedDataEnergy(pr *Problem, P int, o Options) (float64, error) {
 	}
 	setup := newDistDataSetup(pr, P, o)
 	energies := make([]float64, P)
-	err := cluster.RunLocalAlgo(P, nil, collectiveAlgo(o), func(c cluster.Comm) error {
+	err := cluster.RunLocal(P, nil, func(c cluster.Comm) error {
 		e, err := setup.runRank(c)
 		if err != nil {
 			return err
@@ -76,22 +76,15 @@ type distDataSetup struct {
 	segs      []partition.Segment
 	leafNodes []int32
 	ownerOf   map[int32]int
-	useFlat   bool
 }
 
 func newDistDataSetup(pr *Problem, P int, o Options) *distDataSetup {
-	s := &distDataSetup{useFlat: o.UseFlatKernels.enabled(true)}
+	s := &distDataSetup{}
 	// Born radii via the standard replicated pipeline.
 	bc := core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize, Precision: o.Precision}
 	bs := core.NewBornSolver(pr.Mol, pr.QPts, bc)
 	sNode, sAtom := bs.NewAccumulators()
-	if s.useFlat {
-		bs.StreamBornLeaves(new(core.InteractionList), 0, bs.NumQLeaves(), sNode, sAtom)
-	} else {
-		for l := 0; l < bs.NumQLeaves(); l++ {
-			bs.AccumulateQLeaf(l, sNode, sAtom)
-		}
-	}
+	bs.StreamBornLeaves(new(core.InteractionList), 0, bs.NumQLeaves(), sNode, sAtom)
 	rTree := make([]float64, pr.Mol.N())
 	bs.PushIntegrals(sNode, sAtom, 0, int32(pr.Mol.N()), rTree)
 	R := bs.RadiiToOriginal(rTree)
@@ -198,12 +191,7 @@ func (s *distDataSetup) runRank(c cluster.Comm) (float64, error) {
 	var raw float64
 	var list core.InteractionList
 	evalLeaf := func(l int) error {
-		var e float64
-		if s.useFlat {
-			e, _ = local.EvalEpolList(local.BuildEpolListInto(&list, l, l+1))
-		} else {
-			e, _ = local.LeafEnergy(l)
-		}
+		e, _ := local.EvalEpolList(local.BuildEpolListInto(&list, l, l+1))
 		if math.IsNaN(e) {
 			return fmt.Errorf("engine: rank %d leaf %d touched non-resident data (ghost set insufficient)", rank, l)
 		}
@@ -243,11 +231,10 @@ func (s *distDataSetup) runRank(c cluster.Comm) (float64, error) {
 		local.SetResident(leaf, q, rad, pts)
 	}
 
-	// Boundary leaves: near field now fully resident. The flat path
-	// exercises the same residency contract: list construction reads only
-	// the shared skeleton, and the SoA kernels touch only the resident
-	// point payloads (non-resident coordinates are NaN, so a finite sum
-	// still proves the ghost set sufficient).
+	// Boundary leaves: near field now fully resident. List construction
+	// reads only the shared skeleton, and the SoA kernels touch only the
+	// resident point payloads (non-resident coordinates are NaN, so a
+	// finite sum still proves the ghost set sufficient).
 	for l := seg.Lo; l < seg.Hi; l++ {
 		if !pureLocal[l-seg.Lo] {
 			if err := evalLeaf(l); err != nil {

@@ -55,42 +55,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Division selects the work-division scheme (§IV-A).
-type Division int
-
-const (
-	// NodeBased divides octree leaves among ranks (the paper's preferred
-	// node-node scheme: error independent of P).
-	NodeBased Division = iota
-	// AtomBased divides atoms among ranks; boundaries can split tree
-	// nodes, so the error varies with P (the ablation case).
-	AtomBased
-)
-
-// Toggle is a three-state option: Auto (the zero value) resolves to the
-// option's documented default, On and Off force it.
-type Toggle int
-
-const (
-	// Auto selects the option's default behavior.
-	Auto Toggle = iota
-	// On forces the option on.
-	On
-	// Off forces the option off.
-	Off
-)
-
-// enabled resolves the toggle against the option's default.
-func (t Toggle) enabled(def bool) bool {
-	switch t {
-	case On:
-		return true
-	case Off:
-		return false
-	}
-	return def
-}
-
 // Options configures an engine run.
 type Options struct {
 	// Ranks is the number of MPI processes P (OctCilk and Naive use 1).
@@ -114,31 +78,6 @@ type Options struct {
 	// CriterionPower selects the Born well-separatedness criterion
 	// (see core.BornConfig; 0 = default).
 	CriterionPower int
-	// Division selects node-based (default) or atom-based division.
-	Division Division
-	// UseFlatKernels selects the two-phase treecode in the real engines:
-	// the traversal records interaction lists (see core.InteractionList —
-	// streamed through small tiles, except the leaf-driven E_pol list of
-	// OCT_MPI / OCT_MPI+CILK, which is built whole while the radii are in
-	// flight) and the arithmetic runs as flat SoA kernels over them.
-	// Defaults to on (Auto); Off forces the recursive fused traversal,
-	// which is kept as the reference oracle. Work counters are identical
-	// either way; energies and radii agree to ~1e-12 (summation order
-	// differs).
-	UseFlatKernels Toggle
-	// TopoCollectives selects the topology-aware collective algorithms in
-	// the cluster layer (recursive-doubling allreduce, ring allgatherv,
-	// binomial bcast, dissemination barrier — see cluster/collectives.go)
-	// and, with them, the non-blocking overlap points in the engines: the
-	// two step-3 allreduces run concurrently, the step-5 Born-radius
-	// allgatherv overlaps with geometry-only E_pol list construction, and
-	// the distributed-data engine evaluates its purely-local leaves while
-	// ghost payloads are in flight. Defaults to on (Auto); Off falls back
-	// to the star/monitor reference collectives with strictly sequential
-	// compute→communicate phases — the correctness oracle. Energies agree
-	// to ~1e-12 (reduction association differs) and Stats counters are
-	// identical.
-	TopoCollectives Toggle
 	// CommTimeout is the failure-detection budget for distributed runs:
 	// callers that build a transport (cmd/epolnode, the chaos harness)
 	// pass it through to the cluster layer (cluster.WithCommTimeout /

@@ -4,30 +4,31 @@ import (
 	"fmt"
 	"testing"
 
+	"octgb/internal/core"
 	"octgb/internal/gb"
 )
 
-// The engine-level flat-vs-recursive equivalence suite: every real engine
-// must produce the same energies, radii and treecode work counters whether
-// it runs the default two-phase interaction-list path or the recursive
-// fused traversals (UseFlatKernels Off) — OctCilk included, at any thread
-// count: both of its paths complete the same frontier pairs and add the
-// expansion's own visits.
+// The engine-level equivalence suite: every real engine — streamed
+// interaction lists, SoA kernels, overlapped collectives — must reproduce
+// core's serial recursive reference: energies and radii to 1e-12 (summation
+// order differs) and identical treecode work counters, OctCilk included at
+// any thread count (its frontier pairs plus the expansion's own visits are
+// the serial dual traversal).
 
-func runBoth(t *testing.T, pr *Problem, k Kind, o Options) (flat, rec RealReport) {
-	t.Helper()
-	o.UseFlatKernels = On
-	flat, err := RunReal(pr, k, o)
-	if err != nil {
-		t.Fatalf("flat run: %v", err)
+// serialReference runs core's recursion at the engines' default ε: the
+// dual-tree traversals for OctCilk, the leaf-driven ones otherwise.
+func serialReference(pr *Problem, k Kind, math gb.MathMode) core.Result {
+	ref := core.ComputeSerial
+	if k == OctCilk {
+		ref = core.ComputeSerialDual
 	}
-	o.UseFlatKernels = Off
-	rec, err = RunReal(pr, k, o)
-	if err != nil {
-		t.Fatalf("recursive run: %v", err)
-	}
-	return flat, rec
+	return ref(pr.Mol, pr.QPts, core.BornConfig{Eps: 0.9}, core.EpolConfig{Eps: 0.9, Math: math})
 }
+
+var mathModes = []struct {
+	name string
+	mode gb.MathMode
+}{{"exact", gb.Exact}, {"approx", gb.Approximate}}
 
 func TestFlatMatchesRecursiveAcrossEngines(t *testing.T) {
 	pr := testProblem(900, 71)
@@ -39,55 +40,48 @@ func TestFlatMatchesRecursiveAcrossEngines(t *testing.T) {
 		{OctCilk, Options{Threads: 4}},
 		{OctMPI, Options{Ranks: 3}},
 		{OctMPICilk, Options{Ranks: 2, Threads: 3}},
-		{OctMPICilk, Options{Ranks: 2, Threads: 3, Math: gb.Approximate}},
-		{OctMPICilk, Options{Ranks: 2, Threads: 2, Division: AtomBased}},
 	}
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%v/P=%d/p=%d", c.kind, c.o.Ranks, c.o.Threads), func(t *testing.T) {
-			flat, rec := runBoth(t, pr, c.kind, c.o)
-			if e := relErr(flat.Energy, rec.Energy); e > 1e-12 {
-				t.Errorf("energy: flat %v vs recursive %v (rel %v)", flat.Energy, rec.Energy, e)
-			}
-			for i := range rec.BornRadii {
-				if e := relErr(flat.BornRadii[i], rec.BornRadii[i]); e > 1e-12 {
-					t.Fatalf("radius[%d]: flat %v vs recursive %v", i, flat.BornRadii[i], rec.BornRadii[i])
-				}
-			}
-			if flat.BornStats != rec.BornStats || flat.EpolStats != rec.EpolStats {
-				t.Errorf("stats: flat %+v/%+v vs recursive %+v/%+v",
-					flat.BornStats, flat.EpolStats, rec.BornStats, rec.EpolStats)
+			for _, m := range mathModes {
+				t.Run(m.name, func(t *testing.T) {
+					o := c.o
+					o.Math = m.mode
+					got, err := RunReal(pr, c.kind, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := serialReference(pr, c.kind, m.mode)
+					if e := relErr(got.Energy, want.Epol); e > 1e-12 {
+						t.Errorf("energy: engine %v vs reference %v (rel %v)", got.Energy, want.Epol, e)
+					}
+					for i := range want.BornRadii {
+						if e := relErr(got.BornRadii[i], want.BornRadii[i]); e > 1e-12 {
+							t.Fatalf("radius[%d]: engine %v vs reference %v", i, got.BornRadii[i], want.BornRadii[i])
+						}
+					}
+					if got.BornStats != want.BornStats || got.EpolStats != want.EpolStats {
+						t.Errorf("stats: engine %+v/%+v vs reference %+v/%+v",
+							got.BornStats, got.EpolStats, want.BornStats, want.EpolStats)
+					}
+				})
 			}
 		})
 	}
 }
 
 // TestFlatDistributedDataEnergy: the NaN-poisoned distributed-data engine
-// must agree between the two paths — the flat kernels respect the same
+// must reproduce the reference too — the flat kernels respect the same
 // residency contract as the recursion.
 func TestFlatDistributedDataEnergy(t *testing.T) {
 	pr := testProblem(600, 72)
-	var o Options
-	o.UseFlatKernels = On
-	flat, err := RunDistributedDataEnergy(pr, 3, o)
-	if err != nil {
-		t.Fatalf("flat: %v", err)
-	}
-	o.UseFlatKernels = Off
-	rec, err := RunDistributedDataEnergy(pr, 3, o)
-	if err != nil {
-		t.Fatalf("recursive: %v", err)
-	}
-	if e := relErr(flat, rec); e > 1e-12 {
-		t.Errorf("distributed-data energy: flat %v vs recursive %v (rel %v)", flat, rec, e)
-	}
-}
-
-// TestToggleResolution pins the Toggle semantics: Auto means on.
-func TestToggleResolution(t *testing.T) {
-	if !Auto.enabled(true) || Auto.enabled(false) {
-		t.Error("Auto must resolve to the default")
-	}
-	if !On.enabled(false) || Off.enabled(true) {
-		t.Error("On/Off must override the default")
+	for _, m := range mathModes {
+		got, err := RunDistributedDataEnergy(pr, 3, Options{Math: m.mode})
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if want := serialReference(pr, OctMPI, m.mode).Epol; relErr(got, want) > 1e-12 {
+			t.Errorf("%s: distributed-data energy %v vs reference %v (rel %v)", m.name, got, want, relErr(got, want))
+		}
 	}
 }

@@ -50,12 +50,6 @@ func TestApproximateMathThroughEngines(t *testing.T) {
 	}
 }
 
-func TestDivisionConstantsDistinct(t *testing.T) {
-	if NodeBased == AtomBased {
-		t.Error("division constants collide")
-	}
-}
-
 func TestNewProblemParallelMatchesSerial(t *testing.T) {
 	m := testProblem(500, 303).Mol
 	a := NewProblem(m, surface.Default())

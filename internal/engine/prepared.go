@@ -41,7 +41,7 @@ type Prepared struct {
 // Prepare runs the preprocessing phase (steps 1–4: octree construction,
 // Born integrals, Born radii) with the shared-memory engine and returns
 // the reusable result. The Born-relevant fields of o (BornEps, LeafSize,
-// CriterionPower, Threads, UseFlatKernels) apply here; the E_pol fields
+// CriterionPower, Threads) apply here; the E_pol fields
 // are consumed later by EvalEpol.
 func Prepare(pr *Problem, o Options) (*Prepared, error) {
 	o = o.withDefaults(OctCilk)
@@ -78,20 +78,12 @@ func prepareCilk(pr *Problem, o Options) *Prepared {
 	sNode, sAtom := bs.NewAccumulators()
 	// The frontier pairs are the units of the phase: enough of them for the
 	// pool to balance, each completed by streaming its part of the dual
-	// traversal through the worker's tile (or by the recursive oracle).
+	// traversal through the worker's tile.
 	front, expand := bs.DualFrontier(32 * o.Threads)
-	run := func(tile *core.InteractionList, lo, hi int, sNode, sAtom []float64) core.Stats {
-		return bs.StreamBornDual(tile, front[lo:hi], sNode, sAtom)
-	}
-	if !o.UseFlatKernels.enabled(true) {
-		run = func(_ *core.InteractionList, lo, hi int, sNode, sAtom []float64) (st core.Stats) {
-			for _, r := range front[lo:hi] {
-				st.Add(bs.AccumulateDualPair(r.A, r.B, sNode, sAtom))
-			}
-			return st
-		}
-	}
-	p.BornStats, p.BornSched = bornPhase(bs, pool, len(front), max(1, len(front)/(16*o.Threads)), sNode, sAtom, run)
+	p.BornStats, p.BornSched = bornPhase(bs, pool, len(front), max(1, len(front)/(16*o.Threads)), sNode, sAtom,
+		func(tile *core.InteractionList, lo, hi int, sNode, sAtom []float64) core.Stats {
+			return bs.StreamBornDual(tile, front[lo:hi], sNode, sAtom)
+		})
 	p.BornStats.Add(expand)
 	observePhase(o.Observe, "born", "engine.born", 0, bornStart, time.Since(bornStart))
 	pushStart := time.Now()
@@ -104,7 +96,7 @@ func prepareCilk(pr *Problem, o Options) *Prepared {
 
 // EvalEpol evaluates the polarization energy (step 6) over the prebuilt
 // trees and Born radii. o supplies only the evaluation-time knobs —
-// EpolEps, Math, Threads, UseFlatKernels; the Born-phase fields are fixed
+// EpolEps, Math, Threads; the Born-phase fields are fixed
 // at Prepare time and ignored here. The returned report echoes the
 // prepared BornRadii/BornStats so warm and cold reports have the same
 // shape; Wall covers only this evaluation.
@@ -143,25 +135,14 @@ func (p *Prepared) evalEpol(o Options) RealReport {
 	pool := sched.NewPool(o.Threads)
 	// As in the Born phase, the frontier pairs are the units: each chunk of
 	// them is completed by streaming its part of the dual traversal through
-	// the worker's tile (or by the recursion), so the traversal runs inside
-	// the parallel region and no list is materialised.
+	// the worker's tile, so the traversal runs inside the parallel region
+	// and no list is materialised.
 	front, expand := es.EpolDualFrontier(32 * o.Threads)
-	run := es.StreamEpolDual
-	if !o.UseFlatKernels.enabled(true) {
-		run = func(_ *core.InteractionList, roots []core.NodePair) (raw float64, st core.Stats) {
-			for _, r := range roots {
-				e, s := es.EnergyDualPair(r.A, r.B)
-				raw += e
-				st.Add(s)
-			}
-			return raw, st
-		}
-	}
 	tiles := make([]core.InteractionList, pool.Workers())
 	partial := make([]float64, pool.Workers())
 	statsW := make([]core.Stats, pool.Workers())
 	s2 := pool.ParallelFor(len(front), max(1, len(front)/(16*o.Threads)), func(w, lo, hi int) {
-		e, st := run(&tiles[w], front[lo:hi])
+		e, st := es.StreamEpolDual(&tiles[w], front[lo:hi])
 		partial[w] += e
 		statsW[w].Add(st)
 	})

@@ -13,40 +13,38 @@ import (
 
 // TestPreparedMatchesCold is the golden test of the Prepare/EvalEpol split:
 // re-evaluating a cached Prepared must reproduce the cold path to 1e-12
-// (in fact bitwise — both paths execute the same code), for both kernel
-// paths and several ε_E settings.
+// (in fact bitwise — both paths execute the same code), for several ε_E
+// settings.
 func TestPreparedMatchesCold(t *testing.T) {
 	mol := molecule.GenerateProtein("golden", 900, 21)
-	for _, flat := range []Toggle{Auto, Off} {
-		for _, epolEps := range []float64{0.9, 0.5} {
-			o := Options{Threads: 2, EpolEps: epolEps, UseFlatKernels: flat}
+	for _, epolEps := range []float64{0.9, 0.5} {
+		o := Options{Threads: 2, EpolEps: epolEps}
 
-			cold, err := RunReal(NewProblem(mol, surface.Default()), OctCilk, o)
-			if err != nil {
-				t.Fatalf("cold run: %v", err)
-			}
+		cold, err := RunReal(NewProblem(mol, surface.Default()), OctCilk, o)
+		if err != nil {
+			t.Fatalf("cold run: %v", err)
+		}
 
-			p, err := Prepare(NewProblem(mol, surface.Default()), o)
-			if err != nil {
-				t.Fatalf("Prepare: %v", err)
-			}
-			warm, err := p.EvalEpol(o)
-			if err != nil {
-				t.Fatalf("EvalEpol: %v", err)
-			}
+		p, err := Prepare(NewProblem(mol, surface.Default()), o)
+		if err != nil {
+			t.Fatalf("Prepare: %v", err)
+		}
+		warm, err := p.EvalEpol(o)
+		if err != nil {
+			t.Fatalf("EvalEpol: %v", err)
+		}
 
-			if rel := math.Abs(warm.Energy-cold.Energy) / math.Abs(cold.Energy); rel > 1e-12 {
-				t.Fatalf("flat=%v ε_E=%g: cached energy %.15g vs cold %.15g (rel %.2g > 1e-12)",
-					flat, epolEps, warm.Energy, cold.Energy, rel)
+		if rel := math.Abs(warm.Energy-cold.Energy) / math.Abs(cold.Energy); rel > 1e-12 {
+			t.Fatalf("ε_E=%g: cached energy %.15g vs cold %.15g (rel %.2g > 1e-12)",
+				epolEps, warm.Energy, cold.Energy, rel)
+		}
+		for i := range cold.BornRadii {
+			if math.Abs(warm.BornRadii[i]-cold.BornRadii[i]) > 1e-12*cold.BornRadii[i] {
+				t.Fatalf("Born radius %d differs: %g vs %g", i, warm.BornRadii[i], cold.BornRadii[i])
 			}
-			for i := range cold.BornRadii {
-				if math.Abs(warm.BornRadii[i]-cold.BornRadii[i]) > 1e-12*cold.BornRadii[i] {
-					t.Fatalf("Born radius %d differs: %g vs %g", i, warm.BornRadii[i], cold.BornRadii[i])
-				}
-			}
-			if warm.BornStats != cold.BornStats || warm.EpolStats != cold.EpolStats {
-				t.Fatalf("work counters differ between cached and cold paths")
-			}
+		}
+		if warm.BornStats != cold.BornStats || warm.EpolStats != cold.EpolStats {
+			t.Fatalf("work counters differ between cached and cold paths")
 		}
 	}
 }

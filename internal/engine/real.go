@@ -12,15 +12,6 @@ import (
 	"octgb/internal/sched"
 )
 
-// collectiveAlgo maps the TopoCollectives toggle onto the cluster layer's
-// algorithm selector for in-process groups.
-func collectiveAlgo(o Options) cluster.Algorithm {
-	if o.TopoCollectives.enabled(true) {
-		return cluster.Topo
-	}
-	return cluster.Star
-}
-
 // RealReport is the result of a genuinely executed parallel run.
 type RealReport struct {
 	Energy    float64
@@ -183,11 +174,10 @@ func evalEpolListParallel(es *core.EpolSolver, list *core.InteractionList, pool 
 }
 
 // runCilkReal executes the dual-tree algorithm with one rank and a
-// work-stealing pool over the dual-tree frontier: by default the two-phase
-// flat path (interaction lists + SoA kernels), or the recursive traversal
-// when UseFlatKernels is Off. It is the composition of the preprocessing half
-// (prepareCilk: trees + Born radii) and the evaluation half
-// ((*Prepared).evalEpol) — the same two halves the serving layer runs
+// work-stealing pool over the dual-tree frontier (interaction lists
+// streamed through SoA kernels). It is the composition of the
+// preprocessing half (prepareCilk: trees + Born radii) and the evaluation
+// half ((*Prepared).evalEpol) — the same two halves the serving layer runs
 // separately around its prepared-problem cache, so the cold path and the
 // cached path are one code path (see prepared.go).
 func runCilkReal(pr *Problem, o Options) RealReport {
@@ -224,7 +214,7 @@ func runDistributedReal(pr *Problem, o Options) (RealReport, error) {
 	P := o.Ranks
 
 	results := make([]RealReport, P)
-	g := cluster.NewLocalGroupAlgo(P, nil, collectiveAlgo(o)).WithObserver(o.Observe)
+	g := cluster.NewLocalGroup(P, nil).WithObserver(o.Observe)
 	err := g.Run(func(c cluster.Comm) error {
 		rep, err := runRank(c, bs, pr, o)
 		if err != nil {
@@ -271,51 +261,26 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 		mark = now
 	}
 
-	// Step 2: approximated integrals for this rank's q-leaf segment. The
-	// flat path streams the segment's interactions through per-worker
-	// tiles; the recursive path fuses traversal and arithmetic per q-leaf.
-	useFlat := o.UseFlatKernels.enabled(true)
+	// Step 2: approximated integrals for this rank's q-leaf segment,
+	// streamed through per-worker tiles.
 	sNode, sAtom := bs.NewAccumulators()
 	seg := partition.ForRank(bs.NumQLeaves(), P, rank)
-	grain := 0
-	run := func(tile *core.InteractionList, lo, hi int, sNode, sAtom []float64) core.Stats {
-		return bs.StreamBornLeaves(tile, seg.Lo+lo, seg.Lo+hi, sNode, sAtom)
-	}
-	if !useFlat {
-		grain = 1
-		run = func(_ *core.InteractionList, lo, hi int, sNode, sAtom []float64) (st core.Stats) {
-			for l := seg.Lo + lo; l < seg.Lo+hi; l++ {
-				st.Add(bs.AccumulateQLeaf(l, sNode, sAtom))
-			}
-			return st
-		}
-	}
-	rep.BornStats, rep.Sched = bornPhase(bs, pool, seg.Len(), grain, sNode, sAtom, run)
-
+	rep.BornStats, rep.Sched = bornPhase(bs, pool, seg.Len(), 0, sNode, sAtom,
+		func(tile *core.InteractionList, lo, hi int, sNode, sAtom []float64) core.Stats {
+			return bs.StreamBornLeaves(tile, seg.Lo+lo, seg.Lo+hi, sNode, sAtom)
+		})
 	lap(&rep.Phases.Born, po.born, "engine.born")
 
-	// Step 3: gather partial integrals (MPI_Allreduce). With a non-blocking
-	// transport both reductions are initiated before either is waited on,
-	// so the sNode exchange overlaps the sAtom one instead of serializing
-	// behind it.
-	nb, hasNB := c.(cluster.NonBlocking)
-	useTopo := hasNB && o.TopoCollectives.enabled(true)
-	if useTopo {
-		rNode := nb.IAllreduceSum(sNode)
-		rAtom := nb.IAllreduceSum(sAtom)
-		if err := rNode.Wait(); err != nil {
-			return rep, err
-		}
-		if err := rAtom.Wait(); err != nil {
-			return rep, err
-		}
-	} else {
-		if err := c.AllreduceSum(sNode); err != nil {
-			return rep, err
-		}
-		if err := c.AllreduceSum(sAtom); err != nil {
-			return rep, err
-		}
+	// Step 3: gather partial integrals (MPI_Allreduce). Both reductions are
+	// initiated before either is waited on, so the sNode exchange overlaps
+	// the sAtom one instead of serializing behind it.
+	rNode := c.IAllreduceSum(sNode)
+	rAtom := c.IAllreduceSum(sAtom)
+	if err := rNode.Wait(); err != nil {
+		return rep, err
+	}
+	if err := rAtom.Wait(); err != nil {
+		return rep, err
 	}
 	lap(&rep.Phases.Comm, po.comm, "engine.comm")
 
@@ -325,12 +290,12 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 	bs.PushIntegrals(sNode, sAtom, int32(aseg.Lo), int32(aseg.Hi), rTree)
 	lap(&rep.Phases.Push, po.push, "engine.push")
 
-	// Step 5: gather Born radii of the other segments — overlapped, when
-	// the transport is non-blocking, with step 6's list construction: the
-	// E_pol acceptance test needs only tree geometry and ε, so the skeleton
-	// interaction list is built while the radii are still in flight
-	// (core.BuildEpolSkeletonInto) and its one radii-dependent Stats
-	// counter is completed once the solver exists (CompleteFarStats).
+	// Step 5: gather Born radii of the other segments — overlapped with
+	// step 6's list construction: the E_pol acceptance test needs only tree
+	// geometry and ε, so the skeleton interaction list is built while the
+	// radii are still in flight (core.BuildEpolSkeletonInto) and its one
+	// radii-dependent Stats counter is completed once the solver exists
+	// (CompleteFarStats).
 	counts := make([]int, P)
 	for r := 0; r < P; r++ {
 		counts[r] = partition.ForRank(n, P, r).Len()
@@ -338,15 +303,10 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 	rFull := make([]float64, n)
 	ecfg := core.EpolConfig{Eps: o.EpolEps, Math: o.Math, Precision: o.Precision}
 	lseg := partition.ForRank(bs.TA.NumLeaves(), P, rank)
-	var skel *core.InteractionList
-	if useTopo && useFlat {
-		req := nb.IAllgatherv(rTree[aseg.Lo:aseg.Hi], counts, rFull)
-		skel = core.BuildEpolSkeletonInto(new(core.InteractionList), bs.TA, core.EpolSeparation(ecfg), lseg.Lo, lseg.Hi)
-		lap(&rep.Phases.Epol, po.epol, "engine.epol")
-		if err := req.Wait(); err != nil {
-			return rep, err
-		}
-	} else if err := c.Allgatherv(rTree[aseg.Lo:aseg.Hi], counts, rFull); err != nil {
+	req := c.IAllgatherv(rTree[aseg.Lo:aseg.Hi], counts, rFull)
+	list := core.BuildEpolSkeletonInto(new(core.InteractionList), bs.TA, core.EpolSeparation(ecfg), lseg.Lo, lseg.Hi)
+	lap(&rep.Phases.Epol, po.epol, "engine.epol")
+	if err := req.Wait(); err != nil {
 		return rep, err
 	}
 	rep.BornRadii = bs.RadiiToOriginal(rFull)
@@ -354,46 +314,16 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 
 	// Step 6: partial energy for this rank's leaf segment.
 	es := core.NewEpolSolver(bs.TA, pr.Charges, rep.BornRadii, ecfg)
+	es.CompleteFarStats(list)
+	rep.EpolStats.Add(list.Stats())
 	var raw float64
-	switch {
-	case useFlat:
-		list := skel
-		if list != nil {
-			es.CompleteFarStats(list)
-		} else {
-			list = es.BuildEpolList(lseg.Lo, lseg.Hi)
-		}
-		rep.EpolStats.Add(list.Stats())
-		if o.Threads == 1 {
-			raw, _ = es.EvalEpolList(list)
-		} else {
-			var st sched.Stats
-			raw, st = evalEpolListParallel(es, list, pool)
-			rep.Sched.Add(st)
-		}
-	case o.Threads == 1:
-		for l := lseg.Lo; l < lseg.Hi; l++ {
-			e, st := es.LeafEnergy(l)
-			raw += e
-			rep.EpolStats.Add(st)
-		}
-	default:
-		partial := make([]float64, pool.Workers())
-		statsW := make([]core.Stats, pool.Workers())
-		st := pool.ParallelFor(lseg.Len(), 1, func(w, lo, hi int) {
-			for l := lo; l < hi; l++ {
-				e, s := es.LeafEnergy(lseg.Lo + l)
-				partial[w] += e
-				statsW[w].Add(s)
-			}
-		})
-		for w := range partial {
-			raw += partial[w]
-			rep.EpolStats.Add(statsW[w])
-		}
+	if o.Threads == 1 {
+		raw, _ = es.EvalEpolList(list)
+	} else {
+		var st sched.Stats
+		raw, st = evalEpolListParallel(es, list, pool)
 		rep.Sched.Add(st)
 	}
-
 	lap(&rep.Phases.Epol, po.epol, "engine.epol")
 
 	// Step 7: accumulate partial energies.

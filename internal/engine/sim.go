@@ -49,8 +49,8 @@ type SimTiming struct {
 }
 
 // BuildSimModel executes the engine's computation once and returns the work
-// profile. For Division == AtomBased the per-P traversals are re-executed
-// inside TimeAtomBased instead (boundaries change the computation).
+// profile. The atom-based ablation re-executes the per-P traversals inside
+// TimeAtomBased instead (boundaries change the computation).
 func BuildSimModel(pr *Problem, k Kind, o Options, oc simtime.OpCosts) *SimModel {
 	o = o.withDefaults(k)
 	sm := &SimModel{Kind: k, Opts: o, oc: oc, numAtoms: pr.Mol.N(), numQPts: len(pr.QPts), charges: pr.Charges}
@@ -204,17 +204,16 @@ func (sm *SimModel) Time(P, threads int, m simtime.Machine, seed int64) SimTimin
 	if threads > 1 {
 		overhead = m.HybridOverhead
 	}
-	topo := sm.Opts.TopoCollectives.enabled(true)
 
 	clocks := simtime.NewClocks(P)
 	var comm float64
-	// sync charges one collective under the selected algorithm
-	// (AlgoCollectiveCost matches what cluster/collectives.go executes).
+	// sync charges one collective (AlgoCollectiveCost matches what
+	// cluster/collectives.go executes).
 	// overlapSec seconds of independent compute — already on the rank
 	// clocks via the compute phases — hide the same amount of collective
 	// time, modeling a non-blocking operation waited on afterwards.
 	sync := func(kind string, words int, overlapSec float64) {
-		c := jit(m.AlgoCollectiveCost(kind, topo, words, P, rpn), 0.5) - overlapSec
+		c := jit(m.AlgoCollectiveCost(kind, words, P, rpn), 0.5) - overlapSec
 		if c < 0 {
 			c = 0
 		}
@@ -256,16 +255,12 @@ func (sm *SimModel) Time(P, threads int, m simtime.Machine, seed int64) SimTimin
 	for r := 0; r < P; r++ {
 		clocks.Advance(r, jit(pushPer, computeAmp))
 	}
-	// Phase 5: Allgather Born radii. Under the topology-aware layer the
-	// engine overlaps this with the energy phase's geometry-only list
-	// construction (real.go step 5), so the per-rank traversal cost — the
-	// NodesVisited share of phase 6, charged there — credits against the
-	// collective here.
+	// Phase 5: Allgather Born radii. The engine overlaps this with the
+	// energy phase's geometry-only list construction (real.go step 5), so
+	// the per-rank traversal cost — the NodesVisited share of phase 6,
+	// charged there — credits against the collective here.
 	if sm.Kind != OctCilk && sm.Kind != Naive {
-		var overlapSec float64
-		if topo {
-			overlapSec = float64(sm.EpolStats.NodesVisited) * sm.oc.NodeVisitSec * pen / float64(P)
-		}
+		overlapSec := float64(sm.EpolStats.NodesVisited) * sm.oc.NodeVisitSec * pen / float64(P)
 		sync("allgatherv", sm.numAtoms, overlapSec)
 	}
 
@@ -335,11 +330,10 @@ func (sm *SimModel) TimeAtomBased(P, threads int, m simtime.Machine) (SimTiming,
 	pen := m.MemoryPenalty(sm.BytesPerRank, rpn)
 	overhead := overheadFor(threads, m)
 
-	topo := sm.Opts.TopoCollectives.enabled(true)
 	clocks := simtime.NewClocks(P)
 	var comm float64
 	sync := func(kind string, words int) {
-		c := m.AlgoCollectiveCost(kind, topo, words, P, rpn)
+		c := m.AlgoCollectiveCost(kind, words, P, rpn)
 		var max float64
 		for _, t := range clocks.T {
 			if t > max {

@@ -144,9 +144,9 @@ func TestColdSolveAllocationCeiling(t *testing.T) {
 // TestStreamedEvalEpolMatchesMaterialised holds the shared-memory engine's
 // streamed E_pol phase to the materialised dual list it replaced (through
 // the public builder, as cmd/bench's probe replays it): the same energy to
-// 1e-12 and the same work counters at any thread count and on either
-// kernel path, the same bits whenever one thread fixes the order — and
-// the dual traversal still lands where the leaf-driven engines do.
+// 1e-12 and the same work counters at any thread count, the same bits
+// whenever one thread fixes the order — and the dual traversal still lands
+// where the leaf-driven engines do.
 func TestStreamedEvalEpolMatchesMaterialised(t *testing.T) {
 	pr := testProblem(700, 33)
 	p, err := Prepare(pr, Options{Threads: 1})
@@ -158,21 +158,19 @@ func TestStreamedEvalEpolMatchesMaterialised(t *testing.T) {
 	want := raw * core.EnergyScale()
 
 	var serial float64
-	for _, flat := range []Toggle{On, Off} {
-		for _, threads := range []int{1, 2, 4} {
-			rep, err := p.EvalEpol(Options{Threads: threads, UseFlatKernels: flat})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e := relErr(rep.Energy, want); e > 1e-12 {
-				t.Errorf("flat=%v threads=%d: energy %v, materialised %v (rel %v)", flat, threads, rep.Energy, want, e)
-			}
-			if rep.EpolStats != wantSt {
-				t.Errorf("flat=%v threads=%d: EpolStats %+v, materialised %+v", flat, threads, rep.EpolStats, wantSt)
-			}
-			if flat == On && threads == 1 {
-				serial = rep.Energy
-			}
+	for _, threads := range []int{1, 2, 4} {
+		rep, err := p.EvalEpol(Options{Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := relErr(rep.Energy, want); e > 1e-12 {
+			t.Errorf("threads=%d: energy %v, materialised %v (rel %v)", threads, rep.Energy, want, e)
+		}
+		if rep.EpolStats != wantSt {
+			t.Errorf("threads=%d: EpolStats %+v, materialised %+v", threads, rep.EpolStats, wantSt)
+		}
+		if threads == 1 {
+			serial = rep.Energy
 		}
 	}
 	again, err := p.EvalEpol(Options{Threads: 1})

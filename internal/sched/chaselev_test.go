@@ -1,22 +1,104 @@
 package sched
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
+// mutexDeque is the pre-Chase–Lev mutex-guarded deque, kept verbatim as
+// the sequential model the lock-free deque is checked against
+// (TestDequeMatchesSequentialModel).
+type mutexDeque struct {
+	mu    sync.Mutex
+	tasks []*Task
+}
+
+func (d *mutexDeque) push(t *Task) {
+	d.mu.Lock()
+	d.tasks = append(d.tasks, t)
+	d.mu.Unlock()
+}
+
+func (d *mutexDeque) pop() (*Task, bool) {
+	d.mu.Lock()
+	n := len(d.tasks)
+	if n == 0 {
+		d.mu.Unlock()
+		return nil, false
+	}
+	t := d.tasks[n-1]
+	d.tasks[n-1] = nil
+	d.tasks = d.tasks[:n-1]
+	d.mu.Unlock()
+	return t, true
+}
+
+func (d *mutexDeque) steal() (*Task, bool) {
+	d.mu.Lock()
+	if len(d.tasks) == 0 {
+		d.mu.Unlock()
+		return nil, false
+	}
+	t := d.tasks[0]
+	copy(d.tasks, d.tasks[1:])
+	d.tasks[len(d.tasks)-1] = nil
+	d.tasks = d.tasks[:len(d.tasks)-1]
+	d.mu.Unlock()
+	return t, true
+}
+
+func newDeque() *deque {
+	d := &deque{}
+	d.init()
+	return d
+}
+
+// TestDequeMatchesSequentialModel: without concurrency the Chase–Lev deque
+// is a plain double-ended queue — a random push/pop/steal sequence returns
+// the same tasks in the same order as the mutex-guarded model, across ring
+// growth and index wrap-around.
+func TestDequeMatchesSequentialModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	d, model := newDeque(), &mutexDeque{}
+	tasks := make([]Task, 4*ringInit)
+	for i := range tasks {
+		tasks[i] = func(int) {}
+	}
+	for step := 0; step < 50000; step++ {
+		var got, want *Task
+		var ok, wantOK bool
+		switch op := rng.Intn(5); {
+		case op < 2 && len(model.tasks) < len(tasks):
+			task := &tasks[rng.Intn(len(tasks))]
+			d.push(task)
+			model.push(task)
+			continue
+		case op < 4:
+			got, ok = d.pop()
+			want, wantOK = model.pop()
+		default:
+			got, ok = d.steal()
+			want, wantOK = model.steal()
+		}
+		if got != want || ok != wantOK {
+			t.Fatalf("step %d: deque returned (%p, %v), model (%p, %v)", step, got, ok, want, wantOK)
+		}
+	}
+}
+
 // TestDequeOwnerLIFO: the owner pops in reverse push order.
 func TestDequeOwnerLIFO(t *testing.T) {
-	d := NewDequeBench(false)
+	d := newDeque()
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
 		t := Task(func(int) { got = append(got, i) })
-		d.Push(&t)
+		d.push(&t)
 	}
 	for {
-		task, ok := d.Pop()
+		task, ok := d.pop()
 		if !ok {
 			break
 		}
@@ -34,15 +116,15 @@ func TestDequeOwnerLIFO(t *testing.T) {
 
 // TestDequeStealFIFO: a thief takes the oldest task first.
 func TestDequeStealFIFO(t *testing.T) {
-	d := NewDequeBench(false)
+	d := newDeque()
 	var got []int
 	for i := 0; i < 50; i++ {
 		i := i
 		t := Task(func(int) { got = append(got, i) })
-		d.Push(&t)
+		d.push(&t)
 	}
 	for {
-		task, ok := d.Steal()
+		task, ok := d.steal()
 		if !ok {
 			break
 		}
@@ -58,17 +140,17 @@ func TestDequeStealFIFO(t *testing.T) {
 // TestDequeGrowth: pushing far past the initial ring capacity keeps every
 // task, in order, across the ring doublings.
 func TestDequeGrowth(t *testing.T) {
-	d := NewDequeBench(false)
+	d := newDeque()
 	const n = 10 * ringInit
 	seen := make([]bool, n)
 	for i := 0; i < n; i++ {
 		i := i
 		t := Task(func(int) { seen[i] = true })
-		d.Push(&t)
+		d.push(&t)
 	}
 	count := 0
 	for {
-		task, ok := d.Pop()
+		task, ok := d.pop()
 		if !ok {
 			break
 		}
@@ -88,14 +170,14 @@ func TestDequeGrowth(t *testing.T) {
 // TestDequeInterleavedPushPopWraps exercises index wrap-around: the ring
 // indices keep increasing while the occupancy stays small.
 func TestDequeInterleavedPushPopWraps(t *testing.T) {
-	d := NewDequeBench(false)
+	d := newDeque()
 	executed := 0
 	bump := Task(func(int) { executed++ })
 	for round := 0; round < 20*ringInit; round++ {
-		d.Push(&bump)
-		d.Push(&bump)
+		d.push(&bump)
+		d.push(&bump)
 		for k := 0; k < 2; k++ {
-			task, ok := d.Pop()
+			task, ok := d.pop()
 			if !ok {
 				t.Fatalf("round %d: deque lost a task", round)
 			}
@@ -115,7 +197,7 @@ func TestDequeConcurrentStealers(t *testing.T) {
 		nTasks   = 20000
 		nThieves = 4
 	)
-	d := NewDequeBench(false)
+	d := newDeque()
 	hits := make([]int32, nTasks)
 	var done atomic.Bool
 	var wg sync.WaitGroup
@@ -124,13 +206,13 @@ func TestDequeConcurrentStealers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				if task, ok := d.Steal(); ok {
+				if task, ok := d.steal(); ok {
 					(*task)(0)
 				}
 			}
 			// Drain whatever is left after the owner finished.
 			for {
-				task, ok := d.Steal()
+				task, ok := d.steal()
 				if !ok {
 					return
 				}
@@ -141,16 +223,16 @@ func TestDequeConcurrentStealers(t *testing.T) {
 	for i := 0; i < nTasks; i++ {
 		i := i
 		task := Task(func(int) { atomic.AddInt32(&hits[i], 1) })
-		d.Push(&task)
+		d.push(&task)
 		if i%3 == 0 {
-			if task, ok := d.Pop(); ok {
+			if task, ok := d.pop(); ok {
 				(*task)(0)
 			}
 		}
 	}
 	// Owner drains its remainder, racing the thieves for the last items.
 	for {
-		task, ok := d.Pop()
+		task, ok := d.pop()
 		if !ok {
 			break
 		}
@@ -165,27 +247,31 @@ func TestDequeConcurrentStealers(t *testing.T) {
 	}
 }
 
-// TestPoolMatchesMutexPool: the lock-free pool and the mutex oracle
-// produce the same coverage and Executed counts for identical workloads.
-func TestPoolMatchesMutexPool(t *testing.T) {
+// TestPoolMatchesSerialExpectation: a ParallelFor covers its range exactly
+// once, in as many tasks as its binary splitting has leaves — the sum and
+// the Executed count a serial walk of the same splits gives.
+func TestPoolMatchesSerialExpectation(t *testing.T) {
+	const grain = 16
+	var leaves func(n int) int64
+	leaves = func(n int) int64 {
+		if n <= grain {
+			return 1
+		}
+		return leaves(n/2) + leaves(n-n/2)
+	}
 	for _, p := range []int{1, 3, 8} {
 		for _, n := range []int{1, 5, 1000, 4096} {
-			run := func(pool *Pool) (int64, Stats) {
-				var sum int64
-				st := pool.ParallelFor(n, 16, func(w, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						atomic.AddInt64(&sum, int64(i))
-					}
-				})
-				return sum, st
+			var sum int64
+			st := NewPool(p).ParallelFor(n, grain, func(w, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					atomic.AddInt64(&sum, int64(i))
+				}
+			})
+			if want := int64(n) * int64(n-1) / 2; sum != want {
+				t.Fatalf("p=%d n=%d: sum %d, want %d", p, n, sum, want)
 			}
-			sumCL, stCL := run(NewPool(p))
-			sumMu, stMu := run(NewMutexPool(p))
-			if sumCL != sumMu {
-				t.Fatalf("p=%d n=%d: sums differ %d vs %d", p, n, sumCL, sumMu)
-			}
-			if stCL.Executed != stMu.Executed {
-				t.Fatalf("p=%d n=%d: Executed differ %d vs %d", p, n, stCL.Executed, stMu.Executed)
+			if want := leaves(n); st.Executed != want {
+				t.Fatalf("p=%d n=%d: Executed %d, want %d", p, n, st.Executed, want)
 			}
 		}
 	}
@@ -238,70 +324,31 @@ func TestParallelForDefaultGrainClamp(t *testing.T) {
 	}
 }
 
-// TestMutexPoolNestedSpawns mirrors TestRunNestedSpawns on the oracle.
-func TestMutexPoolNestedSpawns(t *testing.T) {
-	pool := NewMutexPool(4)
-	var count int64
-	var spawnTree func(depth int) Task
-	spawnTree = func(depth int) Task {
-		return func(w int) {
-			if depth == 0 {
-				atomic.AddInt64(&count, 1)
-				return
-			}
-			pool.Spawn(w, spawnTree(depth-1))
-			pool.Spawn(w, spawnTree(depth-1))
-		}
-	}
-	stats := pool.Run(spawnTree(8))
-	if count != 256 {
-		t.Errorf("executed %d leaves, want 256", count)
-	}
-	if stats.Executed != 511 {
-		t.Errorf("stats.Executed = %d, want 511", stats.Executed)
-	}
-}
-
 func BenchmarkDequePushPop(b *testing.B) {
-	for _, impl := range []struct {
-		name  string
-		mutex bool
-	}{{"chaselev", false}, {"mutex", true}} {
-		b.Run(impl.name, func(b *testing.B) {
-			d := NewDequeBench(impl.mutex)
-			task := Task(func(int) {})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Push(&task)
-				d.Pop()
-			}
-		})
+	d := newDeque()
+	task := Task(func(int) {})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.push(&task)
+		d.pop()
 	}
 }
 
 func BenchmarkDequeSteal(b *testing.B) {
-	for _, impl := range []struct {
-		name  string
-		mutex bool
-	}{{"chaselev", false}, {"mutex", true}} {
-		b.Run(impl.name, func(b *testing.B) {
-			d := NewDequeBench(impl.mutex)
-			task := Task(func(int) {})
-			// Keep the deque deep so mutex steal pays its O(n) shift.
-			for i := 0; i < 1024; i++ {
-				d.Push(&task)
+	d := newDeque()
+	task := Task(func(int) {})
+	for i := 0; i < 1024; i++ {
+		d.push(&task)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := d.steal(); !ok {
+			b.StopTimer()
+			for j := 0; j < 1024; j++ {
+				d.push(&task)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := d.Steal(); !ok {
-					b.StopTimer()
-					for j := 0; j < 1024; j++ {
-						d.Push(&task)
-					}
-					b.StartTimer()
-				}
-			}
-		})
+			b.StartTimer()
+		}
 	}
 }
 
@@ -313,18 +360,13 @@ func BenchmarkParallelFor(b *testing.B) {
 		}
 		_ = s
 	}
-	for _, impl := range []struct {
-		name string
-		mk   func(p int) *Pool
-	}{{"chaselev", NewPool}, {"mutex", NewMutexPool}} {
-		for _, p := range []int{1, 2, 4, 8} {
-			b.Run(impl.name+"/p="+string(rune('0'+p)), func(b *testing.B) {
-				pool := impl.mk(p)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					pool.ParallelFor(1<<14, 8, work)
-				}
-			})
-		}
+	for _, p := range []int{1, 2, 4, 8} {
+		b.Run("p="+string(rune('0'+p)), func(b *testing.B) {
+			pool := NewPool(p)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pool.ParallelFor(1<<14, 8, work)
+			}
+		})
 	}
 }

@@ -28,58 +28,53 @@ func finishes(t *testing.T, what string, fn func()) {
 // while thieves are registering, and a panic that has to drain past
 // sleeping workers. Run it under -race.
 func TestParkNoLostWakeups(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		pool func(int) *Pool
-	}{{"chaselev", NewPool}, {"mutex", NewMutexPool}} {
-		for _, p := range []int{2, 3, 8} {
-			pool := mk.pool(p)
-			finishes(t, mk.name+" tiny ParallelFors", func() {
-				var hits int64
-				for i := 0; i < 3000; i++ {
-					pool.ParallelFor(1+i%7, 1, func(_, lo, hi int) { atomic.AddInt64(&hits, int64(hi-lo)) })
-				}
-				if want := int64(3000/7*28 + 1 + 2 + 3 + 4); hits != want {
-					t.Errorf("%s p=%d: %d iterations ran, want %d", mk.name, p, hits, want)
-				}
-			})
-			finishes(t, mk.name+" nested spawns", func() {
-				for i := 0; i < 50; i++ {
-					var leaves int64
-					var tree func(depth int) Task
-					tree = func(depth int) Task {
-						return func(w int) {
-							if depth == 0 {
-								atomic.AddInt64(&leaves, 1)
-								return
-							}
-							pool.Spawn(w, tree(depth-1))
-							pool.Spawn(w, tree(depth-1))
+	for _, p := range []int{2, 3, 8} {
+		pool := NewPool(p)
+		finishes(t, "tiny ParallelFors", func() {
+			var hits int64
+			for i := 0; i < 3000; i++ {
+				pool.ParallelFor(1+i%7, 1, func(_, lo, hi int) { atomic.AddInt64(&hits, int64(hi-lo)) })
+			}
+			if want := int64(3000/7*28 + 1 + 2 + 3 + 4); hits != want {
+				t.Errorf("p=%d: %d iterations ran, want %d", p, hits, want)
+			}
+		})
+		finishes(t, "nested spawns", func() {
+			for i := 0; i < 50; i++ {
+				var leaves int64
+				var tree func(depth int) Task
+				tree = func(depth int) Task {
+					return func(w int) {
+						if depth == 0 {
+							atomic.AddInt64(&leaves, 1)
+							return
 						}
-					}
-					st := pool.Run(tree(8))
-					if leaves != 256 || st.Executed != 511 {
-						t.Errorf("%s p=%d: %d leaves, %d tasks; want 256, 511", mk.name, p, leaves, st.Executed)
+						pool.Spawn(w, tree(depth-1))
+						pool.Spawn(w, tree(depth-1))
 					}
 				}
-			})
-			finishes(t, mk.name+" panic drain", func() {
-				for i := 0; i < 50; i++ {
-					func() {
-						defer func() {
-							if recover() == nil {
-								t.Errorf("%s p=%d: panic did not propagate", mk.name, p)
-							}
-						}()
-						pool.ParallelFor(64, 1, func(_, lo, _ int) {
-							if lo == 17 {
-								panic("boom")
-							}
-						})
+				st := pool.Run(tree(8))
+				if leaves != 256 || st.Executed != 511 {
+					t.Errorf("p=%d: %d leaves, %d tasks; want 256, 511", p, leaves, st.Executed)
+				}
+			}
+		})
+		finishes(t, "panic drain", func() {
+			for i := 0; i < 50; i++ {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("p=%d: panic did not propagate", p)
+						}
 					}()
-				}
-			})
-		}
+					pool.ParallelFor(64, 1, func(_, lo, _ int) {
+						if lo == 17 {
+							panic("boom")
+						}
+					})
+				}()
+			}
+		})
 	}
 }
 

@@ -6,12 +6,9 @@
 // exactly the Blumofe–Leiserson discipline the paper describes (§IV-A,
 // "Dynamic load balancing among threads").
 //
-// The default deque is a lock-free Chase–Lev ring buffer: the owner's
-// push/pop never takes a lock, and a compare-and-swap is needed only on
-// the steal path and when the owner races a thief for the last element.
-// The previous mutex-guarded deque is retained (NewMutexPool) as the
-// correctness oracle and the baseline the scheduler benchmarks compare
-// against.
+// The deque is a lock-free Chase–Lev ring buffer: the owner's push/pop
+// never takes a lock, and a compare-and-swap is needed only on the steal
+// path and when the owner races a thief for the last element.
 package sched
 
 import (
@@ -143,55 +140,11 @@ func (d *deque) steal() (*Task, bool) {
 	return task, true
 }
 
-// mutexDeque is the pre-Chase–Lev mutex-guarded deque, kept verbatim as
-// the reference oracle for tests and the baseline for the scheduler
-// benchmarks. Its steal is O(n) (slice shift), which is part of what the
-// lock-free deque replaces.
-type mutexDeque struct {
-	mu    sync.Mutex
-	tasks []*Task
-}
-
-func (d *mutexDeque) push(t *Task) {
-	d.mu.Lock()
-	d.tasks = append(d.tasks, t)
-	d.mu.Unlock()
-}
-
-func (d *mutexDeque) pop() (*Task, bool) {
-	d.mu.Lock()
-	n := len(d.tasks)
-	if n == 0 {
-		d.mu.Unlock()
-		return nil, false
-	}
-	t := d.tasks[n-1]
-	d.tasks[n-1] = nil
-	d.tasks = d.tasks[:n-1]
-	d.mu.Unlock()
-	return t, true
-}
-
-func (d *mutexDeque) steal() (*Task, bool) {
-	d.mu.Lock()
-	if len(d.tasks) == 0 {
-		d.mu.Unlock()
-		return nil, false
-	}
-	t := d.tasks[0]
-	copy(d.tasks, d.tasks[1:])
-	d.tasks[len(d.tasks)-1] = nil
-	d.tasks = d.tasks[:len(d.tasks)-1]
-	d.mu.Unlock()
-	return t, true
-}
-
 // Pool is a work-stealing scheduler with a fixed number of workers.
 type Pool struct {
-	p       int
-	deques  []deque
-	mdeques []mutexDeque // non-nil only for NewMutexPool
-	stats   Stats
+	p      int
+	deques []deque
+	stats  Stats
 
 	pending int64 // outstanding tasks across all deques + in flight
 
@@ -220,43 +173,12 @@ func NewPool(p int) *Pool {
 	return pl
 }
 
-// NewMutexPool creates a pool backed by the mutex-guarded reference
-// deques. It exists for differential tests and as the benchmark baseline;
-// production callers should use NewPool.
-func NewMutexPool(p int) *Pool {
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	pl := &Pool{p: p, mdeques: make([]mutexDeque, p)}
-	pl.idle.L = &pl.idleMu
-	return pl
-}
-
 // Workers returns the worker count.
 func (pl *Pool) Workers() int { return pl.p }
 
-func (pl *Pool) push(w int, t *Task) {
-	if pl.mdeques != nil {
-		pl.mdeques[w].push(t)
-		return
-	}
-	pl.deques[w].push(t)
-}
-
-func (pl *Pool) pop(w int) (*Task, bool) {
-	if pl.mdeques != nil {
-		return pl.mdeques[w].pop()
-	}
-	return pl.deques[w].pop()
-}
-
 // stealFrom takes the oldest task of victim's deque, counting the outcome.
 func (pl *Pool) stealFrom(victim int) (t *Task, ok bool) {
-	if pl.mdeques != nil {
-		t, ok = pl.mdeques[victim].steal()
-	} else {
-		t, ok = pl.deques[victim].steal()
-	}
+	t, ok = pl.deques[victim].steal()
 	if ok {
 		atomic.AddInt64(&pl.stats.Steals, 1)
 	} else {
@@ -270,7 +192,7 @@ func (pl *Pool) stealFrom(victim int) (t *Task, ok bool) {
 // worker 0; the pending count keeps Run from returning early.
 func (pl *Pool) Spawn(worker int, t Task) {
 	atomic.AddInt64(&pl.pending, 1)
-	pl.push(worker, &t)
+	pl.deques[worker].push(&t)
 	if pl.sleepers.Load() > 0 {
 		pl.idleMu.Lock()
 		pl.idle.Signal()
@@ -318,7 +240,7 @@ const drySweeps = 4
 func (pl *Pool) workerLoop(w int) {
 	rng := rand.New(rand.NewSource(int64(w)*2654435761 + 97))
 	for {
-		t, ok := pl.pop(w)
+		t, ok := pl.deques[w].pop()
 		// Local deque empty: try to steal the oldest work from a random
 		// victim (stealing oldest reduces inter-thread communication, as
 		// the paper notes for cilk++).
@@ -453,48 +375,4 @@ func ListScheduleMakespan(weights []float64, p int) float64 {
 		}
 	}
 	return max
-}
-
-// DequeBench exposes the raw deque operations of one deque to the
-// micro-benchmark driver (cmd/benchkernels). Not intended for scheduling
-// use — Pool wires the deques into workers.
-type DequeBench struct {
-	cl *deque
-	mu *mutexDeque
-}
-
-// NewDequeBench returns a bench handle over a fresh deque; mutex selects
-// the baseline mutex-guarded implementation.
-func NewDequeBench(mutex bool) *DequeBench {
-	if mutex {
-		return &DequeBench{mu: &mutexDeque{}}
-	}
-	d := &deque{}
-	d.init()
-	return &DequeBench{cl: d}
-}
-
-// Push appends a task at the bottom (owner side).
-func (b *DequeBench) Push(t *Task) {
-	if b.mu != nil {
-		b.mu.push(t)
-		return
-	}
-	b.cl.push(t)
-}
-
-// Pop removes the newest task (owner side).
-func (b *DequeBench) Pop() (*Task, bool) {
-	if b.mu != nil {
-		return b.mu.pop()
-	}
-	return b.cl.pop()
-}
-
-// Steal removes the oldest task (thief side).
-func (b *DequeBench) Steal() (*Task, bool) {
-	if b.mu != nil {
-		return b.mu.steal()
-	}
-	return b.cl.steal()
 }

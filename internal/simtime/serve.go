@@ -10,9 +10,10 @@ import "time"
 // real engine, so a 10k-request trace that would take hours of wall time
 // replays in milliseconds — deterministically.
 //
-// The constants are calibrated against this repository's own committed
-// serving benchmarks on the development box (1 CPU, subdivision level 2;
-// BENCH_serve.json and BENCH_stream.json):
+// The constants were calibrated against measurements of the serving tier on
+// the development box as of PRs 7 and 9 (1 CPU, subdivision level 2); the
+// engine has become several times faster since, and recalibrating them from
+// cmd/bench is ROADMAP item 4(a):
 //
 //   - cold prepare (surface + octrees + Born) measured 717 ms at 2500
 //     atoms  → ~287 µs/atom;

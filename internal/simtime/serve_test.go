@@ -15,9 +15,9 @@ func within(t *testing.T, name string, got, want time.Duration, tol float64) {
 	}
 }
 
-// TestServeCostsCalibration pins the model to the committed benchmark
-// anchors (BENCH_serve.json, BENCH_stream.json): the surrogates must
-// reproduce the measured service times they were calibrated on.
+// TestServeCostsCalibration pins the model to its calibration anchors (see
+// ServeCosts): the surrogates must reproduce the measured service times
+// they were calibrated on.
 func TestServeCostsCalibration(t *testing.T) {
 	sc := DefaultServeCosts()
 

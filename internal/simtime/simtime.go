@@ -147,24 +147,19 @@ func (m Machine) CollectiveCost(kind string, words, nranks, ranksPerNode int) fl
 	}
 }
 
-// AlgoCollectiveCost returns the modeled time of one collective under an
-// explicit algorithm selection, matching what the cluster layer actually
-// executes (cluster/collectives.go), stage by stage in the α–β model
-// (t_s startup + t_w per word, Grama et al. Table 4.1):
-//
-//	topo=false — the root-star reference: the root serially collects P−1
-//	contributions and sends P−1 replies, so every stage pays t_s + t_w·m
-//	and the root is an O(P·m) bandwidth bottleneck.
-//	topo=true — the topology-aware algorithms: dissemination barrier
-//	(⌈log₂P⌉ rounds), recursive-doubling allreduce (⌊log₂P⌋ exchanges of
-//	the full buffer, plus one fold out and one fold back when P is not a
-//	power of two), ring allgatherv (P−1 startups but only m·(P−1)/P words
-//	moved per rank), binomial-tree bcast (⌈log₂P⌉ hops).
+// AlgoCollectiveCost returns the modeled time of one collective as the
+// cluster layer actually executes it (cluster/collectives.go), stage by
+// stage in the α–β model (t_s startup + t_w per word, Grama et al. Table
+// 4.1): dissemination barrier (⌈log₂P⌉ rounds), recursive-doubling
+// allreduce (⌊log₂P⌋ exchanges of the full buffer, plus one fold out and
+// one fold back when P is not a power of two), ring allgatherv (P−1
+// startups but only m·(P−1)/P words moved per rank), binomial-tree bcast
+// (⌈log₂P⌉ hops).
 //
 // words is the payload m in float64 words — for allgatherv the TOTAL
 // gathered length, for the others the buffer length. ranksPerNode models
 // NIC contention exactly as in CollectiveCost.
-func (m Machine) AlgoCollectiveCost(kind string, topo bool, words, nranks, ranksPerNode int) float64 {
+func (m Machine) AlgoCollectiveCost(kind string, words, nranks, ranksPerNode int) float64 {
 	if nranks <= 1 {
 		return 0
 	}
@@ -178,18 +173,6 @@ func (m Machine) AlgoCollectiveCost(kind string, topo bool, words, nranks, ranks
 	floorLog := math.Floor(math.Log2(P))
 	pow2 := math.Exp2(floorLog) == P
 
-	if !topo {
-		switch kind {
-		case "barrier":
-			return 2 * (P - 1) * m.TsSec
-		case "allgatherv":
-			// Gather P−1 segments (m words total across them), then send
-			// the full m-word result to each of the P−1 workers.
-			return 2*(P-1)*m.TsSec + tw*mw + (P-1)*tw*mw
-		default: // allreduce, allreducemax, bcast: full round trip at the root
-			return 2 * (P - 1) * (m.TsSec + tw*mw)
-		}
-	}
 	switch kind {
 	case "barrier":
 		return ceilLog * m.TsSec
@@ -238,43 +221,6 @@ func NewClocks(n int) *Clocks { return &Clocks{T: make([]float64, n)} }
 
 // Advance adds dt seconds of compute to one rank's clock.
 func (c *Clocks) Advance(rank int, dt float64) { c.T[rank] += dt }
-
-// SyncCollective rendezvouses all ranks (everyone waits for the slowest)
-// and then charges the collective cost to all of them.
-func (c *Clocks) SyncCollective(m Machine, kind string, words, ranksPerNode int) {
-	var max float64
-	for _, t := range c.T {
-		if t > max {
-			max = t
-		}
-	}
-	after := max + m.CollectiveCost(kind, words, len(c.T), ranksPerNode)
-	for i := range c.T {
-		c.T[i] = after
-	}
-}
-
-// SyncCollectiveAlgo is SyncCollective with an explicit algorithm
-// selection and an overlap credit: overlapSec seconds of independent
-// compute (already charged to the rank clocks elsewhere) hide the same
-// amount of collective time, modeling a non-blocking operation waited on
-// after that compute finishes.
-func (c *Clocks) SyncCollectiveAlgo(m Machine, kind string, topo bool, words, ranksPerNode int, overlapSec float64) {
-	cost := m.AlgoCollectiveCost(kind, topo, words, len(c.T), ranksPerNode) - overlapSec
-	if cost < 0 {
-		cost = 0
-	}
-	var max float64
-	for _, t := range c.T {
-		if t > max {
-			max = t
-		}
-	}
-	after := max + cost
-	for i := range c.T {
-		c.T[i] = after
-	}
-}
 
 // Elapsed returns the current makespan: the slowest rank's clock.
 func (c *Clocks) Elapsed() float64 {
