@@ -43,14 +43,16 @@ obs-smoke:
 
 ## fuzz: short smoke of the native fuzz targets (wire-frame decoder, PQR
 ## parser, load-trace spec, fabric membership wire, molecule-bearing HTTP
-## request decoder) on top of their committed seed corpora. CI-friendly
-## budget; run with a larger -fuzztime locally to dig.
+## request decoder, stream-frame bodies against a live session) on top of
+## their seed corpora. CI-friendly budget; run with a larger -fuzztime
+## locally to dig.
 fuzz:
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/molecule/ -run '^$$' -fuzz FuzzParsePQR -fuzztime 10s
 	$(GO) test ./internal/loadgen/ -run '^$$' -fuzz FuzzTraceSpec -fuzztime 10s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeEnergyRequest -fuzztime 10s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzStreamFrameBody -fuzztime 10s
 
 ## chaos: the full fault-injection acceptance matrix — every fault class ×
 ## both transports × P ∈ {2,4,8} × 8 seeds. The fatal classes each spend

@@ -21,7 +21,6 @@ package octgb
 import (
 	"fmt"
 
-	"octgb/internal/core"
 	"octgb/internal/engine"
 	"octgb/internal/gb"
 	"octgb/internal/geom"
@@ -59,20 +58,7 @@ type (
 	SimModel = engine.SimModel
 	// Machine describes the modeled cluster for virtual-time runs.
 	Machine = simtime.Machine
-	// Precision selects the flat kernels' storage tier (Float64/Float32).
-	Precision = core.Precision
 )
-
-// Kernel storage tiers. Float64 is the default (oracle-parity); Float32
-// stores the streamed arrays in float32 and accumulates in float64 —
-// ~1e-6 relative error for half the hot-path memory traffic.
-const (
-	Float64 = core.Float64
-	Float32 = core.Float32
-)
-
-// ParsePrecision parses a storage-tier label ("f64", "f32", "").
-func ParsePrecision(s string) (Precision, bool) { return core.ParsePrecision(s) }
 
 // Engine kinds (paper Table II).
 const (
@@ -95,11 +81,6 @@ type Options struct {
 	// ApproximateMath enables the fast inverse-sqrt/exp kernels
 	// (~1.4× faster, few-percent energy shift).
 	ApproximateMath bool
-	// Precision selects the flat kernels' storage tier (default Float64;
-	// Float32 trades ~1e-6 relative error for half the kernel memory —
-	// note the f64 tier keeps the AVX2 vector kernels, so on amd64 it is
-	// usually also the faster tier).
-	Precision Precision
 	// Surface controls surface sampling (zero value = defaults).
 	Surface SurfaceOptions
 }
@@ -137,11 +118,10 @@ func Compute(mol *Molecule, o Options) (*Result, error) {
 	}
 	pr := engine.NewProblem(mol, o.Surface)
 	eo := engine.Options{
-		Ranks:     o.Ranks,
-		Threads:   o.Threads,
-		BornEps:   o.BornEps,
-		EpolEps:   o.EpolEps,
-		Precision: o.Precision,
+		Ranks:   o.Ranks,
+		Threads: o.Threads,
+		BornEps: o.BornEps,
+		EpolEps: o.EpolEps,
 	}
 	if o.ApproximateMath {
 		eo.Math = gb.Approximate

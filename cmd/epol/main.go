@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"octgb/internal/core"
 	"octgb/internal/engine"
 	"octgb/internal/gb"
 	"octgb/internal/molecule"
@@ -35,7 +34,6 @@ func main() {
 		bornEps = flag.Float64("borneps", 0.9, "Born-radius approximation parameter ε")
 		epolEps = flag.Float64("epoleps", 0.9, "energy approximation parameter ε")
 		approx  = flag.Bool("approx", false, "use approximate (fast) sqrt/exp")
-		prec    = flag.String("precision", "f64", "kernel storage tier: f64 | f32 (~1e-6 relative error, half the memory)")
 		subdiv  = flag.Int("subdiv", 1, "surface icosphere subdivision level")
 		degree  = flag.Int("degree", 1, "Dunavant quadrature degree (1-5)")
 		sim     = flag.Bool("sim", false, "also report the virtual-time estimate on the modeled cluster")
@@ -66,12 +64,6 @@ func main() {
 	if *approx {
 		opts.Math = gb.Approximate
 	}
-	p, ok := core.ParsePrecision(*prec)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "epol: unknown -precision %q (want f64 or f32)\n", *prec)
-		os.Exit(1)
-	}
-	opts.Precision = p
 
 	rep, err := engine.RunReal(pr, kind, opts)
 	if err != nil {

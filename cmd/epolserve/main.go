@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"octgb/internal/core"
 	"octgb/internal/fabric"
 	"octgb/internal/obs"
 	"octgb/internal/serve"
@@ -67,8 +66,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		drain       = fs.Duration("drain-timeout", 2*time.Minute, "graceful shutdown budget")
 		bornEps     = fs.Float64("borneps", 0.9, "default Born-radius approximation parameter ε")
 		epolEps     = fs.Float64("epoleps", 0.9, "default energy approximation parameter ε")
-		prec        = fs.String("precision", "f64", "default kernel storage tier: f64 | f32 (~1e-6 relative error, half the memory)")
-		subdiv      = fs.Int("subdiv", 1, "default surface icosphere subdivision level")
+		subdiv      = fs.Int("subdiv", 1, "default surface icosphere subdivision level (0-4)")
 		degree      = fs.Int("degree", 1, "default Dunavant quadrature degree (1-5)")
 		observe     = fs.Bool("observe", true, "expose /metrics, /debug/trace and /debug/pprof/* and record latency histograms")
 		sloP99      = fs.Duration("slo-p99", 0, "enable the admission tuner: steer batch window, queue depth and shed threshold toward this admitted-p99 target (0 = tuner off)")
@@ -82,9 +80,8 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tier, ok := core.ParsePrecision(*prec)
-	if !ok {
-		return fmt.Errorf("epolserve: unknown -precision %q (want f64 or f32)", *prec)
+	if err := serve.CheckSampling(*subdiv, *degree); err != nil {
+		return fmt.Errorf("-subdiv/-degree: %w", err)
 	}
 
 	cfg := serve.Config{
@@ -101,7 +98,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		DefaultDeadline: *deadline,
 		BornEps:         *bornEps,
 		EpolEps:         *epolEps,
-		Precision:       tier,
 		Surface:         surface.Options{SubdivLevel: *subdiv, Degree: *degree},
 	}
 	if *observe {

@@ -114,6 +114,12 @@ func TestEpolserveBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, &out, nil); err == nil {
 		t.Fatal("expected flag parse error")
 	}
+	// The sampling defaults answer to the bounds requests are held to.
+	for _, args := range [][]string{{"-subdiv", "5"}, {"-degree", "6"}, {"-degree", "-1"}} {
+		if err := run(args, &out, nil); err == nil {
+			t.Errorf("%v: expected a start-up error", args)
+		}
+	}
 }
 
 func post(t *testing.T, url string, v, dst any) int {

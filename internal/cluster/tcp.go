@@ -88,7 +88,6 @@ func kindOfOp(op byte) string {
 // tcpConfig collects the transport options.
 type tcpConfig struct {
 	mesh    bool
-	hook    CollectiveHook
 	timeout time.Duration
 	logf    func(format string, args ...any)
 	obs     *obs.Observer
@@ -110,10 +109,6 @@ type TCPOption func(*tcpConfig)
 // links the group falls back to the star topology (all ranks return star
 // communicators and the downgrade is logged through WithLogger).
 func WithMesh() TCPOption { return func(c *tcpConfig) { c.mesh = true } }
-
-// WithHook attaches a CollectiveHook (observed once per collective: at the
-// root in star mode, on rank 0 in mesh mode).
-func WithHook(hook CollectiveHook) TCPOption { return func(c *tcpConfig) { c.hook = hook } }
 
 // WithCommTimeout enables failure detection: every frame read carries a
 // deadline of d, every link runs a heartbeat writer at a third of d (so
@@ -237,7 +232,7 @@ func NewTCPRoot(ln net.Listener, size int, opts ...TCPOption) (Comm, error) {
 		}
 	}
 	if !cfg.mesh {
-		root := &tcpRoot{size: size, conns: conns, hook: cfg.hook, timeout: cfg.timeout, obs: cfg.obs}
+		root := &tcpRoot{size: size, conns: conns, timeout: cfg.timeout, obs: cfg.obs}
 		root.startHeartbeats()
 		return root, nil
 	}
@@ -274,7 +269,7 @@ func NewTCPRoot(ln net.Listener, size int, opts ...TCPOption) (Comm, error) {
 	if !meshOK {
 		cfg.log("cluster: degrading collectives Topo→Star: routing through the root")
 		recordDegradation(cfg.obs)
-		root := &tcpRoot{size: size, conns: conns, hook: cfg.hook, timeout: cfg.timeout, obs: cfg.obs}
+		root := &tcpRoot{size: size, conns: conns, timeout: cfg.timeout, obs: cfg.obs}
 		root.startHeartbeats()
 		return root, nil
 	}
@@ -695,7 +690,6 @@ func (rc *rankConn) readBlob() ([]byte, error) {
 type tcpRoot struct {
 	size    int
 	conns   []*rankConn // index by rank; [0] nil
-	hook    CollectiveHook
 	obs     *obs.Observer
 	timeout time.Duration
 	mu      sync.Mutex
@@ -759,9 +753,6 @@ func (c *tcpRoot) collect(op byte, own []float64, combine func(bufs [][]float64)
 		if err := c.conns[r].writeMsg(op, 0, results[r]); err != nil {
 			return nil, fmt.Errorf("cluster: root replying to rank %d: %w", r, err)
 		}
-	}
-	if c.hook != nil {
-		c.hook(kindOfOp(op), len(results[0]))
 	}
 	recordCollective(c.obs, kindOfOp(op), 0, len(results[0]), start)
 	return results[0], nil
@@ -969,9 +960,6 @@ func newMeshComm(rank, size int, links []*rankConn, cfg tcpConfig) *meshComm {
 	}
 	mc.coll.pw = mc
 	mc.coll.obs = cfg.obs
-	if rank == 0 {
-		mc.coll.hook = cfg.hook
-	}
 	for peer := range links {
 		if links[peer] != nil {
 			links[peer].startHeartbeat()

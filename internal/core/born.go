@@ -68,12 +68,6 @@ type BornConfig struct {
 	CriterionPower int
 	// LeafSize is the octree leaf capacity (≤0 → octree.DefaultLeafSize).
 	LeafSize int
-	// Precision selects the flat-kernel storage tier (soa32.go). Float64
-	// (zero value) is exact; Float32 stores coordinates and weights in
-	// float32 with float64 accumulation. The recursive oracle and the
-	// list builders always run in float64, so lists and Stats are
-	// tier-independent.
-	Precision Precision
 }
 
 func (c BornConfig) withDefaults() BornConfig {
@@ -149,10 +143,6 @@ type BornSolver struct {
 	// (x, y, z, pad) so the vector far-field kernel loads a center with
 	// one 32-byte read instead of three strided ones.
 	aCent []float64
-
-	// f32 holds the reduced-precision storage tier (nil unless the config
-	// selects Float32); kernels32.go dispatches on it.
-	f32 *bornSoA32
 }
 
 // kernel evaluates the configured integrand's denominator given the
@@ -228,9 +218,6 @@ func NewBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig
 		c := s.TA.Nodes[n].Center
 		s.aCent[4*n], s.aCent[4*n+1], s.aCent[4*n+2] = c.X, c.Y, c.Z
 	}
-	if cfg.Precision == Float32 {
-		s.f32 = newBornSoA32(s)
-	}
 	return s
 }
 
@@ -242,11 +229,11 @@ func (s *BornSolver) nodeWN(q int32) geom.Vec3 {
 	return geom.Vec3{X: s.wnNX[q], Y: s.wnNY[q], Z: s.wnNZ[q]}
 }
 
-// MemoryBytes is the memory the solver holds: both octrees, the per-point
-// and per-node payload streams, and the storage tier's mirrors.
+// MemoryBytes is the memory the solver holds: both octrees and the
+// per-point and per-node payload streams.
 func (s *BornSolver) MemoryBytes() int64 {
 	floats := len(s.atomR) + 3*len(s.wnX) + 3*len(s.wnNX) + len(s.aRange) + len(s.aCent)
-	return s.TA.MemoryBytes() + s.TQ.MemoryBytes() + 8*int64(floats) + s.TierBytes()
+	return s.TA.MemoryBytes() + s.TQ.MemoryBytes() + 8*int64(floats)
 }
 
 // Eps returns the configured approximation parameter.
@@ -428,15 +415,6 @@ func (s *BornSolver) RadiiToOriginal(treeOrder []float64) []float64 {
 	out := make([]float64, len(treeOrder))
 	for i, orig := range s.TA.Perm {
 		out[orig] = treeOrder[i]
-	}
-	return out
-}
-
-// RadiiToTreeOrder converts original-order Born radii into tree order.
-func (s *BornSolver) RadiiToTreeOrder(orig []float64) []float64 {
-	out := make([]float64, len(orig))
-	for i, o := range s.TA.Perm {
-		out[i] = orig[o]
 	}
 	return out
 }

@@ -21,11 +21,6 @@ type EpolConfig struct {
 	// LeafSize is the octree leaf capacity (≤0 → default). Ignored when
 	// the solver is built from an existing tree.
 	LeafSize int
-	// Precision selects the flat-kernel storage tier (soa32.go). Float64
-	// (zero value) is exact; Float32 stores positions, charges and Born
-	// radii in float32 with float64 accumulation. Math is ignored by the
-	// Float32 kernels, which carry their own fast float32 exp/sqrt.
-	Precision Precision
 }
 
 func (c EpolConfig) withDefaults() EpolConfig {
@@ -64,10 +59,6 @@ type EpolSolver struct {
 	nzStart []int32
 	nzBin   []int32
 	nzQ     []float64
-
-	// f32 holds the reduced-precision storage tier (nil unless the config
-	// selects Float32); kernels32.go dispatches on it.
-	f32 *epolSoA32
 
 	// AoS row tables for the amd64 near-field vector kernel
 	// (epolnear_amd64.go). uRange packs each node's [start, end) atom
@@ -113,18 +104,19 @@ func NewEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig) 
 	cfg = cfg.withDefaults()
 	n := len(tree.Points)
 	s := &EpolSolver{
-		T:   tree,
-		cfg: cfg,
-		q:   make([]float64, n),
-		R:   make([]float64, n),
-		sep: 1 + 2/cfg.Eps,
+		T:    tree,
+		cfg:  cfg,
+		q:    make([]float64, n),
+		R:    make([]float64, n),
+		invR: make([]float64, n),
+		sep:  1 + 2/cfg.Eps,
 	}
 	s.sep2 = s.sep * s.sep
 	for i, orig := range tree.Perm {
 		s.q[i] = charges[orig]
 		s.R[i] = bornR[orig]
+		s.invR[i] = 1 / s.R[i]
 	}
-	s.invR = recipOf(s.R)
 
 	// Born-radius bins: geometric with ratio (1+ε) from R_min.
 	s.Rmin = math.Inf(1)
@@ -204,9 +196,6 @@ func NewEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig) 
 	}
 	s.nzStart[len(tree.Nodes)] = int32(len(s.nzBin))
 	s.buildVecTables()
-	if cfg.Precision == Float32 {
-		s.f32 = newEpolSoA32(s)
-	}
 	return s
 }
 
@@ -493,12 +482,6 @@ func (s *EpolSolver) Restrict(residentLeaves []int32) *EpolSolver {
 	// Repack the vector-kernel row tables from the poisoned data — sharing
 	// them would let the amd64 near kernel read real values past the poison.
 	out.buildVecTables()
-	if s.f32 != nil {
-		// Rebuild the float32 mirrors from the poisoned data — a shared
-		// mirror would let the flat kernels read real coordinates and
-		// defeat the NaN-poison proof.
-		out.f32 = newEpolSoA32(&out)
-	}
 	return &out
 }
 
@@ -513,11 +496,6 @@ func (s *EpolSolver) SetResident(leaf int32, q, R []float64, pts []geom.Vec3) {
 		s.T.X[i], s.T.Y[i], s.T.Z[i] = pts[k].X, pts[k].Y, pts[k].Z
 		s.uPos[4*i], s.uPos[4*i+1], s.uPos[4*i+2] = pts[k].X, pts[k].Y, pts[k].Z
 		s.uQRG[4*i], s.uQRG[4*i+1], s.uQRG[4*i+2] = q[k], R[k], -0.25*s.invR[i]
-		if s.f32 != nil {
-			s.f32.q[i], s.f32.r[i] = float32(q[k]), float32(R[k])
-			s.f32.ir[i] = float32(1 / R[k])
-			s.f32.x[i], s.f32.y[i], s.f32.z[i] = float32(pts[k].X), float32(pts[k].Y), float32(pts[k].Z)
-		}
 	}
 }
 

@@ -61,8 +61,8 @@ func (s *EpolSolver) epolDualOrdered(u, v int32, st *Stats) float64 {
 }
 
 // buildEpolDualOrderedList is the ordered traversal as an (ordinary,
-// every-entry-counts-once) interaction list, which puts the flat kernels —
-// and with them the Float32 tier — behind the oracle too.
+// every-entry-counts-once) interaction list, which puts the flat kernels
+// behind the oracle too.
 func (s *EpolSolver) buildEpolDualOrderedList() *InteractionList {
 	l := new(InteractionList)
 	if len(s.T.Nodes) == 0 {
@@ -130,13 +130,7 @@ func clumpedMol(n, clump int, seed int64) *molecule.Molecule {
 // ordered one it replaced: the same energy up to reassociation, exactly
 // half the far-field work, and the near-field work halved but for the
 // leaves' diagonal blocks — in the recursion and in the list, for both
-// math modes and both storage tiers.
-//
-// "Up to reassociation" is 1e-12 in float64. The Float32 kernels form the
-// exponent as (d²·(−¼/R_i))·(1/R_j) in float32, so block (u, v) and block
-// (v, u) differ in the last float32 bit of a term (6e-8) and the two sums
-// by ~5e-10; their bound is 1e-8, three orders inside the tier's own 5e-6
-// contract against float64.
+// math modes. "Up to reassociation" is 1e-12.
 func TestSymmetricDualMatchesOrdered(t *testing.T) {
 	type input struct {
 		name string
@@ -162,66 +156,59 @@ func TestSymmetricDualMatchesOrdered(t *testing.T) {
 	}
 	for _, in := range inputs {
 		for _, mode := range []gb.MathMode{gb.Exact, gb.Approximate} {
-			for _, prec := range []Precision{Float64, Float32} {
-				t.Run(fmt.Sprintf("%s/math=%d/prec=%d", in.name, mode, prec), func(t *testing.T) {
-					es := NewEpolSolverFromMolecule(in.mol, in.R, EpolConfig{Eps: 0.9, Math: mode, Precision: prec})
-					var leafSq int64
-					widest := int32(0)
-					for _, n := range es.T.LeafIdx {
-						c := es.T.Nodes[n].Count
-						leafSq += int64(c) * int64(c)
-						widest = max(widest, c)
+			// "prec=0" is float64, the one arithmetic; the case names stay stable.
+			t.Run(fmt.Sprintf("%s/math=%d/prec=0", in.name, mode), func(t *testing.T) {
+				es := NewEpolSolverFromMolecule(in.mol, in.R, EpolConfig{Eps: 0.9, Math: mode})
+				var leafSq int64
+				widest := int32(0)
+				for _, n := range es.T.LeafIdx {
+					c := es.T.Nodes[n].Count
+					leafSq += int64(c) * int64(c)
+					widest = max(widest, c)
+				}
+				switch in.name {
+				case "one-leaf":
+					if len(es.T.Nodes) != 1 {
+						t.Fatalf("one-leaf molecule has %d nodes", len(es.T.Nodes))
 					}
-					switch in.name {
-					case "one-leaf":
-						if len(es.T.Nodes) != 1 {
-							t.Fatalf("one-leaf molecule has %d nodes", len(es.T.Nodes))
-						}
-					case "wide-leaf":
-						if widest <= epolTileCap {
-							t.Fatalf("widest leaf holds %d atoms, want > %d", widest, epolTileCap)
-						}
+				case "wide-leaf":
+					if widest <= epolTileCap {
+						t.Fatalf("widest leaf holds %d atoms, want > %d", widest, epolTileCap)
 					}
-					counters := func(label string, sym, ord Stats) {
-						t.Helper()
-						if 2*sym.FarEval != ord.FarEval {
-							t.Errorf("%s: FarEval %d, ordered %d, want exactly half", label, sym.FarEval, ord.FarEval)
-						}
-						if 2*sym.NearPairs-leafSq != ord.NearPairs {
-							t.Errorf("%s: NearPairs %d (Σ leaf n² = %d), ordered %d", label, sym.NearPairs, leafSq, ord.NearPairs)
-						}
+				}
+				counters := func(label string, sym, ord Stats) {
+					t.Helper()
+					if 2*sym.FarEval != ord.FarEval {
+						t.Errorf("%s: FarEval %d, ordered %d, want exactly half", label, sym.FarEval, ord.FarEval)
 					}
-					tol := 1e-12
-					if prec == Float32 {
-						tol = 1e-8
+					if 2*sym.NearPairs-leafSq != ord.NearPairs {
+						t.Errorf("%s: NearPairs %d (Σ leaf n² = %d), ordered %d", label, sym.NearPairs, leafSq, ord.NearPairs)
 					}
-					energy := func(label string, sym, ord float64) {
-						t.Helper()
-						if e := relErr(sym, ord); e > tol || math.IsNaN(sym) {
-							t.Errorf("%s: energy %v, ordered %v (rel %v)", label, sym, ord, e)
-						}
+				}
+				energy := func(label string, sym, ord float64) {
+					t.Helper()
+					if e := relErr(sym, ord); e > 1e-12 || math.IsNaN(sym) {
+						t.Errorf("%s: energy %v, ordered %v (rel %v)", label, sym, ord, e)
 					}
+				}
 
-					ordList := es.buildEpolDualOrderedList()
-					ordRaw, ordSt := es.EvalEpolList(ordList)
-					symRaw, symSt := es.EvalEpolList(es.BuildEpolDualList())
-					counters("list", symSt, ordSt)
-					energy("list", symRaw, ordRaw)
+				ordList := es.buildEpolDualOrderedList()
+				ordRaw, ordSt := es.EvalEpolList(ordList)
+				symRaw, symSt := es.EvalEpolList(es.BuildEpolDualList())
+				counters("list", symSt, ordSt)
+				energy("list", symRaw, ordRaw)
 
-					if prec == Float64 { // the recursion has no Float32 tier
-						var recSt Stats
-						recRaw := es.epolDualOrdered(0, 0, &recSt)
-						if recSt != ordSt {
-							t.Fatalf("oracle: ordered recursion %+v, ordered list %+v", recSt, ordSt)
-						}
-						dRaw, dSt := es.EnergyDual()
-						if dSt != symSt {
-							t.Errorf("stats: recursion %+v, list %+v", dSt, symSt)
-						}
-						energy("recursion", dRaw, recRaw)
-					}
-				})
-			}
+				var recSt Stats
+				recRaw := es.epolDualOrdered(0, 0, &recSt)
+				if recSt != ordSt {
+					t.Fatalf("oracle: ordered recursion %+v, ordered list %+v", recSt, ordSt)
+				}
+				dRaw, dSt := es.EnergyDual()
+				if dSt != symSt {
+					t.Errorf("stats: recursion %+v, list %+v", dSt, symSt)
+				}
+				energy("recursion", dRaw, recRaw)
+			})
 		}
 	}
 }
@@ -236,7 +223,6 @@ func TestStreamedEpolMatchesMaterialised(t *testing.T) {
 	for _, cfg := range []EpolConfig{
 		{Eps: 0.9},
 		{Eps: 0.5, Math: gb.Approximate},
-		{Eps: 0.9, Precision: Float32},
 	} {
 		es := NewEpolSolverFromMolecule(m, R, cfg)
 		want, wantSt := es.EvalEpolList(es.BuildEpolDualList())

@@ -29,24 +29,17 @@ import "math"
 // energy-relevant range (|x| ≲ 30) sees ≤ 5e-15 — three orders under the
 // 1e-12 flat-vs-recursive golden pins (the float64 recursive oracle keeps
 // calling math.Exp).
-//
-// expNeg32 is the float32-tier variant: 32-entry table, degree-3 tail,
-// ≈1e-7 + |x|·6e-8 relative — below the tier's own storage quantization.
 
 // expNegCut is where expNeg flushes to zero. exp(-200) ≈ 1.4e-87; the GB
 // pair term adds rr·e^x to d² ≥ 800·rr at that argument, so the flushed
 // tail is ~1e-90 of the surviving term — far below float64 resolution.
 // (The bit-assembled exponent would stay in the normal range down to
-// x ≈ -709; the cut just keeps a safety margin and matches the f32 tier's
-// shape.)
+// x ≈ -709; the cut just keeps a safety margin.)
 const expNegCut = -200.0
 
 const (
 	expL    = 0.0054152123481245727 // ln2/128, correctly rounded
 	expInvL = 184.66496523378731    // 128/ln2
-
-	exp32L    = 0.0216608495 // ln2/32, correctly rounded (float32)
-	exp32InvL = 46.1662407   // 32/ln2 (float32)
 )
 
 // expNeg returns e^x for x ≤ 0, flushing to 0 below expNegCut. It must
@@ -66,24 +59,6 @@ func expNeg(x float64) float64 {
 	sc := math.Float64frombits(uint64(ki&^127)<<45 + exp2Bits[ki&127])
 	r2 := r * r
 	p := r + r2*(0.5+r*(1.0/6+r*(1.0/24)))
-	return sc + sc*p
-}
-
-// exp32Cut is expNegCut's float32 analog: below it 2^k would leave the
-// normal float32 range (k < -126).
-const exp32Cut = -87.0
-
-// expNeg32 returns e^x for x ≤ 0 in float32; same construction as expNeg
-// with a 32-entry table and a degree-3 tail.
-func expNeg32(x float32) float32 {
-	if x < exp32Cut {
-		return 0
-	}
-	ki := int32(x*exp32InvL - 0.5)
-	r := x - float32(ki)*exp32L
-	sc := math.Float32frombits(uint32(ki&^31)<<18 + exp2Bits32[ki&31])
-	r2 := r * r
-	p := r + r2*(0.5+r*(1.0/6))
 	return sc + sc*p
 }
 
@@ -121,16 +96,4 @@ var exp2Bits = [128]uint64{
 	0x3ffdfc97337b9b5f, 0x3ffe264614f5a129, 0x3ffe502ee78b3ff6, 0x3ffe7a51fbc74c83,
 	0x3ffea4afa2a490da, 0x3ffecf482d8e67f1, 0x3ffefa1bee615a27, 0x3fff252b376bba97,
 	0x3fff50765b6e4540, 0x3fff7bfdad9cbe14, 0x3fffa7c1819e90d8, 0x3fffd3c22b8f71f1,
-}
-
-// exp2Bits32[j] = bits of 2^(j/32), correctly rounded (float32).
-var exp2Bits32 = [32]uint32{
-	0x3f800000, 0x3f82cd87, 0x3f85aac3, 0x3f88980f,
-	0x3f8b95c2, 0x3f8ea43a, 0x3f91c3d3, 0x3f94f4f0,
-	0x3f9837f0, 0x3f9b8d3a, 0x3f9ef532, 0x3fa27043,
-	0x3fa5fed7, 0x3fa9a15b, 0x3fad583f, 0x3fb123f6,
-	0x3fb504f3, 0x3fb8fbaf, 0x3fbd08a4, 0x3fc12c4d,
-	0x3fc5672a, 0x3fc9b9be, 0x3fce248c, 0x3fd2a81e,
-	0x3fd744fd, 0x3fdbfbb8, 0x3fe0ccdf, 0x3fe5b907,
-	0x3feac0c7, 0x3fefe4ba, 0x3ff5257d, 0x3ffa83b3,
 }

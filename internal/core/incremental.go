@@ -14,14 +14,13 @@ import (
 // groups:
 //
 //   - in-place mutators that keep every storage mirror (SoA, vector row
-//     tables, float32 tier) coherent with a moved point or a changed Born
-//     radius: SetAtomPoint, SetQPoint, SetPointMirrors, SetRadius,
-//     RefreshGeometry;
+//     tables) coherent with a moved point or a changed Born radius:
+//     SetAtomPoint, SetQPoint, SetPointMirrors, SetRadius, RefreshGeometry;
 //   - per-entry scalar evaluators with the exact arithmetic of the flat
 //     Range kernels, so a value recomputed alone is bitwise the value a
-//     full sweep produces: BornFarTerm, EpolFarTerm, BornRadiusFromSums
-//     (EvalBornNearPair / EvalEpolNearPair in lists.go already qualify —
-//     they always take the scalar run path, never the vectorized one);
+//     full sweep produces: BornFarTerm, BornRadiusFromSums (EvalEpolFarPair
+//     and EvalEpolNearPair in lists.go already qualify — the latter always
+//     takes the scalar run path, never the vectorized one);
 //   - the row-major batched near evaluator EvalBornRowBlocks, which fills
 //     one T_A leaf's block against each of a list of q-leaves with the
 //     bits EvalBornNearRange gives the same entry alone;
@@ -40,15 +39,12 @@ func SlackMargin(r, slackFactor, minSlack float64) float64 {
 }
 
 // SetAtomPoint overwrites atom i's position (T_A tree order) in place,
-// updating the octree point storage, its SoA mirrors, and the float32 tier.
+// updating the octree point storage and its SoA mirrors.
 // Node geometry is intentionally NOT touched — it stays frozen until
 // RefreshGeometry — so far-field classifications and cached far values
 // remain exactly reproducible between refreshes.
 func (s *BornSolver) SetAtomPoint(i int32, p geom.Vec3) {
 	s.TA.SetPoint(i, p)
-	if s.f32 != nil {
-		s.f32.ax[i], s.f32.ay[i], s.f32.az[i] = float32(p.X), float32(p.Y), float32(p.Z)
-	}
 }
 
 // SetQPoint overwrites q-point i's position (T_Q tree order) in place,
@@ -57,15 +53,12 @@ func (s *BornSolver) SetAtomPoint(i int32, p geom.Vec3) {
 // q-points rigidly with their owning atom.
 func (s *BornSolver) SetQPoint(i int32, p geom.Vec3) {
 	s.TQ.SetPoint(i, p)
-	if s.f32 != nil {
-		s.f32.qx[i], s.f32.qy[i], s.f32.qz[i] = float32(p.X), float32(p.Y), float32(p.Z)
-	}
 }
 
 // RefreshGeometry refits both octrees' node bounds to the current point
-// positions and repacks every mirror derived from node geometry (the
-// far-kernel center table and the float32 tier). Per-node ñ_Q aggregates
-// are position independent and stay. This is the structural-refresh step of
+// positions and repacks the mirror derived from node geometry (the
+// far-kernel center table). Per-node ñ_Q aggregates are position
+// independent and stay. This is the structural-refresh step of
 // a session epoch: after it, far-field classifications and cached far
 // values must be rebuilt by the caller.
 func (s *BornSolver) RefreshGeometry() {
@@ -75,26 +68,13 @@ func (s *BornSolver) RefreshGeometry() {
 		c := s.TA.Nodes[n].Center
 		s.aCent[4*n], s.aCent[4*n+1], s.aCent[4*n+2] = c.X, c.Y, c.Z
 	}
-	if s.f32 != nil {
-		s.f32 = newBornSoA32(s)
-	}
 }
 
 // BornFarTerm evaluates one far-field list entry — the pseudo q-point ñ_Q
 // at Q's frozen center against the pseudo atom at A's frozen center — with
-// exactly the arithmetic of EvalBornFarRange (including the float32 tier's
-// mirror arithmetic), so a term recomputed in isolation is bitwise the term
-// a full far sweep contributes.
+// exactly the arithmetic of EvalBornFarRange, so a term recomputed in
+// isolation is bitwise the term a full far sweep contributes.
 func (s *BornSolver) BornFarTerm(a, q int32) float64 {
-	if s.f32 != nil {
-		m := s.f32
-		dx, dy, dz := m.qcx[q]-m.acx[a], m.qcy[q]-m.acy[a], m.qcz[q]-m.acz[a]
-		d2 := dx*dx + dy*dy + dz*dz
-		if s.r4 {
-			return float64((m.wnx[q]*dx + m.wny[q]*dy + m.wnz[q]*dz) * (1 / (d2 * d2)))
-		}
-		return float64((m.wnx[q]*dx + m.wny[q]*dy + m.wnz[q]*dz) * (1 / (d2 * d2 * d2)))
-	}
 	dx := s.TQ.CX[q] - s.TA.CX[a]
 	dy := s.TQ.CY[q] - s.TA.CY[a]
 	dz := s.TQ.CZ[q] - s.TA.CZ[a]
@@ -122,10 +102,10 @@ func (s *BornSolver) BornRadiusFromSums(i int32, sum float64) float64 {
 // row order — to out[k·Count(a) : (k+1)·Count(a)]. It is the row-major
 // counterpart of a driver's EvalBornNearRange call: there one q-tile sweeps
 // many A-leaves, here one A-leaf meets many q-tiles, and the per-call work
-// (tile buffer, kernel argument block, tier dispatch) is done once for the
-// whole list instead of once per entry. Each block carries exactly the bits
+// (tile buffer, kernel argument block) is done once for the whole list
+// instead of once per entry. Each block carries exactly the bits
 // EvalBornNearRange produces for the one-entry list {(a, q)} into a zeroed
-// accumulator, on either path and either storage tier.
+// accumulator, on the vector and the scalar path alike.
 func (s *BornSolver) EvalBornRowBlocks(a int32, qLeaves []int32, out []float64) {
 	alo, ahi := s.TA.PointRange(a)
 	cnt := int(ahi - alo)
@@ -134,18 +114,13 @@ func (s *BornSolver) EvalBornRowBlocks(a int32, qLeaves []int32, out []float64) 
 		return
 	}
 	clear(out)
-	if hasAVX2FMA && s.f32 == nil {
+	if hasAVX2FMA {
 		s.evalBornRowBlocksVec(a, qLeaves, out)
 		return
 	}
 	one := [1]NodePair{{A: a}} // the run kernels read only an entry's A side
 	for k, ql := range qLeaves {
-		q := s.TQ.LeafIdx[ql]
-		if s.f32 != nil {
-			s.evalBornNearRunF32(one[:], q, out[k*cnt:(k+1)*cnt], alo)
-		} else {
-			s.evalBornNearRun(one[:], q, out[k*cnt:(k+1)*cnt], alo)
-		}
+		s.evalBornNearRun(one[:], s.TQ.LeafIdx[ql], out[k*cnt:(k+1)*cnt], alo)
 	}
 }
 
@@ -210,41 +185,23 @@ func (s *BornSolver) BuildBornDriverSlack(l *InteractionList, qLeaf int32, ballC
 }
 
 // SetPointMirrors overwrites atom i's position in the energy solver's OWN
-// storage mirrors (the vector row table and the float32 tier). The shared
-// octree itself is patched once via BornSolver.SetAtomPoint — the two
-// solvers share the atoms tree — so this covers exactly the mirrors that
-// tree patch cannot reach.
+// storage mirror, the vector row table. The shared octree itself is patched
+// once via BornSolver.SetAtomPoint — the two solvers share the atoms tree —
+// so this covers exactly the mirror that tree patch cannot reach.
 func (s *EpolSolver) SetPointMirrors(i int32, p geom.Vec3) {
 	s.uPos[4*i], s.uPos[4*i+1], s.uPos[4*i+2] = p.X, p.Y, p.Z
-	if s.f32 != nil {
-		s.f32.x[i], s.f32.y[i], s.f32.z[i] = float32(p.X), float32(p.Y), float32(p.Z)
-	}
 }
 
-// SetRadius overwrites atom i's Born radius (tree order), keeping invR, the
-// vector row table and the float32 tier coherent. The charge-by-radius
-// BINS are deliberately left at their epoch values: bins are a coarse
-// geometric aggregation (ratio 1+ε) and rebinning mid-epoch would make
-// far-field values depend on update history; the session rebuilds the
-// solver — fresh binning included — at every structural refresh instead.
+// SetRadius overwrites atom i's Born radius (tree order), keeping invR and
+// the vector row table coherent. The charge-by-radius BINS are deliberately
+// left at their epoch values: bins are a coarse geometric aggregation
+// (ratio 1+ε) and rebinning mid-epoch would make far-field values depend on
+// update history; the session rebuilds the solver — fresh binning
+// included — at every structural refresh instead.
 func (s *EpolSolver) SetRadius(i int32, r float64) {
 	s.R[i] = r
 	s.invR[i] = 1 / r
 	s.uQRG[4*i+1], s.uQRG[4*i+2] = r, -0.25*s.invR[i]
-	if s.f32 != nil {
-		s.f32.r[i], s.f32.ir[i] = float32(r), float32(1/r)
-	}
-}
-
-// EpolFarTerm evaluates one far-field bin-pair entry with the same
-// dispatch the range evaluator uses (float32 mirrors on the reduced tier,
-// Approximate or Exact math otherwise), so a cached far value equals what
-// a full far sweep would contribute, bit for bit.
-func (s *EpolSolver) EpolFarTerm(u, v int32) float64 {
-	if s.f32 != nil {
-		return s.evalEpolFarPairF32(u, v)
-	}
-	return s.EvalEpolFarPair(u, v)
 }
 
 // BuildEpolDriverSlack runs the single-driver APPROX-EPOL traversal for

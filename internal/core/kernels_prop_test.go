@@ -8,20 +8,14 @@ import (
 
 // Property suite for the hand-vectorized flat kernels: tile-boundary leaf
 // sizes against the recursive oracle, vector-vs-scalar dispatch parity,
-// the float32 tier's error budget, and allocation-freedom pins.
-
-// f32Budget bounds the reduced-precision tier against the f64 recursive
-// oracle. The tier stores inputs in float32 (~1.2e-7 ulp) and accumulates
-// in float64; the observed worst case is ~3e-7, so 5e-6 leaves headroom
-// without letting a broken kernel through.
-const f32Budget = 5e-6
+// and allocation-freedom pins.
 
 // TestFlatKernelsTileBoundarySizes sweeps octree leaf capacities that sit
 // on the vector kernels' tile and unroll boundaries (tile cap 64, lane
 // width 4): leaves of size 1, unroll−1/unroll/unroll+1, a non-multiple of
 // the unroll, and cap−1/cap/cap+1 (the latter falling back to the scalar
 // run path). Every combination must reproduce the recursive oracle to
-// 1e-12 (f64) and stay inside the tier budget (f32).
+// 1e-12.
 func TestFlatKernelsTileBoundarySizes(t *testing.T) {
 	leafSizes := []int{1, 3, 4, 5, 7, 63, 64, 65}
 	if testing.Short() {
@@ -39,27 +33,12 @@ func TestFlatKernelsTileBoundarySizes(t *testing.T) {
 					for l := 0; l < bs.NumQLeaves(); l++ {
 						bs.AccumulateQLeaf(l, rn, ra)
 					}
-					rRad := make([]float64, m.N())
-					bs.PushIntegrals(rn, ra, 0, int32(m.N()), rRad)
 
 					list := bs.BuildBornList(0, bs.NumQLeaves())
 					fn, fa := bs.NewAccumulators()
 					bs.EvalBornList(list, fn, fa)
 					assertClose(t, fmt.Sprintf("r%d sNode", exp), fn, rn)
 					assertClose(t, fmt.Sprintf("r%d sAtom", exp), fa, ra)
-
-					cfg.Precision = Float32
-					bs32 := NewBornSolver(m, q, cfg)
-					list32 := bs32.BuildBornList(0, bs32.NumQLeaves())
-					gn, ga := bs32.NewAccumulators()
-					bs32.EvalBornList(list32, gn, ga)
-					gRad := make([]float64, m.N())
-					bs32.PushIntegrals(gn, ga, 0, int32(m.N()), gRad)
-					for i := range gRad {
-						if e := relErr(gRad[i], rRad[i]); e > f32Budget {
-							t.Fatalf("r%d f32 radius[%d]: %v vs %v (rel %v)", exp, i, gRad[i], rRad[i], e)
-						}
-					}
 				}
 
 				R := treecodeRadii(m, q)
@@ -73,13 +52,6 @@ func TestFlatKernelsTileBoundarySizes(t *testing.T) {
 				fRaw, _ := es.EvalEpolList(list)
 				if e := relErr(fRaw, rRaw); e > 1e-12 {
 					t.Fatalf("epol energy: flat %v vs recursive %v (rel %v)", fRaw, rRaw, e)
-				}
-
-				es32 := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9, LeafSize: leaf, Precision: Float32})
-				list32 := es32.BuildEpolList(0, es32.NumLeaves())
-				gRaw, _ := es32.EvalEpolList(list32)
-				if e := relErr(gRaw, rRaw); e > f32Budget {
-					t.Fatalf("epol f32 energy: %v vs %v (rel %v)", gRaw, rRaw, e)
 				}
 			})
 		}
@@ -127,15 +99,13 @@ func TestBornNearVecMatchesScalar(t *testing.T) {
 // per-entry call it replaces in the session: for an A-leaf and a list of
 // q-leaves, block k must carry the bits EvalBornNearRange leaves in a zeroed
 // accumulator for the one-entry list {(a, q_k)} — on the vector and the
-// pure-Go path, for both integrands, on the float32 tier, with q-leaves
-// wider than bornTileCap (the vector path's scalar fallback), and for an
+// pure-Go path, for both integrands, with q-leaves wider than bornTileCap (the vector path's scalar fallback), and for an
 // empty partner list.
 func TestBornRowBlocksMatchPerEntry(t *testing.T) {
 	m, q := testMol(600, 83)
 	for _, cfg := range []BornConfig{
 		{Eps: 0.9},
 		{Eps: 0.9, Exponent: 4},
-		{Eps: 0.9, Precision: Float32},
 		{Eps: 0.9, LeafSize: 3 * bornTileCap}, // q-leaves up to 192 points wide
 	} {
 		bs := NewBornSolver(m, q, cfg)
@@ -206,66 +176,25 @@ func TestEpolNearVecMatchesScalar(t *testing.T) {
 }
 
 // TestKernelEvalZeroAllocs pins the flat evaluation hot paths at exactly
-// zero allocations per pass once the lists and accumulators exist, in
-// both storage tiers.
+// zero allocations per pass once the lists and accumulators exist.
 func TestKernelEvalZeroAllocs(t *testing.T) {
 	m, q := testMol(2000, 83)
 	R := treecodeRadii(m, q)
-	for _, prec := range []Precision{Float64, Float32} {
-		bs := NewBornSolver(m, q, BornConfig{Eps: 0.9, Precision: prec})
-		bList := bs.BuildBornList(0, bs.NumQLeaves())
-		sN, sA := bs.NewAccumulators()
-		if allocs := testing.AllocsPerRun(3, func() {
-			bs.EvalBornList(bList, sN, sA)
-		}); allocs != 0 {
-			t.Errorf("%v EvalBornList: %v allocs/op, want 0", prec, allocs)
-		}
-
-		es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9, Precision: prec})
-		eList := es.BuildEpolList(0, es.NumLeaves())
-		if allocs := testing.AllocsPerRun(3, func() {
-			raw, _ := es.EvalEpolList(eList)
-			_ = raw
-		}); allocs != 0 {
-			t.Errorf("%v EvalEpolList: %v allocs/op, want 0", prec, allocs)
-		}
-	}
-}
-
-// TestF32TierWithinBudget checks the reduced-precision tier end to end at
-// a realistic size: per-atom Born radii and the total energy against the
-// f64 solvers.
-func TestF32TierWithinBudget(t *testing.T) {
-	m, q := testMol(2000, 89)
 	bs := NewBornSolver(m, q, BornConfig{Eps: 0.9})
+	bList := bs.BuildBornList(0, bs.NumQLeaves())
 	sN, sA := bs.NewAccumulators()
-	bs.EvalBornList(bs.BuildBornList(0, bs.NumQLeaves()), sN, sA)
-	rad := make([]float64, m.N())
-	bs.PushIntegrals(sN, sA, 0, int32(m.N()), rad)
-
-	bs32 := NewBornSolver(m, q, BornConfig{Eps: 0.9, Precision: Float32})
-	gN, gA := bs32.NewAccumulators()
-	bs32.EvalBornList(bs32.BuildBornList(0, bs32.NumQLeaves()), gN, gA)
-	rad32 := make([]float64, m.N())
-	bs32.PushIntegrals(gN, gA, 0, int32(m.N()), rad32)
-	worst := 0.0
-	for i := range rad {
-		if e := relErr(rad32[i], rad[i]); e > worst {
-			worst = e
-		}
-	}
-	if worst > f32Budget {
-		t.Errorf("f32 Born radii: worst rel err %v > %v", worst, f32Budget)
+	if allocs := testing.AllocsPerRun(3, func() {
+		bs.EvalBornList(bList, sN, sA)
+	}); allocs != 0 {
+		t.Errorf("EvalBornList: %v allocs/op, want 0", allocs)
 	}
 
-	es := NewEpolSolverFromMolecule(m, rad, EpolConfig{Eps: 0.9})
-	raw, _ := es.EvalEpolList(es.BuildEpolList(0, es.NumLeaves()))
-	es32 := NewEpolSolverFromMolecule(m, rad, EpolConfig{Eps: 0.9, Precision: Float32})
-	raw32, _ := es32.EvalEpolList(es32.BuildEpolList(0, es32.NumLeaves()))
-	if e := relErr(raw32, raw); e > f32Budget {
-		t.Errorf("f32 energy: rel err %v > %v (raw %v vs %v)", e, f32Budget, raw32, raw)
-	}
-	if math.IsNaN(raw32) {
-		t.Error("f32 energy is NaN")
+	es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9})
+	eList := es.BuildEpolList(0, es.NumLeaves())
+	if allocs := testing.AllocsPerRun(3, func() {
+		raw, _ := es.EvalEpolList(eList)
+		_ = raw
+	}); allocs != 0 {
+		t.Errorf("EvalEpolList: %v allocs/op, want 0", allocs)
 	}
 }

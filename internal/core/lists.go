@@ -252,18 +252,6 @@ func (s *BornSolver) evalBornTile(tile *InteractionList, sNode, sAtom []float64)
 	tile.Near, tile.Far = tile.Near[:0], tile.Far[:0]
 }
 
-// EvalBornNearPair evaluates one near-field list entry exactly: every
-// q-point under q against every atom under the T_A leaf a, accumulating
-// into sAtom (tree order).
-func (s *BornSolver) EvalBornNearPair(a, q int32, sAtom []float64) {
-	one := [1]NodePair{{a, q}}
-	if s.f32 != nil {
-		s.evalBornNearRunF32(one[:], q, sAtom, 0)
-		return
-	}
-	s.evalBornNearRun(one[:], q, sAtom, 0)
-}
-
 // EvalBornNearRange evaluates the near entries [lo, hi) of the list.
 // Entries accumulate into disjoint sAtom rows only when their T_A leaves
 // are disjoint; parallel callers must partition entries, not rows.
@@ -275,7 +263,7 @@ func (s *BornSolver) EvalBornNearPair(a, q int32, sAtom []float64) {
 // the run. Accumulation order is identical to the entry-at-a-time form.
 func (s *BornSolver) EvalBornNearRange(l *InteractionList, lo, hi int, sAtom []float64) {
 	near := l.Near[lo:hi]
-	if hasAVX2FMA && s.f32 == nil && len(near) > 0 {
+	if hasAVX2FMA && len(near) > 0 {
 		s.evalBornNearRangeVec(near, sAtom)
 		return
 	}
@@ -285,11 +273,7 @@ func (s *BornSolver) EvalBornNearRange(l *InteractionList, lo, hi int, sAtom []f
 		for run < len(near) && near[run].B == q {
 			run++
 		}
-		if s.f32 != nil {
-			s.evalBornNearRunF32(near[:run], q, sAtom, 0)
-		} else {
-			s.evalBornNearRun(near[:run], q, sAtom, 0)
-		}
+		s.evalBornNearRun(near[:run], q, sAtom, 0)
 		near = near[run:]
 	}
 }
@@ -355,10 +339,6 @@ func (s *BornSolver) evalBornNearRun(entries []NodePair, q int32, sAtom []float6
 // mirrors rather than via the recursion's sqrt (the values differ from
 // the oracle only in the last couple of ulps).
 func (s *BornSolver) EvalBornFarRange(l *InteractionList, lo, hi int, sNode []float64) {
-	if s.f32 != nil {
-		s.evalBornFarRangeF32(l, lo, hi, sNode)
-		return
-	}
 	if hasAVX2FMA && lo < hi {
 		s.evalBornFarRangeVec(l.Far[lo:hi], sNode)
 		return
@@ -565,13 +545,15 @@ func (s *EpolSolver) nnz(n int32) int64 {
 // counts for in its list is applied by the range kernels.
 func (s *EpolSolver) EvalEpolNearPair(u, v int32) float64 {
 	one := [1]NodePair{{u, v}}
-	switch {
-	case s.f32 != nil:
-		return s.evalEpolNearRunF32(one[:], v)
-	case s.cfg.Math == gb.Approximate:
-		return s.evalEpolNearRunApprox(one[:], v)
+	return s.evalEpolNearRunScalar(one[:], v)
+}
+
+// evalEpolNearRunScalar is the non-vector run kernel in the configured math.
+func (s *EpolSolver) evalEpolNearRunScalar(entries []NodePair, v int32) float64 {
+	if s.cfg.Math == gb.Approximate {
+		return s.evalEpolNearRunApprox(entries, v)
 	}
-	return s.evalEpolNearRun(one[:], v)
+	return s.evalEpolNearRun(entries, v)
 }
 
 // evalEpolNearRun evaluates a run of near entries sharing the v-leaf v in
@@ -752,22 +734,14 @@ func (s *EpolSolver) EvalEpolFarPair(u, v int32) float64 {
 // sum counts twice unless it is a leaf's self pair (epolRun).
 func (s *EpolSolver) EvalEpolNearRange(l *InteractionList, lo, hi int) float64 {
 	near := l.Near[lo:hi]
-	if hasAVX2FMA && s.f32 == nil && s.cfg.Math != gb.Approximate &&
-		len(near) > 0 && len(s.uPos) > 0 {
+	if hasAVX2FMA && s.cfg.Math != gb.Approximate && len(near) > 0 && len(s.uPos) > 0 {
 		return s.evalEpolNearRangeVec(near, l.symmetric)
 	}
 	var sum float64
 	for len(near) > 0 {
 		v := near[0].B
 		run, w := epolRun(near, l.symmetric)
-		switch {
-		case s.f32 != nil:
-			sum += w * s.evalEpolNearRunF32(near[:run], v)
-		case s.cfg.Math == gb.Approximate:
-			sum += w * s.evalEpolNearRunApprox(near[:run], v)
-		default:
-			sum += w * s.evalEpolNearRun(near[:run], v)
-		}
+		sum += w * s.evalEpolNearRunScalar(near[:run], v)
 		near = near[run:]
 	}
 	return sum
@@ -807,32 +781,19 @@ func (s *EpolSolver) EvalEpolNearEntryValues(near []NodePair, idxs []int32, out 
 	if len(near) == 0 {
 		return
 	}
-	if hasAVX2FMA && s.f32 == nil && s.cfg.Math != gb.Approximate && len(s.uPos) > 0 {
+	if hasAVX2FMA && s.cfg.Math != gb.Approximate && len(s.uPos) > 0 {
 		s.evalEpolNearEntryValuesVec(near, idxs, out)
 		return
 	}
 	v := near[0].B
 	if idxs == nil {
 		for k := range near {
-			out[k] = s.evalEpolNearEntryScalar(near, k, v)
+			out[k] = s.evalEpolNearRunScalar(near[k:k+1], v)
 		}
 		return
 	}
 	for _, k := range idxs {
-		out[k] = s.evalEpolNearEntryScalar(near, int(k), v)
-	}
-}
-
-// evalEpolNearEntryScalar is the non-vector single-entry evaluation, with
-// exactly the dispatch EvalEpolNearRange applies to a one-entry range.
-func (s *EpolSolver) evalEpolNearEntryScalar(near []NodePair, k int, v int32) float64 {
-	switch {
-	case s.f32 != nil:
-		return s.evalEpolNearRunF32(near[k:k+1], v)
-	case s.cfg.Math == gb.Approximate:
-		return s.evalEpolNearRunApprox(near[k:k+1], v)
-	default:
-		return s.evalEpolNearRun(near[k:k+1], v)
+		out[k] = s.evalEpolNearRunScalar(near[k:k+1], v)
 	}
 }
 
@@ -840,14 +801,8 @@ func (s *EpolSolver) evalEpolNearEntryScalar(near []NodePair, k int, v int32) fl
 // in a symmetric list, whose far entries are all mutual pairs.
 func (s *EpolSolver) EvalEpolFarRange(l *InteractionList, lo, hi int) float64 {
 	var sum float64
-	if s.f32 != nil {
-		for _, p := range l.Far[lo:hi] {
-			sum += s.evalEpolFarPairF32(p.A, p.B)
-		}
-	} else {
-		for _, p := range l.Far[lo:hi] {
-			sum += s.EvalEpolFarPair(p.A, p.B)
-		}
+	for _, p := range l.Far[lo:hi] {
+		sum += s.EvalEpolFarPair(p.A, p.B)
 	}
 	if l.symmetric {
 		sum *= 2

@@ -9,14 +9,13 @@ import (
 // TestStreamedBornMatchesMaterialised holds the engines' streamed Born phase
 // to the materialised form it replaced: the same Stats and, because tiles
 // are cut only where every accumulator keeps its addition order, the same
-// bits in sNode and sAtom — for both traversals, both integrands, both
-// storage tiers, and any tile size from one entry to the whole list.
+// bits in sNode and sAtom — for both traversals, both integrands, and any
+// tile size from one entry to the whole list.
 func TestStreamedBornMatchesMaterialised(t *testing.T) {
 	m, q := testMol(1200, 77)
 	for _, cfg := range []BornConfig{
 		{Eps: 0.9},
 		{Eps: 0.5, Exponent: 4},
-		{Eps: 0.9, Precision: Float32},
 		{Eps: 0.9, LeafSize: 5},
 	} {
 		bs := NewBornSolver(m, q, cfg)

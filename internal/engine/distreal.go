@@ -81,14 +81,13 @@ type distDataSetup struct {
 func newDistDataSetup(pr *Problem, P int, o Options) *distDataSetup {
 	s := &distDataSetup{}
 	// Born radii via the standard replicated pipeline.
-	bc := core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize, Precision: o.Precision}
-	bs := core.NewBornSolver(pr.Mol, pr.QPts, bc)
+	bs := core.NewBornSolver(pr.Mol, pr.QPts, o.bornConfig())
 	sNode, sAtom := bs.NewAccumulators()
 	bs.StreamBornLeaves(new(core.InteractionList), 0, bs.NumQLeaves(), sNode, sAtom)
 	rTree := make([]float64, pr.Mol.N())
 	bs.PushIntegrals(sNode, sAtom, 0, int32(pr.Mol.N()), rTree)
 	R := bs.RadiiToOriginal(rTree)
-	s.full = core.NewEpolSolver(bs.TA, pr.Charges, R, core.EpolConfig{Eps: o.EpolEps, Math: o.Math, Precision: o.Precision})
+	s.full = core.NewEpolSolver(bs.TA, pr.Charges, R, o.epolConfig())
 
 	nLeaves := s.full.NumLeaves()
 	s.segs = partition.Even(nLeaves, P)

@@ -66,13 +66,6 @@ type Options struct {
 	BornEps, EpolEps float64
 	// Math selects exact or approximate sqrt/exp.
 	Math gb.MathMode
-	// Precision selects the flat kernels' storage tier: core.Float64 (the
-	// default, oracle-parity) or core.Float32 (float32 storage and
-	// arithmetic with float64 accumulation — ~1e-6 relative error for
-	// half the hot-path memory traffic; see DESIGN.md §11). Applies to
-	// both phases: Prepare builds the Born solver's mirrors, EvalEpol the
-	// energy solver's.
-	Precision core.Precision
 	// LeafSize is the octree leaf capacity (0 = default).
 	LeafSize int
 	// CriterionPower selects the Born well-separatedness criterion
@@ -124,6 +117,16 @@ func (o Options) withDefaults(k Kind) Options {
 		o.Threads = 1
 	}
 	return o
+}
+
+// bornConfig and epolConfig are the one spelling of the solver
+// configurations every engine, Prepare and the session build from.
+func (o Options) bornConfig() core.BornConfig {
+	return core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize}
+}
+
+func (o Options) epolConfig() core.EpolConfig {
+	return core.EpolConfig{Eps: o.EpolEps, Math: o.Math}
 }
 
 // Validate rejects inconsistent option combinations early.

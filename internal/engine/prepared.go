@@ -66,9 +66,8 @@ func NewProblemFromSurface(mol *molecule.Molecule, qpts []surface.QPoint) *Probl
 // with (*Prepared).evalEpol, so the cold path and the cached path execute
 // identical code.
 func prepareCilk(pr *Problem, o Options) *Prepared {
-	bc := core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize, Precision: o.Precision}
 	buildStart := time.Now()
-	bs := core.NewBornSolver(pr.Mol, pr.QPts, bc)
+	bs := core.NewBornSolver(pr.Mol, pr.QPts, o.bornConfig())
 	observeBuild(o.Observe, buildStart, time.Since(buildStart))
 	pool := sched.NewPool(o.Threads)
 	n := pr.Mol.N()
@@ -131,7 +130,7 @@ func (p *Prepared) evalEpol(o Options) RealReport {
 		BornRadii: p.BornRadii,
 		BornStats: p.BornStats,
 	}
-	es := core.NewEpolSolver(p.bs.TA, p.Pr.Charges, p.BornRadii, core.EpolConfig{Eps: o.EpolEps, Math: o.Math, Precision: o.Precision})
+	es := core.NewEpolSolver(p.bs.TA, p.Pr.Charges, p.BornRadii, o.epolConfig())
 	pool := sched.NewPool(o.Threads)
 	// As in the Born phase, the frontier pairs are the units: each chunk of
 	// them is completed by streaming its part of the dual traversal through

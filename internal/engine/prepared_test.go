@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"octgb/internal/core"
 	"octgb/internal/molecule"
 	"octgb/internal/surface"
 )
@@ -184,19 +183,17 @@ func liveHeap() int64 {
 // q-points, both octrees and the solver's coordinate streams — measured as
 // the live-heap growth of building one, to within 10 %.
 func TestPreparedMemoryBytesIsTheLiveHeap(t *testing.T) {
-	for _, prec := range []core.Precision{core.Float64, core.Float32} {
-		before := liveHeap()
-		mol := molecule.GenerateProtein("heap", 2000, 9)
-		p, err := Prepare(NewProblem(mol, surface.Default()), Options{Threads: 1, Precision: prec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		held := liveHeap() - before
-		got := p.MemoryBytes()
-		t.Logf("%v: MemoryBytes %d, live heap %d (%.3f)", prec, got, held, float64(got)/float64(held))
-		if d := float64(got-held) / float64(held); d < -0.10 || d > 0.10 {
-			t.Errorf("%v: MemoryBytes = %d, live heap grew by %d (%+.1f%%), want within 10%%", prec, got, held, 100*d)
-		}
-		runtime.KeepAlive(p)
+	before := liveHeap()
+	mol := molecule.GenerateProtein("heap", 2000, 9)
+	p, err := Prepare(NewProblem(mol, surface.Default()), Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	held := liveHeap() - before
+	got := p.MemoryBytes()
+	t.Logf("MemoryBytes %d, live heap %d (%.3f)", got, held, float64(got)/float64(held))
+	if d := float64(got-held) / float64(held); d < -0.10 || d > 0.10 {
+		t.Errorf("MemoryBytes = %d, live heap grew by %d (%+.1f%%), want within 10%%", got, held, 100*d)
+	}
+	runtime.KeepAlive(p)
 }

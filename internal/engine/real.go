@@ -191,9 +191,8 @@ func runCilkReal(pr *Problem, o Options) RealReport {
 func RunRank(c cluster.Comm, pr *Problem, o Options) (RealReport, error) {
 	o = o.withDefaults(OctMPICilk)
 	o.Ranks = c.Size()
-	bc := core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize, Precision: o.Precision}
 	buildStart := time.Now()
-	bs := core.NewBornSolver(pr.Mol, pr.QPts, bc)
+	bs := core.NewBornSolver(pr.Mol, pr.QPts, o.bornConfig())
 	observeBuild(o.Observe, buildStart, time.Since(buildStart))
 	rep, err := runRank(c, bs, pr, o)
 	if err == nil {
@@ -207,9 +206,8 @@ func RunRank(c cluster.Comm, pr *Problem, o Options) (RealReport, error) {
 func runDistributedReal(pr *Problem, o Options) (RealReport, error) {
 	// Step 1: octrees. Built once; immutable thereafter (in-process ranks
 	// share them, see RunReal doc).
-	bc := core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize, Precision: o.Precision}
 	buildStart := time.Now()
-	bs := core.NewBornSolver(pr.Mol, pr.QPts, bc)
+	bs := core.NewBornSolver(pr.Mol, pr.QPts, o.bornConfig())
 	observeBuild(o.Observe, buildStart, time.Since(buildStart))
 	P := o.Ranks
 
@@ -301,7 +299,7 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 		counts[r] = partition.ForRank(n, P, r).Len()
 	}
 	rFull := make([]float64, n)
-	ecfg := core.EpolConfig{Eps: o.EpolEps, Math: o.Math, Precision: o.Precision}
+	ecfg := o.epolConfig()
 	lseg := partition.ForRank(bs.TA.NumLeaves(), P, rank)
 	req := c.IAllgatherv(rTree[aseg.Lo:aseg.Hi], counts, rFull)
 	list := core.BuildEpolSkeletonInto(new(core.InteractionList), bs.TA, core.EpolSeparation(ecfg), lseg.Lo, lseg.Hi)

@@ -93,7 +93,6 @@ type Session struct {
 
 	mol     *molecule.Molecule // session-owned copy, current positions
 	charges []float64
-	ecfg    core.EpolConfig
 
 	bs *core.BornSolver
 	es *core.EpolSolver
@@ -254,8 +253,8 @@ type SessionOptions struct {
 	// Surf is the surface sampling used once at session creation.
 	Surf surface.Options
 	// Eval supplies the engine parameters (BornEps, EpolEps, Math,
-	// Precision, LeafSize, CriterionPower). Parallel/distributed fields
-	// are ignored — a session evaluates serially, its work being O(dirty).
+	// LeafSize, CriterionPower). Parallel/distributed fields are ignored —
+	// a session evaluates serially, its work being O(dirty).
 	Eval Options
 	// ResweepEvery forces a full value resweep every k-th frame (≤0 → 64).
 	// The resweep recomputes every cached value from current positions in
@@ -368,11 +367,7 @@ func NewSession(mol *molecule.Molecule, o SessionOptions) (*Session, error) {
 	for i := range m.Atoms {
 		ss.charges[i] = m.Atoms[i].Charge
 	}
-	ss.ecfg = core.EpolConfig{Eps: eo.EpolEps, Math: eo.Math, Precision: eo.Precision}
-	ss.bs = core.NewBornSolver(m, qpts, core.BornConfig{
-		Eps: eo.BornEps, CriterionPower: eo.CriterionPower,
-		LeafSize: eo.LeafSize, Precision: eo.Precision,
-	})
+	ss.bs = core.NewBornSolver(m, qpts, eo.bornConfig())
 	ta, tq := ss.bs.TA, ss.bs.TQ
 
 	ss.aInv = ta.InvPerm()
@@ -478,9 +473,6 @@ func (ss *Session) NumAtoms() int { return len(ss.mol.Atoms) }
 
 // NumQPoints returns the surface quadrature point count.
 func (ss *Session) NumQPoints() int { return len(ss.qOff) }
-
-// Precision returns the storage tier the session evaluates on.
-func (ss *Session) Precision() core.Precision { return ss.eo.Precision }
 
 // Step advances the stream by one frame: apply the delta, re-derive what
 // the slack margins invalidated, recompute exactly the dirty values, and
@@ -1087,7 +1079,7 @@ func (ss *Session) recomputeEpolFar(vl int) {
 	vNode := ss.bs.TA.LeafIdx[vl]
 	var sum float64
 	for _, u := range ss.epolFar[vl] {
-		sum += ss.es.EpolFarTerm(u, vNode)
+		sum += ss.es.EvalEpolFarPair(u, vNode)
 	}
 	ss.farVal[vl] = sum
 }
@@ -1177,7 +1169,7 @@ func (ss *Session) rebuildStructure() {
 
 	// Fresh energy solver: re-bins charges against the current (exact)
 	// radii and rebuilds every mirror from the current positions.
-	ss.es = core.NewEpolSolver(ta, ss.charges, ss.bs.RadiiToOriginal(ss.rTree), ss.ecfg)
+	ss.es = core.NewEpolSolver(ta, ss.charges, ss.bs.RadiiToOriginal(ss.rTree), ss.eo.epolConfig())
 	nVals := 0
 	for vl, aLeaf := range ta.LeafIdx {
 		c, r := currentBall(ta, aLeaf)

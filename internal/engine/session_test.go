@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"octgb/internal/core"
 	"octgb/internal/geom"
 	"octgb/internal/molecule"
 	"octgb/internal/surface"
@@ -91,9 +90,9 @@ func runStream(t *testing.T, mol *molecule.Molecule, o SessionOptions, frames []
 // session with ResweepEvery=k (incremental between resweeps) must match
 // the ResweepEvery=1 session (every frame fully resummed — the
 // from-scratch oracle over the same deterministically evolving structure)
-// bit for bit on every frame, on both precision tiers, across displacement
-// regimes that exercise the pure-dirty path, driver re-derivation, and the
-// forced-resweep boundary.
+// bit for bit on every frame, across displacement regimes that exercise
+// the pure-dirty path, driver re-derivation, and the forced-resweep
+// boundary.
 func TestSessionIncrementalMatchesOracle(t *testing.T) {
 	mol := molecule.GenerateProtein("stream", 700, 99)
 	base := SessionOptions{
@@ -114,42 +113,39 @@ func TestSessionIncrementalMatchesOracle(t *testing.T) {
 		{"re-derive", 7, 16, 0.06}, // compounds past half-margin: driver re-derivations
 		{"mixed", 20, 48, 0.05},    // broad dirty regions, occasional re-derivation
 	}
-	for _, prec := range []core.Precision{core.Float64, core.Float32} {
-		for _, rg := range regimes {
-			rg := rg
-			t.Run(prec.String()+"/"+rg.name, func(t *testing.T) {
-				o := base
-				o.Eval.Precision = prec
-				frames := jitterFrames(mol, 24, rg.movers, rg.cluster, rg.amp, 7)
+	for _, rg := range regimes {
+		rg := rg
+		t.Run("f64/"+rg.name, func(t *testing.T) {
+			o := base
+			frames := jitterFrames(mol, 24, rg.movers, rg.cluster, rg.amp, 7)
 
-				oracle := o
-				oracle.ResweepEvery = 1
-				incr := o
-				incr.ResweepEvery = 8 // frames 8, 16, 24 hit the forced-resweep boundary
+			oracle := o
+			oracle.ResweepEvery = 1
+			incr := o
+			incr.ResweepEvery = 8 // frames 8, 16, 24 hit the forced-resweep boundary
 
-				want, _ := runStream(t, mol, oracle, frames)
-				got, reports := runStream(t, mol, incr, frames)
-				sameEnergies(t, got, want)
-				rederived, refreshed := 0, 0
-				for _, rep := range reports {
-					rederived += rep.Rederived
-					if rep.Refreshed {
-						refreshed++
-					}
+			want, _ := runStream(t, mol, oracle, frames)
+			got, reports := runStream(t, mol, incr, frames)
+			sameEnergies(t, got, want)
+			rederived, refreshed := 0, 0
+			for _, rep := range reports {
+				rederived += rep.Rederived
+				if rep.Refreshed {
+					refreshed++
 				}
-				if rg.name == "re-derive" && rederived == 0 {
-					t.Fatalf("re-derive regime never re-derived a driver; slack breach path untested")
+			}
+			if rg.name == "re-derive" && rederived == 0 {
+				t.Fatalf("re-derive regime never re-derived a driver; slack breach path untested")
+			}
+			if rg.name == "sub-slack" && (rederived != 0 || refreshed != 0) {
+				t.Fatalf("sub-slack regime re-derived %d / refreshed %d; pure dirty path untested", rederived, refreshed)
+			}
+			for _, rep := range reports {
+				if rep.Frame%8 == 0 && !rep.Refreshed && !rep.Resweep {
+					t.Fatalf("frame %d should have taken the forced resweep", rep.Frame)
 				}
-				if rg.name == "sub-slack" && (rederived != 0 || refreshed != 0) {
-					t.Fatalf("sub-slack regime re-derived %d / refreshed %d; pure dirty path untested", rederived, refreshed)
-				}
-				for _, rep := range reports {
-					if rep.Frame%8 == 0 && !rep.Refreshed && !rep.Resweep {
-						t.Fatalf("frame %d should have taken the forced resweep", rep.Frame)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -233,33 +229,31 @@ func TestBornRowSumShape(t *testing.T) {
 
 // TestSessionGroupBoundaryRows runs the oracle comparison on molecules small
 // enough that whole rows have G−1, G and G+1 partners (a row of a real
-// protein has hundreds), on both tiers: the last group of such a row is
-// short, empty or a single block.
+// protein has hundreds): the last group of such a row is short, empty or a
+// single block.
 func TestSessionGroupBoundaryRows(t *testing.T) {
 	covered := map[int]bool{}
 	for _, n := range []int{8, 10, 25} {
 		mol := molecule.GenerateProtein("tiny", n, 5)
-		for _, prec := range []core.Precision{core.Float64, core.Float32} {
-			o := SessionOptions{
-				Surf: surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
-				Eval: Options{Threads: 1, LeafSize: 4, Precision: prec},
-			}
-			probe, err := NewSession(mol, o)
-			if err != nil {
-				t.Fatalf("NewSession: %v", err)
-			}
-			for _, a := range probe.bs.TA.LeafIdx {
-				covered[len(probe.bornPartners[a])] = true
-			}
-			frames := jitterFrames(mol, 12, 3, 0, 0.02, int64(n))
-			oracle := o
-			oracle.ResweepEvery = 1
-			incr := o
-			incr.ResweepEvery = 5
-			want, _ := runStream(t, mol, oracle, frames)
-			got, _ := runStream(t, mol, incr, frames)
-			sameEnergies(t, got, want)
+		o := SessionOptions{
+			Surf: surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
+			Eval: Options{Threads: 1, LeafSize: 4},
 		}
+		probe, err := NewSession(mol, o)
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
+		}
+		for _, a := range probe.bs.TA.LeafIdx {
+			covered[len(probe.bornPartners[a])] = true
+		}
+		frames := jitterFrames(mol, 12, 3, 0, 0.02, int64(n))
+		oracle := o
+		oracle.ResweepEvery = 1
+		incr := o
+		incr.ResweepEvery = 5
+		want, _ := runStream(t, mol, oracle, frames)
+		got, _ := runStream(t, mol, incr, frames)
+		sameEnergies(t, got, want)
 	}
 	for _, p := range []int{bornGroup - 1, bornGroup, bornGroup + 1} {
 		if !covered[p] {
@@ -336,54 +330,52 @@ func checkBornStores(t *testing.T, ss *Session) {
 func TestSessionPartnerRepair(t *testing.T) {
 	mol := molecule.GenerateProtein("repair", 700, 99)
 	frames := jitterFrames(mol, 24, 7, 16, 0.06, 7)
-	for _, prec := range []core.Precision{core.Float64, core.Float32} {
-		o := SessionOptions{
-			Surf:         surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
-			Eval:         Options{Threads: 1, Precision: prec},
-			ResweepEvery: 9,
+	o := SessionOptions{
+		Surf:         surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
+		Eval:         Options{Threads: 1},
+		ResweepEvery: 9,
+	}
+	oo := o
+	oo.ResweepEvery = 1
+	ss, err := NewSession(mol, o)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	oracle, err := NewSession(mol, oo)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	checkBornStores(t, ss)
+	shifted, crossed := 0, false
+	for f, d := range frames {
+		before := map[int32][]int32{}
+		for _, a := range ss.bs.TA.LeafIdx {
+			before[a] = slices.Clone(ss.bornPartners[a])
 		}
-		oo := o
-		oo.ResweepEvery = 1
-		ss, err := NewSession(mol, o)
+		rep, err := ss.Step(d)
 		if err != nil {
-			t.Fatalf("NewSession: %v", err)
+			t.Fatalf("Step frame %d: %v", f, err)
 		}
-		oracle, err := NewSession(mol, oo)
+		orep, err := oracle.Step(d)
 		if err != nil {
-			t.Fatalf("NewSession: %v", err)
+			t.Fatalf("oracle Step frame %d: %v", f, err)
+		}
+		if math.Float64bits(rep.Energy) != math.Float64bits(orep.Energy) {
+			t.Fatalf("frame %d: incremental %.17g vs oracle %.17g", f, rep.Energy, orep.Energy)
 		}
 		checkBornStores(t, ss)
-		shifted, crossed := 0, false
-		for f, d := range frames {
-			before := map[int32][]int32{}
-			for _, a := range ss.bs.TA.LeafIdx {
-				before[a] = slices.Clone(ss.bornPartners[a])
+		for _, a := range ss.slotDirty {
+			shifted++
+			was, is := before[a], ss.bornPartners[a]
+			first := 0
+			for first < min(len(was), len(is)) && was[first] == is[first] {
+				first++
 			}
-			rep, err := ss.Step(d)
-			if err != nil {
-				t.Fatalf("Step frame %d: %v", f, err)
-			}
-			orep, err := oracle.Step(d)
-			if err != nil {
-				t.Fatalf("oracle Step frame %d: %v", f, err)
-			}
-			if math.Float64bits(rep.Energy) != math.Float64bits(orep.Energy) {
-				t.Fatalf("%v frame %d: incremental %.17g vs oracle %.17g", prec, f, rep.Energy, orep.Energy)
-			}
-			checkBornStores(t, ss)
-			for _, a := range ss.slotDirty {
-				shifted++
-				was, is := before[a], ss.bornPartners[a]
-				first := 0
-				for first < min(len(was), len(is)) && was[first] == is[first] {
-					first++
-				}
-				crossed = crossed || first/bornGroup < (max(len(was), len(is))-1)/bornGroup
-			}
+			crossed = crossed || first/bornGroup < (max(len(was), len(is))-1)/bornGroup
 		}
-		if shifted == 0 || !crossed {
-			t.Fatalf("%v: %d slot-shifted rows, a slot moved across a group boundary: %v; local repair untested", prec, shifted, crossed)
-		}
+	}
+	if shifted == 0 || !crossed {
+		t.Fatalf("%d slot-shifted rows, a slot moved across a group boundary: %v; local repair untested", shifted, crossed)
 	}
 }
 
@@ -429,37 +421,6 @@ func TestSessionStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSessionFloat32TracksFloat64 pins the reduced tier against the f64
-// session on the same stream: the storage tier changes kernel arithmetic,
-// not the algorithm, so energies must agree to the tier's tolerance.
-// RadiusTolerance is disabled so the comparison isolates tier arithmetic:
-// with the gate on, push events are decided on each tier's own radii and
-// can fire on different frames, adding a (bounded, tolerance-sized) offset
-// that is not the tier's doing.
-func TestSessionFloat32TracksFloat64(t *testing.T) {
-	mol := molecule.GenerateProtein("tier", 600, 31)
-	o := SessionOptions{
-		Surf:            surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
-		Eval:            Options{Threads: 1},
-		ResweepEvery:    8,
-		RadiusTolerance: -1,
-	}
-	frames := jitterFrames(mol, 16, 9, 24, 0.05, 13)
-
-	o64 := o
-	o64.Eval.Precision = core.Float64
-	e64, _ := runStream(t, mol, o64, frames)
-	o32 := o
-	o32.Eval.Precision = core.Float32
-	e32, _ := runStream(t, mol, o32, frames)
-	for f := range e64 {
-		rel := math.Abs(e32[f]-e64[f]) / math.Abs(e64[f])
-		if rel > 5e-6 {
-			t.Fatalf("frame %d: f32 %.12g vs f64 %.12g (rel %.3g > 5e-6)", f, e32[f], e64[f], rel)
-		}
-	}
-}
-
 // TestSessionRadiusToleranceDrift bounds the accuracy cost of the radius
 // staleness gate: a default-tolerance session against a zero-tolerance
 // session on the same stream. The gate holds every energy-solver radius
@@ -502,37 +463,35 @@ func TestSessionRadiusToleranceDrift(t *testing.T) {
 // (refresh is geometry driven, so both sessions refresh on the same frame).
 func TestSessionRefreshPath(t *testing.T) {
 	mol := molecule.GenerateProtein("refresh", 500, 77)
-	for _, prec := range []core.Precision{core.Float64, core.Float32} {
-		o := SessionOptions{
-			Surf:        surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
-			Eval:        Options{Threads: 1, Precision: prec},
-			SlackFactor: 0.01,
-			MinSlack:    0.05, // tight margins so modest jitter forces a refresh
-		}
-		frames := jitterFrames(mol, 10, 25, 0, 0.5, 3)
-
-		oracle := o
-		oracle.ResweepEvery = 1
-		incr := o
-		incr.ResweepEvery = 4
-
-		want, wantReps := runStream(t, mol, oracle, frames)
-		got, gotReps := runStream(t, mol, incr, frames)
-		refreshed, between := 0, false
-		for f := range wantReps {
-			if wantReps[f].Refreshed != gotReps[f].Refreshed {
-				t.Fatalf("%v frame %d: refresh divergence (oracle %v, incremental %v) — refresh must be geometry driven", prec, f+1, wantReps[f].Refreshed, gotReps[f].Refreshed)
-			}
-			if gotReps[f].Refreshed {
-				refreshed++
-				between = between || (gotReps[f].Frame > 4 && gotReps[f].Frame < 8)
-			}
-		}
-		if refreshed == 0 || !between {
-			t.Fatalf("%v: %d refreshes, one between the resweeps of frames 4 and 8: %v; structural path untested", prec, refreshed, between)
-		}
-		sameEnergies(t, got, want)
+	o := SessionOptions{
+		Surf:        surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
+		Eval:        Options{Threads: 1},
+		SlackFactor: 0.01,
+		MinSlack:    0.05, // tight margins so modest jitter forces a refresh
 	}
+	frames := jitterFrames(mol, 10, 25, 0, 0.5, 3)
+
+	oracle := o
+	oracle.ResweepEvery = 1
+	incr := o
+	incr.ResweepEvery = 4
+
+	want, wantReps := runStream(t, mol, oracle, frames)
+	got, gotReps := runStream(t, mol, incr, frames)
+	refreshed, between := 0, false
+	for f := range wantReps {
+		if wantReps[f].Refreshed != gotReps[f].Refreshed {
+			t.Fatalf("frame %d: refresh divergence (oracle %v, incremental %v) — refresh must be geometry driven", f+1, wantReps[f].Refreshed, gotReps[f].Refreshed)
+		}
+		if gotReps[f].Refreshed {
+			refreshed++
+			between = between || (gotReps[f].Frame > 4 && gotReps[f].Frame < 8)
+		}
+	}
+	if refreshed == 0 || !between {
+		t.Fatalf("%d refreshes, one between the resweeps of frames 4 and 8: %v; structural path untested", refreshed, between)
+	}
+	sameEnergies(t, got, want)
 }
 
 // TestSessionAgreesWithPrepared sanity-checks the session's absolute

@@ -65,9 +65,8 @@ func BuildSimModel(pr *Problem, k Kind, o Options, oc simtime.OpCosts) *SimModel
 		return sm
 	}
 
-	bc := core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize}
 	ec := core.EpolConfig{Eps: o.EpolEps, Math: o.Math, LeafSize: o.LeafSize}
-	sm.bs = core.NewBornSolver(pr.Mol, pr.QPts, bc)
+	sm.bs = core.NewBornSolver(pr.Mol, pr.QPts, o.bornConfig())
 	bs := sm.bs
 	sNode, sAtom := bs.NewAccumulators()
 
@@ -366,7 +365,7 @@ func (sm *SimModel) TimeAtomBased(P, threads int, m simtime.Machine) (SimTiming,
 	sync("allgatherv", n)
 
 	R := bs.RadiiToOriginal(rTree)
-	es := core.NewEpolSolver(bs.TA, sm.charges, R, core.EpolConfig{Eps: sm.Opts.EpolEps, Math: sm.Opts.Math})
+	es := core.NewEpolSolver(bs.TA, sm.charges, R, sm.Opts.epolConfig())
 	var raw float64
 	for r := 0; r < P; r++ {
 		lo, hi := int32(atomSegs[r].Lo), int32(atomSegs[r].Hi)

@@ -223,6 +223,14 @@ func TestE2EWireContractBothTiers(t *testing.T) {
 	const row = `[0,0,0,1.5,0.1]`
 	mol := `{"atoms":[` + row + `,[3,0,0,1.5,-0.1]]}`
 	otherHash := molecule.GenerateProtein("x", 5, 1).HashString()
+	// One live session for the frame rows; "{id}" in a path is its ID as
+	// the tier asked knows it.
+	var created serve.StreamCreateResponse
+	resp, body := postBody(t, workers[0].ts.URL+"/v1/stream", serve.StreamCreateRequest{Molecule: serve.FromMolecule(molecule.GenerateProtein("frames", 30, 5))})
+	if err := json.Unmarshal(body, &created); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream create: %d %s", resp.StatusCode, body)
+	}
+	sessionID := map[string]string{"worker": created.SessionID, "router": workers[0].id + sessionIDSep + created.SessionID}
 	for _, tc := range []struct {
 		name, path, body string
 		declared         int // 0: len(body)
@@ -250,13 +258,30 @@ func TestE2EWireContractBothTiers(t *testing.T) {
 		{"stream create, short row", "/v1/stream", `{"molecule":{"atoms":[[0,0,1.5]]}}`, 0, 400, "bad_request"},
 		{"stream create, short body", "/v1/stream", `{"molecule":`, 64, 400, "bad_request"},
 		{"stream create, hash only", "/v1/stream", `{"molecule":{"hash":"` + otherHash + `"}}`, 0, 400, "bad_request"},
+		// Surface sampling is bounded where options are resolved; the deleted
+		// "precision" option is an unknown member like any other.
+		{"subdiv_level 12", "/v1/energy", `{"molecule":` + mol + `,"options":{"subdiv_level":12}}`, 0, 400, "bad_request"},
+		{"degree 9", "/v1/energy", `{"molecule":` + mol + `,"options":{"degree":9}}`, 0, 400, "bad_request"},
+		{"subdiv_level 4, degree 5", "/v1/energy", `{"molecule":` + mol + `,"options":{"subdiv_level":4,"degree":5}}`, 0, 200, ""},
+		{"precision f32", "/v1/energy", `{"molecule":` + mol + `,"options":{"precision":"f32"}}`, 0, 200, ""},
+		{"sweep, subdiv_level 12", "/v1/sweep", `{"ligand":` + mol + `,"poses":[{"t":[9,0,0]}],"options":{"subdiv_level":12}}`, 0, 400, "bad_request"},
+		{"stream create, degree 9", "/v1/stream", `{"molecule":` + mol + `,"options":{"degree":9}}`, 0, 400, "bad_request"},
+		// Frame bodies obey the same contract, and a refused frame leaves
+		// the session usable.
+		{"frame, valid", "/v1/stream/{id}/frame", `{"moves":[]}`, 0, 200, ""},
+		{"frame, trailing bytes", "/v1/stream/{id}/frame", `{"moves":[]}x`, 0, 400, "bad_request"},
+		{"frame, short body", "/v1/stream/{id}/frame", `{"moves":[`, 64, 400, "bad_request"},
+		{"frame, declared over the limit", "/v1/stream/{id}/frame", ``, 300 << 20, 413, "too_large"},
+		{"frame, coordinate past the bound", "/v1/stream/{id}/frame", `{"moves":[{"i":1,"pos":[1e300,0,0]}]}`, 0, 400, "bad_request"},
+		{"frame, valid after the refusals", "/v1/stream/{id}/frame", `{"moves":[{"i":1,"pos":[1,2,3]}]}`, 0, 200, ""},
 	} {
 		declared := tc.declared
 		if declared == 0 {
 			declared = len(tc.body)
 		}
 		for tier, url := range map[string]string{"worker": workers[0].ts.URL, "router": front.URL} {
-			if status, token := rawPost(t, url, tc.path, declared, tc.body); status != tc.status || token != tc.token {
+			path := strings.Replace(tc.path, "{id}", sessionID[tier], 1)
+			if status, token := rawPost(t, url, path, declared, tc.body); status != tc.status || token != tc.token {
 				t.Errorf("%s via %s: %d %q, want %d %q", tc.name, tier, status, token, tc.status, tc.token)
 			}
 		}

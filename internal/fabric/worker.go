@@ -90,10 +90,6 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	return w, nil
 }
 
-// Registered reports whether the agent currently holds an acked
-// registration with the router.
-func (w *Worker) Registered() bool { return w.registered.Load() }
-
 // WaitRegistered blocks until the agent is registered or the deadline
 // passes.
 func (w *Worker) WaitRegistered(timeout time.Duration) bool {

@@ -55,13 +55,8 @@ type Report struct {
 	FinalKnobs *serve.Knobs `json:"final_knobs,omitempty"`
 }
 
-// fillLatency derives the quantile and throughput fields from the run's
-// completed-request and queue-wait histograms over the full run.
-func (r *Report) fillLatency(req, queue obs.HistSnapshot) {
-	r.fillLatencyWindow(req, queue, r.Completed, time.Duration(r.DurationS*float64(time.Second)))
-}
-
-// fillLatencyWindow is fillLatency over an explicit measurement window —
+// fillLatencyWindow derives the quantile and throughput fields from the
+// completed-request and queue-wait histograms of a measurement window —
 // post-warm-up snapshot diffs with their own completion count and span.
 func (r *Report) fillLatencyWindow(req, queue obs.HistSnapshot, completed int64, span time.Duration) {
 	r.P50MS = float64(req.Quantile(0.50)) / 1e6

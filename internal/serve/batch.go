@@ -284,9 +284,9 @@ func (s *Server) evalPose(b *pendingSweep, pc *surface.PoseComposer, pose geom.R
 	tm.EvalMS = msBetween(t2, t3)
 	s.metrics.surfaceNS.Add(t1.Sub(t0).Nanoseconds())
 	s.metrics.prepareNS.Add(t2.Sub(t1).Nanoseconds())
-	s.recordEval(b.opts.prec, t3.Sub(t2).Nanoseconds())
+	s.recordEval(t3.Sub(t2).Nanoseconds())
 	s.sobs.stage(s.sobs.surface, "serve.surface", 0, t0, t1.Sub(t0))
 	s.sobs.stage(s.sobs.prepare, "serve.prepare", 0, t1, t2.Sub(t1))
-	s.sobs.stage(s.sobs.evalHist(b.opts.prec), "serve.eval", 0, t2, t3.Sub(t2))
+	s.sobs.stage(s.sobs.eval, "serve.eval", 0, t2, t3.Sub(t2))
 	return rep.Energy, tm, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"octgb/internal/core"
 	"octgb/internal/engine"
 	"octgb/internal/gb"
 	"octgb/internal/molecule"
@@ -28,11 +27,10 @@ type energyOutcome struct {
 // engineOpts maps resolved request options onto the engine layer.
 func (s *Server) engineOpts(o evalOpts) engine.Options {
 	eo := engine.Options{
-		Threads:   s.cfg.Threads,
-		BornEps:   o.bornEps,
-		EpolEps:   o.epolEps,
-		Precision: o.prec,
-		Observe:   s.cfg.Observe,
+		Threads: s.cfg.Threads,
+		BornEps: o.bornEps,
+		EpolEps: o.epolEps,
+		Observe: s.cfg.Observe,
 	}
 	if o.approx {
 		eo.Math = gb.Approximate
@@ -40,15 +38,10 @@ func (s *Server) engineOpts(o evalOpts) engine.Options {
 	return eo
 }
 
-// recordEval charges one E_pol evaluation to the global counters and, for
-// the reduced-precision tier, the f32 sub-counters that /stats reports.
-func (s *Server) recordEval(prec core.Precision, ns int64) {
+// recordEval charges one E_pol evaluation to the global counters.
+func (s *Server) recordEval(ns int64) {
 	s.metrics.evalNS.Add(ns)
 	s.metrics.evals.Add(1)
-	if prec == core.Float32 {
-		s.metrics.evalF32NS.Add(ns)
-		s.metrics.evalsF32.Add(1)
-	}
 }
 
 // buildPrepared is the cache-miss path: sample the surface, build the
@@ -132,7 +125,7 @@ func (s *Server) evalEnergy(ctx context.Context, key string, mol *molecule.Molec
 	}
 	evalNS := time.Since(t0).Nanoseconds()
 	out.evalMS = float64(evalNS) / 1e6
-	s.recordEval(o.prec, evalNS)
-	s.sobs.stage(s.sobs.evalHist(o.prec), "serve.eval", span, t0, time.Duration(evalNS))
+	s.recordEval(evalNS)
+	s.sobs.stage(s.sobs.eval, "serve.eval", span, t0, time.Duration(evalNS))
 	return out
 }

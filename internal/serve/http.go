@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"time"
 
-	"octgb/internal/core"
 	"octgb/internal/geom"
 	"octgb/internal/molecule"
 	"octgb/internal/surface"
@@ -72,30 +71,15 @@ func (p PoseJSON) ToRigid() geom.Rigid {
 	return r
 }
 
-// FromRigid converts a transform to the wire form.
-func FromRigid(r geom.Rigid) PoseJSON {
-	return PoseJSON{
-		Rot: &[9]float64{
-			r.R[0][0], r.R[0][1], r.R[0][2],
-			r.R[1][0], r.R[1][1], r.R[1][2],
-			r.R[2][0], r.R[2][1], r.R[2][2],
-		},
-		T: [3]float64{r.T.X, r.T.Y, r.T.Z},
-	}
-}
-
 // OptionsJSON are the per-request evaluation parameters; zero fields fall
-// back to the server's configured defaults.
+// back to the server's configured defaults. SubdivLevel and Degree are
+// bounded (CheckSampling).
 type OptionsJSON struct {
 	BornEps         float64 `json:"born_eps,omitempty"`
 	EpolEps         float64 `json:"epol_eps,omitempty"`
 	ApproximateMath bool    `json:"approximate_math,omitempty"`
 	SubdivLevel     int     `json:"subdiv_level,omitempty"`
 	Degree          int     `json:"degree,omitempty"`
-	// Precision selects the kernel storage tier: "f64" (default) or "f32"
-	// (~1e-6 relative error, half the kernel memory). Unknown values fall back
-	// to the server default.
-	Precision string `json:"precision,omitempty"`
 }
 
 // EnergyRequest is the POST /v1/energy payload.
@@ -324,7 +308,11 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d atoms exceeds limit %d", mol.N(), s.cfg.MaxAtoms), 0)
 		return
 	}
-	opts := s.resolveOpts(req.Options)
+	opts, err := s.resolveOpts(req.Options)
+	if err != nil {
+		s.reject(w, reqID, err)
+		return
+	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMS))
 	defer cancel()
@@ -416,6 +404,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d atoms exceeds limit %d", atoms, s.cfg.MaxAtoms), 0)
 		return
 	}
+	opts, err := s.resolveOpts(req.Options)
+	if err != nil {
+		s.reject(w, reqID, err)
+		return
+	}
 	// Admission: a sweep occupies a queue slot once its batch flushes;
 	// apply the same gate (drain, tuned queue limit, shed threshold) up
 	// front instead of after the window has been spent coalescing.
@@ -423,7 +416,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.admissionError(w, reqID, err)
 		return
 	}
-	opts := s.resolveOpts(req.Options)
 	poses := make([]geom.Rigid, len(req.Poses))
 	for i, p := range req.Poses {
 		poses[i] = p.ToRigid()
@@ -514,15 +506,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.snapshot())
 }
 
-// resolveOpts folds request overrides over the server defaults.
-func (s *Server) resolveOpts(o *OptionsJSON) evalOpts {
+// resolveOpts folds request overrides over the server defaults, refusing
+// surface sampling outside the served range.
+func (s *Server) resolveOpts(o *OptionsJSON) (evalOpts, error) {
 	e := evalOpts{
 		bornEps: s.cfg.BornEps,
 		epolEps: s.cfg.EpolEps,
-		prec:    s.cfg.Precision,
 		surf:    s.cfg.Surface,
 	}
 	if o != nil {
+		if err := CheckSampling(o.SubdivLevel, o.Degree); err != nil {
+			return e, err
+		}
 		if o.BornEps > 0 {
 			e.bornEps = o.BornEps
 		}
@@ -530,9 +525,6 @@ func (s *Server) resolveOpts(o *OptionsJSON) evalOpts {
 			e.epolEps = o.EpolEps
 		}
 		e.approx = o.ApproximateMath
-		if p, ok := core.ParsePrecision(o.Precision); ok && o.Precision != "" {
-			e.prec = p
-		}
 		if o.SubdivLevel > 0 {
 			e.surf.SubdivLevel = o.SubdivLevel
 		}
@@ -540,28 +532,25 @@ func (s *Server) resolveOpts(o *OptionsJSON) evalOpts {
 			e.surf.Degree = o.Degree
 		}
 	}
-	return e
+	return e, nil
 }
 
 // evalOpts are the resolved per-request evaluation parameters. The
-// Born-phase subset (bornEps + precision tier + surface options) keys the
-// prepared cache; epolEps and approx apply at evaluation time only.
+// Born-phase subset (bornEps + surface options) keys the prepared cache;
+// epolEps and approx apply at evaluation time only.
 type evalOpts struct {
 	bornEps float64
 	epolEps float64
 	approx  bool
-	prec    core.Precision
 	surf    surface.Options
 }
 
 // cacheKey identifies a prepared problem: molecule content hash (lowercase
 // hex, as molecule.HashString) plus every parameter the preprocessing
-// depends on. The precision tier is part of the key — Prepare bakes the
-// tier's storage mirrors into the solver, so f64 and f32 prepareds for one
-// molecule are distinct entries.
+// depends on.
 func cacheKey(hash string, o evalOpts) string {
-	return fmt.Sprintf("%s|b%g|s%d|d%d|r%g|p%s",
-		hash, o.bornEps, o.surf.SubdivLevel, o.surf.Degree, o.surf.RadiusScale, o.prec)
+	return fmt.Sprintf("%s|b%g|s%d|d%d|r%g",
+		hash, o.bornEps, o.surf.SubdivLevel, o.surf.Degree, o.surf.RadiusScale)
 }
 
 func msBetween(a, b time.Time) float64 {

@@ -5,7 +5,6 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"octgb/internal/core"
 	"octgb/internal/obs"
 )
 
@@ -33,8 +32,7 @@ type serveObs struct {
 	queueWait    *obs.Histogram
 	surface      *obs.Histogram
 	prepare      *obs.Histogram
-	evalF64      *obs.Histogram
-	evalF32      *obs.Histogram
+	eval         *obs.Histogram
 	batch        *obs.Histogram
 	streamCreate *obs.Histogram
 	streamFrame  *obs.Histogram
@@ -52,23 +50,13 @@ func newServeObs(ob *obs.Observer) serveObs {
 		queueWait: ob.Histogram(queueMetric, "", queueHelp),
 		surface:   ob.Histogram(stageMetric, `stage="surface"`, stageHelp),
 		prepare:   ob.Histogram(stageMetric, `stage="prepare"`, stageHelp),
-		evalF64:   ob.Histogram(stageMetric, `stage="eval",precision="f64"`, stageHelp),
-		evalF32:   ob.Histogram(stageMetric, `stage="eval",precision="f32"`, stageHelp),
+		eval:      ob.Histogram(stageMetric, `stage="eval"`, stageHelp),
 		batch:     ob.Histogram(stageMetric, `stage="batch"`, stageHelp),
 		// Stream stages carry mode="stream" so dashboards can split the
 		// incremental per-frame latency series from one-shot evaluation.
 		streamCreate: ob.Histogram(stageMetric, `stage="create",mode="stream"`, stageHelp),
 		streamFrame:  ob.Histogram(stageMetric, `stage="frame",mode="stream"`, stageHelp),
 	}
-}
-
-// evalHist returns the eval-stage histogram of the given storage tier, so
-// /metrics separates f64 and f32 evaluation latency series.
-func (so *serveObs) evalHist(p core.Precision) *obs.Histogram {
-	if p == core.Float32 {
-		return so.evalF32
-	}
-	return so.evalF64
 }
 
 // spanID mints a request's root span ID up front so child stages can parent

@@ -183,6 +183,7 @@ func TestServerObservability(t *testing.T) {
 		`octgb_serve_request_seconds_count{endpoint="sweep"}`,
 		"octgb_serve_queue_wait_seconds_count",
 		`octgb_serve_stage_seconds_count{stage="prepare"}`,
+		`octgb_serve_stage_seconds_count{stage="eval"}`,
 		`octgb_serve_stage_seconds_count{stage="batch"}`,
 		"octgb_engine_phase_seconds", // requests ran with eo.Observe = cfg.Observe
 		"octgb_sched_executed_total",
@@ -190,6 +191,10 @@ func TestServerObservability(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+
+	if n := strings.Count(string(body), `octgb_serve_stage_seconds_count{stage="eval"`); n != 1 {
+		t.Errorf("/metrics has %d eval-stage series, want the one", n)
 	}
 
 	// /debug/trace is loadable trace_event JSON with the request spans.
@@ -232,10 +237,14 @@ func TestServerObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	if strings.Contains(string(raw), `"precision"`) {
+		t.Error("/stats still splits evaluations by precision")
+	}
 	if st.Latency == nil {
 		t.Fatal("/stats missing latency block with Observe set")
 	}

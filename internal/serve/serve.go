@@ -59,7 +59,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"octgb/internal/core"
 	"octgb/internal/obs"
 	"octgb/internal/surface"
 )
@@ -110,12 +109,6 @@ type Config struct {
 	// request does not override them (default 0.9/0.9, the paper's
 	// operating point).
 	BornEps, EpolEps float64
-	// Precision is the default kernel storage tier when a request does not
-	// override it (core.Float64; core.Float32 trades ~1e-6 relative error
-	// for throughput and half the hot-path memory). Requests select a tier
-	// with OptionsJSON.Precision ("f64"/"f32"); the tier is part of the
-	// prepared-cache key, so both tiers of one molecule can be resident.
-	Precision core.Precision
 	// Surface is the default surface sampling resolution.
 	Surface surface.Options
 	// Logger receives request and lifecycle logs; nil is silent.

@@ -336,7 +336,7 @@ func TestServerDeadline(t *testing.T) {
 // a queued evaluation.
 func TestServerBadRequests(t *testing.T) {
 	defer testutil.Watchdog(t, time.Minute)()
-	_, ts := newTestServer(t, Config{Workers: 1, Threads: 1, MaxAtoms: 50})
+	s, ts := newTestServer(t, Config{Workers: 1, Threads: 1, MaxAtoms: 50})
 
 	get, err := http.Get(ts.URL + "/v1/energy")
 	if err != nil {
@@ -373,6 +373,36 @@ func TestServerBadRequests(t *testing.T) {
 	small := molecule.GenerateProtein("s", 10, 1)
 	if code := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Ligand: FromMolecule(small)}, &e); code != http.StatusBadRequest {
 		t.Fatalf("no poses: status %d", code)
+	}
+
+	// Surface sampling outside the served range is refused where options
+	// are resolved, on every endpoint that takes them, before any work is
+	// queued: a level multiplies the q-points by four and its template is
+	// never freed. Everything inside the range is served.
+	pair := MoleculeJSON{Atoms: [][5]float64{{0, 0, 0, 1.5, 0.1}, {3, 0, 0, 1.5, -0.1}}}
+	for _, o := range []OptionsJSON{{SubdivLevel: 12}, {SubdivLevel: 5}, {SubdivLevel: -1}, {Degree: 9}, {Degree: 6}, {Degree: -1}} {
+		o := o
+		for path, body := range map[string]any{
+			"/v1/energy": EnergyRequest{Molecule: pair, Options: &o},
+			"/v1/sweep":  SweepRequest{Ligand: pair, Poses: []PoseJSON{{T: [3]float64{9, 0, 0}}}, Options: &o},
+			"/v1/stream": StreamCreateRequest{Molecule: pair, Options: &StreamOptionsJSON{OptionsJSON: o}},
+		} {
+			if code := postJSON(t, ts.URL+path, body, &e); code != http.StatusBadRequest || e.Error != "bad_request" {
+				t.Errorf("%s with %+v: %d %q, want 400 bad_request", path, o, code, e.Error)
+			}
+		}
+	}
+	if b, c := s.metrics.cacheBuilds.Load(), s.metrics.completed.Load(); b != 0 || c != 0 {
+		t.Errorf("refused sampling options built %d entries and completed %d requests", b, c)
+	}
+	for level := 0; level <= maxSubdivLevel; level++ {
+		for degree := 1; degree <= maxDegree; degree++ {
+			o := OptionsJSON{SubdivLevel: level, Degree: degree}
+			var er EnergyResponse
+			if code := postJSON(t, ts.URL+"/v1/energy", EnergyRequest{Molecule: pair, Options: &o}, &er); code != http.StatusOK || math.IsNaN(er.Energy) {
+				t.Errorf("subdiv_level %d degree %d: status %d energy %v", level, degree, code, er.Energy)
+			}
+		}
 	}
 }
 
@@ -508,10 +538,22 @@ func TestServerEnergyByHash(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/energy", only(&OptionsJSON{EpolEps: 0.4}), &got); code != http.StatusOK || got.Cache != string(sourceHit) || got.Energy == full.Energy {
 		t.Errorf("by hash, other epol_eps: status %d cache %q energy %.17g (default %.17g)", code, got.Cache, got.Energy, full.Energy)
 	}
-	// Preparation options key the entry: the same hash under another ε_B,
-	// precision or surface is a molecule this server does not hold.
+	// There is one arithmetic: a body that still carries the deleted
+	// "precision" option is answered from the same entry with the same bits.
+	hits, builds := s.metrics.cacheHits.Load(), s.metrics.cacheBuilds.Load()
+	var tiered EnergyResponse
+	if code := postJSON(t, ts.URL+"/v1/energy", map[string]any{
+		"molecule": FromMolecule(mol), "options": map[string]string{"precision": "f32"},
+	}, &tiered); code != http.StatusOK || math.Float64bits(tiered.Energy) != math.Float64bits(full.Energy) {
+		t.Errorf("with the deleted precision option: status %d energy %.17g, without %.17g", code, tiered.Energy, full.Energy)
+	}
+	if h, b := s.metrics.cacheHits.Load(), s.metrics.cacheBuilds.Load(); h != hits+1 || b != builds {
+		t.Errorf("the deleted precision option cost %d hits and %d builds, want 1 and 0", h-hits, b-builds)
+	}
+	// Preparation options key the entry: the same hash under another ε_B
+	// or surface is a molecule this server does not hold.
 	for name, o := range map[string]*OptionsJSON{
-		"born_eps": {BornEps: 0.5}, "precision": {Precision: "f32"}, "subdiv_level": {SubdivLevel: 2}, "degree": {Degree: 3},
+		"born_eps": {BornEps: 0.5}, "subdiv_level": {SubdivLevel: 2}, "degree": {Degree: 3},
 	} {
 		if code := postJSON(t, ts.URL+"/v1/energy", only(o), &e); code != http.StatusNotFound || e.Error != UnknownMolecule {
 			t.Errorf("by hash, other %s: %d %q, want 404 %s", name, code, e.Error, UnknownMolecule)
@@ -535,13 +577,14 @@ func TestServerEnergyByHash(t *testing.T) {
 
 	// In flight: hold a build open, ask for its key by hash, release.
 	slow := molecule.GenerateProtein("slow", 60, 19)
-	key := cacheKey(slow.HashString(), s.resolveOpts(nil))
+	defaults, _ := s.resolveOpts(nil)
+	key := cacheKey(slow.HashString(), defaults)
 	release := make(chan struct{})
 	buildDone := make(chan error, 1)
 	go func() {
 		_, _, err := s.cache.get(key, func() (*built, error) {
 			<-release
-			return s.buildPrepared(slow, s.resolveOpts(nil))
+			return s.buildPrepared(slow, defaults)
 		})
 		buildDone <- err
 	}()

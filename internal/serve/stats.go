@@ -47,9 +47,6 @@ type metrics struct {
 	evalNS    atomic.Int64 // E_pol evaluation
 	buildNS   atomic.Int64 // whole cache builds (surface+prepare)
 	evals     atomic.Int64 // E_pol evaluations executed
-
-	evalsF32  atomic.Int64 // f32-tier subset of evals
-	evalF32NS atomic.Int64 // f32-tier subset of evalNS
 }
 
 func newMetrics() *metrics { return &metrics{start: time.Now()} }
@@ -118,14 +115,6 @@ type StatsSnapshot struct {
 		BuildMSTotal   float64 `json:"build_ms_total"`
 		Evals          int64   `json:"evals"`
 	} `json:"timings"`
-
-	// Precision splits the evaluation counters by kernel storage tier
-	// (requests select a tier with options.precision; see Config.Precision).
-	Precision struct {
-		F64Evals       int64   `json:"f64_evals"`
-		F32Evals       int64   `json:"f32_evals"`
-		F32EvalMSTotal float64 `json:"f32_eval_ms_total"`
-	} `json:"precision"`
 
 	// Latency is present only when the server runs with Config.Observe: the
 	// request-latency quantiles of each endpoint, derived from the same
@@ -254,11 +243,6 @@ func (s *Server) snapshot() StatsSnapshot {
 	out.Timings.EvalMSTotal = float64(m.evalNS.Load()) / 1e6
 	out.Timings.BuildMSTotal = float64(m.buildNS.Load()) / 1e6
 	out.Timings.Evals = m.evals.Load()
-
-	f32 := m.evalsF32.Load()
-	out.Precision.F64Evals = out.Timings.Evals - f32
-	out.Precision.F32Evals = f32
-	out.Precision.F32EvalMSTotal = float64(m.evalF32NS.Load()) / 1e6
 
 	if s.sobs.ob != nil {
 		out.Latency = &LatencySnapshot{

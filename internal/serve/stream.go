@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -35,11 +36,10 @@ func (s *Server) streamOptions(o evalOpts, so *StreamOptionsJSON) engine.Session
 	out := engine.SessionOptions{
 		Surf: o.surf,
 		Eval: engine.Options{
-			Threads:   s.cfg.Threads,
-			BornEps:   o.bornEps,
-			EpolEps:   o.epolEps,
-			Precision: o.prec,
-			Observe:   s.cfg.Observe,
+			Threads: s.cfg.Threads,
+			BornEps: o.bornEps,
+			EpolEps: o.epolEps,
+			Observe: s.cfg.Observe,
 		},
 	}
 	if o.approx {
@@ -130,7 +130,12 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Options != nil {
 		base = &req.Options.OptionsJSON
 	}
-	so := s.streamOptions(s.resolveOpts(base), req.Options)
+	opts, err := s.resolveOpts(base)
+	if err != nil {
+		s.reject(w, reqID, err)
+		return
+	}
+	so := s.streamOptions(opts, req.Options)
 
 	ctx, cancel := s.requestContext(r, req.DeadlineMS)
 	defer cancel()
@@ -228,10 +233,16 @@ func (s *Server) handleStreamFrame(w http.ResponseWriter, r *http.Request, reqID
 	reqStart := time.Now()
 	span := s.sobs.spanID()
 
+	// One wire contract with the molecule-bearing bodies: nothing but
+	// whitespace after the object, a short body is 400, only an over-limit
+	// one is 413.
 	var req StreamFrameRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, reqID, "bad_request", err.Error(), 0)
+	body, err := ReadBody(w, r)
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
+		s.reject(w, reqID, err)
 		return
 	}
 	st := s.lookupSession(id)
@@ -242,6 +253,13 @@ func (s *Server) handleStreamFrame(w http.ResponseWriter, r *http.Request, reqID
 	}
 	delta := engine.FrameDelta{Moves: make([]engine.AtomMove, len(req.Moves))}
 	for i, mv := range req.Moves {
+		for _, c := range mv.Pos {
+			if math.Abs(c) > maxMoveCoordinate {
+				writeError(w, http.StatusBadRequest, reqID, "bad_request",
+					fmt.Sprintf("move %d: coordinate %g outside ±%g Å", i, c, maxMoveCoordinate), 0)
+				return
+			}
+		}
 		delta.Moves[i] = engine.AtomMove{Index: mv.I, Pos: geom.V(mv.Pos[0], mv.Pos[1], mv.Pos[2])}
 	}
 

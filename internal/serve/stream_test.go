@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,6 +63,77 @@ func doJSON(t *testing.T, method, url string, v, out any) int {
 		}
 	}
 	return resp.StatusCode
+}
+
+// frameSession creates a session over a 30-atom molecule and returns a
+// function that posts a raw body to its frame endpoint, in process so the
+// declared Content-Length may lie (negative: the body's own). The function
+// answers the status and the error token; a 200 whose body does not decode
+// or whose energy is not finite fails the test it is handed.
+func frameSession(t testing.TB, s *Server) func(t testing.TB, body string, declared int64) (int, string) {
+	t.Helper()
+	create, err := json.Marshal(StreamCreateRequest{Molecule: FromMolecule(molecule.GenerateProtein("frames", 30, 5))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/stream", strings.NewReader(string(create))))
+	var created StreamCreateResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("create: %d %s (%v)", rec.Code, rec.Body, err)
+	}
+	return func(t testing.TB, body string, declared int64) (int, string) {
+		t.Helper()
+		r := httptest.NewRequest(http.MethodPost, "/v1/stream/"+created.SessionID+"/frame", strings.NewReader(body))
+		if declared >= 0 {
+			r.ContentLength = declared
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, r)
+		var out struct {
+			Error  string   `json:"error"`
+			Energy *float64 `json:"energy"`
+		}
+		err := json.Unmarshal(rec.Body.Bytes(), &out)
+		if rec.Code == http.StatusOK && (err != nil || out.Energy == nil || math.IsNaN(*out.Energy) || math.IsInf(*out.Energy, 0)) {
+			t.Fatalf("frame %q: 200 with body %q (%v)", body, rec.Body, err)
+		}
+		return rec.Code, out.Error
+	}
+}
+
+// frameBodies are frame payloads on both sides of the wire contract; the
+// status table below pins the named ones and the fuzz target starts from
+// all of them.
+var frameBodies = []string{
+	`{"moves":[]}`, `{"moves":[{"i":0,"pos":[1,2,3]}]} ` + "\n", `{"moves":[{"i":3,"pos":[-4.5,0,1e2]}],"deadline_ms":60000}`,
+	`{"moves":[]}x`, `{"moves":[]}{}`, `{"moves":[`, ``, `null`, `[]`, `{"moves":{}}`, `{"moves":[{"i":"0"}]}`,
+	`{"moves":[{"i":99,"pos":[0,0,0]}]}`, `{"moves":[{"i":-1,"pos":[0,0,0]}]}`, `{"moves":[{"i":0,"pos":[1,2]}]}`,
+	`{"moves":[{"i":1,"pos":[1e300,0,0]}]}`, `{"moves":[{"i":1,"pos":[0,-1.7e308,0]},{"i":2,"pos":[1e155,1e155,1e155]}]}`,
+	`{"moves":[{"i":1,"pos":[1e999,0,0]}]}`, `{"moves":[{"i":4,"pos":[1e6,-1e6,0]},{"i":4,"pos":[0,0,0]},{"i":5,"pos":[0,0,0]}]}`,
+}
+
+// FuzzStreamFrameBody posts arbitrary bytes as a frame of a live session:
+// the answer is a 200 with a finite energy or a typed refusal (400, 413, or
+// 504 when the body sets itself a deadline it then misses), never a panic,
+// and the session answers a valid frame afterwards.
+func FuzzStreamFrameBody(f *testing.F) {
+	for _, b := range frameBodies {
+		f.Add([]byte(b))
+	}
+	s := New(Config{Workers: 1, Threads: 1})
+	f.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	post := frameSession(f, s)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		switch status, token := post(t, string(body), -1); status {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusGatewayTimeout:
+		default:
+			t.Fatalf("%q: status %d %q", body, status, token)
+		}
+		if status, token := post(t, `{"moves":[]}`, -1); status != http.StatusOK {
+			t.Fatalf("valid frame after %q: status %d %q", body, status, token)
+		}
+	})
 }
 
 // TestStreamLifecycle drives the full /v1/stream arc — create, frames,
@@ -220,6 +295,31 @@ func TestStreamAdmissionAndMethods(t *testing.T) {
 	}
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/stream/s-x-0001/frame", nil, &errResp); code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET frame: status %d", code)
+	}
+
+	// Frame bodies obey the wire contract of every other body, and a
+	// refused frame leaves the session usable.
+	post := frameSession(t, s)
+	for _, tc := range []struct {
+		name, body string
+		declared   int64
+		status     int
+		token      string
+	}{
+		{"valid", `{"moves":[]}`, -1, 200, ""},
+		{"trailing whitespace", `{"moves":[{"i":0,"pos":[1,2,3]}]} ` + "\n", -1, 200, ""},
+		{"trailing bytes", `{"moves":[]}x`, -1, 400, "bad_request"},
+		{"second value", `{"moves":[]}{}`, -1, 400, "bad_request"},
+		{"short body", `{"moves":[`, 64, 400, "bad_request"},
+		{"declared over the limit", ``, maxBodyBytes + 1, 413, "too_large"},
+		{"move index out of range", `{"moves":[{"i":99,"pos":[0,0,0]}]}`, -1, 400, "bad_request"},
+		{"coordinate past the bound", `{"moves":[{"i":1,"pos":[1e300,0,0]}]}`, -1, 400, "bad_request"},
+		{"coordinates on the bound", `{"moves":[{"i":4,"pos":[1e6,-1e6,0]}]}`, -1, 200, ""},
+		{"valid after the refusals", `{"moves":[]}`, -1, 200, ""},
+	} {
+		if status, token := post(t, tc.body, tc.declared); status != tc.status || token != tc.token {
+			t.Errorf("frame, %s: %d %q, want %d %q", tc.name, status, token, tc.status, tc.token)
+		}
 	}
 
 	big := molecule.GenerateProtein("big", 80, 1)

@@ -36,6 +36,34 @@ import (
 // is ~20 MB of JSON; leave generous headroom).
 const maxBodyBytes = 256 << 20
 
+// maxSubdivLevel and maxDegree bound the surface sampling a request (or
+// epolserve's flags) may ask for. Each subdivision level multiplies every
+// atom's icosphere by four and each distinct (level, degree) template stays
+// resident for the life of the process, so an unchecked level lets a
+// ~90-byte body allocate gigabytes; Dunavant rules exist for degrees 1–5.
+const (
+	maxSubdivLevel = 4
+	maxDegree      = 5
+)
+
+// maxMoveCoordinate bounds a frame move's target in Å per axis. Squared
+// distances between points inside the bound stay far from overflow;
+// beyond ~1e154 they do not, and a frame would answer 200 with a NaN
+// energy and leave the session poisoned.
+const maxMoveCoordinate = 1e6
+
+// CheckSampling refuses surface sampling parameters outside the served
+// range. Zero is "unset" for both, as on the wire.
+func CheckSampling(subdivLevel, degree int) error {
+	if subdivLevel < 0 || subdivLevel > maxSubdivLevel {
+		return fmt.Errorf("subdiv_level %d outside [0, %d]", subdivLevel, maxSubdivLevel)
+	}
+	if degree < 0 || degree > maxDegree {
+		return fmt.Errorf("degree %d outside [1, %d]", degree, maxDegree)
+	}
+	return nil
+}
+
 // UnknownMolecule is the token of the 404 a worker answers a hash-only
 // request with when it does not hold the hash: the sender's cue to send the
 // atoms.
