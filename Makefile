@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: verify build vet staticcheck test race fuzz chaos fabric-chaos obs-smoke load-check load-bench load-live bench bench-compare size
+.PHONY: verify build vet fmt staticcheck test race fuzz chaos fabric-chaos obs-smoke load-check load-bench load-live bench bench-compare size
 
-## verify: the tier-1 gate — build, vet (+staticcheck when installed), full
+## verify: the tier-1 gate — build, vet, gofmt (+staticcheck when installed), full
 ## tests, race-test the concurrency-bearing packages (scheduler, treecode
 ## kernels, cluster transports, distributed engines, chaos harness,
 ## observability, serving, fabric, load harness), smoke the /metrics
@@ -11,13 +11,18 @@ GO ?= go
 ## load-check joins verify because the simulation is deterministic — it
 ## cannot flake on a loaded machine. Timing is judged separately: run
 ## `make bench-compare BASE=<parent>` before merging kernel-touching changes.
-verify: build vet staticcheck test race obs-smoke load-check fabric-chaos
+verify: build vet fmt staticcheck test race obs-smoke load-check fabric-chaos
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+## fmt: every tracked Go file is gofmt-clean; any name printed fails.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 ## staticcheck: run staticcheck over the observability and serving layers
 ## when the tool is on PATH; a bare toolchain skips it rather than failing.

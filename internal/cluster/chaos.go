@@ -374,9 +374,6 @@ func (cc *chaosComm) Allgatherv(segment []float64, counts []int, out []float64) 
 func (cc *chaosComm) Bcast(buf []float64, root int) error { return cc.coll.Bcast(buf, root) }
 
 func (cc *chaosComm) IAllreduceSum(buf []float64) Request { return cc.coll.IAllreduceSum(buf) }
-func (cc *chaosComm) IAllgatherv(segment []float64, counts []int, out []float64) Request {
-	return cc.coll.IAllgatherv(segment, counts, out)
-}
 
 func (cc *chaosComm) Send(to int, data []float64) error {
 	if to < 0 || to >= cc.Size() {

@@ -310,21 +310,6 @@ func (c *coll) Allgatherv(segment []float64, counts []int, out []float64) error 
 	return nil
 }
 
-func (c *coll) IAllgatherv(segment []float64, counts []int, out []float64) Request {
-	tag := c.nextTag()
-	start := time.Now()
-	r := &request{done: make(chan struct{})}
-	go func() {
-		r.err = c.allgathervTag(tag, segment, counts, out)
-		if r.err == nil {
-			c.observe("allgatherv", len(out))
-			recordCollective(c.obs, "allgatherv", c.pw.Rank(), len(out), start)
-		}
-		close(r.done)
-	}()
-	return r
-}
-
 // ---------------------------------------------------------------------------
 // Bcast: binomial tree
 // ---------------------------------------------------------------------------

@@ -260,8 +260,9 @@ func overlapStress(p, rounds, n int) func(c Comm) error {
 				seg[i] = float64(100*rank + i)
 			}
 			out := make([]float64, total)
+			sum2 := append([]float64(nil), sum...)
 			r1 := c.IAllreduceSum(sum)
-			r2 := c.IAllgatherv(seg, counts, out)
+			r2 := c.IAllreduceSum(sum2)
 
 			// p2p traffic racing the in-flight collectives.
 			payload := []float64{float64(rank), float64(round)}
@@ -278,8 +279,11 @@ func overlapStress(p, rounds, n int) func(c Comm) error {
 			}
 			ReleaseBuffer(got)
 
-			// A blocking collective while both requests are in flight.
+			// Blocking collectives while both requests are in flight.
 			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if err := c.Allgatherv(seg, counts, out); err != nil {
 				return err
 			}
 
@@ -291,8 +295,8 @@ func overlapStress(p, rounds, n int) func(c Comm) error {
 			}
 			for i := range sum {
 				want := float64(p*(i+round)) + float64(p*(p-1))/2
-				if sum[i] != want {
-					return fmt.Errorf("rank %d round %d: sum[%d]=%v want %v", rank, round, i, sum[i], want)
+				if sum[i] != want || sum2[i] != want {
+					return fmt.Errorf("rank %d round %d: sum[%d]=%v / %v want %v", rank, round, i, sum[i], sum2[i], want)
 				}
 			}
 			at := 0

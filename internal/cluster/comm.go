@@ -33,16 +33,15 @@ type Comm interface {
 	Allgatherv(segment []float64, counts []int, out []float64) error
 	// Bcast replaces buf on every rank with root's buf.
 	Bcast(buf []float64, root int) error
-	// IAllreduceSum and IAllgatherv are the non-blocking forms: initiation
-	// returns immediately and the operation proceeds in the background,
-	// which lets callers overlap communication with independent compute
-	// (the engines overlap the Born-radius Allgatherv with energy-phase
-	// list construction). All ranks must initiate collectives — blocking or
-	// not — in the same order. Transports without genuine asynchrony (the
-	// TCP star) complete the operation synchronously at initiation and
-	// return an already-done Request, which is correct but overlap-free.
+	// IAllreduceSum is the non-blocking form: initiation returns
+	// immediately and the operation proceeds in the background, which lets
+	// callers keep several reductions in flight (the engines start both
+	// step-3 allreduces before waiting on either). All ranks must initiate
+	// collectives — blocking or not — in the same order. Transports without
+	// genuine asynchrony (the TCP star) complete the operation synchronously
+	// at initiation and return an already-done Request, which is correct but
+	// overlap-free.
 	IAllreduceSum(buf []float64) Request
-	IAllgatherv(segment []float64, counts []int, out []float64) Request
 }
 
 // CollectiveHook observes completed collectives. kind is one of "barrier",

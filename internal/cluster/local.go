@@ -100,6 +100,3 @@ func (c *localComm) Allgatherv(segment []float64, counts []int, out []float64) e
 func (c *localComm) Bcast(buf []float64, root int) error { return c.coll.Bcast(buf, root) }
 
 func (c *localComm) IAllreduceSum(buf []float64) Request { return c.coll.IAllreduceSum(buf) }
-func (c *localComm) IAllgatherv(segment []float64, counts []int, out []float64) Request {
-	return c.coll.IAllgatherv(segment, counts, out)
-}

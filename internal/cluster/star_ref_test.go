@@ -165,9 +165,6 @@ func (c *starComm) Bcast(buf []float64, root int) error {
 		func(result []float64, arg collArg) { copy(arg.buf, result) })
 }
 
-// Monitor collectives cannot overlap: the non-blocking forms complete
+// Monitor collectives cannot overlap: the non-blocking form completes
 // synchronously.
 func (c *starComm) IAllreduceSum(buf []float64) Request { return doneRequest(c.AllreduceSum(buf)) }
-func (c *starComm) IAllgatherv(segment []float64, counts []int, out []float64) Request {
-	return doneRequest(c.Allgatherv(segment, counts, out))
-}

@@ -845,11 +845,6 @@ func (c *tcpRoot) Bcast(buf []float64, root int) error {
 // IAllreduceSum completes synchronously (the star cannot overlap).
 func (c *tcpRoot) IAllreduceSum(buf []float64) Request { return doneRequest(c.AllreduceSum(buf)) }
 
-// IAllgatherv completes synchronously (the star cannot overlap).
-func (c *tcpRoot) IAllgatherv(segment []float64, counts []int, out []float64) Request {
-	return doneRequest(c.Allgatherv(segment, counts, out))
-}
-
 // tcpWorker is a rank ≥ 1 of the star.
 type tcpWorker struct {
 	rank, size int
@@ -930,11 +925,6 @@ func (c *tcpWorker) Bcast(buf []float64, root int) error {
 
 // IAllreduceSum completes synchronously (the star cannot overlap).
 func (c *tcpWorker) IAllreduceSum(buf []float64) Request { return doneRequest(c.AllreduceSum(buf)) }
-
-// IAllgatherv completes synchronously (the star cannot overlap).
-func (c *tcpWorker) IAllgatherv(segment []float64, counts []int, out []float64) Request {
-	return doneRequest(c.Allgatherv(segment, counts, out))
-}
 
 // ---------------------------------------------------------------------------
 // Mesh transport
@@ -1036,9 +1026,6 @@ func (mc *meshComm) Allgatherv(segment []float64, counts []int, out []float64) e
 func (mc *meshComm) Bcast(buf []float64, root int) error { return mc.coll.Bcast(buf, root) }
 
 func (mc *meshComm) IAllreduceSum(buf []float64) Request { return mc.coll.IAllreduceSum(buf) }
-func (mc *meshComm) IAllgatherv(segment []float64, counts []int, out []float64) Request {
-	return mc.coll.IAllgatherv(segment, counts, out)
-}
 
 func (mc *meshComm) Send(to int, data []float64) error {
 	if to < 0 || to >= mc.size {

@@ -100,15 +100,22 @@ func (s *EpolSolver) LeafEnergyRows(vLeaf int, lo, hi int32) (float64, Stats) {
 	if from >= to {
 		return 0, st
 	}
-	e := s.epolVisitRows(0, v, from, to, &st)
+	var buf [64]int32
+	e := s.epolVisitRows(0, v, s.ancestors(v, buf[:0]), from, to, &st)
 	return e, st
 }
 
-func (s *EpolSolver) epolVisitRows(u, v int32, from, to int32, st *Stats) float64 {
+func (s *EpolSolver) epolVisitRows(u, v int32, vAnc []int32, from, to int32, st *Stats) float64 {
 	st.NodesVisited++
 	un := &s.T.Nodes[u]
 	vn := &s.T.Nodes[v]
 	if un.Leaf {
+		// A mutual block is owned leaf by leaf (blockWeight); the ranks that
+		// share the owner's rows share the block.
+		w := s.blockWeight(u, v, vAnc)
+		if w == 0 {
+			return 0
+		}
 		ulo, uhi := s.T.PointRange(u)
 		var sum float64
 		for i := ulo; i < uhi; i++ {
@@ -122,7 +129,7 @@ func (s *EpolSolver) epolVisitRows(u, v int32, from, to int32, st *Stats) float6
 			}
 		}
 		st.NearPairs += int64(uhi-ulo) * int64(to-from)
-		return sum
+		return float64(w) * sum
 	}
 	d2 := un.Center.Dist2(vn.Center)
 	if epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
@@ -131,7 +138,7 @@ func (s *EpolSolver) epolVisitRows(u, v int32, from, to int32, st *Stats) float6
 	var sum float64
 	for _, ch := range un.Children {
 		if ch != octree.NoChild {
-			sum += s.epolVisitRows(ch, v, from, to, st)
+			sum += s.epolVisitRows(ch, v, vAnc, from, to, st)
 		}
 	}
 	return sum

@@ -27,8 +27,11 @@ import (
 // Stats counts the work a traversal performed — the interactions it
 // EVALUATED, not the ones its result stands for: the dual energy traversal
 // evaluates each unordered node pair once and counts it once, though the
-// value counts twice (EpolSolver.EnergyDual). The deterministic counters
-// feed the virtual-time machine model and the complexity tests.
+// value counts twice (EpolSolver.EnergyDual), and a leaf-driven energy
+// traversal counts a mutual leaf block at the one driver that evaluates it
+// (EpolSolver.blockWeight) and every node it visits on the way to a block
+// it skips. The deterministic counters feed the virtual-time machine model
+// and the complexity tests.
 type Stats struct {
 	FarEval      int64 // far-field (approximated) cell interactions evaluated
 	NearPairs    int64 // exact point-point interactions evaluated

@@ -69,6 +69,10 @@ type EpolSolver struct {
 	uRange []int64
 	uPos   []float64
 	uQRG   []float64
+
+	// leafNo is the dense leaf index of every leaf node (T.LeafIdx
+	// inverted) — what blockWeight picks a mutual block's owner from.
+	leafNo []int32
 }
 
 // buildVecTables (re)packs the broadcast row tables from the solver's
@@ -196,6 +200,10 @@ func NewEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig) 
 	}
 	s.nzStart[len(tree.Nodes)] = int32(len(s.nzBin))
 	s.buildVecTables()
+	s.leafNo = make([]int32, len(tree.Nodes))
+	for i, n := range tree.LeafIdx {
+		s.leafNo[n] = int32(i)
+	}
 	return s
 }
 
@@ -218,31 +226,80 @@ func NewEpolSolverFromMolecule(mol *molecule.Molecule, bornR []float64, cfg Epol
 func (s *EpolSolver) NumLeaves() int { return s.T.NumLeaves() }
 
 // LeafEnergy runs APPROX-EPOL(root, V) for the atoms-octree leaf with index
-// vLeaf: the raw sum Σ q_u·q_v/f_GB over all ordered pairs (u ∈ tree,
-// v ∈ V). Multiply the total over all leaves by EnergyScale to obtain
+// vLeaf and returns the leaf's part of the raw sum Σ q_u·q_v/f_GB over all
+// ordered atom pairs: its far cells and one-sided exact blocks once, the
+// mutual exact blocks it owns twice (blockWeight). Summed over all leaves
+// — in any division into ranks — and multiplied by EnergyScale that is
 // E_pol. Stats report the work performed.
 func (s *EpolSolver) LeafEnergy(vLeaf int) (float64, Stats) {
 	var st Stats
 	v := s.T.LeafIdx[vLeaf]
-	e := s.epolVisit(0, v, &st)
+	var buf [64]int32
+	e := s.epolVisit(0, v, s.ancestors(v, buf[:0]), &st)
 	return e, st
 }
 
 // EnergyScale is the constant −τ·k_e/2 that converts a raw sum — Σ over all
 // ordered atom pairs (i, j), the diagonal included, of q_i·q_j/f_GB — into
-// kcal/mol. The leaf-driven traversals add every ordered pair; the dual
-// traversal adds each unordered pair once and doubles it (EnergyDual), so
-// both produce the same raw sum and share the constant.
+// kcal/mol. The leaf-driven and the dual traversals both add each mutual
+// block once and double it (blockWeight, EnergyDual), so they produce the
+// same kind of raw sum and share the constant.
 func EnergyScale() float64 {
 	return -0.5 * gb.Tau(gb.SolventDielectric) * gb.CoulombConstant
 }
 
-// epolVisit is the recursion of Fig. 3; v is always a leaf.
-func (s *EpolSolver) epolVisit(u, v int32, st *Stats) float64 {
+// ancestors appends the proper ancestors of node v to dst, parent first.
+func (s *EpolSolver) ancestors(v int32, dst []int32) []int32 {
+	for p := s.T.Nodes[v].Parent; p != octree.NoChild; p = s.T.Nodes[p].Parent {
+		dst = append(dst, p)
+	}
+	return dst
+}
+
+// blockWeight is the one rule by which the leaf-driven traversals share
+// the exact leaf–leaf blocks: what the block of leaf u counts for in the
+// sum of driver leaf v, whose proper ancestors are vAnc. Driver v always
+// reaches u through ancestors that are not far from v. When u's own
+// traversal would take an ancestor of v as a far cell, the block is
+// one-sided — nothing else stands for these atom pairs in this order — and
+// counts once, as does a leaf's block with itself. Otherwise (v, u) is in
+// u's traversal too, with the same value, since the pair term is
+// symmetric: one of the two drivers evaluates the block and counts it
+// twice, the other skips it. The owner follows from the two dense leaf
+// indices alone — the larger when their sum is odd, else the smaller, so
+// every leaf owns about half of its mutual blocks and rank segments stay
+// balanced — hence the evaluated blocks, and the energy, do not depend on
+// how leaves are divided over ranks.
+func (s *EpolSolver) blockWeight(u, v int32, vAnc []int32) int {
+	if u == v {
+		return 1
+	}
+	t := s.T
+	ux, uy, uz, ur := t.CX[u], t.CY[u], t.CZ[u], t.CR[u]
+	for _, p := range vAnc {
+		dx, dy, dz := t.CX[p]-ux, t.CY[p]-uy, t.CZ[p]-uz
+		if epolFar2(dx*dx+dy*dy+dz*dz, t.CR[p], ur, s.sep2) {
+			return 1
+		}
+	}
+	i, j := s.leafNo[u], s.leafNo[v]
+	if ((i+j)&1 == 1) == (j > i) {
+		return 2
+	}
+	return 0
+}
+
+// epolVisit is the recursion of Fig. 3; v is always a leaf and vAnc its
+// proper ancestors.
+func (s *EpolSolver) epolVisit(u, v int32, vAnc []int32, st *Stats) float64 {
 	st.NodesVisited++
 	un := &s.T.Nodes[u]
 	vn := &s.T.Nodes[v]
 	if un.Leaf {
+		w := s.blockWeight(u, v, vAnc)
+		if w == 0 {
+			return 0
+		}
 		// Exact ordered pairs between atoms under u and v (including the
 		// self pairs when u == v: f_GB(i,i) = R_i).
 		ulo, uhi := s.T.PointRange(u)
@@ -259,7 +316,7 @@ func (s *EpolSolver) epolVisit(u, v int32, st *Stats) float64 {
 			}
 		}
 		st.NearPairs += int64(uhi-ulo) * int64(vhi-vlo)
-		return sum
+		return float64(w) * sum
 	}
 	d2 := un.Center.Dist2(vn.Center)
 	if epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
@@ -268,7 +325,7 @@ func (s *EpolSolver) epolVisit(u, v int32, st *Stats) float64 {
 	var sum float64
 	for _, ch := range un.Children {
 		if ch != octree.NoChild {
-			sum += s.epolVisit(ch, v, st)
+			sum += s.epolVisit(ch, v, vAnc, st)
 		}
 	}
 	return sum
@@ -511,23 +568,27 @@ func (s *EpolSolver) ResidentData(leaf int32) (q, R []float64, pts []geom.Vec3) 
 // NeededLeaves runs a skeleton-only mirror of the APPROX-EPOL(root, V)
 // traversal for the given leaf and returns the node indices of every leaf
 // whose ATOM DATA the exact near-field part would touch (V's own leaf
-// included). Far-field cells need only the per-node charge bins, which are
-// part of the small tree skeleton. This is the analysis primitive behind
-// the data-distribution variant of the paper's §VI future work: a rank
-// owning a set of leaves needs only those leaves' atoms, the skeleton, and
-// the "ghost" leaves returned here.
+// included) — the blocks this driver evaluates, not the mutual ones whose
+// other leaf owns them (blockWeight). Far-field cells need only the
+// per-node charge bins, which are part of the small tree skeleton. This is
+// the analysis primitive behind the data-distribution variant of the
+// paper's §VI future work: a rank owning a set of leaves needs only those
+// leaves' atoms, the skeleton, and the "ghost" leaves returned here.
 func (s *EpolSolver) NeededLeaves(vLeaf int) []int32 {
 	var out []int32
 	v := s.T.LeafIdx[vLeaf]
-	s.neededVisit(0, v, &out)
+	var buf [64]int32
+	s.neededVisit(0, v, s.ancestors(v, buf[:0]), &out)
 	return out
 }
 
-func (s *EpolSolver) neededVisit(u, v int32, out *[]int32) {
+func (s *EpolSolver) neededVisit(u, v int32, vAnc []int32, out *[]int32) {
 	un := &s.T.Nodes[u]
 	vn := &s.T.Nodes[v]
 	if un.Leaf {
-		*out = append(*out, u)
+		if s.blockWeight(u, v, vAnc) != 0 {
+			*out = append(*out, u)
+		}
 		return
 	}
 	if epolFar2(un.Center.Dist2(vn.Center), un.Radius, vn.Radius, s.sep2) {
@@ -535,7 +596,7 @@ func (s *EpolSolver) neededVisit(u, v int32, out *[]int32) {
 	}
 	for _, ch := range un.Children {
 		if ch != octree.NoChild {
-			s.neededVisit(ch, v, out)
+			s.neededVisit(ch, v, vAnc, out)
 		}
 	}
 }

@@ -145,7 +145,7 @@ func (s *BornSolver) FarTotals(sNode, out []float64) {
 // with both sides' radii inflated by SlackMargin. Inflation only moves
 // pairs from far to near (near is exact), so accuracy is never worse than
 // the plain criterion's, and any drift within the margins keeps every far
-// decision valid. Visit order matches BuildBornListInto, so near entries
+// decision valid. Visit order matches BuildBornList, so near entries
 // come out in the canonical (ascending) order the session's row resums
 // rely on.
 func (s *BornSolver) BuildBornDriverSlack(l *InteractionList, qLeaf int32, ballC geom.Vec3, ballR, slackFactor, minSlack float64) *InteractionList {

@@ -10,10 +10,11 @@ import (
 // This file implements the two-phase (traversal / evaluation) form of the
 // treecodes. The recursive traversals in born.go and epol.go interleave
 // the near–far decision with the arithmetic; here the decision tree is run
-// ONCE by an explicit-stack, allocation-light traversal that only records
-// which node pairs interact and how (NodePair lists), and the arithmetic
-// becomes flat, branch-predictable loops over the octrees' SoA coordinate
-// mirrors. The split buys three things:
+// ONCE by a flat, allocation-light traversal that only records which node
+// pairs interact and how (NodePair lists) — the single-tree walks stackless
+// over the octree's pre-order skip index, the dual-tree ones over an
+// explicit pair stack — and the arithmetic becomes flat, branch-predictable
+// loops over the octrees' SoA mirrors. The split buys three things:
 //
 //  1. the evaluation loops stream contiguous float64 arrays with the
 //     traversal control flow hoisted out entirely;
@@ -40,10 +41,16 @@ type NodePair struct {
 // work counters the traversal recorded (identical to what the equivalent
 // recursive traversal would have reported).
 type InteractionList struct {
-	Near  []NodePair
-	Far   []NodePair
-	stats Stats
-	stack pairStack // the builders' traversal stack, kept so a tile can resume
+	Near []NodePair
+	Far  []NodePair
+	// Mutual holds the near blocks of a leaf-driven energy list that stand
+	// for their mirror image as well: the block's other leaf would meet
+	// this one exactly too, so one of the two drivers evaluates it and the
+	// energy kernels count it twice (EpolSolver.blockWeight). Empty in
+	// every other kind of list.
+	Mutual []NodePair
+	stats  Stats
+	stack  pairStack // the dual builders' traversal stack, kept so a tile can resume
 
 	// symmetric marks the list of the dual energy traversal, which holds
 	// each unordered node pair once: the energy kernels count an entry with
@@ -57,18 +64,23 @@ type InteractionList struct {
 func (l *InteractionList) Stats() Stats { return l.stats }
 
 // reset empties the list while keeping its capacity, so rebuilds into the
-// same InteractionList (ε-sweeps, per-pose docking rebuilds) reuse the
-// previous pose's backing arrays instead of re-growing them from scratch.
+// same InteractionList (a worker's tile, a session's driver lists) reuse
+// its backing arrays instead of re-growing them from scratch.
 func (l *InteractionList) reset() {
 	l.Near = l.Near[:0]
 	l.Far = l.Far[:0]
+	l.Mutual = l.Mutual[:0]
 	l.stack = l.stack[:0]
 	l.stats = Stats{}
 	l.symmetric = false
 }
 
+// rangeLen is the point count of a node range packed as start | end<<32
+// (BornSolver.aRange, EpolSolver.uRange).
+func rangeLen(r int64) int64 { return r>>32 - r&0xffffffff }
+
 // pairStack is a tiny explicit stack of node pairs reused across the
-// builders; grow-only, so a solver-scoped builder performs no allocation
+// dual-tree builders; grow-only, so a solver-scoped builder performs no allocation
 // after warm-up when lists are rebuilt (ε-sweeps).
 type pairStack []NodePair
 
@@ -89,60 +101,49 @@ func (st *pairStack) pop() NodePair {
 // list (EvalBornList) is equivalent to running AccumulateQLeaf over the
 // same leaf range.
 func (s *BornSolver) BuildBornList(qLo, qHi int) *InteractionList {
-	return s.BuildBornListInto(new(InteractionList), qLo, qHi)
-}
-
-// BuildBornListInto is BuildBornList rebuilding into an existing list,
-// reusing its backing arrays. Lists at ZDock scales run to tens of
-// millions of entries, so rebuild loops should pass the same list back in
-// rather than re-paying the append growth every pose.
-func (s *BornSolver) BuildBornListInto(l *InteractionList, qLo, qHi int) *InteractionList {
-	l.reset()
+	l := new(InteractionList)
 	s.fillBornLeaves(l, qLo, qHi, math.MaxInt)
 	return l
 }
 
 // fillBornLeaves appends the traversals of whole q-leaves, from qLo on,
 // until l holds at least limit entries or qHi is reached, and returns the
-// first leaf it did not traverse.
+// first leaf it did not traverse. Each q-leaf walks T_A in pre-order over
+// the tree's compact geometry streams: an accepted node jumps to the end of
+// its subtree (Skip), anything else steps to the next index — its first
+// child, or for a leaf the next subtree — which is the recursion's visit
+// order exactly, so the lists, the Stats and the order of every
+// accumulator addition are the recursion's.
 func (s *BornSolver) fillBornLeaves(l *InteractionList, qLo, qHi, limit int) int {
-	if len(s.TA.Nodes) == 0 || len(s.TQ.Nodes) == 0 {
-		return qHi
-	}
-	stack := l.stack[:0]
+	ta, tq := s.TA, s.TQ
+	skip := ta.Skip
+	cx, cy, cz, cr := ta.CX[:len(skip)], ta.CY[:len(skip)], ta.CZ[:len(skip)], ta.CR[:len(skip)]
+	aRange := s.aRange[:len(skip)]
+	k2 := s.sepK2
+	near, far, st := l.Near, l.Far, l.stats
 	ql := qLo
-	for ; ql < qHi && len(l.Near)+len(l.Far) < limit; ql++ {
-		q := s.TQ.LeafIdx[ql]
-		qn := &s.TQ.Nodes[q]
-		qCount := int64(qn.Count)
-		stack.push(0, q)
-		for len(stack) > 0 {
-			p := stack.pop()
-			a := p.A
-			l.stats.NodesVisited++
-			an := &s.TA.Nodes[a]
-			d2 := an.Center.Dist2(qn.Center)
-			if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
-				l.Far = append(l.Far, NodePair{a, q})
-				l.stats.FarEval++
+	for ; ql < qHi && len(near)+len(far) < limit; ql++ {
+		q := tq.LeafIdx[ql]
+		qx, qy, qz, qr := tq.CX[q], tq.CY[q], tq.CZ[q], tq.CR[q]
+		qCount := int64(tq.Nodes[q].Count)
+		for a := 0; a < len(skip); {
+			st.NodesVisited++
+			dx, dy, dz := cx[a]-qx, cy[a]-qy, cz[a]-qz
+			next := int(skip[a])
+			if wellSeparated2(dx*dx+dy*dy+dz*dz, cr[a], qr, k2) {
+				far = append(far, NodePair{int32(a), q})
+				a = next
 				continue
 			}
-			if an.Leaf {
-				l.Near = append(l.Near, NodePair{a, q})
-				l.stats.NearPairs += int64(an.Count) * qCount
-				continue
+			if next == a+1 { // a leaf too close to approximate
+				near = append(near, NodePair{int32(a), q})
+				st.NearPairs += rangeLen(aRange[a]) * qCount
 			}
-			// Push children in reverse so they pop in the recursion's
-			// (ascending) order — keeps accumulation order, and therefore
-			// floating-point results, aligned with the recursive oracle.
-			for c := 7; c >= 0; c-- {
-				if ch := an.Children[c]; ch != octree.NoChild {
-					stack.push(ch, q)
-				}
-			}
+			a++
 		}
 	}
-	l.stack = stack
+	st.FarEval += int64(len(far) - len(l.Far))
+	l.Near, l.Far, l.stats = near, far, st
 	return ql
 }
 
@@ -391,86 +392,72 @@ func (s *BornSolver) EvalBornList(l *InteractionList, sNode, sAtom []float64) St
 // atoms-octree leaves [vLo, vHi) and returns the interaction list.
 // Evaluating it is equivalent to summing LeafEnergy over the same range.
 func (s *EpolSolver) BuildEpolList(vLo, vHi int) *InteractionList {
-	return s.BuildEpolListInto(new(InteractionList), vLo, vHi)
-}
-
-// BuildEpolListInto is BuildEpolList reusing an existing list's backing
-// arrays.
-func (s *EpolSolver) BuildEpolListInto(l *InteractionList, vLo, vHi int) *InteractionList {
-	return buildEpolLeafList(l, s.T, s.sep, vLo, vHi, s.nnz)
-}
-
-// buildEpolLeafList is the leaf-driven APPROX-EPOL traversal shared by the
-// full builder and the geometry-only skeleton builder. nnz may be nil, in
-// which case FarEval is left at 0 (to be filled in by CompleteFarStats).
-func buildEpolLeafList(l *InteractionList, t *octree.Tree, sep float64, vLo, vHi int, nnz func(int32) int64) *InteractionList {
-	l.reset()
-	if len(t.Nodes) == 0 {
-		return l
-	}
-	sep2 := sep * sep // same squared constant the solver stores
-	stack := l.stack
+	l := new(InteractionList)
 	for vl := vLo; vl < vHi; vl++ {
-		v := t.LeafIdx[vl]
-		vn := &t.Nodes[v]
-		stack.push(0, v)
-		for len(stack) > 0 {
-			p := stack.pop()
-			u := p.A
-			l.stats.NodesVisited++
-			un := &t.Nodes[u]
-			if un.Leaf {
-				l.Near = append(l.Near, NodePair{u, v})
-				l.stats.NearPairs += int64(un.Count) * int64(vn.Count)
-				continue
-			}
-			d2 := un.Center.Dist2(vn.Center)
-			if epolFar2(d2, un.Radius, vn.Radius, sep2) {
-				l.Far = append(l.Far, NodePair{u, v})
-				if nnz != nil {
-					l.stats.FarEval += nnz(u) * nnz(v)
-				}
-				continue
-			}
-			for c := 7; c >= 0; c-- {
-				if ch := un.Children[c]; ch != octree.NoChild {
-					stack.push(ch, v)
-				}
-			}
-		}
+		s.appendEpolLeaf(l, vl)
 	}
-	l.stack = stack
 	return l
 }
 
-// EpolSeparation returns the well-separatedness factor 1 + 2/ε a solver
-// built with cfg will use (defaults applied) — what BuildEpolSkeletonInto
-// needs before the solver itself can exist.
-func EpolSeparation(cfg EpolConfig) float64 {
-	return 1 + 2/cfg.withDefaults().Eps
-}
-
-// BuildEpolSkeletonInto builds the energy interaction list from GEOMETRY
-// ALONE: the acceptance test needs only node centers, radii and the ε-derived
-// separation factor, so the list can be constructed before charges or Born
-// radii are known. Near, Far, NodesVisited and NearPairs are identical to
-// BuildEpolListInto on a solver over the same tree and ε; FarEval — the one
-// radii-dependent counter (it counts occupied Born-radius bin pairs) — is
-// left at 0 until CompleteFarStats. This is the hook that lets the
-// distributed engine overlap the Born-radius Allgatherv with list
-// construction: the traversal runs while the radii are still in flight.
-func BuildEpolSkeletonInto(l *InteractionList, t *octree.Tree, sep float64, vLo, vHi int) *InteractionList {
-	return buildEpolLeafList(l, t, sep, vLo, vHi, nil)
-}
-
-// CompleteFarStats fills in the radii-dependent FarEval counter of a
-// skeleton list built by BuildEpolSkeletonInto, making its Stats identical
-// to a BuildEpolList over the same range.
-func (s *EpolSolver) CompleteFarStats(l *InteractionList) {
-	l.stats.FarEval = 0
-	for _, p := range l.Far {
-		l.stats.FarEval += s.nnz(p.A) * s.nnz(p.B)
+// appendEpolLeaf appends the leaf-driven APPROX-EPOL traversal of the
+// driver leaf with dense index vl: the stackless pre-order walk of
+// fillBornLeaves with Fig. 3's order of tests — a leaf is always an exact
+// block, only internal nodes are tried as far cells — and each exact block
+// filed by what it counts for in this driver's sum (blockWeight): Near
+// once, Mutual twice, and not at all when the other leaf's driver owns it.
+func (s *EpolSolver) appendEpolLeaf(l *InteractionList, vl int) {
+	t := s.T
+	skip := t.Skip
+	cx, cy, cz, cr := t.CX[:len(skip)], t.CY[:len(skip)], t.CZ[:len(skip)], t.CR[:len(skip)]
+	v := t.LeafIdx[vl]
+	vx, vy, vz, vr := cx[v], cy[v], cz[v], cr[v]
+	vCount := rangeLen(s.uRange[v])
+	var buf [64]int32
+	vAnc := s.ancestors(v, buf[:0])
+	st := l.stats
+	for u := 0; u < len(skip); {
+		st.NodesVisited++
+		next := int(skip[u])
+		if next == u+1 {
+			if w := s.blockWeight(int32(u), v, vAnc); w != 0 {
+				dst := &l.Near
+				if w == 2 {
+					dst = &l.Mutual
+				}
+				*dst = append(*dst, NodePair{int32(u), v})
+				st.NearPairs += rangeLen(s.uRange[u]) * vCount
+			}
+			u = next
+			continue
+		}
+		dx, dy, dz := cx[u]-vx, cy[u]-vy, cz[u]-vz
+		if epolFar2(dx*dx+dy*dy+dz*dz, cr[u], vr, s.sep2) {
+			l.Far = append(l.Far, NodePair{int32(u), v})
+			st.FarEval += s.nnz(int32(u)) * s.nnz(v)
+			u = next
+			continue
+		}
+		u++
 	}
+	l.stats = st
+}
+
+// StreamEpolLeaves is EvalEpolList(BuildEpolList(vLo, vHi)) without the
+// list — step 6 of the leaf-driven engines, streamed like their step 2
+// (StreamBornLeaves). The tile holds one driver leaf's entries at a time,
+// and each driver's sum is added to *raw as it completes, so *raw sees the
+// same additions in the same order however [vLo, vHi) is cut into calls:
+// chunks run in ascending order into one accumulator are the serial sum,
+// bit for bit. It returns the Stats of the traversals.
+func (s *EpolSolver) StreamEpolLeaves(tile *InteractionList, vLo, vHi int, raw *float64) Stats {
+	tile.reset()
+	for vl := vLo; vl < vHi; vl++ {
+		s.appendEpolLeaf(tile, vl)
+		e, _ := s.EvalEpolList(tile)
+		*raw += e
+		tile.Near, tile.Mutual, tile.Far = tile.Near[:0], tile.Mutual[:0], tile.Far[:0]
+	}
+	return tile.stats
 }
 
 // BuildEpolDualList runs the dual-tree energy traversal of EnergyDual and
@@ -733,14 +720,19 @@ func (s *EpolSolver) EvalEpolFarPair(u, v int32) float64 {
 // over every u-row of every entry in the run. In a symmetric list a run's
 // sum counts twice unless it is a leaf's self pair (epolRun).
 func (s *EpolSolver) EvalEpolNearRange(l *InteractionList, lo, hi int) float64 {
-	near := l.Near[lo:hi]
+	return s.evalEpolNear(l.Near[lo:hi], l.symmetric)
+}
+
+// evalEpolNear sums near entries, run by run, on the vector or the scalar
+// path.
+func (s *EpolSolver) evalEpolNear(near []NodePair, symmetric bool) float64 {
 	if hasAVX2FMA && s.cfg.Math != gb.Approximate && len(near) > 0 && len(s.uPos) > 0 {
-		return s.evalEpolNearRangeVec(near, l.symmetric)
+		return s.evalEpolNearRangeVec(near, symmetric)
 	}
 	var sum float64
 	for len(near) > 0 {
 		v := near[0].B
-		run, w := epolRun(near, l.symmetric)
+		run, w := epolRun(near, symmetric)
 		sum += w * s.evalEpolNearRunScalar(near[:run], v)
 		near = near[run:]
 	}
@@ -813,5 +805,9 @@ func (s *EpolSolver) EvalEpolFarRange(l *InteractionList, lo, hi int) float64 {
 // EvalEpolList evaluates a whole energy interaction list serially and
 // returns the raw sum (scale by EnergyScale) plus the list's Stats.
 func (s *EpolSolver) EvalEpolList(l *InteractionList) (float64, Stats) {
-	return s.EvalEpolNearRange(l, 0, len(l.Near)) + s.EvalEpolFarRange(l, 0, len(l.Far)), l.stats
+	raw := s.EvalEpolNearRange(l, 0, len(l.Near)) + s.EvalEpolFarRange(l, 0, len(l.Far))
+	if len(l.Mutual) > 0 {
+		raw += 2 * s.evalEpolNear(l.Mutual, false)
+	}
+	return raw, l.stats
 }

@@ -117,48 +117,6 @@ func TestEpolFlatListMatchesRecursive(t *testing.T) {
 	}
 }
 
-// TestEpolSkeletonMatchesFullBuilder: the geometry-only skeleton builder
-// must produce entry-for-entry the same list as the full builder, and
-// CompleteFarStats must recover identical Stats.
-func TestEpolSkeletonMatchesFullBuilder(t *testing.T) {
-	for _, n := range goldenSizes(t) {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			m, q := testMol(n, int64(77+n))
-			R := treecodeRadii(m, q)
-			cfg := EpolConfig{Eps: 0.9}
-			es := NewEpolSolverFromMolecule(m, R, cfg)
-
-			full := es.BuildEpolList(0, es.NumLeaves())
-			var skel InteractionList
-			BuildEpolSkeletonInto(&skel, es.T, EpolSeparation(cfg), 0, es.NumLeaves())
-
-			if len(skel.Near) != len(full.Near) || len(skel.Far) != len(full.Far) {
-				t.Fatalf("skeleton entries: near %d/far %d vs full near %d/far %d",
-					len(skel.Near), len(skel.Far), len(full.Near), len(full.Far))
-			}
-			for i := range full.Near {
-				if skel.Near[i] != full.Near[i] {
-					t.Fatalf("near[%d]: %v vs %v", i, skel.Near[i], full.Near[i])
-				}
-			}
-			for i := range full.Far {
-				if skel.Far[i] != full.Far[i] {
-					t.Fatalf("far[%d]: %v vs %v", i, skel.Far[i], full.Far[i])
-				}
-			}
-			es.CompleteFarStats(&skel)
-			if skel.Stats() != full.Stats() {
-				t.Fatalf("stats: skeleton %+v vs full %+v", skel.Stats(), full.Stats())
-			}
-			eFull, _ := es.EvalEpolList(full)
-			eSkel, _ := es.EvalEpolList(&skel)
-			if eFull != eSkel {
-				t.Fatalf("energy: skeleton %v vs full %v", eSkel, eFull)
-			}
-		})
-	}
-}
-
 // treecodeRadii computes Born radii through the treecode (cheaper than
 // the exact reference for the 10k golden case).
 func treecodeRadii(m *molecule.Molecule, q []surface.QPoint) []float64 {
@@ -232,10 +190,8 @@ func BenchmarkBornEval10k(b *testing.B) {
 	b.Run("flat-build", func(b *testing.B) {
 		benchSetup(b)
 		bs := benchSolver.bs
-		// Rebuild into a reused list — the ε-sweep / per-pose steady state.
-		scratch := new(InteractionList)
 		for i := 0; i < b.N; i++ {
-			bs.BuildBornListInto(scratch, 0, bs.NumQLeaves())
+			bs.BuildBornList(0, bs.NumQLeaves())
 		}
 	})
 	b.Run("flat-eval", func(b *testing.B) {
@@ -264,9 +220,8 @@ func BenchmarkEpolEval10k(b *testing.B) {
 	b.Run("flat-build", func(b *testing.B) {
 		benchSetup(b)
 		es := benchSolver.es
-		scratch := new(InteractionList)
 		for i := 0; i < b.N; i++ {
-			es.BuildEpolListInto(scratch, 0, es.NumLeaves())
+			es.BuildEpolList(0, es.NumLeaves())
 		}
 	})
 	b.Run("flat-eval", func(b *testing.B) {

@@ -188,13 +188,12 @@ func (s *distDataSetup) runRank(c cluster.Comm) (float64, error) {
 	// are in flight. Only the summation order differs from evaluating all
 	// owned leaves in segment order (~1e-15 relative).
 	var raw float64
-	var list core.InteractionList
+	var tile core.InteractionList
 	evalLeaf := func(l int) error {
-		e, _ := local.EvalEpolList(local.BuildEpolListInto(&list, l, l+1))
-		if math.IsNaN(e) {
+		local.StreamEpolLeaves(&tile, l, l+1, &raw)
+		if math.IsNaN(raw) {
 			return fmt.Errorf("engine: rank %d leaf %d touched non-resident data (ghost set insufficient)", rank, l)
 		}
-		raw += e
 		return nil
 	}
 	for l := seg.Lo; l < seg.Hi; l++ {
@@ -230,10 +229,10 @@ func (s *distDataSetup) runRank(c cluster.Comm) (float64, error) {
 		local.SetResident(leaf, q, rad, pts)
 	}
 
-	// Boundary leaves: near field now fully resident. List construction
-	// reads only the shared skeleton, and the SoA kernels touch only the
-	// resident point payloads (non-resident coordinates are NaN, so a
-	// finite sum still proves the ghost set sufficient).
+	// Boundary leaves: near field now fully resident. The traversal reads
+	// only the shared skeleton, and the SoA kernels touch only the resident
+	// point payloads (non-resident coordinates are NaN, so a finite sum
+	// still proves the ghost set sufficient).
 	for l := seg.Lo; l < seg.Hi; l++ {
 		if !pureLocal[l-seg.Lo] {
 			if err := evalLeaf(l); err != nil {

@@ -1,13 +1,17 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"octgb/internal/cluster"
+	"octgb/internal/core"
 	"octgb/internal/gb"
 	"octgb/internal/molecule"
 	"octgb/internal/simtime"
 	"octgb/internal/surface"
+	"octgb/internal/testutil"
 )
 
 func testProblem(n int, seed int64) *Problem {
@@ -66,22 +70,64 @@ func TestAllEnginesAgreeOnEnergy(t *testing.T) {
 	}
 }
 
+// TestDistributedIndependentOfRankCount: node-based division (§IV-A) makes
+// the result independent of the decomposition. The set of evaluated
+// interactions — every mutual leaf block at the one leaf that owns it
+// included — is fixed by the trees alone, so the work counters summed over
+// ranks repeat exactly and the energy moves only by reassociation in the
+// reduce, for any P × Threads, on the in-process and the TCP transport, and
+// in the distributed-data engine, whose ranks hold NaN for every atom they
+// neither own nor were sent: a finite energy there means no rank evaluated
+// a block it did not have both sides of.
 func TestDistributedIndependentOfRankCount(t *testing.T) {
-	// Node-based division: the result must be bitwise-independent of P up
-	// to floating reassociation in the reduce; assert tight agreement.
+	defer testutil.Watchdog(t, 0)()
 	pr := testProblem(500, 42)
-	e1, err := RunReal(pr, OctMPI, Options{Ranks: 1})
+	base, err := RunReal(pr, OctMPI, Options{Ranks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{2, 3, 8} {
-		ep, err := RunReal(pr, OctMPI, Options{Ranks: p})
-		if err != nil {
-			t.Fatal(err)
+	check := func(t *testing.T, energy float64, born, epol core.Stats) {
+		t.Helper()
+		if e := relErr(energy, base.Energy); e > 1e-12 || math.IsNaN(energy) {
+			t.Errorf("energy %v differs from P=1 %v (rel %v)", energy, base.Energy, e)
 		}
-		if e := relErr(ep.Energy, e1.Energy); e > 1e-9 {
-			t.Errorf("P=%d energy %v differs from P=1 %v (rel %v)", p, ep.Energy, e1.Energy, e)
+		if born != base.BornStats || epol != base.EpolStats {
+			t.Errorf("stats %+v / %+v, P=1 %+v / %+v", born, epol, base.BornStats, base.EpolStats)
 		}
+	}
+	for _, p := range []int{1, 2, 3, 5, 8} {
+		for _, threads := range []int{1, 3} {
+			t.Run(fmt.Sprintf("local/%dx%d", p, threads), func(t *testing.T) {
+				rep, err := RunReal(pr, OctMPICilk, Options{Ranks: p, Threads: threads})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, rep.Energy, rep.BornStats, rep.EpolStats)
+			})
+			t.Run(fmt.Sprintf("tcp/%dx%d", p, threads), func(t *testing.T) {
+				reps := make([]RealReport, p)
+				overTCP(t, p, p > 2, func(c cluster.Comm, rank int) error {
+					rep, err := RunRank(c, pr, Options{Threads: threads})
+					reps[rank] = rep
+					return err
+				})
+				var born, epol core.Stats
+				for _, rep := range reps {
+					born.Add(rep.BornStats)
+					epol.Add(rep.EpolStats)
+				}
+				for _, rep := range reps {
+					check(t, rep.Energy, born, epol)
+				}
+			})
+		}
+		t.Run(fmt.Sprintf("distributed-data/%d", p), func(t *testing.T) {
+			e, err := RunDistributedDataEnergy(pr, p, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, e, base.BornStats, base.EpolStats)
+		})
 	}
 }
 
@@ -286,5 +332,41 @@ func TestProblemConstruction(t *testing.T) {
 	}
 	if pr.Charges[5] != pr.Mol.Atoms[5].Charge {
 		t.Error("charges extraction wrong")
+	}
+}
+
+// TestLeafDrivenEnergyWithinOnePercent is the paper's accuracy contract on
+// the molecules the benchmark solves: OCT_MPI and OCT_MPI+CILK stay within
+// 1 % of the exact quadratic sum on deck molecule 0 of cmd/bench's
+// cold_solve at 4 000 atoms, for three seeds. The bench checks one seed per
+// run; this holds the contract in `go test`. The figures are 0.37 / 0.41 /
+// 0.55 % and only a change to the interaction set can move them. OCT_CILK's
+// dual energy traversal accepts far pairs before it looks for leaves and
+// reads above 1 % on these molecules (ROADMAP item 8); it is logged, not
+// asserted.
+func TestLeafDrivenEnergyWithinOnePercent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three 4000-atom naive references")
+	}
+	for _, seed := range []int64{23, 24, 31} {
+		pr := NewProblem(molecule.GenerateProtein("cold-0", 4000, seed*1000), surface.Default())
+		naive, err := RunReal(pr, Naive, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errOf := func(k Kind, o Options) float64 {
+			rep, err := RunReal(pr, k, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return relErr(rep.Energy, naive.Energy)
+		}
+		mpi := errOf(OctMPI, Options{Ranks: 2})
+		hybrid := errOf(OctMPICilk, Options{Ranks: 2, Threads: 2})
+		t.Logf("seed %d: OCT_MPI %.4f %%, OCT_MPI+CILK %.4f %%, OCT_CILK %.4f %% (not asserted)",
+			seed, 100*mpi, 100*hybrid, 100*errOf(OctCilk, Options{Threads: 2}))
+		if mpi > 0.01 || hybrid > 0.01 {
+			t.Errorf("seed %d: OCT_MPI %.4f %%, OCT_MPI+CILK %.4f %% off naive, contract 1 %%", seed, 100*mpi, 100*hybrid)
+		}
 	}
 }

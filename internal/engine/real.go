@@ -18,10 +18,11 @@ type RealReport struct {
 	BornRadii []float64 // original order
 	Wall      time.Duration
 	BornStats core.Stats
-	// EpolStats counts the energy-phase work as performed (core.Stats):
-	// every ordered leaf-against-tree interaction for OCT_MPI and
-	// OCT_MPI+CILK, each unordered node pair once for OCT_CILK's symmetric
-	// dual traversal — about half as much for the same energy.
+	// EpolStats counts the energy-phase work as performed (core.Stats): for
+	// OCT_MPI and OCT_MPI+CILK every driver leaf's far cells and one-sided
+	// exact blocks plus each mutual exact block once, at the leaf that owns
+	// it (core's blockWeight); for OCT_CILK's symmetric dual traversal each
+	// unordered node pair once. Neither depends on Ranks or Threads.
 	EpolStats core.Stats
 	Sched     sched.Stats // aggregated work-stealing statistics
 	Phases    PhaseTimings
@@ -134,43 +135,6 @@ func bornPhase(bs *core.BornSolver, pool *sched.Pool, n, grain int, sNode, sAtom
 		total.Add(statsW[w])
 	}
 	return total, st
-}
-
-// evalEpolListParallel evaluates a materialised energy interaction list
-// with the pool and returns its raw sum. It is the evaluator of the
-// leaf-driven engines (OCT_MPI+CILK), whose list is built while the radii
-// allgather is in flight; OCT_CILK streams its dual traversal instead
-// ((*Prepared).evalEpol).
-func evalEpolListParallel(es *core.EpolSolver, list *core.InteractionList, pool *sched.Pool) (float64, sched.Stats) {
-	nn := len(list.Near)
-	total := nn + len(list.Far)
-	if total == 0 {
-		return 0, sched.Stats{}
-	}
-	partial := make([]float64, pool.Workers())
-	st := pool.ParallelFor(total, 0, func(w, lo, hi int) {
-		var sum float64
-		if lo < nn {
-			nhi := hi
-			if nhi > nn {
-				nhi = nn
-			}
-			sum += es.EvalEpolNearRange(list, lo, nhi)
-		}
-		if hi > nn {
-			flo := lo
-			if flo < nn {
-				flo = nn
-			}
-			sum += es.EvalEpolFarRange(list, flo-nn, hi-nn)
-		}
-		partial[w] += sum
-	})
-	var raw float64
-	for _, p := range partial {
-		raw += p
-	}
-	return raw, st
 }
 
 // runCilkReal executes the dual-tree algorithm with one rank and a
@@ -288,39 +252,33 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 	bs.PushIntegrals(sNode, sAtom, int32(aseg.Lo), int32(aseg.Hi), rTree)
 	lap(&rep.Phases.Push, po.push, "engine.push")
 
-	// Step 5: gather Born radii of the other segments — overlapped with
-	// step 6's list construction: the E_pol acceptance test needs only tree
-	// geometry and ε, so the skeleton interaction list is built while the
-	// radii are still in flight (core.BuildEpolSkeletonInto) and its one
-	// radii-dependent Stats counter is completed once the solver exists
-	// (CompleteFarStats).
+	// Step 5: gather Born radii of the other segments.
 	counts := make([]int, P)
 	for r := 0; r < P; r++ {
 		counts[r] = partition.ForRank(n, P, r).Len()
 	}
 	rFull := make([]float64, n)
-	ecfg := o.epolConfig()
-	lseg := partition.ForRank(bs.TA.NumLeaves(), P, rank)
-	req := c.IAllgatherv(rTree[aseg.Lo:aseg.Hi], counts, rFull)
-	list := core.BuildEpolSkeletonInto(new(core.InteractionList), bs.TA, core.EpolSeparation(ecfg), lseg.Lo, lseg.Hi)
-	lap(&rep.Phases.Epol, po.epol, "engine.epol")
-	if err := req.Wait(); err != nil {
+	if err := c.Allgatherv(rTree[aseg.Lo:aseg.Hi], counts, rFull); err != nil {
 		return rep, err
 	}
 	rep.BornRadii = bs.RadiiToOriginal(rFull)
 	lap(&rep.Phases.Comm, po.comm, "engine.comm")
 
-	// Step 6: partial energy for this rank's leaf segment.
-	es := core.NewEpolSolver(bs.TA, pr.Charges, rep.BornRadii, ecfg)
-	es.CompleteFarStats(list)
-	rep.EpolStats.Add(list.Stats())
+	// Step 6: partial energy for this rank's leaf segment, streamed like
+	// step 2: each chunk of driver leaves is traversed and evaluated through
+	// its worker's tile; one worker's chunks are the serial sum bit for bit.
+	es := core.NewEpolSolver(bs.TA, pr.Charges, rep.BornRadii, o.epolConfig())
+	lseg := partition.ForRank(es.NumLeaves(), P, rank)
+	tiles := make([]core.InteractionList, pool.Workers())
+	partial := make([]float64, pool.Workers())
+	statsW := make([]core.Stats, pool.Workers())
+	rep.Sched.Add(pool.ParallelFor(lseg.Len(), 0, func(w, lo, hi int) {
+		statsW[w].Add(es.StreamEpolLeaves(&tiles[w], lseg.Lo+lo, lseg.Lo+hi, &partial[w]))
+	}))
 	var raw float64
-	if o.Threads == 1 {
-		raw, _ = es.EvalEpolList(list)
-	} else {
-		var st sched.Stats
-		raw, st = evalEpolListParallel(es, list, pool)
-		rep.Sched.Add(st)
+	for w := range partial {
+		raw += partial[w]
+		rep.EpolStats.Add(statsW[w])
 	}
 	lap(&rep.Phases.Epol, po.epol, "engine.epol")
 

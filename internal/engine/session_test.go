@@ -82,6 +82,16 @@ func runStream(t *testing.T, mol *molecule.Molecule, o SessionOptions, frames []
 		}
 		energies = append(energies, rep.Energy)
 		reports = append(reports, rep)
+		if rep.Refreshed {
+			// A refresh refits node geometry: the skip index and the
+			// center/radius mirrors must still describe the Node records.
+			if err := ss.bs.TA.Validate(); err != nil {
+				t.Fatalf("frame %d: T_A after refresh: %v", fi, err)
+			}
+			if err := ss.bs.TQ.Validate(); err != nil {
+				t.Fatalf("frame %d: T_Q after refresh: %v", fi, err)
+			}
+		}
 	}
 	return energies, reports
 }

@@ -208,14 +208,8 @@ func (sm *SimModel) Time(P, threads int, m simtime.Machine, seed int64) SimTimin
 	var comm float64
 	// sync charges one collective (AlgoCollectiveCost matches what
 	// cluster/collectives.go executes).
-	// overlapSec seconds of independent compute — already on the rank
-	// clocks via the compute phases — hide the same amount of collective
-	// time, modeling a non-blocking operation waited on afterwards.
-	sync := func(kind string, words int, overlapSec float64) {
-		c := jit(m.AlgoCollectiveCost(kind, words, P, rpn), 0.5) - overlapSec
-		if c < 0 {
-			c = 0
-		}
+	sync := func(kind string, words int) {
+		c := jit(m.AlgoCollectiveCost(kind, words, P, rpn), 0.5)
 		var max float64
 		for _, t := range clocks.T {
 			if t > max {
@@ -246,7 +240,7 @@ func (sm *SimModel) Time(P, threads int, m simtime.Machine, seed int64) SimTimin
 		}
 		// Phase 3: Allreduce of partial integrals (s_A per node + s_a per
 		// atom).
-		sync("allreduce", len(sm.bs.TA.Nodes)+sm.numAtoms, 0)
+		sync("allreduce", len(sm.bs.TA.Nodes)+sm.numAtoms)
 	}
 
 	// Phase 4: push integrals to atoms (atom segments).
@@ -254,13 +248,9 @@ func (sm *SimModel) Time(P, threads int, m simtime.Machine, seed int64) SimTimin
 	for r := 0; r < P; r++ {
 		clocks.Advance(r, jit(pushPer, computeAmp))
 	}
-	// Phase 5: Allgather Born radii. The engine overlaps this with the
-	// energy phase's geometry-only list construction (real.go step 5), so
-	// the per-rank traversal cost — the NodesVisited share of phase 6,
-	// charged there — credits against the collective here.
+	// Phase 5: Allgather Born radii.
 	if sm.Kind != OctCilk && sm.Kind != Naive {
-		overlapSec := float64(sm.EpolStats.NodesVisited) * sm.oc.NodeVisitSec * pen / float64(P)
-		sync("allgatherv", sm.numAtoms, overlapSec)
+		sync("allgatherv", sm.numAtoms)
 	}
 
 	// Phase 6: energy (node-based leaf segments).
@@ -280,7 +270,7 @@ func (sm *SimModel) Time(P, threads int, m simtime.Machine, seed int64) SimTimin
 			clocks.Advance(r, jit(t, computeAmp))
 		}
 		// Phase 7: reduce partial energies.
-		sync("allreduce", 1, 0)
+		sync("allreduce", 1)
 	}
 
 	total := clocks.Elapsed()

@@ -258,6 +258,14 @@ func TestE2EWireContractBothTiers(t *testing.T) {
 		{"stream create, short row", "/v1/stream", `{"molecule":{"atoms":[[0,0,1.5]]}}`, 0, 400, "bad_request"},
 		{"stream create, short body", "/v1/stream", `{"molecule":`, 64, 400, "bad_request"},
 		{"stream create, hash only", "/v1/stream", `{"molecule":{"hash":"` + otherHash + `"}}`, 0, 400, "bad_request"},
+		// Molecule coordinates are held to the ±1e6 Å of frame moves: past
+		// ~1e154 d² overflows and the answer would be 200 with a NaN energy.
+		{"coordinate 1e200", "/v1/energy", `{"molecule":{"atoms":[` + row + `,[1e200,0,0,1.5,-0.1]]}}`, 0, 400, "bad_request"},
+		{"coordinate just past the bound", "/v1/energy", `{"molecule":{"atoms":[` + row + `,[0,-1000001,0,1.5,-0.1]]}}`, 0, 400, "bad_request"},
+		{"coordinate on the bound", "/v1/energy", `{"molecule":{"atoms":[[999997,0,1e6,1.5,0.1],[1e6,0,1e6,1.5,-0.1]]}}`, 0, 200, ""},
+		{"sweep, ligand coordinate 1e200", "/v1/sweep", `{"ligand":{"atoms":[[0,0,-1e200,1.5,0.1]]},"poses":[{"t":[9,0,0]}]}`, 0, 400, "bad_request"},
+		{"sweep, receptor coordinate 1e200", "/v1/sweep", `{"receptor":{"atoms":[[1e200,0,0,1.5,0.1]]},"ligand":` + mol + `,"poses":[{"t":[9,0,0]}]}`, 0, 400, "bad_request"},
+		{"stream create, coordinate 1e200", "/v1/stream", `{"molecule":{"atoms":[` + row + `,[0,1e200,0,1.5,-0.1]]}}`, 0, 400, "bad_request"},
 		// Surface sampling is bounded where options are resolved; the deleted
 		// "precision" option is an unknown member like any other.
 		{"subdiv_level 12", "/v1/energy", `{"molecule":` + mol + `,"options":{"subdiv_level":12}}`, 0, 400, "bad_request"},

@@ -62,6 +62,10 @@ func oracleSplit(t *octree.Tree, box geom.AABB, start, count int32, depth int, p
 	none := octree.NoChild
 	t.Nodes = append(t.Nodes, octree.Node{Box: box, Start: start, Count: count, Parent: parent,
 		Children: [8]int32{none, none, none, none, none, none, none, none}})
+	// The skip index the oracle's way: whatever the recursion appended
+	// while it was below idx is idx's subtree.
+	t.Skip = append(t.Skip, 0)
+	defer func() { t.Skip[idx] = int32(len(t.Nodes)) }()
 	if count <= int32(t.LeafSize) || depth >= 48 || box.Size().MaxComponent() < 1e-9 {
 		t.Nodes[idx].Leaf = true
 		return idx

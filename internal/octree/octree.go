@@ -50,6 +50,13 @@ type Tree struct {
 	LeafIdx  []int32     // node indices of leaves, in tree order
 	LeafSize int
 
+	// Skip is the pre-order skip index: Nodes lie in depth-first pre-order,
+	// so the subtree of node n is the index range [n, Skip[n]) and a leaf
+	// is Skip[n] == n+1; `for n < len { n = Skip[n] or n+1 }` visits what
+	// the recursion visits, in its order, with no stack. Topology, like
+	// Perm and LeafIdx: fixed at Build and shared by Transform.
+	Skip []int32
+
 	// X, Y, Z are structure-of-arrays mirrors of Points, maintained by
 	// Build, Transform and FillSoA. The flat evaluation kernels
 	// (internal/core's interaction lists) stream these instead of the
@@ -57,17 +64,19 @@ type Tree struct {
 	// streams.
 	X, Y, Z []float64
 
-	// CX, CY, CZ mirror the node centers the same way. Far-field list
-	// evaluation reads only a node's center; streaming these avoids
-	// striding through the ~120-byte Node structs once per far entry.
-	CX, CY, CZ []float64
+	// CX, CY, CZ and CR mirror the node centers and radii the same way:
+	// the acceptance tests and the far-field kernels read only those, and
+	// streaming them avoids striding through the ~120-byte Node structs once
+	// per visited node. FillSoA, RefitAll and TransformInto are the only
+	// writers, each beside its write of Node.Center / Node.Radius.
+	CX, CY, CZ, CR []float64
 
 	oct []uint8 // Build's scratch: each point's octant in the node being split
 }
 
 // FillSoA (re)derives the X/Y/Z coordinate mirrors from Points and the
-// CX/CY/CZ mirrors from the node centers. Fresh slices are always
-// allocated so that shallow Tree copies which replace Points (e.g.
+// CX/CY/CZ/CR mirrors from the node centers and radii. Fresh slices are
+// always allocated so that shallow Tree copies which replace Points (e.g.
 // NaN-poisoned restricted solvers) never alias the source tree's mirrors.
 func (t *Tree) FillSoA() {
 	n := len(t.Points)
@@ -76,10 +85,10 @@ func (t *Tree) FillSoA() {
 		t.X[i], t.Y[i], t.Z[i] = p.X, p.Y, p.Z
 	}
 	m := len(t.Nodes)
-	t.CX, t.CY, t.CZ = make([]float64, m), make([]float64, m), make([]float64, m)
+	t.CX, t.CY, t.CZ, t.CR = make([]float64, m), make([]float64, m), make([]float64, m), make([]float64, m)
 	for i := range t.Nodes {
 		c := t.Nodes[i].Center
-		t.CX[i], t.CY[i], t.CZ[i] = c.X, c.Y, c.Z
+		t.CX[i], t.CY[i], t.CZ[i], t.CR[i] = c.X, c.Y, c.Z, t.Nodes[i].Radius
 	}
 }
 
@@ -124,6 +133,18 @@ func BuildOwned(pts []geom.Vec3, leafSize int) *Tree {
 	for i := range t.Nodes {
 		if t.Nodes[i].Leaf {
 			t.LeafIdx = append(t.LeafIdx, int32(i))
+		}
+	}
+	// A subtree ends where its last child's does; children follow their
+	// parent in the layout, so one reverse sweep has them ready.
+	t.Skip = make([]int32, len(t.Nodes))
+	for n := len(t.Nodes) - 1; n >= 0; n-- {
+		t.Skip[n] = int32(n) + 1
+		for c := 7; c >= 0; c-- {
+			if ch := t.Nodes[n].Children[c]; ch != NoChild {
+				t.Skip[n] = t.Skip[ch]
+				break
+			}
 		}
 	}
 	t.FillSoA()
@@ -275,8 +296,8 @@ func (t *Tree) Height() int {
 // ranks each hold a full copy, the paper's §IV-B memory argument).
 func (t *Tree) MemoryBytes() int64 {
 	return int64(cap(t.Nodes))*int64(unsafe.Sizeof(Node{})) +
-		int64(cap(t.Points))*24 + int64(cap(t.Perm)+cap(t.LeafIdx))*4 +
-		int64(cap(t.X)+cap(t.Y)+cap(t.Z)+cap(t.CX)+cap(t.CY)+cap(t.CZ))*8
+		int64(cap(t.Points))*24 + int64(cap(t.Perm)+cap(t.LeafIdx)+cap(t.Skip))*4 +
+		int64(cap(t.X)+cap(t.Y)+cap(t.Z)+cap(t.CX)+cap(t.CY)+cap(t.CZ)+cap(t.CR))*8
 }
 
 // Transform returns a copy of the tree with the rigid transform applied to
@@ -284,29 +305,7 @@ func (t *Tree) MemoryBytes() int64 {
 // motion, so the expensive build is not repeated — the paper's §IV-C
 // docking-reuse observation.
 func (t *Tree) Transform(m geom.Rigid) *Tree {
-	out := &Tree{
-		Nodes:    make([]Node, len(t.Nodes)),
-		Points:   make([]geom.Vec3, len(t.Points)),
-		Perm:     t.Perm, // shared: the permutation is pose-independent
-		LeafIdx:  t.LeafIdx,
-		LeafSize: t.LeafSize,
-	}
-	for i, p := range t.Points {
-		out.Points[i] = m.Apply(p)
-	}
-	copy(out.Nodes, t.Nodes)
-	for i := range out.Nodes {
-		nd := &out.Nodes[i]
-		nd.Center = m.Apply(nd.Center)
-		// The transformed box is the AABB of the transformed cube corners;
-		// cheaper and sufficient: recompute from center ± radius. Treecode
-		// only uses Center and Radius, Box is advisory after transform.
-		r := geom.V(nd.Radius, nd.Radius, nd.Radius)
-		nd.Box = geom.AABB{Min: nd.Center.Sub(r), Max: nd.Center.Add(r)}
-	}
-	// After the nodes: FillSoA mirrors both points and node centers.
-	out.FillSoA()
-	return out
+	return t.TransformInto(nil, m)
 }
 
 // Validate checks the structural invariants of the tree and returns the
@@ -328,13 +327,27 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("SoA mirror diverges from Points at %d", i)
 		}
 	}
-	if len(t.CX) != len(t.Nodes) || len(t.CY) != len(t.Nodes) || len(t.CZ) != len(t.Nodes) {
-		return fmt.Errorf("node-center mirror lengths (%d,%d,%d) != %d nodes", len(t.CX), len(t.CY), len(t.CZ), len(t.Nodes))
+	if n := len(t.Nodes); len(t.CX) != n || len(t.CY) != n || len(t.CZ) != n || len(t.CR) != n || len(t.Skip) != n {
+		return fmt.Errorf("node mirror lengths (%d,%d,%d,%d; skip %d) != %d nodes", len(t.CX), len(t.CY), len(t.CZ), len(t.CR), len(t.Skip), n)
 	}
 	for i := range t.Nodes {
-		c := t.Nodes[i].Center
-		if t.CX[i] != c.X || t.CY[i] != c.Y || t.CZ[i] != c.Z {
-			return fmt.Errorf("node-center mirror diverges at node %d", i)
+		nd := &t.Nodes[i]
+		if c := nd.Center; t.CX[i] != c.X || t.CY[i] != c.Y || t.CZ[i] != c.Z || t.CR[i] != nd.Radius {
+			return fmt.Errorf("node-geometry mirror diverges at node %d", i)
+		}
+		// Pre-order: a node's subtree is the index range [i, Skip[i]) — its
+		// children's subtrees back to back — and only a leaf's is itself.
+		next := int32(i) + 1
+		for _, ch := range nd.Children {
+			if ch != NoChild {
+				if ch != next {
+					return fmt.Errorf("node %d: child %d breaks the pre-order layout, want %d", i, ch, next)
+				}
+				next = t.Skip[ch]
+			}
+		}
+		if t.Skip[i] != next || nd.Leaf != (next == int32(i)+1) {
+			return fmt.Errorf("node %d: skip index %d, subtree ends at %d (leaf=%v)", i, t.Skip[i], next, nd.Leaf)
 		}
 	}
 	seen := make([]bool, len(t.Perm))

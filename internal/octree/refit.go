@@ -11,11 +11,12 @@ import (
 // rebuilding the tree the caller patches the moved points (SetPoint) and,
 // when accumulated drift warrants it, refits every node's bounding geometry
 // to the current points (RefitAll). The tree TOPOLOGY — node ranges,
-// children, Perm, leaf set — is frozen: a refit changes only Center, Radius,
-// Box and the CX/CY/CZ mirrors. Leaf membership therefore reflects the
-// build-time positions; for bounded drift that only loosens the enclosing
-// balls slightly (the session layer bounds it with slack margins and builds
-// a fresh tree — a new Session — when a trajectory walks far from home).
+// children, Perm, leaf set, Skip — is frozen: a refit changes only Center,
+// Radius, Box and the CX/CY/CZ/CR mirrors. Leaf membership therefore
+// reflects the build-time positions; for bounded drift that only loosens
+// the enclosing balls slightly (the session layer bounds it with slack
+// margins and builds a fresh tree — a new Session — when a trajectory walks
+// far from home).
 
 // SetPoint overwrites point i (tree order) in place, keeping the X/Y/Z SoA
 // mirrors coherent. Node geometry is NOT updated — the enclosing-ball
@@ -29,7 +30,7 @@ func (t *Tree) SetPoint(i int32, p geom.Vec3) {
 
 // RefitAll recomputes every node's Center (centroid of the points under it)
 // and Radius (enclosing ball about that centroid) from the CURRENT points,
-// in place, and refreshes the CX/CY/CZ center mirrors. Box is reset to
+// in place, and refreshes the CX/CY/CZ/CR mirrors. Box is reset to
 // center ± radius, the same advisory form Transform leaves behind. The
 // result is geometrically identical to what computeGeometry produces at
 // build time for these positions — only the topology (ranges, Perm) still
@@ -54,7 +55,7 @@ func (t *Tree) RefitAll() {
 		nd.Radius = math.Sqrt(r2)
 		r := geom.V(nd.Radius, nd.Radius, nd.Radius)
 		nd.Box = geom.AABB{Min: nd.Center.Sub(r), Max: nd.Center.Add(r)}
-		t.CX[n], t.CY[n], t.CZ[n] = c.X, c.Y, c.Z
+		t.CX[n], t.CY[n], t.CZ[n], t.CR[n] = c.X, c.Y, c.Z, nd.Radius
 	}
 }
 
@@ -62,15 +63,15 @@ func (t *Tree) RefitAll() {
 // storage when it is large enough — the per-pose fast path of a docking
 // sweep, where the same base tree is placed at thousands of poses and a
 // fresh allocation per pose would dominate. dst may be nil (a new tree is
-// allocated) or a tree previously produced by TransformInto from any base;
-// the result is identical to Transform(m). Perm and LeafIdx are shared
-// with the receiver, like Transform.
+// allocated) or a tree previously produced by TransformInto from any base.
+// Perm, LeafIdx and Skip are shared with the receiver.
 func (t *Tree) TransformInto(dst *Tree, m geom.Rigid) *Tree {
 	if dst == nil {
 		dst = new(Tree)
 	}
 	dst.Perm = t.Perm
 	dst.LeafIdx = t.LeafIdx
+	dst.Skip = t.Skip
 	dst.LeafSize = t.LeafSize
 	dst.Nodes = append(dst.Nodes[:0], t.Nodes...)
 	np := len(t.Points)
@@ -82,13 +83,13 @@ func (t *Tree) TransformInto(dst *Tree, m geom.Rigid) *Tree {
 		dst.X[i], dst.Y[i], dst.Z[i] = q.X, q.Y, q.Z
 	}
 	nn := len(t.Nodes)
-	dst.CX, dst.CY, dst.CZ = grow(dst.CX, nn), grow(dst.CY, nn), grow(dst.CZ, nn)
+	dst.CX, dst.CY, dst.CZ, dst.CR = grow(dst.CX, nn), grow(dst.CY, nn), grow(dst.CZ, nn), grow(dst.CR, nn)
 	for i := range dst.Nodes {
 		nd := &dst.Nodes[i]
 		nd.Center = m.Apply(nd.Center)
 		r := geom.V(nd.Radius, nd.Radius, nd.Radius)
 		nd.Box = geom.AABB{Min: nd.Center.Sub(r), Max: nd.Center.Add(r)}
-		dst.CX[i], dst.CY[i], dst.CZ[i] = nd.Center.X, nd.Center.Y, nd.Center.Z
+		dst.CX[i], dst.CY[i], dst.CZ[i], dst.CR[i] = nd.Center.X, nd.Center.Y, nd.Center.Z, nd.Radius
 	}
 	return dst
 }

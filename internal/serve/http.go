@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -42,6 +43,11 @@ func (mj *MoleculeJSON) ToMolecule() (*molecule.Molecule, error) {
 	}
 	m := &molecule.Molecule{Name: mj.Name, Atoms: make([]molecule.Atom, len(mj.Atoms))}
 	for i, a := range mj.Atoms {
+		for _, c := range a[:3] {
+			if math.Abs(c) > maxCoordinate {
+				return nil, fmt.Errorf("atom %d: coordinate %g outside ±%g Å", i, c, maxCoordinate)
+			}
+		}
 		m.Atoms[i] = molecule.Atom{Pos: geom.V(a[0], a[1], a[2]), Radius: a[3], Charge: a[4]}
 	}
 	if err := m.Validate(); err != nil {

@@ -241,6 +241,10 @@ var decodeSeeds = []string{
 	`{"molecule":{"atoms":[[+1,2,3,4,5]]}}`, `{"molecule":{"atoms":[[.5,2,3,4,5]]}}`, `{"molecule":{"atoms":[[1.,2,3,4,5]]}}`,
 	`{"molecule":{"atoms":[[01,2,3,4,5]]}}`, `{"molecule":{"atoms":[[1e,2,3,4,5]]}}`, `{"molecule":{"atoms":[[-,2,3,4,5]]}}`,
 	`{"molecule":{"atoms":[[NaN,2,3,4,5]]}}`, `{"molecule":{"atoms":[[1e999,2,3,4,5]]}}`, `{"molecule":{"atoms":[["1",2,3,4,5]]}}`,
+	// Decoded, then refused by Resolve: a coordinate whose square overflows.
+	`{"molecule":{"atoms":[[1e200,0,0,1.5,0.1],[0,0,0,1.5,-0.1]]}}`,
+	`{"receptor":{"atoms":[[0,0,0,2,1]]},"ligand":{"atoms":[[0,-1e200,0,1,-1]]},"poses":[{"t":[1,2,3]}]}`,
+	`{"molecule":{"atoms":[[0,0,1e200,1.5,0.1]]},"options":{"resweep_every":8}}`,
 	// Refused: broken structure.
 	`{"molecule":{"atoms":[[1,2,3,4,5]`, `{"molecule":{"atoms":[[1,2,3,4,5],]}}`, `{"molecule":{"atoms":[[1,2,3,4,5]],}}`,
 	`{"molecule":{"atoms":[[1,2,3,4,5]] "name":"x"}}`, `{"molecule":{"name":"unterminated}}`, `{"molecule" {"atoms":[]}}`,
