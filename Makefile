@@ -109,17 +109,21 @@ bench:
 ## all runs of a side are appended to one fresh result file under
 ## .bench_out/, and `cmd/bench -compare` prints the verdict per (workload,
 ## metric) under the contract's bounds. SEED picks the inputs, so a claim
-## can be checked on a seed development never saw. Needs jq.
-##   make bench-compare BASE=HEAD~1 [SEED=1]
+## can be checked on a seed development never saw. WORKLOADS narrows the
+## loop to some of the contract's workloads while iterating on one; a claim
+## is shown with the default, every workload. Needs jq.
+##   make bench-compare BASE=HEAD~1 [SEED=1] [WORKLOADS="stream_md"]
 BASE ?= HEAD
 SEED ?= 1
+WORKLOADS ?=
 bench-compare:
 	rm -rf .bench_build/base && mkdir -p .bench_build/base .bench_out
 	git archive $(BASE) | tar -x -C .bench_build/base
 	cd .bench_build/base && $(GO) build -o ../bench-base ./cmd/bench
 	$(GO) build -o .bench_build/bench-head ./cmd/bench
 	rm -f .bench_out/compare-base.json .bench_out/compare-head.json
-	@seconds=$$(jq -r .run_seconds BENCHMARK.json) && workloads=$$(jq -r '.workloads[].name' BENCHMARK.json) || exit 1; \
+	@seconds=$$(jq -r .run_seconds BENCHMARK.json) && workloads="$(WORKLOADS)" || exit 1; \
+	if [ -z "$$workloads" ]; then workloads=$$(jq -r '.workloads[].name' BENCHMARK.json) || exit 1; fi; \
 	for i in 1 2 3 4 5 6 7 8 9 10; do for w in $$workloads; do \
 		if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
 		for side in $$order; do \

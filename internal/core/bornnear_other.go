@@ -9,7 +9,7 @@ func (s *BornSolver) evalBornNearRangeVec(near []NodePair, sAtom []float64) {
 }
 
 // Stub for the amd64-only row-batched vector path; likewise unreachable.
-func (s *BornSolver) evalBornRowBlocksVec(a int32, qLeaves []int32, out []float64) {
+func (s *BornSolver) evalBornRowBlocksVec(alo, lo, hi int32, qLeaves []int32, out []float64) {
 	panic("core: vector kernel dispatched without AVX2 support")
 }
 

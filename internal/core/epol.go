@@ -221,6 +221,16 @@ func NewEpolSolverFromMolecule(mol *molecule.Molecule, bornR []float64, cfg Epol
 	return NewEpolSolver(tree, charges, bornR, cfg)
 }
 
+// MemoryBytes is the memory the solver holds beside the atoms octree it
+// shares with the Born phase: the per-atom charge, radius and bin streams,
+// the per-node charge bins in both layouts, and the vector row tables.
+func (s *EpolSolver) MemoryBytes() int64 {
+	floats := cap(s.q) + cap(s.R) + cap(s.invR) + cap(s.bins) + cap(s.binRR) + cap(s.nzQ) +
+		cap(s.uRange) + cap(s.uPos) + cap(s.uQRG)
+	ints := cap(s.binOf) + cap(s.nzStart) + cap(s.nzBin) + cap(s.leafNo)
+	return 8*int64(floats) + 4*int64(ints)
+}
+
 // NumLeaves returns the number of leaves of the atoms octree — the unit of
 // node-based work division for the energy phase (Fig. 4 step 6).
 func (s *EpolSolver) NumLeaves() int { return s.T.NumLeaves() }
@@ -268,8 +278,8 @@ func (s *EpolSolver) ancestors(v int32, dst []int32) []int32 {
 // twice, the other skips it. The owner follows from the two dense leaf
 // indices alone — the larger when their sum is odd, else the smaller, so
 // every leaf owns about half of its mutual blocks and rank segments stay
-// balanced — hence the evaluated blocks, and the energy, do not depend on
-// how leaves are divided over ranks.
+// balanced (OwnsMutualBlock) — hence the evaluated blocks, and the energy,
+// do not depend on how leaves are divided over ranks.
 func (s *EpolSolver) blockWeight(u, v int32, vAnc []int32) int {
 	if u == v {
 		return 1
@@ -282,11 +292,20 @@ func (s *EpolSolver) blockWeight(u, v int32, vAnc []int32) int {
 			return 1
 		}
 	}
-	i, j := s.leafNo[u], s.leafNo[v]
-	if ((i+j)&1 == 1) == (j > i) {
+	if OwnsMutualBlock(s.leafNo[u], s.leafNo[v]) {
 		return 2
 	}
 	return 0
+}
+
+// OwnsMutualBlock reports whether driver leaf v evaluates the exact block
+// it shares with leaf u, when each of the two is in the other's near list:
+// the owner counts the block twice and the other driver skips it. Both are
+// dense leaf indices; the owner is the larger one when their sum is odd,
+// else the smaller. blockWeight and the session's mirrored entries both
+// decide ownership here.
+func OwnsMutualBlock(u, v int32) bool {
+	return ((u+v)&1 == 1) == (v > u)
 }
 
 // epolVisit is the recursion of Fig. 3; v is always a leaf and vAnc its

@@ -96,31 +96,35 @@ func (s *BornSolver) BornRadiusFromSums(i int32, sum float64) float64 {
 	return gb.BornFromIntegral(sum, s.atomR[i], s.rcap)
 }
 
-// EvalBornRowBlocks evaluates the T_A leaf a against each of the q-leaves
-// in qLeaves (dense T_Q leaf indices, as BuildBornList counts them) and
-// writes entry k's block — the q-leaf's contribution to each atom of a, in
-// row order — to out[k·Count(a) : (k+1)·Count(a)]. It is the row-major
-// counterpart of a driver's EvalBornNearRange call: there one q-tile sweeps
-// many A-leaves, here one A-leaf meets many q-tiles, and the per-call work
-// (tile buffer, kernel argument block) is done once for the whole list
-// instead of once per entry. Each block carries exactly the bits
-// EvalBornNearRange produces for the one-entry list {(a, q)} into a zeroed
-// accumulator, on the vector and the scalar path alike.
-func (s *BornSolver) EvalBornRowBlocks(a int32, qLeaves []int32, out []float64) {
+// EvalBornRowBlocks evaluates the atom rows [lo, hi) of the T_A leaf a —
+// a sub-range of its point range, or all of it — against each of the
+// q-leaves in qLeaves (dense T_Q leaf indices, as BuildBornList counts
+// them). Entry k's block is the q-leaf's contribution to each atom of a,
+// in row order, at out[k·Count(a) : (k+1)·Count(a)]; the call writes the
+// rows' elements of every block and leaves the others as they are. It is
+// the row-major counterpart of a driver's EvalBornNearRange call: there one
+// q-tile sweeps many A-leaves, here one A-leaf meets many q-tiles, and the
+// per-call work (tile buffer, kernel argument block) is done once for the
+// whole list instead of once per entry. Every row is reduced on its own,
+// so each element carries exactly the bits EvalBornNearRange produces for
+// the one-entry list {(a, q)} into a zeroed accumulator, whatever the row
+// range, on the vector and the scalar path alike.
+func (s *BornSolver) EvalBornRowBlocks(a, lo, hi int32, qLeaves []int32, out []float64) {
 	alo, ahi := s.TA.PointRange(a)
 	cnt := int(ahi - alo)
 	out = out[:len(qLeaves)*cnt]
-	if len(out) == 0 {
+	if len(out) == 0 || lo >= hi {
 		return
 	}
-	clear(out)
+	for at := int(lo - alo); at < len(out); at += cnt {
+		clear(out[at : at+int(hi-lo)])
+	}
 	if hasAVX2FMA {
-		s.evalBornRowBlocksVec(a, qLeaves, out)
+		s.evalBornRowBlocksVec(alo, lo, hi, qLeaves, out)
 		return
 	}
-	one := [1]NodePair{{A: a}} // the run kernels read only an entry's A side
 	for k, ql := range qLeaves {
-		s.evalBornNearRun(one[:], s.TQ.LeafIdx[ql], out[k*cnt:(k+1)*cnt], alo)
+		s.evalBornNearRows(s.TQ.LeafIdx[ql], lo, hi, out[k*cnt:(k+1)*cnt], alo)
 	}
 }
 

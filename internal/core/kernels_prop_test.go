@@ -131,7 +131,7 @@ func TestBornRowBlocksMatchPerEntry(t *testing.T) {
 				cnt := int(hi - lo)
 				got := make([]float64, len(qLeaves)*cnt+1)
 				got[len(got)-1] = 42 // one past the last block: must stay untouched
-				bs.EvalBornRowBlocks(a, qLeaves, got)
+				bs.EvalBornRowBlocks(a, lo, hi, qLeaves, got)
 				for k, ql := range qLeaves {
 					clear(want[lo:hi])
 					one.Near = append(one.Near[:0], NodePair{A: a, B: bs.TQ.LeafIdx[ql]})
@@ -145,7 +145,80 @@ func TestBornRowBlocksMatchPerEntry(t *testing.T) {
 				if got[len(got)-1] != 42 {
 					t.Fatalf("%+v %s: leaf %d: wrote past the last block", cfg, path, a)
 				}
-				bs.EvalBornRowBlocks(a, nil, got[:0]) // empty partner list: nothing to write, no panic
+				bs.EvalBornRowBlocks(a, lo, hi, nil, got[:0]) // empty partner list: nothing to write, no panic
+			}
+		}
+		if hasAVX2FMA {
+			check("vec")
+		}
+		forceScalar(func() { check("scalar") })
+	}
+}
+
+// TestBornRowBlocksSubRange holds a row sub-range of the row-batched
+// evaluator to the full-leaf call: every element of the rows asked for
+// carries the bits the full call writes there, and every other element is
+// left as it was — on the vector and the pure-Go path, for both
+// integrands, and for depth-capped leaves of coincident points larger than
+// bornTileCap on both trees (the wide q-leaf takes the vector path's scalar
+// fallback).
+func TestBornRowBlocksSubRange(t *testing.T) {
+	m, q := testMol(400, 89)
+	for i := 0; i < bornTileCap+16; i++ {
+		m.Atoms = append(m.Atoms, m.Atoms[0])
+		q = append(q, q[0])
+	}
+	for _, exp := range []int{6, 4} {
+		bs := NewBornSolver(m, q, BornConfig{Eps: 0.9, Exponent: exp})
+		leaves := bs.TA.LeafIdx[:min(6, len(bs.TA.LeafIdx))]
+		var capped int32 = -1
+		for _, a := range bs.TA.LeafIdx {
+			if lo, hi := bs.TA.PointRange(a); int(hi-lo) > bornTileCap {
+				capped = a
+			}
+		}
+		if capped < 0 {
+			t.Fatalf("r%d: no T_A leaf wider than the tile; depth-capped leaf untested", exp)
+		}
+		leaves = append(leaves, capped)
+		var qLeaves []int32
+		wide := 0
+		for ql, qn := range bs.TQ.LeafIdx {
+			qLeaves = append(qLeaves, int32(ql))
+			if lo, hi := bs.TQ.PointRange(qn); int(hi-lo) > bornTileCap {
+				wide++
+			}
+		}
+		if wide == 0 {
+			t.Fatalf("r%d: no q-leaf wider than the tile; scalar fallback untested", exp)
+		}
+		check := func(path string) {
+			for _, a := range leaves {
+				lo, hi := bs.TA.PointRange(a)
+				cnt := int(hi - lo)
+				full := make([]float64, len(qLeaves)*cnt)
+				bs.EvalBornRowBlocks(a, lo, hi, qLeaves, full)
+				for _, r := range [][2]int32{{lo, lo + 1}, {hi - 1, hi}, {lo + int32(cnt)/3, hi - int32(cnt)/3}} {
+					if r[0] >= r[1] {
+						continue
+					}
+					got := make([]float64, len(full))
+					for i := range got {
+						got[i] = -7 // outside the rows: must stay untouched
+					}
+					bs.EvalBornRowBlocks(a, r[0], r[1], qLeaves, got)
+					for k := range qLeaves {
+						for j := 0; j < cnt; j++ {
+							want, in := -7.0, lo+int32(j) >= r[0] && lo+int32(j) < r[1]
+							if in {
+								want = full[k*cnt+j]
+							}
+							if g := got[k*cnt+j]; math.Float64bits(g) != math.Float64bits(want) {
+								t.Fatalf("r%d %s: leaf %d rows [%d,%d) entry %d row %d (in range %v): got %v, want %v", exp, path, a, r[0], r[1], k, j, in, g, want)
+							}
+						}
+					}
+				}
 			}
 		}
 		if hasAVX2FMA {

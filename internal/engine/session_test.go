@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -319,7 +320,7 @@ func checkBornStores(t *testing.T, ss *Session) {
 			t.Fatalf("frame %d row %d: a group stayed marked", ss.frame, a)
 		}
 		fresh = resize(fresh, len(pp)*cnt)
-		ss.bs.EvalBornRowBlocks(a, pp, fresh)
+		ss.bs.EvalBornRowBlocks(a, lo, hi, pp, fresh)
 		if !sameBits(ss.rowBlk[a], fresh) {
 			t.Fatalf("frame %d row %d: a cached block is stale", ss.frame, a)
 		}
@@ -532,23 +533,133 @@ func TestSessionAgreesWithPrepared(t *testing.T) {
 }
 
 // TestSessionRejectsBadMove pins the validation contract: an out-of-range
-// index fails the whole frame and leaves the session untouched.
+// index, or a coordinate that is not finite or lies past MaxCoordinate,
+// fails the whole frame and leaves the session untouched — the next good
+// frame gives the energy a session that never saw the bad one gives.
 func TestSessionRejectsBadMove(t *testing.T) {
 	mol := molecule.GenerateProtein("bad", 200, 5)
-	ss, err := NewSession(mol, SessionOptions{
+	o := SessionOptions{
 		Surf: surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
 		Eval: Options{Threads: 1},
-	})
+	}
+	good := FrameDelta{Moves: []AtomMove{{Index: 3, Pos: mol.Atoms[3].Pos.Add(geom.Vec3{X: 0.05})}}}
+	clean, err := NewSession(mol, o)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	e0, f0 := ss.Energy(), ss.Frame()
-	if _, err := ss.Step(FrameDelta{Moves: []AtomMove{{Index: mol.N(), Pos: geom.Vec3{}}}}); err == nil {
-		t.Fatalf("Step accepted an out-of-range move")
+	want, err := clean.Step(good)
+	if err != nil {
+		t.Fatalf("Step: %v", err)
 	}
-	if ss.Energy() != e0 || ss.Frame() != f0 {
-		t.Fatalf("failed Step mutated the session")
+	p := mol.Atoms[7].Pos
+	for _, tc := range []struct {
+		name string
+		move AtomMove
+	}{
+		{"index past the end", AtomMove{Index: mol.N(), Pos: geom.Vec3{}}},
+		{"negative index", AtomMove{Index: -1, Pos: geom.Vec3{}}},
+		{"NaN", AtomMove{Index: 7, Pos: geom.Vec3{X: math.NaN(), Y: p.Y, Z: p.Z}}},
+		{"+Inf", AtomMove{Index: 7, Pos: geom.Vec3{X: p.X, Y: math.Inf(1), Z: p.Z}}},
+		{"-Inf", AtomMove{Index: 7, Pos: geom.Vec3{X: p.X, Y: p.Y, Z: math.Inf(-1)}}},
+		{"1e200", AtomMove{Index: 7, Pos: geom.Vec3{X: 1e200, Y: p.Y, Z: p.Z}}},
+		{"just past the bound", AtomMove{Index: 7, Pos: geom.Vec3{X: p.X, Y: -math.Nextafter(MaxCoordinate, math.Inf(1)), Z: p.Z}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ss, err := NewSession(mol, o)
+			if err != nil {
+				t.Fatalf("NewSession: %v", err)
+			}
+			e0, f0 := ss.Energy(), ss.Frame()
+			// The bad move comes after a good one: nothing of the frame applies.
+			bad := FrameDelta{Moves: []AtomMove{{Index: 11, Pos: mol.Atoms[11].Pos.Add(geom.Vec3{Y: 0.1})}, tc.move}}
+			if _, err := ss.Step(bad); err == nil {
+				t.Fatalf("Step accepted %+v", tc.move)
+			}
+			if ss.Energy() != e0 || ss.Frame() != f0 {
+				t.Fatalf("failed Step mutated the session")
+			}
+			got, err := ss.Step(good)
+			if err != nil {
+				t.Fatalf("Step: %v", err)
+			}
+			if math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {
+				t.Fatalf("after the refused frame: energy %.17g, a clean session gives %.17g", got.Energy, want.Energy)
+			}
+		})
 	}
+}
+
+// TestNewSessionRejectsBadAtoms: an atom coordinate that is not finite or
+// lies past MaxCoordinate fails creation instead of yielding a session
+// whose energy is NaN or whose octree is built around an unreachable point.
+func TestNewSessionRejectsBadAtoms(t *testing.T) {
+	o := SessionOptions{
+		Surf: surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
+		Eval: Options{Threads: 1},
+	}
+	for _, tc := range []struct {
+		name string
+		pos  geom.Vec3
+	}{
+		{"NaN", geom.Vec3{X: math.NaN()}},
+		{"+Inf", geom.Vec3{Y: math.Inf(1)}},
+		{"1e200", geom.Vec3{Z: 1e200}},
+		{"-2e6", geom.Vec3{X: -2e6}},
+	} {
+		mol := molecule.GenerateProtein("bad-atoms", 60, 5)
+		mol.Atoms[17].Pos = tc.pos
+		if _, err := NewSession(mol, o); err == nil {
+			t.Errorf("%s: NewSession accepted atom 17 at %+v", tc.name, tc.pos)
+		}
+	}
+	mol := molecule.GenerateProtein("edge", 60, 5)
+	mol.Atoms[17].Pos = geom.Vec3{X: MaxCoordinate}
+	if _, err := NewSession(mol, o); err != nil {
+		t.Errorf("NewSession refused a coordinate on the bound: %v", err)
+	}
+}
+
+// TestSessionMemoryBytesIsTheLiveHeap holds Session.MemoryBytes to what a
+// session really keeps alive, measured as the live-heap growth of creating
+// one and stepping it through a stream that re-derives drivers, to within
+// 10 %.
+func TestSessionMemoryBytesIsTheLiveHeap(t *testing.T) {
+	mol := molecule.GenerateProtein("heap", 2000, 9)
+	frames := homeJitter(mol, 8, 10, 0.25, 3)
+	before := liveHeap()
+	ss, err := NewSession(mol, SessionOptions{Surf: surface.Default(), Eval: Options{Threads: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range frames {
+		if _, err := ss.Step(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := liveHeap() - before
+	got := ss.MemoryBytes()
+	t.Logf("MemoryBytes %d, live heap %d (%.3f)", got, held, float64(got)/float64(held))
+	if d := float64(got-held) / float64(held); d < -0.10 || d > 0.10 {
+		t.Errorf("MemoryBytes = %d, live heap grew by %d (%+.1f%%), want within 10%%", got, held, 100*d)
+	}
+	runtime.KeepAlive(ss)
+}
+
+// homeJitter is the stream of the repository benchmark's stream_md
+// workload: each of k frames moves `movers` random atoms to a uniform
+// per-axis offset from their home position, of norm at most amp.
+func homeJitter(mol *molecule.Molecule, k, movers int, amp float64, seed int64) []FrameDelta {
+	rng := rand.New(rand.NewSource(seed))
+	a := amp / math.Sqrt(3)
+	frames := make([]FrameDelta, k)
+	for f := range frames {
+		for m := 0; m < movers; m++ {
+			i := rng.Intn(mol.N())
+			d := geom.Vec3{X: (2*rng.Float64() - 1) * a, Y: (2*rng.Float64() - 1) * a, Z: (2*rng.Float64() - 1) * a}
+			frames[f].Moves = append(frames[f].Moves, AtomMove{Index: i, Pos: mol.Atoms[i].Pos.Add(d)})
+		}
+	}
+	return frames
 }
 
 // BenchmarkSessionStep times the plain incremental frame on the repository
@@ -558,28 +669,31 @@ func TestSessionRejectsBadMove(t *testing.T) {
 //
 //	go test ./internal/engine -run '^$' -bench SessionStep -cpuprofile step.prof
 //
-// to see a frame per stage (row re-sum, Born blocks, E_pol sweep).
+// to see a frame per stage (row re-sum, Born blocks, E_pol sweep). Beside
+// the time it reports per frame the radii pushed past RadiusTolerance, the
+// energy drivers resummed and the ordered atom pairs of the energy near
+// entries evaluated: counts that do not drift with the machine.
 func BenchmarkSessionStep(b *testing.B) {
 	mol := molecule.GenerateProtein("stream-200", 3000, 1200)
-	rng := rand.New(rand.NewSource(1201))
-	amp := 0.15 / math.Sqrt(3)
-	frames := make([]FrameDelta, 72)
-	for f := range frames {
-		for m := 0; m < 10; m++ {
-			i := rng.Intn(mol.N())
-			d := geom.Vec3{X: (2*rng.Float64() - 1) * amp, Y: (2*rng.Float64() - 1) * amp, Z: (2*rng.Float64() - 1) * amp}
-			frames[f].Moves = append(frames[f].Moves, AtomMove{Index: i, Pos: mol.Atoms[i].Pos.Add(d)})
-		}
-	}
+	frames := homeJitter(mol, 72, 10, 0.15, 1201)
 	ss, err := NewSession(mol, SessionOptions{Surf: surface.Default(), Eval: Options{Threads: 1}, ResweepEvery: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var pushed, drivers, pairs int64
 	for i := 0; i < b.N; i++ {
-		if _, err := ss.Step(frames[i%len(frames)]); err != nil {
+		rep, err := ss.Step(frames[i%len(frames)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		pushed += int64(rep.PushedRadii)
+		drivers += int64(rep.DirtyEpolDrivers)
+		pairs += rep.EpolNearPairs
 	}
+	n := float64(b.N)
+	b.ReportMetric(float64(pushed)/n, "pushed/frame")
+	b.ReportMetric(float64(drivers)/n, "epol-drivers/frame")
+	b.ReportMetric(float64(pairs)/n, "epol-pairs/frame")
 }

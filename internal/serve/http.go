@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"time"
 
+	"octgb/internal/engine"
 	"octgb/internal/geom"
 	"octgb/internal/molecule"
 	"octgb/internal/surface"
@@ -44,8 +45,8 @@ func (mj *MoleculeJSON) ToMolecule() (*molecule.Molecule, error) {
 	m := &molecule.Molecule{Name: mj.Name, Atoms: make([]molecule.Atom, len(mj.Atoms))}
 	for i, a := range mj.Atoms {
 		for _, c := range a[:3] {
-			if math.Abs(c) > maxCoordinate {
-				return nil, fmt.Errorf("atom %d: coordinate %g outside ±%g Å", i, c, maxCoordinate)
+			if math.Abs(c) > engine.MaxCoordinate {
+				return nil, fmt.Errorf("atom %d: coordinate %g outside ±%g Å", i, c, engine.MaxCoordinate)
 			}
 		}
 		m.Atoms[i] = molecule.Atom{Pos: geom.V(a[0], a[1], a[2]), Radius: a[3], Charge: a[4]}

@@ -254,9 +254,9 @@ func (s *Server) handleStreamFrame(w http.ResponseWriter, r *http.Request, reqID
 	delta := engine.FrameDelta{Moves: make([]engine.AtomMove, len(req.Moves))}
 	for i, mv := range req.Moves {
 		for _, c := range mv.Pos {
-			if math.Abs(c) > maxCoordinate {
+			if math.Abs(c) > engine.MaxCoordinate {
 				writeError(w, http.StatusBadRequest, reqID, "bad_request",
-					fmt.Sprintf("move %d: coordinate %g outside ±%g Å", i, c, maxCoordinate), 0)
+					fmt.Sprintf("move %d: coordinate %g outside ±%g Å", i, c, engine.MaxCoordinate), 0)
 				return
 			}
 		}

@@ -46,13 +46,6 @@ const (
 	maxDegree      = 5
 )
 
-// maxCoordinate bounds every coordinate a client sends — a molecule's atoms
-// on /v1/energy, /v1/sweep and POST /v1/stream, a frame move's target — in
-// Å per axis. Squared distances between points inside the bound stay far
-// from overflow; beyond ~1e154 they do not, and the request would be
-// answered 200 with a NaN energy (a frame would leave its session poisoned).
-const maxCoordinate = 1e6
-
 // CheckSampling refuses surface sampling parameters outside the served
 // range. Zero is "unset" for both, as on the wire.
 func CheckSampling(subdivLevel, degree int) error {
