@@ -4,8 +4,8 @@ GO ?= go
 
 ## verify: the tier-1 gate — build, vet, gofmt (+staticcheck when installed), full
 ## tests, race-test the concurrency-bearing packages (scheduler, treecode
-## kernels, cluster transports, distributed engines, chaos harness,
-## observability, serving, fabric, load harness), smoke the /metrics
+## kernels, cluster transports, distributed engines, observability,
+## serving, fabric, load harness), smoke the /metrics
 ## exposition, replay the committed load trace through the virtual-time
 ## simulator and gate on its SLO, then run the fabric worker-crash matrix.
 ## load-check joins verify because the simulation is deterministic — it
@@ -37,7 +37,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/cluster/... ./internal/engine/... ./internal/clusterchaos/... ./internal/serve/... ./internal/obs/... ./internal/loadgen/... ./internal/fabric/...
+	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/cluster/... ./internal/engine/... ./internal/serve/... ./internal/obs/... ./internal/loadgen/... ./internal/fabric/...
 
 ## obs-smoke: boot the instrumented serving stack on a loopback port, drive
 ## requests through it and fail on any malformed /metrics exposition line
@@ -59,11 +59,12 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeEnergyRequest -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzStreamFrameBody -fuzztime 10s
 
-## chaos: the full fault-injection acceptance matrix — every fault class ×
-## both transports × P ∈ {2,4,8} × 8 seeds. The fatal classes each spend
-## their receive timeout, so this takes minutes by design.
+## chaos: the full TCP fault matrix — every byte-level fault class (stall,
+## duplicate, flip, truncate, blackhole) × star and mesh × P ∈ {2,4,8} ×
+## 8 seeds, for the engine and for a multi-chunk collective workload. Cells
+## that fail by timeout spend it, so this takes minutes by design.
 chaos:
-	CHAOS_FULL=1 $(GO) test ./internal/clusterchaos/ -run TestChaosMatrix -timeout 30m -v
+	CHAOS_FULL=1 $(GO) test ./internal/cluster/ -run TestFaultMatrix -timeout 30m -v
 
 ## fabric-chaos: the serving fabric's worker-crash matrix — victim index ×
 ## crash mode (HTTP-only vs full) × hedging, each cell a live router + 3

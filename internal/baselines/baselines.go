@@ -281,8 +281,8 @@ func (r *Report) SimTime(P, threads int, m simtime.Machine, oc simtime.OpCosts, 
 	var comm float64
 	if P > 1 {
 		n := len(r.R)
-		comm = m.CollectiveCost("allreduce", n, P, rpn) + // gather Born radii
-			m.CollectiveCost("allreduce", 1, P, rpn) // reduce energy
+		comm = m.CollectiveCost(n, P, rpn) + // gather Born radii
+			m.CollectiveCost(1, P, rpn) // reduce energy
 	}
 	return Timing{
 		TotalSec:   compute + comm,

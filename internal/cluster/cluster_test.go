@@ -31,22 +31,6 @@ func TestLocalAllreduceSum(t *testing.T) {
 	}
 }
 
-func TestLocalAllreduceMax(t *testing.T) {
-	err := RunLocal(5, nil, func(c Comm) error {
-		buf := []float64{float64(-c.Rank()), float64(c.Rank())}
-		if err := c.AllreduceMax(buf); err != nil {
-			return err
-		}
-		if buf[0] != 0 || buf[1] != 4 {
-			return fmt.Errorf("rank %d: %v", c.Rank(), buf)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLocalAllgatherv(t *testing.T) {
 	p := 4
 	counts := []int{2, 0, 3, 1}
@@ -73,22 +57,6 @@ func TestLocalAllgatherv(t *testing.T) {
 	}
 }
 
-func TestLocalBcast(t *testing.T) {
-	err := RunLocal(6, nil, func(c Comm) error {
-		buf := []float64{float64(c.Rank()), float64(c.Rank() * 2)}
-		if err := c.Bcast(buf, 3); err != nil {
-			return err
-		}
-		if buf[0] != 3 || buf[1] != 6 {
-			return fmt.Errorf("rank %d: %v", c.Rank(), buf)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLocalSequenceOfCollectives(t *testing.T) {
 	// Back-to-back collectives of different kinds and sizes must not
 	// interfere — the generation logic under test.
@@ -101,16 +69,16 @@ func TestLocalSequenceOfCollectives(t *testing.T) {
 			if buf[0] != 8 {
 				return fmt.Errorf("round %d: %v", round, buf[0])
 			}
-			if err := c.Barrier(); err != nil {
+			if err := rendezvous(c); err != nil {
 				return err
 			}
 			big := make([]float64, 100+round)
 			big[round] = float64(c.Rank())
-			if err := c.AllreduceMax(big); err != nil {
+			if err := c.AllreduceSum(big); err != nil {
 				return err
 			}
-			if big[round] != 7 {
-				return fmt.Errorf("round %d: max %v", round, big[round])
+			if big[round] != 28 {
+				return fmt.Errorf("round %d: sum %v", round, big[round])
 			}
 		}
 		return nil
@@ -135,17 +103,29 @@ func TestLocalHookObservesCollectives(t *testing.T) {
 		if err := c.AllreduceSum(buf); err != nil {
 			return err
 		}
-		return c.Barrier()
+		return c.Allgatherv([]float64{1}, []int{1, 1, 1}, make([]float64, 3))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls["allreduce"] != 1 || calls["barrier"] != 1 {
+	if calls["allreduce"] != 1 || calls["allgatherv"] != 1 {
 		t.Errorf("hook calls: %v", calls)
 	}
-	if words != 10 {
+	if words != 13 {
 		t.Errorf("hook words: %d", words)
 	}
+}
+
+// rendezvous is a one-word AllreduceSum, the tests' stand-in for a barrier.
+func rendezvous(c Comm) error {
+	one := []float64{1}
+	if err := c.AllreduceSum(one); err != nil {
+		return err
+	}
+	if one[0] != float64(c.Size()) {
+		return fmt.Errorf("rank %d: rendezvous sum %v, want %d", c.Rank(), one[0], c.Size())
+	}
+	return nil
 }
 
 func TestLocalAllgathervLengthMismatch(t *testing.T) {
@@ -209,7 +189,7 @@ func TestTCPAllreduceSum(t *testing.T) {
 	})
 }
 
-func TestTCPAllgathervAndBcast(t *testing.T) {
+func TestTCPAllgatherv(t *testing.T) {
 	counts := []int{1, 2, 1}
 	startTCPGroup(t, 3, func(c Comm) error {
 		seg := make([]float64, counts[c.Rank()])
@@ -226,14 +206,7 @@ func TestTCPAllgathervAndBcast(t *testing.T) {
 				return fmt.Errorf("rank %d: out %v", c.Rank(), out)
 			}
 		}
-		b := []float64{float64(c.Rank())}
-		if err := c.Bcast(b, 1); err != nil {
-			return err
-		}
-		if b[0] != 1 {
-			return fmt.Errorf("rank %d: bcast %v", c.Rank(), b)
-		}
-		return c.Barrier()
+		return rendezvous(c)
 	})
 }
 

@@ -15,18 +15,16 @@ import (
 // (t_s·log P + t_w·m, Grama et al. Table 4.1, and the log-depth reductions
 // behind the boundary-integral treecode scaling of Geng, arXiv:1301.5914):
 //
-//   - AllreduceSum / AllreduceMax: recursive doubling. Non-power-of-two
-//     rank counts use the standard pre/post fold: the first 2r ranks
-//     (r = P − 2^⌊log₂P⌋) pair up, odds fold into evens, the surviving
-//     2^⌊log₂P⌋ ranks run the power-of-two exchange, and the folded ranks
-//     receive the result back at the end. Both peers of every exchange
-//     combine with commutative element-wise ops (a+b ≡ b+a bitwise in
+//   - AllreduceSum: recursive doubling. Non-power-of-two rank counts use
+//     the standard pre/post fold: the first 2r ranks (r = P − 2^⌊log₂P⌋)
+//     pair up, odds fold into evens, the surviving 2^⌊log₂P⌋ ranks run the
+//     power-of-two exchange, and the folded ranks receive the result back
+//     at the end. Both peers of every exchange
+//     combine with commutative element-wise addition (a+b ≡ b+a bitwise in
 //     IEEE-754), so all ranks finish with bitwise-identical buffers.
 //   - Allgatherv: ring. P−1 steps; step s forwards the block received at
 //     step s−1, so each rank moves Σ counts − its own segment words in
 //     total regardless of P — the bandwidth-optimal form.
-//   - Bcast: binomial tree rooted at `root`, log₂P rounds.
-//   - Barrier: dissemination, ⌈log₂P⌉ rounds of empty messages.
 //
 // Large payloads are pipelined in collChunkWords-sized chunks: a stage's
 // sends are split into bounded frames so a transport can stream a chunk
@@ -41,8 +39,8 @@ import (
 
 // collChunkWords is the pipelining chunk: 8192 float64 words = 64 KiB per
 // frame. Every payload is sent as max(1, ⌈n/collChunkWords⌉) frames; the
-// guaranteed ≥1 frame keeps zero-length stages (barrier tokens, empty
-// Allgatherv blocks) as genuine rendezvous messages with no special cases.
+// guaranteed ≥1 frame keeps zero-length stages (empty Allgatherv blocks)
+// as genuine rendezvous messages with no special cases.
 const collChunkWords = 8192
 
 // Request is an in-flight non-blocking collective. Wait blocks until the
@@ -153,19 +151,12 @@ func sumInto(dst, src []float64) {
 		dst[i] += v
 	}
 }
-func maxInto(dst, src []float64) {
-	for i, v := range src {
-		if v > dst[i] {
-			dst[i] = v
-		}
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Allreduce: recursive doubling with non-power-of-two pre/post fold
 // ---------------------------------------------------------------------------
 
-func (c *coll) allreduceTag(tag int, buf []float64, op func(dst, src []float64)) error {
+func (c *coll) allreduceTag(tag int, buf []float64) error {
 	size, rank := c.pw.Size(), c.pw.Rank()
 	if size == 1 {
 		return nil
@@ -186,7 +177,7 @@ func (c *coll) allreduceTag(tag int, buf []float64, op func(dst, src []float64))
 		}
 		newrank = -1
 	case rank < 2*rem:
-		if err := c.recvChunks(rank+1, tag, buf, op); err != nil {
+		if err := c.recvChunks(rank+1, tag, buf, sumInto); err != nil {
 			return err
 		}
 		newrank = rank / 2
@@ -203,7 +194,7 @@ func (c *coll) allreduceTag(tag int, buf []float64, op func(dst, src []float64))
 			if err := c.sendChunked(peer, tag, buf); err != nil {
 				return err
 			}
-			if err := c.recvChunks(peer, tag, buf, op); err != nil {
+			if err := c.recvChunks(peer, tag, buf, sumInto); err != nil {
 				return err
 			}
 		}
@@ -221,21 +212,11 @@ func (c *coll) allreduceTag(tag int, buf []float64, op func(dst, src []float64))
 
 func (c *coll) AllreduceSum(buf []float64) error {
 	start := time.Now()
-	if err := c.allreduceTag(c.nextTag(), buf, sumInto); err != nil {
+	if err := c.allreduceTag(c.nextTag(), buf); err != nil {
 		return err
 	}
 	c.observe("allreduce", len(buf))
 	recordCollective(c.obs, "allreduce", c.pw.Rank(), len(buf), start)
-	return nil
-}
-
-func (c *coll) AllreduceMax(buf []float64) error {
-	start := time.Now()
-	if err := c.allreduceTag(c.nextTag(), buf, maxInto); err != nil {
-		return err
-	}
-	c.observe("allreducemax", len(buf))
-	recordCollective(c.obs, "allreducemax", c.pw.Rank(), len(buf), start)
 	return nil
 }
 
@@ -244,7 +225,7 @@ func (c *coll) IAllreduceSum(buf []float64) Request {
 	start := time.Now()
 	r := &request{done: make(chan struct{})}
 	go func() {
-		r.err = c.allreduceTag(tag, buf, sumInto)
+		r.err = c.allreduceTag(tag, buf)
 		if r.err == nil {
 			c.observe("allreduce", len(buf))
 			recordCollective(c.obs, "allreduce", c.pw.Rank(), len(buf), start)
@@ -307,78 +288,5 @@ func (c *coll) Allgatherv(segment []float64, counts []int, out []float64) error 
 	}
 	c.observe("allgatherv", len(out))
 	recordCollective(c.obs, "allgatherv", c.pw.Rank(), len(out), start)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Bcast: binomial tree
-// ---------------------------------------------------------------------------
-
-func (c *coll) bcastTag(tag int, buf []float64, root int) error {
-	size, rank := c.pw.Size(), c.pw.Rank()
-	if size == 1 {
-		return nil
-	}
-	if root < 0 || root >= size {
-		return fmt.Errorf("cluster: bcast root %d out of range", root)
-	}
-	vrank := (rank - root + size) % size
-	mask := 1
-	for mask < size {
-		if vrank&mask != 0 {
-			src := (rank - mask + size) % size
-			if err := c.recvChunks(src, tag, buf, copyInto); err != nil {
-				return err
-			}
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < size {
-			dst := (rank + mask) % size
-			if err := c.sendChunked(dst, tag, buf); err != nil {
-				return err
-			}
-		}
-		mask >>= 1
-	}
-	return nil
-}
-
-func (c *coll) Bcast(buf []float64, root int) error {
-	start := time.Now()
-	if err := c.bcastTag(c.nextTag(), buf, root); err != nil {
-		return err
-	}
-	c.observe("bcast", len(buf))
-	recordCollective(c.obs, "bcast", c.pw.Rank(), len(buf), start)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Barrier: dissemination
-// ---------------------------------------------------------------------------
-
-func (c *coll) Barrier() error {
-	size, rank := c.pw.Size(), c.pw.Rank()
-	if size == 1 {
-		return nil
-	}
-	start := time.Now()
-	tag := c.nextTag()
-	for k := 1; k < size; k <<= 1 {
-		if err := c.pw.sendTag((rank+k)%size, tag, nil); err != nil {
-			return err
-		}
-		msg, err := c.pw.recvTag((rank-k+size)%size, tag)
-		if err != nil {
-			return err
-		}
-		putBuf(msg)
-	}
-	c.observe("barrier", 0)
-	recordCollective(c.obs, "barrier", rank, 0, start)
 	return nil
 }

@@ -58,7 +58,7 @@ func runMeshGroup(p int, fn func(c Comm) error) error {
 	return nil
 }
 
-// collectiveWorkload exercises every collective with deterministic
+// collectiveWorkload exercises both collectives with deterministic
 // pseudo-random inputs (seeded per (p, rank), so every transport/algorithm
 // sees identical data) across a size sweep that covers empty payloads,
 // sub-chunk payloads and multi-chunk pipelined payloads, and returns the
@@ -76,15 +76,10 @@ func collectiveWorkload(p int, run func(fn func(c Comm) error) error) ([][]float
 			for i := range sum {
 				sum[i] = rng.Float64()*2 - 1
 			}
-			mx := append([]float64(nil), sum...)
 			if err := c.AllreduceSum(sum); err != nil {
 				return err
 			}
-			if err := c.AllreduceMax(mx); err != nil {
-				return err
-			}
 			got = append(got, sum...)
-			got = append(got, mx...)
 
 			counts := make([]int, p)
 			total := 0
@@ -101,19 +96,6 @@ func collectiveWorkload(p int, run func(fn func(c Comm) error) error) ([][]float
 				return err
 			}
 			got = append(got, out...)
-
-			bb := make([]float64, 1+si*200)
-			for i := range bb {
-				bb[i] = rng.Float64() + float64(rank)
-			}
-			if err := c.Bcast(bb, (si+p-1)%p); err != nil {
-				return err
-			}
-			got = append(got, bb...)
-
-			if err := c.Barrier(); err != nil {
-				return err
-			}
 		}
 		mu.Lock()
 		results[rank] = got
@@ -235,7 +217,7 @@ func TestTCPStarCollectivesStillMatch(t *testing.T) {
 }
 
 // overlapStress interleaves non-blocking collectives with p2p ring traffic
-// and a blocking barrier while both requests are still in flight — the
+// and blocking collectives while both requests are still in flight — the
 // tag-matching layer under -race pressure.
 func overlapStress(p, rounds, n int) func(c Comm) error {
 	return func(c Comm) error {
@@ -280,7 +262,7 @@ func overlapStress(p, rounds, n int) func(c Comm) error {
 			ReleaseBuffer(got)
 
 			// Blocking collectives while both requests are in flight.
-			if err := c.Barrier(); err != nil {
+			if err := rendezvous(c); err != nil {
 				return err
 			}
 			if err := c.Allgatherv(seg, counts, out); err != nil {
@@ -354,7 +336,7 @@ func TestMeshMessengerOrdering(t *testing.T) {
 			}
 			ReleaseBuffer(got)
 		}
-		return c.Barrier()
+		return rendezvous(c)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,16 +371,18 @@ func TestMeshCloseUnblocksPeers(t *testing.T) {
 				errs[r] = c.(io.Closer).Close()
 				return
 			}
-			errs[r] = c.Barrier()
+			errs[r] = rendezvous(c)
 		}(r)
 	}
 	root, err := NewTCPRoot(ln, p, WithMesh())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootErr := root.Barrier()
-	wg.Wait()
+	rootErr := rendezvous(root)
+	// A rank that has seen a failure exits, closing its links: that is
+	// what unblocks a peer whose only partner in the collective was it.
 	root.(io.Closer).Close()
+	wg.Wait()
 	if errs[2] != nil {
 		t.Fatalf("close failed: %v", errs[2])
 	}

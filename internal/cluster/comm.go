@@ -20,19 +20,13 @@ type Comm interface {
 	Rank() int
 	// Size returns the number of ranks.
 	Size() int
-	// Barrier blocks until all ranks reach it.
-	Barrier() error
 	// AllreduceSum replaces buf on every rank with the element-wise sum
 	// across ranks. All ranks must pass equal-length buffers.
 	AllreduceSum(buf []float64) error
-	// AllreduceMax replaces buf with the element-wise max across ranks.
-	AllreduceMax(buf []float64) error
 	// Allgatherv concatenates every rank's segment (whose lengths are
 	// given by counts, indexed by rank) into out, which must have length
 	// Σ counts. Every rank receives the full concatenation.
 	Allgatherv(segment []float64, counts []int, out []float64) error
-	// Bcast replaces buf on every rank with root's buf.
-	Bcast(buf []float64, root int) error
 	// IAllreduceSum is the non-blocking form: initiation returns
 	// immediately and the operation proceeds in the background, which lets
 	// callers keep several reductions in flight (the engines start both
@@ -44,9 +38,8 @@ type Comm interface {
 	IAllreduceSum(buf []float64) Request
 }
 
-// CollectiveHook observes completed collectives. kind is one of "barrier",
-// "allreduce", "allgatherv", "bcast"; words is the per-collective payload
-// in float64 words. Called once per collective (not per rank), at the
-// rendezvous point where all ranks are blocked — the natural place to
-// synchronize virtual clocks.
+// CollectiveHook observes completed collectives. kind is "allreduce" or
+// "allgatherv"; words is the per-collective payload in float64 words.
+// Called once per collective (not per rank), at the rendezvous point where
+// all ranks are blocked — the natural place to synchronize virtual clocks.
 type CollectiveHook func(kind string, words int)

@@ -1,26 +1,25 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
 
-// This file defines the cluster layer's failure model. The transports were
-// originally written for a well-behaved interconnect: reads blocked forever
-// and any I/O error was fatal and untyped. The hardened model is:
+// This file defines the cluster layer's failure model:
 //
-//   - A silent peer is a FAILED peer. When a transport is created with a
-//     communication timeout (WithCommTimeout on TCP, FaultPlan.Timeout on
-//     the chaos wrapper), every frame read carries a deadline and every
-//     link runs a heartbeat writer at a fraction of that timeout, so a
-//     merely-slow peer (long compute phase between collectives) keeps its
-//     links warm while a dead one trips the deadline.
-//   - A tripped deadline is converted into the typed ErrRankFailed carrying
-//     the rank of the silent peer, and that error is surfaced through every
-//     collective and point-to-point receive (the mesh poisons the peer's
-//     mailbox, the star transports return it from the blocked read), so
-//     callers can tell "rank 3 died" from "my arguments were wrong".
+//   - A silent peer is a FAILED peer. With WithCommTimeout every frame read
+//     carries a deadline and every link runs a heartbeat writer at a third
+//     of that timeout, so a merely-slow peer (long compute phase between
+//     collectives) keeps its links warm while a dead one trips the deadline.
+//   - A damaged link is a failed peer too. Every frame carries a per-link
+//     frame number and a CRC32C over its header and payload; a mismatch, a
+//     frame-number gap, an unknown op or an oversized length is reported
+//     the same way as a dead peer — a wrong result is never delivered.
+//   - Failures surface as the typed ErrRankFailed through every collective
+//     and point-to-point receive (the mesh poisons the peer's mailbox, the
+//     star transports return it from the blocked read, the in-process group
+//     poisons the failed rank's mailboxes), so callers can tell "rank 3
+//     died" from "my arguments were wrong".
 //   - Dial-time failures are retried with bounded exponential backoff plus
 //     deterministic jitter before they are reported.
 //   - Mesh construction failures degrade instead of aborting: if any worker
@@ -28,18 +27,18 @@ import (
 //     star topology through the root (see tcp.go's verdict round).
 
 // ErrRankFailed reports that a peer rank went silent past the configured
-// communication timeout or its connection was lost. It is returned (possibly
+// communication timeout, its connection was lost, or its link delivered a
+// frame that failed to decode. It is returned (possibly
 // wrapped) by collectives and receives on every transport with failure
 // detection enabled; unwrap with errors.As:
 //
 //	var rf cluster.ErrRankFailed
 //	if errors.As(err, &rf) { log.Printf("rank %d failed", rf.Rank) }
 type ErrRankFailed struct {
-	// Rank is the rank believed to have failed. On the rank that crashed
-	// itself (chaos harness), Rank is its own rank.
+	// Rank is the rank believed to have failed.
 	Rank int
 	// Cause is the underlying error (deadline exceeded, connection reset,
-	// injected crash), if any.
+	// frame decode failure, the failed rank's own error), if any.
 	Cause error
 }
 
@@ -51,11 +50,6 @@ func (e ErrRankFailed) Error() string {
 }
 
 func (e ErrRankFailed) Unwrap() error { return e.Cause }
-
-// errRecvTimeout is the internal sentinel a timed mailbox take returns; the
-// caller (chaos wrapper, TCP reader) attributes it to a peer and converts it
-// into ErrRankFailed.
-var errRecvTimeout = errors.New("cluster: receive timed out")
 
 // FailureDetector is implemented by transports that track peer liveness
 // (the TCP mesh and the star root when created with WithCommTimeout).

@@ -64,6 +64,13 @@ func startTCPGroupOpts(t *testing.T, size int, opts []TCPOption, fn func(c Comm)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return startTCPGroupOn(t, ln, size, opts, fn)
+}
+
+// startTCPGroupOn is startTCPGroupOpts with the root listening on ln,
+// which it closes.
+func startTCPGroupOn(t *testing.T, ln net.Listener, size int, opts []TCPOption, fn func(c Comm) error) []error {
+	t.Helper()
 	defer ln.Close()
 	addr := ln.Addr().String()
 
@@ -118,7 +125,7 @@ func TestTCPStarSlowWorkerIsNotFailed(t *testing.T) {
 		if buf[0] != 3 {
 			return fmt.Errorf("rank %d: sum %v", c.Rank(), buf[0])
 		}
-		return c.Barrier()
+		return rendezvous(c)
 	})
 	for r, err := range errs {
 		if err != nil {
@@ -185,14 +192,84 @@ func TestTCPStarSilentWorkerFailsTyped(t *testing.T) {
 	root.(io.Closer).Close()
 }
 
+// TestTCPStarFailureIsSticky: after the root fails a collective on one
+// worker, the workers that took part wait for a reply that will not come,
+// and their heartbeats keep the root's reads alive. The next collective
+// must fail at once with the same ErrRankFailed instead of waiting on them.
+func TestTCPStarFailureIsSticky(t *testing.T) {
+	defer testutil.Watchdog(t, 0)()
+	timeout := 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addr := ln.Addr().String()
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 1; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var opts []TCPOption
+			if r == 1 {
+				opts = append(opts, WithCommTimeout(timeout))
+			}
+			c, err := DialTCP(addr, r, 3, opts...)
+			if err != nil {
+				return
+			}
+			if r == 1 { // takes part; rank 2 stays silent, heartbeats off
+				c.AllreduceSum([]float64{1})
+			}
+			<-release
+			c.(io.Closer).Close()
+		}(r)
+	}
+	root, err := NewTCPRoot(ln, 3, WithCommTimeout(timeout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		root.(io.Closer).Close()
+		close(release)
+		wg.Wait()
+	}()
+	var rf ErrRankFailed
+	if err := root.AllreduceSum([]float64{1}); !errors.As(err, &rf) || rf.Rank != 2 {
+		t.Fatalf("first collective: got %v, want ErrRankFailed naming rank 2", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- root.AllreduceSum([]float64{1}) }()
+	select {
+	case err := <-done:
+		if !errors.As(err, &rf) || rf.Rank != 2 {
+			t.Fatalf("second collective: got %v, want ErrRankFailed naming rank 2", err)
+		}
+	case <-time.After(3 * timeout):
+		t.Fatal("second collective waits on a worker still inside the first")
+	}
+}
+
 // TestMeshDialFaultDegradesToStar: when a worker cannot build its pairwise
 // links, the verdict round must downgrade the WHOLE group to the star
 // topology — every rank gets a working (collective-capable, Messenger-free)
 // star communicator, and the downgrade is logged.
 func TestMeshDialFaultDegradesToStar(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
-	testMeshDialFault = func(rank, peer int) bool { return rank == 2 && peer == 1 }
-	defer func() { testMeshDialFault = nil }()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootAddr := ln.Addr().String()
+	// Refuse every worker-to-worker dial (at P = 3, rank 2 → rank 1).
+	testDial = func(network, addr string) (net.Conn, error) {
+		if addr != rootAddr {
+			return nil, fmt.Errorf("refused mesh dial to %s", addr)
+		}
+		return net.Dial(network, addr)
+	}
+	defer func() { testDial = nil }()
 
 	var logMu sync.Mutex
 	var logs []string
@@ -202,7 +279,7 @@ func TestMeshDialFaultDegradesToStar(t *testing.T) {
 		logMu.Unlock()
 	}
 	opts := []TCPOption{WithMesh(), WithCommTimeout(300 * time.Millisecond), WithLogger(logf)}
-	errs := startTCPGroupOpts(t, 3, opts, func(c Comm) error {
+	errs := startTCPGroupOn(t, ln, 3, opts, func(c Comm) error {
 		if _, isMesh := c.(Messenger); isMesh {
 			return fmt.Errorf("rank %d: still on the mesh transport after a mesh build failure", c.Rank())
 		}
@@ -213,7 +290,7 @@ func TestMeshDialFaultDegradesToStar(t *testing.T) {
 		if buf[0] != 6 {
 			return fmt.Errorf("rank %d: sum %v", c.Rank(), buf[0])
 		}
-		return c.Barrier()
+		return rendezvous(c)
 	})
 	for r, err := range errs {
 		if err != nil {

@@ -10,8 +10,7 @@ import (
 // goroutines in one address space. Its collectives are the topology-aware
 // algorithms of collectives.go, routed over the group's (from, to) mailbox
 // grid exactly like the TCP mesh routes them over sockets — recursive
-// doubling, ring, binomial tree, dissemination — including the
-// non-blocking forms.
+// doubling and ring — including the non-blocking form.
 //
 // The mailbox grid is fully pre-built at construction time, so the p2p
 // Send/Recv path and the collective stages index it without taking any
@@ -57,7 +56,10 @@ func (g *LocalGroup) Comm(rank int) Comm {
 
 // Run executes fn on every rank of the group concurrently and returns the
 // first error. It is the instance form of RunLocal, for callers that
-// configure the group (WithObserver) before running.
+// configure the group (WithObserver) before running. A rank whose fn
+// returns an error is a failed rank: every mailbox to and from it is
+// poisoned with ErrRankFailed, so peers blocked in a collective with it
+// return that error instead of waiting for messages it will never send.
 func (g *LocalGroup) Run(fn func(c Comm) error) error {
 	errs := make([]error, g.size)
 	var wg sync.WaitGroup
@@ -65,7 +67,13 @@ func (g *LocalGroup) Run(fn func(c Comm) error) error {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			errs[r] = fn(g.Comm(r))
+			if errs[r] = fn(g.Comm(r)); errs[r] != nil {
+				rf := ErrRankFailed{Rank: r, Cause: errs[r]}
+				for peer := 0; peer < g.size; peer++ {
+					g.box(r, peer).fail(rf)
+					g.box(peer, r).fail(rf)
+				}
+			}
 		}(r)
 	}
 	wg.Wait()
@@ -91,12 +99,9 @@ type localComm struct {
 func (c *localComm) Rank() int { return c.rank }
 func (c *localComm) Size() int { return c.g.size }
 
-func (c *localComm) Barrier() error                   { return c.coll.Barrier() }
 func (c *localComm) AllreduceSum(buf []float64) error { return c.coll.AllreduceSum(buf) }
-func (c *localComm) AllreduceMax(buf []float64) error { return c.coll.AllreduceMax(buf) }
 func (c *localComm) Allgatherv(segment []float64, counts []int, out []float64) error {
 	return c.coll.Allgatherv(segment, counts, out)
 }
-func (c *localComm) Bcast(buf []float64, root int) error { return c.coll.Bcast(buf, root) }
 
 func (c *localComm) IAllreduceSum(buf []float64) Request { return c.coll.IAllreduceSum(buf) }

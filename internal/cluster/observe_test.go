@@ -33,9 +33,9 @@ func TestTCPObserverRecordsCollectives(t *testing.T) {
 			return err
 		}
 		// Sit past several heartbeat periods (timeout/3) so inter-arrival
-		// gaps get recorded before the final barrier.
+		// gaps get recorded before the final rendezvous.
 		time.Sleep(timeout)
-		return c.Barrier()
+		return rendezvous(c)
 	})
 	for r, err := range errs {
 		if err != nil {
@@ -53,7 +53,6 @@ func TestTCPObserverRecordsCollectives(t *testing.T) {
 		"octgb_cluster_collective_bytes_total",
 		`kind="allreduce"`,
 		`kind="allgatherv"`,
-		`kind="barrier"`,
 		"octgb_cluster_heartbeat_gap_seconds",
 	} {
 		if !strings.Contains(out, want) {

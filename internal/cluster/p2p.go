@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Messenger is the optional point-to-point extension of Comm. The
@@ -86,8 +85,9 @@ type taggedMsg struct {
 // (messages with the same tag are therefore received in send order, while
 // different tags — concurrent collectives, p2p traffic — pass each other
 // freely, MPI-style). fail poisons the box: every current and future take
-// returns the error (used by the TCP readers on connection loss so a dead
-// peer produces errors, not hangs).
+// that finds no matching queued message returns the error (used by the
+// TCP readers on a failed link and by LocalGroup.Run on a failed rank, so
+// a dead peer produces errors, not hangs).
 type tagBox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -136,43 +136,6 @@ func (b *tagBox) take(tag int) ([]float64, error) {
 	}
 }
 
-// takeTimeout is take with a deadline: if no matching message arrives
-// within d it returns errRecvTimeout (d <= 0 means wait forever). The
-// deadline is how the chaos wrapper and the hardened transports convert a
-// silent peer into ErrRankFailed instead of blocking a collective forever.
-func (b *tagBox) takeTimeout(tag int, d time.Duration) ([]float64, error) {
-	if d <= 0 {
-		return b.take(tag)
-	}
-	deadline := time.Now().Add(d)
-	// The condition variable has no timed wait; a timer broadcast wakes the
-	// waiters at the deadline so the loop can observe it.
-	timer := time.AfterFunc(d, func() {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	})
-	defer timer.Stop()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		for i := range b.queue {
-			if b.queue[i].tag == tag {
-				msg := b.queue[i].data
-				b.queue = append(b.queue[:i], b.queue[i+1:]...)
-				return msg, nil
-			}
-		}
-		if b.err != nil {
-			return nil, b.err
-		}
-		if !time.Now().Before(deadline) {
-			return nil, errRecvTimeout
-		}
-		b.cond.Wait()
-	}
-}
-
 // ---------------------------------------------------------------------------
 // In-process Messenger implementation
 // ---------------------------------------------------------------------------
@@ -193,10 +156,6 @@ func (c *localComm) sendTag(to, tag int, data []float64) error {
 
 func (c *localComm) recvTag(from, tag int) ([]float64, error) {
 	return c.g.box(from, c.rank).take(tag)
-}
-
-func (c *localComm) recvTagTimeout(from, tag int, d time.Duration) ([]float64, error) {
-	return c.g.box(from, c.rank).takeTimeout(tag, d)
 }
 
 func (c *localComm) Send(to int, data []float64) error {

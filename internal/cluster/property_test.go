@@ -3,7 +3,6 @@ package cluster
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -98,69 +97,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// Property: AllreduceMax is idempotent — applying it twice gives the same
-// result as once.
-func TestPropertyAllreduceMaxIdempotent(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p := 2 + r.Intn(5)
-		n := 1 + r.Intn(50)
-		base := make([][]float64, p)
-		for rk := range base {
-			base[rk] = make([]float64, n)
-			for i := range base[rk] {
-				base[rk][i] = r.NormFloat64() * 10
-			}
-		}
-		var first [][]float64
-		run := func() [][]float64 {
-			out := make([][]float64, p)
-			err := RunLocal(p, nil, func(c Comm) error {
-				buf := append([]float64(nil), base[c.Rank()]...)
-				if err := c.AllreduceMax(buf); err != nil {
-					return err
-				}
-				if err := c.AllreduceMax(buf); err != nil { // second application
-					return err
-				}
-				out[c.Rank()] = buf
-				return nil
-			})
-			if err != nil {
-				return nil
-			}
-			return out
-		}
-		first = run()
-		if first == nil {
-			return false
-		}
-		// All ranks equal, and equal to the element-wise max.
-		for i := 0; i < n; i++ {
-			max := math.Inf(-1)
-			for rk := range base {
-				if base[rk][i] > max {
-					max = base[rk][i]
-				}
-			}
-			for rk := range first {
-				if first[rk][i] != max {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{
-		MaxCount: 25,
-		Rand:     rand.New(rand.NewSource(9)),
-		Values: func(v []reflect.Value, r *rand.Rand) {
-			v[0] = reflect.ValueOf(r.Int63())
-		},
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
 }

@@ -5,10 +5,9 @@ import (
 	"sync"
 )
 
-// The five transports satisfy Comm, non-blocking forms included.
+// The four transports satisfy Comm, non-blocking form included.
 var (
 	_ Comm = (*localComm)(nil)
-	_ Comm = (*chaosComm)(nil)
 	_ Comm = (*tcpRoot)(nil)
 	_ Comm = (*tcpWorker)(nil)
 	_ Comm = (*meshComm)(nil)
@@ -35,7 +34,6 @@ type collArg struct {
 	buf    []float64
 	counts []int
 	out    []float64
-	root   int
 }
 
 // runStarReference runs fn on p in-process ranks of the monitor reference.
@@ -95,15 +93,8 @@ func (c *starComm) rendezvous(kind string, arg collArg, complete func(bufs []col
 			g.cond.Wait()
 		}
 	}
-	if copyOut != nil {
-		copyOut(g.result, arg)
-	}
+	copyOut(g.result, arg)
 	return nil
-}
-
-func (c *starComm) Barrier() error {
-	return c.rendezvous("barrier", collArg{},
-		func([]collArg) []float64 { return nil }, nil)
 }
 
 func (c *starComm) AllreduceSum(buf []float64) error {
@@ -113,22 +104,6 @@ func (c *starComm) AllreduceSum(buf []float64) error {
 			for _, b := range bufs {
 				for i, v := range b.buf {
 					res[i] += v
-				}
-			}
-			return res
-		},
-		func(result []float64, arg collArg) { copy(arg.buf, result) })
-}
-
-func (c *starComm) AllreduceMax(buf []float64) error {
-	return c.rendezvous("allreducemax", collArg{buf: buf},
-		func(bufs []collArg) []float64 {
-			res := append([]float64(nil), bufs[0].buf...)
-			for _, b := range bufs[1:] {
-				for i, v := range b.buf {
-					if v > res[i] {
-						res[i] = v
-					}
 				}
 			}
 			return res
@@ -155,14 +130,6 @@ func (c *starComm) Allgatherv(segment []float64, counts []int, out []float64) er
 			return res
 		},
 		func(result []float64, arg collArg) { copy(arg.out, result) })
-}
-
-func (c *starComm) Bcast(buf []float64, root int) error {
-	return c.rendezvous("bcast", collArg{buf: buf, root: root},
-		func(bufs []collArg) []float64 {
-			return append([]float64(nil), bufs[root].buf...)
-		},
-		func(result []float64, arg collArg) { copy(arg.buf, result) })
 }
 
 // Monitor collectives cannot overlap: the non-blocking form completes

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,14 +32,14 @@ func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 //   - Mesh (WithMesh, both sides): during the handshake every worker
 //     reports a private listen port, the root broadcasts the address
 //     table, and the workers connect pairwise. Collectives then run the
-//     topology-aware algorithms of collectives.go over the mesh
-//     (recursive doubling / ring / binomial / dissemination), point-to-point
-//     messaging (Messenger) becomes available, the non-blocking collectives
-//     genuinely overlap, and the root is no longer a bandwidth bottleneck.
+//     topology-aware algorithms of collectives.go over the mesh (recursive
+//     doubling / ring), point-to-point messaging (Messenger) becomes
+//     available, the non-blocking collective genuinely overlaps, and the
+//     root is no longer a bandwidth bottleneck.
 //
 // Failure hardening (see failure.go for the model): every frame carries a
-// CRC32C, payload sizes are bounded so arbitrary bytes cannot force huge
-// allocations, dials retry with exponential backoff + jitter, and with
+// per-link frame number and a CRC32C over header and payload, payload sizes
+// are bounded so arbitrary bytes cannot force huge allocations, dials retry with exponential backoff + jitter, and with
 // WithCommTimeout every read carries a deadline backed by per-link
 // heartbeats — a silent peer surfaces as ErrRankFailed while a merely-slow
 // one stays alive. If any worker cannot complete its pairwise mesh links,
@@ -48,11 +49,8 @@ const tcpMagic = 0x0C7B
 
 // kind codes on the wire.
 const (
-	opBarrier = iota + 1
-	opAllreduceSum
-	opAllreduceMax
+	opAllreduceSum = iota + 1
 	opAllgatherv
-	opBcast
 	opTagged    // mesh frame: aux carries the message tag
 	opHeartbeat // liveness keep-alive; consumed inside readFrame, never delivered
 )
@@ -63,6 +61,7 @@ const (
 const (
 	maxFrameWords = 1 << 24
 	maxBlobLen    = 1 << 20
+	maxReadStep   = 1 << 20 // bytes of payload read per step
 )
 
 // crcTable is the Castagnoli polynomial (CRC32C, hardware-accelerated on
@@ -70,19 +69,10 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func kindOfOp(op byte) string {
-	switch op {
-	case opBarrier:
-		return "barrier"
-	case opAllreduceSum:
-		return "allreduce"
-	case opAllreduceMax:
-		return "allreducemax"
-	case opAllgatherv:
+	if op == opAllgatherv {
 		return "allgatherv"
-	case opBcast:
-		return "bcast"
 	}
-	return "unknown"
+	return "allreduce"
 }
 
 // tcpConfig collects the transport options.
@@ -142,22 +132,26 @@ const (
 	dialBackoffBase = 50 * time.Millisecond
 )
 
-// testMeshDialFault, when non-nil, makes mesh dialing from `rank` to `peer`
-// fail without touching the network — the unit-test hook for the Topo→Star
-// degradation path.
-var testMeshDialFault func(rank, peer int) bool
+// testDial, when non-nil, replaces net.Dial in dialRetry: the one test hook
+// of the transport, through which tests refuse dials (the Topo→Star
+// degradation path) or hand the transport a faulty connection.
+var testDial func(network, addr string) (net.Conn, error)
 
 // dialRetry dials addr with bounded exponential backoff + jitter. seed
 // makes the jitter deterministic per (rank, peer) pair.
 func dialRetry(addr string, seed int64) (net.Conn, error) {
 	rng := rand.New(rand.NewSource(seed))
+	dial := net.Dial
+	if testDial != nil {
+		dial = testDial
+	}
 	var lastErr error
 	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
 			backoff := dialBackoffBase << (attempt - 1)
 			time.Sleep(backoff + time.Duration(rng.Int63n(int64(backoff/2)+1)))
 		}
-		c, err := net.Dial("tcp", addr)
+		c, err := dial("tcp", addr)
 		if err == nil {
 			return c, nil
 		}
@@ -232,7 +226,7 @@ func NewTCPRoot(ln net.Listener, size int, opts ...TCPOption) (Comm, error) {
 		}
 	}
 	if !cfg.mesh {
-		root := &tcpRoot{size: size, conns: conns, timeout: cfg.timeout, obs: cfg.obs}
+		root := &tcpRoot{size: size, conns: conns, obs: cfg.obs}
 		root.startHeartbeats()
 		return root, nil
 	}
@@ -269,7 +263,7 @@ func NewTCPRoot(ln net.Listener, size int, opts ...TCPOption) (Comm, error) {
 	if !meshOK {
 		cfg.log("cluster: degrading collectives Topo→Star: routing through the root")
 		recordDegradation(cfg.obs)
-		root := &tcpRoot{size: size, conns: conns, timeout: cfg.timeout, obs: cfg.obs}
+		root := &tcpRoot{size: size, conns: conns, obs: cfg.obs}
 		root.startHeartbeats()
 		return root, nil
 	}
@@ -346,11 +340,7 @@ func DialTCP(addr string, rank, size int, opts ...TCPOption) (Comm, error) {
 	var meshErr error
 	for peer := 1; peer < rank; peer++ {
 		var pc net.Conn
-		if testMeshDialFault != nil && testMeshDialFault(rank, peer) {
-			meshErr = fmt.Errorf("cluster: injected mesh dial fault (rank %d → %d)", rank, peer)
-		} else {
-			pc, meshErr = dialRetry(addrs[peer-1], int64(rank)<<16|int64(peer))
-		}
+		pc, meshErr = dialRetry(addrs[peer-1], int64(rank)<<16|int64(peer))
 		if meshErr != nil {
 			break
 		}
@@ -441,10 +431,14 @@ func DialTCP(addr string, rank, size int, opts ...TCPOption) (Comm, error) {
 // a time (the star collectives hold their communicator mutex; the mesh
 // dedicates a reader goroutine per link).
 //
-// Every frame carries a CRC32C over its payload bytes; a mismatch (bit rot,
-// desynchronized stream) is an error, never silent corruption. With a
-// non-zero timeout, reads carry per-frame deadlines refreshed by the peer's
-// heartbeat frames, and a tripped deadline surfaces as ErrRankFailed{peer}.
+// Every frame carries a frame number, counted per link by the writer under
+// wmu and checked by the single reader, and a CRC32C over its header and
+// payload. A checksum mismatch (bit rot, desynchronized stream), a
+// frame-number gap (a duplicated or lost frame), an unknown op or an
+// oversized length surfaces as ErrRankFailed{peer}, never as silent
+// corruption. With a non-zero timeout, reads carry per-frame deadlines
+// refreshed by the peer's heartbeat frames, and a tripped deadline surfaces
+// as ErrRankFailed{peer} too.
 type rankConn struct {
 	c    net.Conn
 	r    *bufio.Reader
@@ -459,7 +453,9 @@ type rankConn struct {
 
 	wmu      sync.Mutex
 	w        *bufio.Writer
+	wseq     uint32 // number of the next frame written, guarded by wmu
 	scratch  []byte // write marshaling buffer, guarded by wmu
+	rseq     uint32 // number of the next frame expected, single-reader
 	rscratch []byte // read decode buffer, single-reader
 }
 
@@ -517,11 +513,18 @@ func (rc *rankConn) alive() bool {
 	return time.Since(time.Unix(0, rc.lastSeen.Load())) < 2*rc.timeout
 }
 
-// frameHdrLen is op(1) + aux(4) + n(4) + crc32c(4).
-const frameHdrLen = 13
+// frameHdrLen is op(1) + aux(4) + n(4) + frame number(4) + crc32c(4).
+const frameHdrLen = 17
 
-// writeFrame frames: op byte, aux uint32, n uint32, crc32c uint32, then n
-// float64 payload words — marshaled and written as a single buffered write.
+// frameCRC is the CRC32C of a frame: its first 13 header bytes, then the
+// payload bytes.
+func frameCRC(hdr, raw []byte) uint32 {
+	return crc32.Update(crc32.Checksum(hdr[:13], crcTable), crcTable, raw)
+}
+
+// writeFrame frames: op byte, aux uint32, n uint32, frame number uint32,
+// crc32c uint32, then n float64 payload words — marshaled and written as a
+// single buffered write.
 func (rc *rankConn) writeFrame(op byte, aux uint32, payload []float64) error {
 	rc.wmu.Lock()
 	defer rc.wmu.Unlock()
@@ -533,10 +536,12 @@ func (rc *rankConn) writeFrame(op byte, aux uint32, payload []float64) error {
 	b[0] = op
 	binary.LittleEndian.PutUint32(b[1:5], aux)
 	binary.LittleEndian.PutUint32(b[5:9], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[9:13], rc.wseq)
+	rc.wseq++
 	for i, v := range payload {
 		binary.LittleEndian.PutUint64(b[frameHdrLen+8*i:], floatBits(v))
 	}
-	binary.LittleEndian.PutUint32(b[9:13], crc32.Checksum(b[frameHdrLen:], crcTable))
+	binary.LittleEndian.PutUint32(b[13:17], frameCRC(b, b[frameHdrLen:]))
 	if rc.timeout > 0 {
 		rc.c.SetWriteDeadline(time.Now().Add(rc.timeout))
 	}
@@ -575,24 +580,33 @@ func (rc *rankConn) readFrameOnce() (op byte, aux uint32, payload []float64, err
 	op = hdr[0]
 	aux = binary.LittleEndian.Uint32(hdr[1:5])
 	n := int(binary.LittleEndian.Uint32(hdr[5:9]))
-	crc := binary.LittleEndian.Uint32(hdr[9:13])
-	if n > maxFrameWords {
-		return 0, 0, nil, fmt.Errorf("cluster: frame payload %d words exceeds limit %d", n, maxFrameWords)
+	seq := binary.LittleEndian.Uint32(hdr[9:13])
+	switch {
+	case seq != rc.rseq:
+		return 0, 0, nil, rc.badFrame("frame number %d, want %d", seq, rc.rseq)
+	case op < opAllreduceSum || op > opHeartbeat:
+		return 0, 0, nil, rc.badFrame("unknown op %d", op)
+	case n > maxFrameWords:
+		return 0, 0, nil, rc.badFrame("payload %d words exceeds limit %d", n, maxFrameWords)
 	}
-	need := 8 * n
-	if cap(rc.rscratch) < need {
-		rc.rscratch = make([]byte, need)
-	}
-	raw := rc.rscratch[:need]
 	if rc.timeout > 0 {
 		rc.c.SetReadDeadline(time.Now().Add(rc.timeout))
 	}
-	if _, err = io.ReadFull(rc.r, raw); err != nil {
-		return 0, 0, nil, rc.failRead(err)
+	// The scratch grows by at most maxReadStep per read, so memory follows
+	// the bytes that actually arrive, not a damaged length field.
+	raw := rc.rscratch[:0]
+	for need := 8 * n; len(raw) < need; {
+		k := min(need-len(raw), maxReadStep)
+		raw = slices.Grow(raw, k)[:len(raw)+k]
+		if _, err = io.ReadFull(rc.r, raw[len(raw)-k:]); err != nil {
+			return 0, 0, nil, rc.failRead(err)
+		}
 	}
-	if got := crc32.Checksum(raw, crcTable); got != crc {
-		return 0, 0, nil, fmt.Errorf("cluster: frame from rank %d: CRC32C mismatch (got %08x, want %08x)", rc.peer, got, crc)
+	rc.rscratch = raw
+	if got, want := frameCRC(hdr[:], raw), binary.LittleEndian.Uint32(hdr[13:17]); got != want {
+		return 0, 0, nil, rc.badFrame("CRC32C mismatch (got %08x, want %08x)", got, want)
 	}
+	rc.rseq++
 	now := time.Now().UnixNano()
 	rc.lastSeen.Store(now)
 	if op == opHeartbeat {
@@ -608,6 +622,12 @@ func (rc *rankConn) readFrameOnce() (op byte, aux uint32, payload []float64, err
 		payload[i] = floatFromBits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	return op, aux, payload, nil
+}
+
+// badFrame reports a frame that failed to decode. The stream can no longer
+// be trusted, so the link's peer is failed.
+func (rc *rankConn) badFrame(format string, args ...any) error {
+	return ErrRankFailed{Rank: rc.peer, Cause: fmt.Errorf("cluster: bad frame: "+format, args...)}
 }
 
 // failRead types read errors: a deadline expiry (peer silent past the
@@ -633,20 +653,18 @@ func (rc *rankConn) failWrite(err error) error {
 	return ErrRankFailed{Rank: rc.peer, Cause: err}
 }
 
-func (rc *rankConn) writeMsg(op byte, aux uint32, payload []float64) error {
-	return rc.writeFrame(op, aux, payload)
-}
-
-func (rc *rankConn) readMsg(wantOp byte) (aux uint32, payload []float64, err error) {
-	op, aux, payload, err := rc.readFrame()
+// readMsg reads one star frame, which must carry wantOp: a different op
+// means the peer's stream is out of step with ours, a failed link.
+func (rc *rankConn) readMsg(wantOp byte) ([]float64, error) {
+	op, _, payload, err := rc.readFrame()
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if op != wantOp {
 		putBuf(payload)
-		return 0, nil, fmt.Errorf("cluster: expected op %d, got %d", wantOp, op)
+		return nil, rc.badFrame("op %d, want %d", op, wantOp)
 	}
-	return aux, payload, nil
+	return payload, nil
 }
 
 // writeBlob / readBlob frame raw bytes (the mesh handshake: address table,
@@ -688,11 +706,11 @@ func (rc *rankConn) readBlob() ([]byte, error) {
 
 // tcpRoot is rank 0 of the star.
 type tcpRoot struct {
-	size    int
-	conns   []*rankConn // index by rank; [0] nil
-	obs     *obs.Observer
-	timeout time.Duration
-	mu      sync.Mutex
+	size  int
+	conns []*rankConn // index by rank; [0] nil
+	obs   *obs.Observer
+	mu    sync.Mutex
+	err   error // first link failure, guarded by mu
 }
 
 func (c *tcpRoot) Rank() int { return 0 }
@@ -733,25 +751,33 @@ func (c *tcpRoot) AliveRanks() []bool {
 // collect gathers every worker's payload for op, combines (with the root's
 // own contribution) and sends the per-rank results back. combine receives
 // payloads indexed by rank (root's own in slot 0) and returns the result
-// for each rank (often the same slice for all).
+// for each rank (often the same slice for all). A link failure is sticky:
+// the workers that did reach this collective wait for a reply that will
+// not come, so every later collective fails at once instead of waiting on
+// them (their heartbeats would keep the wait alive forever).
 func (c *tcpRoot) collect(op byte, own []float64, combine func(bufs [][]float64) [][]float64) ([]float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.err != nil {
+		return nil, c.err
+	}
 	start := time.Now()
 	bufs := make([][]float64, c.size)
 	bufs[0] = own
 	for r := 1; r < c.size; r++ {
-		_, p, err := c.conns[r].readMsg(op)
+		p, err := c.conns[r].readMsg(op)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: root reading rank %d: %w", r, err)
+			c.err = fmt.Errorf("cluster: root reading rank %d: %w", r, err)
+			return nil, c.err
 		}
 		bufs[r] = p
 	}
 	results := combine(bufs)
 	for r := 1; r < c.size; r++ {
 		putBuf(bufs[r]) // worker contributions decoded into pooled buffers
-		if err := c.conns[r].writeMsg(op, 0, results[r]); err != nil {
-			return nil, fmt.Errorf("cluster: root replying to rank %d: %w", r, err)
+		if err := c.conns[r].writeFrame(op, 0, results[r]); err != nil {
+			c.err = fmt.Errorf("cluster: root replying to rank %d: %w", r, err)
+			return nil, c.err
 		}
 	}
 	recordCollective(c.obs, kindOfOp(op), 0, len(results[0]), start)
@@ -766,38 +792,12 @@ func sameForAll(size int, res []float64) [][]float64 {
 	return out
 }
 
-func (c *tcpRoot) Barrier() error {
-	_, err := c.collect(opBarrier, nil, func(bufs [][]float64) [][]float64 {
-		return sameForAll(c.size, nil)
-	})
-	return err
-}
-
 func (c *tcpRoot) AllreduceSum(buf []float64) error {
 	res, err := c.collect(opAllreduceSum, buf, func(bufs [][]float64) [][]float64 {
 		out := make([]float64, len(buf))
 		for _, b := range bufs {
 			for i, v := range b {
 				out[i] += v
-			}
-		}
-		return sameForAll(c.size, out)
-	})
-	if err != nil {
-		return err
-	}
-	copy(buf, res)
-	return nil
-}
-
-func (c *tcpRoot) AllreduceMax(buf []float64) error {
-	res, err := c.collect(opAllreduceMax, buf, func(bufs [][]float64) [][]float64 {
-		out := append([]float64(nil), bufs[0]...)
-		for _, b := range bufs[1:] {
-			for i, v := range b {
-				if v > out[i] {
-					out[i] = v
-				}
 			}
 		}
 		return sameForAll(c.size, out)
@@ -831,17 +831,6 @@ func (c *tcpRoot) Allgatherv(segment []float64, counts []int, out []float64) err
 	return nil
 }
 
-func (c *tcpRoot) Bcast(buf []float64, root int) error {
-	res, err := c.collect(opBcast, buf, func(bufs [][]float64) [][]float64 {
-		return sameForAll(c.size, append([]float64(nil), bufs[root]...))
-	})
-	if err != nil {
-		return err
-	}
-	copy(buf, res)
-	return nil
-}
-
 // IAllreduceSum completes synchronously (the star cannot overlap).
 func (c *tcpRoot) IAllreduceSum(buf []float64) Request { return doneRequest(c.AllreduceSum(buf)) }
 
@@ -851,6 +840,7 @@ type tcpWorker struct {
 	conn       *rankConn
 	obs        *obs.Observer
 	mu         sync.Mutex
+	err        error // first link failure, sticky as on the root; guarded by mu
 }
 
 func (c *tcpWorker) Rank() int { return c.rank }
@@ -862,35 +852,22 @@ func (c *tcpWorker) Close() error { return c.conn.close() }
 func (c *tcpWorker) roundTrip(op byte, payload []float64) ([]float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	start := time.Now()
-	if err := c.conn.writeMsg(op, 0, payload); err != nil {
-		return nil, err
+	if c.err != nil {
+		return nil, c.err
 	}
-	_, res, err := c.conn.readMsg(op)
-	if err == nil {
+	start := time.Now()
+	if c.err = c.conn.writeFrame(op, 0, payload); c.err != nil {
+		return nil, c.err
+	}
+	res, err := c.conn.readMsg(op)
+	if c.err = err; err == nil {
 		recordCollective(c.obs, kindOfOp(op), c.rank, len(res), start)
 	}
 	return res, err
 }
 
-func (c *tcpWorker) Barrier() error {
-	res, err := c.roundTrip(opBarrier, nil)
-	putBuf(res)
-	return err
-}
-
 func (c *tcpWorker) AllreduceSum(buf []float64) error {
 	res, err := c.roundTrip(opAllreduceSum, buf)
-	if err != nil {
-		return err
-	}
-	copy(buf, res)
-	putBuf(res)
-	return nil
-}
-
-func (c *tcpWorker) AllreduceMax(buf []float64) error {
-	res, err := c.roundTrip(opAllreduceMax, buf)
 	if err != nil {
 		return err
 	}
@@ -913,16 +890,6 @@ func (c *tcpWorker) Allgatherv(segment []float64, counts []int, out []float64) e
 	return nil
 }
 
-func (c *tcpWorker) Bcast(buf []float64, root int) error {
-	res, err := c.roundTrip(opBcast, buf)
-	if err != nil {
-		return err
-	}
-	copy(buf, res)
-	putBuf(res)
-	return nil
-}
-
 // IAllreduceSum completes synchronously (the star cannot overlap).
 func (c *tcpWorker) IAllreduceSum(buf []float64) Request { return doneRequest(c.AllreduceSum(buf)) }
 
@@ -937,14 +904,13 @@ func (c *tcpWorker) IAllreduceSum(buf []float64) Request { return doneRequest(c.
 // implements Comm, Messenger and FailureDetector.
 type meshComm struct {
 	rank, size int
-	timeout    time.Duration
 	links      []*rankConn // index by peer; [rank] nil
 	boxes      []*tagBox   // per-peer incoming messages (incl. self)
 	coll       coll
 }
 
 func newMeshComm(rank, size int, links []*rankConn, cfg tcpConfig) *meshComm {
-	mc := &meshComm{rank: rank, size: size, timeout: cfg.timeout, links: links, boxes: make([]*tagBox, size)}
+	mc := &meshComm{rank: rank, size: size, links: links, boxes: make([]*tagBox, size)}
 	for i := range mc.boxes {
 		mc.boxes[i] = newTagBox()
 	}
@@ -960,26 +926,24 @@ func newMeshComm(rank, size int, links []*rankConn, cfg tcpConfig) *meshComm {
 }
 
 // readLoop demultiplexes one link's frames into the peer's mailbox; on
-// connection loss or peer silence past the timeout the mailbox is poisoned
-// (with ErrRankFailed when attributable) so pending and future receives —
-// and through them every in-flight collective — error out instead of
-// hanging.
+// connection loss, peer silence past the timeout or a frame that fails to
+// decode the mailbox is poisoned (with ErrRankFailed when attributable) so
+// pending and future receives — and through them every in-flight
+// collective — error out instead of hanging.
 func (mc *meshComm) readLoop(peer int) {
 	rc := mc.links[peer]
 	for {
 		op, tag, payload, err := rc.readFrame()
+		if err == nil && op != opTagged {
+			putBuf(payload)
+			err = rc.badFrame("op %d on a mesh link", op)
+		}
 		if err != nil {
 			var rf ErrRankFailed
-			if errors.As(err, &rf) {
-				mc.boxes[peer].fail(err)
-			} else {
-				mc.boxes[peer].fail(fmt.Errorf("cluster: mesh link to rank %d: %w", peer, err))
+			if !errors.As(err, &rf) {
+				err = fmt.Errorf("cluster: mesh link to rank %d: %w", peer, err)
 			}
-			return
-		}
-		if op != opTagged {
-			putBuf(payload)
-			mc.boxes[peer].fail(fmt.Errorf("cluster: mesh link to rank %d: unexpected op %d", peer, op))
+			mc.boxes[peer].fail(err)
 			return
 		}
 		mc.boxes[peer].put(int(tag), payload)
@@ -1013,17 +977,10 @@ func (mc *meshComm) recvTag(from, tag int) ([]float64, error) {
 	return mc.boxes[from].take(tag)
 }
 
-func (mc *meshComm) recvTagTimeout(from, tag int, d time.Duration) ([]float64, error) {
-	return mc.boxes[from].takeTimeout(tag, d)
-}
-
-func (mc *meshComm) Barrier() error                   { return mc.coll.Barrier() }
 func (mc *meshComm) AllreduceSum(buf []float64) error { return mc.coll.AllreduceSum(buf) }
-func (mc *meshComm) AllreduceMax(buf []float64) error { return mc.coll.AllreduceMax(buf) }
 func (mc *meshComm) Allgatherv(segment []float64, counts []int, out []float64) error {
 	return mc.coll.Allgatherv(segment, counts, out)
 }
-func (mc *meshComm) Bcast(buf []float64, root int) error { return mc.coll.Bcast(buf, root) }
 
 func (mc *meshComm) IAllreduceSum(buf []float64) Request { return mc.coll.IAllreduceSum(buf) }
 

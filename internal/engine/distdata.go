@@ -107,7 +107,7 @@ func (sm *SimModel) DistributeData(P int, m simtime.Machine) DataDistribution {
 	dd.ExchangeWords = totalGhost * atomWords
 	// Exchange modeled as a personalized all-to-all of the ghost volume.
 	rpn := ranksPerNode(P, 1, m)
-	dd.ExchangeCostSec = m.CollectiveCost("allgatherv", int(dd.ExchangeWords/int64(max(P, 1))), P, rpn)
+	dd.ExchangeCostSec = m.CollectiveCost(int(dd.ExchangeWords/int64(max(P, 1))), P, rpn)
 	return dd
 }
 

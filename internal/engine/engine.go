@@ -72,12 +72,11 @@ type Options struct {
 	// (see core.BornConfig; 0 = default).
 	CriterionPower int
 	// CommTimeout is the failure-detection budget for distributed runs:
-	// callers that build a transport (cmd/epolnode, the chaos harness)
-	// pass it through to the cluster layer (cluster.WithCommTimeout /
-	// FaultPlan.Timeout), where a peer silent past the timeout surfaces as
-	// cluster.ErrRankFailed from every collective instead of hanging the
-	// run. Zero (the default) disables failure detection: reads block
-	// forever, the pre-hardening behavior. The engine itself never arms
+	// callers that build a TCP transport (cmd/epolnode, the cluster fault
+	// matrix) pass it through to cluster.WithCommTimeout, where a peer
+	// silent past the timeout surfaces as cluster.ErrRankFailed from every
+	// collective instead of hanging the run. Zero (the default) disables
+	// failure detection: reads block forever. The engine itself never arms
 	// timers — liveness is the transport's job (heartbeats run at a third
 	// of this timeout, so slow compute phases do not trip it).
 	CommTimeout time.Duration

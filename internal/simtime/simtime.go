@@ -127,7 +127,8 @@ func (oc OpCosts) EpolWork(st core.Stats) float64 {
 // ranks moves 12 copies of the payload through the same link where the
 // hybrid's 2 ranks move 2 — the mechanism behind the paper's observation
 // that OCT_MPI's communication overhead exceeds OCT_MPI+CILK's (§V-B).
-func (m Machine) CollectiveCost(kind string, words, nranks, ranksPerNode int) float64 {
+// The closed form is the same for both of Fig. 4's collectives.
+func (m Machine) CollectiveCost(words, nranks, ranksPerNode int) float64 {
 	if nranks <= 1 {
 		return 0
 	}
@@ -136,28 +137,20 @@ func (m Machine) CollectiveCost(kind string, words, nranks, ranksPerNode int) fl
 	}
 	logP := math.Ceil(math.Log2(float64(nranks)))
 	tw := m.TwSecPerWord * float64(ranksPerNode)
-	switch kind {
-	case "barrier":
-		return m.TsSec * logP
-	case "bcast":
-		return m.TsSec*logP + tw*float64(words)*logP
-	default: // allreduce, allreducemax, allgatherv
-		frac := float64(nranks-1) / float64(nranks)
-		return m.TsSec*logP + 2*tw*float64(words)*frac
-	}
+	frac := float64(nranks-1) / float64(nranks)
+	return m.TsSec*logP + 2*tw*float64(words)*frac
 }
 
 // AlgoCollectiveCost returns the modeled time of one collective as the
 // cluster layer actually executes it (cluster/collectives.go), stage by
 // stage in the α–β model (t_s startup + t_w per word, Grama et al. Table
-// 4.1): dissemination barrier (⌈log₂P⌉ rounds), recursive-doubling
-// allreduce (⌊log₂P⌋ exchanges of the full buffer, plus one fold out and
-// one fold back when P is not a power of two), ring allgatherv (P−1
-// startups but only m·(P−1)/P words moved per rank), binomial-tree bcast
-// (⌈log₂P⌉ hops).
+// 4.1): recursive-doubling allreduce (⌊log₂P⌋ exchanges of the full
+// buffer, plus one fold out and one fold back when P is not a power of
+// two) and ring allgatherv (P−1 startups but only m·(P−1)/P words moved per
+// rank).
 //
 // words is the payload m in float64 words — for allgatherv the TOTAL
-// gathered length, for the others the buffer length. ranksPerNode models
+// gathered length, for allreduce the buffer length. ranksPerNode models
 // NIC contention exactly as in CollectiveCost.
 func (m Machine) AlgoCollectiveCost(kind string, words, nranks, ranksPerNode int) float64 {
 	if nranks <= 1 {
@@ -169,24 +162,18 @@ func (m Machine) AlgoCollectiveCost(kind string, words, nranks, ranksPerNode int
 	P := float64(nranks)
 	mw := float64(words)
 	tw := m.TwSecPerWord * float64(ranksPerNode)
-	ceilLog := math.Ceil(math.Log2(P))
 	floorLog := math.Floor(math.Log2(P))
 	pow2 := math.Exp2(floorLog) == P
 
-	switch kind {
-	case "barrier":
-		return ceilLog * m.TsSec
-	case "bcast":
-		return ceilLog * (m.TsSec + tw*mw)
-	case "allgatherv":
+	if kind == "allgatherv" {
 		return (P-1)*m.TsSec + tw*mw*(P-1)/P
-	default: // allreduce, allreducemax: recursive doubling
-		c := floorLog * (m.TsSec + tw*mw)
-		if !pow2 {
-			c += 2 * (m.TsSec + tw*mw) // pre/post fold
-		}
-		return c
 	}
+	// allreduce: recursive doubling
+	c := floorLog * (m.TsSec + tw*mw)
+	if !pow2 {
+		c += 2 * (m.TsSec + tw*mw) // pre/post fold
+	}
+	return c
 }
 
 // MemoryPenalty models the cache/memory-pressure slowdown the paper's

@@ -18,27 +18,24 @@ func TestLonestar4Sanity(t *testing.T) {
 
 func TestCollectiveCostGrowsWithRanksAndWords(t *testing.T) {
 	m := Lonestar4()
-	if m.CollectiveCost("allreduce", 1000, 1, 1) != 0 {
+	if m.CollectiveCost(1000, 1, 1) != 0 {
 		t.Error("single rank should communicate nothing")
 	}
-	c2 := m.CollectiveCost("allreduce", 1000, 2, 2)
-	c16 := m.CollectiveCost("allreduce", 1000, 16, 2)
+	c2 := m.CollectiveCost(1000, 2, 2)
+	c16 := m.CollectiveCost(1000, 16, 2)
 	if c16 <= c2 {
 		t.Errorf("cost did not grow with ranks: %v vs %v", c2, c16)
 	}
-	w1 := m.CollectiveCost("allreduce", 1000, 8, 2)
-	w2 := m.CollectiveCost("allreduce", 1000000, 8, 2)
+	w1 := m.CollectiveCost(1000, 8, 2)
+	w2 := m.CollectiveCost(1000000, 8, 2)
 	if w2 <= w1 {
 		t.Errorf("cost did not grow with words: %v vs %v", w1, w2)
-	}
-	if b := m.CollectiveCost("barrier", 0, 8, 2); b <= 0 || b >= w1 {
-		t.Errorf("barrier cost %v implausible", b)
 	}
 }
 
 func TestAlgoCollectiveCost(t *testing.T) {
 	m := Lonestar4()
-	for _, kind := range []string{"barrier", "allreduce", "allreducemax", "allgatherv", "bcast"} {
+	for _, kind := range []string{"allreduce", "allgatherv"} {
 		if m.AlgoCollectiveCost(kind, 1000, 1, 1) != 0 {
 			t.Errorf("%s: single rank should be free", kind)
 		}
