@@ -3,8 +3,8 @@ GO ?= go
 .PHONY: verify build vet fmt staticcheck test race fuzz chaos fabric-chaos obs-smoke load-check load-bench load-live bench bench-compare size
 
 ## verify: the tier-1 gate — build, vet, gofmt (+staticcheck when installed), full
-## tests, race-test the concurrency-bearing packages (scheduler, treecode
-## kernels, cluster transports, distributed engines, observability,
+## tests, race-test the concurrency-bearing packages (scheduler, surface
+## sampler, treecode kernels, cluster transports, distributed engines, observability,
 ## serving, fabric, load harness), smoke the /metrics
 ## exposition, replay the committed load trace through the virtual-time
 ## simulator and gate on its SLO, then run the fabric worker-crash matrix.
@@ -37,7 +37,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/cluster/... ./internal/engine/... ./internal/serve/... ./internal/obs/... ./internal/loadgen/... ./internal/fabric/...
+	$(GO) test -race ./internal/sched/... ./internal/surface/... ./internal/core/... ./internal/cluster/... ./internal/engine/... ./internal/serve/... ./internal/obs/... ./internal/loadgen/... ./internal/fabric/...
 
 ## obs-smoke: boot the instrumented serving stack on a loopback port, drive
 ## requests through it and fail on any malformed /metrics exposition line

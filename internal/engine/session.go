@@ -35,8 +35,10 @@ import (
 //     margin triggers a full structural refresh (refit + rebuild).
 //   - Far fields. Far-entry values depend only on epoch-frozen node
 //     geometry and aggregates (ñ_Q is position independent; the energy
-//     phase's charge bins are frozen per epoch), so they are cached per
-//     entry and only recomputed when their segment is re-derived.
+//     phase's charge bins are frozen per epoch), so a far sum changes only
+//     when its segment is re-derived. The Born phase does not store its
+//     terms: it recomputes each where it adds it (sumFarNodes), the same
+//     bits in the same order. The energy phase keeps one sum per driver.
 //   - Per-frame values, cached at PAIR granularity. The Born phase keeps
 //     one row block per (T_A leaf, driver) near entry — the driver's
 //     contribution to each atom of the leaf — and the energy phase one
@@ -112,12 +114,10 @@ type Session struct {
 	qDense  []int32     // T_Q node id -> dense leaf index
 
 	// Born phase per-driver segments (indexed by dense T_Q leaf index).
-	bornNear       [][]int32   // near entries: T_A leaf node ids, traversal order
-	bornFar        [][]int32   // far entries: T_A node ids, traversal order
-	bornFarVal     [][]float64 // cached far-entry values, parallel to bornFar
-	bornPartners   [][]int32   // T_A leaf node id -> dense driver indices, ascending
-	bornPartnerPos [][]int32   // parallel: entry index within the driver's near list
-	bornEntrySlot  [][]int32   // per driver: entry k's slot in its row's partner list
+	bornNear      [][]int32 // near entries: T_A leaf node ids, ascending
+	bornFar       [][]int32 // far entries: T_A node ids, traversal order
+	bornPartners  [][]int32 // T_A leaf node id -> dense driver indices, ascending
+	bornEntrySlot [][]int32 // per driver: entry k's slot in its row's partner list
 
 	// rowBlk holds the per-(row, driver) near blocks ROW-major: row leaf a
 	// keeps its partners' blocks contiguous in ascending driver order
@@ -191,21 +191,22 @@ type Session struct {
 	markSlot       []bool
 	farDirty       []int32 // T_A node ids whose far sum a re-derivation changed
 	markFar        []bool
+	inFar          []bool  // markFarChanges scratch: in the driver's previous far list
 	oldNear        []int32 // rederiveBorn scratch: the driver's previous near list
 	oldSlot        []int32 // and the slots its entries held
+	oldFar         []int32 // and its previous far list
 }
 
 // sessionArenas owns the backing storage of the per-driver and per-row
-// stores. Traversal output (near and far lists, far values), whose length
-// is known only once a driver's traversal has run, is cut from chunked
-// slabs; everything derived from those lists is counted first and cut from
-// one exact allocation. A structural refresh reuses all of it.
+// stores. Traversal output (near and far lists), whose length is known
+// only once a driver's traversal has run, is cut from chunked slabs;
+// everything derived from those lists is counted first and cut from one
+// exact allocation. A structural refresh reuses all of it.
 type sessionArenas struct {
 	near, far, epolFar slab[int32]
-	farVal             slab[float64]
 	epolNear           slab[core.NodePair]
 
-	slots, partners, partnerPos       []int32
+	slots, partners                   []int32
 	blocks, groups                    []float64
 	marks                             []bool
 	epolVals                          []float64
@@ -213,31 +214,38 @@ type sessionArenas struct {
 	epolPartners, epolPartnerPos, ent []int32
 }
 
-// slabShare sizes a slab's chunks: a chunk holds slabShare entries per
-// driver, a few per cent of what the drivers' lists come to (a Born driver
-// at the default ε has ~70 near and ~230 far entries).
+// slabShare sizes a slab's first chunk: slabShare entries per view, a
+// share of what a driver's list comes to (a Born driver at the default ε
+// has ~70 near and ~230 far entries).
 const slabShare = 32
 
-// slab cuts capacity-capped slices out of equally sized chunks, allocating
-// a chunk whenever the current one cannot hold the next cut (one larger
-// than a chunk gets a chunk of its own). reset hands the same chunks out
-// again.
+// slab cuts capacity-capped slices out of chunks, allocating one whenever
+// the current chunk cannot hold the next cut. The first chunk holds
+// slabShare entries per view; a later one what the views still to come
+// need if they average what the views cut so far did (or the one view, if
+// longer), so the chunks end about where the lists do. reset hands the
+// same chunks out again.
 type slab[T any] struct {
-	chunk     int // chunk length
-	chunks    [][]T
-	cur, used int
+	views, done, taken int // views to cut; views and entries cut so far
+	chunks             [][]T
+	cur, used          int
 }
 
-func (s *slab[T]) reset(chunk int) { s.chunk, s.cur, s.used = chunk, 0, 0 }
+func (s *slab[T]) reset(views int) { s.views, s.done, s.taken, s.cur, s.used = views, 0, 0, 0, 0 }
 
 func (s *slab[T]) take(n int) []T {
+	size := slabShare * s.views
+	if s.done > 0 {
+		size = (s.taken*(s.views-s.done) + s.done - 1) / s.done
+	}
+	s.done, s.taken = s.done+1, s.taken+n
 	for ; s.cur < len(s.chunks); s.cur, s.used = s.cur+1, 0 {
 		if c := s.chunks[s.cur]; s.used+n <= len(c) {
 			s.used += n
 			return c[s.used-n : s.used : s.used]
 		}
 	}
-	s.chunks = append(s.chunks, make([]T, max(n, s.chunk)))
+	s.chunks = append(s.chunks, make([]T, max(n, size)))
 	s.used = n
 	return s.chunks[s.cur][:n:n]
 }
@@ -424,13 +432,11 @@ func NewSession(mol *molecule.Molecule, o SessionOptions) (*Session, error) {
 	la, lq := len(ta.LeafIdx), len(tq.LeafIdx)
 	ss.bornNear = make([][]int32, lq)
 	ss.bornFar = make([][]int32, lq)
-	ss.bornFarVal = make([][]float64, lq)
 	ss.bornEntrySlot = make([][]int32, lq)
 	ss.rowBlk = make([][]float64, len(ta.Nodes))
 	ss.rowGrp = make([][]float64, len(ta.Nodes))
 	ss.grpDirty = make([][]bool, len(ta.Nodes))
 	ss.bornPartners = make([][]int32, len(ta.Nodes))
-	ss.bornPartnerPos = make([][]int32, len(ta.Nodes))
 	ss.sNodeFar = make([]float64, len(ta.Nodes))
 	ss.farTotal = make([]float64, len(ta.Nodes))
 	ss.sAtomNear = make([]float64, nA)
@@ -458,9 +464,9 @@ func NewSession(mol *molecule.Molecule, o SessionOptions) (*Session, error) {
 	ss.refBallRQ = make([]float64, len(tq.Nodes))
 	ss.nodeDispA = make([]float64, len(ta.Nodes))
 	ss.nodeDispQ = make([]float64, len(tq.Nodes))
-	marks := make([]bool, 5*len(ta.Nodes)) // the per-node mark arrays, one allocation
+	marks := make([]bool, 6*len(ta.Nodes)) // the per-node mark arrays, one allocation
 	ss.markA, ss.markRow, ss.markSlot = cut(&marks, len(ta.Nodes)), cut(&marks, len(ta.Nodes)), cut(&marks, len(ta.Nodes))
-	ss.markFar, ss.markU = cut(&marks, len(ta.Nodes)), cut(&marks, len(ta.Nodes))
+	ss.markFar, ss.markU, ss.inFar = cut(&marks, len(ta.Nodes)), cut(&marks, len(ta.Nodes)), cut(&marks, len(ta.Nodes))
 	ss.markQ = make([]bool, len(tq.Nodes))
 	ss.markV = make([]bool, la)
 	ss.dirtyEnt = make([][]int32, la)
@@ -514,20 +520,20 @@ func (ss *Session) MemoryBytes() int64 {
 	n := ss.bs.MemoryBytes() + ss.es.MemoryBytes() +
 		capBytes(ss.mol.Atoms) + capBytes(ss.charges) + capBytes(ss.qOff) +
 		capBytes(ss.rowScratch) + capBytes(ss.scratch.Near) + capBytes(ss.scratch.Far) + capBytes(ss.rowPairs.Near) +
-		slabBytes(&ar.near) + slabBytes(&ar.far) + slabBytes(&ar.epolFar) + slabBytes(&ar.farVal) + slabBytes(&ar.epolNear) +
+		slabBytes(&ar.near) + slabBytes(&ar.far) + slabBytes(&ar.epolFar) + slabBytes(&ar.epolNear) +
 		capBytes(ar.blocks) + capBytes(ar.groups) + capBytes(ar.marks) + capBytes(ar.epolVals) + capBytes(ar.epolW)
-	for _, s := range [][][]int32{ss.qOwner, ss.bornNear, ss.bornFar, ss.bornPartners, ss.bornPartnerPos,
-		ss.bornEntrySlot, ss.epolFar, ss.epolPartners, ss.epolPartnerPos, ss.dirtyEnt} {
+	for _, s := range [][][]int32{ss.qOwner, ss.bornNear, ss.bornFar, ss.bornPartners, ss.bornEntrySlot,
+		ss.epolFar, ss.epolPartners, ss.epolPartnerPos, ss.dirtyEnt} {
 		n += capBytes(s)
 	}
 	n += 4 * int64(len(ss.qOff)) // the owner lists' one backing array
-	for _, s := range [][][]float64{ss.bornFarVal, ss.rowBlk, ss.rowGrp, ss.epolNearVal} {
+	for _, s := range [][][]float64{ss.rowBlk, ss.rowGrp, ss.epolNearVal} {
 		n += capBytes(s)
 	}
 	n += capBytes(ss.grpDirty) + capBytes(ss.epolNear) + capBytes(ss.epolW)
 	for _, s := range [][]int32{ss.aInv, ss.aLeafOf, ss.qLeafOf, ss.aDense, ss.qDense, ar.slots, ar.partners,
-		ar.partnerPos, ar.epolPartners, ar.epolPartnerPos, ar.ent, ss.movedA, ss.movedQ, ss.movedRows,
-		ss.dirtyRows, ss.dirtyV, ss.listU, ss.slotDirty, ss.farDirty, ss.oldNear, ss.oldSlot} {
+		ar.epolPartners, ar.epolPartnerPos, ar.ent, ss.movedA, ss.movedQ, ss.movedRows,
+		ss.dirtyRows, ss.dirtyV, ss.listU, ss.slotDirty, ss.farDirty, ss.oldNear, ss.oldSlot, ss.oldFar} {
 		n += capBytes(s)
 	}
 	for _, s := range [][]float64{ss.sNodeFar, ss.farTotal, ss.sAtomNear, ss.rTree, ss.rPushed, ss.nearVal,
@@ -538,12 +544,11 @@ func (ss *Session) MemoryBytes() int64 {
 	for _, s := range [][]geom.Vec3{ss.refPosA, ss.epochPosA, ss.refPosQ, ss.epochPosQ} {
 		n += capBytes(s)
 	}
-	for _, s := range [][]bool{ss.markA, ss.markQ, ss.markRow, ss.markV, ss.markU, ss.fullV, ss.markSlot, ss.markFar} {
+	for _, s := range [][]bool{ss.markA, ss.markQ, ss.markRow, ss.markV, ss.markU, ss.fullV, ss.markSlot, ss.markFar, ss.inFar} {
 		n += capBytes(s)
 	}
 	return n + spilled(ss.bornNear, ar.near.chunks...) + spilled(ss.bornFar, ar.far.chunks...) +
-		spilled(ss.bornFarVal, ar.farVal.chunks...) + spilled(ss.bornEntrySlot, ar.slots) +
-		spilled(ss.bornPartners, ar.partners) + spilled(ss.bornPartnerPos, ar.partnerPos) +
+		spilled(ss.bornEntrySlot, ar.slots) + spilled(ss.bornPartners, ar.partners) +
 		spilled(ss.rowBlk, ar.blocks) + spilled(ss.rowGrp, ar.groups) + spilled(ss.grpDirty, ar.marks) +
 		spilled(ss.epolNear, ar.epolNear.chunks...) + spilled(ss.epolFar, ar.epolFar.chunks...) +
 		spilled(ss.epolNearVal, ar.epolVals) + spilled(ss.epolW, ar.epolW)
@@ -842,9 +847,6 @@ func (ss *Session) epochBreach() bool {
 // tolerance gated (the rule must not depend on resweep cadence), so a
 // resweep re-verifies the caches against the session's own semantics.
 func (ss *Session) resweep() {
-	for ql := range ss.bornFar {
-		ss.fillBornFarVals(ql)
-	}
 	ss.sumFarNodes(true)
 	for ql := range ss.bornNear {
 		ss.recomputeDriverBlocks(ql)
@@ -877,11 +879,10 @@ func (ss *Session) rebuildStructure() {
 	sf, ms := ss.opts.SlackFactor, ss.opts.MinSlack
 	ta, tq := ss.bs.TA, ss.bs.TQ
 	ar := &ss.arenas
-	ar.near.reset(slabShare * len(tq.LeafIdx))
-	ar.far.reset(slabShare * len(tq.LeafIdx))
-	ar.farVal.reset(slabShare * len(tq.LeafIdx))
-	ar.epolNear.reset(slabShare * len(ta.LeafIdx))
-	ar.epolFar.reset(slabShare * len(ta.LeafIdx))
+	ar.near.reset(len(tq.LeafIdx))
+	ar.far.reset(len(tq.LeafIdx))
+	ar.epolNear.reset(len(ta.LeafIdx))
+	ar.epolFar.reset(len(ta.LeafIdx))
 
 	maxNear := 0
 	for ql, qLeaf := range tq.LeafIdx {
@@ -889,8 +890,6 @@ func (ss *Session) rebuildStructure() {
 		ss.bs.BuildBornDriverSlack(&ss.scratch, qLeaf, c, r, sf, ms)
 		ss.bornNear[ql] = appendANodes(ar.near.take(len(ss.scratch.Near))[:0], ss.scratch.Near)
 		ss.bornFar[ql] = appendANodes(ar.far.take(len(ss.scratch.Far))[:0], ss.scratch.Far)
-		ss.bornFarVal[ql] = ar.farVal.take(len(ss.scratch.Far))
-		ss.fillBornFarVals(ql)
 		ss.refBallRQ[qLeaf] = r
 		maxNear = max(maxNear, len(ss.scratch.Near))
 	}
@@ -948,10 +947,10 @@ func (ss *Session) rebuildStructure() {
 	copy(ss.epochPosA, ta.Points)
 	copy(ss.refPosQ, tq.Points)
 	copy(ss.epochPosQ, tq.Points)
-	zero(ss.dispRefA)
-	zero(ss.dispEpochA)
-	zero(ss.dispRefQ)
-	zero(ss.dispEpochQ)
+	clear(ss.dispRefA)
+	clear(ss.dispEpochA)
+	clear(ss.dispRefQ)
+	clear(ss.dispEpochQ)
 }
 
 // --- small helpers -------------------------------------------------------
@@ -1035,10 +1034,4 @@ func resize[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-func zero(s []float64) {
-	for i := range s {
-		s[i] = 0
-	}
 }

@@ -44,28 +44,21 @@ func (ss *Session) pushRadii(markLeaves bool) int {
 }
 
 // rederiveBorn rebuilds one Born driver segment against the refit ball of
-// the driver's current points, recomputes its cached far values, repairs
-// the reverse index of the rows that entered or left its near list, marks
-// the T_A nodes of its old and new far list for a far re-sum, and resets
-// the driver's slack budget. The driver's blocks are left stale: only a
-// moved driver can breach, and the frame re-evaluates a moved driver's
-// blocks regardless.
+// the driver's current points, repairs the reverse index of the rows that
+// entered or left its near list, marks the T_A nodes that entered or left
+// its far list for a far re-sum, and resets the driver's slack budget. The
+// driver's blocks are left stale: only a moved driver can breach, and the
+// frame re-evaluates a moved driver's blocks regardless.
 func (ss *Session) rederiveBorn(qLeaf int32) {
 	ql := ss.qDense[qLeaf]
 	ss.oldNear = append(ss.oldNear[:0], ss.bornNear[ql]...)
 	ss.oldSlot = append(ss.oldSlot[:0], ss.bornEntrySlot[ql]...)
-	for _, a := range ss.bornFar[ql] {
-		ss.markFarDirty(a)
-	}
+	ss.oldFar = append(ss.oldFar[:0], ss.bornFar[ql]...)
 	c, r := currentBall(ss.bs.TQ, qLeaf)
 	ss.bs.BuildBornDriverSlack(&ss.scratch, qLeaf, c, r, ss.opts.SlackFactor, ss.opts.MinSlack)
 	ss.bornNear[ql] = appendANodes(ss.bornNear[ql][:0], ss.scratch.Near)
 	ss.bornFar[ql] = appendANodes(ss.bornFar[ql][:0], ss.scratch.Far)
-	ss.bornFarVal[ql] = resize(ss.bornFarVal[ql], len(ss.bornFar[ql]))
-	ss.fillBornFarVals(int(ql))
-	for _, a := range ss.bornFar[ql] {
-		ss.markFarDirty(a)
-	}
+	ss.markFarChanges(ss.oldFar, ss.bornFar[ql])
 
 	// Both near lists come out of the traversal in ascending node order, so
 	// one merge finds the rows that left (the driver comes out of the row's
@@ -82,19 +75,16 @@ func (ss *Session) rederiveBorn(qLeaf int32) {
 		case j == len(nw) || (i < len(old) && old[i] < nw[j]):
 			a, at := old[i], int(ss.oldSlot[i])
 			ss.bornPartners[a] = slices.Delete(ss.bornPartners[a], at, at+1)
-			ss.bornPartnerPos[a] = slices.Delete(ss.bornPartnerPos[a], at, at+1)
 			ss.reslotRow(a, at)
 			i++
 		case i == len(old) || nw[j] < old[i]:
 			a := nw[j]
 			at, _ := slices.BinarySearch(ss.bornPartners[a], ql)
 			ss.bornPartners[a] = slices.Insert(ss.bornPartners[a], at, ql)
-			ss.bornPartnerPos[a] = slices.Insert(ss.bornPartnerPos[a], at, int32(j))
 			ss.reslotRow(a, at)
 			j++
 		default:
 			slots[j] = ss.oldSlot[i]
-			ss.bornPartnerPos[nw[j]][slots[j]] = int32(j)
 			i++
 			j++
 		}
@@ -104,11 +94,13 @@ func (ss *Session) rederiveBorn(qLeaf int32) {
 
 // reslotRow rewrites, after a partner was inserted at or deleted from slot
 // `from` of row aLeaf, the slot every later partner's entry records, and
-// marks the row slot-shifted.
+// marks the row slot-shifted. A partner's entry for the row is found by
+// binary search in its ascending near list.
 func (ss *Session) reslotRow(aLeaf int32, from int) {
-	pp, pk := ss.bornPartners[aLeaf], ss.bornPartnerPos[aLeaf]
+	pp := ss.bornPartners[aLeaf]
 	for at := from; at < len(pp); at++ {
-		ss.bornEntrySlot[pp[at]][pk[at]] = int32(at)
+		k, _ := slices.BinarySearch(ss.bornNear[pp[at]], aLeaf)
+		ss.bornEntrySlot[pp[at]][k] = int32(at)
 	}
 	if !ss.markSlot[aLeaf] {
 		ss.markSlot[aLeaf] = true
@@ -116,19 +108,29 @@ func (ss *Session) reslotRow(aLeaf int32, from int) {
 	}
 }
 
+// markFarChanges marks for a far re-sum the nodes that are in one of a
+// driver's old and new far lists but not in the other. A node in both keeps
+// its term, which moves only with a structural refresh, and so its sum.
+func (ss *Session) markFarChanges(old, nw []int32) {
+	for _, l := range [2][]int32{old, nw} {
+		for _, a := range l {
+			ss.inFar[a] = !ss.inFar[a]
+		}
+	}
+	for _, l := range [2][]int32{old, nw} {
+		for _, a := range l {
+			if ss.inFar[a] {
+				ss.inFar[a] = false
+				ss.markFarDirty(a)
+			}
+		}
+	}
+}
+
 func (ss *Session) markFarDirty(aNode int32) {
 	if !ss.markFar[aNode] {
 		ss.markFar[aNode] = true
 		ss.farDirty = append(ss.farDirty, aNode)
-	}
-}
-
-// fillBornFarVals recomputes one driver's cached far-entry values.
-func (ss *Session) fillBornFarVals(ql int) {
-	qLeaf := ss.bs.TQ.LeafIdx[ql]
-	vals := ss.bornFarVal[ql]
-	for k, a := range ss.bornFar[ql] {
-		vals[k] = ss.bs.BornFarTerm(a, qLeaf)
 	}
 }
 
@@ -158,9 +160,9 @@ func (ss *Session) resetRefQ(qLeaf int32, ballR float64) {
 }
 
 // rebuildBornPartners derives the reverse index (T_A leaf -> drivers whose
-// near lists contain it, plus the entry position within each), in
-// ascending driver order, and every entry's slot in its row — counted
-// first, so each list is filled in place in an exactly sized view.
+// near lists contain it), in ascending driver order, and every entry's slot
+// in its row — counted first, so each list is filled in place in an
+// exactly sized view.
 func (ss *Session) rebuildBornPartners() {
 	ta, ar := ss.bs.TA, &ss.arenas
 	count := make([]int32, len(ta.Nodes))
@@ -173,11 +175,9 @@ func (ss *Session) rebuildBornPartners() {
 	}
 	ar.slots = resize(ar.slots, total)
 	ar.partners = resize(ar.partners, total)
-	ar.partnerPos = resize(ar.partnerPos, total)
-	slots, partners, partnerPos := ar.slots, ar.partners, ar.partnerPos
+	slots, partners := ar.slots, ar.partners
 	for _, a := range ta.LeafIdx {
 		ss.bornPartners[a] = cut(&partners, int(count[a]))[:0]
-		ss.bornPartnerPos[a] = cut(&partnerPos, int(count[a]))[:0]
 	}
 	for ql, near := range ss.bornNear {
 		ss.bornEntrySlot[ql] = cut(&slots, len(near))
@@ -186,7 +186,6 @@ func (ss *Session) rebuildBornPartners() {
 			// entry's slot in the row's partner-ordered block store.
 			ss.bornEntrySlot[ql][k] = int32(len(ss.bornPartners[a]))
 			ss.bornPartners[a] = append(ss.bornPartners[a], int32(ql))
-			ss.bornPartnerPos[a] = append(ss.bornPartnerPos[a], int32(k))
 		}
 	}
 }
@@ -213,23 +212,28 @@ func (ss *Session) rebuildRowStores() {
 	}
 }
 
-// sumFarNodes rebuilds the canonical per-node far sums from the cached
-// far-entry values (drivers ascending, entries in traversal order) and
-// pushes them down the atoms tree: every node's with all set, otherwise
-// those of the nodes re-derivations marked (markFarDirty) — each in the
-// same order, so a partial rebuild leaves the bits a full one would.
+// sumFarNodes rebuilds the canonical per-node far sums (drivers ascending,
+// entries in traversal order) and pushes them down the atoms tree: every
+// node's with all set, otherwise those of the nodes re-derivations marked
+// (markFarDirty) — each in the same order, so a partial rebuild leaves the
+// bits a full one would. A term reads only node centres, which move only
+// with a structural refresh, and ñ_Q, fixed for the session, so it is
+// computed where it is added rather than stored.
 func (ss *Session) sumFarNodes(all bool) {
+	if !all && len(ss.farDirty) == 0 {
+		return
+	}
 	if all {
-		zero(ss.sNodeFar)
+		clear(ss.sNodeFar)
 	}
 	for _, a := range ss.farDirty {
 		ss.sNodeFar[a] = 0
 	}
 	for ql, far := range ss.bornFar {
-		vals := ss.bornFarVal[ql]
-		for k, a := range far {
+		qLeaf := ss.bs.TQ.LeafIdx[ql]
+		for _, a := range far {
 			if all || ss.markFar[a] {
-				ss.sNodeFar[a] += vals[k]
+				ss.sNodeFar[a] += ss.bs.BornFarTerm(a, qLeaf)
 			}
 		}
 	}

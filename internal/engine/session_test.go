@@ -275,21 +275,24 @@ func TestSessionGroupBoundaryRows(t *testing.T) {
 
 // checkBornStores verifies, after a Step, that the locally repaired stores
 // are what a rebuild from the drivers' near and far lists would give: the
-// reverse index and the entry slots agree with the lists, partner lists
-// ascend, every row's stores fit its partner count, no group is left
+// reverse index and the entry slots agree with the lists, near and partner
+// lists ascend, every row's stores fit its partner count, no group is left
 // marked, every cached block is what evaluating it now returns, every row
 // is the two-level sum of its blocks, and the far sums are the full
-// canonical sums — all bit for bit.
+// canonical sums of freshly computed far terms — all bit for bit.
 func checkBornStores(t *testing.T, ss *Session) {
 	t.Helper()
 	entries := 0
 	for ql, near := range ss.bornNear {
+		if !slices.IsSorted(near) {
+			t.Fatalf("frame %d driver %d: near list not ascending", ss.frame, ql)
+		}
 		if len(ss.bornEntrySlot[ql]) != len(near) {
 			t.Fatalf("frame %d driver %d: %d slots for %d near entries", ss.frame, ql, len(ss.bornEntrySlot[ql]), len(near))
 		}
 		for k, a := range near {
 			at := int(ss.bornEntrySlot[ql][k])
-			if at >= len(ss.bornPartners[a]) || ss.bornPartners[a][at] != int32(ql) || ss.bornPartnerPos[a][at] != int32(k) {
+			if at >= len(ss.bornPartners[a]) || ss.bornPartners[a][at] != int32(ql) {
 				t.Fatalf("frame %d driver %d entry %d (row %d): slot %d does not point back", ss.frame, ql, k, a, at)
 			}
 		}
@@ -297,8 +300,8 @@ func checkBornStores(t *testing.T, ss *Session) {
 	}
 	far := make([]float64, len(ss.sNodeFar))
 	for ql, nodes := range ss.bornFar {
-		for k, a := range nodes {
-			far[a] += ss.bornFarVal[ql][k]
+		for _, a := range nodes {
+			far[a] += ss.bs.BornFarTerm(a, ss.bs.TQ.LeafIdx[ql])
 		}
 	}
 	if !sameBits(ss.sNodeFar, far) {
@@ -313,7 +316,7 @@ func checkBornStores(t *testing.T, ss *Session) {
 		}
 		lo, hi := ss.bs.TA.PointRange(a)
 		cnt, g := int(hi-lo), (len(pp)+bornGroup-1)/bornGroup
-		if len(ss.bornPartnerPos[a]) != len(pp) || len(ss.rowBlk[a]) != len(pp)*cnt || len(ss.rowGrp[a]) != g*cnt || len(ss.grpDirty[a]) != g {
+		if len(ss.rowBlk[a]) != len(pp)*cnt || len(ss.rowGrp[a]) != g*cnt || len(ss.grpDirty[a]) != g {
 			t.Fatalf("frame %d row %d: stores do not fit %d partners", ss.frame, a, len(pp))
 		}
 		if slices.Contains(ss.grpDirty[a], true) {
@@ -665,7 +668,9 @@ func homeJitter(mol *molecule.Molecule, k, movers int, amp float64, seed int64) 
 // BenchmarkSessionStep times the plain incremental frame on the repository
 // benchmark's stream_md recipe — a 3 000-atom protein, 10 atoms per frame
 // jittering within 0.15 Å of home, engine defaults — with the periodic
-// resweep pushed out of the loop. Profile it with
+// resweep pushed out of the loop. Every timed frame is a fresh one, as in
+// stream_md: a frame replayed would move its atoms to where they already
+// are and push fewer radii. Profile it with
 //
 //	go test ./internal/engine -run '^$' -bench SessionStep -cpuprofile step.prof
 //
@@ -675,7 +680,7 @@ func homeJitter(mol *molecule.Molecule, k, movers int, amp float64, seed int64) 
 // entries evaluated: counts that do not drift with the machine.
 func BenchmarkSessionStep(b *testing.B) {
 	mol := molecule.GenerateProtein("stream-200", 3000, 1200)
-	frames := homeJitter(mol, 72, 10, 0.15, 1201)
+	frames := homeJitter(mol, b.N, 10, 0.15, 1201)
 	ss, err := NewSession(mol, SessionOptions{Surf: surface.Default(), Eval: Options{Threads: 1}, ResweepEvery: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
@@ -683,8 +688,8 @@ func BenchmarkSessionStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var pushed, drivers, pairs int64
-	for i := 0; i < b.N; i++ {
-		rep, err := ss.Step(frames[i%len(frames)])
+	for _, d := range frames {
+		rep, err := ss.Step(d)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -696,4 +701,24 @@ func BenchmarkSessionStep(b *testing.B) {
 	b.ReportMetric(float64(pushed)/n, "pushed/frame")
 	b.ReportMetric(float64(drivers)/n, "epol-drivers/frame")
 	b.ReportMetric(float64(pairs)/n, "epol-pairs/frame")
+}
+
+// BenchmarkNewSession times creating a session on the stream_md molecule
+// (3 000 atoms, engine defaults) and reports beside milliseconds, bytes and
+// allocations per create the session's resident size, Session.MemoryBytes,
+// in MB: the deterministic measure of what a session costs to create and
+// to keep.
+func BenchmarkNewSession(b *testing.B) {
+	mol := molecule.GenerateProtein("stream-200", 3000, 1200)
+	o := SessionOptions{Surf: surface.Default(), Eval: Options{Threads: 1}}
+	b.ReportAllocs()
+	var ss *Session
+	for i := 0; i < b.N; i++ {
+		var err error
+		if ss, err = NewSession(mol, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+	b.ReportMetric(float64(ss.MemoryBytes())/1e6, "session-MB")
 }

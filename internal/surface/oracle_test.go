@@ -112,7 +112,7 @@ func TestSamplerMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: oracle kept only %d points of %d atoms", c.mol.Name, len(want), c.mol.N())
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
-			got, gotOwn := sample(c.mol, c.opt, workers)
+			got, gotOwn := sample(c.mol, c.opt, workers, true)
 			if err := samePoints(got, gotOwn, want, wantOwn); err != nil {
 				t.Errorf("%s workers=%d: %v", c.mol.Name, workers, err)
 			}
@@ -132,22 +132,29 @@ func samePoints(got []QPoint, gotOwn []int32, want []QPoint, wantOwn []int32) er
 	return nil
 }
 
-// TestSampleWrappers pins the three entry points to the one body and the
-// degenerate inputs every caller relies on.
+// TestSampleWrappers pins the three entry points to the oracle, the
+// parallel one at several worker counts, and checks the degenerate inputs
+// every caller relies on.
 func TestSampleWrappers(t *testing.T) {
 	m := molecule.GenerateProtein("w", 120, 92)
-	want, own := SampleOwned(m, Default())
+	want, own := sampleOracle(m, Default())
+	got, gotOwn := SampleOwned(m, Default())
+	if err := samePoints(got, gotOwn, want, own); err != nil {
+		t.Error("SampleOwned:", err)
+	}
 	if err := samePoints(Sample(m, Default()), own, want, own); err != nil {
 		t.Error("Sample:", err)
 	}
-	if err := samePoints(SampleParallel(m, Default(), 0), own, want, own); err != nil {
-		t.Error("SampleParallel(workers=0):", err)
+	for _, workers := range []int{0, 2, 4} {
+		if err := samePoints(SampleParallel(m, Default(), workers), own, want, own); err != nil {
+			t.Errorf("SampleParallel(workers=%d): %v", workers, err)
+		}
 	}
 	if got := SampleParallel(&molecule.Molecule{}, Default(), 4); len(got) != 0 {
 		t.Error("empty molecule produced points")
 	}
-	if cap(want) != len(want) {
-		t.Errorf("output over-allocated: len %d cap %d", len(want), cap(want))
+	if cap(got) != len(got) {
+		t.Errorf("output over-allocated: len %d cap %d", len(got), cap(got))
 	}
 }
 

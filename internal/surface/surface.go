@@ -61,17 +61,14 @@ func (o Options) withDefaults() Options {
 func Default() Options { return Options{SubdivLevel: 1, Degree: 1, RadiusScale: 1} }
 
 // Sample generates the surface quadrature point set of mol.
-func Sample(mol *molecule.Molecule, opt Options) []QPoint {
-	q, _ := sample(mol, opt, 1)
-	return q
-}
+func Sample(mol *molecule.Molecule, opt Options) []QPoint { return SampleParallel(mol, opt, 1) }
 
 // SampleParallel is Sample with the atoms divided over a work-stealing
 // pool of `workers` threads (≤ 1 is the serial Sample). Every atom's
 // points land at a precomputed offset, so the output is identical to
 // Sample's under any schedule.
 func SampleParallel(mol *molecule.Molecule, opt Options, workers int) []QPoint {
-	q, _ := sample(mol, opt, max(workers, 1))
+	q, _ := sample(mol, opt, max(workers, 1), false)
 	return q
 }
 
@@ -83,7 +80,7 @@ func SampleParallel(mol *molecule.Molecule, opt Options, workers int) []QPoint {
 // invariant. Burial culling is decided at sampling time and not revisited
 // by such transports (see engine.Session).
 func SampleOwned(mol *molecule.Molecule, opt Options) ([]QPoint, []int32) {
-	return sample(mol, opt, 1)
+	return sample(mol, opt, 1, true)
 }
 
 // template is the quadrature of the unit sphere every atom sphere is a
@@ -126,7 +123,8 @@ func templateFor(level, degree int) *template {
 // every template direction against that short list; the survivors are
 // recorded as a bitmask first, so the output is allocated once at its
 // exact size and filled at per-atom offsets, atom-major in template order.
-func sample(mol *molecule.Molecule, opt Options, workers int) ([]QPoint, []int32) {
+// The owner table is built only when asked for.
+func sample(mol *molecule.Molecule, opt Options, workers int, owned bool) ([]QPoint, []int32) {
 	opt = opt.withDefaults()
 	n := mol.N()
 	if n == 0 {
@@ -174,7 +172,10 @@ func sample(mol *molecule.Molecule, opt Options, workers int) ([]QPoint, []int32
 	}
 
 	out := make([]QPoint, start[n])
-	owners := make([]int32, start[n])
+	var owners []int32
+	if owned {
+		owners = make([]int32, start[n])
+	}
 	pool.ParallelFor(n, 0, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ai := &mol.Atoms[i]
@@ -185,7 +186,9 @@ func sample(mol *molecule.Molecule, opt Options, workers int) ([]QPoint, []int32
 					continue
 				}
 				out[at] = QPoint{Pos: ai.Pos.Add(dir.Scale(ri)), Normal: dir, Weight: tpl.w[k] * ri * ri}
-				owners[at] = int32(i)
+				if owned {
+					owners[at] = int32(i)
+				}
 				at++
 			}
 		}
