@@ -47,7 +47,6 @@ func main() {
 		bornEps = flag.Float64("borneps", 0.9, "Born ε")
 		epolEps = flag.Float64("epoleps", 0.9, "E_pol ε")
 		approx  = flag.Bool("approx", false, "approximate math")
-		mesh    = flag.Bool("mesh", true, "build the worker-to-worker mesh for topology-aware collectives (same flag on every rank; -mesh=false falls back to the root star)")
 		timeout = flag.Duration("commtimeout", 30*time.Second, "failure-detection timeout: a rank silent this long is reported failed (same value on every rank; 0 disables detection and blocks forever)")
 		obsAddr = flag.String("obs", "", "debug listener address (e.g. 127.0.0.1:6060) exposing /metrics, /debug/trace and /debug/pprof/*; empty disables instrumentation")
 	)
@@ -58,7 +57,7 @@ func main() {
 		fatal(err)
 	}
 	pr := engine.NewProblem(mol, surface.Default())
-	opts := engine.Options{Threads: *threads, BornEps: *bornEps, EpolEps: *epolEps, CommTimeout: *timeout}
+	opts := engine.Options{Threads: *threads, BornEps: *bornEps, EpolEps: *epolEps}
 	if *approx {
 		opts.Math = gb.Approximate
 	}
@@ -76,16 +75,12 @@ func main() {
 		}
 	}
 
-	// The transport logger surfaces fault-tolerance events — dial retries
-	// and, above all, the Topo→Star downgrade when the mesh cannot be
-	// completed — so a degraded deployment is visible, not silent.
+	// The transport logger surfaces mesh build failures — which worker
+	// could not reach which peer — on the rank that saw them.
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "epolnode: "+format+"\n", args...)
 	}
-	tcpOpts := []cluster.TCPOption{cluster.WithLogger(logf), cluster.WithCommTimeout(opts.CommTimeout)}
-	if *mesh {
-		tcpOpts = append(tcpOpts, cluster.WithMesh())
-	}
+	tcpOpts := []cluster.TCPOption{cluster.WithLogger(logf), cluster.WithCommTimeout(*timeout)}
 	if ob != nil {
 		tcpOpts = append(tcpOpts, cluster.WithObserver(ob))
 	}

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -9,8 +11,8 @@ import (
 )
 
 // This file implements the topology-aware collective algorithms on top of
-// the tagged pairwise layer (pairwise below) — the library's answer to the
-// O(P·m) root bottleneck of the star transports. The algorithms are the
+// the tagged pairwise layer (pairwise below), for both transports. The
+// algorithms are the
 // classical log-depth ones the paper's §IV-C cost model assumes
 // (t_s·log P + t_w·m, Grama et al. Table 4.1, and the log-depth reductions
 // behind the boundary-integral treecode scaling of Geng, arXiv:1301.5914):
@@ -62,13 +64,6 @@ func (r *request) Wait() error {
 	return r.err
 }
 
-// doneRequest wraps an already-completed operation.
-func doneRequest(err error) Request {
-	r := &request{done: make(chan struct{}), err: err}
-	close(r.done)
-	return r
-}
-
 // pairwise is the internal tagged point-to-point substrate the collective
 // algorithms run on. Both transports implement it: the in-process group
 // over its mailbox grid, the TCP mesh over its per-pair connections.
@@ -92,6 +87,38 @@ type coll struct {
 	hook CollectiveHook
 	obs  *obs.Observer
 	seq  atomic.Int64
+
+	mu     sync.Mutex
+	failed error // first ErrRankFailed a collective returned, guarded by mu
+}
+
+// failure returns the rank failure an earlier collective met, if any.
+// Every later collective returns it at once: a peer still inside the
+// failed collective never reaches the next one, and its heartbeats would
+// keep a wait on it alive forever.
+func (c *coll) failure() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.failed
+}
+
+// finish ends one collective begun at start: a rank failure becomes
+// sticky, a success is observed.
+func (c *coll) finish(kind string, words int, start time.Time, err error) error {
+	if err != nil {
+		var rf ErrRankFailed
+		if errors.As(err, &rf) {
+			c.mu.Lock()
+			if c.failed == nil {
+				c.failed = err
+			}
+			c.mu.Unlock()
+		}
+		return err
+	}
+	c.observe(kind, words)
+	recordCollective(c.obs, kind, c.pw.Rank(), words, start)
+	return nil
 }
 
 // nextTag allocates the tag for one collective operation. Tag 0 is p2p;
@@ -212,12 +239,10 @@ func (c *coll) allreduceTag(tag int, buf []float64) error {
 
 func (c *coll) AllreduceSum(buf []float64) error {
 	start := time.Now()
-	if err := c.allreduceTag(c.nextTag(), buf); err != nil {
+	if err := c.failure(); err != nil {
 		return err
 	}
-	c.observe("allreduce", len(buf))
-	recordCollective(c.obs, "allreduce", c.pw.Rank(), len(buf), start)
-	return nil
+	return c.finish("allreduce", len(buf), start, c.allreduceTag(c.nextTag(), buf))
 }
 
 func (c *coll) IAllreduceSum(buf []float64) Request {
@@ -225,10 +250,8 @@ func (c *coll) IAllreduceSum(buf []float64) Request {
 	start := time.Now()
 	r := &request{done: make(chan struct{})}
 	go func() {
-		r.err = c.allreduceTag(tag, buf)
-		if r.err == nil {
-			c.observe("allreduce", len(buf))
-			recordCollective(c.obs, "allreduce", c.pw.Rank(), len(buf), start)
+		if r.err = c.failure(); r.err == nil {
+			r.err = c.finish("allreduce", len(buf), start, c.allreduceTag(tag, buf))
 		}
 		close(r.done)
 	}()
@@ -283,10 +306,8 @@ func (c *coll) allgathervTag(tag int, segment []float64, counts []int, out []flo
 
 func (c *coll) Allgatherv(segment []float64, counts []int, out []float64) error {
 	start := time.Now()
-	if err := c.allgathervTag(c.nextTag(), segment, counts, out); err != nil {
+	if err := c.failure(); err != nil {
 		return err
 	}
-	c.observe("allgatherv", len(out))
-	recordCollective(c.obs, "allgatherv", c.pw.Rank(), len(out), start)
-	return nil
+	return c.finish("allgatherv", len(out), start, c.allgathervTag(c.nextTag(), segment, counts, out))
 }

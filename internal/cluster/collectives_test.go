@@ -29,7 +29,7 @@ func runMeshGroup(p int, fn func(c Comm) error) error {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			c, err := DialTCP(addr, r, p, WithMesh())
+			c, err := DialTCP(addr, r, p)
 			if err != nil {
 				errs[r] = err
 				return
@@ -38,7 +38,7 @@ func runMeshGroup(p int, fn func(c Comm) error) error {
 			errs[r] = fn(c)
 		}(r)
 	}
-	root, err := NewTCPRoot(ln, p, WithMesh())
+	root, err := NewTCPRoot(ln, p)
 	if err != nil {
 		return err
 	}
@@ -163,57 +163,6 @@ func TestMeshCollectivesMatchStarReference(t *testing.T) {
 		}
 		compareToReference(t, fmt.Sprintf("tcp mesh p=%d", p), ref, mesh)
 	}
-}
-
-// TestTCPStarCollectivesStillMatch keeps the coalesced-write star path
-// honest against the in-process star oracle.
-func TestTCPStarCollectivesStillMatch(t *testing.T) {
-	defer testutil.Watchdog(t, 0)()
-	p := 5
-	ref, err := collectiveWorkload(p, func(fn func(c Comm) error) error {
-		return runStarReference(p, fn)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	star, err := collectiveWorkload(p, func(fn func(c Comm) error) error {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		defer ln.Close()
-		addr := ln.Addr().String()
-		errs := make([]error, p)
-		var wg sync.WaitGroup
-		for r := 1; r < p; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				c, err := DialTCP(addr, r, p)
-				if err != nil {
-					errs[r] = err
-					return
-				}
-				errs[r] = fn(c)
-			}(r)
-		}
-		root, err := NewTCPRoot(ln, p)
-		if err != nil {
-			return err
-		}
-		errs[0] = fn(root)
-		wg.Wait()
-		for r, err := range errs {
-			if err != nil {
-				return fmt.Errorf("rank %d: %w", r, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareToReference(t, "tcp star", ref, star)
 }
 
 // overlapStress interleaves non-blocking collectives with p2p ring traffic
@@ -361,7 +310,7 @@ func TestMeshCloseUnblocksPeers(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			c, err := DialTCP(addr, r, p, WithMesh())
+			c, err := DialTCP(addr, r, p)
 			if err != nil {
 				errs[r] = err
 				return
@@ -374,7 +323,7 @@ func TestMeshCloseUnblocksPeers(t *testing.T) {
 			errs[r] = rendezvous(c)
 		}(r)
 	}
-	root, err := NewTCPRoot(ln, p, WithMesh())
+	root, err := NewTCPRoot(ln, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,7 @@ type Comm interface {
 	// immediately and the operation proceeds in the background, which lets
 	// callers keep several reductions in flight (the engines start both
 	// step-3 allreduces before waiting on either). All ranks must initiate
-	// collectives — blocking or not — in the same order. Transports without
-	// genuine asynchrony (the TCP star) complete the operation synchronously
-	// at initiation and return an already-done Request, which is correct but
-	// overlap-free.
+	// collectives — blocking or not — in the same order.
 	IAllreduceSum(buf []float64) Request
 }
 

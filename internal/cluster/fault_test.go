@@ -288,7 +288,7 @@ var engineWorkload = workload{"engine", func(c cluster.Comm) ([]float64, error) 
 	problemOnce.Do(func() {
 		problem = engine.NewProblem(molecule.GenerateProtein("faults", 300, 42), surface.Default())
 	})
-	rep, err := engine.RunRank(c, problem, engine.Options{Threads: 1, CommTimeout: faultTimeout})
+	rep, err := engine.RunRank(c, problem, engine.Options{Threads: 1})
 	return []float64{rep.Energy}, err
 }}
 
@@ -329,11 +329,11 @@ type rankResult struct {
 	at  time.Time
 }
 
-// runGroup runs w on a loopback TCP group of p ranks (star or mesh) whose
+// runGroup runs w on a loopback TCP group of p ranks whose
 // dials go through a dialer armed with plan (nil: none), and returns every
 // rank's outcome and the dialed links' traffic. Each rank closes its
 // communicator when w returns, as a process would on exit.
-func runGroup(t *testing.T, plan *fault, mesh bool, p int, w workload) ([]rankResult, []linkStat) {
+func runGroup(t *testing.T, plan *fault, p int, w workload) ([]rankResult, []linkStat) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -343,9 +343,6 @@ func runGroup(t *testing.T, plan *fault, mesh bool, p int, w workload) ([]rankRe
 	d := &dialer{rootAddr: ln.Addr().String(), plan: plan, meshDials: map[int]int{}}
 	defer cluster.SetTestDial(d.dial)()
 	opts := []cluster.TCPOption{cluster.WithCommTimeout(faultTimeout)}
-	if mesh {
-		opts = append(opts, cluster.WithMesh())
-	}
 	res := make([]rankResult, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
@@ -372,7 +369,7 @@ func runGroup(t *testing.T, plan *fault, mesh bool, p int, w workload) ([]rankRe
 	return res, d.stats()
 }
 
-// baselines memoizes the fault-free outcome per (workload, transport, P).
+// baselines memoizes the fault-free outcome per (workload, P).
 var baselines sync.Map
 
 type baseline struct {
@@ -380,13 +377,13 @@ type baseline struct {
 	links []linkStat
 }
 
-func faultFree(t *testing.T, mesh bool, p int, w workload) baseline {
+func faultFree(t *testing.T, p int, w workload) baseline {
 	t.Helper()
-	key := fmt.Sprint(w.name, mesh, p)
+	key := fmt.Sprint(w.name, p)
 	if b, ok := baselines.Load(key); ok {
 		return b.(baseline)
 	}
-	res, links := runGroup(t, nil, mesh, p, w)
+	res, links := runGroup(t, nil, p, w)
 	for r, rr := range res {
 		if rr.err != nil {
 			t.Fatalf("fault-free run: rank %d: %v", r, rr.err)
@@ -413,13 +410,13 @@ func sameBits(a, b []float64) bool {
 }
 
 // runCell runs one cell of the matrix and checks the contract.
-func runCell(t *testing.T, w workload, mesh bool, p int, kind faultKind, seed int64) {
+func runCell(t *testing.T, w workload, p int, kind faultKind, seed int64) {
 	defer testutil.Watchdog(t, 60*time.Second)()
-	base := faultFree(t, mesh, p, w)
+	base := faultFree(t, p, w)
 	g0 := runtime.NumGoroutine()
 	f := planFault(rand.New(rand.NewSource(seed<<8^int64(p)<<4^int64(kind))), kind, base.links)
 	t.Logf("plan: %v", f)
-	res, _ := runGroup(t, f, mesh, p, w)
+	res, _ := runGroup(t, f, p, w)
 
 	fired := f.fired.Load()
 	if fired == 0 {
@@ -458,9 +455,9 @@ func runCell(t *testing.T, w workload, mesh bool, p int, kind faultKind, seed in
 	}
 }
 
-// TestFaultMatrix runs every fault class on the TCP star and mesh. Tier 1
-// runs P ∈ {2, 4} with seed 1; CHAOS_FULL=1 (`make chaos`) runs
-// P ∈ {2, 4, 8} × seeds 1–8.
+// TestFaultMatrix runs every fault class on the TCP mesh. Tier 1 runs
+// P ∈ {2, 4} with seed 1; CHAOS_FULL=1 (`make chaos`) runs P ∈ {2, 4, 8}
+// × seeds 1–8.
 func TestFaultMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the fault matrix is not -short")
@@ -470,17 +467,14 @@ func TestFaultMatrix(t *testing.T) {
 		ps, seeds = []int{2, 4, 8}, 8
 	}
 	for _, w := range []workload{engineWorkload, collectiveWorkload} {
-		for _, mesh := range []bool{false, true} {
-			topo := map[bool]string{false: "star", true: "mesh"}[mesh]
-			for _, p := range ps {
-				if w.name == "collectives" && p != 4 && seeds == 1 {
-					continue // tier 1: one collectives size
-				}
-				for _, kind := range faultKinds {
-					for seed := int64(1); seed <= seeds; seed++ {
-						name := fmt.Sprintf("%s/%s/P=%d/%s/seed=%d", w.name, topo, p, kind, seed)
-						t.Run(name, func(t *testing.T) { runCell(t, w, mesh, p, kind, seed) })
-					}
+		for _, p := range ps {
+			if w.name == "collectives" && p != 4 && seeds == 1 {
+				continue // tier 1: one collectives size
+			}
+			for _, kind := range faultKinds {
+				for seed := int64(1); seed <= seeds; seed++ {
+					name := fmt.Sprintf("%s/mesh/P=%d/%s/seed=%d", w.name, p, kind, seed)
+					t.Run(name, func(t *testing.T) { runCell(t, w, p, kind, seed) })
 				}
 			}
 		}

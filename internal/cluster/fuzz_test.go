@@ -55,13 +55,14 @@ func gapFrames(t testing.TB) []byte {
 // they never panic, never allocate beyond the frame bounds
 // (maxFrameWords/maxBlobLen), and never loop forever on a finite stream.
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add(frameBytes(f, testFrame{op: opAllreduceSum}))
+	// Ops 1 and 2 (the retired root star's collectives) are unknown ops.
+	f.Add(frameBytes(f, testFrame{op: 1}))
 	f.Add(frameBytes(f, testFrame{op: opTagged, aux: 42, payload: []float64{1, 2.5, -3}}))
-	f.Add(frameBytes(f, testFrame{op: opAllgatherv, payload: []float64{3.14}}))
-	f.Add(flipPayloadBit(frameBytes(f, testFrame{op: opAllreduceSum, payload: []float64{1e300}})))
-	f.Add(oversize(frameBytes(f, testFrame{op: opAllgatherv})))
-	// A heartbeat is consumed transparently, the frame after it delivered.
-	f.Add(frameBytes(f, testFrame{op: opHeartbeat}, testFrame{op: opAllreduceSum}))
+	f.Add(frameBytes(f, testFrame{op: 2, payload: []float64{3.14}}))
+	f.Add(flipPayloadBit(frameBytes(f, testFrame{op: 1, payload: []float64{1e300}})))
+	f.Add(oversize(frameBytes(f, testFrame{op: 2})))
+	// A heartbeat is consumed transparently, the frame after it decoded.
+	f.Add(frameBytes(f, testFrame{op: opHeartbeat}, testFrame{op: 1}))
 	f.Add([]byte{})
 	f.Add([]byte("not a frame at all"))
 	f.Add(flipAuxBit(frameBytes(f, testFrame{op: opTagged, aux: 6, payload: []float64{1}})))
@@ -104,6 +105,7 @@ func TestDecodeFrameRoundTrip(t *testing.T) {
 		{"oversized length", oversize(frame()), 0, true},
 		{"aux bit", flipAuxBit(frame()), 0, true},
 		{"op bit", flipOpBit(frame()), 0, true},
+		{"retired star op", frameBytes(t, testFrame{op: 1, aux: 9, payload: payload}), 0, true},
 		{"frame gap", gapFrames(t), 0, true},
 		{"duplicated frame", append(frame(), frame()...), 1, true},
 	} {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +15,8 @@ import (
 )
 
 // Tests for the failure-hardened transport: deadlines, heartbeats, typed
-// rank failures, and the Topo→Star mesh degradation.
+// rank failures, sticky failure, and a failed mesh build failing every
+// rank.
 
 // TestHeartbeatIntervalBelowTimeout is the property behind "slow is not
 // dead": for any sane timeout the heartbeat period is strictly smaller, so
@@ -68,7 +70,7 @@ func startTCPGroupOpts(t *testing.T, size int, opts []TCPOption, fn func(c Comm)
 }
 
 // startTCPGroupOn is startTCPGroupOpts with the root listening on ln,
-// which it closes.
+// which it closes. A rank whose constructor fails reports that error.
 func startTCPGroupOn(t *testing.T, ln net.Listener, size int, opts []TCPOption, fn func(c Comm) error) []error {
 	t.Helper()
 	defer ln.Close()
@@ -90,12 +92,12 @@ func startTCPGroupOn(t *testing.T, ln net.Listener, size int, opts []TCPOption, 
 			errs[r] = fn(c)
 		}(r)
 	}
-	root, err := NewTCPRoot(ln, size, opts...)
-	if err != nil {
-		t.Fatal(err)
+	if root, err := NewTCPRoot(ln, size, opts...); err != nil {
+		errs[0] = err
+	} else {
+		comms[0] = root
+		errs[0] = fn(root)
 	}
-	comms[0] = root
-	errs[0] = fn(root)
 	wg.Wait()
 	for _, c := range comms {
 		if cl, ok := c.(io.Closer); ok && cl != nil {
@@ -105,12 +107,11 @@ func startTCPGroupOn(t *testing.T, ln net.Listener, size int, opts []TCPOption, 
 	return errs
 }
 
-// TestTCPStarSlowWorkerIsNotFailed: the satellite "slow-writer" coverage
-// for the non-mesh path. A worker that computes for several multiples of
-// CommTimeout before joining the collective must NOT be flagged — its
-// heartbeat writer (period < timeout) keeps the root's read deadline
-// refreshed the whole time.
-func TestTCPStarSlowWorkerIsNotFailed(t *testing.T) {
+// TestMeshSlowWorkerIsNotFailed: a worker that computes for several
+// multiples of the communication timeout before joining the collective
+// must NOT be flagged — its heartbeat writers (period < timeout) keep its
+// peers' read deadlines refreshed the whole time.
+func TestMeshSlowWorkerIsNotFailed(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	timeout := 200 * time.Millisecond
 	opts := []TCPOption{WithCommTimeout(timeout)}
@@ -134,11 +135,11 @@ func TestTCPStarSlowWorkerIsNotFailed(t *testing.T) {
 	}
 }
 
-// TestTCPStarSilentWorkerFailsTyped: a worker that is transport-silent
+// TestMeshSilentWorkerFailsTyped: a worker that is transport-silent
 // (no frames AND no heartbeats — a hung process or a network partition,
 // simulated by a worker running without failure detection) is flagged as
 // ErrRankFailed at the root within the timeout.
-func TestTCPStarSilentWorkerFailsTyped(t *testing.T) {
+func TestMeshSilentWorkerFailsTyped(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	timeout := 200 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -185,18 +186,20 @@ func TestTCPStarSilentWorkerFailsTyped(t *testing.T) {
 			t.Error("root reported itself dead")
 		}
 	} else {
-		t.Error("star root does not implement FailureDetector")
+		t.Error("mesh root does not implement FailureDetector")
 	}
 	close(release)
 	<-silentDone
 	root.(io.Closer).Close()
 }
 
-// TestTCPStarFailureIsSticky: after the root fails a collective on one
-// worker, the workers that took part wait for a reply that will not come,
-// and their heartbeats keep the root's reads alive. The next collective
-// must fail at once with the same ErrRankFailed instead of waiting on them.
-func TestTCPStarFailureIsSticky(t *testing.T) {
+// TestMeshFailureIsSticky: after the root fails a collective on one
+// worker, a worker that took part waits for a reply that will not come,
+// and its heartbeats keep the root's reads alive. The next collective
+// must fail at once with the same ErrRankFailed instead of waiting on it.
+// (At P = 3 the root's first collective waits on rank 1's folded
+// contribution, then on rank 2; the second waits on rank 1 first.)
+func TestMeshFailureIsSticky(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	timeout := 200 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -251,11 +254,11 @@ func TestTCPStarFailureIsSticky(t *testing.T) {
 	}
 }
 
-// TestMeshDialFaultDegradesToStar: when a worker cannot build its pairwise
-// links, the verdict round must downgrade the WHOLE group to the star
-// topology — every rank gets a working (collective-capable, Messenger-free)
-// star communicator, and the downgrade is logged.
-func TestMeshDialFaultDegradesToStar(t *testing.T) {
+// TestMeshDialFaultFailsEveryRank: when a worker cannot build its pairwise
+// links, every rank's constructor returns an error naming the link, within
+// the mesh build timeout plus the dial-retry budget, and leaves no
+// goroutine behind.
+func TestMeshDialFaultFailsEveryRank(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -271,42 +274,28 @@ func TestMeshDialFaultDegradesToStar(t *testing.T) {
 	}
 	defer func() { testDial = nil }()
 
-	var logMu sync.Mutex
-	var logs []string
-	logf := func(format string, args ...any) {
-		logMu.Lock()
-		logs = append(logs, fmt.Sprintf(format, args...))
-		logMu.Unlock()
+	timeout := 300 * time.Millisecond
+	var retries time.Duration
+	for a := 1; a < dialAttempts; a++ {
+		retries += (dialBackoffBase << (a - 1)) * 3 / 2
 	}
-	opts := []TCPOption{WithMesh(), WithCommTimeout(300 * time.Millisecond), WithLogger(logf)}
-	errs := startTCPGroupOn(t, ln, 3, opts, func(c Comm) error {
-		if _, isMesh := c.(Messenger); isMesh {
-			return fmt.Errorf("rank %d: still on the mesh transport after a mesh build failure", c.Rank())
-		}
-		buf := []float64{float64(c.Rank() + 1)}
-		if err := c.AllreduceSum(buf); err != nil {
-			return err
-		}
-		if buf[0] != 6 {
-			return fmt.Errorf("rank %d: sum %v", c.Rank(), buf[0])
-		}
-		return rendezvous(c)
+	budget := meshBuildTimeout(timeout) + retries + time.Second
+	g0 := runtime.NumGoroutine()
+	start := time.Now()
+	errs := startTCPGroupOn(t, ln, 3, []TCPOption{WithCommTimeout(timeout)}, func(c Comm) error {
+		return fmt.Errorf("rank %d: built a group with a refused mesh link", c.Rank())
 	})
+	if el := time.Since(start); el > budget {
+		t.Errorf("constructors returned after %v, budget %v", el, budget)
+	}
 	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
+		if err == nil || !strings.Contains(err.Error(), "mesh build failed") ||
+			!strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), "rank 2") {
+			t.Errorf("rank %d: got %v, want a mesh build failure naming ranks 1 and 2", r, err)
 		}
 	}
-	logMu.Lock()
-	defer logMu.Unlock()
-	degraded := false
-	for _, l := range logs {
-		if strings.Contains(l, "degrading") {
-			degraded = true
-		}
-	}
-	if !degraded {
-		t.Errorf("downgrade not logged; logs: %q", logs)
+	if n := testutil.WaitGoroutines(g0, time.Second); n > g0 {
+		t.Errorf("goroutine leak: %d live, %d before", n, g0)
 	}
 }
 
@@ -322,7 +311,7 @@ func TestMeshAliveRanksTracksFailure(t *testing.T) {
 	}
 	defer ln.Close()
 	addr := ln.Addr().String()
-	opts := []TCPOption{WithMesh(), WithCommTimeout(timeout)}
+	opts := []TCPOption{WithCommTimeout(timeout)}
 
 	const p = 3
 	comms := make([]Comm, p)

@@ -16,8 +16,6 @@ const (
 	collBytesHelp   = "Payload bytes moved through completed collectives, per kind and rank."
 	hbGapMetric     = "octgb_cluster_heartbeat_gap_seconds"
 	hbGapHelp       = "Spacing between consecutive heartbeat frames received from a peer. Heartbeats are one-way (no echo), so the gap distribution — nominally timeout/3 — is the liveness health signal: a fattening tail means the peer or the link is slowing toward the failure deadline."
-	degradeMetric   = "octgb_cluster_degradations_total"
-	degradeHelp     = "Topo-to-Star collective degradation events (mesh build failures falling back to the root star)."
 )
 
 // recordCollective records one completed collective: latency histogram,
@@ -42,12 +40,4 @@ func recordHeartbeatGap(ob *obs.Observer, peer int, gap time.Duration) {
 		return
 	}
 	ob.Histogram(hbGapMetric, `peer="`+strconv.Itoa(peer)+`"`, hbGapHelp).Observe(gap)
-}
-
-// recordDegradation counts one Topo→Star fallback.
-func recordDegradation(ob *obs.Observer) {
-	if ob == nil {
-		return
-	}
-	ob.Counter(degradeMetric, "", degradeHelp).Inc()
 }

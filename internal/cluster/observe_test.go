@@ -11,7 +11,7 @@ import (
 )
 
 // TestTCPObserverRecordsCollectives covers the transport side of the
-// observability wiring: a meshed TCP group running with WithObserver must
+// observability wiring: a TCP group running with WithObserver must
 // record per-kind collective latency/bytes and, once the heartbeat writers
 // have been alive for a few periods, heartbeat inter-arrival gaps — and
 // the whole registry must render as valid exposition.
@@ -19,7 +19,7 @@ func TestTCPObserverRecordsCollectives(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	ob := obs.New()
 	timeout := 300 * time.Millisecond
-	opts := []TCPOption{WithObserver(ob), WithCommTimeout(timeout), WithMesh()}
+	opts := []TCPOption{WithObserver(ob), WithCommTimeout(timeout)}
 	errs := startTCPGroupOpts(t, 3, opts, func(c Comm) error {
 		buf := []float64{float64(c.Rank() + 1)}
 		if err := c.AllreduceSum(buf); err != nil {

@@ -6,8 +6,7 @@ import (
 )
 
 // Messenger is the optional point-to-point extension of Comm. The
-// in-process transport implements it, and so does the TCP transport when
-// the worker-to-worker mesh is enabled (WithMesh); it backs the
+// in-process transport and the TCP mesh implement it; it backs the
 // distributed-data engine (the paper's §VI future work), whose ghost
 // exchange is naturally pairwise rather than collective. Callers type-assert:
 //

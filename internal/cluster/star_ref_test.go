@@ -5,11 +5,9 @@ import (
 	"sync"
 )
 
-// The four transports satisfy Comm, non-blocking form included.
+// Both transports satisfy Comm, non-blocking form included.
 var (
 	_ Comm = (*localComm)(nil)
-	_ Comm = (*tcpRoot)(nil)
-	_ Comm = (*tcpWorker)(nil)
 	_ Comm = (*meshComm)(nil)
 )
 
@@ -134,4 +132,8 @@ func (c *starComm) Allgatherv(segment []float64, counts []int, out []float64) er
 
 // Monitor collectives cannot overlap: the non-blocking form completes
 // synchronously.
-func (c *starComm) IAllreduceSum(buf []float64) Request { return doneRequest(c.AllreduceSum(buf)) }
+func (c *starComm) IAllreduceSum(buf []float64) Request {
+	r := &request{done: make(chan struct{}), err: c.AllreduceSum(buf)}
+	close(r.done)
+	return r
+}

@@ -58,7 +58,7 @@ func TestTCPRootRejectsDuplicateRank(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var hello [8]byte
+		var hello [12]byte // magic, rank, mesh listen port
 		binary.LittleEndian.PutUint32(hello[:4], tcpMagic)
 		binary.LittleEndian.PutUint32(hello[4:], rank)
 		if _, err := conn.Write(hello[:]); err != nil {
@@ -125,21 +125,20 @@ func TestTCPWorkerErrorOnClosedRoot(t *testing.T) {
 			accepted <- c
 		}
 	}()
-	w, err := DialTCP(addr, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kill the root side mid-protocol: the worker's next collective must
-	// fail rather than hang.
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := DialTCP(addr, 1, 2)
+		errCh <- err
+	}()
+	// Kill the root side mid-handshake: the worker's constructor must fail
+	// rather than hang waiting for the mesh table.
 	conn := <-accepted
 	conn.Close()
 	ln.Close()
-	errCh := make(chan error, 1)
-	go func() { errCh <- w.AllreduceSum([]float64{1}) }()
 	select {
 	case err := <-errCh:
 		if err == nil {
-			t.Error("collective succeeded against a dead root")
+			t.Error("worker joined a dead root")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker hung against a dead root")

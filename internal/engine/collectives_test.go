@@ -11,14 +11,13 @@ import (
 	"octgb/internal/testutil"
 )
 
-// Acceptance tests for the engines over the TCP transports: the star ranks
-// (whose non-blocking collectives complete synchronously) and the mesh
-// ranks must reproduce the in-process run — the same step sequence with
-// the collectives genuinely overlapped — to 1e-12 with identical Stats
+// Acceptance tests for the engines over the TCP mesh: its ranks must
+// reproduce the in-process run — the same step sequence with the
+// collectives genuinely overlapped — to 1e-12 with identical Stats
 // counters.
 
-// overTCP runs fn on every rank of a loopback TCP group (star or mesh).
-func overTCP(t *testing.T, size int, mesh bool, fn func(c cluster.Comm, rank int) error) {
+// overTCP runs fn on every rank of a loopback TCP group.
+func overTCP(t *testing.T, size int, fn func(c cluster.Comm, rank int) error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -26,10 +25,6 @@ func overTCP(t *testing.T, size int, mesh bool, fn func(c cluster.Comm, rank int
 	}
 	defer ln.Close()
 	addr := ln.Addr().String()
-	var opts []cluster.TCPOption
-	if mesh {
-		opts = append(opts, cluster.WithMesh())
-	}
 
 	errs := make([]error, size)
 	comms := make([]cluster.Comm, size)
@@ -38,7 +33,7 @@ func overTCP(t *testing.T, size int, mesh bool, fn func(c cluster.Comm, rank int
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			c, err := cluster.DialTCP(addr, r, size, opts...)
+			c, err := cluster.DialTCP(addr, r, size)
 			if err != nil {
 				errs[r] = err
 				return
@@ -47,7 +42,7 @@ func overTCP(t *testing.T, size int, mesh bool, fn func(c cluster.Comm, rank int
 			errs[r] = fn(c, r)
 		}(r)
 	}
-	root, err := cluster.NewTCPRoot(ln, size, opts...)
+	root, err := cluster.NewTCPRoot(ln, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +64,14 @@ func overTCP(t *testing.T, size int, mesh bool, fn func(c cluster.Comm, rank int
 func TestRunRankOverTCPMatchesLocal(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	pr := testProblem(400, 93)
-	P := 3
-	base, err := RunReal(pr, OctMPI, Options{Ranks: P})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mesh := range []bool{false, true} {
-		t.Run(fmt.Sprintf("mesh=%v", mesh), func(t *testing.T) {
+	for _, P := range []int{1, 3} {
+		t.Run(fmt.Sprintf("P=%d", P), func(t *testing.T) {
+			base, err := RunReal(pr, OctMPI, Options{Ranks: P})
+			if err != nil {
+				t.Fatal(err)
+			}
 			reps := make([]RealReport, P)
-			overTCP(t, P, mesh, func(c cluster.Comm, rank int) error {
+			overTCP(t, P, func(c cluster.Comm, rank int) error {
 				rep, err := RunRank(c, pr, Options{})
 				reps[rank] = rep
 				return err
@@ -112,7 +106,7 @@ func TestDistDataOverTCPMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]float64, P)
-	overTCP(t, P, true, func(c cluster.Comm, rank int) error {
+	overTCP(t, P, func(c cluster.Comm, rank int) error {
 		e, err := RunDistributedDataEnergyRank(c, pr, Options{})
 		got[rank] = e
 		return err

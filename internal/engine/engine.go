@@ -17,7 +17,6 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"octgb/internal/core"
 	"octgb/internal/gb"
@@ -71,15 +70,6 @@ type Options struct {
 	// CriterionPower selects the Born well-separatedness criterion
 	// (see core.BornConfig; 0 = default).
 	CriterionPower int
-	// CommTimeout is the failure-detection budget for distributed runs:
-	// callers that build a TCP transport (cmd/epolnode, the cluster fault
-	// matrix) pass it through to cluster.WithCommTimeout, where a peer
-	// silent past the timeout surfaces as cluster.ErrRankFailed from every
-	// collective instead of hanging the run. Zero (the default) disables
-	// failure detection: reads block forever. The engine itself never arms
-	// timers — liveness is the transport's job (heartbeats run at a third
-	// of this timeout, so slow compute phases do not trip it).
-	CommTimeout time.Duration
 	// Observe attaches an observability sink: per-rank phase latency
 	// histograms (octgb_engine_phase_seconds), scheduler activity counters
 	// (octgb_sched_*_total) and per-phase trace spans are recorded into it

@@ -71,7 +71,7 @@ func TestStreamedEnginesMatchMaterialised(t *testing.T) {
 			})
 			t.Run(fmt.Sprintf("tcp/%dx%d", ranks, threads), func(t *testing.T) {
 				reps := make([]RealReport, ranks)
-				overTCP(t, ranks, ranks > 2, func(c cluster.Comm, rank int) error {
+				overTCP(t, ranks, func(c cluster.Comm, rank int) error {
 					rep, err := RunRank(c, pr, Options{Threads: threads})
 					reps[rank] = rep
 					return err

@@ -32,7 +32,6 @@
 //	octgb_cluster_collective_seconds{kind,rank}   per-collective latency
 //	octgb_cluster_collective_bytes_total{kind,rank}
 //	octgb_cluster_heartbeat_gap_seconds{peer}     liveness signal spacing
-//	octgb_cluster_degradations_total              Topo→Star fallbacks
 //	octgb_serve_request_seconds{endpoint}         end-to-end request latency
 //	octgb_serve_queue_wait_seconds                admission queue wait
 //	octgb_serve_stage_seconds{stage}              surface/prepare/eval stages
