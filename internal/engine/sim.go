@@ -27,10 +27,9 @@ type SimModel struct {
 	// arrays, accumulators, bins) for the memory-pressure model.
 	BytesPerRank int64
 
-	bs      *core.BornSolver
-	es      *core.EpolSolver
-	oc      simtime.OpCosts
-	charges []float64 // original order
+	prep *Prepared // problem, Born solver, radii and Born stats
+	es   *core.EpolSolver
+	oc   simtime.OpCosts
 
 	bornLeafWork []float64 // per q-leaf seconds (node-based division)
 	epolLeafWork []float64 // per atoms-leaf seconds
@@ -49,11 +48,13 @@ type SimTiming struct {
 }
 
 // BuildSimModel executes the engine's computation once and returns the work
-// profile. The atom-based ablation re-executes the per-P traversals inside
-// TimeAtomBased instead (boundaries change the computation).
+// profile. It runs the engines' own traversals on one thread, so Energy is
+// bit for bit the one-thread RunReal energy. The atom-based ablation
+// re-executes the per-P traversals inside TimeAtomBased instead
+// (boundaries change the computation).
 func BuildSimModel(pr *Problem, k Kind, o Options, oc simtime.OpCosts) *SimModel {
 	o = o.withDefaults(k)
-	sm := &SimModel{Kind: k, Opts: o, oc: oc, numAtoms: pr.Mol.N(), numQPts: len(pr.QPts), charges: pr.Charges}
+	sm := &SimModel{Kind: k, Opts: o, oc: oc, numAtoms: pr.Mol.N(), numQPts: len(pr.QPts)}
 
 	if k == Naive {
 		sm.BornRadii = gb.BornRadiiR6(pr.Mol, pr.QPts)
@@ -65,49 +66,72 @@ func BuildSimModel(pr *Problem, k Kind, o Options, oc simtime.OpCosts) *SimModel
 		return sm
 	}
 
-	ec := core.EpolConfig{Eps: o.EpolEps, Math: o.Math, LeafSize: o.LeafSize}
-	sm.bs = core.NewBornSolver(pr.Mol, pr.QPts, o.bornConfig())
-	bs := sm.bs
-	sNode, sAtom := bs.NewAccumulators()
-
-	if k == OctCilk {
-		// Dual-tree algorithm of [6]: only totals are needed (the
-		// intra-node makespan is modeled from work/span).
-		sm.BornStats = bs.AccumulateDual(sNode, sAtom)
-	} else {
-		sm.bornLeafWork = make([]float64, bs.NumQLeaves())
-		for l := 0; l < bs.NumQLeaves(); l++ {
-			st := bs.AccumulateQLeaf(l, sNode, sAtom)
-			sm.bornLeafWork[l] = oc.BornWork(st)
-			sm.BornStats.Add(st)
-		}
-	}
-
 	rTree := make([]float64, sm.numAtoms)
-	sm.pushVisits = bs.PushIntegrals(sNode, sAtom, 0, int32(sm.numAtoms), rTree)
-	sm.BornRadii = bs.RadiiToOriginal(rTree)
-
-	sm.es = core.NewEpolSolver(bs.TA, pr.Charges, sm.BornRadii, ec)
-	var raw float64
 	if k == OctCilk {
-		e, st := sm.es.EnergyDual()
-		raw = e
-		sm.EpolStats = st
+		// Steps 1–4 of the shared-memory engine. Only totals are needed
+		// (the intra-node makespan is modeled from work/span); the push
+		// visits every node in range whatever the sums are, so its count
+		// is taken again on fresh accumulators.
+		sm.prep = prepareCilk(pr, oneThread(o))
+		sNode, sAtom := sm.prep.bs.NewAccumulators()
+		sm.pushVisits = sm.prep.bs.PushIntegrals(sNode, sAtom, 0, int32(sm.numAtoms), rTree)
 	} else {
-		sm.epolLeafWork = make([]float64, sm.es.NumLeaves())
-		for l := 0; l < sm.es.NumLeaves(); l++ {
-			e, st := sm.es.LeafEnergy(l)
-			raw += e
-			sm.epolLeafWork[l] = oc.EpolWork(st)
-			sm.EpolStats.Add(st)
+		// Step 2 of the leaf-driven engines, one q-leaf at a time into one
+		// pair of accumulators: the per-leaf work profile.
+		bs := core.NewBornSolver(pr.Mol, pr.QPts, o.bornConfig())
+		sm.prep = &Prepared{Pr: pr, bs: bs, opts: o}
+		sNode, sAtom := bs.NewAccumulators()
+		var tile core.InteractionList
+		sm.bornLeafWork = make([]float64, bs.NumQLeaves())
+		for l := range sm.bornLeafWork {
+			st := bs.StreamBornLeaves(&tile, l, l+1, sNode, sAtom)
+			sm.bornLeafWork[l] = oc.BornWork(st)
+			sm.prep.BornStats.Add(st)
 		}
+		sm.pushVisits = bs.PushIntegrals(sNode, sAtom, 0, int32(sm.numAtoms), rTree)
+		sm.prep.BornRadii = bs.RadiiToOriginal(rTree)
+	}
+	sm.BornRadii, sm.BornStats = sm.prep.BornRadii, sm.prep.BornStats
+
+	sm.runEpol()
+	ta, tq := sm.prep.bs.TA, sm.prep.bs.TQ
+	sm.BytesPerRank = ta.MemoryBytes() + tq.MemoryBytes() +
+		8*int64(len(ta.Nodes)+2*sm.numAtoms) +
+		8*int64(len(ta.Nodes))*int64(sm.es.NumBins())
+	return sm
+}
+
+// oneThread is o for a model run: one thread, no instrumentation.
+func oneThread(o Options) Options {
+	o.Threads, o.Observe = 1, nil
+	return o
+}
+
+// runEpol runs step 6 at sm.Opts over the model's Born radii with the
+// engine's own traversal on one thread — (*Prepared).evalEpol for
+// OCT_CILK, StreamEpolLeaves one driver leaf at a time into one
+// accumulator for the leaf-driven kinds — and sets Energy, EpolStats and
+// the per-leaf work. The solver stays for the memory model and
+// DistributeData.
+func (sm *SimModel) runEpol() {
+	p := sm.prep
+	sm.es = core.NewEpolSolver(p.bs.TA, p.Pr.Charges, p.BornRadii, sm.Opts.epolConfig())
+	if sm.Kind == OctCilk {
+		rep := p.evalEpol(oneThread(sm.Opts))
+		sm.Energy, sm.EpolStats = rep.Energy, rep.EpolStats
+		return
+	}
+	es := sm.es
+	var tile core.InteractionList
+	var raw float64
+	sm.EpolStats = core.Stats{}
+	sm.epolLeafWork = make([]float64, es.NumLeaves())
+	for l := range sm.epolLeafWork {
+		st := es.StreamEpolLeaves(&tile, l, l+1, &raw)
+		sm.epolLeafWork[l] = sm.oc.EpolWork(st)
+		sm.EpolStats.Add(st)
 	}
 	sm.Energy = raw * core.EnergyScale()
-
-	sm.BytesPerRank = bs.TA.MemoryBytes() + bs.TQ.MemoryBytes() +
-		8*int64(len(sNode)+len(sAtom)+sm.numAtoms) +
-		8*int64(len(bs.TA.Nodes))*int64(sm.es.NumBins())
-	return sm
 }
 
 // EpolLeafWork returns a copy of the measured per-leaf energy-phase work
@@ -127,24 +151,7 @@ func (sm *SimModel) WithEpolEps(eps float64) *SimModel {
 	}
 	out := *sm
 	out.Opts.EpolEps = eps
-	out.es = core.NewEpolSolver(sm.bs.TA, sm.charges, sm.BornRadii,
-		core.EpolConfig{Eps: eps, Math: sm.Opts.Math})
-	out.EpolStats = core.Stats{}
-	var raw float64
-	if sm.Kind == OctCilk {
-		e, st := out.es.EnergyDual()
-		raw = e
-		out.EpolStats = st
-	} else {
-		out.epolLeafWork = make([]float64, out.es.NumLeaves())
-		for l := 0; l < out.es.NumLeaves(); l++ {
-			e, st := out.es.LeafEnergy(l)
-			raw += e
-			out.epolLeafWork[l] = sm.oc.EpolWork(st)
-			out.EpolStats.Add(st)
-		}
-	}
-	out.Energy = raw * core.EnergyScale()
+	out.runEpol()
 	return &out
 }
 
@@ -240,7 +247,7 @@ func (sm *SimModel) Time(P, threads int, m simtime.Machine, seed int64) SimTimin
 		}
 		// Phase 3: Allreduce of partial integrals (s_A per node + s_a per
 		// atom).
-		sync("allreduce", len(sm.bs.TA.Nodes)+sm.numAtoms)
+		sync("allreduce", len(sm.prep.bs.TA.Nodes)+sm.numAtoms)
 	}
 
 	// Phase 4: push integrals to atoms (atom segments).
@@ -313,7 +320,7 @@ func (sm *SimModel) TimeAtomBased(P, threads int, m simtime.Machine) (SimTiming,
 	if threads < 1 {
 		threads = 1
 	}
-	bs := sm.bs
+	bs := sm.prep.bs
 	n := sm.numAtoms
 	rpn := ranksPerNode(P, threads, m)
 	pen := m.MemoryPenalty(sm.BytesPerRank, rpn)
@@ -355,7 +362,7 @@ func (sm *SimModel) TimeAtomBased(P, threads int, m simtime.Machine) (SimTiming,
 	sync("allgatherv", n)
 
 	R := bs.RadiiToOriginal(rTree)
-	es := core.NewEpolSolver(bs.TA, sm.charges, R, sm.Opts.epolConfig())
+	es := core.NewEpolSolver(bs.TA, sm.prep.Pr.Charges, R, sm.Opts.epolConfig())
 	var raw float64
 	for r := 0; r < P; r++ {
 		lo, hi := int32(atomSegs[r].Lo), int32(atomSegs[r].Hi)
