@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"net"
 	"sync"
 	"testing"
 )
@@ -139,37 +138,11 @@ func TestLocalAllgathervLengthMismatch(t *testing.T) {
 }
 
 // startTCPGroup spins up a size-rank TCP group over loopback in one
-// process (root inline, workers as goroutines) and runs fn on every rank.
+// process (root inline, workers as goroutines), runs fn on every rank and
+// fails the test on any rank's error.
 func startTCPGroup(t *testing.T, size int, fn func(c Comm) error) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
-
-	errs := make([]error, size)
-	var wg sync.WaitGroup
-	for r := 1; r < size; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			c, err := DialTCP(addr, r, size)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			errs[r] = fn(c)
-		}(r)
-	}
-	root, err := NewTCPRoot(ln, size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errs[0] = fn(root)
-	wg.Wait()
-	for r, err := range errs {
+	for r, err := range startTCPGroupOpts(t, size, nil, fn) {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
