@@ -60,8 +60,8 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzStreamFrameBody -fuzztime 10s
 
 ## chaos: the full TCP fault matrix — every byte-level fault class (stall,
-## duplicate, flip, truncate, blackhole) × star and mesh × P ∈ {2,4,8} ×
-## 8 seeds, for the engine and for a multi-chunk collective workload. Cells
+## duplicate, flip, truncate, blackhole) × P ∈ {2,4,8} × 8 seeds, for the
+## engine and for a multi-chunk collective workload. Cells
 ## that fail by timeout spend it, so this takes minutes by design.
 chaos:
 	CHAOS_FULL=1 $(GO) test ./internal/cluster/ -run TestFaultMatrix -timeout 30m -v
