@@ -20,10 +20,15 @@ import (
 // preprocessing step", promoted to a first-class value; internal/serve
 // keys an LRU of these by molecule content hash.
 //
+// Prepare also builds the E_pol solver for its own E_pol settings (ε_E and
+// math mode): the Born-radius bins of Fig. 3 depend only on the tree, the
+// charges, the Born radii and ε_E, so an EvalEpol at those settings builds
+// nothing but its traversal state. An EvalEpol at other settings builds a
+// solver for that call.
+//
 // A Prepared is immutable after Prepare and safe for concurrent EvalEpol
-// calls: the octrees and solver aggregates are read-only after
-// construction, and every evaluation builds its own EpolSolver and
-// accumulators.
+// calls: the octrees, the Born radii and both solvers are read-only after
+// construction, and every evaluation has its own accumulators and tiles.
 type Prepared struct {
 	// Pr is the underlying problem (molecule + sampled surface + charges).
 	Pr *Problem
@@ -35,7 +40,8 @@ type Prepared struct {
 	BornSched sched.Stats
 
 	bs   *core.BornSolver
-	opts Options // prepare-time options, defaults resolved
+	es   *core.EpolSolver // built at opts' E_pol settings
+	opts Options          // prepare-time options, defaults resolved
 }
 
 // Prepare runs the preprocessing phase (steps 1–4: octree construction,
@@ -90,7 +96,23 @@ func prepareCilk(pr *Problem, o Options) *Prepared {
 	bs.PushIntegrals(sNode, sAtom, 0, int32(n), rTree)
 	p.BornRadii = bs.RadiiToOriginal(rTree)
 	observePhase(o.Observe, "push", "engine.push", 0, pushStart, time.Since(pushStart))
+	p.es = p.newEpolSolver(o)
 	return p
+}
+
+// newEpolSolver builds the E_pol solver over the prepared tree, charges and
+// Born radii at o's E_pol settings.
+func (p *Prepared) newEpolSolver(o Options) *core.EpolSolver {
+	return core.NewEpolSolver(p.bs.TA, p.Pr.Charges, p.BornRadii, o.epolConfig())
+}
+
+// epolSolver is the prepared solver when o asks for the E_pol settings it
+// was built at, and a solver built for this call otherwise.
+func (p *Prepared) epolSolver(o Options) *core.EpolSolver {
+	if o.epolConfig() == p.opts.epolConfig() {
+		return p.es
+	}
+	return p.newEpolSolver(o)
 }
 
 // EvalEpol evaluates the polarization energy (step 6) over the prebuilt
@@ -130,21 +152,22 @@ func (p *Prepared) evalEpol(o Options) RealReport {
 		BornRadii: p.BornRadii,
 		BornStats: p.BornStats,
 	}
-	es := core.NewEpolSolver(p.bs.TA, p.Pr.Charges, p.BornRadii, o.epolConfig())
+	es := p.epolSolver(o)
 	pool := sched.NewPool(o.Threads)
 	// As in the Born phase, the frontier pairs are the units: each chunk of
 	// them is completed by streaming its part of the dual traversal through
-	// the worker's tile, so the traversal runs inside the parallel region
-	// and no list is materialised.
+	// the worker's pooled tile, so the traversal runs inside the parallel
+	// region and no list is materialised.
 	front, expand := es.EpolDualFrontier(32 * o.Threads)
-	tiles := make([]core.InteractionList, pool.Workers())
+	tiles := newWorkerTiles(pool)
 	partial := make([]float64, pool.Workers())
 	statsW := make([]core.Stats, pool.Workers())
 	s2 := pool.ParallelFor(len(front), max(1, len(front)/(16*o.Threads)), func(w, lo, hi int) {
-		e, st := es.StreamEpolDual(&tiles[w], front[lo:hi])
+		e, st := es.StreamEpolDual(tiles.get(w), front[lo:hi])
 		partial[w] += e
 		statsW[w].Add(st)
 	})
+	tiles.release()
 	var raw float64
 	rep.EpolStats = expand
 	for w := range partial {
@@ -165,13 +188,13 @@ func (p *Prepared) Options() Options { return p.opts }
 
 // MemoryBytes is the resident size of the Prepared — the figure the serving
 // cache charges against its byte budget: the Born solver (both octrees and
-// its payload streams), the molecule's atoms, the surface points, and the
-// charge and radii vectors.
+// its payload streams), the E_pol solver's bins and row tables, the
+// molecule's atoms, the surface points, and the charge and radii vectors.
 func (p *Prepared) MemoryBytes() int64 {
 	const (
 		atomBytes = 40 // Pos + Radius + Charge
 		qptBytes  = 56 // Pos + Normal + Weight
 	)
-	return p.bs.MemoryBytes() + int64(cap(p.Pr.Mol.Atoms))*atomBytes + int64(cap(p.Pr.QPts))*qptBytes +
-		8*int64(len(p.Pr.Charges)+len(p.BornRadii))
+	return p.bs.MemoryBytes() + p.es.MemoryBytes() + int64(cap(p.Pr.Mol.Atoms))*atomBytes +
+		int64(cap(p.Pr.QPts))*qptBytes + 8*int64(len(p.Pr.Charges)+len(p.BornRadii))
 }

@@ -3,9 +3,11 @@ package engine
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
+	"octgb/internal/gb"
 	"octgb/internal/molecule"
 	"octgb/internal/surface"
 )
@@ -196,4 +198,169 @@ func TestPreparedMemoryBytesIsTheLiveHeap(t *testing.T) {
 		t.Errorf("MemoryBytes = %d, live heap grew by %d (%+.1f%%), want within 10%%", got, held, 100*d)
 	}
 	runtime.KeepAlive(p)
+}
+
+// TestPreparedEvalEpolConcurrent: goroutines evaluating one Prepared at
+// once, at one and at two threads, share its E_pol solver and the pooled
+// tiles; every one-thread result is the bits of a lone evaluation, every
+// two-thread one agrees to the last ulps. Run under make race, this is the
+// check that the shared solver is only read.
+func TestPreparedEvalEpolConcurrent(t *testing.T) {
+	mol := molecule.GenerateProtein("concurrent", 600, 12)
+	p, err := Prepare(NewProblem(mol, surface.Default()), Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := map[int]RealReport{}
+	for _, threads := range []int{1, 2} {
+		if ref[threads], err = p.EvalEpol(Options{Threads: threads}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines, rounds = 4, 3
+	got := make([][]RealReport, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				rep, err := p.EvalEpol(Options{Threads: 1 + (g+r)%2})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = append(got[g], rep)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		for r, rep := range got[g] {
+			threads := 1 + (g+r)%2
+			want := ref[threads]
+			switch {
+			case threads == 1 && rep.Energy != want.Energy:
+				t.Errorf("goroutine %d round %d: one-thread energy %.17g, alone %.17g", g, r, rep.Energy, want.Energy)
+			case math.Abs(rep.Energy-want.Energy) > 1e-12*math.Abs(want.Energy):
+				t.Errorf("goroutine %d round %d: two-thread energy %.17g, alone %.17g", g, r, rep.Energy, want.Energy)
+			case rep.EpolStats != want.EpolStats:
+				t.Errorf("goroutine %d round %d: work %+v, alone %+v", g, r, rep.EpolStats, want.EpolStats)
+			}
+		}
+	}
+}
+
+// TestPreparedOtherEpsIsFreshBits: an evaluation at an ε_E other than the
+// prepared one builds its own solver and gives the bits and the work of a
+// Prepare made at that ε_E; the prepared solver is then still the one an
+// evaluation at the prepared ε_E uses.
+func TestPreparedOtherEpsIsFreshBits(t *testing.T) {
+	mol := molecule.GenerateProtein("other-eps", 500, 3)
+	p, err := Prepare(NewProblem(mol, surface.Default()), Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := p.EvalEpol(Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []Options{{Threads: 1, EpolEps: 0.5}, {Threads: 1, Math: gb.Approximate}} {
+		got, err := p.EvalEpol(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Prepare(NewProblem(mol, surface.Default()), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.EvalEpol(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Energy != want.Energy || got.EpolStats != want.EpolStats {
+			t.Errorf("%+v: %.17g %+v, fresh Prepare %.17g %+v", o, got.Energy, got.EpolStats, want.Energy, want.EpolStats)
+		}
+	}
+	after, err := p.EvalEpol(Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Energy != before.Energy {
+		t.Errorf("prepared ε_E after other evaluations: %.17g, before %.17g", after.Energy, before.Energy)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// evalEpolBytes is TotalAlloc per EvalEpol call at the prepared settings,
+// after one call has filled the tile pool.
+func evalEpolBytes(t *testing.T, atoms int) float64 {
+	t.Helper()
+	p, err := Prepare(NewProblem(molecule.GenerateProtein("bytes", atoms, 5), surface.Default()), Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Threads: 2}
+	if _, err := p.EvalEpol(o); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 8
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	for i := 0; i < calls; i++ {
+		if _, err := p.EvalEpol(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&b)
+	return float64(b.TotalAlloc-a.TotalAlloc) / calls
+}
+
+// TestPreparedEvalEpolBytesDoNotGrow: a warm evaluation at the prepared
+// settings allocates its traversal state, not the molecule's — its bytes
+// per call at 2 500 atoms stay within 2× of those at 300. Rebuilding the
+// solver's bins and row tables, or regrowing the tiles, scales with the
+// atoms and breaks the bound.
+func TestPreparedEvalEpolBytesDoNotGrow(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector drops a quarter of sync.Pool puts on purpose")
+	}
+	small, large := evalEpolBytes(t, 300), evalEpolBytes(t, 2500)
+	t.Logf("EvalEpol bytes per call: %.0f at 300 atoms, %.0f at 2500", small, large)
+	if large > 2*small {
+		t.Errorf("EvalEpol allocates %.0f B per call at 2500 atoms, %.0f at 300: want within 2×", large, small)
+	}
+}
+
+// BenchmarkPreparedEvalEpol is the warm E_pol evaluation of a warm_serve
+// molecule (2 500 atoms, two threads) at the prepared settings: the layer
+// number of a cache hit's eval, as BenchmarkNewSession is of a session
+// create.
+func BenchmarkPreparedEvalEpol(b *testing.B) {
+	p, err := Prepare(NewProblem(molecule.GenerateProtein("warm", 2500, 1), surface.Default()), Options{Threads: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := Options{Threads: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.EvalEpol(o); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"octgb/internal/cluster"
@@ -99,10 +100,40 @@ func runNaiveReal(pr *Problem, o Options) RealReport {
 	return rep
 }
 
+// tilePool holds the interaction-list tiles every streamed traversal fills
+// and evaluates through: the Born phase, the dual E_pol traversal and a
+// rank's step 6. Each worker of a parallel region takes one on its first
+// chunk and the region puts them back, so a warm evaluation reuses the
+// tiles earlier ones grew. Every stream call resets its tile first; no
+// state crosses calls.
+var tilePool = sync.Pool{New: func() any { return new(core.InteractionList) }}
+
+// workerTiles lends each worker of one parallel region a pooled tile.
+type workerTiles []*core.InteractionList
+
+func newWorkerTiles(pool *sched.Pool) workerTiles { return make(workerTiles, pool.Workers()) }
+
+// get is worker w's tile, taken from the pool on its first call.
+func (t workerTiles) get(w int) *core.InteractionList {
+	if t[w] == nil {
+		t[w] = tilePool.Get().(*core.InteractionList)
+	}
+	return t[w]
+}
+
+// release puts the tiles taken back into the pool.
+func (t workerTiles) release() {
+	for _, tile := range t {
+		if tile != nil {
+			tilePool.Put(tile)
+		}
+	}
+}
+
 // bornPhase is the Born phase of one rank (Fig. 4 step 2): the n units of
 // its traversal — q-leaves of the rank's segment, or dual-tree frontier
 // pairs — are divided over the pool, and run completes the units [lo, hi)
-// into the accumulators it is handed, through the worker's own tile.
+// into the accumulators it is handed, through the worker's pooled tile.
 // Building a unit's interactions is part of run, so it happens inside the
 // parallel region. Worker 0 accumulates straight into sNode/sAtom and the
 // other workers' private accumulators are reduced into them afterwards; a
@@ -113,14 +144,15 @@ func bornPhase(bs *core.BornSolver, pool *sched.Pool, n, grain int, sNode, sAtom
 	accN := make([][]float64, pool.Workers())
 	accA := make([][]float64, pool.Workers())
 	accN[0], accA[0] = sNode, sAtom
-	tiles := make([]core.InteractionList, pool.Workers())
+	tiles := newWorkerTiles(pool)
 	statsW := make([]core.Stats, pool.Workers())
 	st := pool.ParallelFor(n, grain, func(w, lo, hi int) {
 		if accN[w] == nil {
 			accN[w], accA[w] = bs.NewAccumulators()
 		}
-		statsW[w].Add(run(&tiles[w], lo, hi, accN[w], accA[w]))
+		statsW[w].Add(run(tiles.get(w), lo, hi, accN[w], accA[w]))
 	})
+	tiles.release()
 	total := statsW[0]
 	for w := 1; w < len(accN); w++ {
 		if accN[w] == nil {
@@ -266,15 +298,17 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 
 	// Step 6: partial energy for this rank's leaf segment, streamed like
 	// step 2: each chunk of driver leaves is traversed and evaluated through
-	// its worker's tile; one worker's chunks are the serial sum bit for bit.
+	// its worker's pooled tile; one worker's chunks are the serial sum bit
+	// for bit.
 	es := core.NewEpolSolver(bs.TA, pr.Charges, rep.BornRadii, o.epolConfig())
 	lseg := partition.ForRank(es.NumLeaves(), P, rank)
-	tiles := make([]core.InteractionList, pool.Workers())
+	tiles := newWorkerTiles(pool)
 	partial := make([]float64, pool.Workers())
 	statsW := make([]core.Stats, pool.Workers())
 	rep.Sched.Add(pool.ParallelFor(lseg.Len(), 0, func(w, lo, hi int) {
-		statsW[w].Add(es.StreamEpolLeaves(&tiles[w], lseg.Lo+lo, lseg.Lo+hi, &partial[w]))
+		statsW[w].Add(es.StreamEpolLeaves(tiles.get(w), lseg.Lo+lo, lseg.Lo+hi, &partial[w]))
 	}))
+	tiles.release()
 	var raw float64
 	for w := range partial {
 		raw += partial[w]

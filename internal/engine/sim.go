@@ -90,6 +90,7 @@ func BuildSimModel(pr *Problem, k Kind, o Options, oc simtime.OpCosts) *SimModel
 		}
 		sm.pushVisits = bs.PushIntegrals(sNode, sAtom, 0, int32(sm.numAtoms), rTree)
 		sm.prep.BornRadii = bs.RadiiToOriginal(rTree)
+		sm.prep.es = sm.prep.newEpolSolver(o)
 	}
 	sm.BornRadii, sm.BornStats = sm.prep.BornRadii, sm.prep.BornStats
 
@@ -115,7 +116,7 @@ func oneThread(o Options) Options {
 // DistributeData.
 func (sm *SimModel) runEpol() {
 	p := sm.prep
-	sm.es = core.NewEpolSolver(p.bs.TA, p.Pr.Charges, p.BornRadii, sm.Opts.epolConfig())
+	sm.es = p.epolSolver(sm.Opts)
 	if sm.Kind == OctCilk {
 		rep := p.evalEpol(oneThread(sm.Opts))
 		sm.Energy, sm.EpolStats = rep.Energy, rep.EpolStats

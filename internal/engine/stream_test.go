@@ -223,9 +223,12 @@ func TestStreamedEvalEpolMatchesMaterialised(t *testing.T) {
 
 // TestWarmEvalEpolAllocationCeiling keeps the E_pol list from quietly
 // coming back: while EvalEpol materialised it, a warm evaluation of this
-// 2 000-atom Prepared allocated 3.70 MB; streamed, it takes 0.33 MB in 149
+// 2 000-atom Prepared allocated 3.70 MB; streamed, it took 0.33 MB in 149
 // objects (the EpolSolver's per-evaluation tables, the frontier, one tile
-// and the pool). The ceiling is that with 1.5× headroom.
+// and the pool). The ceiling is that with 1.5× headroom. Since the
+// Prepared keeps its solver and the tiles come from a pool it takes 0.01
+// MB in 81 objects (under -race, whose pool drops puts, up to 0.04 MB);
+// TestPreparedEvalEpolBytesDoNotGrow holds that against the atom count.
 func TestWarmEvalEpolAllocationCeiling(t *testing.T) {
 	p, err := Prepare(testProblem(2000, 9), Options{Threads: 1})
 	if err != nil {

@@ -405,3 +405,50 @@ func TestE2EStreamCloseAndUnknownSession(t *testing.T) {
 		t.Fatalf("unprefixed session: %d %s, want 404 not_found", resp4.StatusCode, body4)
 	}
 }
+
+// TestTiersRejectAlike sends the same bodies to the router and straight to
+// a worker on every molecule-bearing endpoint: the router's in-place
+// check-and-hash and the worker's built molecule must answer each with the
+// same status and token.
+func TestTiersRejectAlike(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	_, front, workers := newFabric(t, 1, RouterConfig{HedgeDelay: -1})
+	good := `[[0,0,0,1.5,0.2],[3,0,0,1.5,-0.2]]`
+	other := energyAtoms(9)
+	mol, err := other.ToMolecule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, mol, token string }{
+		{"valid", `{"atoms":` + good + `}`, ""},
+		{"nan charge", `{"atoms":[[0,0,0,1.5,NaN]]}`, "bad_request"},
+		{"charge out of range", `{"atoms":[[0,0,0,1.5,2e3]]}`, "bad_request"},
+		{"zero radius", `{"atoms":[[0,0,0,0,0.1]]}`, "bad_request"},
+		{"coordinate past MaxCoordinate", `{"atoms":[[0,0,1.5e6,1.5,0.1]]}`, "bad_request"},
+		{"hash of other atoms", `{"atoms":` + good + `,"hash":"` + mol.HashString() + `"}`, "bad_request"},
+		{"empty molecule", `{"atoms":[]}`, "bad_request"},
+	} {
+		for _, ep := range []struct{ path, body string }{
+			{"/v1/energy", `{"molecule":` + tc.mol + `}`},
+			{"/v1/sweep", `{"ligand":` + tc.mol + `,"poses":[{"t":[0,0,0]}]}`},
+			{"/v1/stream", `{"molecule":` + tc.mol + `}`},
+		} {
+			var got [2]string
+			for i, base := range []string{front.URL, workers[0].ts.URL} {
+				resp, body := postRaw(t, base+ep.path, []byte(ep.body))
+				var e serve.ErrorResponse
+				if resp.StatusCode != http.StatusOK {
+					_ = json.Unmarshal(body, &e)
+				}
+				got[i] = fmt.Sprintf("%d %s", resp.StatusCode, e.Error)
+			}
+			want := "200 "
+			if tc.token != "" {
+				want = "400 " + tc.token
+			}
+			if got[0] != want || got[1] != want {
+				t.Errorf("%s on %s: router %q, worker %q, want %q", tc.name, ep.path, got[0], got[1], want)
+			}
+		}
+	}
+}

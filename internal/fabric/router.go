@@ -246,8 +246,9 @@ func writeReject(w http.ResponseWriter, err error) {
 
 // readRouted reads and decodes a molecule-bearing request with the workers'
 // own decoder — one wire contract on both tiers — and resolves the molecule
-// that keys it (picked by keyMol once req is decoded) to its content hash.
-// On false the reject has been written.
+// that keys it (picked by keyMol once req is decoded) to its content hash,
+// checking and hashing the wire rows in place (serve's ResolveHash): the
+// router never builds the molecule. On false the reject has been written.
 func readRouted(w http.ResponseWriter, r *http.Request, req json.Unmarshaler, keyMol func() *serve.MoleculeJSON) (up upstream, hash [molecule.HashSize]byte, ok bool) {
 	if r.Method != http.MethodPost {
 		writeRouterError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
@@ -255,7 +256,7 @@ func readRouted(w http.ResponseWriter, r *http.Request, req json.Unmarshaler, ke
 	}
 	body, err := serve.ReadRequest(w, r, req)
 	if err == nil {
-		_, hash, err = keyMol().Resolve()
+		hash, err = keyMol().ResolveHash()
 	}
 	if err != nil {
 		writeReject(w, err)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 )
 
@@ -30,19 +31,37 @@ const HashSize = sha256.Size
 // Hash performs a constant number of heap allocations regardless of atom
 // count (see TestHashAllocationBounded).
 func (m *Molecule) Hash() [HashSize]byte {
-	h := sha256.New()
-	var buf [40]byte
+	h := NewHasher()
 	for i := range m.Atoms {
-		a := &m.Atoms[i]
-		binary.LittleEndian.PutUint64(buf[0:8], math.Float64bits(a.Pos.X))
-		binary.LittleEndian.PutUint64(buf[8:16], math.Float64bits(a.Pos.Y))
-		binary.LittleEndian.PutUint64(buf[16:24], math.Float64bits(a.Pos.Z))
-		binary.LittleEndian.PutUint64(buf[24:32], math.Float64bits(a.Radius))
-		binary.LittleEndian.PutUint64(buf[32:40], math.Float64bits(a.Charge))
-		h.Write(buf[:])
+		h.Add(&m.Atoms[i])
 	}
+	return h.Sum()
+}
+
+// Hasher computes Hash one atom at a time, for callers that hold the atoms
+// in another form: the serving tiers hash wire rows in place.
+type Hasher struct {
+	h   hash.Hash
+	buf [40]byte
+}
+
+// NewHasher returns a Hasher over no atoms yet.
+func NewHasher() *Hasher { return &Hasher{h: sha256.New()} }
+
+// Add appends one atom's 40 bytes to the digest.
+func (h *Hasher) Add(a *Atom) {
+	binary.LittleEndian.PutUint64(h.buf[0:8], math.Float64bits(a.Pos.X))
+	binary.LittleEndian.PutUint64(h.buf[8:16], math.Float64bits(a.Pos.Y))
+	binary.LittleEndian.PutUint64(h.buf[16:24], math.Float64bits(a.Pos.Z))
+	binary.LittleEndian.PutUint64(h.buf[24:32], math.Float64bits(a.Radius))
+	binary.LittleEndian.PutUint64(h.buf[32:40], math.Float64bits(a.Charge))
+	h.h.Write(h.buf[:])
+}
+
+// Sum is the hash of the atoms added so far.
+func (h *Hasher) Sum() [HashSize]byte {
 	var out [HashSize]byte
-	h.Sum(out[:0])
+	h.h.Sum(out[:0])
 	return out
 }
 

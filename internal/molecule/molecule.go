@@ -85,16 +85,26 @@ func Merge(name string, ms ...*Molecule) *Molecule {
 // Validate checks structural invariants: positive radii, finite positions
 // and charges. It returns the first violation found.
 func (m *Molecule) Validate() error {
-	for i, a := range m.Atoms {
-		if !a.Pos.IsFinite() {
-			return fmt.Errorf("molecule %q: atom %d has non-finite position", m.Name, i)
+	for i := range m.Atoms {
+		if err := CheckAtom(m.Name, i, &m.Atoms[i]); err != nil {
+			return err
 		}
-		if a.Radius <= 0 {
-			return fmt.Errorf("molecule %q: atom %d has non-positive radius %g", m.Name, i, a.Radius)
-		}
-		if a.Charge != a.Charge || a.Charge > 1e3 || a.Charge < -1e3 {
-			return fmt.Errorf("molecule %q: atom %d has bad charge %g", m.Name, i, a.Charge)
-		}
+	}
+	return nil
+}
+
+// CheckAtom is Validate for atom i of the molecule called name: a
+// non-finite position, a non-positive radius, or a NaN charge or one
+// outside ±1e3 is an error. Callers that hold the atoms in another form
+// (the serving tiers' wire rows) check them with it one at a time.
+func CheckAtom(name string, i int, a *Atom) error {
+	switch {
+	case !a.Pos.IsFinite():
+		return fmt.Errorf("molecule %q: atom %d has non-finite position", name, i)
+	case a.Radius <= 0:
+		return fmt.Errorf("molecule %q: atom %d has non-positive radius %g", name, i, a.Radius)
+	case a.Charge != a.Charge || a.Charge > 1e3 || a.Charge < -1e3:
+		return fmt.Errorf("molecule %q: atom %d has bad charge %g", name, i, a.Charge)
 	}
 	return nil
 }

@@ -43,18 +43,26 @@ func (mj *MoleculeJSON) ToMolecule() (*molecule.Molecule, error) {
 		return nil, fmt.Errorf("empty molecule")
 	}
 	m := &molecule.Molecule{Name: mj.Name, Atoms: make([]molecule.Atom, len(mj.Atoms))}
-	for i, a := range mj.Atoms {
-		for _, c := range a[:3] {
-			if math.Abs(c) > engine.MaxCoordinate {
-				return nil, fmt.Errorf("atom %d: coordinate %g outside ±%g Å", i, c, engine.MaxCoordinate)
-			}
+	for i := range mj.Atoms {
+		if err := mj.atom(i, &m.Atoms[i]); err != nil {
+			return nil, err
 		}
-		m.Atoms[i] = molecule.Atom{Pos: geom.V(a[0], a[1], a[2]), Radius: a[3], Charge: a[4]}
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
 	}
 	return m, nil
+}
+
+// atom converts wire row i into a and checks it: every coordinate within
+// ±engine.MaxCoordinate, then Validate's rules (molecule.CheckAtom). Both
+// tiers accept or refuse a molecule row by row through it.
+func (mj *MoleculeJSON) atom(i int, a *molecule.Atom) error {
+	r := &mj.Atoms[i]
+	for _, c := range r[:3] {
+		if math.Abs(c) > engine.MaxCoordinate {
+			return fmt.Errorf("atom %d: coordinate %g outside ±%g Å", i, c, engine.MaxCoordinate)
+		}
+	}
+	*a = molecule.Atom{Pos: geom.V(r[0], r[1], r[2]), Radius: r[3], Charge: r[4]}
+	return molecule.CheckAtom(mj.Name, i, a)
 }
 
 // PoseJSON is a rigid transform: optional row-major 3×3 rotation (identity

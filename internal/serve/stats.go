@@ -95,8 +95,9 @@ type StatsSnapshot struct {
 	} `json:"batching"`
 
 	// Streaming covers the stateful /v1/stream sessions: live store
-	// occupancy against the cap, lifecycle counters and the total frame
-	// evaluation time (FrameMSTotal / Frames ≈ mean incremental frame cost).
+	// occupancy against the cap, lifecycle counters (Frames counts the frame
+	// requests that found their session) and the total frame evaluation
+	// time (FrameMSTotal / Frames ≈ mean incremental frame cost).
 	Streaming struct {
 		Live         int     `json:"live"`
 		MaxSessions  int     `json:"max_sessions"`

@@ -229,7 +229,6 @@ func (s *Server) handleStreamSub(w http.ResponseWriter, r *http.Request) {
 // counters. Frames against one session serialize; the per-frame latency
 // lands in the mode="stream" histogram.
 func (s *Server) handleStreamFrame(w http.ResponseWriter, r *http.Request, reqID, id string) {
-	s.metrics.streamFrames.Add(1)
 	reqStart := time.Now()
 	span := s.sobs.spanID()
 
@@ -251,6 +250,9 @@ func (s *Server) handleStreamFrame(w http.ResponseWriter, r *http.Request, reqID
 			fmt.Sprintf("session %s does not exist (closed or evicted)", id), 0)
 		return
 	}
+	// Counted once the frame holds its session: a close from here on can
+	// remove the id from the store but not take the session from the frame.
+	s.metrics.streamFrames.Add(1)
 	delta := engine.FrameDelta{Moves: make([]engine.AtomMove, len(req.Moves))}
 	for i, mv := range req.Moves {
 		for _, c := range mv.Pos {

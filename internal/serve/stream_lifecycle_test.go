@@ -33,10 +33,10 @@ func grabSession(t *testing.T, s *Server, id string) *streamSession {
 	return st
 }
 
-// waitFrameDispatched waits until the submission queue is empty and n
-// frame requests have entered their handler — at that point every fired
-// frame has finished its session lookup (lookup precedes submit) and its
-// closure has been handed to a worker.
+// waitFrameDispatched waits until n frame requests hold their session —
+// the handler counts a frame only after its session lookup — and the
+// submission queue is empty. A frame that has been counted may not have
+// been submitted yet, but a close can no longer take its session from it.
 func waitFrameDispatched(t *testing.T, s *Server, frames int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

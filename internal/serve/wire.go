@@ -116,6 +116,20 @@ func RejectStatus(err error) (int, string) {
 // sent along is checked, never trusted. Without atoms the hash stands for
 // a molecule the receiver may already hold and the molecule returned is nil.
 func (mj *MoleculeJSON) Resolve() (*molecule.Molecule, [molecule.HashSize]byte, error) {
+	return mj.resolve(true)
+}
+
+// ResolveHash is Resolve without the molecule: each wire row is checked and
+// hashed in place, with the same rules and the same bytes, so the router
+// keys a request exactly as the worker will without building what only the
+// worker needs.
+func (mj *MoleculeJSON) ResolveHash() ([molecule.HashSize]byte, error) {
+	_, sum, err := mj.resolve(false)
+	return sum, err
+}
+
+// resolve is Resolve, building the molecule only when build is set.
+func (mj *MoleculeJSON) resolve(build bool) (*molecule.Molecule, [molecule.HashSize]byte, error) {
 	var claimed [molecule.HashSize]byte
 	if mj.Hash != "" {
 		if len(mj.Hash) != hex.EncodedLen(len(claimed)) {
@@ -128,15 +142,40 @@ func (mj *MoleculeJSON) Resolve() (*molecule.Molecule, [molecule.HashSize]byte, 
 			return nil, claimed, nil
 		}
 	}
-	mol, err := mj.ToMolecule()
+	var mol *molecule.Molecule
+	var sum [molecule.HashSize]byte
+	var err error
+	if build {
+		if mol, err = mj.ToMolecule(); err == nil {
+			sum = mol.Hash()
+		}
+	} else {
+		sum, err = mj.hashRows()
+	}
 	if err != nil {
 		return nil, claimed, err
 	}
-	sum := mol.Hash()
 	if mj.Hash != "" && sum != claimed {
 		return nil, sum, errors.New("hash does not match atoms")
 	}
 	return mol, sum, nil
+}
+
+// hashRows is ToMolecule followed by Hash without the molecule: each row is
+// checked and hashed where it lies.
+func (mj *MoleculeJSON) hashRows() ([molecule.HashSize]byte, error) {
+	if len(mj.Atoms) == 0 {
+		return [molecule.HashSize]byte{}, errors.New("empty molecule")
+	}
+	h := molecule.NewHasher()
+	var a molecule.Atom
+	for i := range mj.Atoms {
+		if err := mj.atom(i, &a); err != nil {
+			return [molecule.HashSize]byte{}, err
+		}
+		h.Add(&a)
+	}
+	return h.Sum(), nil
 }
 
 // resolveAtoms is Resolve for the endpoints that are built from coordinates

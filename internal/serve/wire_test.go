@@ -202,18 +202,56 @@ func checkDecode(t *testing.T, body []byte) {
 	err, refErr := e.UnmarshalJSON(body), json.Unmarshal(body, &re)
 	capOK(&e.Molecule)
 	verdict("energy", err, refErr, e, EnergyRequest(re), "molecule")
+	if err == nil {
+		checkTiersResolve(t, body, &e.Molecule)
+	}
 
 	var s SweepRequest
 	var rs refSweep
 	err, refErr = s.UnmarshalJSON(body), json.Unmarshal(body, &rs)
 	capOK(s.Receptor, &s.Ligand)
 	verdict("sweep", err, refErr, s, SweepRequest(rs), "receptor", "ligand")
+	if err == nil {
+		checkTiersResolve(t, body, s.Receptor, &s.Ligand)
+	}
 
 	var c StreamCreateRequest
 	var rc refStream
 	err, refErr = c.UnmarshalJSON(body), json.Unmarshal(body, &rc)
 	capOK(&c.Molecule)
 	verdict("stream", err, refErr, c, StreamCreateRequest(rc), "molecule")
+	if err == nil {
+		checkTiersResolve(t, body, &c.Molecule)
+	}
+}
+
+// checkTiersResolve holds the router's in-place ResolveHash to the worker's
+// Resolve on each decoded molecule: the same verdict, answered with the
+// same status and token, and on acceptance the same hash, which is
+// molecule.Hash of the molecule the worker builds.
+func checkTiersResolve(t *testing.T, body []byte, mols ...*MoleculeJSON) {
+	t.Helper()
+	for _, mj := range mols {
+		if mj == nil {
+			continue
+		}
+		mol, sum, err := mj.Resolve()
+		rsum, rerr := mj.ResolveHash()
+		switch {
+		case (err == nil) != (rerr == nil):
+			t.Errorf("worker Resolve %v, router ResolveHash %v: %q", err, rerr, body)
+		case err != nil:
+			ws, wt := RejectStatus(err)
+			rs, rt := RejectStatus(rerr)
+			if ws != rs || wt != rt {
+				t.Errorf("worker answers %d %s, router %d %s: %q", ws, wt, rs, rt, body)
+			}
+		case sum != rsum:
+			t.Errorf("worker hash %x, router hash %x: %q", sum, rsum, body)
+		case mol != nil && mol.Hash() != sum:
+			t.Errorf("resolved hash %x, built molecule's %x: %q", sum, mol.Hash(), body)
+		}
+	}
 }
 
 // decodeSeeds are bodies worth holding against checkDecode: the three
@@ -245,6 +283,9 @@ var decodeSeeds = []string{
 	`{"molecule":{"atoms":[[1e200,0,0,1.5,0.1],[0,0,0,1.5,-0.1]]}}`,
 	`{"receptor":{"atoms":[[0,0,0,2,1]]},"ligand":{"atoms":[[0,-1e200,0,1,-1]]},"poses":[{"t":[1,2,3]}]}`,
 	`{"molecule":{"atoms":[[0,0,1e200,1.5,0.1]]},"options":{"resweep_every":8}}`,
+	// Decoded, then refused by both tiers' per-atom rules or hash check.
+	`{"molecule":{"atoms":[[0,0,0,0,1]]}}`, `{"molecule":{"atoms":[[0,0,0,1,1e4]]}}`, `{"molecule":{"atoms":[[0,2e6,0,1,1]]}}`,
+	`{"molecule":{"atoms":[[1,2,3,4,5]],"hash":"` + strings.Repeat("ab", 32) + `"}}`, `{"molecule":{"atoms":[]}}`,
 	// Refused: broken structure.
 	`{"molecule":{"atoms":[[1,2,3,4,5]`, `{"molecule":{"atoms":[[1,2,3,4,5],]}}`, `{"molecule":{"atoms":[[1,2,3,4,5]],}}`,
 	`{"molecule":{"atoms":[[1,2,3,4,5]] "name":"x"}}`, `{"molecule":{"name":"unterminated}}`, `{"molecule" {"atoms":[]}}`,
