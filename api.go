@@ -230,7 +230,13 @@ type (
 
 // NewSession builds an incremental evaluation session: it samples the
 // surface, builds both treecode solvers with slack margins and evaluates
-// the initial energy. Step then applies per-frame deltas.
+// the initial energy. Step then applies per-frame deltas. Session.Close
+// hands the session's storage back, and the next NewSession builds on it
+// instead of allocating its own; a session dropped without Close is left
+// to the garbage collector.
 func NewSession(mol *Molecule, o SessionOptions) (*Session, error) {
 	return engine.NewSession(mol, o)
 }
+
+// ErrSessionClosed is what Session.Step returns after Session.Close.
+var ErrSessionClosed = engine.ErrSessionClosed

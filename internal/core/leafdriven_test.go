@@ -330,14 +330,27 @@ func TestMutualOnceListMatchesOrdered(t *testing.T) {
 func TestTreeMirrorsFollowRefresh(t *testing.T) {
 	m, q := testMol(500, 17)
 	bs := NewBornSolver(m, q, BornConfig{Eps: 0.9})
+	trees := map[string]*octree.Tree{"T_A": bs.TA, "T_Q": bs.TQ}
+	skip := map[string][]int32{"T_A": slices.Clone(bs.TA.Skip), "T_Q": slices.Clone(bs.TQ.Skip)}
 	for i := int32(0); i < int32(m.N()); i += 3 {
 		p := bs.TA.Points[i]
 		bs.SetAtomPoint(i, geom.V(p.X+0.3, p.Y-0.2, p.Z+0.1))
 	}
 	bs.RefreshGeometry()
-	for name, tr := range map[string]*octree.Tree{"T_A": bs.TA, "T_Q": bs.TQ} {
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("%s after RefreshGeometry: %v", name, err)
+	for name, tr := range trees {
+		if !slices.Equal(tr.Skip, skip[name]) {
+			t.Fatalf("%s: RefreshGeometry changed the skip index", name)
+		}
+		for n := range tr.Nodes {
+			nd := &tr.Nodes[n]
+			if c := nd.Center; tr.CX[n] != c.X || tr.CY[n] != c.Y || tr.CZ[n] != c.Z || tr.CR[n] != nd.Radius {
+				t.Fatalf("%s after RefreshGeometry: node %d's geometry mirror diverges", name, n)
+			}
+			for j := nd.Start; j < nd.Start+nd.Count; j++ {
+				if d := tr.Points[j].Dist(nd.Center); d > nd.Radius*(1+1e-12)+1e-12 {
+					t.Fatalf("%s after RefreshGeometry: point %d outside node %d's ball", name, j, n)
+				}
+			}
 		}
 	}
 	var got, want InteractionList

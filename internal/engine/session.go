@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"unsafe"
 
 	"octgb/internal/core"
@@ -93,16 +95,32 @@ import (
 // Surface quadrature points are transported rigidly with their owning atom
 // (surface.SampleOwned); burial culling is decided at session creation and
 // not revisited, which is the standard fixed-topology approximation for
-// small-amplitude streams. A Session is not safe for concurrent use.
+// small-amplitude streams. A Session is not safe for concurrent use; Close
+// hands its storage to the next NewSession.
 type Session struct {
 	opts SessionOptions
 	eo   Options // evaluation options, defaults resolved
 
-	mol     *molecule.Molecule // session-owned copy, current positions
-	charges []float64
-
 	bs *core.BornSolver
 	es *core.EpolSolver
+
+	frame     int
+	energy    float64
+	epolPairs int64 // EpolNearPairs of the frame in progress
+	closed    bool
+
+	sessionStores
+}
+
+// sessionStores is everything a Session owns apart from its two solvers:
+// the molecule copy, the per-atom, per-node and per-driver stores, the
+// arenas their views are cut from and the per-frame scratch. Close hands it
+// to storePool and NewSession takes it back from there, so a stream of
+// sessions reuses one session's storage; sizeStores and rebuildStructure
+// size every store to the session at hand with resize.
+type sessionStores struct {
+	mol     molecule.Molecule // session-owned copy, current positions
+	charges []float64
 
 	// Frozen-topology maps.
 	aInv    []int32     // original atom index -> T_A tree index
@@ -166,10 +184,6 @@ type Session struct {
 	refBallRA, refBallRQ []float64
 	nodeDispA, nodeDispQ []float64 // epoch-bubble scratch, per node
 
-	frame     int
-	energy    float64
-	epolPairs int64 // EpolNearPairs of the frame in progress
-
 	arenas sessionArenas
 
 	// Per-frame scratch (mark bits cleared lazily via the id lists).
@@ -201,14 +215,15 @@ type Session struct {
 // stores. Traversal output (near and far lists), whose length is known
 // only once a driver's traversal has run, is cut from chunked slabs;
 // everything derived from those lists is counted first and cut from one
-// exact allocation. A structural refresh reuses all of it.
+// exact allocation. A structural refresh reuses all of it, and so does the
+// next session once Close hands it back.
 type sessionArenas struct {
 	near, far, epolFar slab[int32]
 	epolNear           slab[core.NodePair]
 
-	slots, partners                   []int32
+	owners, slots, partners           []int32
 	blocks, groups                    []float64
-	marks                             []bool
+	marks, nodeMarks                  []bool
 	epolVals                          []float64
 	epolW                             []uint8
 	epolPartners, epolPartnerPos, ent []int32
@@ -375,11 +390,26 @@ type FrameReport struct {
 	Refreshed bool
 }
 
+// ErrSessionClosed is what Step returns on a session Close has released.
+var ErrSessionClosed = errors.New("engine: session is closed")
+
+// storePool holds the stores of closed sessions for the next NewSession.
+var storePool sync.Pool // of *sessionStores
+
 // NewSession samples the molecule's surface, builds both treecode solvers,
 // derives every driver segment with slack margins, and evaluates the
 // initial energy. The molecule is copied; the caller's value is never
-// mutated.
+// mutated. The stores come from a closed session when one was handed back
+// (Close); the solvers and the surface sample are always built anew, and
+// the energies do not depend on where the stores came from.
 func NewSession(mol *molecule.Molecule, o SessionOptions) (*Session, error) {
+	st, _ := storePool.Get().(*sessionStores)
+	return newSession(mol, o, st)
+}
+
+// newSession is NewSession on the given stores, or on new ones when st is
+// nil. On an error the stores go to the garbage collector.
+func newSession(mol *molecule.Molecule, o SessionOptions, st *sessionStores) (*Session, error) {
 	o = o.withDefaults()
 	eo := o.Eval.withDefaults(OctCilk)
 	if err := eo.Validate(); err != nil {
@@ -393,101 +423,156 @@ func NewSession(mol *molecule.Molecule, o SessionOptions) (*Session, error) {
 			return nil, fmt.Errorf("engine: session atom %d: %w", i, err)
 		}
 	}
-	m := &molecule.Molecule{Name: mol.Name, Atoms: append([]molecule.Atom(nil), mol.Atoms...)}
-	qpts, owners := surface.SampleOwned(m, o.Surf)
+	ss := &Session{opts: o, eo: eo}
+	if st != nil {
+		ss.sessionStores = *st
+	}
+	ss.mol = molecule.Molecule{Name: mol.Name, Atoms: append(ss.mol.Atoms[:0], mol.Atoms...)}
+	qpts, owners := surface.SampleOwned(&ss.mol, o.Surf)
 	if len(qpts) == 0 {
 		return nil, fmt.Errorf("engine: session surface sampling produced no quadrature points")
 	}
+	ss.bs = core.NewBornSolver(&ss.mol, qpts, eo.bornConfig())
+	ss.sizeStores(qpts, owners)
+	ss.rebuildStructure()
+	return ss, nil
+}
 
-	ss := &Session{opts: o, eo: eo, mol: m}
-	ss.charges = make([]float64, m.N())
-	for i := range m.Atoms {
-		ss.charges[i] = m.Atoms[i].Charge
-	}
-	ss.bs = core.NewBornSolver(m, qpts, eo.bornConfig())
+// sizeStores sizes every per-atom, per-node and per-driver store to the
+// session's trees, reusing the capacity a recycled store holds, and fills
+// the topology maps. A store whose zero state is read — the marks, the
+// displacements, the frame's id lists, the entry values a weight of 0
+// multiplies — is cleared; rebuildStructure writes every other one before
+// it reads it.
+func (ss *Session) sizeStores(qpts []surface.QPoint, owners []int32) {
 	ta, tq := ss.bs.TA, ss.bs.TQ
+	nA, nodesA, nodesQ := len(ta.Points), len(ta.Nodes), len(tq.Nodes)
+	la, lq := len(ta.LeafIdx), len(tq.LeafIdx)
+	ar := &ss.arenas
 
-	ss.aInv = ta.InvPerm()
-	ss.aLeafOf = ta.PointLeaves()
-	ss.qLeafOf = tq.PointLeaves()
-	ss.qOwner = make([][]int32, m.N())
-	ss.qOff = make([]geom.Vec3, len(qpts))
-	owned := make([]int32, m.N())
+	ss.charges = resize(ss.charges, nA)
+	for i := range ss.mol.Atoms {
+		ss.charges[i] = ss.mol.Atoms[i].Charge
+	}
+	ss.aInv = ta.InvPermInto(ss.aInv)
+	ss.aLeafOf = ta.PointLeaves(ss.aLeafOf)
+	ss.qLeafOf = tq.PointLeaves(ss.qLeafOf)
+	ss.qOwner = resize(ss.qOwner, nA)
+	ss.qOff = resize(ss.qOff, len(qpts))
+	owned := make([]int32, nA)
 	for _, ow := range owners {
 		owned[ow]++
 	}
-	ownerBuf := make([]int32, len(qpts))
+	ar.owners = resize(ar.owners, len(qpts))
+	ownerBuf := ar.owners
 	for i := range ss.qOwner {
 		ss.qOwner[i] = cut(&ownerBuf, int(owned[i]))[:0]
 	}
 	for j, orig := range tq.Perm {
 		ow := owners[orig]
-		ss.qOff[j] = qpts[orig].Pos.Sub(m.Atoms[ow].Pos)
+		ss.qOff[j] = qpts[orig].Pos.Sub(ss.mol.Atoms[ow].Pos)
 		ss.qOwner[ow] = append(ss.qOwner[ow], int32(j))
 	}
-	ss.aDense = denseLeafIndex(len(ta.Nodes), ta.LeafIdx)
-	ss.qDense = denseLeafIndex(len(tq.Nodes), tq.LeafIdx)
+	ss.aDense = denseLeafIndex(ss.aDense, nodesA, ta.LeafIdx)
+	ss.qDense = denseLeafIndex(ss.qDense, nodesQ, tq.LeafIdx)
 
-	nA := len(ta.Points)
-	la, lq := len(ta.LeafIdx), len(tq.LeafIdx)
-	ss.bornNear = make([][]int32, lq)
-	ss.bornFar = make([][]int32, lq)
-	ss.bornEntrySlot = make([][]int32, lq)
-	ss.rowBlk = make([][]float64, len(ta.Nodes))
-	ss.rowGrp = make([][]float64, len(ta.Nodes))
-	ss.grpDirty = make([][]bool, len(ta.Nodes))
-	ss.bornPartners = make([][]int32, len(ta.Nodes))
-	ss.sNodeFar = make([]float64, len(ta.Nodes))
-	ss.farTotal = make([]float64, len(ta.Nodes))
-	ss.sAtomNear = make([]float64, nA)
-	ss.rTree = make([]float64, nA)
-	ss.rPushed = make([]float64, nA)
-	ss.epolNear = make([][]core.NodePair, la)
-	ss.epolNearVal = make([][]float64, la)
-	ss.epolW = make([][]uint8, la)
-	ss.epolFar = make([][]int32, la)
-	ss.nearVal = make([]float64, la)
-	ss.farVal = make([]float64, la)
-	ss.epolPartners = make([][]int32, len(ta.Nodes))
-	ss.epolPartnerPos = make([][]int32, len(ta.Nodes))
-	ss.rowScratch = make([]float64, nA)
+	ss.bornNear = resize(ss.bornNear, lq)
+	ss.bornFar = resize(ss.bornFar, lq)
+	ss.bornEntrySlot = resize(ss.bornEntrySlot, lq)
+	ss.rowBlk = resize(ss.rowBlk, nodesA)
+	ss.rowGrp = resize(ss.rowGrp, nodesA)
+	ss.grpDirty = resize(ss.grpDirty, nodesA)
+	ss.bornPartners = resize(ss.bornPartners, nodesA)
+	ss.sNodeFar = resize(ss.sNodeFar, nodesA)
+	ss.farTotal = resize(ss.farTotal, nodesA)
+	ss.sAtomNear = resize(ss.sAtomNear, nA)
+	ss.rTree = resize(ss.rTree, nA)
+	ss.rPushed = resize(ss.rPushed, nA)
+	ss.epolNear = resize(ss.epolNear, la)
+	ss.epolNearVal = resize(ss.epolNearVal, la)
+	ss.epolW = resize(ss.epolW, la)
+	ss.epolFar = resize(ss.epolFar, la)
+	ss.nearVal = resize(ss.nearVal, la)
+	ss.farVal = resize(ss.farVal, la)
+	ss.epolPartners = resize(ss.epolPartners, nodesA)
+	ss.epolPartnerPos = resize(ss.epolPartnerPos, nodesA)
+	ss.rowScratch = resize(ss.rowScratch, nA)
+	clear(ar.epolVals[:cap(ar.epolVals)])
 
-	ss.refPosA = append([]geom.Vec3(nil), ta.Points...)
-	ss.epochPosA = append([]geom.Vec3(nil), ta.Points...)
-	ss.refPosQ = append([]geom.Vec3(nil), tq.Points...)
-	ss.epochPosQ = append([]geom.Vec3(nil), tq.Points...)
-	ss.dispRefA = make([]float64, len(ta.Nodes))
-	ss.dispEpochA = make([]float64, len(ta.Nodes))
-	ss.dispRefQ = make([]float64, len(tq.Nodes))
-	ss.dispEpochQ = make([]float64, len(tq.Nodes))
-	ss.refBallRA = make([]float64, len(ta.Nodes))
-	ss.refBallRQ = make([]float64, len(tq.Nodes))
-	ss.nodeDispA = make([]float64, len(ta.Nodes))
-	ss.nodeDispQ = make([]float64, len(tq.Nodes))
-	marks := make([]bool, 6*len(ta.Nodes)) // the per-node mark arrays, one allocation
-	ss.markA, ss.markRow, ss.markSlot = cut(&marks, len(ta.Nodes)), cut(&marks, len(ta.Nodes)), cut(&marks, len(ta.Nodes))
-	ss.markFar, ss.markU, ss.inFar = cut(&marks, len(ta.Nodes)), cut(&marks, len(ta.Nodes)), cut(&marks, len(ta.Nodes))
-	ss.markQ = make([]bool, len(tq.Nodes))
-	ss.markV = make([]bool, la)
-	ss.dirtyEnt = make([][]int32, la)
-	ss.fullV = make([]bool, la)
-	// The per-frame id lists hold each leaf at most once, so their final
-	// capacity is known now and no frame has to grow them.
-	moved := make([]int32, la+nA)
-	ss.movedA, ss.movedRows = moved[:0:la], moved[la:la]
-	ss.movedQ = make([]int32, 0, lq)
-	ss.dirtyRows = make([]int32, 0, la)
-	ss.dirtyV = make([]int32, 0, la)
-	ss.listU = make([]int32, 0, la)
-	ss.slotDirty = make([]int32, 0, la)
-
-	ss.rebuildStructure()
-	return ss, nil
+	ss.refPosA = resize(ss.refPosA, nA)
+	ss.epochPosA = resize(ss.epochPosA, nA)
+	ss.refPosQ = resize(ss.refPosQ, len(tq.Points))
+	ss.epochPosQ = resize(ss.epochPosQ, len(tq.Points))
+	ss.refBallRA = resize(ss.refBallRA, nodesA)
+	ss.refBallRQ = resize(ss.refBallRQ, nodesQ)
+	for _, d := range []*[]float64{&ss.dispRefA, &ss.dispEpochA, &ss.nodeDispA} {
+		*d = resize(*d, nodesA)
+		clear(*d)
+	}
+	for _, d := range []*[]float64{&ss.dispRefQ, &ss.dispEpochQ, &ss.nodeDispQ} {
+		*d = resize(*d, nodesQ)
+		clear(*d)
+	}
+	ar.nodeMarks = resize(ar.nodeMarks, 6*nodesA+nodesQ+2*la) // every mark array, one allocation
+	clear(ar.nodeMarks)
+	marks := ar.nodeMarks
+	ss.markA, ss.markRow, ss.markSlot = cut(&marks, nodesA), cut(&marks, nodesA), cut(&marks, nodesA)
+	ss.markFar, ss.markU, ss.inFar = cut(&marks, nodesA), cut(&marks, nodesA), cut(&marks, nodesA)
+	ss.markQ, ss.markV, ss.fullV = cut(&marks, nodesQ), cut(&marks, la), cut(&marks, la)
+	ss.dirtyEnt = resize(ss.dirtyEnt, la)
+	// The per-frame id lists hold each leaf (or atom) at most once, so
+	// their final capacity is known now and no frame has to grow them.
+	for _, l := range []struct {
+		s *[]int32
+		n int
+	}{{&ss.movedA, la}, {&ss.movedRows, nA}, {&ss.movedQ, lq}, {&ss.dirtyRows, la},
+		{&ss.dirtyV, la}, {&ss.listU, la}, {&ss.slotDirty, la}} {
+		*l.s = resize(*l.s, l.n)[:0]
+	}
+	ss.farDirty = ss.farDirty[:0]
 }
 
-// denseLeafIndex inverts LeafIdx: node id -> dense leaf index, -1 elsewhere.
-func denseLeafIndex(nodes int, leafIdx []int32) []int32 {
-	out := make([]int32, nodes)
+// Close hands the session's stores to the next NewSession and leaves the
+// session closed: Step answers ErrSessionClosed, Energy and Frame keep
+// their last values, and a second Close does nothing. The session keeps no
+// reference to what it handed back. A session dropped without Close is
+// left to the garbage collector.
+func (ss *Session) Close() {
+	if st := ss.release(); st != nil {
+		storePool.Put(st)
+	}
+}
+
+// release closes the session and returns its stores with every view
+// dropped: one that a re-derivation outgrew lives outside the arenas and is
+// not carried over, and the next session cuts its own. On a closed session
+// it returns nil.
+func (ss *Session) release() *sessionStores {
+	if ss.closed {
+		return nil
+	}
+	ss.closed = true
+	ss.bs, ss.es = nil, nil
+	st := new(sessionStores)
+	*st = ss.sessionStores
+	ss.sessionStores = sessionStores{}
+	for _, vs := range [][][]int32{st.qOwner, st.bornNear, st.bornFar, st.bornPartners, st.bornEntrySlot,
+		st.epolFar, st.epolPartners, st.epolPartnerPos, st.dirtyEnt} {
+		clear(vs)
+	}
+	clear(st.rowBlk)
+	clear(st.rowGrp)
+	clear(st.grpDirty)
+	clear(st.epolNear)
+	clear(st.epolNearVal)
+	clear(st.epolW)
+	return st
+}
+
+// denseLeafIndex inverts LeafIdx into dst: node id -> dense leaf index, -1
+// elsewhere.
+func denseLeafIndex(dst []int32, nodes int, leafIdx []int32) []int32 {
+	out := resize(dst, nodes)
 	for i := range out {
 		out[i] = -1
 	}
@@ -516,17 +601,20 @@ func (ss *Session) NumQPoints() int { return len(ss.qOff) }
 // including the views re-derivations outgrew, which live outside their
 // arenas until the next structural refresh re-cuts them.
 func (ss *Session) MemoryBytes() int64 {
+	if ss.closed {
+		return 0
+	}
 	ar := &ss.arenas
 	n := ss.bs.MemoryBytes() + ss.es.MemoryBytes() +
 		capBytes(ss.mol.Atoms) + capBytes(ss.charges) + capBytes(ss.qOff) +
 		capBytes(ss.rowScratch) + capBytes(ss.scratch.Near) + capBytes(ss.scratch.Far) + capBytes(ss.rowPairs.Near) +
 		slabBytes(&ar.near) + slabBytes(&ar.far) + slabBytes(&ar.epolFar) + slabBytes(&ar.epolNear) +
-		capBytes(ar.blocks) + capBytes(ar.groups) + capBytes(ar.marks) + capBytes(ar.epolVals) + capBytes(ar.epolW)
+		capBytes(ar.blocks) + capBytes(ar.groups) + capBytes(ar.marks) + capBytes(ar.nodeMarks) +
+		capBytes(ar.epolVals) + capBytes(ar.epolW) + capBytes(ar.owners)
 	for _, s := range [][][]int32{ss.qOwner, ss.bornNear, ss.bornFar, ss.bornPartners, ss.bornEntrySlot,
 		ss.epolFar, ss.epolPartners, ss.epolPartnerPos, ss.dirtyEnt} {
 		n += capBytes(s)
 	}
-	n += 4 * int64(len(ss.qOff)) // the owner lists' one backing array
 	for _, s := range [][][]float64{ss.rowBlk, ss.rowGrp, ss.epolNearVal} {
 		n += capBytes(s)
 	}
@@ -544,10 +632,14 @@ func (ss *Session) MemoryBytes() int64 {
 	for _, s := range [][]geom.Vec3{ss.refPosA, ss.epochPosA, ss.refPosQ, ss.epochPosQ} {
 		n += capBytes(s)
 	}
-	for _, s := range [][]bool{ss.markA, ss.markQ, ss.markRow, ss.markV, ss.markU, ss.fullV, ss.markSlot, ss.markFar, ss.inFar} {
-		n += capBytes(s)
-	}
-	return n + spilled(ss.bornNear, ar.near.chunks...) + spilled(ss.bornFar, ar.far.chunks...) +
+	return n + ss.spillBytes()
+}
+
+// spillBytes is the size of the views re-derivations outgrew: they live
+// outside their arenas until the next structural refresh re-cuts them.
+func (ss *Session) spillBytes() int64 {
+	ar := &ss.arenas
+	return spilled(ss.bornNear, ar.near.chunks...) + spilled(ss.bornFar, ar.far.chunks...) +
 		spilled(ss.bornEntrySlot, ar.slots) + spilled(ss.bornPartners, ar.partners) +
 		spilled(ss.rowBlk, ar.blocks) + spilled(ss.rowGrp, ar.groups) + spilled(ss.grpDirty, ar.marks) +
 		spilled(ss.epolNear, ar.epolNear.chunks...) + spilled(ss.epolFar, ar.epolFar.chunks...) +
@@ -593,8 +685,12 @@ func slabBytes[T any](s *slab[T]) int64 {
 // Step advances the stream by one frame: apply the delta, re-derive what
 // the slack margins invalidated, recompute exactly the dirty values, and
 // return the new energy. On an out-of-range move index or a coordinate
-// past MaxCoordinate (or not finite) the session is left unchanged.
+// past MaxCoordinate (or not finite) the session is left unchanged; a
+// closed session answers ErrSessionClosed.
 func (ss *Session) Step(d FrameDelta) (FrameReport, error) {
+	if ss.closed {
+		return FrameReport{}, ErrSessionClosed
+	}
 	n := len(ss.mol.Atoms)
 	for _, mv := range d.Moves {
 		if mv.Index < 0 || mv.Index >= n {

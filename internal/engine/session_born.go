@@ -191,8 +191,8 @@ func (ss *Session) rebuildBornPartners() {
 }
 
 // rebuildRowStores cuts every row's block store, group sums and group
-// marks to its partner count out of three counted arenas. The values are
-// rebuilt by the caller.
+// marks to its partner count out of three counted arenas, the marks
+// cleared. The values are rebuilt by the caller.
 func (ss *Session) rebuildRowStores() {
 	ta, ar := ss.bs.TA, &ss.arenas
 	var nBlk, nGrp, nMark int
@@ -203,6 +203,7 @@ func (ss *Session) rebuildRowStores() {
 	ar.blocks = resize(ar.blocks, nBlk)
 	ar.groups = resize(ar.groups, nGrp)
 	ar.marks = resize(ar.marks, nMark)
+	clear(ar.marks)
 	blocks, groups, marks := ar.blocks, ar.groups, ar.marks
 	for _, a := range ta.LeafIdx {
 		b, g, m := ss.rowStoreSizes(a)

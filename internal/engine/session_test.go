@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 
 	"octgb/internal/geom"
 	"octgb/internal/molecule"
+	"octgb/internal/octree"
 	"octgb/internal/surface"
 )
 
@@ -84,17 +86,34 @@ func runStream(t *testing.T, mol *molecule.Molecule, o SessionOptions, frames []
 		energies = append(energies, rep.Energy)
 		reports = append(reports, rep)
 		if rep.Refreshed {
-			// A refresh refits node geometry: the skip index and the
-			// center/radius mirrors must still describe the Node records.
-			if err := ss.bs.TA.Validate(); err != nil {
+			// A refresh refits node geometry: the center/radius mirrors
+			// must still describe the Node records.
+			if err := checkRefit(ss.bs.TA); err != nil {
 				t.Fatalf("frame %d: T_A after refresh: %v", fi, err)
 			}
-			if err := ss.bs.TQ.Validate(); err != nil {
+			if err := checkRefit(ss.bs.TQ); err != nil {
 				t.Fatalf("frame %d: T_Q after refresh: %v", fi, err)
 			}
 		}
 	}
 	return energies, reports
+}
+
+// checkRefit reports the first node whose center/radius mirror differs
+// from its Node record or whose ball misses one of its points.
+func checkRefit(tr *octree.Tree) error {
+	for i := range tr.Nodes {
+		nd := &tr.Nodes[i]
+		if c := nd.Center; tr.CX[i] != c.X || tr.CY[i] != c.Y || tr.CZ[i] != c.Z || tr.CR[i] != nd.Radius {
+			return fmt.Errorf("node %d: center/radius mirror diverges", i)
+		}
+		for j := nd.Start; j < nd.Start+nd.Count; j++ {
+			if d := tr.Points[j].Dist(nd.Center); d > nd.Radius*(1+1e-12)+1e-12 {
+				return fmt.Errorf("node %d: point %d outside its ball (%g > %g)", i, j, d, nd.Radius)
+			}
+		}
+	}
+	return nil
 }
 
 // TestSessionIncrementalMatchesOracle is the jitter property test: a
@@ -622,6 +641,59 @@ func TestNewSessionRejectsBadAtoms(t *testing.T) {
 	}
 }
 
+// degenerateMolecules are inputs at the edge of what the treecode assumes:
+// one atom, two atoms on one point, no charge at all, and atoms on one line
+// (flat octree boxes).
+func degenerateMolecules() map[string]*molecule.Molecule {
+	at := func(x, y, z, r, q float64) molecule.Atom {
+		return molecule.Atom{Pos: geom.Vec3{X: x, Y: y, Z: z}, Radius: r, Charge: q}
+	}
+	line := &molecule.Molecule{Name: "collinear"}
+	for i := 0; i < 60; i++ {
+		line.Atoms = append(line.Atoms, at(1.4*float64(i), 0, 0, 1.6, 0.3*float64(i%3-1)))
+	}
+	return map[string]*molecule.Molecule{
+		"one atom":   {Name: "one", Atoms: []molecule.Atom{at(0, 0, 0, 1.5, 0.5)}},
+		"coincident": {Name: "coincident", Atoms: []molecule.Atom{at(1, 2, 3, 1.5, 0.5), at(1, 2, 3, 1.7, 0.5)}},
+		"zero charge": {Name: "zero", Atoms: []molecule.Atom{at(0, 0, 0, 1.5, 0), at(3, 0, 0, 1.5, 0),
+			at(0, 3, 0, 1.2, 0), at(0, 0, 3, 1.8, 0)}},
+		"collinear": line,
+	}
+}
+
+// TestSessionDegenerateInputs: each degenerate molecule creates a session
+// with a finite energy, and frames that move its atoms — onto each other,
+// along the line, off it — keep it finite.
+func TestSessionDegenerateInputs(t *testing.T) {
+	for name, mol := range degenerateMolecules() {
+		ss, err := NewSession(mol, SessionOptions{Surf: surface.Default(), Eval: Options{Threads: 1}})
+		if err != nil {
+			t.Errorf("%s: NewSession: %v", name, err)
+			continue
+		}
+		energies := []float64{ss.Energy()}
+		last := len(mol.Atoms) - 1
+		for _, d := range []FrameDelta{
+			{Moves: []AtomMove{{Index: 0, Pos: mol.Atoms[last].Pos}}},
+			{Moves: []AtomMove{{Index: last, Pos: mol.Atoms[0].Pos.Add(geom.Vec3{X: 0.7})}}},
+			{Moves: []AtomMove{{Index: 0, Pos: geom.Vec3{Y: 2.5}}}},
+		} {
+			rep, err := ss.Step(d)
+			if err != nil {
+				t.Fatalf("%s: Step: %v", name, err)
+			}
+			energies = append(energies, rep.Energy)
+		}
+		for f, e := range energies {
+			if math.IsNaN(e) || math.IsInf(e, 0) {
+				t.Errorf("%s: energy %d is %g", name, f, e)
+			}
+		}
+		t.Logf("%s: energies %.6g", name, energies)
+		ss.Close()
+	}
+}
+
 // TestSessionMemoryBytesIsTheLiveHeap holds Session.MemoryBytes to what a
 // session really keeps alive, measured as the live-heap growth of creating
 // one and stepping it through a stream that re-derives drivers, to within
@@ -629,6 +701,8 @@ func TestNewSessionRejectsBadAtoms(t *testing.T) {
 func TestSessionMemoryBytesIsTheLiveHeap(t *testing.T) {
 	mol := molecule.GenerateProtein("heap", 2000, 9)
 	frames := homeJitter(mol, 8, 10, 0.25, 3)
+	// liveHeap's two collections also empty the store pool, so the create
+	// allocates every store it keeps instead of taking a closed session's.
 	before := liveHeap()
 	ss, err := NewSession(mol, SessionOptions{Surf: surface.Default(), Eval: Options{Threads: 1}})
 	if err != nil {
@@ -707,18 +781,37 @@ func BenchmarkSessionStep(b *testing.B) {
 // (3 000 atoms, engine defaults) and reports beside milliseconds, bytes and
 // allocations per create the session's resident size, Session.MemoryBytes,
 // in MB: the deterministic measure of what a session costs to create and
-// to keep.
+// to keep. "fresh" creates on an empty store pool; "recycled" closes the
+// previous session first, so each create takes its stores.
 func BenchmarkNewSession(b *testing.B) {
 	mol := molecule.GenerateProtein("stream-200", 3000, 1200)
 	o := SessionOptions{Surf: surface.Default(), Eval: Options{Threads: 1}}
-	b.ReportAllocs()
-	var ss *Session
-	for i := 0; i < b.N; i++ {
-		var err error
-		if ss, err = NewSession(mol, o); err != nil {
-			b.Fatal(err)
+	for _, recycle := range []bool{false, true} {
+		name := "fresh"
+		if recycle {
+			name = "recycled"
 		}
+		b.Run(name, func(b *testing.B) {
+			runtime.GC() // two collections empty the pool
+			runtime.GC()
+			ss, err := NewSession(mol, o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if recycle {
+					ss.Close()
+				}
+				if ss, err = NewSession(mol, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+			b.ReportMetric(float64(ss.MemoryBytes())/1e6, "session-MB")
+			ss.Close()
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
-	b.ReportMetric(float64(ss.MemoryBytes())/1e6, "session-MB")
 }

@@ -50,10 +50,3 @@ func (t *Tree) ballVisit(n int32, c geom.Vec3, r, r2 float64, fn func(i int32) b
 	}
 	return true
 }
-
-// CountInBall returns the number of points within distance r of center.
-func (t *Tree) CountInBall(center geom.Vec3, r float64) int {
-	n := 0
-	t.ForEachInBall(center, r, func(int32) bool { n++; return true })
-	return n
-}

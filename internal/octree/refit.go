@@ -105,10 +105,11 @@ func grow[T any](s []T, n int) []T {
 
 // PointLeaves returns, for every point (tree order), the node index of the
 // leaf that owns it — the lookup incremental callers need to map a moved
-// point to its dirty leaf. O(points); call once and keep the slice (the
-// topology, and therefore the mapping, never changes).
-func (t *Tree) PointLeaves() []int32 {
-	out := make([]int32, len(t.Points))
+// point to its dirty leaf — in dst, grown when it is too short. O(points);
+// call once and keep the slice (the topology, and therefore the mapping,
+// never changes).
+func (t *Tree) PointLeaves(dst []int32) []int32 {
+	out := grow(dst, len(t.Points))
 	for _, l := range t.LeafIdx {
 		nd := &t.Nodes[l]
 		for i := nd.Start; i < nd.Start+nd.Count; i++ {
@@ -121,8 +122,11 @@ func (t *Tree) PointLeaves() []int32 {
 // InvPerm returns the inverse of Perm: InvPerm()[orig] = tree-order index.
 // Incremental callers use it to route original-order updates (a moved atom)
 // to tree-order storage.
-func (t *Tree) InvPerm() []int32 {
-	out := make([]int32, len(t.Perm))
+func (t *Tree) InvPerm() []int32 { return t.InvPermInto(nil) }
+
+// InvPermInto is InvPerm written to dst, grown when it is too short.
+func (t *Tree) InvPermInto(dst []int32) []int32 {
+	out := grow(dst, len(t.Perm))
 	for i, orig := range t.Perm {
 		out[orig] = int32(i)
 	}

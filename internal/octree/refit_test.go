@@ -44,7 +44,7 @@ func TestRefitAllIdempotentOnUnmovedPoints(t *testing.T) {
 
 func TestPointLeavesCoversEveryPointOnce(t *testing.T) {
 	tr := Build(randomPoints(257, 5), 7)
-	leaves := tr.PointLeaves()
+	leaves := tr.PointLeaves(nil)
 	if len(leaves) != len(tr.Points) {
 		t.Fatalf("PointLeaves length %d, want %d", len(leaves), len(tr.Points))
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -173,6 +174,9 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 			ss:      out.ss,
 			created: time.Now(),
 		}
+		// Read before the session is in the store: from then on a close
+		// may release it.
+		atoms, qpts, energy := out.ss.NumAtoms(), out.ss.NumQPoints(), out.ss.Energy()
 		s.sessMu.Lock()
 		s.evictSessionsLocked(true)
 		st.lastUsed = time.Now()
@@ -180,14 +184,14 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		s.sessMu.Unlock()
 		s.metrics.completed.Add(1)
 		s.sobs.stage(s.sobs.streamCreate, "serve.stream.create", span, out.startedAt, time.Since(out.startedAt))
-		s.logf("serve: %s stream create %s atoms=%d qpts=%d E=%.6g", reqID, st.id, out.ss.NumAtoms(), out.ss.NumQPoints(), out.ss.Energy())
+		s.logf("serve: %s stream create %s atoms=%d qpts=%d E=%.6g", reqID, st.id, atoms, qpts, energy)
 		writeJSON(w, http.StatusOK, StreamCreateResponse{
 			RequestID: reqID,
 			SessionID: st.id,
 			Name:      mol.Name,
-			Atoms:     out.ss.NumAtoms(),
-			QPoints:   out.ss.NumQPoints(),
-			Energy:    out.ss.Energy(),
+			Atoms:     atoms,
+			QPoints:   qpts,
+			Energy:    energy,
 			Timings: TimingsJSON{
 				QueueMS:   msBetween(queued, out.startedAt),
 				PrepareMS: msBetween(out.startedAt, time.Now()),
@@ -294,6 +298,12 @@ func (s *Server) handleStreamFrame(w http.ResponseWriter, r *http.Request, reqID
 		s.sobs.stage(s.sobs.queueWait, "serve.queue", span, queued, out.startedAt.Sub(queued))
 		s.sobs.request(s.sobs.reqStream, "serve.stream", span, reqStart)
 		if out.err != nil {
+			if errors.Is(out.err, engine.ErrSessionClosed) {
+				// Dispatched before a close and run after it.
+				writeError(w, http.StatusNotFound, reqID, "not_found",
+					fmt.Sprintf("session %s was closed", id), 0)
+				return
+			}
 			if out.err == context.DeadlineExceeded || out.err == context.Canceled {
 				s.metrics.deadlineMisses.Add(1)
 				writeError(w, http.StatusGatewayTimeout, reqID, "deadline_exceeded",
@@ -350,10 +360,13 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request, reqID
 	}
 	s.metrics.streamCloses.Add(1)
 	// A frame running on a worker holds st.mu, not the store's map — the
-	// close wins the map race and the frame still completes against its
-	// own response channel.
+	// close wins the map race and waits for the frame. A frame dispatched
+	// before the close but run after it finds the session closed and
+	// answers 404. Eviction does not close: it holds sessMu and must not
+	// wait behind a frame, so an evicted session goes to the GC.
 	st.mu.Lock()
 	frames, energy := st.ss.Frame(), st.ss.Energy()
+	st.ss.Close()
 	st.mu.Unlock()
 	s.logf("serve: %s stream close %s frames=%d", reqID, id, frames)
 	writeJSON(w, http.StatusOK, StreamCloseResponse{

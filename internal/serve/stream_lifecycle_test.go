@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -16,8 +17,10 @@ import (
 // evaluation. They are written to run under -race (the `make race` list
 // includes this package) and assert the lifecycle contract directly: a
 // frame that passed lookup completes against its session pointer even if
-// the store drops the session mid-evaluation, and every post-removal
-// request observes a clean 404 — never a torn session.
+// eviction drops the session from the store mid-evaluation; a close
+// releases the session's storage, so a frame that runs after it answers a
+// clean 404; and every post-removal request observes a clean 404 — never a
+// torn session.
 
 // grabSession fetches the live session pointer for white-box
 // orchestration (holding its mutex stalls that session's next frame at
@@ -108,8 +111,9 @@ func TestStreamRaceLRUEvictionVsInflightFrame(t *testing.T) {
 }
 
 // TestStreamRaceCloseDuringFrame: DELETE races a frame that is already on
-// a worker. The close wins the store map immediately; the frame still
-// completes 200 through its own pointer, and everything after the close
+// a worker. The close wins the store map immediately; the frame answers
+// 200 with a finite energy if it takes the session lock first, or 404 if
+// the close does and releases the session, and everything after the close
 // observes 404.
 func TestStreamRaceCloseDuringFrame(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
@@ -126,8 +130,9 @@ func TestStreamRaceCloseDuringFrame(t *testing.T) {
 	st := grabSession(t, s, created.SessionID)
 	st.mu.Lock()
 	frameDone := make(chan int, 1)
+	var frame StreamFrameResponse
 	go func() {
-		frameDone <- postJSON(t, frameURL, StreamFrameRequest{Moves: wire[0]}, nil)
+		frameDone <- postJSON(t, frameURL, StreamFrameRequest{Moves: wire[0]}, &frame)
 	}()
 	waitFrameDispatched(t, s, 1)
 
@@ -158,7 +163,13 @@ func TestStreamRaceCloseDuringFrame(t *testing.T) {
 	}
 	st.mu.Unlock()
 
-	if code := <-frameDone; code != http.StatusOK {
+	switch code := <-frameDone; code {
+	case http.StatusOK:
+		if math.IsNaN(frame.Energy) || math.IsInf(frame.Energy, 0) {
+			t.Fatalf("in-flight frame during close: energy %g", frame.Energy)
+		}
+	case http.StatusNotFound:
+	default:
 		t.Fatalf("in-flight frame during close: status %d", code)
 	}
 	if code := <-closeDone; code != http.StatusOK {
@@ -170,6 +181,65 @@ func TestStreamRaceCloseDuringFrame(t *testing.T) {
 	}
 	if st := s.snapshot(); st.Streaming.Live != 0 || st.Streaming.Closed != 1 {
 		t.Fatalf("post-close stats %+v", st.Streaming)
+	}
+}
+
+// TestStreamRaceFramesAcrossClose: frames from several clients race a
+// close of their session. Each answers 200 with a finite energy (it ran
+// before the close) or 404 not_found (it ran after it, or looked the
+// session up after it): never a 5xx, a panic or a frame on released
+// storage.
+func TestStreamRaceFramesAcrossClose(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	s, ts := newTestServer(t, Config{Workers: 2, Threads: 1, MaxQueue: 256})
+
+	mol := molecule.GenerateProtein("close-frames", 120, 24)
+	wire, _ := jitterMoves(mol, 4, 3, 0.05, 10)
+	for round := 0; round < 4; round++ {
+		var created StreamCreateResponse
+		if code := postJSON(t, ts.URL+"/v1/stream", StreamCreateRequest{Molecule: FromMolecule(mol)}, &created); code != http.StatusOK {
+			t.Fatalf("create status %d", code)
+		}
+		frameURL := ts.URL + "/v1/stream/" + created.SessionID + "/frame"
+		const clients, frames = 3, 6
+		var ok, gone atomic.Int64
+		var wg sync.WaitGroup
+		counted := s.metrics.streamFrames.Load()
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for f := 0; f < frames; f++ {
+					var out struct {
+						Energy float64 `json:"energy"`
+						Error  string  `json:"error"`
+					}
+					switch code := postJSON(t, frameURL, StreamFrameRequest{Moves: wire[f%len(wire)]}, &out); {
+					case code == http.StatusOK && !math.IsNaN(out.Energy) && !math.IsInf(out.Energy, 0):
+						ok.Add(1)
+					case code == http.StatusNotFound && out.Error == "not_found":
+						gone.Add(1)
+					default:
+						t.Errorf("frame racing close: status %d, energy %g, error %q", code, out.Energy, out.Error)
+					}
+				}
+			}()
+		}
+		// Close once the first frames hold the session, while later ones
+		// are queued on its lock or still on their way.
+		for deadline := time.Now().Add(10 * time.Second); s.metrics.streamFrames.Load() < counted+2; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no frame reached the session")
+			}
+		}
+		if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/stream/"+created.SessionID, nil, nil); code != http.StatusOK {
+			t.Fatalf("close status %d", code)
+		}
+		wg.Wait()
+		if ok.Load()+gone.Load() != clients*frames {
+			t.Fatalf("round %d: %d ok + %d gone != %d frames", round, ok.Load(), gone.Load(), clients*frames)
+		}
+		t.Logf("round %d: %d frames answered 200, %d answered 404", round, ok.Load(), gone.Load())
 	}
 }
 

@@ -136,6 +136,44 @@ func FuzzStreamFrameBody(f *testing.F) {
 	})
 }
 
+// TestStreamDegenerateMolecules: POST /v1/stream with one atom, two atoms
+// on one point, no charge at all or atoms on one line answers a session
+// with a finite energy (or a typed 400), and a frame moving its atoms onto
+// each other answers a finite energy too — never a 5xx or a NaN.
+func TestStreamDegenerateMolecules(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Threads: 1})
+	line := MoleculeJSON{Name: "collinear"}
+	for i := 0; i < 60; i++ {
+		line.Atoms = append(line.Atoms, [5]float64{1.4 * float64(i), 0, 0, 1.6, 0.3 * float64(i%3-1)})
+	}
+	for name, m := range map[string]MoleculeJSON{
+		"one atom":    {Name: "one", Atoms: [][5]float64{{0, 0, 0, 1.5, 0.5}}},
+		"coincident":  {Name: "coincident", Atoms: [][5]float64{{1, 2, 3, 1.5, 0.5}, {1, 2, 3, 1.7, 0.5}}},
+		"zero charge": {Name: "zero", Atoms: [][5]float64{{0, 0, 0, 1.5, 0}, {3, 0, 0, 1.5, 0}, {0, 3, 0, 1.2, 0}}},
+		"collinear":   line,
+	} {
+		var created StreamCreateResponse
+		code := postJSON(t, ts.URL+"/v1/stream", StreamCreateRequest{Molecule: m}, &created)
+		if code == http.StatusBadRequest {
+			t.Logf("%s: create refused with 400", name)
+			continue
+		}
+		if code != http.StatusOK || math.IsNaN(created.Energy) || math.IsInf(created.Energy, 0) {
+			t.Fatalf("%s: create status %d energy %g", name, code, created.Energy)
+		}
+		last := m.Atoms[len(m.Atoms)-1]
+		var fr StreamFrameResponse
+		move := StreamFrameRequest{Moves: []MoveJSON{{I: 0, Pos: [3]float64{last[0], last[1], last[2]}}}}
+		if code := postJSON(t, ts.URL+"/v1/stream/"+created.SessionID+"/frame", move, &fr); code != http.StatusOK ||
+			math.IsNaN(fr.Energy) || math.IsInf(fr.Energy, 0) {
+			t.Fatalf("%s: frame status %d energy %g", name, code, fr.Energy)
+		}
+		if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/stream/"+created.SessionID, nil, nil); code != http.StatusOK {
+			t.Fatalf("%s: close status %d", name, code)
+		}
+	}
+}
+
 // TestStreamLifecycle drives the full /v1/stream arc — create, frames,
 // close — and checks every frame's energy against a local engine.Session
 // replaying the identical trajectory with the server's default options.
