@@ -165,6 +165,19 @@ func (s *BornSolver) BuildBornDualListInto(l *InteractionList) *InteractionList 
 	return l
 }
 
+// appendPair appends p, doubling the capacity when it is full. A whole
+// dual Born list runs to tens of thousands of entries; append's 1.25x
+// growth past 256 elements reallocates it some twenty times and copies
+// about four times its final length on the way, doubling under twice.
+func appendPair(s []NodePair, p NodePair) []NodePair {
+	if len(s) == cap(s) {
+		t := make([]NodePair, len(s), max(2*cap(s), 1024))
+		copy(t, s)
+		s = t
+	}
+	return append(s, p)
+}
+
 // fillBornDual continues the dual-tree traversal held on l's stack until
 // the stack is empty or l holds at least limit entries.
 func (s *BornSolver) fillBornDual(l *InteractionList, limit int) {
@@ -177,13 +190,13 @@ func (s *BornSolver) fillBornDual(l *InteractionList, limit int) {
 		qn := &s.TQ.Nodes[q]
 		d2 := an.Center.Dist2(qn.Center)
 		if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
-			l.Far = append(l.Far, p)
+			l.Far = appendPair(l.Far, p)
 			l.stats.FarEval++
 			continue
 		}
 		switch {
 		case an.Leaf && qn.Leaf:
-			l.Near = append(l.Near, p)
+			l.Near = appendPair(l.Near, p)
 			l.stats.NearPairs += int64(an.Count) * int64(qn.Count)
 		case qn.Leaf || (!an.Leaf && an.Radius >= qn.Radius):
 			for c := 7; c >= 0; c-- {

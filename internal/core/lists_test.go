@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"octgb/internal/gb"
@@ -253,5 +254,35 @@ func TestFlatListReuse(t *testing.T) {
 		if aa[i] != ba[i] {
 			t.Fatalf("sAtom[%d] differs across evaluations", i)
 		}
+	}
+}
+
+// TestBornDualListGrowsByDoubling pins the dual builder's growth: from an
+// empty list each of Near and Far is allocated once at 1024 entries and
+// once per doubling after that, so a whole list costs a handful of
+// allocations instead of the dozens append's 1.25x steps take.
+func TestBornDualListGrowsByDoubling(t *testing.T) {
+	m, q := testMol(300, 5)
+	bs := NewBornSolver(m, q, BornConfig{Eps: 0.9})
+	full := bs.BuildBornDualList()
+	growths := func(n int) float64 {
+		if n == 0 {
+			return 0
+		}
+		return float64(1 + bits.Len(uint((n-1)/1024)))
+	}
+	want := growths(len(full.Near)) + growths(len(full.Far))
+	if want < 8 {
+		t.Fatalf("list too small to grow: %d near, %d far entries", len(full.Near), len(full.Far))
+	}
+	// The traversal stack is kept at its full size, so only Near and Far
+	// allocate.
+	l := &InteractionList{stack: make(pairStack, 0, 4*cap(full.stack))}
+	allocs := testing.AllocsPerRun(3, func() {
+		l.Near, l.Far = nil, nil
+		bs.BuildBornDualListInto(l)
+	})
+	if allocs != want {
+		t.Errorf("BuildBornDualListInto on an empty list: %v allocs, want %v (%d near, %d far entries)", allocs, want, len(l.Near), len(l.Far))
 	}
 }
