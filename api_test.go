@@ -203,3 +203,66 @@ func TestServerViaFacade(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 }
+
+// degenerateMolecules are inputs at the edge of what the treecode assumes:
+// one atom, two atoms on one point, no charge at all, and atoms on one line
+// (flat octree boxes).
+func degenerateMolecules() map[string]*Molecule {
+	at := func(x, y, z, r, q float64) Atom {
+		return Atom{Pos: Vec3{X: x, Y: y, Z: z}, Radius: r, Charge: q}
+	}
+	line := &Molecule{Name: "collinear"}
+	for i := 0; i < 60; i++ {
+		line.Atoms = append(line.Atoms, at(1.4*float64(i), 0, 0, 1.6, 0.3*float64(i%3-1)))
+	}
+	return map[string]*Molecule{
+		"one atom":    {Name: "one", Atoms: []Atom{at(0, 0, 0, 1.5, 0.5)}},
+		"coincident":  {Name: "coincident", Atoms: []Atom{at(1, 2, 3, 1.5, 0.5), at(1, 2, 3, 1.7, 0.5)}},
+		"zero charge": {Name: "zero", Atoms: []Atom{at(0, 0, 0, 1.5, 0), at(3, 0, 0, 1.5, 0), at(0, 3, 0, 1.2, 0)}},
+		"collinear":   line,
+	}
+}
+
+// TestComputeDegenerateInputs: every engine gives each degenerate molecule
+// a finite energy or an error, never a panic or a NaN — twice, so that the
+// second solve builds in the storage of the first — and a normal molecule
+// solved after them gets the energy it got before them, bit for bit.
+func TestComputeDegenerateInputs(t *testing.T) {
+	normal := GenerateProtein("after-degenerate", 300, 81)
+	engines := []Options{
+		{Engine: OctMPICilk, Ranks: 2, Threads: 1},
+		{Engine: OctMPI, Ranks: 3, Threads: 1},
+		{Engine: OctCilk, Ranks: 1, Threads: 1},
+	}
+	var before []float64
+	for _, o := range engines {
+		res, err := Compute(normal, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = append(before, res.Energy)
+	}
+	for name, mol := range degenerateMolecules() {
+		for _, o := range engines {
+			for round := 0; round < 2; round++ {
+				res, err := Compute(mol, o)
+				if err != nil {
+					t.Logf("%s, %v: refused: %v", name, o.Engine, err)
+					continue
+				}
+				if math.IsNaN(res.Energy) || math.IsInf(res.Energy, 0) {
+					t.Errorf("%s, %v, round %d: energy %g", name, o.Engine, round, res.Energy)
+				}
+			}
+		}
+	}
+	for i, o := range engines {
+		res, err := Compute(normal, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.Energy) != math.Float64bits(before[i]) {
+			t.Errorf("%v after the degenerate solves: energy %.17g, before %.17g", o.Engine, res.Energy, before[i])
+		}
+	}
+}

@@ -158,25 +158,39 @@ func (s *BornSolver) kernel(d2 float64) float64 {
 }
 
 // NewBornSolver builds both octrees and all aggregates. The molecule and
-// q-point slices are not retained.
+// q-point slices are not retained. The storage is a released solver's
+// (Release) when one fits, and the solver is the same either way.
 func NewBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig) *BornSolver {
-	cfg = cfg.withDefaults()
-	s := &BornSolver{cfg: cfg, sepK2: sepFactor2(sepRatio(cfg.Eps, cfg.CriterionPower)), r4: cfg.Exponent == 4}
+	return newBornSolver(mol, qpts, cfg, take[BornSolver](&bornPool))
+}
 
-	apos := make([]geom.Vec3, mol.N())
+// newBornSolver is NewBornSolver in the storage of s, a released solver,
+// or in new storage when s is nil or oversized for this build.
+func newBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig, s *BornSolver) *BornSolver {
+	cfg = cfg.withDefaults()
+	if s == nil || oversized(cap(s.TA.Points), mol.N()) || oversized(cap(s.TQ.Points), len(qpts)) {
+		s = &BornSolver{TA: new(octree.Tree), TQ: new(octree.Tree)}
+	}
+	s.cfg, s.sepK2, s.r4 = cfg, sepFactor2(sepRatio(cfg.Eps, cfg.CriterionPower)), cfg.Exponent == 4
+
+	apos := resize(s.TA.Points, mol.N())
 	for i := range mol.Atoms {
 		apos[i] = mol.Atoms[i].Pos
 	}
-	s.TA = octree.BuildOwned(apos, cfg.LeafSize)
-	s.atomR = make([]float64, mol.N())
+	s.TA.Rebuild(apos, cfg.LeafSize)
+	s.atomR = resize(s.atomR, mol.N())
 	for i, orig := range s.TA.Perm {
 		s.atomR[i] = mol.Atoms[orig].Radius
 	}
 
-	s.TQ = octree.BuildOwned(surface.Positions(qpts), cfg.LeafSize)
-	s.wnX = make([]float64, len(qpts))
-	s.wnY = make([]float64, len(qpts))
-	s.wnZ = make([]float64, len(qpts))
+	qpos := resize(s.TQ.Points, len(qpts))
+	for i := range qpts {
+		qpos[i] = qpts[i].Pos
+	}
+	s.TQ.Rebuild(qpos, cfg.LeafSize)
+	s.wnX = resize(s.wnX, len(qpts))
+	s.wnY = resize(s.wnY, len(qpts))
+	s.wnZ = resize(s.wnZ, len(qpts))
 	for i, orig := range s.TQ.Perm {
 		q := &qpts[orig]
 		w := q.Normal.Scale(q.Weight)
@@ -187,9 +201,9 @@ func NewBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig
 	// always have larger indices than their parent, so one reverse sweep is
 	// O(nodes + points) instead of the O(points · depth) of summing every
 	// point under every ancestor.
-	s.wnNX = make([]float64, len(s.TQ.Nodes))
-	s.wnNY = make([]float64, len(s.TQ.Nodes))
-	s.wnNZ = make([]float64, len(s.TQ.Nodes))
+	s.wnNX = resize(s.wnNX, len(s.TQ.Nodes))
+	s.wnNY = resize(s.wnNY, len(s.TQ.Nodes))
+	s.wnNZ = resize(s.wnNZ, len(s.TQ.Nodes))
 	for n := len(s.TQ.Nodes) - 1; n >= 0; n-- {
 		nd := &s.TQ.Nodes[n]
 		var sum geom.Vec3
@@ -213,13 +227,13 @@ func NewBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig
 	} else {
 		s.rcap = math.Max(10, 2*b.HalfDiagonal())
 	}
-	s.aRange = make([]int64, len(s.TA.Nodes))
-	s.aCent = make([]float64, 4*len(s.TA.Nodes))
+	s.aRange = resize(s.aRange, len(s.TA.Nodes))
+	s.aCent = resize(s.aCent, 4*len(s.TA.Nodes))
 	for n := range s.TA.Nodes {
 		lo, hi := s.TA.PointRange(int32(n))
 		s.aRange[n] = int64(lo) | int64(hi)<<32
 		c := s.TA.Nodes[n].Center
-		s.aCent[4*n], s.aCent[4*n+1], s.aCent[4*n+2] = c.X, c.Y, c.Z
+		s.aCent[4*n], s.aCent[4*n+1], s.aCent[4*n+2], s.aCent[4*n+3] = c.X, c.Y, c.Z, 0
 	}
 	return s
 }
@@ -233,9 +247,10 @@ func (s *BornSolver) nodeWN(q int32) geom.Vec3 {
 }
 
 // MemoryBytes is the memory the solver holds: both octrees and the
-// per-point and per-node payload streams.
+// per-point and per-node payload streams, at their capacity.
 func (s *BornSolver) MemoryBytes() int64 {
-	floats := len(s.atomR) + 3*len(s.wnX) + 3*len(s.wnNX) + len(s.aRange) + len(s.aCent)
+	floats := cap(s.atomR) + cap(s.wnX) + cap(s.wnY) + cap(s.wnZ) + cap(s.wnNX) + cap(s.wnNY) + cap(s.wnNZ) +
+		cap(s.aRange) + cap(s.aCent)
 	return s.TA.MemoryBytes() + s.TQ.MemoryBytes() + 8*int64(floats)
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"octgb/internal/gb"
 	"octgb/internal/geom"
-	"octgb/internal/molecule"
 	"octgb/internal/octree"
 )
 
@@ -73,23 +72,28 @@ type EpolSolver struct {
 	// leafNo is the dense leaf index of every leaf node (T.LeafIdx
 	// inverted) — what blockWeight picks a mutual block's owner from.
 	leafNo []int32
+
+	// restricted marks a Restrict copy, which shares its parent's bins and
+	// tree skeleton and so is never handed back (Release).
+	restricted bool
 }
 
 // buildVecTables (re)packs the broadcast row tables from the solver's
-// current q/R/invR and tree SoA mirrors. Called at construction, and again
-// by Restrict so the NaN poison propagates into the vector path; SetResident
-// patches the tables in place instead.
+// current q/R/invR and tree SoA mirrors into the tables' own storage.
+// Called at construction, and again by Restrict (on fresh tables) so the
+// NaN poison propagates into the vector path; SetResident patches the
+// tables in place instead.
 func (s *EpolSolver) buildVecTables() {
-	s.uRange = make([]int64, len(s.T.Nodes))
+	s.uRange = resize(s.uRange, len(s.T.Nodes))
 	for n := range s.T.Nodes {
 		lo, hi := s.T.PointRange(int32(n))
 		s.uRange[n] = int64(lo) | int64(hi)<<32
 	}
-	s.uPos = make([]float64, 4*len(s.q))
-	s.uQRG = make([]float64, 4*len(s.q))
+	s.uPos = resize(s.uPos, 4*len(s.q))
+	s.uQRG = resize(s.uQRG, 4*len(s.q))
 	for i := range s.q {
-		s.uPos[4*i], s.uPos[4*i+1], s.uPos[4*i+2] = s.T.X[i], s.T.Y[i], s.T.Z[i]
-		s.uQRG[4*i], s.uQRG[4*i+1], s.uQRG[4*i+2] = s.q[i], s.R[i], -0.25*s.invR[i]
+		s.uPos[4*i], s.uPos[4*i+1], s.uPos[4*i+2], s.uPos[4*i+3] = s.T.X[i], s.T.Y[i], s.T.Z[i], 0
+		s.uQRG[4*i], s.uQRG[4*i+1], s.uQRG[4*i+2], s.uQRG[4*i+3] = s.q[i], s.R[i], -0.25*s.invR[i], 0
 	}
 }
 
@@ -104,17 +108,22 @@ func epolFar2(d2, ru, rv, sep2 float64) bool {
 
 // NewEpolSolver builds the energy treecode state over an existing atoms
 // octree. charges and bornR are in ORIGINAL atom order; tree.Perm maps them.
+// The solver shares the tree; its own storage is a released solver's
+// (Release) when one fits, and the solver is the same either way.
 func NewEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig) *EpolSolver {
+	return newEpolSolver(tree, charges, bornR, cfg, take[EpolSolver](&epolPool))
+}
+
+// newEpolSolver is NewEpolSolver in the storage of s, a released solver,
+// or in new storage when s is nil or oversized for this build.
+func newEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig, s *EpolSolver) *EpolSolver {
 	cfg = cfg.withDefaults()
 	n := len(tree.Points)
-	s := &EpolSolver{
-		T:    tree,
-		cfg:  cfg,
-		q:    make([]float64, n),
-		R:    make([]float64, n),
-		invR: make([]float64, n),
-		sep:  1 + 2/cfg.Eps,
+	if s == nil || oversized(cap(s.q), n) || oversized(cap(s.leafNo), len(tree.Nodes)) {
+		s = new(EpolSolver)
 	}
+	s.T, s.cfg, s.sep = tree, cfg, 1+2/cfg.Eps
+	s.q, s.R, s.invR = resize(s.q, n), resize(s.R, n), resize(s.invR, n)
 	s.sep2 = s.sep * s.sep
 	for i, orig := range tree.Perm {
 		s.q[i] = charges[orig]
@@ -143,7 +152,7 @@ func NewEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig) 
 	}
 
 	// Per-atom bin index.
-	s.binOf = make([]int32, n)
+	s.binOf = resize(s.binOf, n)
 	for i, r := range s.R {
 		k := 0
 		if r > s.Rmin {
@@ -159,7 +168,8 @@ func NewEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig) 
 	// Per-node aggregates q_U[k]. Leaves fill from their atom ranges;
 	// internal nodes sum their children (bottom-up by reverse index: in
 	// this layout children always have larger indices than parents).
-	s.bins = make([]float64, len(tree.Nodes)*s.M)
+	s.bins = resize(s.bins, len(tree.Nodes)*s.M)
+	clear(s.bins)
 	for ni := len(tree.Nodes) - 1; ni >= 0; ni-- {
 		nd := &tree.Nodes[ni]
 		row := s.bins[ni*s.M : (ni+1)*s.M]
@@ -181,13 +191,14 @@ func NewEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig) 
 	}
 
 	// Precompute R_min²(1+ε)^(i+j) for all bin-pair sums.
-	s.binRR = make([]float64, 2*s.M-1)
+	s.binRR = resize(s.binRR, 2*s.M-1)
 	for t := range s.binRR {
 		s.binRR[t] = s.Rmin * s.Rmin * math.Pow(1+cfg.Eps, float64(t))
 	}
 
 	// Compress the node-major bins into the nonzero-only layout.
-	s.nzStart = make([]int32, len(tree.Nodes)+1)
+	s.nzStart = resize(s.nzStart, len(tree.Nodes)+1)
+	s.nzBin, s.nzQ = s.nzBin[:0], s.nzQ[:0]
 	for ni := 0; ni < len(tree.Nodes); ni++ {
 		s.nzStart[ni] = int32(len(s.nzBin))
 		row := s.bins[ni*s.M : (ni+1)*s.M]
@@ -200,25 +211,11 @@ func NewEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig) 
 	}
 	s.nzStart[len(tree.Nodes)] = int32(len(s.nzBin))
 	s.buildVecTables()
-	s.leafNo = make([]int32, len(tree.Nodes))
+	s.leafNo = resize(s.leafNo, len(tree.Nodes)) // read at leaves only
 	for i, n := range tree.LeafIdx {
 		s.leafNo[n] = int32(i)
 	}
 	return s
-}
-
-// NewEpolSolverFromMolecule builds the octree internally from the molecule
-// (charges from the atoms, Born radii supplied in original order).
-func NewEpolSolverFromMolecule(mol *molecule.Molecule, bornR []float64, cfg EpolConfig) *EpolSolver {
-	cfg = cfg.withDefaults()
-	positions := make([]geom.Vec3, mol.N())
-	charges := make([]float64, mol.N())
-	for i := range mol.Atoms {
-		positions[i] = mol.Atoms[i].Pos
-		charges[i] = mol.Atoms[i].Charge
-	}
-	tree := octree.Build(positions, cfg.LeafSize)
-	return NewEpolSolver(tree, charges, bornR, cfg)
 }
 
 // MemoryBytes is the memory the solver holds beside the atoms octree it
@@ -531,6 +528,7 @@ func (s *EpolSolver) epolDual(p NodePair, st *Stats) float64 {
 // distributed-data engine (paper §VI future work).
 func (s *EpolSolver) Restrict(residentLeaves []int32) *EpolSolver {
 	out := *s
+	out.restricted = true
 	nan := math.NaN()
 	out.q = make([]float64, len(s.q))
 	out.R = make([]float64, len(s.R))
@@ -555,8 +553,10 @@ func (s *EpolSolver) Restrict(residentLeaves []int32) *EpolSolver {
 	tree.Points = ptsCopy
 	tree.FillSoA()
 	out.T = &tree
-	// Repack the vector-kernel row tables from the poisoned data — sharing
-	// them would let the amd64 near kernel read real values past the poison.
+	// Repack the vector-kernel row tables from the poisoned data into new
+	// ones — sharing them would let the amd64 near kernel read real values
+	// past the poison.
+	out.uRange, out.uPos, out.uQRG = nil, nil, nil
 	out.buildVecTables()
 	return &out
 }
@@ -618,16 +618,6 @@ func (s *EpolSolver) neededVisit(u, v int32, vAnc []int32, out *[]int32) {
 			s.neededVisit(ch, v, vAnc, out)
 		}
 	}
-}
-
-// BinChargeSum returns Σ_k q_U[k] for a node — used by invariant tests
-// (must equal the total charge under the node).
-func (s *EpolSolver) BinChargeSum(node int32) float64 {
-	var sum float64
-	for _, q := range s.bins[int(node)*s.M : (int(node)+1)*s.M] {
-		sum += q
-	}
-	return sum
 }
 
 // NumBins returns M_ε.

@@ -15,9 +15,9 @@ import (
 // expandable pair replaced in place by its children, until at least
 // minPairs independent pairs exist (or the recursion bottoms out). The
 // pairs stay in the recursion's visit order, so completing them in
-// sequence (AccumulateDualPair, StreamBornDual) adds every term in the
-// order AccumulateDual does; the second result counts the recursion steps
-// the expansion took on the pairs' behalf.
+// sequence (StreamBornDual) adds every term in the order AccumulateDual
+// does; the second result counts the recursion steps the expansion took on
+// the pairs' behalf.
 func (s *BornSolver) DualFrontier(minPairs int) ([]NodePair, Stats) {
 	var st Stats
 	if len(s.TA.Nodes) == 0 || len(s.TQ.Nodes) == 0 {
@@ -53,14 +53,6 @@ func (s *BornSolver) DualFrontier(minPairs int) ([]NodePair, Stats) {
 		front = next
 	}
 	return front, st
-}
-
-// AccumulateDualPair runs the dual-tree Born recursion from the given
-// (atoms-node, q-node) pair.
-func (s *BornSolver) AccumulateDualPair(a, q int32, sNode, sAtom []float64) Stats {
-	var st Stats
-	s.approxIntegralsDual(a, q, sNode, sAtom, &st)
-	return st
 }
 
 // EpolDualFrontier expands the energy dual traversal (EnergyDual) level by

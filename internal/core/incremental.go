@@ -19,8 +19,7 @@ import (
 //   - per-entry scalar evaluators with the exact arithmetic of the flat
 //     Range kernels, so a value recomputed alone is bitwise the value a
 //     full sweep produces: BornFarTerm, BornRadiusFromSums (EvalEpolFarPair
-//     and EvalEpolNearPair in lists.go already qualify — the latter always
-//     takes the scalar run path, never the vectorized one);
+//     in lists.go already qualifies);
 //   - the row-major batched near evaluator EvalBornRowBlocks, which fills
 //     one T_A leaf's block against each of a list of q-leaves with the
 //     bits EvalBornNearRange gives the same entry alone;
@@ -98,7 +97,7 @@ func (s *BornSolver) BornRadiusFromSums(i int32, sum float64) float64 {
 
 // EvalBornRowBlocks evaluates the atom rows [lo, hi) of the T_A leaf a —
 // a sub-range of its point range, or all of it — against each of the
-// q-leaves in qLeaves (dense T_Q leaf indices, as BuildBornList counts
+// q-leaves in qLeaves (dense T_Q leaf indices, as StreamBornLeaves counts
 // them). Entry k's block is the q-leaf's contribution to each atom of a,
 // in row order, at out[k·Count(a) : (k+1)·Count(a)]; the call writes the
 // rows' elements of every block and leaves the others as they are. It is
@@ -149,9 +148,9 @@ func (s *BornSolver) FarTotals(sNode, out []float64) {
 // with both sides' radii inflated by SlackMargin. Inflation only moves
 // pairs from far to near (near is exact), so accuracy is never worse than
 // the plain criterion's, and any drift within the margins keeps every far
-// decision valid. Visit order matches BuildBornList, so near entries
-// come out in the canonical (ascending) order the session's row resums
-// rely on.
+// decision valid. Visit order is that of StreamBornLeaves' traversal, so
+// near entries come out in the canonical (ascending) order the session's
+// row resums rely on.
 func (s *BornSolver) BuildBornDriverSlack(l *InteractionList, qLeaf int32, ballC geom.Vec3, ballR, slackFactor, minSlack float64) *InteractionList {
 	l.reset()
 	if len(s.TA.Nodes) == 0 {

@@ -96,16 +96,6 @@ func (st *pairStack) pop() NodePair {
 // Born-radius treecode lists
 // ---------------------------------------------------------------------------
 
-// BuildBornList runs the single-tree APPROX-INTEGRALS traversal for the
-// q-leaves [qLo, qHi) and returns the interaction list. Evaluating the
-// list (EvalBornList) is equivalent to running AccumulateQLeaf over the
-// same leaf range.
-func (s *BornSolver) BuildBornList(qLo, qHi int) *InteractionList {
-	l := new(InteractionList)
-	s.fillBornLeaves(l, qLo, qHi, math.MaxInt)
-	return l
-}
-
 // fillBornLeaves appends the traversals of whole q-leaves, from qLo on,
 // until l holds at least limit entries or qHi is reached, and returns the
 // first leaf it did not traverse. Each q-leaf walks T_A in pre-order over
@@ -220,10 +210,11 @@ func (s *BornSolver) fillBornDual(l *InteractionList, limit int) {
 // back what the traversal just wrote.
 const bornTileEntries = 4096
 
-// StreamBornLeaves is EvalBornList(BuildBornList(qLo, qHi)) without the
-// list: the single-tree traversal fills tile up to bornTileEntries, the
-// range kernels evaluate it, and the same storage takes the next tile —
-// the engines' Born phase, whose lists are read once and never kept.
+// StreamBornLeaves evaluates the single-tree traversal of the q-leaves
+// [qLo, qHi) without keeping its list: the traversal fills tile up to
+// bornTileEntries, the range kernels evaluate it, and the same storage
+// takes the next tile — the engines' Born phase, whose lists are read once
+// and never kept.
 // Tiles end on q-leaf boundaries and far entries touch only sNode, near
 // entries only sAtom, so every accumulator sees its additions in list
 // order and the result is bitwise that of the materialised form.
@@ -405,17 +396,6 @@ func (s *BornSolver) EvalBornList(l *InteractionList, sNode, sAtom []float64) St
 // Energy (APPROX-EPOL) treecode lists
 // ---------------------------------------------------------------------------
 
-// BuildEpolList runs the leaf-driven APPROX-EPOL traversal for the
-// atoms-octree leaves [vLo, vHi) and returns the interaction list.
-// Evaluating it is equivalent to summing LeafEnergy over the same range.
-func (s *EpolSolver) BuildEpolList(vLo, vHi int) *InteractionList {
-	l := new(InteractionList)
-	for vl := vLo; vl < vHi; vl++ {
-		s.appendEpolLeaf(l, vl)
-	}
-	return l
-}
-
 // appendEpolLeaf appends the leaf-driven APPROX-EPOL traversal of the
 // driver leaf with dense index vl: the stackless pre-order walk of
 // fillBornLeaves with Fig. 3's order of tests — a leaf is always an exact
@@ -459,13 +439,14 @@ func (s *EpolSolver) appendEpolLeaf(l *InteractionList, vl int) {
 	l.stats = st
 }
 
-// StreamEpolLeaves is EvalEpolList(BuildEpolList(vLo, vHi)) without the
-// list — step 6 of the leaf-driven engines, streamed like their step 2
-// (StreamBornLeaves). The tile holds one driver leaf's entries at a time,
-// and each driver's sum is added to *raw as it completes, so *raw sees the
-// same additions in the same order however [vLo, vHi) is cut into calls:
-// chunks run in ascending order into one accumulator are the serial sum,
-// bit for bit. It returns the Stats of the traversals.
+// StreamEpolLeaves evaluates the leaf-driven APPROX-EPOL traversal of the
+// atoms-octree leaves [vLo, vHi) without keeping its list — step 6 of the
+// leaf-driven engines, streamed like their step 2 (StreamBornLeaves). The
+// tile holds one driver leaf's entries at a time, and each driver's sum is
+// added to *raw as it completes, so *raw sees the same additions in the
+// same order however [vLo, vHi) is cut into calls: chunks run in ascending
+// order into one accumulator are the serial sum, bit for bit. It returns
+// the Stats of the traversals.
 func (s *EpolSolver) StreamEpolLeaves(tile *InteractionList, vLo, vHi int, raw *float64) Stats {
 	tile.reset()
 	for vl := vLo; vl < vHi; vl++ {
@@ -541,15 +522,6 @@ func (s *EpolSolver) streamEpolDual(tile *InteractionList, roots []NodePair, lim
 // number of far-field terms a bin-pair approximation against it costs.
 func (s *EpolSolver) nnz(n int32) int64 {
 	return int64(s.nzStart[n+1] - s.nzStart[n])
-}
-
-// EvalEpolNearPair evaluates one exact near-field entry: all ordered atom
-// pairs (u-leaf rows × v-leaf columns), including self pairs when the
-// leaves coincide. Returns the block's own raw (unscaled) sum; what an entry
-// counts for in its list is applied by the range kernels.
-func (s *EpolSolver) EvalEpolNearPair(u, v int32) float64 {
-	one := [1]NodePair{{u, v}}
-	return s.evalEpolNearRunScalar(one[:], v)
 }
 
 // evalEpolNearRunScalar is the non-vector run kernel in the configured math.

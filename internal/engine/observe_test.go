@@ -105,7 +105,7 @@ func TestLeafEvalHotPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	es := core.NewEpolSolver(p.bs.TA, pr.Charges, p.BornRadii, core.EpolConfig{Eps: 0.9})
-	list := es.BuildEpolList(0, p.bs.TA.NumLeaves())
+	list := es.BuildEpolDualList()
 	if len(list.Near) == 0 {
 		t.Fatal("empty near list")
 	}

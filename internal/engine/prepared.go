@@ -29,6 +29,8 @@ import (
 // A Prepared is immutable after Prepare and safe for concurrent EvalEpol
 // calls: the octrees, the Born radii and both solvers are read-only after
 // construction, and every evaluation has its own accumulators and tiles.
+// A Prepared never releases its solvers (core's Release): one that is
+// cached, or was, may still be read, and goes to the garbage collector.
 type Prepared struct {
 	// Pr is the underlying problem (molecule + sampled surface + charges).
 	Pr *Problem
@@ -153,6 +155,10 @@ func (p *Prepared) evalEpol(o Options) RealReport {
 		BornStats: p.BornStats,
 	}
 	es := p.epolSolver(o)
+	if es != p.es {
+		// Built for this call alone: its storage backs the next build.
+		defer es.Release()
+	}
 	pool := sched.NewPool(o.Threads)
 	// As in the Born phase, the frontier pairs are the units: each chunk of
 	// them is completed by streaming its part of the dual traversal through

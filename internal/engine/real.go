@@ -176,8 +176,15 @@ func bornPhase(bs *core.BornSolver, pool *sched.Pool, n, grain int, sNode, sAtom
 // half ((*Prepared).evalEpol) — the same two halves the serving layer runs
 // separately around its prepared-problem cache, so the cold path and the
 // cached path are one code path (see prepared.go).
+//
+// The Prepared never escapes, so its solvers go back to the core pools
+// once the energy is in: the next cold solve builds in their storage.
 func runCilkReal(pr *Problem, o Options) RealReport {
-	return prepareCilk(pr, o).evalEpol(o)
+	p := prepareCilk(pr, o)
+	rep := p.evalEpol(o)
+	p.es.Release()
+	p.bs.Release()
+	return rep
 }
 
 // RunRank executes one rank of the Fig. 4 algorithm over an arbitrary
@@ -191,6 +198,7 @@ func RunRank(c cluster.Comm, pr *Problem, o Options) (RealReport, error) {
 	bs := core.NewBornSolver(pr.Mol, pr.QPts, o.bornConfig())
 	observeBuild(o.Observe, buildStart, time.Since(buildStart))
 	rep, err := runRank(c, bs, pr, o)
+	bs.Release()
 	if err == nil {
 		recordSchedStats(o.Observe, rep.Sched)
 	}
@@ -217,6 +225,8 @@ func runDistributedReal(pr *Problem, o Options) (RealReport, error) {
 		results[c.Rank()] = rep
 		return nil
 	})
+	// Run has waited for every rank, so none can still read the solver.
+	bs.Release()
 	if err != nil {
 		return RealReport{}, err
 	}
@@ -309,6 +319,7 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 		statsW[w].Add(es.StreamEpolLeaves(tiles.get(w), lseg.Lo+lo, lseg.Lo+hi, &partial[w]))
 	}))
 	tiles.release()
+	es.Release()
 	var raw float64
 	for w := range partial {
 		raw += partial[w]

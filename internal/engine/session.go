@@ -400,8 +400,9 @@ var storePool sync.Pool // of *sessionStores
 // derives every driver segment with slack margins, and evaluates the
 // initial energy. The molecule is copied; the caller's value is never
 // mutated. The stores come from a closed session when one was handed back
-// (Close); the solvers and the surface sample are always built anew, and
-// the energies do not depend on where the stores came from.
+// (Close), and the solvers are built in a released solver's storage when
+// there is one; the surface sample is always built anew, and the energies
+// do not depend on where the storage came from.
 func NewSession(mol *molecule.Molecule, o SessionOptions) (*Session, error) {
 	st, _ := storePool.Get().(*sessionStores)
 	return newSession(mol, o, st)
@@ -532,11 +533,11 @@ func (ss *Session) sizeStores(qpts []surface.QPoint, owners []int32) {
 	ss.farDirty = ss.farDirty[:0]
 }
 
-// Close hands the session's stores to the next NewSession and leaves the
-// session closed: Step answers ErrSessionClosed, Energy and Frame keep
-// their last values, and a second Close does nothing. The session keeps no
-// reference to what it handed back. A session dropped without Close is
-// left to the garbage collector.
+// Close hands the session's stores to the next NewSession and its solvers
+// to the next solver build, and leaves the session closed: Step answers
+// ErrSessionClosed, Energy and Frame keep their last values, and a second
+// Close does nothing. The session keeps no reference to what it handed
+// back. A session dropped without Close is left to the garbage collector.
 func (ss *Session) Close() {
 	if st := ss.release(); st != nil {
 		storePool.Put(st)
@@ -552,6 +553,8 @@ func (ss *Session) release() *sessionStores {
 		return nil
 	}
 	ss.closed = true
+	ss.es.Release()
+	ss.bs.Release()
 	ss.bs, ss.es = nil, nil
 	st := new(sessionStores)
 	*st = ss.sessionStores
@@ -1007,7 +1010,9 @@ func (ss *Session) rebuildStructure() {
 	copy(ss.rPushed, ss.rTree)
 
 	// Fresh energy solver: re-bins charges against the current (exact)
-	// radii and rebuilds every mirror from the current positions.
+	// radii and rebuilds every mirror from the current positions, in the
+	// storage of the one it replaces.
+	ss.es.Release()
 	ss.es = core.NewEpolSolver(ta, ss.charges, ss.bs.RadiiToOriginal(ss.rTree), ss.eo.epolConfig())
 	nVals := 0
 	for vl, aLeaf := range ta.LeafIdx {

@@ -13,17 +13,20 @@ import (
 	"octgb/internal/testutil"
 )
 
-// materialisedRadii is the Born phase as the engines ran it before lists
-// were streamed — one whole list, built and then evaluated, through the
-// public builders — for the single-tree (dual = false) or dual traversal.
+// materialisedRadii is the Born phase as one serial pass: for the dual
+// traversal (dual = true) one whole list, built and then evaluated through
+// the public builder, and for the single-tree traversal one stream over
+// every q-leaf into one accumulator, which core's tests hold to the whole
+// list bit for bit.
 func materialisedRadii(pr *Problem, dual bool) (*core.BornSolver, []float64, core.Stats) {
 	bs := core.NewBornSolver(pr.Mol, pr.QPts, core.BornConfig{Eps: 0.9})
-	list := bs.BuildBornList(0, bs.NumQLeaves())
-	if dual {
-		list = bs.BuildBornDualList()
-	}
 	sNode, sAtom := bs.NewAccumulators()
-	st := bs.EvalBornList(list, sNode, sAtom)
+	var st core.Stats
+	if dual {
+		st = bs.EvalBornList(bs.BuildBornDualList(), sNode, sAtom)
+	} else {
+		st = bs.StreamBornLeaves(new(core.InteractionList), 0, bs.NumQLeaves(), sNode, sAtom)
+	}
 	n := int32(pr.Mol.N())
 	rTree := make([]float64, n)
 	bs.PushIntegrals(sNode, sAtom, 0, n, rTree)
@@ -41,7 +44,8 @@ func TestStreamedEnginesMatchMaterialised(t *testing.T) {
 
 	bs, radii, bornSt := materialisedRadii(pr, false)
 	es := core.NewEpolSolver(bs.TA, pr.Charges, radii, core.EpolConfig{Eps: 0.9})
-	raw, _ := es.EvalEpolList(es.BuildEpolList(0, bs.TA.NumLeaves()))
+	var raw float64
+	es.StreamEpolLeaves(new(core.InteractionList), 0, es.NumLeaves(), &raw)
 	want := raw * core.EnergyScale()
 
 	check := func(t *testing.T, rep RealReport, ranks, threads int) {

@@ -223,10 +223,13 @@ func (rt *Router) logf(format string, args ...any) {
 // writeRouterError mirrors the workers' error contract (serve.ErrorResponse
 // tokens) so clients see one vocabulary whether a reject came from a
 // worker's admission gate or from the router itself.
+// The body is marshalled before the status goes out (an ErrorResponse of
+// strings always encodes), so the status never goes out without it.
 func writeRouterError(w http.ResponseWriter, status int, token, detail string) {
+	body, _ := json.Marshal(serve.ErrorResponse{Error: token, Detail: detail})
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(serve.ErrorResponse{Error: token, Detail: detail})
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // upstream is one client request as the router forwards it. probe, when

@@ -70,7 +70,7 @@ type Tree struct {
 	// writers, each beside its write of Node.Center / Node.Radius.
 	CX, CY, CZ, CR []float64
 
-	oct []uint8 // Build's scratch: each point's octant in the node being split
+	oct []uint8 // Rebuild's scratch: each point's octant in the node being split
 }
 
 // FillSoA (re)derives the X/Y/Z coordinate mirrors from Points and the
@@ -78,13 +78,21 @@ type Tree struct {
 // always allocated so that shallow Tree copies which replace Points (e.g.
 // NaN-poisoned restricted solvers) never alias the source tree's mirrors.
 func (t *Tree) FillSoA() {
+	t.X, t.Y, t.Z = nil, nil, nil
+	t.CX, t.CY, t.CZ, t.CR = nil, nil, nil, nil
+	t.fillSoA()
+}
+
+// fillSoA is FillSoA writing into the mirrors' own storage — the build
+// path's form, where the tree owns its mirrors and nothing aliases them.
+func (t *Tree) fillSoA() {
 	n := len(t.Points)
-	t.X, t.Y, t.Z = make([]float64, n), make([]float64, n), make([]float64, n)
+	t.X, t.Y, t.Z = grow(t.X, n), grow(t.Y, n), grow(t.Z, n)
 	for i, p := range t.Points {
 		t.X[i], t.Y[i], t.Z[i] = p.X, p.Y, p.Z
 	}
 	m := len(t.Nodes)
-	t.CX, t.CY, t.CZ, t.CR = make([]float64, m), make([]float64, m), make([]float64, m), make([]float64, m)
+	t.CX, t.CY, t.CZ, t.CR = grow(t.CX, m), grow(t.CY, m), grow(t.CZ, m), grow(t.CR, m)
 	for i := range t.Nodes {
 		c := t.Nodes[i].Center
 		t.CX[i], t.CY[i], t.CZ[i], t.CR[i] = c.X, c.Y, c.Z, t.Nodes[i].Radius
@@ -99,21 +107,32 @@ func Build(pts []geom.Vec3, leafSize int) *Tree {
 
 // BuildOwned is Build taking ownership of pts: the slice becomes the
 // tree's Points and is reordered in place, which spares callers that
-// extracted the positions for this build a second copy of them.
+// extracted the positions for this build a second copy of them. A tree
+// built once keeps no build scratch.
 func BuildOwned(pts []geom.Vec3, leafSize int) *Tree {
+	t := new(Tree).Rebuild(pts, leafSize)
+	t.oct = nil
+	return t
+}
+
+// Rebuild builds the tree over pts in place of what it held: pts becomes
+// Points as in BuildOwned, and Perm, Nodes, LeafIdx, Skip, the SoA mirrors
+// and the build scratch reuse the receiver's storage where its capacity
+// allows. The result equals BuildOwned's on the same input. Anything that
+// shares the old tree's storage — a Transform, a solver over it — must be
+// done with it first. Rebuild returns the receiver.
+func (t *Tree) Rebuild(pts []geom.Vec3, leafSize int) *Tree {
 	if leafSize <= 0 {
 		leafSize = DefaultLeafSize
 	}
-	t := &Tree{
-		Points:   pts,
-		Perm:     make([]int32, len(pts)),
-		LeafSize: leafSize,
-	}
+	t.Points, t.LeafSize = pts, leafSize
+	t.Perm = grow(t.Perm, len(pts))
 	for i := range t.Perm {
 		t.Perm[i] = int32(i)
 	}
+	t.Nodes, t.LeafIdx, t.Skip = t.Nodes[:0], t.LeafIdx[:0], t.Skip[:0]
 	if len(pts) == 0 {
-		t.FillSoA()
+		t.fillSoA()
 		return t
 	}
 	root := geom.NewAABB(pts...).Cube()
@@ -124,10 +143,11 @@ func BuildOwned(pts []geom.Vec3, leafSize int) *Tree {
 			Max: root.Max.Add(geom.V(0.5, 0.5, 0.5)),
 		}
 	}
-	t.Nodes = make([]Node, 0, 3*len(pts)/leafSize+8) // surface leaves fill to about a third
-	t.oct = make([]uint8, len(pts))
+	if est := 3*len(pts)/leafSize + 8; cap(t.Nodes) < est { // surface leaves fill to about a third
+		t.Nodes = make([]Node, 0, est)
+	}
+	t.oct = grow(t.oct, len(pts))
 	t.build(root, 0, int32(len(pts)), 0, NoChild)
-	t.oct = nil
 	t.computeGeometry(0)
 	for i := range t.Nodes {
 		if t.Nodes[i].Leaf {
@@ -136,7 +156,7 @@ func BuildOwned(pts []geom.Vec3, leafSize int) *Tree {
 	}
 	// A subtree ends where its last child's does; children follow their
 	// parent in the layout, so one reverse sweep has them ready.
-	t.Skip = make([]int32, len(t.Nodes))
+	t.Skip = grow(t.Skip, len(t.Nodes))
 	for n := len(t.Nodes) - 1; n >= 0; n-- {
 		t.Skip[n] = int32(n) + 1
 		for c := 7; c >= 0; c-- {
@@ -146,7 +166,7 @@ func BuildOwned(pts []geom.Vec3, leafSize int) *Tree {
 			}
 		}
 	}
-	t.FillSoA()
+	t.fillSoA()
 	return t
 }
 
@@ -273,7 +293,7 @@ func (t *Tree) PointRange(n int32) (lo, hi int32) {
 // serving cache's byte budget and by the replication-cost model (pure-MPI
 // ranks each hold a full copy, the paper's §IV-B memory argument).
 func (t *Tree) MemoryBytes() int64 {
-	return int64(cap(t.Nodes))*int64(unsafe.Sizeof(Node{})) +
+	return int64(cap(t.Nodes))*int64(unsafe.Sizeof(Node{})) + int64(cap(t.oct)) +
 		int64(cap(t.Points))*24 + int64(cap(t.Perm)+cap(t.LeafIdx)+cap(t.Skip))*4 +
 		int64(cap(t.X)+cap(t.Y)+cap(t.Z)+cap(t.CX)+cap(t.CY)+cap(t.CZ)+cap(t.CR))*8
 }

@@ -95,9 +95,9 @@ func (t *Tree) TransformInto(dst *Tree, m geom.Rigid) *Tree {
 }
 
 // grow returns s resized to n elements, reusing its backing array when the
-// capacity allows.
+// capacity allows; a nil s always gets a new (possibly empty) array.
 func grow[T any](s []T, n int) []T {
-	if cap(s) >= n {
+	if s != nil && cap(s) >= n {
 		return s[:n]
 	}
 	return make([]T, n)

@@ -2,6 +2,7 @@ package octree
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"octgb/internal/geom"
@@ -48,4 +49,55 @@ func TestFillSoAReallocates(t *testing.T) {
 	if len(oldX) > 0 && &tr.X[0] == &oldX[0] {
 		t.Error("FillSoA reused the previous backing array")
 	}
+}
+
+// TestRebuildMatchesBuildOwned: a tree rebuilt over a donor — larger,
+// smaller, empty, coincident — equals a fresh BuildOwned of the same input
+// field for field, and reuses the donor's arrays where they are large
+// enough.
+func TestRebuildMatchesBuildOwned(t *testing.T) {
+	clumped := make([]geom.Vec3, 300)
+	for i := range clumped {
+		clumped[i] = geom.V(float64(i%3), 0, 0)
+	}
+	inputs := map[string][]geom.Vec3{
+		"large":      randPoints(2000, 1),
+		"small":      randPoints(90, 2),
+		"one":        {geom.V(1, 2, 3)},
+		"none":       nil,
+		"coincident": clumped,
+	}
+	for dname, dpts := range inputs {
+		for name, pts := range inputs {
+			for _, leaf := range []int{0, 3} {
+				donor := BuildOwned(append([]geom.Vec3(nil), dpts...), leaf)
+				perm := donor.Perm
+				got := donor.Rebuild(append([]geom.Vec3(nil), pts...), leaf)
+				want := BuildOwned(append([]geom.Vec3(nil), pts...), leaf)
+				if got != donor {
+					t.Fatal("Rebuild returned another tree")
+				}
+				got.oct = nil // build scratch, which BuildOwned drops
+				if !reflect.DeepEqual(exported(got), exported(want)) {
+					t.Errorf("donor %s, input %s, leaf %d: the rebuilt tree differs from BuildOwned's", dname, name, leaf)
+				}
+				if len(pts) > 0 && cap(perm) >= len(pts) && &got.Perm[0] != &perm[0] {
+					t.Errorf("donor %s, input %s: Rebuild did not reuse Perm", dname, name)
+				}
+			}
+		}
+	}
+}
+
+// exported is the tree without its storage capacity: the slices trimmed
+// to their length, nil and empty alike.
+func exported(t *Tree) []any {
+	trim := func(v any) any {
+		if rv := reflect.ValueOf(v); rv.Len() == 0 {
+			return nil
+		}
+		return v
+	}
+	return []any{trim(t.Nodes), trim(t.Points), trim(t.Perm), trim(t.LeafIdx), t.LeafSize, trim(t.Skip),
+		trim(t.X), trim(t.Y), trim(t.Z), trim(t.CX), trim(t.CY), trim(t.CZ), trim(t.CR)}
 }

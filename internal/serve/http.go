@@ -257,10 +257,18 @@ type ErrorResponse struct {
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
+// writeJSON marshals v before the status goes out, so a value that does
+// not encode — a NaN or ±Inf float — answers 500 eval_failed with a body
+// instead of its status with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(ErrorResponse{Error: "eval_failed", Detail: "response does not encode: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func writeError(w http.ResponseWriter, status int, reqID, token, detail string, retryAfter time.Duration) {

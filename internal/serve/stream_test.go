@@ -142,16 +142,7 @@ func FuzzStreamFrameBody(f *testing.F) {
 // each other answers a finite energy too — never a 5xx or a NaN.
 func TestStreamDegenerateMolecules(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Threads: 1})
-	line := MoleculeJSON{Name: "collinear"}
-	for i := 0; i < 60; i++ {
-		line.Atoms = append(line.Atoms, [5]float64{1.4 * float64(i), 0, 0, 1.6, 0.3 * float64(i%3-1)})
-	}
-	for name, m := range map[string]MoleculeJSON{
-		"one atom":    {Name: "one", Atoms: [][5]float64{{0, 0, 0, 1.5, 0.5}}},
-		"coincident":  {Name: "coincident", Atoms: [][5]float64{{1, 2, 3, 1.5, 0.5}, {1, 2, 3, 1.7, 0.5}}},
-		"zero charge": {Name: "zero", Atoms: [][5]float64{{0, 0, 0, 1.5, 0}, {3, 0, 0, 1.5, 0}, {0, 3, 0, 1.2, 0}}},
-		"collinear":   line,
-	} {
+	for name, m := range degenerateMolecules() {
 		var created StreamCreateResponse
 		code := postJSON(t, ts.URL+"/v1/stream", StreamCreateRequest{Molecule: m}, &created)
 		if code == http.StatusBadRequest {
