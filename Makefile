@@ -48,8 +48,8 @@ obs-smoke:
 
 ## fuzz: short smoke of the native fuzz targets (wire-frame decoder, PQR
 ## parser, load-trace spec, fabric membership wire, molecule-bearing HTTP
-## request decoder, stream-frame bodies against a live session) on top of
-## their seed corpora. CI-friendly budget; run with a larger -fuzztime
+## request decoder, stream-frame bodies against a live session, the held
+## E_pol list against its streamed oracle) on top of their seed corpora. CI-friendly budget; run with a larger -fuzztime
 ## locally to dig.
 fuzz:
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeEnergyRequest -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzStreamFrameBody -fuzztime 10s
+	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzPreparedEvalEpol -fuzztime 10s
 
 ## chaos: the full TCP fault matrix — every byte-level fault class (stall,
 ## duplicate, flip, truncate, blackhole) × P ∈ {2,4,8} × 8 seeds, for the

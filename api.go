@@ -202,7 +202,9 @@ func NewObserver() *Observer { return obs.New() }
 // Prepare runs the preprocessing half of an evaluation once (octree
 // construction + Born radii, the paper's steps 1-4) so EvalEpol can be
 // called repeatedly — with different ε_E settings if desired — without
-// repeating it.
+// repeating it. o.Threads also fixes how finely the energy phase is cut
+// (32 × o.Threads roots), so an EvalEpol runs on at most that many
+// workers whatever Threads it asks for.
 func Prepare(pr *Problem, o EngineOptions) (*Prepared, error) {
 	return engine.Prepare(pr, o)
 }

@@ -15,8 +15,9 @@ import (
 // number of processes, which is exactly the instability the paper reports
 // for atom-based division (and the reason node-based division is preferred).
 
-// AccumulateQLeafAtomRange is AccumulateQLeaf restricted to atoms with
-// tree-order index in [lo, hi).
+// AccumulateQLeafAtomRange runs APPROX-INTEGRALS(root(T_A), Q) — the
+// recursion of Fig. 2 — for the q-leaf with index qLeaf, restricted to
+// atoms with tree-order index in [lo, hi).
 func (s *BornSolver) AccumulateQLeafAtomRange(qLeaf int, lo, hi int32, sNode, sAtom []float64) Stats {
 	var st Stats
 	qn := s.TQ.LeafIdx[qLeaf]
@@ -87,9 +88,10 @@ func clampRange(start, end, lo, hi int32) (int32, int32) {
 	return start, end
 }
 
-// LeafEnergyRows is LeafEnergy with the leaf-side (row) atoms restricted to
-// tree-order range [lo, hi): the rank owns atom rows rather than whole
-// leaves. The far-field term is linear in the row charges, so summing the
+// LeafEnergyRows runs APPROX-EPOL(root, V) — the recursion of Fig. 3 —
+// for the atoms-octree leaf with index vLeaf, with the leaf-side (row)
+// atoms restricted to tree-order range [lo, hi): the rank owns atom rows
+// rather than whole leaves. The far-field term is linear in the row charges, so summing the
 // row-restricted results over all ranks reproduces the full sum; only the
 // work distribution changes.
 func (s *EpolSolver) LeafEnergyRows(vLeaf int, lo, hi int32) (float64, Stats) {
@@ -144,8 +146,8 @@ func (s *EpolSolver) epolVisitRows(u, v int32, vAnc []int32, from, to int32, st 
 	return sum
 }
 
-// binApproxRows is binApprox with the V-side bins built from only the
-// owned rows of the leaf.
+// binApproxRows is the far-field bin-pair approximation of Fig. 3 step 2
+// with the V-side bins built from only the owned rows of the leaf.
 func (s *EpolSolver) binApproxRows(u, v int32, d2 float64, from, to int32, st *Stats) float64 {
 	// Build the partial V bins on the stack (M is small).
 	vb := make([]float64, s.M)

@@ -27,7 +27,7 @@ import (
 // Stats counts the work a traversal performed — the interactions it
 // EVALUATED, not the ones its result stands for: the dual energy traversal
 // evaluates each unordered node pair once and counts it once, though the
-// value counts twice (EpolSolver.EnergyDual), and a leaf-driven energy
+// value counts twice (BuildEpolDualList), and a leaf-driven energy
 // traversal counts a mutual leaf block at the one driver that evaluates it
 // (EpolSolver.blockWeight) and every node it visits on the way to a block
 // it skips. The deterministic counters feed the virtual-time machine model
@@ -267,118 +267,6 @@ func (s *BornSolver) NumQLeaves() int { return s.TQ.NumLeaves() }
 // NewAccumulators allocates a zeroed (s_A per T_A node, s_a per atom) pair.
 func (s *BornSolver) NewAccumulators() (sNode, sAtom []float64) {
 	return make([]float64, len(s.TA.Nodes)), make([]float64, len(s.atomR))
-}
-
-// AccumulateQLeaf runs APPROX-INTEGRALS(root(T_A), Q) for the q-leaf with
-// index qLeaf (0..NumQLeaves-1), adding approximated sums into sNode
-// (indexed by T_A node) and exact sums into sAtom (T_A tree order). It
-// returns the work counters. This is the single-tree variant used by the
-// distributed engines: only the atoms octree is traversed.
-func (s *BornSolver) AccumulateQLeaf(qLeaf int, sNode, sAtom []float64) Stats {
-	var st Stats
-	qn := s.TQ.LeafIdx[qLeaf]
-	s.approxIntegrals(0, qn, sNode, sAtom, &st)
-	return st
-}
-
-// approxIntegrals is the recursion of Fig. 2: a from T_A, q a leaf of T_Q.
-func (s *BornSolver) approxIntegrals(a, q int32, sNode, sAtom []float64, st *Stats) {
-	st.NodesVisited++
-	an := &s.TA.Nodes[a]
-	qn := &s.TQ.Nodes[q]
-	d2 := an.Center.Dist2(qn.Center)
-	if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
-		// Far enough: one pseudo q-point at Q's center against one pseudo
-		// atom at A's center. s_A += ñ_Q·(c_Q − c_A) / r_AQ⁶.
-		diff := qn.Center.Sub(an.Center)
-		sNode[a] += s.nodeWN(q).Dot(diff) * s.kernel(d2)
-		st.FarEval++
-		return
-	}
-	if an.Leaf {
-		// Too close to approximate: exact contributions of every q-point
-		// under Q to every atom under A.
-		qlo, qhi := s.TQ.PointRange(q)
-		alo, ahi := s.TA.PointRange(a)
-		for i := alo; i < ahi; i++ {
-			p := s.TA.Points[i]
-			var acc float64
-			for j := qlo; j < qhi; j++ {
-				dv := s.TQ.Points[j].Sub(p)
-				d2 := dv.Norm2()
-				if d2 < 1e-12 {
-					continue // q-point coincides with the atom center
-				}
-				acc += s.wn(j).Dot(dv) * s.kernel(d2)
-			}
-			sAtom[i] += acc
-		}
-		st.NearPairs += int64(ahi-alo) * int64(qhi-qlo)
-		return
-	}
-	for _, ch := range an.Children {
-		if ch != octree.NoChild {
-			s.approxIntegrals(ch, q, sNode, sAtom, st)
-		}
-	}
-}
-
-// AccumulateDual runs the dual-tree variant of APPROX-INTEGRALS from [6]
-// (used by OCT_CILK): both octrees are traversed simultaneously starting at
-// their roots. Accumulators have the same meaning as in AccumulateQLeaf.
-func (s *BornSolver) AccumulateDual(sNode, sAtom []float64) Stats {
-	var st Stats
-	if len(s.TA.Nodes) == 0 || len(s.TQ.Nodes) == 0 {
-		return st
-	}
-	s.approxIntegralsDual(0, 0, sNode, sAtom, &st)
-	return st
-}
-
-func (s *BornSolver) approxIntegralsDual(a, q int32, sNode, sAtom []float64, st *Stats) {
-	st.NodesVisited++
-	an := &s.TA.Nodes[a]
-	qn := &s.TQ.Nodes[q]
-	d2 := an.Center.Dist2(qn.Center)
-	if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
-		diff := qn.Center.Sub(an.Center)
-		sNode[a] += s.nodeWN(q).Dot(diff) * s.kernel(d2)
-		st.FarEval++
-		return
-	}
-	switch {
-	case an.Leaf && qn.Leaf:
-		qlo, qhi := s.TQ.PointRange(q)
-		alo, ahi := s.TA.PointRange(a)
-		for i := alo; i < ahi; i++ {
-			p := s.TA.Points[i]
-			var acc float64
-			for j := qlo; j < qhi; j++ {
-				dv := s.TQ.Points[j].Sub(p)
-				d2 := dv.Norm2()
-				if d2 < 1e-12 {
-					continue
-				}
-				acc += s.wn(j).Dot(dv) * s.kernel(d2)
-			}
-			sAtom[i] += acc
-		}
-		st.NearPairs += int64(ahi-alo) * int64(qhi-qlo)
-	case qn.Leaf || (!an.Leaf && an.Radius >= qn.Radius):
-		// Split the atoms node.
-		for _, ch := range an.Children {
-			if ch != octree.NoChild {
-				s.approxIntegralsDual(ch, q, sNode, sAtom, st)
-			}
-		}
-	default:
-		// Split the q node.
-		for _, ch := range qn.Children {
-			if ch != octree.NoChild {
-				s.approxIntegralsDual(a, ch, sNode, sAtom, st)
-			}
-		}
-	}
 }
 
 // PushIntegrals implements PUSH-INTEGRALS-TO-ATOMS: it pushes ancestor

@@ -73,6 +73,9 @@ type EpolSolver struct {
 	// inverted) — what blockWeight picks a mutual block's owner from.
 	leafNo []int32
 
+	// dual is the held dual energy list (BuildDualList); empty until built.
+	dual DualList
+
 	// restricted marks a Restrict copy, which shares its parent's bins and
 	// tree skeleton and so is never handed back (Release).
 	restricted bool
@@ -123,6 +126,7 @@ func newEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig, 
 		s = new(EpolSolver)
 	}
 	s.T, s.cfg, s.sep = tree, cfg, 1+2/cfg.Eps
+	s.dual.reset()
 	s.q, s.R, s.invR = resize(s.q, n), resize(s.R, n), resize(s.invR, n)
 	s.sep2 = s.sep * s.sep
 	for i, orig := range tree.Perm {
@@ -220,37 +224,24 @@ func newEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig, 
 
 // MemoryBytes is the memory the solver holds beside the atoms octree it
 // shares with the Born phase: the per-atom charge, radius and bin streams,
-// the per-node charge bins in both layouts, and the vector row tables.
+// the per-node charge bins in both layouts, the vector row tables and the
+// held dual list's store.
 func (s *EpolSolver) MemoryBytes() int64 {
 	floats := cap(s.q) + cap(s.R) + cap(s.invR) + cap(s.bins) + cap(s.binRR) + cap(s.nzQ) +
 		cap(s.uRange) + cap(s.uPos) + cap(s.uQRG)
 	ints := cap(s.binOf) + cap(s.nzStart) + cap(s.nzBin) + cap(s.leafNo)
-	return 8*int64(floats) + 4*int64(ints)
+	return 8*int64(floats) + 4*int64(ints) + s.dual.bytes()
 }
 
 // NumLeaves returns the number of leaves of the atoms octree — the unit of
 // node-based work division for the energy phase (Fig. 4 step 6).
 func (s *EpolSolver) NumLeaves() int { return s.T.NumLeaves() }
 
-// LeafEnergy runs APPROX-EPOL(root, V) for the atoms-octree leaf with index
-// vLeaf and returns the leaf's part of the raw sum Σ q_u·q_v/f_GB over all
-// ordered atom pairs: its far cells and one-sided exact blocks once, the
-// mutual exact blocks it owns twice (blockWeight). Summed over all leaves
-// — in any division into ranks — and multiplied by EnergyScale that is
-// E_pol. Stats report the work performed.
-func (s *EpolSolver) LeafEnergy(vLeaf int) (float64, Stats) {
-	var st Stats
-	v := s.T.LeafIdx[vLeaf]
-	var buf [64]int32
-	e := s.epolVisit(0, v, s.ancestors(v, buf[:0]), &st)
-	return e, st
-}
-
 // EnergyScale is the constant −τ·k_e/2 that converts a raw sum — Σ over all
 // ordered atom pairs (i, j), the diagonal included, of q_i·q_j/f_GB — into
 // kcal/mol. The leaf-driven and the dual traversals both add each mutual
-// block once and double it (blockWeight, EnergyDual), so they produce the
-// same kind of raw sum and share the constant.
+// block once and double it (blockWeight, BuildEpolDualList), so they
+// produce the same kind of raw sum and share the constant.
 func EnergyScale() float64 {
 	return -0.5 * gb.Tau(gb.SolventDielectric) * gb.CoulombConstant
 }
@@ -305,71 +296,6 @@ func OwnsMutualBlock(u, v int32) bool {
 	return ((u+v)&1 == 1) == (v > u)
 }
 
-// epolVisit is the recursion of Fig. 3; v is always a leaf and vAnc its
-// proper ancestors.
-func (s *EpolSolver) epolVisit(u, v int32, vAnc []int32, st *Stats) float64 {
-	st.NodesVisited++
-	un := &s.T.Nodes[u]
-	vn := &s.T.Nodes[v]
-	if un.Leaf {
-		w := s.blockWeight(u, v, vAnc)
-		if w == 0 {
-			return 0
-		}
-		// Exact ordered pairs between atoms under u and v (including the
-		// self pairs when u == v: f_GB(i,i) = R_i).
-		ulo, uhi := s.T.PointRange(u)
-		vlo, vhi := s.T.PointRange(v)
-		var sum float64
-		for i := ulo; i < uhi; i++ {
-			pi, qi, ri := s.T.Points[i], s.q[i], s.R[i]
-			for j := vlo; j < vhi; j++ {
-				if i == j {
-					sum += qi * qi / ri
-					continue
-				}
-				sum += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j], s.cfg.Math)
-			}
-		}
-		st.NearPairs += int64(uhi-ulo) * int64(vhi-vlo)
-		return float64(w) * sum
-	}
-	d2 := un.Center.Dist2(vn.Center)
-	if epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
-		return s.binApprox(u, v, d2, st)
-	}
-	var sum float64
-	for _, ch := range un.Children {
-		if ch != octree.NoChild {
-			sum += s.epolVisit(ch, v, vAnc, st)
-		}
-	}
-	return sum
-}
-
-// binApprox evaluates the far-field bin-pair approximation of Fig. 3 step 2
-// for nodes u, v at squared center distance d2.
-func (s *EpolSolver) binApprox(u, v int32, d2 float64, st *Stats) float64 {
-	ub := s.bins[int(u)*s.M : (int(u)+1)*s.M]
-	vb := s.bins[int(v)*s.M : (int(v)+1)*s.M]
-	var sum float64
-	for i := 0; i < s.M; i++ {
-		qi := ub[i]
-		if qi == 0 {
-			continue
-		}
-		for j := 0; j < s.M; j++ {
-			qj := vb[j]
-			if qj == 0 {
-				continue
-			}
-			sum += s.binPairTerm(d2, i+j, qi, qj)
-			st.FarEval++
-		}
-	}
-	return sum
-}
-
 // binPairTerm evaluates one bin-pair far-field term:
 // q_U[i]·q_V[j] / f_GB with R_u·R_v ≈ R_min²(1+ε)^(i+j).
 func (s *EpolSolver) binPairTerm(d2 float64, binSum int, qi, qj float64) float64 {
@@ -382,29 +308,6 @@ func (s *EpolSolver) binPairTerm(d2 float64, binSum int, qi, qj float64) float64
 
 // binIndex returns the Born-radius bin of atom i (tree order).
 func (s *EpolSolver) binIndex(i int32) int { return int(s.binOf[i]) }
-
-// EnergyDual runs the dual-tree variant — the OCT_CILK algorithm — from the
-// root's self pair and returns the raw sum (scale by EnergyScale) with the
-// work counters of the pairs it evaluated.
-//
-// The pair term q_i·q_j/f_GB is symmetric, so the traversal visits each
-// UNORDERED node pair once. A self pair (u, u) is one exact diagonal block
-// when u is a leaf; otherwise it is replaced by its children's self pairs
-// (c_i, c_i) and their mutual pairs (c_i, c_j), i < j. A mutual pair is
-// accepted as far-field when well separated, evaluated exactly when both
-// nodes are leaves, and otherwise replaced by the pairs of one node with
-// the children of the other — the non-leaf, or of two non-leaves the one
-// with the larger radius. That choice does not depend on which node is
-// written first, so (u, v) decomposes into exactly the mirror image of
-// what (v, u) would, and a mutual pair's value stands for both: the raw
-// sum is Σ self + 2·Σ mutual, the factor applied where a mutual pair is
-// evaluated.
-func (s *EpolSolver) EnergyDual() (float64, Stats) {
-	if len(s.T.Nodes) == 0 {
-		return 0, Stats{}
-	}
-	return s.EnergyDualPair(0, 0)
-}
 
 // epolPairKind is what the dual traversal does with a node pair.
 type epolPairKind int
@@ -476,46 +379,6 @@ func (s *EpolSolver) epolChildren(p NodePair, dst []NodePair) []NodePair {
 		}
 	}
 	return dst
-}
-
-// epolDual is the recursive form of the dual traversal below one pair. It
-// returns what the pair contributes to the raw sum, a mutual pair's factor
-// of two included.
-func (s *EpolSolver) epolDual(p NodePair, st *Stats) float64 {
-	st.NodesVisited++
-	var e float64
-	switch s.epolKind(p) {
-	case epolFar:
-		e = s.binApprox(p.A, p.B, s.T.Nodes[p.A].Center.Dist2(s.T.Nodes[p.B].Center), st)
-	case epolNear:
-		// Exact atom pairs between the two leaves — for a self pair every
-		// ordered pair of the leaf, with the diagonal f_GB(i,i) = R_i.
-		ulo, uhi := s.T.PointRange(p.A)
-		vlo, vhi := s.T.PointRange(p.B)
-		for i := ulo; i < uhi; i++ {
-			pi, qi, ri := s.T.Points[i], s.q[i], s.R[i]
-			for j := vlo; j < vhi; j++ {
-				if i == j {
-					e += qi * qi / ri
-					continue
-				}
-				e += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j], s.cfg.Math)
-			}
-		}
-		st.NearPairs += int64(uhi-ulo) * int64(vhi-vlo)
-	default:
-		// 8 self + 28 mutual pairs is the most a split produces.
-		var buf [36]NodePair
-		kids := s.epolChildren(p, buf[:0])
-		for k := len(kids) - 1; k >= 0; k-- {
-			e += s.epolDual(kids[k], st)
-		}
-		return e
-	}
-	if p.A != p.B {
-		e *= 2
-	}
-	return e
 }
 
 // Restrict returns a copy of the solver in which every atom NOT under one

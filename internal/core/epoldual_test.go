@@ -213,6 +213,124 @@ func TestSymmetricDualMatchesOrdered(t *testing.T) {
 	}
 }
 
+// EnergyDualPair runs the energy dual-tree recursion from one node pair —
+// a self pair when u == v — and returns what it contributes to the raw sum
+// (scale by EnergyScale), a mutual pair's factor of two included.
+func (s *EpolSolver) EnergyDualPair(u, v int32) (float64, Stats) {
+	var st Stats
+	e := s.epolDual(NodePair{u, v}, &st)
+	return e, st
+}
+
+// StreamEpolDual is EvalEpolList(BuildEpolDualList()) below the given root
+// pairs, taken in order (EpolDualFrontier's pairs, or {0, 0} for the whole
+// traversal), without the list: the traversal fills tile up to
+// bornTileEntries, the range kernels sum it, and the same storage takes the
+// next tile. It returns the roots' part of the raw sum and the Stats of
+// the traversal below them. The engines evaluated the dual energy
+// traversal this way before the held list (BuildDualList) replaced it; it
+// is that list's oracle.
+func (s *EpolSolver) StreamEpolDual(tile *InteractionList, roots []NodePair) (float64, Stats) {
+	return s.streamEpolDual(tile, roots, bornTileEntries)
+}
+
+func (s *EpolSolver) streamEpolDual(tile *InteractionList, roots []NodePair, limit int) (float64, Stats) {
+	tile.reset()
+	tile.symmetric = true
+	for i := len(roots) - 1; i >= 0; i-- {
+		tile.stack.push(roots[i].A, roots[i].B)
+	}
+	var raw float64
+	for len(tile.stack) > 0 {
+		s.fillEpolDual(tile, limit)
+		e, _ := s.EvalEpolList(tile)
+		raw += e
+		tile.Near, tile.Far = tile.Near[:0], tile.Far[:0]
+	}
+	return raw, tile.stats
+}
+
+// evalDualList is the raw sum of a held list, root by root in root order —
+// the engine's reduction.
+func (s *EpolSolver) evalDualList(d *DualList) float64 {
+	var raw float64
+	for r := 0; r < d.Roots(); r++ {
+		seg := d.Root(r)
+		e, _ := s.EvalEpolList(&seg)
+		raw += e
+	}
+	return raw
+}
+
+// TestDualListMatchesStreamed holds the held list to the streamed
+// traversal it replaced: for frontiers of one to many roots, the same
+// Stats (the frontier's visits included) and the same energy up to
+// reassociation; the roots are the frontier's and partition the whole
+// list in order; each root built alone (BuildDualRootInto) is the held
+// root, bit for bit; and a rebuild in the same storage repeats bit for bit.
+func TestDualListMatchesStreamed(t *testing.T) {
+	for _, n := range []int{300, 1200} {
+		m, q := testMol(n, 79)
+		R := treecodeRadii(m, q)
+		for _, cfg := range []EpolConfig{{Eps: 0.9}, {Eps: 0.5, Math: gb.Approximate}} {
+			es := NewEpolSolverFromMolecule(m, R, cfg)
+			whole := es.BuildEpolDualList()
+			for _, minRoots := range []int{1, 32, 96, 1 << 20} {
+				name := fmt.Sprintf("n=%d/%+v/roots=%d", n, cfg, minRoots)
+				front, expand := es.EpolDualFrontier(minRoots)
+				var tile InteractionList
+				want, wantSt := es.StreamEpolDual(&tile, front)
+				wantSt.Add(expand)
+				d := es.BuildDualList(minRoots)
+				if d.Roots() != len(front) {
+					t.Fatalf("%s: %d roots, frontier %d", name, d.Roots(), len(front))
+				}
+				if d.Stats() != wantSt {
+					t.Errorf("%s: stats %+v, streamed %+v", name, d.Stats(), wantSt)
+				}
+				if !slices.Equal(d.list.Near, whole.Near) || !slices.Equal(d.list.Far, whole.Far) {
+					t.Errorf("%s: the roots' lists in order are not the whole list", name)
+				}
+				got := es.evalDualList(d)
+				if e := relErr(got, want); e > 1e-12 || math.IsNaN(got) {
+					t.Errorf("%s: energy %v, streamed %v (rel %v)", name, got, want, e)
+				}
+				// The one-shot form builds each root alone into a reused
+				// tile: the root's entries, the root's bits, the same Stats.
+				oneSt := expand
+				for r, root := range front {
+					seg := d.Root(r)
+					one := es.BuildDualRootInto(&tile, root)
+					if !slices.Equal(one.Near, seg.Near) || !slices.Equal(one.Far, seg.Far) {
+						t.Fatalf("%s: root %d built alone differs from the held root", name, r)
+					}
+					eOne, st := es.EvalEpolList(one)
+					eSeg, _ := es.EvalEpolList(&seg)
+					if math.Float64bits(eOne) != math.Float64bits(eSeg) {
+						t.Errorf("%s: root %d alone %v, held %v", name, r, eOne, eSeg)
+					}
+					oneSt.Add(st)
+				}
+				if oneSt != wantSt {
+					t.Errorf("%s: one-shot stats %+v, streamed %+v", name, oneSt, wantSt)
+				}
+				near, far := &d.list.Near[0], &d.list.Far[0]
+				again := es.evalDualList(es.BuildDualList(minRoots))
+				if math.Float64bits(again) != math.Float64bits(got) {
+					t.Errorf("%s: rebuilt list %v, first %v", name, again, got)
+				}
+				if &d.list.Near[0] != near || &d.list.Far[0] != far {
+					t.Errorf("%s: the rebuild did not reuse the store", name)
+				}
+			}
+		}
+	}
+	empty := NewEpolSolverFromMolecule(&molecule.Molecule{}, nil, EpolConfig{})
+	if d := empty.BuildDualList(8); d.Roots() != 0 || d.Stats() != (Stats{}) {
+		t.Errorf("empty tree: %d roots, stats %+v", d.Roots(), d.Stats())
+	}
+}
+
 // TestStreamedEpolMatchesMaterialised holds the streamed dual energy
 // traversal to the materialised list: the same Stats and the same energy
 // up to reassociation for any tile size, from the root or from frontier

@@ -15,9 +15,9 @@ import (
 // expandable pair replaced in place by its children, until at least
 // minPairs independent pairs exist (or the recursion bottoms out). The
 // pairs stay in the recursion's visit order, so completing them in
-// sequence (StreamBornDual) adds every term in the order AccumulateDual
-// does; the second result counts the recursion steps the expansion took on
-// the pairs' behalf.
+// sequence (StreamBornDual) adds every term in the order the whole
+// traversal does; the second result counts the recursion steps the
+// expansion took on the pairs' behalf.
 func (s *BornSolver) DualFrontier(minPairs int) ([]NodePair, Stats) {
 	var st Stats
 	if len(s.TA.Nodes) == 0 || len(s.TQ.Nodes) == 0 {
@@ -55,13 +55,13 @@ func (s *BornSolver) DualFrontier(minPairs int) ([]NodePair, Stats) {
 	return front, st
 }
 
-// EpolDualFrontier expands the energy dual traversal (EnergyDual) level by
-// level, every pair that splits replaced in place by its children, until
-// at least minPairs independent pairs exist (or the traversal bottoms
-// out). Self pairs have A == B. The pairs stay in visit order, so
-// completing them in sequence (EnergyDualPair, StreamEpolDual) visits what
-// EnergyDual visits, in its order; the second result counts the visits the
-// expansion made on the pairs' behalf.
+// EpolDualFrontier expands the energy dual traversal (BuildEpolDualList)
+// level by level, every pair that splits replaced in place by its
+// children, until at least minPairs independent pairs exist (or the
+// traversal bottoms out). Self pairs have A == B. The pairs stay in visit
+// order, so completing them in sequence (BuildDualList) visits what the
+// whole traversal visits, in its order; the second result counts the
+// visits the expansion made on the pairs' behalf.
 func (s *EpolSolver) EpolDualFrontier(minPairs int) ([]NodePair, Stats) {
 	var st Stats
 	if len(s.T.Nodes) == 0 {
@@ -85,13 +85,4 @@ func (s *EpolSolver) EpolDualFrontier(minPairs int) ([]NodePair, Stats) {
 		front = next
 	}
 	return front, st
-}
-
-// EnergyDualPair runs the energy dual-tree recursion from one node pair —
-// a self pair when u == v — and returns what it contributes to the raw sum
-// (scale by EnergyScale), a mutual pair's factor of two included.
-func (s *EpolSolver) EnergyDualPair(u, v int32) (float64, Stats) {
-	var st Stats
-	e := s.epolDual(NodePair{u, v}, &st)
-	return e, st
 }

@@ -54,7 +54,8 @@ type InteractionList struct {
 
 	// symmetric marks the list of the dual energy traversal, which holds
 	// each unordered node pair once: the energy kernels count an entry with
-	// A != B twice (EnergyDual). Every other list holds ordered pairs.
+	// A != B twice (BuildEpolDualList). Every other list holds ordered
+	// pairs.
 	symmetric bool
 }
 
@@ -137,9 +138,11 @@ func (s *BornSolver) fillBornLeaves(l *InteractionList, qLo, qHi, limit int) int
 	return ql
 }
 
-// BuildBornDualList runs the dual-tree traversal of AccumulateDual and
-// returns its interaction list. Near entries pair a T_A leaf with a T_Q
-// leaf; far entries may involve internal nodes of either tree.
+// BuildBornDualList runs the dual-tree Born traversal of [6] (OCT_CILK) —
+// both octrees at once from their roots, a pair too close to approximate
+// split at the non-leaf, or of two non-leaves at the larger — and returns
+// its interaction list. Near entries pair a T_A leaf with a T_Q leaf; far
+// entries may involve internal nodes of either tree.
 func (s *BornSolver) BuildBornDualList() *InteractionList {
 	return s.BuildBornDualListInto(new(InteractionList))
 }
@@ -458,10 +461,13 @@ func (s *EpolSolver) StreamEpolLeaves(tile *InteractionList, vLo, vHi int, raw *
 	return tile.stats
 }
 
-// BuildEpolDualList runs the dual-tree energy traversal of EnergyDual and
-// returns its interaction list: each unordered node pair once, a leaf's
-// self pair as a near entry with A == B. The list carries the mutual
-// pairs' factor of two itself, so EvalEpolList of it is the full raw sum.
+// BuildEpolDualList runs the dual-tree energy traversal — the OCT_CILK
+// algorithm — from the root's self pair and returns its interaction list.
+// The pair term q_i·q_j/f_GB is symmetric, so the traversal visits each
+// UNORDERED node pair once (epolKind, epolChildren): a leaf's self pair is
+// a near entry with A == B, and a mutual pair's value stands for its
+// mirror image too. The list carries that factor of two itself, so
+// EvalEpolList of it is the full raw sum: Σ self + 2·Σ mutual.
 func (s *EpolSolver) BuildEpolDualList() *InteractionList {
 	l := &InteractionList{symmetric: true}
 	if len(s.T.Nodes) != 0 {
@@ -492,30 +498,79 @@ func (s *EpolSolver) fillEpolDual(l *InteractionList, limit int) {
 	l.stack = stack
 }
 
-// StreamEpolDual is EvalEpolList(BuildEpolDualList()) below the given root
-// pairs, taken in order (EpolDualFrontier's pairs, or {0, 0} for the whole
-// traversal), without the list: the traversal fills tile up to
-// bornTileEntries, the range kernels sum it, and the same storage takes the
-// next tile. It returns the roots' part of the raw sum and the Stats of
-// the traversal below them.
-func (s *EpolSolver) StreamEpolDual(tile *InteractionList, roots []NodePair) (float64, Stats) {
-	return s.streamEpolDual(tile, roots, bornTileEntries)
+// DualList is the dual energy traversal held for repeated evaluation: the
+// list of BuildEpolDualList cut at the pairs of an EpolDualFrontier, its
+// roots. One flat Near/Far store holds every root's part in root order,
+// root r's at Near[near[r]:near[r+1]] and Far[far[r]:far[r+1]], so a root
+// is a symmetric list of its own (Root) that any worker can evaluate. Its
+// Stats are the whole traversal's, the frontier's own visits included.
+// The storage is the solver's (BuildDualList), and a rebuild or Release
+// recycles it with the rest.
+type DualList struct {
+	list      InteractionList
+	near, far []int32
 }
 
-func (s *EpolSolver) streamEpolDual(tile *InteractionList, roots []NodePair, limit int) (float64, Stats) {
+// reset empties the list while keeping its capacity.
+func (d *DualList) reset() {
+	d.list.reset()
+	d.list.symmetric = true
+	d.near, d.far = d.near[:0], d.far[:0]
+}
+
+// Roots returns the number of roots the list is cut at.
+func (d *DualList) Roots() int { return max(len(d.near)-1, 0) }
+
+// Root returns root r's part of the list as a list of its own, sharing
+// the store; EvalEpolList of it is the root's part of the raw sum.
+func (d *DualList) Root(r int) InteractionList {
+	return InteractionList{
+		Near:      d.list.Near[d.near[r]:d.near[r+1]],
+		Far:       d.list.Far[d.far[r]:d.far[r+1]],
+		symmetric: true,
+	}
+}
+
+// Stats returns the work counters of the whole traversal.
+func (d *DualList) Stats() Stats { return d.list.stats }
+
+// bytes is the capacity the list holds.
+func (d *DualList) bytes() int64 {
+	l := &d.list
+	return 8*int64(cap(l.Near)+cap(l.Far)+cap(l.stack)) + 4*int64(cap(d.near)+cap(d.far))
+}
+
+// BuildDualList builds the dual energy traversal below the pairs of
+// EpolDualFrontier(minRoots) into the solver's own storage and returns it.
+// The list is read-only until the next BuildDualList or Release, so any
+// number of goroutines may evaluate it at once; building it is not safe
+// beside them.
+func (s *EpolSolver) BuildDualList(minRoots int) *DualList {
+	d := &s.dual
+	d.reset()
+	front, expand := s.EpolDualFrontier(minRoots)
+	for _, p := range front {
+		d.near = append(d.near, int32(len(d.list.Near)))
+		d.far = append(d.far, int32(len(d.list.Far)))
+		d.list.stack.push(p.A, p.B)
+		s.fillEpolDual(&d.list, math.MaxInt)
+	}
+	d.near = append(d.near, int32(len(d.list.Near)))
+	d.far = append(d.far, int32(len(d.list.Far)))
+	d.list.stats.Add(expand)
+	return d
+}
+
+// BuildDualRootInto builds the dual energy traversal below one root pair
+// into tile, reusing its storage, and returns it: the same entries in the
+// same order as that root's part of a BuildDualList, so EvalEpolList of it
+// gives the same bits. It is the one-shot form, for a list evaluated once.
+func (s *EpolSolver) BuildDualRootInto(tile *InteractionList, root NodePair) *InteractionList {
 	tile.reset()
 	tile.symmetric = true
-	for i := len(roots) - 1; i >= 0; i-- {
-		tile.stack.push(roots[i].A, roots[i].B)
-	}
-	var raw float64
-	for len(tile.stack) > 0 {
-		s.fillEpolDual(tile, limit)
-		e, _ := s.EvalEpolList(tile)
-		raw += e
-		tile.Near, tile.Far = tile.Near[:0], tile.Far[:0]
-	}
-	return raw, tile.stats
+	tile.stack.push(root.A, root.B)
+	s.fillEpolDual(tile, math.MaxInt)
+	return tile
 }
 
 // nnz returns the number of occupied Born-radius bins of a node — the

@@ -21,7 +21,7 @@ type solveRun struct {
 
 // solveOn builds a solver pair in the given donors' storage (nil: new
 // storage) and runs the Born phase both ways, the push, and the dual,
-// leaf-driven and streamed-dual energy traversals. It returns the solvers
+// leaf-driven and held-list dual energy traversals. It returns the solvers
 // so that a caller can release them or look at their storage.
 func solveOn(mol *molecule.Molecule, qpts []surface.QPoint, mode gb.MathMode, bd *BornSolver, ed *EpolSolver) (solveRun, *BornSolver, *EpolSolver) {
 	var r solveRun
@@ -41,9 +41,8 @@ func solveOn(mol *molecule.Molecule, qpts []surface.QPoint, mode gb.MathMode, bd
 	es := newEpolSolver(bs.TA, charges, r.radii, EpolConfig{Eps: 0.9, Math: mode}, ed)
 	r.energy[0], r.stats[2] = es.EnergyDual()
 	r.stats[3] = es.StreamEpolLeaves(tile, 0, es.NumLeaves(), &r.energy[1])
-	front, expand := es.EpolDualFrontier(8)
-	r.energy[2], r.stats[4] = es.StreamEpolDual(tile, front)
-	r.stats[4].Add(expand)
+	d := es.BuildDualList(8)
+	r.energy[2], r.stats[4] = es.evalDualList(d), d.Stats()
 	return r, bs, es
 }
 

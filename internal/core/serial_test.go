@@ -1,0 +1,329 @@
+package core
+
+import (
+	"octgb/internal/gb"
+	"octgb/internal/molecule"
+	"octgb/internal/octree"
+	"octgb/internal/surface"
+)
+
+// The recursive treecodes of Figs. 2 and 3 — the single-tree and dual-tree
+// Born integrals, the leaf-driven and dual energy traversals — and the
+// serial pipelines built from them. No engine runs them: the engines run
+// the flat lists, and these are the oracles the lists are held to.
+
+// Result bundles the output of a full serial treecode run.
+type Result struct {
+	BornRadii []float64 // original atom order
+	Epol      float64   // kcal/mol
+	BornStats Stats
+	EpolStats Stats
+}
+
+// ComputeSerial runs the whole pipeline — Born-radius treecode then energy
+// treecode — serially on one "rank" with the recursive traversals. It is
+// a test oracle of core's: the recursive pipeline core's accuracy tests
+// run, and that its flat lists are held to.
+func ComputeSerial(mol *molecule.Molecule, qpts []surface.QPoint, bc BornConfig, ec EpolConfig) Result {
+	var res Result
+	bs := NewBornSolver(mol, qpts, bc)
+	sNode, sAtom := bs.NewAccumulators()
+	for l := 0; l < bs.NumQLeaves(); l++ {
+		res.BornStats.Add(bs.AccumulateQLeaf(l, sNode, sAtom))
+	}
+	rTree := make([]float64, mol.N())
+	bs.PushIntegrals(sNode, sAtom, 0, int32(mol.N()), rTree)
+	res.BornRadii = bs.RadiiToOriginal(rTree)
+
+	charges := make([]float64, mol.N())
+	for i := range mol.Atoms {
+		charges[i] = mol.Atoms[i].Charge
+	}
+	es := NewEpolSolver(bs.TA, charges, res.BornRadii, ec)
+	var raw float64
+	for l := 0; l < es.NumLeaves(); l++ {
+		e, st := es.LeafEnergy(l)
+		raw += e
+		res.EpolStats.Add(st)
+	}
+	res.Epol = raw * EnergyScale()
+	return res
+}
+
+// ComputeSerialDual is ComputeSerial using the dual-tree traversals (the
+// OCT_CILK algorithm of [6]).
+func ComputeSerialDual(mol *molecule.Molecule, qpts []surface.QPoint, bc BornConfig, ec EpolConfig) Result {
+	var res Result
+	bs := NewBornSolver(mol, qpts, bc)
+	sNode, sAtom := bs.NewAccumulators()
+	res.BornStats = bs.AccumulateDual(sNode, sAtom)
+	rTree := make([]float64, mol.N())
+	bs.PushIntegrals(sNode, sAtom, 0, int32(mol.N()), rTree)
+	res.BornRadii = bs.RadiiToOriginal(rTree)
+
+	charges := make([]float64, mol.N())
+	for i := range mol.Atoms {
+		charges[i] = mol.Atoms[i].Charge
+	}
+	es := NewEpolSolver(bs.TA, charges, res.BornRadii, ec)
+	raw, st := es.EnergyDual()
+	res.EpolStats = st
+	res.Epol = raw * EnergyScale()
+	return res
+}
+
+// AccumulateQLeaf runs APPROX-INTEGRALS(root(T_A), Q) for the q-leaf with
+// index qLeaf (0..NumQLeaves-1), adding approximated sums into sNode
+// (indexed by T_A node) and exact sums into sAtom (T_A tree order). It
+// returns the work counters. This is the single-tree variant used by the
+// distributed engines: only the atoms octree is traversed.
+func (s *BornSolver) AccumulateQLeaf(qLeaf int, sNode, sAtom []float64) Stats {
+	var st Stats
+	qn := s.TQ.LeafIdx[qLeaf]
+	s.approxIntegrals(0, qn, sNode, sAtom, &st)
+	return st
+}
+
+// approxIntegrals is the recursion of Fig. 2: a from T_A, q a leaf of T_Q.
+func (s *BornSolver) approxIntegrals(a, q int32, sNode, sAtom []float64, st *Stats) {
+	st.NodesVisited++
+	an := &s.TA.Nodes[a]
+	qn := &s.TQ.Nodes[q]
+	d2 := an.Center.Dist2(qn.Center)
+	if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
+		// Far enough: one pseudo q-point at Q's center against one pseudo
+		// atom at A's center. s_A += ñ_Q·(c_Q − c_A) / r_AQ⁶.
+		diff := qn.Center.Sub(an.Center)
+		sNode[a] += s.nodeWN(q).Dot(diff) * s.kernel(d2)
+		st.FarEval++
+		return
+	}
+	if an.Leaf {
+		// Too close to approximate: exact contributions of every q-point
+		// under Q to every atom under A.
+		qlo, qhi := s.TQ.PointRange(q)
+		alo, ahi := s.TA.PointRange(a)
+		for i := alo; i < ahi; i++ {
+			p := s.TA.Points[i]
+			var acc float64
+			for j := qlo; j < qhi; j++ {
+				dv := s.TQ.Points[j].Sub(p)
+				d2 := dv.Norm2()
+				if d2 < 1e-12 {
+					continue // q-point coincides with the atom center
+				}
+				acc += s.wn(j).Dot(dv) * s.kernel(d2)
+			}
+			sAtom[i] += acc
+		}
+		st.NearPairs += int64(ahi-alo) * int64(qhi-qlo)
+		return
+	}
+	for _, ch := range an.Children {
+		if ch != octree.NoChild {
+			s.approxIntegrals(ch, q, sNode, sAtom, st)
+		}
+	}
+}
+
+// AccumulateDual runs the dual-tree variant of APPROX-INTEGRALS from [6]
+// (used by OCT_CILK): both octrees are traversed simultaneously starting at
+// their roots. Accumulators have the same meaning as in AccumulateQLeaf.
+func (s *BornSolver) AccumulateDual(sNode, sAtom []float64) Stats {
+	var st Stats
+	if len(s.TA.Nodes) == 0 || len(s.TQ.Nodes) == 0 {
+		return st
+	}
+	s.approxIntegralsDual(0, 0, sNode, sAtom, &st)
+	return st
+}
+
+func (s *BornSolver) approxIntegralsDual(a, q int32, sNode, sAtom []float64, st *Stats) {
+	st.NodesVisited++
+	an := &s.TA.Nodes[a]
+	qn := &s.TQ.Nodes[q]
+	d2 := an.Center.Dist2(qn.Center)
+	if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
+		diff := qn.Center.Sub(an.Center)
+		sNode[a] += s.nodeWN(q).Dot(diff) * s.kernel(d2)
+		st.FarEval++
+		return
+	}
+	switch {
+	case an.Leaf && qn.Leaf:
+		qlo, qhi := s.TQ.PointRange(q)
+		alo, ahi := s.TA.PointRange(a)
+		for i := alo; i < ahi; i++ {
+			p := s.TA.Points[i]
+			var acc float64
+			for j := qlo; j < qhi; j++ {
+				dv := s.TQ.Points[j].Sub(p)
+				d2 := dv.Norm2()
+				if d2 < 1e-12 {
+					continue
+				}
+				acc += s.wn(j).Dot(dv) * s.kernel(d2)
+			}
+			sAtom[i] += acc
+		}
+		st.NearPairs += int64(ahi-alo) * int64(qhi-qlo)
+	case qn.Leaf || (!an.Leaf && an.Radius >= qn.Radius):
+		// Split the atoms node.
+		for _, ch := range an.Children {
+			if ch != octree.NoChild {
+				s.approxIntegralsDual(ch, q, sNode, sAtom, st)
+			}
+		}
+	default:
+		// Split the q node.
+		for _, ch := range qn.Children {
+			if ch != octree.NoChild {
+				s.approxIntegralsDual(a, ch, sNode, sAtom, st)
+			}
+		}
+	}
+}
+
+// LeafEnergy runs APPROX-EPOL(root, V) for the atoms-octree leaf with index
+// vLeaf and returns the leaf's part of the raw sum Σ q_u·q_v/f_GB over all
+// ordered atom pairs: its far cells and one-sided exact blocks once, the
+// mutual exact blocks it owns twice (blockWeight). Summed over all leaves
+// — in any division into ranks — and multiplied by EnergyScale that is
+// E_pol. Stats report the work performed.
+func (s *EpolSolver) LeafEnergy(vLeaf int) (float64, Stats) {
+	var st Stats
+	v := s.T.LeafIdx[vLeaf]
+	var buf [64]int32
+	e := s.epolVisit(0, v, s.ancestors(v, buf[:0]), &st)
+	return e, st
+}
+
+// epolVisit is the recursion of Fig. 3; v is always a leaf and vAnc its
+// proper ancestors.
+func (s *EpolSolver) epolVisit(u, v int32, vAnc []int32, st *Stats) float64 {
+	st.NodesVisited++
+	un := &s.T.Nodes[u]
+	vn := &s.T.Nodes[v]
+	if un.Leaf {
+		w := s.blockWeight(u, v, vAnc)
+		if w == 0 {
+			return 0
+		}
+		// Exact ordered pairs between atoms under u and v (including the
+		// self pairs when u == v: f_GB(i,i) = R_i).
+		ulo, uhi := s.T.PointRange(u)
+		vlo, vhi := s.T.PointRange(v)
+		var sum float64
+		for i := ulo; i < uhi; i++ {
+			pi, qi, ri := s.T.Points[i], s.q[i], s.R[i]
+			for j := vlo; j < vhi; j++ {
+				if i == j {
+					sum += qi * qi / ri
+					continue
+				}
+				sum += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j], s.cfg.Math)
+			}
+		}
+		st.NearPairs += int64(uhi-ulo) * int64(vhi-vlo)
+		return float64(w) * sum
+	}
+	d2 := un.Center.Dist2(vn.Center)
+	if epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
+		return s.binApprox(u, v, d2, st)
+	}
+	var sum float64
+	for _, ch := range un.Children {
+		if ch != octree.NoChild {
+			sum += s.epolVisit(ch, v, vAnc, st)
+		}
+	}
+	return sum
+}
+
+// binApprox evaluates the far-field bin-pair approximation of Fig. 3 step 2
+// for nodes u, v at squared center distance d2.
+func (s *EpolSolver) binApprox(u, v int32, d2 float64, st *Stats) float64 {
+	ub := s.bins[int(u)*s.M : (int(u)+1)*s.M]
+	vb := s.bins[int(v)*s.M : (int(v)+1)*s.M]
+	var sum float64
+	for i := 0; i < s.M; i++ {
+		qi := ub[i]
+		if qi == 0 {
+			continue
+		}
+		for j := 0; j < s.M; j++ {
+			qj := vb[j]
+			if qj == 0 {
+				continue
+			}
+			sum += s.binPairTerm(d2, i+j, qi, qj)
+			st.FarEval++
+		}
+	}
+	return sum
+}
+
+// EnergyDual runs the dual-tree variant — the OCT_CILK algorithm — from the
+// root's self pair and returns the raw sum (scale by EnergyScale) with the
+// work counters of the pairs it evaluated.
+//
+// The pair term q_i·q_j/f_GB is symmetric, so the traversal visits each
+// UNORDERED node pair once. A self pair (u, u) is one exact diagonal block
+// when u is a leaf; otherwise it is replaced by its children's self pairs
+// (c_i, c_i) and their mutual pairs (c_i, c_j), i < j. A mutual pair is
+// accepted as far-field when well separated, evaluated exactly when both
+// nodes are leaves, and otherwise replaced by the pairs of one node with
+// the children of the other — the non-leaf, or of two non-leaves the one
+// with the larger radius. That choice does not depend on which node is
+// written first, so (u, v) decomposes into exactly the mirror image of
+// what (v, u) would, and a mutual pair's value stands for both: the raw
+// sum is Σ self + 2·Σ mutual, the factor applied where a mutual pair is
+// evaluated.
+func (s *EpolSolver) EnergyDual() (float64, Stats) {
+	var st Stats
+	if len(s.T.Nodes) == 0 {
+		return 0, st
+	}
+	e := s.epolDual(NodePair{0, 0}, &st)
+	return e, st
+}
+
+// epolDual is the recursive form of the dual traversal below one pair. It
+// returns what the pair contributes to the raw sum, a mutual pair's factor
+// of two included.
+func (s *EpolSolver) epolDual(p NodePair, st *Stats) float64 {
+	st.NodesVisited++
+	var e float64
+	switch s.epolKind(p) {
+	case epolFar:
+		e = s.binApprox(p.A, p.B, s.T.Nodes[p.A].Center.Dist2(s.T.Nodes[p.B].Center), st)
+	case epolNear:
+		// Exact atom pairs between the two leaves — for a self pair every
+		// ordered pair of the leaf, with the diagonal f_GB(i,i) = R_i.
+		ulo, uhi := s.T.PointRange(p.A)
+		vlo, vhi := s.T.PointRange(p.B)
+		for i := ulo; i < uhi; i++ {
+			pi, qi, ri := s.T.Points[i], s.q[i], s.R[i]
+			for j := vlo; j < vhi; j++ {
+				if i == j {
+					e += qi * qi / ri
+					continue
+				}
+				e += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j], s.cfg.Math)
+			}
+		}
+		st.NearPairs += int64(uhi-ulo) * int64(vhi-vlo)
+	default:
+		// 8 self + 28 mutual pairs is the most a split produces.
+		var buf [36]NodePair
+		kids := s.epolChildren(p, buf[:0])
+		for k := len(kids) - 1; k >= 0; k-- {
+			e += s.epolDual(kids[k], st)
+		}
+		return e
+	}
+	if p.A != p.B {
+		e *= 2
+	}
+	return e
+}

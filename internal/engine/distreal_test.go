@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"octgb/internal/core"
 	"octgb/internal/molecule"
 	"octgb/internal/simtime"
 	"octgb/internal/surface"
@@ -61,10 +62,8 @@ func TestDistributedDataGhostSufficiencyIsTight(t *testing.T) {
 	owned := leaves[:per]
 	restricted := es.Restrict(owned)
 	var raw float64
-	for l := 0; l < per; l++ {
-		e, _ := restricted.LeafEnergy(l)
-		raw += e
-	}
+	var tile core.InteractionList
+	restricted.StreamEpolLeaves(&tile, 0, per, &raw)
 	if !math.IsNaN(raw) {
 		t.Error("rank without ghosts produced a finite energy — poisoning ineffective or ghost analysis vacuous")
 	}

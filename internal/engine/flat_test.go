@@ -8,21 +8,49 @@ import (
 	"octgb/internal/gb"
 )
 
-// The engine-level equivalence suite: every real engine — streamed
-// interaction lists, SoA kernels, overlapped collectives — must reproduce
-// core's serial recursive reference: energies and radii to 1e-12 (summation
-// order differs) and identical treecode work counters, OctCilk included at
-// any thread count (its frontier pairs plus the expansion's own visits are
-// the serial dual traversal).
+// The engine-level equivalence suite: every real engine — streamed Born
+// lists, the held dual E_pol list, SoA kernels, overlapped collectives —
+// must reproduce the serial pipeline: energies and radii to 1e-12
+// (summation order differs) and identical treecode work counters, OctCilk
+// included at any thread count (its frontier pairs plus the expansion's
+// own visits are the serial dual traversal). The serial pipeline runs
+// core's lists whole on one thread; core holds those lists to its
+// recursive treecodes of Figs. 2 and 3 the same way (identical Stats,
+// 1e-12: TestBornFlatListMatchesRecursive, TestEpolFlatListMatchesRecursive,
+// and the streamed forms to the materialised ones), so an engine that
+// matches it matches the recursion.
 
-// serialReference runs core's recursion at the engines' default ε: the
+// serialResult is what the serial pipeline computes.
+type serialResult struct {
+	Epol                 float64
+	BornRadii            []float64
+	BornStats, EpolStats core.Stats
+}
+
+// serialReference runs the serial pipeline at the engines' default ε: the
 // dual-tree traversals for OctCilk, the leaf-driven ones otherwise.
-func serialReference(pr *Problem, k Kind, math gb.MathMode) core.Result {
-	ref := core.ComputeSerial
+func serialReference(pr *Problem, k Kind, mode gb.MathMode) serialResult {
+	var ref serialResult
+	bs := core.NewBornSolver(pr.Mol, pr.QPts, core.BornConfig{Eps: 0.9})
+	sNode, sAtom := bs.NewAccumulators()
+	var tile core.InteractionList
 	if k == OctCilk {
-		ref = core.ComputeSerialDual
+		ref.BornStats = bs.EvalBornList(bs.BuildBornDualList(), sNode, sAtom)
+	} else {
+		ref.BornStats = bs.StreamBornLeaves(&tile, 0, bs.NumQLeaves(), sNode, sAtom)
 	}
-	return ref(pr.Mol, pr.QPts, core.BornConfig{Eps: 0.9}, core.EpolConfig{Eps: 0.9, Math: math})
+	rTree := make([]float64, pr.Mol.N())
+	bs.PushIntegrals(sNode, sAtom, 0, int32(len(rTree)), rTree)
+	ref.BornRadii = bs.RadiiToOriginal(rTree)
+	es := core.NewEpolSolver(bs.TA, pr.Charges, ref.BornRadii, core.EpolConfig{Eps: 0.9, Math: mode})
+	var raw float64
+	if k == OctCilk {
+		raw, ref.EpolStats = es.EvalEpolList(es.BuildEpolDualList())
+	} else {
+		ref.EpolStats = es.StreamEpolLeaves(&tile, 0, es.NumLeaves(), &raw)
+	}
+	ref.Epol = raw * core.EnergyScale()
+	return ref
 }
 
 var mathModes = []struct {

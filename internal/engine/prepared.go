@@ -21,14 +21,15 @@ import (
 // keys an LRU of these by molecule content hash.
 //
 // Prepare also builds the E_pol solver for its own E_pol settings (ε_E and
-// math mode): the Born-radius bins of Fig. 3 depend only on the tree, the
-// charges, the Born radii and ε_E, so an EvalEpol at those settings builds
-// nothing but its traversal state. An EvalEpol at other settings builds a
-// solver for that call.
+// math mode) and, in the solver's storage, the dual E_pol interaction list
+// (core.DualList): the Born-radius bins of Fig. 3 and the node pairs the
+// traversal decides depend only on the tree, the charges, the Born radii
+// and ε_E, so an EvalEpol at those settings only evaluates. An EvalEpol at
+// other settings builds a solver for that call and traverses it once.
 //
 // A Prepared is immutable after Prepare and safe for concurrent EvalEpol
-// calls: the octrees, the Born radii and both solvers are read-only after
-// construction, and every evaluation has its own accumulators and tiles.
+// calls: the octrees, the Born radii, both solvers and the held list are
+// read-only after construction, and every evaluation has its own sums.
 // A Prepared never releases its solvers (core's Release): one that is
 // cached, or was, may still be read, and goes to the garbage collector.
 type Prepared struct {
@@ -43,6 +44,7 @@ type Prepared struct {
 
 	bs   *core.BornSolver
 	es   *core.EpolSolver // built at opts' E_pol settings
+	dual *core.DualList   // es's held list, cut at dualRoots; Prepare's only
 	opts Options          // prepare-time options, defaults resolved
 }
 
@@ -57,6 +59,7 @@ func Prepare(pr *Problem, o Options) (*Prepared, error) {
 		return nil, err
 	}
 	p := prepareCilk(pr, o)
+	p.dual = p.es.BuildDualList(p.dualRoots())
 	recordSchedStats(o.Observe, p.BornSched)
 	return p, nil
 }
@@ -70,9 +73,10 @@ func NewProblemFromSurface(mol *molecule.Molecule, qpts []surface.QPoint) *Probl
 }
 
 // prepareCilk is the Born half of the shared-memory engine: steps 1–4 of
-// Fig. 4 on one rank with a work-stealing pool. runCilkReal composes it
-// with (*Prepared).evalEpol, so the cold path and the cached path execute
-// identical code.
+// Fig. 4 on one rank with a work-stealing pool, then the E_pol solver at
+// o's E_pol settings. runCilkReal composes it with (*Prepared).evalEpol,
+// so the cold path and the cached path sum the same roots in the same
+// order; Prepare alone holds the list (see evalEpol).
 func prepareCilk(pr *Problem, o Options) *Prepared {
 	buildStart := time.Now()
 	bs := core.NewBornSolver(pr.Mol, pr.QPts, o.bornConfig())
@@ -102,6 +106,13 @@ func prepareCilk(pr *Problem, o Options) *Prepared {
 	return p
 }
 
+// dualRoots is how many roots the dual E_pol traversal is cut at: enough
+// for the prepare-time pool to balance. It is fixed per Prepared, whatever
+// Threads an evaluation asks for, so the roots — and the energy, which is
+// summed root by root in root order — are the same for every evaluation,
+// and an evaluation runs on at most that many workers.
+func (p *Prepared) dualRoots() int { return 32 * p.opts.Threads }
+
 // newEpolSolver builds the E_pol solver over the prepared tree, charges and
 // Born radii at o's E_pol settings.
 func (p *Prepared) newEpolSolver(o Options) *core.EpolSolver {
@@ -124,9 +135,13 @@ func (p *Prepared) epolSolver(o Options) *core.EpolSolver {
 // prepared BornRadii/BornStats so warm and cold reports have the same
 // shape; Wall covers only this evaluation.
 //
-// A cold RunReal(OctCilk) and Prepare+EvalEpol with the same options
-// execute the same code path and produce bitwise-identical energies (see
-// TestPreparedMatchesCold).
+// A cold RunReal(OctCilk) and Prepare+EvalEpol with the same options sum
+// the same roots in the same order and produce bitwise-identical energies
+// (see TestPreparedMatchesCold), and so do evaluations at any Threads. The
+// roots are cut at Prepare, at 32 × the prepare-time Threads (36 at
+// Threads 1 on a 2 500-atom molecule, since the cut takes whole tree
+// levels), so an evaluation runs on at most that many workers: prepare at
+// the Threads the evaluations will use.
 func (p *Prepared) EvalEpol(o Options) (RealReport, error) {
 	o = o.withDefaults(OctCilk)
 	if err := o.Validate(); err != nil {
@@ -160,25 +175,47 @@ func (p *Prepared) evalEpol(o Options) RealReport {
 		defer es.Release()
 	}
 	pool := sched.NewPool(o.Threads)
-	// As in the Born phase, the frontier pairs are the units: each chunk of
-	// them is completed by streaming its part of the dual traversal through
-	// the worker's pooled tile, so the traversal runs inside the parallel
-	// region and no list is materialised.
-	front, expand := es.EpolDualFrontier(32 * o.Threads)
-	tiles := newWorkerTiles(pool)
-	partial := make([]float64, pool.Workers())
-	statsW := make([]core.Stats, pool.Workers())
-	s2 := pool.ParallelFor(len(front), max(1, len(front)/(16*o.Threads)), func(w, lo, hi int) {
-		e, st := es.StreamEpolDual(tiles.get(w), front[lo:hi])
-		partial[w] += e
-		statsW[w].Add(st)
-	})
-	tiles.release()
+	// The roots are the units: each worker sums its roots' parts of the
+	// traversal into their own slots, and the slots are added in root
+	// order, so neither Threads nor stealing moves a bit.
+	var (
+		sums []float64
+		s2   sched.Stats
+	)
+	if dual := p.dual; es == p.es && dual != nil {
+		held := make([]float64, dual.Roots())
+		s2 = pool.ParallelFor(len(held), max(1, len(held)/(16*o.Threads)), func(_, lo, hi int) {
+			for r := lo; r < hi; r++ {
+				seg := dual.Root(r)
+				held[r], _ = es.EvalEpolList(&seg)
+			}
+		})
+		sums, rep.EpolStats = held, dual.Stats()
+	} else {
+		// A traversal used once (other E_pol settings, a cold solve) is
+		// not held: each root's part is built in the worker's pooled tile,
+		// inside the parallel region, with the held list's entries in the
+		// held list's order.
+		roots, expand := es.EpolDualFrontier(p.dualRoots())
+		once := make([]float64, len(roots))
+		tiles := newWorkerTiles(pool)
+		statsW := make([]core.Stats, pool.Workers())
+		s2 = pool.ParallelFor(len(roots), max(1, len(roots)/(16*o.Threads)), func(w, lo, hi int) {
+			for r := lo; r < hi; r++ {
+				var st core.Stats
+				once[r], st = es.EvalEpolList(es.BuildDualRootInto(tiles.get(w), roots[r]))
+				statsW[w].Add(st)
+			}
+		})
+		tiles.release()
+		sums, rep.EpolStats = once, expand
+		for _, st := range statsW {
+			rep.EpolStats.Add(st)
+		}
+	}
 	var raw float64
-	rep.EpolStats = expand
-	for w := range partial {
-		raw += partial[w]
-		rep.EpolStats.Add(statsW[w])
+	for _, e := range sums {
+		raw += e
 	}
 	rep.Energy = raw * core.EnergyScale()
 	rep.Sched = p.BornSched
@@ -194,8 +231,9 @@ func (p *Prepared) Options() Options { return p.opts }
 
 // MemoryBytes is the resident size of the Prepared — the figure the serving
 // cache charges against its byte budget: the Born solver (both octrees and
-// its payload streams), the E_pol solver's bins and row tables, the
-// molecule's atoms, the surface points, and the charge and radii vectors.
+// its payload streams), the E_pol solver's bins, row tables and held list,
+// the molecule's atoms, the surface points, and the charge and radii
+// vectors.
 func (p *Prepared) MemoryBytes() int64 {
 	const (
 		atomBytes = 40 // Pos + Radius + Charge

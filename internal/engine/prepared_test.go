@@ -1,13 +1,16 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
 
+	"octgb/internal/core"
 	"octgb/internal/gb"
+	"octgb/internal/geom"
 	"octgb/internal/molecule"
 	"octgb/internal/surface"
 )
@@ -52,9 +55,10 @@ func TestPreparedMatchesCold(t *testing.T) {
 
 // TestPreparedReEvalStable: evaluating the same Prepared repeatedly and
 // concurrently yields the same energy — the property that makes it safe
-// to share one cache entry across requests. With one thread the result is
-// bitwise stable; with a work-stealing pool the reduction order varies
-// run to run, so agreement there is last-ulp (1e-12 relative).
+// to share one cache entry across requests. The roots of the held list
+// are summed in root order, so the result is bitwise stable at any thread
+// count; the concurrent calls are held to 1e-12 relative, the one-thread
+// ones to the bit.
 func TestPreparedReEvalStable(t *testing.T) {
 	mol := molecule.GenerateProtein("stable", 600, 4)
 	p, err := Prepare(NewProblem(mol, surface.Default()), Options{Threads: 2})
@@ -201,10 +205,10 @@ func TestPreparedMemoryBytesIsTheLiveHeap(t *testing.T) {
 }
 
 // TestPreparedEvalEpolConcurrent: goroutines evaluating one Prepared at
-// once, at one and at two threads, share its E_pol solver and the pooled
-// tiles; every one-thread result is the bits of a lone evaluation, every
+// once, at one and at two threads, share its E_pol solver and held list;
+// every one-thread result is the bits of a lone evaluation, every
 // two-thread one agrees to the last ulps. Run under make race, this is the
-// check that the shared solver is only read.
+// check that the shared solver and list are only read.
 func TestPreparedEvalEpolConcurrent(t *testing.T) {
 	mol := molecule.GenerateProtein("concurrent", 600, 12)
 	p, err := Prepare(NewProblem(mol, surface.Default()), Options{Threads: 2})
@@ -289,6 +293,130 @@ func TestPreparedOtherEpsIsFreshBits(t *testing.T) {
 	if after.Energy != before.Energy {
 		t.Errorf("prepared ε_E after other evaluations: %.17g, before %.17g", after.Energy, before.Energy)
 	}
+}
+
+// streamedEpol is the oracle of the held list: the dual E_pol traversal of
+// a fresh solver over p's tree, charges and Born radii at o's E_pol
+// settings, streamed through one tile that takes the whole traversal —
+// core's StreamEpolDual from the root with an unbounded tile, which is
+// EvalEpolList of the materialised list bit for bit. It returns the energy,
+// the work, and the magnitude of the self terms, a floor for comparing
+// energies that cancel.
+func streamedEpol(p *Prepared, o Options) (energy float64, st core.Stats, self float64) {
+	o = o.withDefaults(OctCilk)
+	es := core.NewEpolSolver(p.bs.TA, p.Pr.Charges, p.BornRadii, o.epolConfig())
+	defer es.Release()
+	raw, st := es.EvalEpolList(es.BuildEpolDualList())
+	for i, q := range p.Pr.Charges {
+		self += q * q / p.BornRadii[i]
+	}
+	return raw * core.EnergyScale(), st, math.Abs(self * core.EnergyScale())
+}
+
+// checkHeldList evaluates p twice at o and holds the answer to the
+// streamed oracle — energy within 1e-12 relative (of the self terms when
+// the energy cancels below them), equal work — and the second evaluation
+// to the first's bits.
+func checkHeldList(t *testing.T, p *Prepared, o Options) RealReport {
+	t.Helper()
+	got, err := p.EvalEpol(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantSt, self := streamedEpol(p, o)
+	if d := math.Abs(got.Energy - want); !(d <= 1e-12*math.Max(math.Abs(want), self)) && got.Energy != want {
+		t.Errorf("%+v: held list %.17g, streamed %.17g (diff %.3g)", o, got.Energy, want, d)
+	}
+	if got.EpolStats != wantSt {
+		t.Errorf("%+v: held-list work %+v, streamed %+v", o, got.EpolStats, wantSt)
+	}
+	again, err := p.EvalEpol(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(again.Energy) != math.Float64bits(got.Energy) {
+		t.Errorf("%+v: second evaluation %.17g, first %.17g", o, again.Energy, got.Energy)
+	}
+	return got
+}
+
+// TestPreparedHeldListMatchesStreamed: the list Prepare holds, and the
+// traversal an evaluation at other E_pol settings builds root by root for
+// itself, answer what the streamed dual traversal they replaced answers —
+// across molecule sizes, thread counts, both math modes, the prepared ε_E
+// and another — and repeat bit for bit, at the prepared thread count and
+// at any other.
+func TestPreparedHeldListMatchesStreamed(t *testing.T) {
+	for _, n := range []int{300, 1000, 2500} {
+		pr := testProblem(n, 41)
+		for _, threads := range []int{1, 2, 3} {
+			for _, m := range mathModes {
+				t.Run(fmt.Sprintf("n=%d/p=%d/%s", n, threads, m.name), func(t *testing.T) {
+					p, err := Prepare(pr, Options{Threads: threads, Math: m.mode})
+					if err != nil {
+						t.Fatal(err)
+					}
+					other := gb.Approximate
+					if m.mode == gb.Approximate {
+						other = gb.Exact
+					}
+					for _, o := range []Options{{Math: m.mode}, {Math: m.mode, EpolEps: 0.5}, {Math: other}} {
+						o.Threads = threads
+						base := checkHeldList(t, p, o)
+						o.Threads = threads%3 + 1
+						rep, err := p.EvalEpol(o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Float64bits(rep.Energy) != math.Float64bits(base.Energy) {
+							t.Errorf("%+v: %.17g, at %d threads %.17g", o, rep.Energy, threads, base.Energy)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzPreparedEvalEpol holds the held list, and the one-shot traversal at
+// another ε_E, to the streamed oracle on
+// molecules of up to 64 atoms read from the input, eight bytes an atom:
+// three coordinates of two bytes each, within ±12.7 Å on a 0.1 Å grid
+// (coincident atoms included), a radius of 1–3.55 Å and a charge of
+// ±1.28 e. The first byte picks the thread count and the math mode.
+func FuzzPreparedEvalEpol(f *testing.F) {
+	f.Add([]byte{0, 0, 10, 0, 0, 0, 0, 50, 200})
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 20, 100, 0, 15, 0, 0, 0, 0, 20, 156, 0, 0, 0, 15, 0, 0, 20, 100})
+	f.Add([]byte{1, 1, 2, 3, 4, 5, 6, 90, 40, 1, 2, 3, 4, 5, 6, 90, 40, 7, 7, 7, 7, 7, 7, 0, 255})
+	seed := make([]byte, 1+8*64)
+	for i := range seed {
+		seed[i] = byte(i * 37)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 9 {
+			return
+		}
+		o := Options{Threads: 1 + int(data[0]&1)}
+		if data[0]&2 != 0 {
+			o.Math = gb.Approximate
+		}
+		coord := func(b []byte) float64 { return float64(int16(uint16(b[0])<<8|uint16(b[1]))%128) / 10 }
+		mol := &molecule.Molecule{Name: "fuzz"}
+		for a := data[1:]; len(a) >= 8 && len(mol.Atoms) < 64; a = a[8:] {
+			mol.Atoms = append(mol.Atoms, molecule.Atom{
+				Pos:    geom.V(coord(a[0:]), coord(a[2:]), coord(a[4:])),
+				Radius: 1 + float64(a[6])/100,
+				Charge: float64(int8(a[7])) / 100,
+			})
+		}
+		p, err := Prepare(NewProblem(mol, surface.Default()), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkHeldList(t, p, o)
+		checkHeldList(t, p, Options{Threads: o.Threads, Math: o.Math, EpolEps: 0.5})
+	})
 }
 
 // raceBuild reports whether the test binary was built with -race.

@@ -101,11 +101,11 @@ func runNaiveReal(pr *Problem, o Options) RealReport {
 }
 
 // tilePool holds the interaction-list tiles every streamed traversal fills
-// and evaluates through: the Born phase, the dual E_pol traversal and a
-// rank's step 6. Each worker of a parallel region takes one on its first
-// chunk and the region puts them back, so a warm evaluation reuses the
-// tiles earlier ones grew. Every stream call resets its tile first; no
-// state crosses calls.
+// and evaluates through: the Born phase, a one-shot dual E_pol traversal
+// and a rank's step 6. Each worker of a parallel region takes one on its
+// first chunk and the region puts them back, so a later solve reuses the
+// tiles earlier ones grew. Every fill resets its tile first; no state
+// crosses calls.
 var tilePool = sync.Pool{New: func() any { return new(core.InteractionList) }}
 
 // workerTiles lends each worker of one parallel region a pooled tile.
@@ -170,12 +170,13 @@ func bornPhase(bs *core.BornSolver, pool *sched.Pool, n, grain int, sNode, sAtom
 }
 
 // runCilkReal executes the dual-tree algorithm with one rank and a
-// work-stealing pool over the dual-tree frontier (interaction lists
-// streamed through SoA kernels). It is the composition of the
-// preprocessing half (prepareCilk: trees + Born radii) and the evaluation
-// half ((*Prepared).evalEpol) — the same two halves the serving layer runs
-// separately around its prepared-problem cache, so the cold path and the
-// cached path are one code path (see prepared.go).
+// work-stealing pool over the dual-tree frontier (the Born lists streamed
+// through SoA kernels, the E_pol list held and evaluated). It is the
+// composition of the preprocessing half (prepareCilk: trees, Born radii
+// and the E_pol list) and the evaluation half ((*Prepared).evalEpol) — the
+// same two halves the serving layer runs separately around its
+// prepared-problem cache, so the cold path and the cached path are one
+// code path (see prepared.go).
 //
 // The Prepared never escapes, so its solvers go back to the core pools
 // once the energy is in: the next cold solve builds in their storage.

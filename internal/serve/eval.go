@@ -104,8 +104,12 @@ func (s *Server) evalEnergy(ctx context.Context, key string, mol *molecule.Molec
 	if s.cfg.Ranks > 1 && src == sourceBuild {
 		// Ranks deployments evaluate cold requests with the hybrid engine
 		// (the configuration that fronts a cmd/epolnode mesh). The entry
-		// just built still serves warm requests through the prepared path;
-		// the two agree to ~1e-12.
+		// just built still serves warm requests through the prepared path.
+		// The two run different traversals — leaf-driven here, dual there —
+		// so their answers differ by more than rounding (1.77 % on one
+		// 1 000-atom molecule). Each is held to the paper's 1 % against the
+		// exact sum; the warm one does not yet hold it on every molecule
+		// (ROADMAP.md tracks the fix).
 		eo.Ranks = s.cfg.Ranks
 		rep, err := engine.RunReal(b.prep.Pr, engine.OctMPICilk, eo)
 		if err != nil {
