@@ -159,38 +159,34 @@ func (s *BornSolver) kernel(d2 float64) float64 {
 
 // NewBornSolver builds both octrees and all aggregates. The molecule and
 // q-point slices are not retained. The storage is a released solver's
-// (Release) when one fits, and the solver is the same either way.
+// (Release) when Free holds one that fits, and the solver is the same
+// either way.
 func NewBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig) *BornSolver {
-	return newBornSolver(mol, qpts, cfg, take[BornSolver](&bornPool))
-}
-
-// newBornSolver is NewBornSolver in the storage of s, a released solver,
-// or in new storage when s is nil or oversized for this build.
-func newBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig, s *BornSolver) *BornSolver {
 	cfg = cfg.withDefaults()
-	if s == nil || oversized(cap(s.TA.Points), mol.N()) || oversized(cap(s.TQ.Points), len(qpts)) {
-		s = &BornSolver{TA: new(octree.Tree), TQ: new(octree.Tree)}
+	s := Take[BornSolver](&Free, mol.N()+len(qpts))
+	if s.TA == nil {
+		s.TA, s.TQ = new(octree.Tree), new(octree.Tree)
 	}
 	s.cfg, s.sepK2, s.r4 = cfg, sepFactor2(sepRatio(cfg.Eps, cfg.CriterionPower)), cfg.Exponent == 4
 
-	apos := resize(s.TA.Points, mol.N())
+	apos := Resize(s.TA.Points, mol.N())
 	for i := range mol.Atoms {
 		apos[i] = mol.Atoms[i].Pos
 	}
 	s.TA.Rebuild(apos, cfg.LeafSize)
-	s.atomR = resize(s.atomR, mol.N())
+	s.atomR = Resize(s.atomR, mol.N())
 	for i, orig := range s.TA.Perm {
 		s.atomR[i] = mol.Atoms[orig].Radius
 	}
 
-	qpos := resize(s.TQ.Points, len(qpts))
+	qpos := Resize(s.TQ.Points, len(qpts))
 	for i := range qpts {
 		qpos[i] = qpts[i].Pos
 	}
 	s.TQ.Rebuild(qpos, cfg.LeafSize)
-	s.wnX = resize(s.wnX, len(qpts))
-	s.wnY = resize(s.wnY, len(qpts))
-	s.wnZ = resize(s.wnZ, len(qpts))
+	s.wnX = Resize(s.wnX, len(qpts))
+	s.wnY = Resize(s.wnY, len(qpts))
+	s.wnZ = Resize(s.wnZ, len(qpts))
 	for i, orig := range s.TQ.Perm {
 		q := &qpts[orig]
 		w := q.Normal.Scale(q.Weight)
@@ -201,9 +197,9 @@ func newBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig
 	// always have larger indices than their parent, so one reverse sweep is
 	// O(nodes + points) instead of the O(points · depth) of summing every
 	// point under every ancestor.
-	s.wnNX = resize(s.wnNX, len(s.TQ.Nodes))
-	s.wnNY = resize(s.wnNY, len(s.TQ.Nodes))
-	s.wnNZ = resize(s.wnNZ, len(s.TQ.Nodes))
+	s.wnNX = Resize(s.wnNX, len(s.TQ.Nodes))
+	s.wnNY = Resize(s.wnNY, len(s.TQ.Nodes))
+	s.wnNZ = Resize(s.wnNZ, len(s.TQ.Nodes))
 	for n := len(s.TQ.Nodes) - 1; n >= 0; n-- {
 		nd := &s.TQ.Nodes[n]
 		var sum geom.Vec3
@@ -227,8 +223,8 @@ func newBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig
 	} else {
 		s.rcap = math.Max(10, 2*b.HalfDiagonal())
 	}
-	s.aRange = resize(s.aRange, len(s.TA.Nodes))
-	s.aCent = resize(s.aCent, 4*len(s.TA.Nodes))
+	s.aRange = Resize(s.aRange, len(s.TA.Nodes))
+	s.aCent = Resize(s.aCent, 4*len(s.TA.Nodes))
 	for n := range s.TA.Nodes {
 		lo, hi := s.TA.PointRange(int32(n))
 		s.aRange[n] = int64(lo) | int64(hi)<<32

@@ -87,13 +87,13 @@ type EpolSolver struct {
 // NaN poison propagates into the vector path; SetResident patches the
 // tables in place instead.
 func (s *EpolSolver) buildVecTables() {
-	s.uRange = resize(s.uRange, len(s.T.Nodes))
+	s.uRange = Resize(s.uRange, len(s.T.Nodes))
 	for n := range s.T.Nodes {
 		lo, hi := s.T.PointRange(int32(n))
 		s.uRange[n] = int64(lo) | int64(hi)<<32
 	}
-	s.uPos = resize(s.uPos, 4*len(s.q))
-	s.uQRG = resize(s.uQRG, 4*len(s.q))
+	s.uPos = Resize(s.uPos, 4*len(s.q))
+	s.uQRG = Resize(s.uQRG, 4*len(s.q))
 	for i := range s.q {
 		s.uPos[4*i], s.uPos[4*i+1], s.uPos[4*i+2], s.uPos[4*i+3] = s.T.X[i], s.T.Y[i], s.T.Z[i], 0
 		s.uQRG[4*i], s.uQRG[4*i+1], s.uQRG[4*i+2], s.uQRG[4*i+3] = s.q[i], s.R[i], -0.25*s.invR[i], 0
@@ -112,22 +112,15 @@ func epolFar2(d2, ru, rv, sep2 float64) bool {
 // NewEpolSolver builds the energy treecode state over an existing atoms
 // octree. charges and bornR are in ORIGINAL atom order; tree.Perm maps them.
 // The solver shares the tree; its own storage is a released solver's
-// (Release) when one fits, and the solver is the same either way.
+// (Release) when Free holds one that fits, and the solver is the same
+// either way.
 func NewEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig) *EpolSolver {
-	return newEpolSolver(tree, charges, bornR, cfg, take[EpolSolver](&epolPool))
-}
-
-// newEpolSolver is NewEpolSolver in the storage of s, a released solver,
-// or in new storage when s is nil or oversized for this build.
-func newEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig, s *EpolSolver) *EpolSolver {
 	cfg = cfg.withDefaults()
 	n := len(tree.Points)
-	if s == nil || oversized(cap(s.q), n) || oversized(cap(s.leafNo), len(tree.Nodes)) {
-		s = new(EpolSolver)
-	}
+	s := Take[EpolSolver](&Free, n)
 	s.T, s.cfg, s.sep = tree, cfg, 1+2/cfg.Eps
 	s.dual.reset()
-	s.q, s.R, s.invR = resize(s.q, n), resize(s.R, n), resize(s.invR, n)
+	s.q, s.R, s.invR = Resize(s.q, n), Resize(s.R, n), Resize(s.invR, n)
 	s.sep2 = s.sep * s.sep
 	for i, orig := range tree.Perm {
 		s.q[i] = charges[orig]
@@ -156,7 +149,7 @@ func newEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig, 
 	}
 
 	// Per-atom bin index.
-	s.binOf = resize(s.binOf, n)
+	s.binOf = Resize(s.binOf, n)
 	for i, r := range s.R {
 		k := 0
 		if r > s.Rmin {
@@ -172,7 +165,7 @@ func newEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig, 
 	// Per-node aggregates q_U[k]. Leaves fill from their atom ranges;
 	// internal nodes sum their children (bottom-up by reverse index: in
 	// this layout children always have larger indices than parents).
-	s.bins = resize(s.bins, len(tree.Nodes)*s.M)
+	s.bins = Resize(s.bins, len(tree.Nodes)*s.M)
 	clear(s.bins)
 	for ni := len(tree.Nodes) - 1; ni >= 0; ni-- {
 		nd := &tree.Nodes[ni]
@@ -195,13 +188,13 @@ func newEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig, 
 	}
 
 	// Precompute R_min²(1+ε)^(i+j) for all bin-pair sums.
-	s.binRR = resize(s.binRR, 2*s.M-1)
+	s.binRR = Resize(s.binRR, 2*s.M-1)
 	for t := range s.binRR {
 		s.binRR[t] = s.Rmin * s.Rmin * math.Pow(1+cfg.Eps, float64(t))
 	}
 
 	// Compress the node-major bins into the nonzero-only layout.
-	s.nzStart = resize(s.nzStart, len(tree.Nodes)+1)
+	s.nzStart = Resize(s.nzStart, len(tree.Nodes)+1)
 	s.nzBin, s.nzQ = s.nzBin[:0], s.nzQ[:0]
 	for ni := 0; ni < len(tree.Nodes); ni++ {
 		s.nzStart[ni] = int32(len(s.nzBin))
@@ -215,7 +208,7 @@ func newEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig, 
 	}
 	s.nzStart[len(tree.Nodes)] = int32(len(s.nzBin))
 	s.buildVecTables()
-	s.leafNo = resize(s.leafNo, len(tree.Nodes)) // read at leaves only
+	s.leafNo = Resize(s.leafNo, len(tree.Nodes)) // read at leaves only
 	for i, n := range tree.LeafIdx {
 		s.leafNo[n] = int32(i)
 	}

@@ -473,3 +473,25 @@ func TestEpolDualFrontierCompletes(t *testing.T) {
 		t.Errorf("empty tree: energy %v, stats %+v", e, st)
 	}
 }
+
+// TestFrontiersStopAtTheTarget: both frontiers expand only as many pairs
+// as the target needs, so the root count lands within one pair's children
+// of it — 8 for a Born pair or an energy pair that splits one node, 36 for
+// an energy self pair (8 self pairs and 28 mutual ones) — where expanding
+// whole levels gave 497 roots for 64 at 2 500 atoms.
+func TestFrontiersStopAtTheTarget(t *testing.T) {
+	m, q := testMol(2500, 95)
+	bs := NewBornSolver(m, q, BornConfig{Eps: 0.9})
+	es := NewEpolSolver(bs.TA, make([]float64, m.N()), gb.BornRadiiR6(m, q), EpolConfig{Eps: 0.9})
+	for _, target := range []int{32, 64} {
+		born, _ := bs.DualFrontier(target)
+		epol, _ := es.EpolDualFrontier(target)
+		t.Logf("target %d: %d Born roots, %d E_pol roots", target, len(born), len(epol))
+		if len(born) < target || len(born) >= target+8 {
+			t.Errorf("target %d: %d Born roots, want [%d, %d)", target, len(born), target, target+8)
+		}
+		if len(epol) < target || len(epol) >= target+36 {
+			t.Errorf("target %d: %d E_pol roots, want [%d, %d)", target, len(epol), target, target+36)
+		}
+	}
+}

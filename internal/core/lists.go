@@ -64,6 +64,11 @@ type InteractionList struct {
 // (which evaluation performs verbatim).
 func (l *InteractionList) Stats() Stats { return l.stats }
 
+// MemoryBytes is the capacity the list holds, its traversal stack's too.
+func (l *InteractionList) MemoryBytes() int64 {
+	return 8 * int64(cap(l.Near)+cap(l.Far)+cap(l.Mutual)+cap(l.stack))
+}
+
 // reset empties the list while keeping its capacity, so rebuilds into the
 // same InteractionList (a worker's tile, a session's driver lists) reuse
 // its backing arrays instead of re-growing them from scratch.
@@ -177,35 +182,42 @@ func (s *BornSolver) fillBornDual(l *InteractionList, limit int) {
 	stack := l.stack
 	for len(stack) > 0 && len(l.Near)+len(l.Far) < limit {
 		p := stack.pop()
-		a, q := p.A, p.B
 		l.stats.NodesVisited++
-		an := &s.TA.Nodes[a]
-		qn := &s.TQ.Nodes[q]
-		d2 := an.Center.Dist2(qn.Center)
-		if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
+		an, qn := &s.TA.Nodes[p.A], &s.TQ.Nodes[p.B]
+		if wellSeparated2(an.Center.Dist2(qn.Center), an.Radius, qn.Radius, s.sepK2) {
 			l.Far = appendPair(l.Far, p)
 			l.stats.FarEval++
 			continue
 		}
-		switch {
-		case an.Leaf && qn.Leaf:
+		if an.Leaf && qn.Leaf {
 			l.Near = appendPair(l.Near, p)
 			l.stats.NearPairs += int64(an.Count) * int64(qn.Count)
-		case qn.Leaf || (!an.Leaf && an.Radius >= qn.Radius):
-			for c := 7; c >= 0; c-- {
-				if ch := an.Children[c]; ch != octree.NoChild {
-					stack.push(ch, q)
-				}
-			}
-		default:
-			for c := 7; c >= 0; c-- {
-				if ch := qn.Children[c]; ch != octree.NoChild {
-					stack.push(a, ch)
-				}
-			}
+		} else {
+			stack = s.bornChildren(p, stack)
 		}
 	}
 	l.stack = stack
+}
+
+// bornChildren appends the pairs p splits into, in a stack's push order:
+// the larger node's children (T_A's on a tie or when T_Q's is a leaf),
+// each with the other node.
+func (s *BornSolver) bornChildren(p NodePair, dst []NodePair) []NodePair {
+	an, qn := &s.TA.Nodes[p.A], &s.TQ.Nodes[p.B]
+	if qn.Leaf || (!an.Leaf && an.Radius >= qn.Radius) {
+		for c := 7; c >= 0; c-- {
+			if ch := an.Children[c]; ch != octree.NoChild {
+				dst = append(dst, NodePair{ch, p.B})
+			}
+		}
+		return dst
+	}
+	for c := 7; c >= 0; c-- {
+		if ch := qn.Children[c]; ch != octree.NoChild {
+			dst = append(dst, NodePair{p.A, ch})
+		}
+	}
+	return dst
 }
 
 // bornTileEntries is the size at which the streamed Born phase cuts its
@@ -535,10 +547,7 @@ func (d *DualList) Root(r int) InteractionList {
 func (d *DualList) Stats() Stats { return d.list.stats }
 
 // bytes is the capacity the list holds.
-func (d *DualList) bytes() int64 {
-	l := &d.list
-	return 8*int64(cap(l.Near)+cap(l.Far)+cap(l.stack)) + 4*int64(cap(d.near)+cap(d.far))
-}
+func (d *DualList) bytes() int64 { return d.list.MemoryBytes() + 4*int64(cap(d.near)+cap(d.far)) }
 
 // BuildDualList builds the dual energy traversal below the pairs of
 // EpolDualFrontier(minRoots) into the solver's own storage and returns it.

@@ -1,60 +1,96 @@
 package core
 
 import (
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
-// Solver storage is recycled: a solver handed back with Release backs the
-// next NewBornSolver or NewEpolSolver, which rebuilds every array in place
-// (octree.Tree.Rebuild for the trees, resize for the rest) and clears the
-// ones it accumulates into. Back-to-back one-shot solves — the engines'
-// cold paths, a session's refreshes — thus allocate their solvers' bytes
-// once rather than once per solve. The pools hold solvers whose owner is
-// done with them; a live solver is never in them.
-var bornPool, epolPool sync.Pool // of *offer[BornSolver], *offer[EpolSolver]
-
-// offer is one release of a solver, put into its pool twice. A sync.Pool
-// keeps the first Put of a P in a slot only that P's Gets see, and the
-// goroutine that releases a solver and the one that builds the next are
-// often on different Ps: a cold solve parks in between. On two Ps about
-// one cold solve in four missed its donor that way; the second Put lands
-// where every P can take it. The first take to claim the offer wins, and
-// the copy met later is dropped.
-type offer[T any] struct {
-	s     *T
-	taken atomic.Bool
+// FreeList is the one owner of retired storage: solvers, session stores
+// and traversal tiles whose owner is done with them wait in it for the
+// next build of their kind, which rebuilds them in place (Resize,
+// octree.Tree.Rebuild), so back-to-back builds allocate their storage
+// once. Takes are newest first, and the list drops its oldest donors to
+// the garbage collector to hold at most FreeCap bytes.
+type FreeList struct {
+	mu     sync.Mutex
+	held   int64
+	donors []donor // oldest first
 }
 
-// give offers s to the pool's next take.
-func give[T any](p *sync.Pool, s *T) {
-	o := &offer[T]{s: s}
-	p.Put(o)
-	p.Put(o)
+// donor is a retired value, the build size it has room for (in the unit
+// its kind's Take states a need in) and the bytes it holds.
+type donor struct {
+	v     any
+	size  int
+	bytes int64
 }
 
-// take returns a released solver from the pool, or nil when there is none.
-func take[T any](p *sync.Pool) *T {
-	for {
-		o, _ := p.Get().(*offer[T])
-		if o == nil {
-			return nil
-		}
-		if o.taken.CompareAndSwap(false, true) {
-			return o.s
+// FreeCap fits what two 3 000-atom sessions leave when they close together
+// (~115 MB each, stores and solvers), or many cold solves' solvers.
+const FreeCap = 256 << 20
+
+// Free is the process's free list; every recycling path goes through it.
+var Free FreeList
+
+// Put hands v to the next Take of its type. A donor larger than FreeCap is
+// not kept.
+func (l *FreeList) Put(v any, size int, bytes int64) {
+	if bytes > FreeCap {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.held+bytes > FreeCap {
+		l.held -= l.donors[0].bytes
+		l.donors = slices.Delete(l.donors, 0, 1)
+	}
+	l.donors = append(l.donors, donor{v, size, bytes})
+	l.held += bytes
+}
+
+// Take returns the newest *T in l that has room for no more than twice a
+// build of size need, or a new one. A *T met on the way that has room for
+// more goes to the garbage collector, so a small build never pins a large
+// one's storage.
+func Take[T any](l *FreeList, need int) *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.donors) - 1; i >= 0; i-- {
+		d := l.donors[i]
+		if v, ok := d.v.(*T); ok {
+			l.held -= d.bytes
+			l.donors = slices.Delete(l.donors, i, i+1)
+			if d.size <= 2*need {
+				return v
+			}
 		}
 	}
+	return new(T)
+}
+
+// Held returns the bytes l holds.
+func (l *FreeList) Held() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.held
+}
+
+// Drain drops every donor l holds to the garbage collector.
+func (l *FreeList) Drain() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.donors, l.held = nil, 0
 }
 
 // Release hands the solver's storage — both octrees and every payload
-// stream — to the next NewBornSolver. The caller must be done with the
-// solver and with every EpolSolver built over its atoms tree: nothing may
-// read them afterwards. Release on nil does nothing.
+// stream — to the next NewBornSolver, sized in atoms plus q-points. The
+// caller must be done with the solver and with every EpolSolver built over
+// its atoms tree: nothing may read them afterwards. Release on nil does
+// nothing.
 func (s *BornSolver) Release() {
-	if s == nil {
-		return
+	if s != nil {
+		Free.Put(s, cap(s.TA.Points)+cap(s.TQ.Points), s.MemoryBytes())
 	}
-	give(&bornPool, s)
 }
 
 // Release hands the solver's storage to the next NewEpolSolver; the atoms
@@ -67,18 +103,12 @@ func (s *EpolSolver) Release() {
 		return
 	}
 	s.T = nil
-	give(&epolPool, s)
+	Free.Put(s, cap(s.q), s.MemoryBytes())
 }
 
-// oversized reports whether a released solver whose storage holds
-// capacity elements is too large to back a build that needs need of them:
-// more than twice the need. Such a donor goes to the garbage collector
-// instead, so a long-lived solver never pins a larger molecule's arrays.
-func oversized(capacity, need int) bool { return capacity > 2*need }
-
-// resize returns s with length n, reallocating only when its capacity
+// Resize returns s with length n, reallocating only when its capacity
 // falls short; the contents are unspecified.
-func resize[T any](s []T, n int) []T {
+func Resize[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}

@@ -138,10 +138,10 @@ func (p *Prepared) epolSolver(o Options) *core.EpolSolver {
 // A cold RunReal(OctCilk) and Prepare+EvalEpol with the same options sum
 // the same roots in the same order and produce bitwise-identical energies
 // (see TestPreparedMatchesCold), and so do evaluations at any Threads. The
-// roots are cut at Prepare, at 32 × the prepare-time Threads (36 at
-// Threads 1 on a 2 500-atom molecule, since the cut takes whole tree
-// levels), so an evaluation runs on at most that many workers: prepare at
-// the Threads the evaluations will use.
+// roots are cut at Prepare, at 32 × the prepare-time Threads (a few more
+// when the last pair split has several children), so an evaluation runs
+// on at most that many workers: prepare at the Threads the evaluations
+// will use.
 func (p *Prepared) EvalEpol(o Options) (RealReport, error) {
 	o = o.withDefaults(OctCilk)
 	if err := o.Validate(); err != nil {
@@ -193,7 +193,7 @@ func (p *Prepared) evalEpol(o Options) RealReport {
 		sums, rep.EpolStats = held, dual.Stats()
 	} else {
 		// A traversal used once (other E_pol settings, a cold solve) is
-		// not held: each root's part is built in the worker's pooled tile,
+		// not held: each root's part is built in the worker's lent tile,
 		// inside the parallel region, with the held list's entries in the
 		// held list's order.
 		roots, expand := es.EpolDualFrontier(p.dualRoots())

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -175,9 +174,11 @@ func TestPreparedMemoryBytes(t *testing.T) {
 	}
 }
 
-// liveHeap is the heap in use after a full collection.
+// liveHeap is the heap in use after a full collection, with core.Free
+// drained first so that what it held is not counted and the next build
+// allocates everything it keeps.
 func liveHeap() int64 {
-	runtime.GC()
+	core.Free.Drain()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -419,22 +420,8 @@ func FuzzPreparedEvalEpol(f *testing.F) {
 	})
 }
 
-// raceBuild reports whether the test binary was built with -race.
-func raceBuild() bool {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
-
 // evalEpolBytes is TotalAlloc per EvalEpol call at the prepared settings,
-// after one call has filled the tile pool.
+// after one call has left its tiles in core.Free.
 func evalEpolBytes(t *testing.T, atoms int) float64 {
 	t.Helper()
 	p, err := Prepare(NewProblem(molecule.GenerateProtein("bytes", atoms, 5), surface.Default()), Options{Threads: 2})
@@ -463,9 +450,6 @@ func evalEpolBytes(t *testing.T, atoms int) float64 {
 // solver's bins and row tables, or regrowing the tiles, scales with the
 // atoms and breaks the bound.
 func TestPreparedEvalEpolBytesDoNotGrow(t *testing.T) {
-	if raceBuild() {
-		t.Skip("the race detector drops a quarter of sync.Pool puts on purpose")
-	}
 	small, large := evalEpolBytes(t, 300), evalEpolBytes(t, 2500)
 	t.Logf("EvalEpol bytes per call: %.0f at 300 atoms, %.0f at 2500", small, large)
 	if large > 2*small {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"octgb/internal/cluster"
@@ -100,32 +99,30 @@ func runNaiveReal(pr *Problem, o Options) RealReport {
 	return rep
 }
 
-// tilePool holds the interaction-list tiles every streamed traversal fills
-// and evaluates through: the Born phase, a one-shot dual E_pol traversal
-// and a rank's step 6. Each worker of a parallel region takes one on its
-// first chunk and the region puts them back, so a later solve reuses the
+// workerTiles lends each worker of one parallel region an interaction-list
+// tile to fill and evaluate through: the Born phase, a one-shot dual E_pol
+// traversal and a rank's step 6. A worker takes one from core.Free on its
+// first chunk and release hands them back, so a later region reuses the
 // tiles earlier ones grew. Every fill resets its tile first; no state
 // crosses calls.
-var tilePool = sync.Pool{New: func() any { return new(core.InteractionList) }}
-
-// workerTiles lends each worker of one parallel region a pooled tile.
 type workerTiles []*core.InteractionList
 
 func newWorkerTiles(pool *sched.Pool) workerTiles { return make(workerTiles, pool.Workers()) }
 
-// get is worker w's tile, taken from the pool on its first call.
+// get is worker w's tile, taken on its first call. A tile's storage grows
+// with the work it is lent for, not with a build, so any tile fits.
 func (t workerTiles) get(w int) *core.InteractionList {
 	if t[w] == nil {
-		t[w] = tilePool.Get().(*core.InteractionList)
+		t[w] = core.Take[core.InteractionList](&core.Free, 0)
 	}
 	return t[w]
 }
 
-// release puts the tiles taken back into the pool.
+// release hands the tiles taken back to core.Free.
 func (t workerTiles) release() {
 	for _, tile := range t {
 		if tile != nil {
-			tilePool.Put(tile)
+			core.Free.Put(tile, 0, tile.MemoryBytes())
 		}
 	}
 }
@@ -133,7 +130,7 @@ func (t workerTiles) release() {
 // bornPhase is the Born phase of one rank (Fig. 4 step 2): the n units of
 // its traversal — q-leaves of the rank's segment, or dual-tree frontier
 // pairs — are divided over the pool, and run completes the units [lo, hi)
-// into the accumulators it is handed, through the worker's pooled tile.
+// into the accumulators it is handed, through the worker's lent tile.
 // Building a unit's interactions is part of run, so it happens inside the
 // parallel region. Worker 0 accumulates straight into sNode/sAtom and the
 // other workers' private accumulators are reduced into them afterwards; a
@@ -178,8 +175,8 @@ func bornPhase(bs *core.BornSolver, pool *sched.Pool, n, grain int, sNode, sAtom
 // prepared-problem cache, so the cold path and the cached path are one
 // code path (see prepared.go).
 //
-// The Prepared never escapes, so its solvers go back to the core pools
-// once the energy is in: the next cold solve builds in their storage.
+// The Prepared never escapes, so its solvers go back to core.Free once
+// the energy is in: the next cold solve builds in their storage.
 func runCilkReal(pr *Problem, o Options) RealReport {
 	p := prepareCilk(pr, o)
 	rep := p.evalEpol(o)
@@ -309,7 +306,7 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 
 	// Step 6: partial energy for this rank's leaf segment, streamed like
 	// step 2: each chunk of driver leaves is traversed and evaluated through
-	// its worker's pooled tile; one worker's chunks are the serial sum bit
+	// its worker's lent tile; one worker's chunks are the serial sum bit
 	// for bit.
 	es := core.NewEpolSolver(bs.TA, pr.Charges, rep.BornRadii, o.epolConfig())
 	lseg := partition.ForRank(es.NumLeaves(), P, rank)

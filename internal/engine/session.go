@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"octgb/internal/core"
@@ -115,9 +114,9 @@ type Session struct {
 // sessionStores is everything a Session owns apart from its two solvers:
 // the molecule copy, the per-atom, per-node and per-driver stores, the
 // arenas their views are cut from and the per-frame scratch. Close hands it
-// to storePool and NewSession takes it back from there, so a stream of
+// to core.Free and NewSession takes it back from there, so a stream of
 // sessions reuses one session's storage; sizeStores and rebuildStructure
-// size every store to the session at hand with resize.
+// size every store to the session at hand with core.Resize.
 type sessionStores struct {
 	mol     molecule.Molecule // session-owned copy, current positions
 	charges []float64
@@ -393,9 +392,6 @@ type FrameReport struct {
 // ErrSessionClosed is what Step returns on a session Close has released.
 var ErrSessionClosed = errors.New("engine: session is closed")
 
-// storePool holds the stores of closed sessions for the next NewSession.
-var storePool sync.Pool // of *sessionStores
-
 // NewSession samples the molecule's surface, builds both treecode solvers,
 // derives every driver segment with slack margins, and evaluates the
 // initial energy. The molecule is copied; the caller's value is never
@@ -404,12 +400,11 @@ var storePool sync.Pool // of *sessionStores
 // there is one; the surface sample is always built anew, and the energies
 // do not depend on where the storage came from.
 func NewSession(mol *molecule.Molecule, o SessionOptions) (*Session, error) {
-	st, _ := storePool.Get().(*sessionStores)
-	return newSession(mol, o, st)
+	return newSession(mol, o, core.Take[sessionStores](&core.Free, mol.N()))
 }
 
-// newSession is NewSession on the given stores, or on new ones when st is
-// nil. On an error the stores go to the garbage collector.
+// newSession is NewSession on the given stores. On an error they go to
+// the garbage collector.
 func newSession(mol *molecule.Molecule, o SessionOptions, st *sessionStores) (*Session, error) {
 	o = o.withDefaults()
 	eo := o.Eval.withDefaults(OctCilk)
@@ -424,10 +419,7 @@ func newSession(mol *molecule.Molecule, o SessionOptions, st *sessionStores) (*S
 			return nil, fmt.Errorf("engine: session atom %d: %w", i, err)
 		}
 	}
-	ss := &Session{opts: o, eo: eo}
-	if st != nil {
-		ss.sessionStores = *st
-	}
+	ss := &Session{opts: o, eo: eo, sessionStores: *st}
 	ss.mol = molecule.Molecule{Name: mol.Name, Atoms: append(ss.mol.Atoms[:0], mol.Atoms...)}
 	qpts, owners := surface.SampleOwned(&ss.mol, o.Surf)
 	if len(qpts) == 0 {
@@ -451,20 +443,20 @@ func (ss *Session) sizeStores(qpts []surface.QPoint, owners []int32) {
 	la, lq := len(ta.LeafIdx), len(tq.LeafIdx)
 	ar := &ss.arenas
 
-	ss.charges = resize(ss.charges, nA)
+	ss.charges = core.Resize(ss.charges, nA)
 	for i := range ss.mol.Atoms {
 		ss.charges[i] = ss.mol.Atoms[i].Charge
 	}
 	ss.aInv = ta.InvPermInto(ss.aInv)
 	ss.aLeafOf = ta.PointLeaves(ss.aLeafOf)
 	ss.qLeafOf = tq.PointLeaves(ss.qLeafOf)
-	ss.qOwner = resize(ss.qOwner, nA)
-	ss.qOff = resize(ss.qOff, len(qpts))
+	ss.qOwner = core.Resize(ss.qOwner, nA)
+	ss.qOff = core.Resize(ss.qOff, len(qpts))
 	owned := make([]int32, nA)
 	for _, ow := range owners {
 		owned[ow]++
 	}
-	ar.owners = resize(ar.owners, len(qpts))
+	ar.owners = core.Resize(ar.owners, len(qpts))
 	ownerBuf := ar.owners
 	for i := range ss.qOwner {
 		ss.qOwner[i] = cut(&ownerBuf, int(owned[i]))[:0]
@@ -477,50 +469,50 @@ func (ss *Session) sizeStores(qpts []surface.QPoint, owners []int32) {
 	ss.aDense = denseLeafIndex(ss.aDense, nodesA, ta.LeafIdx)
 	ss.qDense = denseLeafIndex(ss.qDense, nodesQ, tq.LeafIdx)
 
-	ss.bornNear = resize(ss.bornNear, lq)
-	ss.bornFar = resize(ss.bornFar, lq)
-	ss.bornEntrySlot = resize(ss.bornEntrySlot, lq)
-	ss.rowBlk = resize(ss.rowBlk, nodesA)
-	ss.rowGrp = resize(ss.rowGrp, nodesA)
-	ss.grpDirty = resize(ss.grpDirty, nodesA)
-	ss.bornPartners = resize(ss.bornPartners, nodesA)
-	ss.sNodeFar = resize(ss.sNodeFar, nodesA)
-	ss.farTotal = resize(ss.farTotal, nodesA)
-	ss.sAtomNear = resize(ss.sAtomNear, nA)
-	ss.rTree = resize(ss.rTree, nA)
-	ss.rPushed = resize(ss.rPushed, nA)
-	ss.epolNear = resize(ss.epolNear, la)
-	ss.epolNearVal = resize(ss.epolNearVal, la)
-	ss.epolW = resize(ss.epolW, la)
-	ss.epolFar = resize(ss.epolFar, la)
-	ss.nearVal = resize(ss.nearVal, la)
-	ss.farVal = resize(ss.farVal, la)
-	ss.epolPartners = resize(ss.epolPartners, nodesA)
-	ss.epolPartnerPos = resize(ss.epolPartnerPos, nodesA)
-	ss.rowScratch = resize(ss.rowScratch, nA)
+	ss.bornNear = core.Resize(ss.bornNear, lq)
+	ss.bornFar = core.Resize(ss.bornFar, lq)
+	ss.bornEntrySlot = core.Resize(ss.bornEntrySlot, lq)
+	ss.rowBlk = core.Resize(ss.rowBlk, nodesA)
+	ss.rowGrp = core.Resize(ss.rowGrp, nodesA)
+	ss.grpDirty = core.Resize(ss.grpDirty, nodesA)
+	ss.bornPartners = core.Resize(ss.bornPartners, nodesA)
+	ss.sNodeFar = core.Resize(ss.sNodeFar, nodesA)
+	ss.farTotal = core.Resize(ss.farTotal, nodesA)
+	ss.sAtomNear = core.Resize(ss.sAtomNear, nA)
+	ss.rTree = core.Resize(ss.rTree, nA)
+	ss.rPushed = core.Resize(ss.rPushed, nA)
+	ss.epolNear = core.Resize(ss.epolNear, la)
+	ss.epolNearVal = core.Resize(ss.epolNearVal, la)
+	ss.epolW = core.Resize(ss.epolW, la)
+	ss.epolFar = core.Resize(ss.epolFar, la)
+	ss.nearVal = core.Resize(ss.nearVal, la)
+	ss.farVal = core.Resize(ss.farVal, la)
+	ss.epolPartners = core.Resize(ss.epolPartners, nodesA)
+	ss.epolPartnerPos = core.Resize(ss.epolPartnerPos, nodesA)
+	ss.rowScratch = core.Resize(ss.rowScratch, nA)
 	clear(ar.epolVals[:cap(ar.epolVals)])
 
-	ss.refPosA = resize(ss.refPosA, nA)
-	ss.epochPosA = resize(ss.epochPosA, nA)
-	ss.refPosQ = resize(ss.refPosQ, len(tq.Points))
-	ss.epochPosQ = resize(ss.epochPosQ, len(tq.Points))
-	ss.refBallRA = resize(ss.refBallRA, nodesA)
-	ss.refBallRQ = resize(ss.refBallRQ, nodesQ)
+	ss.refPosA = core.Resize(ss.refPosA, nA)
+	ss.epochPosA = core.Resize(ss.epochPosA, nA)
+	ss.refPosQ = core.Resize(ss.refPosQ, len(tq.Points))
+	ss.epochPosQ = core.Resize(ss.epochPosQ, len(tq.Points))
+	ss.refBallRA = core.Resize(ss.refBallRA, nodesA)
+	ss.refBallRQ = core.Resize(ss.refBallRQ, nodesQ)
 	for _, d := range []*[]float64{&ss.dispRefA, &ss.dispEpochA, &ss.nodeDispA} {
-		*d = resize(*d, nodesA)
+		*d = core.Resize(*d, nodesA)
 		clear(*d)
 	}
 	for _, d := range []*[]float64{&ss.dispRefQ, &ss.dispEpochQ, &ss.nodeDispQ} {
-		*d = resize(*d, nodesQ)
+		*d = core.Resize(*d, nodesQ)
 		clear(*d)
 	}
-	ar.nodeMarks = resize(ar.nodeMarks, 6*nodesA+nodesQ+2*la) // every mark array, one allocation
+	ar.nodeMarks = core.Resize(ar.nodeMarks, 6*nodesA+nodesQ+2*la) // every mark array, one allocation
 	clear(ar.nodeMarks)
 	marks := ar.nodeMarks
 	ss.markA, ss.markRow, ss.markSlot = cut(&marks, nodesA), cut(&marks, nodesA), cut(&marks, nodesA)
 	ss.markFar, ss.markU, ss.inFar = cut(&marks, nodesA), cut(&marks, nodesA), cut(&marks, nodesA)
 	ss.markQ, ss.markV, ss.fullV = cut(&marks, nodesQ), cut(&marks, la), cut(&marks, la)
-	ss.dirtyEnt = resize(ss.dirtyEnt, la)
+	ss.dirtyEnt = core.Resize(ss.dirtyEnt, la)
 	// The per-frame id lists hold each leaf (or atom) at most once, so
 	// their final capacity is known now and no frame has to grow them.
 	for _, l := range []struct {
@@ -528,7 +520,7 @@ func (ss *Session) sizeStores(qpts []surface.QPoint, owners []int32) {
 		n int
 	}{{&ss.movedA, la}, {&ss.movedRows, nA}, {&ss.movedQ, lq}, {&ss.dirtyRows, la},
 		{&ss.dirtyV, la}, {&ss.listU, la}, {&ss.slotDirty, la}} {
-		*l.s = resize(*l.s, l.n)[:0]
+		*l.s = core.Resize(*l.s, l.n)[:0]
 	}
 	ss.farDirty = ss.farDirty[:0]
 }
@@ -540,7 +532,7 @@ func (ss *Session) sizeStores(qpts []surface.QPoint, owners []int32) {
 // back. A session dropped without Close is left to the garbage collector.
 func (ss *Session) Close() {
 	if st := ss.release(); st != nil {
-		storePool.Put(st)
+		core.Free.Put(st, cap(st.charges), st.bytes())
 	}
 }
 
@@ -556,8 +548,7 @@ func (ss *Session) release() *sessionStores {
 	ss.es.Release()
 	ss.bs.Release()
 	ss.bs, ss.es = nil, nil
-	st := new(sessionStores)
-	*st = ss.sessionStores
+	st := ss.sessionStores
 	ss.sessionStores = sessionStores{}
 	for _, vs := range [][][]int32{st.qOwner, st.bornNear, st.bornFar, st.bornPartners, st.bornEntrySlot,
 		st.epolFar, st.epolPartners, st.epolPartnerPos, st.dirtyEnt} {
@@ -569,13 +560,13 @@ func (ss *Session) release() *sessionStores {
 	clear(st.epolNear)
 	clear(st.epolNearVal)
 	clear(st.epolW)
-	return st
+	return &st
 }
 
 // denseLeafIndex inverts LeafIdx into dst: node id -> dense leaf index, -1
 // elsewhere.
 func denseLeafIndex(dst []int32, nodes int, leafIdx []int32) []int32 {
-	out := resize(dst, nodes)
+	out := core.Resize(dst, nodes)
 	for i := range out {
 		out[i] = -1
 	}
@@ -607,9 +598,14 @@ func (ss *Session) MemoryBytes() int64 {
 	if ss.closed {
 		return 0
 	}
+	return ss.bs.MemoryBytes() + ss.es.MemoryBytes() + ss.bytes()
+}
+
+// bytes is the size of the stores by capacity, the views re-derivations
+// outgrew included.
+func (ss *sessionStores) bytes() int64 {
 	ar := &ss.arenas
-	n := ss.bs.MemoryBytes() + ss.es.MemoryBytes() +
-		capBytes(ss.mol.Atoms) + capBytes(ss.charges) + capBytes(ss.qOff) +
+	n := capBytes(ss.mol.Atoms) + capBytes(ss.charges) + capBytes(ss.qOff) +
 		capBytes(ss.rowScratch) + capBytes(ss.scratch.Near) + capBytes(ss.scratch.Far) + capBytes(ss.rowPairs.Near) +
 		slabBytes(&ar.near) + slabBytes(&ar.far) + slabBytes(&ar.epolFar) + slabBytes(&ar.epolNear) +
 		capBytes(ar.blocks) + capBytes(ar.groups) + capBytes(ar.marks) + capBytes(ar.nodeMarks) +
@@ -640,7 +636,7 @@ func (ss *Session) MemoryBytes() int64 {
 
 // spillBytes is the size of the views re-derivations outgrew: they live
 // outside their arenas until the next structural refresh re-cuts them.
-func (ss *Session) spillBytes() int64 {
+func (ss *sessionStores) spillBytes() int64 {
 	ar := &ss.arenas
 	return spilled(ss.bornNear, ar.near.chunks...) + spilled(ss.bornFar, ar.far.chunks...) +
 		spilled(ss.bornEntrySlot, ar.slots) + spilled(ss.bornPartners, ar.partners) +
@@ -1023,8 +1019,8 @@ func (ss *Session) rebuildStructure() {
 		ss.refBallRA[aLeaf] = r
 		nVals += len(ss.scratch.Near)
 	}
-	ar.epolVals = resize(ar.epolVals, nVals)
-	ar.epolW = resize(ar.epolW, nVals)
+	ar.epolVals = core.Resize(ar.epolVals, nVals)
+	ar.epolW = core.Resize(ar.epolW, nVals)
 	vals, weights := ar.epolVals, ar.epolW
 	for vl := range ss.epolNear {
 		ss.epolNearVal[vl] = cut(&vals, len(ss.epolNear[vl]))
@@ -1126,13 +1122,4 @@ func appendANodes(dst []int32, pairs []core.NodePair) []int32 {
 		dst = append(dst, p.A)
 	}
 	return dst
-}
-
-// resize returns s with length n, reallocating only when its capacity
-// falls short; the contents are unspecified.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }

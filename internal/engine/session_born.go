@@ -67,7 +67,7 @@ func (ss *Session) rederiveBorn(qLeaf int32) {
 	// entry's index within the driver's list may have moved). A row that
 	// left or entered has shifted slots from the change on.
 	old, nw := ss.oldNear, ss.bornNear[ql]
-	slots := resize(ss.bornEntrySlot[ql], len(nw))
+	slots := core.Resize(ss.bornEntrySlot[ql], len(nw))
 	ss.bornEntrySlot[ql] = slots
 	i, j := 0, 0
 	for i < len(old) || j < len(nw) {
@@ -147,9 +147,9 @@ func (ss *Session) rowStoreSizes(aLeaf int32) (blocks, groups, marks int) {
 // the values are rebuilt by whoever changed the layout.
 func (ss *Session) sizeRowStores(aLeaf int32) {
 	nBlk, nGrp, nMark := ss.rowStoreSizes(aLeaf)
-	ss.rowBlk[aLeaf] = resize(ss.rowBlk[aLeaf], nBlk)
-	ss.rowGrp[aLeaf] = resize(ss.rowGrp[aLeaf], nGrp)
-	ss.grpDirty[aLeaf] = resize(ss.grpDirty[aLeaf], nMark)
+	ss.rowBlk[aLeaf] = core.Resize(ss.rowBlk[aLeaf], nBlk)
+	ss.rowGrp[aLeaf] = core.Resize(ss.rowGrp[aLeaf], nGrp)
+	ss.grpDirty[aLeaf] = core.Resize(ss.grpDirty[aLeaf], nMark)
 }
 
 func (ss *Session) resetRefQ(qLeaf int32, ballR float64) {
@@ -173,8 +173,8 @@ func (ss *Session) rebuildBornPartners() {
 		}
 		total += len(near)
 	}
-	ar.slots = resize(ar.slots, total)
-	ar.partners = resize(ar.partners, total)
+	ar.slots = core.Resize(ar.slots, total)
+	ar.partners = core.Resize(ar.partners, total)
 	slots, partners := ar.slots, ar.partners
 	for _, a := range ta.LeafIdx {
 		ss.bornPartners[a] = cut(&partners, int(count[a]))[:0]
@@ -200,9 +200,9 @@ func (ss *Session) rebuildRowStores() {
 		b, g, m := ss.rowStoreSizes(a)
 		nBlk, nGrp, nMark = nBlk+b, nGrp+g, nMark+m
 	}
-	ar.blocks = resize(ar.blocks, nBlk)
-	ar.groups = resize(ar.groups, nGrp)
-	ar.marks = resize(ar.marks, nMark)
+	ar.blocks = core.Resize(ar.blocks, nBlk)
+	ar.groups = core.Resize(ar.groups, nGrp)
+	ar.marks = core.Resize(ar.marks, nMark)
 	clear(ar.marks)
 	blocks, groups, marks := ar.blocks, ar.groups, ar.marks
 	for _, a := range ta.LeafIdx {

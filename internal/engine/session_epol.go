@@ -20,8 +20,8 @@ func (ss *Session) rederiveEpol(aLeaf int32) {
 	ss.es.BuildEpolDriverSlack(&ss.scratch, aLeaf, c, r, ss.opts.SlackFactor, ss.opts.MinSlack)
 	ss.epolNear[vl] = append(ss.epolNear[vl][:0], ss.scratch.Near...)
 	ss.epolFar[vl] = appendANodes(ss.epolFar[vl][:0], ss.scratch.Far)
-	ss.epolNearVal[vl] = resize(ss.epolNearVal[vl], len(ss.epolNear[vl]))
-	ss.epolW[vl] = resize(ss.epolW[vl], len(ss.epolNear[vl]))
+	ss.epolNearVal[vl] = core.Resize(ss.epolNearVal[vl], len(ss.epolNear[vl]))
+	ss.epolW[vl] = core.Resize(ss.epolW[vl], len(ss.epolNear[vl]))
 	ss.recomputeEpolFar(vl)
 	ss.markDirtyV(int32(vl))
 	lo, hi := ss.bs.TA.PointRange(aLeaf)
@@ -43,8 +43,8 @@ func (ss *Session) rebuildEpolPartners() {
 		}
 		total += len(near)
 	}
-	ar.epolPartners = resize(ar.epolPartners, total)
-	ar.epolPartnerPos = resize(ar.epolPartnerPos, total)
+	ar.epolPartners = core.Resize(ar.epolPartners, total)
+	ar.epolPartnerPos = core.Resize(ar.epolPartnerPos, total)
 	partners, partnerPos := ar.epolPartners, ar.epolPartnerPos
 	for _, u := range ta.LeafIdx {
 		ss.epolPartners[u] = cut(&partners, int(count[u]))[:0]
@@ -118,7 +118,7 @@ func (ss *Session) cutDirtyEntries() {
 	for _, ws := range ss.epolW {
 		total += counted(ws)
 	}
-	ss.arenas.ent = resize(ss.arenas.ent, total)
+	ss.arenas.ent = core.Resize(ss.arenas.ent, total)
 	ent := ss.arenas.ent
 	for vl, ws := range ss.epolW {
 		ss.dirtyEnt[vl] = cut(&ent, counted(ws))[:0]

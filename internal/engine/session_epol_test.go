@@ -20,7 +20,7 @@ func twoSidedEnergy(ss *Session) float64 {
 	var raw float64
 	var vals []float64
 	for vl, near := range ss.epolNear {
-		vals = resize(vals, len(near))
+		vals = core.Resize(vals, len(near))
 		ss.es.EvalEpolNearEntryValues(near, nil, vals)
 		var sum float64
 		for _, v := range vals {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"octgb/internal/core"
 	"octgb/internal/geom"
 	"octgb/internal/molecule"
 	"octgb/internal/surface"
@@ -51,6 +52,9 @@ func TestRecycledSessionIsBitIdentical(t *testing.T) {
 	mol := molecule.GenerateProtein("recycle", 400, 38)
 	build := func(m *molecule.Molecule, st *sessionStores) *Session {
 		t.Helper()
+		if st == nil {
+			st = new(sessionStores)
+		}
 		ss, err := newSession(m, recycleOpts, st)
 		if err != nil {
 			t.Fatal(err)
@@ -141,26 +145,48 @@ func createBytes(t *testing.T, mol *molecule.Molecule) (*Session, uint64) {
 }
 
 // TestCloseRecyclesStorage: a create after a Close takes the closed
-// session's stores instead of allocating them. The race detector drops
-// sync.Pool puts at random, so the test needs a build without it.
+// session's stores instead of allocating them.
 func TestCloseRecyclesStorage(t *testing.T) {
-	if raceBuild() {
-		t.Skip("the race detector drops sync.Pool puts")
-	}
 	mol := molecule.GenerateProtein("recycle-bytes", 1500, 48)
-	runtime.GC() // two collections empty the pool
-	runtime.GC()
+	core.Free.Drain()
 	ss, fresh := createBytes(t, mol)
-	recycled := fresh
-	for i := 0; i < 3; i++ { // a Put on one P may miss a Get on another
-		ss.Close()
-		var n uint64
-		ss, n = createBytes(t, mol)
-		recycled = min(recycled, n)
-	}
+	ss.Close()
+	ss, recycled := createBytes(t, mol)
 	t.Logf("create: fresh %.2f MB, recycled %.2f MB", float64(fresh)/1e6, float64(recycled)/1e6)
 	if recycled > fresh/4 {
 		t.Errorf("a create after Close allocated %d bytes, a fresh one %d: want at most a quarter", recycled, fresh)
 	}
 	ss.Close()
+}
+
+// TestSmallSessionAfterLargeClose: a session created right after a much
+// larger one closed does not build in the larger one's storage. Its
+// MemoryBytes stay within 2× a fresh session's, and its energy is the
+// fresh one's, bit for bit.
+func TestSmallSessionAfterLargeClose(t *testing.T) {
+	o := SessionOptions{Surf: surface.Default(), Eval: Options{Threads: 1}}
+	small := molecule.GenerateProtein("small", 300, 49)
+	core.Free.Drain()
+	fresh, err := NewSession(small, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := NewSession(molecule.GenerateProtein("large", 3000, 50), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large.Close()
+	ss, err := NewSession(small, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("300 atoms after a closed 3 000: %.1f MB, fresh %.1f MB", float64(ss.MemoryBytes())/1e6, float64(fresh.MemoryBytes())/1e6)
+	if ss.MemoryBytes() > 2*fresh.MemoryBytes() {
+		t.Errorf("MemoryBytes %d after the large session closed, fresh %d: want at most 2×", ss.MemoryBytes(), fresh.MemoryBytes())
+	}
+	if math.Float64bits(ss.Energy()) != math.Float64bits(fresh.Energy()) {
+		t.Errorf("energy %.17g after the large session closed, fresh %.17g", ss.Energy(), fresh.Energy())
+	}
+	ss.Close()
+	fresh.Close()
 }

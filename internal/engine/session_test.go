@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"octgb/internal/core"
 	"octgb/internal/geom"
 	"octgb/internal/molecule"
 	"octgb/internal/octree"
@@ -341,7 +342,7 @@ func checkBornStores(t *testing.T, ss *Session) {
 		if slices.Contains(ss.grpDirty[a], true) {
 			t.Fatalf("frame %d row %d: a group stayed marked", ss.frame, a)
 		}
-		fresh = resize(fresh, len(pp)*cnt)
+		fresh = core.Resize(fresh, len(pp)*cnt)
 		ss.bs.EvalBornRowBlocks(a, lo, hi, pp, fresh)
 		if !sameBits(ss.rowBlk[a], fresh) {
 			t.Fatalf("frame %d row %d: a cached block is stale", ss.frame, a)
@@ -701,8 +702,6 @@ func TestSessionDegenerateInputs(t *testing.T) {
 func TestSessionMemoryBytesIsTheLiveHeap(t *testing.T) {
 	mol := molecule.GenerateProtein("heap", 2000, 9)
 	frames := homeJitter(mol, 8, 10, 0.25, 3)
-	// liveHeap's two collections also empty the store pool, so the create
-	// allocates every store it keeps instead of taking a closed session's.
 	before := liveHeap()
 	ss, err := NewSession(mol, SessionOptions{Surf: surface.Default(), Eval: Options{Threads: 1}})
 	if err != nil {
@@ -781,8 +780,8 @@ func BenchmarkSessionStep(b *testing.B) {
 // (3 000 atoms, engine defaults) and reports beside milliseconds, bytes and
 // allocations per create the session's resident size, Session.MemoryBytes,
 // in MB: the deterministic measure of what a session costs to create and
-// to keep. "fresh" creates on an empty store pool; "recycled" closes the
-// previous session first, so each create takes its stores.
+// to keep. "fresh" creates with core.Free drained; "recycled" closes the
+// previous session first, so each create takes its stores and solvers.
 func BenchmarkNewSession(b *testing.B) {
 	mol := molecule.GenerateProtein("stream-200", 3000, 1200)
 	o := SessionOptions{Surf: surface.Default(), Eval: Options{Threads: 1}}
@@ -792,8 +791,7 @@ func BenchmarkNewSession(b *testing.B) {
 			name = "recycled"
 		}
 		b.Run(name, func(b *testing.B) {
-			runtime.GC() // two collections empty the pool
-			runtime.GC()
+			core.Free.Drain()
 			ss, err := NewSession(mol, o)
 			if err != nil {
 				b.Fatal(err)

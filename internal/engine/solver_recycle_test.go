@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"octgb/internal/core"
@@ -12,17 +11,10 @@ import (
 	"octgb/internal/surface"
 )
 
-// drainSolverPools empties the core solver pools: a sync.Pool keeps what
-// it holds through one collection and drops it at the next.
-func drainSolverPools() {
-	runtime.GC()
-	runtime.GC()
-}
-
-// solverDonor leaves released solvers in the core pools for the next
+// solverDonor leaves released solvers in core.Free for the next
 // builds to take: n Born solvers over mol and an E_pol solver over each.
 // A Restrict copy's Release hands nothing back, so the "restricted" donor
-// leaves the pools empty.
+// leaves core.Free empty.
 type solverDonor struct {
 	name       string
 	mol        *molecule.Molecule
@@ -31,7 +23,7 @@ type solverDonor struct {
 }
 
 func (d solverDonor) prime(n int) {
-	drainSolverPools()
+	core.Free.Drain()
 	var bs []*core.BornSolver
 	var es []*core.EpolSolver
 	for i := 0; i < n; i++ {
@@ -53,7 +45,7 @@ func (d solverDonor) prime(n int) {
 	}
 }
 
-// solverDonors are the donors of the recycling tests, beside an empty pool:
+// solverDonors are the donors of the recycling tests, beside an empty list:
 // a molecule of the same size, a larger and a smaller one, a one-atom
 // molecule without q-points, and a Restrict copy, whose release is refused.
 func solverDonors(atoms int) []solverDonor {
@@ -96,8 +88,8 @@ func sameReport(t *testing.T, what string, threads int, got, want RealReport) {
 }
 
 // TestRecycledSolversAreBitIdentical holds every path that builds and
-// releases solvers to what it computes on an empty pool — bit for bit at
-// one thread per rank — whatever donor the pool holds: RunReal with
+// releases solvers to what it computes on an empty free list — bit for bit at
+// one thread per rank — whatever donor the list holds: RunReal with
 // OCT_MPI, OCT_MPI+CILK and OCT_CILK at 1–3 ranks and threads, Prepare +
 // EvalEpol at the prepared and another ε_E, and 72-frame session streams
 // that stay incremental (0.15 Å) and refresh the structure (0.6 Å).
@@ -163,7 +155,7 @@ func TestRecycledSolversAreBitIdentical(t *testing.T) {
 
 	donors := solverDonors(atoms)
 	for _, r := range runs {
-		drainSolverPools()
+		core.Free.Drain()
 		want := r.fn()
 		for _, d := range donors {
 			d.prime(3)
@@ -190,21 +182,12 @@ func coldSolveBytes(t *testing.T, pr *Problem) uint64 {
 
 // TestColdSolveRecyclesSolvers: once a solve has released its solvers, the
 // next one builds in their storage and allocates at most a quarter of what
-// the first did. The race detector drops sync.Pool puts at random, so the
-// test needs a build without it; collections are off while it measures, so
-// none can empty the pools between two solves.
+// the first did.
 func TestColdSolveRecyclesSolvers(t *testing.T) {
-	if raceBuild() {
-		t.Skip("the race detector drops sync.Pool puts")
-	}
 	pr := NewProblem(molecule.GenerateProtein("cold-recycle", 2000, 76), surface.Default())
-	drainSolverPools()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	core.Free.Drain()
 	fresh := coldSolveBytes(t, pr)
-	recycled := fresh
-	for i := 0; i < 3; i++ { // a Put on one P may miss a Get on another
-		recycled = min(recycled, coldSolveBytes(t, pr))
-	}
+	recycled := coldSolveBytes(t, pr)
 	t.Logf("RunReal: fresh %.2f MB, recycled %.2f MB", float64(fresh)/1e6, float64(recycled)/1e6)
 	if recycled > fresh/4 {
 		t.Errorf("a solve after a solve allocated %d bytes, the first %d: want at most a quarter", recycled, fresh)
@@ -214,9 +197,9 @@ func TestColdSolveRecyclesSolvers(t *testing.T) {
 // BenchmarkColdSolve is the op of the repository benchmark's cold_solve
 // workload — NewProblemParallel + RunReal(OctMPICilk, 2 ranks × 1 thread)
 // on a 4 000-atom protein — reporting bytes and allocations per op.
-// "fresh" empties the solver pools before every op, so each builds its
-// solvers in new storage; "recycled" builds them in the previous op's,
-// an untimed first op having filled the pools.
+// "fresh" drains core.Free before every op, so each builds its solvers in
+// new storage; "recycled" builds them in the previous op's, an untimed
+// first op having filled the free list.
 func BenchmarkColdSolve(b *testing.B) {
 	mol := molecule.GenerateProtein("cold", 4000, 77)
 	op := func(b *testing.B) {
@@ -237,7 +220,7 @@ func BenchmarkColdSolve(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if !recycle {
 					b.StopTimer()
-					drainSolverPools()
+					core.Free.Drain()
 					b.StartTimer()
 				}
 				op(b)

@@ -79,8 +79,8 @@ type Config struct {
 	// runs the shared-memory OCT_CILK path; > 1 runs the hybrid
 	// OCT_MPI+CILK engine with that many in-process ranks (the
 	// configuration used in front of a cmd/epolnode mesh deployment).
-	// Cached re-evaluations always use the prepared shared-memory path;
-	// the two agree to ~1e-12 (see the engine parity tests).
+	// Cached re-evaluations always use the prepared shared-memory path: within
+	// ~1e-12 of a cold answer at Ranks 1, 1.33–1.77 % at Ranks 2 (ROADMAP 23).
 	Ranks int
 	// MaxQueue is the submission-queue capacity (default 64). Requests
 	// beyond it are rejected with 429.

@@ -55,47 +55,56 @@ func (s *Server) streamOptions(o evalOpts, so *StreamOptionsJSON) engine.Session
 	return out
 }
 
-// evictSessionsLocked drops idle-expired sessions and, while the store
-// holds at least max live sessions, the least-recently-used one. Called
-// with sessMu held; needRoom is true when a create wants a free slot.
-func (s *Server) evictSessionsLocked(needRoom bool) {
+// evictSessionsLocked removes idle-expired sessions and, while the store
+// holds at least max live sessions, the least-recently-used one, and
+// returns them for the caller to closeSessions once it has released
+// sessMu. Called with sessMu held; needRoom is true when a create wants a
+// free slot.
+func (s *Server) evictSessionsLocked(needRoom bool) (evicted []*streamSession) {
 	now := time.Now()
 	for id, st := range s.sessions {
 		if now.Sub(st.lastUsed) > s.cfg.SessionIdle {
+			evicted = append(evicted, st)
 			delete(s.sessions, id)
 			s.metrics.streamEvictedIdle.Add(1)
 			s.logf("serve: stream %s evicted (idle %v)", id, now.Sub(st.lastUsed).Round(time.Second))
 		}
 	}
-	if !needRoom {
-		return
-	}
-	for len(s.sessions) >= s.cfg.MaxSessions {
-		oldest := ""
-		var oldestAt time.Time
-		for id, st := range s.sessions {
-			if oldest == "" || st.lastUsed.Before(oldestAt) {
-				oldest, oldestAt = id, st.lastUsed
+	for needRoom && len(s.sessions) > 0 && len(s.sessions) >= s.cfg.MaxSessions {
+		var oldest *streamSession
+		for _, st := range s.sessions {
+			if oldest == nil || st.lastUsed.Before(oldest.lastUsed) {
+				oldest = st
 			}
 		}
-		if oldest == "" {
-			return
-		}
-		delete(s.sessions, oldest)
+		evicted = append(evicted, oldest)
+		delete(s.sessions, oldest.id)
 		s.metrics.streamEvictedLRU.Add(1)
-		s.logf("serve: stream %s evicted (LRU, cap %d)", oldest, s.cfg.MaxSessions)
+		s.logf("serve: stream %s evicted (LRU, cap %d)", oldest.id, s.cfg.MaxSessions)
+	}
+	return evicted
+}
+
+// closeSessions closes sessions already out of the store, each under its
+// mu: a frame running on one finishes first, and one run after answers 404.
+func closeSessions(sts []*streamSession) {
+	for _, st := range sts {
+		st.mu.Lock()
+		st.ss.Close()
+		st.mu.Unlock()
 	}
 }
 
 // lookupSession touches and returns a live session, or nil.
 func (s *Server) lookupSession(id string) *streamSession {
 	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	s.evictSessionsLocked(false)
+	evicted := s.evictSessionsLocked(false)
 	st := s.sessions[id]
 	if st != nil {
 		st.lastUsed = time.Now()
 	}
+	s.sessMu.Unlock()
+	closeSessions(evicted)
 	return st
 }
 
@@ -178,10 +187,11 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		// may release it.
 		atoms, qpts, energy := out.ss.NumAtoms(), out.ss.NumQPoints(), out.ss.Energy()
 		s.sessMu.Lock()
-		s.evictSessionsLocked(true)
+		evicted := s.evictSessionsLocked(true)
 		st.lastUsed = time.Now()
 		s.sessions[st.id] = st
 		s.sessMu.Unlock()
+		closeSessions(evicted)
 		s.metrics.completed.Add(1)
 		s.sobs.stage(s.sobs.streamCreate, "serve.stream.create", span, out.startedAt, time.Since(out.startedAt))
 		s.logf("serve: %s stream create %s atoms=%d qpts=%d E=%.6g", reqID, st.id, atoms, qpts, energy)
@@ -359,15 +369,9 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request, reqID
 		return
 	}
 	s.metrics.streamCloses.Add(1)
-	// A frame running on a worker holds st.mu, not the store's map — the
-	// close wins the map race and waits for the frame. A frame dispatched
-	// before the close but run after it finds the session closed and
-	// answers 404. Eviction does not close: it holds sessMu and must not
-	// wait behind a frame, so an evicted session goes to the GC.
-	st.mu.Lock()
-	frames, energy := st.ss.Frame(), st.ss.Energy()
-	st.ss.Close()
-	st.mu.Unlock()
+	// The close wins the map race and waits for a frame holding st.mu.
+	closeSessions([]*streamSession{st})
+	frames, energy := st.ss.Frame(), st.ss.Energy() // kept by a closed session
 	s.logf("serve: %s stream close %s frames=%d", reqID, id, frames)
 	writeJSON(w, http.StatusOK, StreamCloseResponse{
 		RequestID: reqID,

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"octgb/internal/core"
 	"octgb/internal/molecule"
 	"octgb/internal/testutil"
 )
@@ -15,12 +16,11 @@ import (
 // The tests in this file are the stream-session lifecycle race matrix:
 // store eviction (LRU and idle) and close racing in-flight frame
 // evaluation. They are written to run under -race (the `make race` list
-// includes this package) and assert the lifecycle contract directly: a
-// frame that passed lookup completes against its session pointer even if
-// eviction drops the session from the store mid-evaluation; a close
-// releases the session's storage, so a frame that runs after it answers a
-// clean 404; and every post-removal request observes a clean 404 — never a
-// torn session.
+// includes this package) and assert the lifecycle contract directly: an
+// eviction closes the session as a close does, waiting for a frame that
+// holds it; a close releases the session's storage, so a frame that runs
+// after it answers a clean 404; and every post-removal request observes a
+// clean 404 — never a torn session.
 
 // grabSession fetches the live session pointer for white-box
 // orchestration (holding its mutex stalls that session's next frame at
@@ -52,10 +52,11 @@ func waitFrameDispatched(t *testing.T, s *Server, frames int64) {
 	}
 }
 
-// TestStreamRaceLRUEvictionVsInflightFrame: a frame is mid-evaluation on
-// a worker when a create pushes the session out of the store (LRU,
-// MaxSessions 1). The in-flight frame owns the session pointer, so it
-// completes with 200; the next frame on the evicted id sees 404.
+// TestStreamRaceLRUEvictionVsInflightFrame: a frame is dispatched on a
+// worker when a create pushes the session out of the store (LRU,
+// MaxSessions 1). The create's eviction closes the session under its
+// lock, so the frame answers 200 if it takes the lock first or 404 if the
+// close does; the next frame on the evicted id sees 404.
 func TestStreamRaceLRUEvictionVsInflightFrame(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
 	s, ts := newTestServer(t, Config{Workers: 2, Threads: 1, MaxSessions: 1})
@@ -80,23 +81,32 @@ func TestStreamRaceLRUEvictionVsInflightFrame(t *testing.T) {
 	waitFrameDispatched(t, s, 1)
 
 	// The create needs room in the size-1 store: it must evict A even
-	// though A's frame is still on a worker.
+	// though A's frame is still on a worker, and its close waits for A.
+	createDone := make(chan int, 1)
 	var b StreamCreateResponse
-	if code := postJSON(t, ts.URL+"/v1/stream", StreamCreateRequest{Molecule: FromMolecule(mol)}, &b); code != http.StatusOK {
+	go func() {
+		createDone <- postJSON(t, ts.URL+"/v1/stream", StreamCreateRequest{Molecule: FromMolecule(mol)}, &b)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.snapshot().Streaming.EvictedLRU != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the create never evicted A")
+		}
+	}
+	stA.mu.Unlock()
+	switch code := <-frameDone; code {
+	case http.StatusOK:
+		if frameResp.Frame != 1 || frameResp.Energy == 0 {
+			t.Fatalf("in-flight frame report %+v", frameResp)
+		}
+	case http.StatusNotFound:
+	default:
+		t.Fatalf("in-flight frame on evicted session: status %d", code)
+	}
+	if code := <-createDone; code != http.StatusOK {
 		t.Fatalf("create B status %d", code)
 	}
 	if st := s.snapshot(); st.Streaming.EvictedLRU != 1 || st.Streaming.Live != 1 {
 		t.Fatalf("after eviction: %+v", st.Streaming)
-	}
-
-	// Release the in-flight frame: it must complete normally against the
-	// evicted-but-referenced session.
-	stA.mu.Unlock()
-	if code := <-frameDone; code != http.StatusOK {
-		t.Fatalf("in-flight frame on evicted session: status %d", code)
-	}
-	if frameResp.Frame != 1 || frameResp.Energy == 0 {
-		t.Fatalf("in-flight frame report %+v", frameResp)
 	}
 
 	// The store no longer knows A: the next frame is a clean 404, and the
@@ -107,6 +117,66 @@ func TestStreamRaceLRUEvictionVsInflightFrame(t *testing.T) {
 	}
 	if code := postJSON(t, ts.URL+"/v1/stream/"+b.SessionID+"/frame", StreamFrameRequest{Moves: wire[0]}, nil); code != http.StatusOK {
 		t.Fatalf("survivor frame status %d", code)
+	}
+}
+
+// TestStreamEvictionRecyclesSession: an idle eviction closes the session.
+// A frame that looked it up before the eviction and runs after it answers
+// 404, and the next create builds in the evicted session's storage.
+func TestStreamEvictionRecyclesSession(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	s, ts := newTestServer(t, Config{Workers: 1, Threads: 1})
+
+	mol := molecule.GenerateProtein("evict-recycle", 120, 25)
+	var a StreamCreateResponse
+	if code := postJSON(t, ts.URL+"/v1/stream", StreamCreateRequest{Molecule: FromMolecule(mol)}, &a); code != http.StatusOK {
+		t.Fatalf("create status %d", code)
+	}
+	wire, _ := jitterMoves(mol, 1, 3, 0.05, 11)
+	stA := grabSession(t, s, a.SessionID)
+	held := stA.ss.MemoryBytes()
+
+	// Occupy the one worker, so the frame is looked up and queued but runs
+	// only after the eviction.
+	block := make(chan struct{})
+	if err := s.submit(func() { <-block }); err != nil {
+		t.Fatal(err)
+	}
+	frameDone := make(chan int, 1)
+	var gone ErrorResponse
+	go func() {
+		frameDone <- postJSON(t, ts.URL+"/v1/stream/"+a.SessionID+"/frame", StreamFrameRequest{Moves: wire[0]}, &gone)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.metrics.streamFrames.Load() < 1 || len(s.queue) < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the frame was never queued")
+		}
+	}
+
+	// Age A past SessionIdle; the next lookup sweeps it out and closes it.
+	core.Free.Drain()
+	s.sessMu.Lock()
+	stA.lastUsed = time.Now().Add(-time.Hour)
+	s.sessMu.Unlock()
+	if code := postJSON(t, ts.URL+"/v1/stream/s-none/frame", StreamFrameRequest{Moves: wire[0]}, nil); code != http.StatusNotFound {
+		t.Fatalf("frame on an unknown id: status %d", code)
+	}
+	if st := s.snapshot(); st.Streaming.EvictedIdle != 1 || st.Streaming.Live != 0 {
+		t.Fatalf("after the idle sweep: %+v", st.Streaming)
+	}
+	if got := core.Free.Held(); got != held {
+		t.Fatalf("the evicted session handed back %d bytes, it held %d", got, held)
+	}
+	close(block)
+	if code := <-frameDone; code != http.StatusNotFound || gone.Error != "not_found" {
+		t.Fatalf("frame queued across the eviction: status %d token %q", code, gone.Error)
+	}
+
+	if code := postJSON(t, ts.URL+"/v1/stream", StreamCreateRequest{Molecule: FromMolecule(mol)}, nil); code != http.StatusOK {
+		t.Fatalf("create after the eviction: status %d", code)
+	}
+	if got := core.Free.Held(); got > held/10 {
+		t.Fatalf("the create left %d of the evicted session's %d bytes unused", got, held)
 	}
 }
 
