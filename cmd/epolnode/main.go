@@ -133,7 +133,7 @@ func serveDebug(addr string, ob *obs.Observer) error {
 		return fmt.Errorf("obs listener: %w", err)
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", ob.Reg.Handler())
+	mux.Handle("/metrics", obs.Handler(ob.Reg))
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = ob.Trace.WriteTrace(w)

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	epolserve -addr :8686 -workers 2 -threads 4
-//	epolserve -ranks 4                  # hybrid engine for cold requests
 //	epolserve -cache-mb 1024 -queue 256 # bigger deployment
 //	epolserve -slo-p99 150ms -slo-min-qps 50   # self-tuning admission
 //
@@ -55,7 +54,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		addr        = fs.String("addr", serve.DefaultAddr, "listen address")
 		workers     = fs.Int("workers", 2, "worker pool size (concurrent evaluations)")
 		threads     = fs.Int("threads", 2, "work-stealing threads per evaluation")
-		ranks       = fs.Int("ranks", 1, "in-process ranks; > 1 uses the hybrid engine for cold requests")
 		queue       = fs.Int("queue", 64, "submission queue capacity (admission limit)")
 		cacheMB     = fs.Int("cache-mb", 256, "prepared-problem cache budget in MiB")
 		maxAtoms    = fs.Int("max-atoms", 200000, "reject molecules larger than this")
@@ -88,7 +86,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		Addr:            *addr,
 		Workers:         *workers,
 		Threads:         *threads,
-		Ranks:           *ranks,
 		MaxQueue:        *queue,
 		MaxCacheBytes:   int64(*cacheMB) << 20,
 		MaxAtoms:        *maxAtoms,

@@ -74,15 +74,17 @@ func run() error {
 	if err := obs.ValidateExposition(bytes.NewReader(body)); err != nil {
 		return fmt.Errorf("malformed exposition: %w", err)
 	}
+	// Every family the server registers, then two the engine runs add.
 	for _, want := range []string{
-		"octgb_serve_request_seconds",
-		"octgb_serve_queue_wait_seconds",
-		"octgb_serve_stage_seconds",
-		"octgb_engine_phase_seconds",
-		"octgb_sched_executed_total",
+		"serve_request_seconds", "serve_queue_wait_seconds", "serve_stage_seconds",
+		"serve_requests_total", "serve_results_total", "serve_rejects_total", "serve_deadline_misses_total",
+		"serve_canceled_total", "serve_cache_total", "serve_batches_total", "serve_batched_requests_total",
+		"serve_batched_poses_total", "serve_stream_total", "serve_inflight", "serve_queue_depth",
+		"serve_queue_limit", "serve_cache_entries", "serve_cache_bytes", "serve_stream_sessions",
+		"engine_recycled_bytes", "engine_phase_seconds", "sched_executed_total",
 	} {
-		if !strings.Contains(string(body), want) {
-			return fmt.Errorf("/metrics missing family %s", want)
+		if !strings.Contains(string(body), "\n# TYPE octgb_"+want+" ") {
+			return fmt.Errorf("/metrics missing family octgb_%s", want)
 		}
 	}
 	fmt.Printf("obssmoke: /metrics valid (%d bytes, %d lines)\n", len(body), bytes.Count(body, []byte("\n")))

@@ -73,10 +73,7 @@ func (rt *Router) plan(key uint64) []string {
 	if rt.hot.touch(key) {
 		if i := int(rt.spread.Add(1) % uint64(len(owners))); i != 0 {
 			owners[0], owners[i] = owners[i], owners[0]
-			rt.met.hotSpreads.Add(1)
-			if rt.cfg.Observe != nil {
-				rt.cfg.Observe.Counter("octgb_fabric_hot_spreads_total", "", "Hot keys routed to a replica to keep R shards warm.").Inc()
-			}
+			rt.met.hotSpreads.Inc()
 		}
 		return owners
 	}
@@ -87,10 +84,7 @@ func (rt *Router) plan(key uint64) []string {
 				continue
 			}
 			owners[0], owners[j] = owners[j], owners[0]
-			rt.met.spills.Add(1)
-			if rt.cfg.Observe != nil {
-				rt.cfg.Observe.Counter("octgb_fabric_spills_total", "", "Cold keys spilled from a saturated primary to an idle replica.").Inc()
-			}
+			rt.met.spills.Inc()
 			break
 		}
 	}

@@ -39,12 +39,6 @@ func (rt *Router) hedgeDelay() time.Duration {
 	return d
 }
 
-func (rt *Router) hedgeCounter(event, help string) {
-	if rt.cfg.Observe != nil {
-		rt.cfg.Observe.Counter("octgb_fabric_hedges_total", `event="`+event+`"`, help).Inc()
-	}
-}
-
 // hedgeResult is one leg's outcome.
 type hedgeResult struct {
 	resp   *http.Response
@@ -87,8 +81,7 @@ func (rt *Router) hedged(ctx context.Context, order []string, up upstream) (*htt
 			if !hedgeLaunched {
 				hedgeLaunched = true
 				outstanding++
-				rt.met.hedgesLaunched.Add(1)
-				rt.hedgeCounter("launched", "Hedge legs launched after the p95-derived delay.")
+				rt.met.hedgesLaunched.Inc()
 				rev := make([]string, len(order))
 				for i, id := range order {
 					rev[len(order)-1-i] = id
@@ -124,8 +117,7 @@ func (rt *Router) hedged(ctx context.Context, order []string, up upstream) (*htt
 		return nil, "", lastErr
 	}
 	if winner.leg == 1 {
-		rt.met.hedgeWins.Add(1)
-		rt.hedgeCounter("won", "Hedge legs that finished before the primary.")
+		rt.met.hedgeWins.Inc()
 	}
 	if outstanding > 0 {
 		// Cancel the loser and account for it off the request path: a
@@ -140,11 +132,9 @@ func (rt *Router) hedged(ctx context.Context, order []string, up upstream) (*htt
 			res := <-results
 			if res.err == nil && res.resp != nil {
 				res.resp.Body.Close()
-				rt.met.hedgesDeduped.Add(1)
-				rt.hedgeCounter("deduped", "Duplicate hedge responses discarded (both legs answered).")
+				rt.met.hedgesDeduped.Inc()
 			} else {
-				rt.met.hedgesCanceled.Add(1)
-				rt.hedgeCounter("canceled", "Hedge losers cancelled mid-flight.")
+				rt.met.hedgesCanceled.Inc()
 			}
 			cancelPrim()
 			cancelHedge()

@@ -28,8 +28,10 @@ type MembershipConfig struct {
 	// OnChange, when non-nil, runs after every ring membership change
 	// (join, goodbye, failure) with the lock released.
 	OnChange func()
-	// Observe records membership metrics (joins, failures, live gauge).
-	Observe *obs.Observer
+	// Reg holds the membership's counters, its worker gauge and the
+	// per-worker upstream latency histograms (the router passes its own
+	// registry); nil keeps them in a private one.
+	Reg *obs.Registry
 	// Logf receives membership lifecycle logs; nil is silent.
 	Logf func(format string, args ...any)
 }
@@ -43,7 +45,8 @@ type member struct {
 
 	conn     net.Conn
 	joined   time.Time
-	lastSeen atomic.Int64 // unix nanos of the last frame from the worker
+	lastSeen atomic.Int64   // unix nanos of the last frame from the worker
+	lat      *obs.Histogram // upstream latency to this worker
 
 	mu   sync.Mutex
 	load LoadReport
@@ -71,7 +74,8 @@ type MemberInfo struct {
 	Alive bool       `json:"alive"`
 	Load  LoadReport `json:"load"`
 	// AgeSeconds is time since registration.
-	AgeSeconds float64 `json:"age_seconds"`
+	AgeSeconds float64        `json:"age_seconds"`
+	lat        *obs.Histogram // the router's upstream latency to this worker
 }
 
 // Membership is the router-side registry: it accepts worker
@@ -92,10 +96,7 @@ type Membership struct {
 	closed atomic.Bool
 	wg     sync.WaitGroup
 
-	joins    atomic.Int64
-	goodbyes atomic.Int64
-	failures atomic.Int64
-	rejects  atomic.Int64
+	joins, goodbyes, failures, rejects *obs.Counter
 }
 
 // NewMembership builds a registry (and its ring) without binding
@@ -104,18 +105,19 @@ func NewMembership(cfg MembershipConfig) *Membership {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultMembershipTimeout
 	}
+	if cfg.Reg == nil {
+		cfg.Reg = obs.NewRegistry()
+	}
 	m := &Membership{
-		cfg:     cfg,
-		ring:    NewRing(cfg.VNodes),
-		members: make(map[string]*member),
+		cfg:      cfg,
+		ring:     NewRing(cfg.VNodes),
+		members:  make(map[string]*member),
+		joins:    cfg.Reg.Counter("octgb_fabric_member_joins_total", "", "Worker registrations accepted, restarts included."),
+		goodbyes: cfg.Reg.Counter("octgb_fabric_member_goodbyes_total", "", "Workers that left with a goodbye."),
+		failures: cfg.Reg.Counter("octgb_fabric_member_failures_total", "", "Workers declared failed (heartbeat timeout or torn registration link)."),
+		rejects:  cfg.Reg.Counter("octgb_fabric_member_rejects_total", "", "Registrations refused (malformed, invalid or duplicate)."),
 	}
-	if ob := cfg.Observe; ob != nil {
-		ob.Reg.GaugeFunc("octgb_fabric_workers", "", "Live registered fabric workers.", func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			return float64(len(m.members))
-		})
-	}
+	cfg.Reg.GaugeFunc("octgb_fabric_workers", "", "Workers on the ring.", func() float64 { return float64(m.ring.Size()) })
 	return m
 }
 
@@ -187,13 +189,13 @@ func (m *Membership) serveConn(c net.Conn) {
 	c.SetReadDeadline(time.Now().Add(m.cfg.Timeout))
 	msg, err := DecodeMessage(br)
 	if err != nil || msg.Type != MsgRegister {
-		m.rejects.Add(1)
+		m.rejects.Inc()
 		_ = writeMessage(c, &Message{Type: MsgAck, Detail: "expected Register"})
 		return
 	}
 	mb, reject := m.register(msg, c)
 	if reject != "" {
-		m.rejects.Add(1)
+		m.rejects.Inc()
 		m.logf("fabric: rejected registration of %q: %s", msg.WorkerID, reject)
 		_ = writeMessage(c, &Message{Type: MsgAck, Detail: reject})
 		return
@@ -237,6 +239,7 @@ func (m *Membership) register(msg *Message, c net.Conn) (*member, string) {
 	if msg.Addr == "" {
 		return nil, "missing advertised address"
 	}
+	lat := m.cfg.Reg.Histogram(upstreamMetric, `worker="`+msg.WorkerID+`"`, upstreamHelp)
 	m.mu.Lock()
 	if old := m.members[msg.WorkerID]; old != nil {
 		if msg.Epoch <= old.epoch {
@@ -247,12 +250,12 @@ func (m *Membership) register(msg *Message, c net.Conn) (*member, string) {
 		// fails once its conn closes, and its unregister no-ops because
 		// the map no longer points at its member.
 		old.conn.Close()
-		mb := &member{id: msg.WorkerID, addr: msg.Addr, epoch: msg.Epoch, slot: old.slot, conn: c, joined: time.Now()}
+		mb := &member{id: msg.WorkerID, addr: msg.Addr, epoch: msg.Epoch, slot: old.slot, conn: c, joined: time.Now(), lat: lat}
 		mb.lastSeen.Store(time.Now().UnixNano())
 		mb.setLoad(msg.Load)
 		m.members[msg.WorkerID] = mb
 		m.mu.Unlock()
-		m.joins.Add(1)
+		m.joins.Inc()
 		// Same ID, same ring position: no ring change, no OnChange.
 		return mb, ""
 	}
@@ -268,14 +271,14 @@ func (m *Membership) register(msg *Message, c net.Conn) (*member, string) {
 		m.slots = append(m.slots, "")
 	}
 	m.slots[slot] = msg.WorkerID
-	mb := &member{id: msg.WorkerID, addr: msg.Addr, epoch: msg.Epoch, slot: slot, conn: c, joined: time.Now()}
+	mb := &member{id: msg.WorkerID, addr: msg.Addr, epoch: msg.Epoch, slot: slot, conn: c, joined: time.Now(), lat: lat}
 	mb.lastSeen.Store(time.Now().UnixNano())
 	mb.setLoad(msg.Load)
 	m.members[msg.WorkerID] = mb
 	m.mu.Unlock()
 
 	m.ring.Add(msg.WorkerID)
-	m.joins.Add(1)
+	m.joins.Inc()
 	if m.cfg.OnChange != nil {
 		m.cfg.OnChange()
 	}
@@ -298,13 +301,10 @@ func (m *Membership) unregister(mb *member, cause error, graceful bool) {
 
 	m.ring.Remove(mb.id)
 	if graceful {
-		m.goodbyes.Add(1)
+		m.goodbyes.Inc()
 		m.logf("fabric: worker %s left (goodbye); ring range reassigned", mb.id)
 	} else {
-		m.failures.Add(1)
-		if m.cfg.Observe != nil {
-			m.cfg.Observe.Counter("octgb_fabric_member_failures_total", "", "Workers declared failed (heartbeat timeout or torn registration link).").Inc()
-		}
+		m.failures.Inc()
 		m.logf("fabric: worker %s FAILED (%v); ring range reassigned to replicas", mb.id, cause)
 	}
 	if m.cfg.OnChange != nil {
@@ -364,6 +364,7 @@ func (m *Membership) info(mb *member) MemberInfo {
 		Alive:      m.aliveAt(mb),
 		Load:       mb.getLoad(),
 		AgeSeconds: time.Since(mb.joined).Seconds(),
+		lat:        mb.lat,
 	}
 }
 
@@ -394,7 +395,7 @@ func (m *Membership) AliveRanks() []bool {
 // Counters returns the lifecycle tallies (joins, goodbyes, failures,
 // rejected registrations).
 func (m *Membership) Counters() (joins, goodbyes, failures, rejects int64) {
-	return m.joins.Load(), m.goodbyes.Load(), m.failures.Load(), m.rejects.Load()
+	return m.joins.Value(), m.goodbyes.Value(), m.failures.Value(), m.rejects.Value()
 }
 
 // statically assert the FailureDetector contract.

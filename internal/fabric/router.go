@@ -12,7 +12,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,29 +52,56 @@ type RouterConfig struct {
 	HedgeDelay time.Duration
 	// Client performs upstream requests (a pooled default when nil).
 	Client *http.Client
-	// Observe exports the router's metrics; nil disables /metrics.
+	// Observe mounts /metrics, which renders the router's own registry and
+	// then the observer's; nil leaves /metrics off. The router counts
+	// with or without it.
 	Observe *obs.Observer
 	// Logger receives lifecycle logs; nil is silent.
 	Logger *log.Logger
 }
 
-// routerMetrics is the router's atomic counter set.
-type routerMetrics struct {
-	start time.Time
+// upstreamMetric is the upstream latency family: one series across all
+// workers (it feeds the p95-derived hedge delay) and one per worker.
+const (
+	upstreamMetric = "octgb_fabric_upstream_seconds"
+	upstreamHelp   = "Upstream request latency, across all workers and by worker shard."
+)
 
-	forwarded      atomic.Int64 // requests relayed to a worker (any status)
-	retries        atomic.Int64 // failover retries after a transport error
-	probeMisses    atomic.Int64 // hash-only sends answered unknown_molecule (body re-sent, not a failover)
-	spills         atomic.Int64 // load spills: busy primary skipped for an idle replica
-	hotSpreads     atomic.Int64 // hot keys alternated across their replica set
-	noWorkers      atomic.Int64 // rejected: empty ring
-	upstreamFailed atomic.Int64 // all owners exhausted by transport errors
-	lostSessions   atomic.Int64 // sticky session whose shard is gone
+// routerCounters are the router's counter handles, resolved once in
+// newRouterCounters on the router's registry; /stats and /metrics read the
+// same ones.
+type routerCounters struct {
+	forwarded      *obs.Counter // requests relayed to a worker (any status)
+	retries        *obs.Counter // failover retries after a transport error
+	probeMisses    *obs.Counter // hash-only sends answered unknown_molecule (body re-sent, not a failover)
+	spills         *obs.Counter // load spills: busy primary skipped for an idle replica
+	hotSpreads     *obs.Counter // hot keys alternated across their replica set
+	noWorkers      *obs.Counter // rejected: empty ring
+	upstreamFailed *obs.Counter // all owners exhausted by transport errors
+	lostSessions   *obs.Counter // sticky session whose shard is gone
 
-	hedgesLaunched atomic.Int64 // secondary requests launched
-	hedgeWins      atomic.Int64 // secondary finished first
-	hedgesDeduped  atomic.Int64 // both legs answered; duplicate discarded
-	hedgesCanceled atomic.Int64 // loser cut short by context cancel
+	hedgesLaunched *obs.Counter // secondary requests launched
+	hedgeWins      *obs.Counter // secondary finished first
+	hedgesDeduped  *obs.Counter // both legs answered; duplicate discarded
+	hedgesCanceled *obs.Counter // loser cut short by context cancel
+}
+
+func newRouterCounters(reg *obs.Registry) routerCounters {
+	const hedges, hedgeHelp = "octgb_fabric_hedges_total", "Hedge legs by outcome: launched after the p95-derived delay, won (finished before the primary), deduped (both legs answered), canceled (loser cut short)."
+	return routerCounters{
+		forwarded:      reg.Counter("octgb_fabric_forwarded_total", "", "Requests relayed to a worker, any status."),
+		retries:        reg.Counter("octgb_fabric_retries_total", "", "Failover retries onto a replica shard."),
+		probeMisses:    reg.Counter("octgb_fabric_probe_misses_total", "", "Hash-only sends the worker did not hold; the body was re-sent to it."),
+		spills:         reg.Counter("octgb_fabric_spills_total", "", "Cold keys spilled from a saturated primary to an idle replica."),
+		hotSpreads:     reg.Counter("octgb_fabric_hot_spreads_total", "", "Hot keys routed to a replica to keep R shards warm."),
+		noWorkers:      reg.Counter("octgb_fabric_no_workers_total", "", "Requests refused 503 no_workers: the ring was empty."),
+		upstreamFailed: reg.Counter("octgb_fabric_upstream_failed_total", "", "Requests answered 502: every owner failed in transport."),
+		lostSessions:   reg.Counter("octgb_fabric_lost_sessions_total", "", "Sticky stream requests whose owning shard was gone (404 not_found)."),
+		hedgesLaunched: reg.Counter(hedges, `event="launched"`, hedgeHelp),
+		hedgeWins:      reg.Counter(hedges, `event="won"`, hedgeHelp),
+		hedgesDeduped:  reg.Counter(hedges, `event="deduped"`, hedgeHelp),
+		hedgesCanceled: reg.Counter(hedges, `event="canceled"`, hedgeHelp),
+	}
 }
 
 // Router is the stateless front end of the serving fabric. It owns no
@@ -88,18 +114,14 @@ type Router struct {
 	mem    *Membership
 	client *http.Client
 	mux    *http.ServeMux
-	met    routerMetrics
 	hot    *hotTracker
 	spread atomic.Uint64 // alternates hot keys across their replica set
 
-	// upstreamLat feeds the p95-derived hedge delay. It lives in the
-	// Observe registry when one is configured (it IS
-	// octgb_fabric_upstream_seconds aggregated) and in a private registry
-	// otherwise, so hedging adapts either way.
+	start time.Time
+	met   routerCounters
+	// upstreamLat is the all-worker series of octgb_fabric_upstream_seconds;
+	// it feeds the p95-derived hedge delay.
 	upstreamLat *obs.Histogram
-
-	perWorkerMu  sync.Mutex
-	perWorkerLat map[string]*obs.Histogram
 
 	httpSrv *http.Server
 	ln      net.Listener
@@ -118,29 +140,28 @@ func NewRouter(cfg RouterConfig) *Router {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = DefaultReplicas
 	}
+	// The router's own registry: every routing and membership event is
+	// counted there once. It is per router, not the Observer's, so routers
+	// and workers sharing an Observer keep separate /stats.
+	reg := obs.NewRegistry()
 	rt := &Router{
-		cfg:          cfg,
-		client:       cfg.Client,
-		hot:          newHotTracker(hotWindow, hotThreshold),
-		perWorkerLat: make(map[string]*obs.Histogram),
+		cfg:         cfg,
+		client:      cfg.Client,
+		hot:         newHotTracker(hotWindow, hotThreshold),
+		start:       time.Now(),
+		met:         newRouterCounters(reg),
+		upstreamLat: reg.Histogram(upstreamMetric, "", upstreamHelp),
 	}
-	rt.met.start = time.Now()
 	if rt.client == nil {
 		rt.client = &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 64,
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	reg := obs.NewRegistry()
-	if cfg.Observe != nil {
-		reg = cfg.Observe.Reg
-	}
-	rt.upstreamLat = reg.Histogram("octgb_fabric_upstream_seconds", "", "Upstream request latency across all workers (feeds the p95-derived hedge delay).")
-
 	rt.mem = NewMembership(MembershipConfig{
 		Timeout: cfg.Timeout,
 		VNodes:  cfg.VNodes,
-		Observe: cfg.Observe,
+		Reg:     reg,
 		Logf:    rt.logf,
 	})
 
@@ -152,7 +173,7 @@ func NewRouter(cfg RouterConfig) *Router {
 	rt.mux.HandleFunc("/stats", rt.handleStats)
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
 	if cfg.Observe != nil {
-		rt.mux.Handle("/metrics", cfg.Observe.Reg.Handler())
+		rt.mux.Handle("/metrics", obs.Handler(reg, cfg.Observe.Reg))
 	}
 	return rt
 }
@@ -307,14 +328,14 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key uint64, up upstream, hedgeable bool) {
 	order := rt.plan(key)
 	if len(order) == 0 {
-		rt.met.noWorkers.Add(1)
+		rt.met.noWorkers.Inc()
 		writeRouterError(w, http.StatusServiceUnavailable, "no_workers", "no workers registered")
 		return
 	}
 	if hedgeable && len(order) >= 2 && rt.cfg.HedgeDelay >= 0 {
 		resp, worker, err := rt.hedged(r.Context(), order, up)
 		if err != nil {
-			rt.met.upstreamFailed.Add(1)
+			rt.met.upstreamFailed.Inc()
 			writeRouterError(w, http.StatusBadGateway, "upstream_failed", err.Error())
 			return
 		}
@@ -323,7 +344,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key uint64, up
 	}
 	resp, worker, err := rt.tryEach(r.Context(), order, up)
 	if err != nil {
-		rt.met.upstreamFailed.Add(1)
+		rt.met.upstreamFailed.Inc()
 		writeRouterError(w, http.StatusBadGateway, "upstream_failed", err.Error())
 		return
 	}
@@ -358,10 +379,7 @@ func (rt *Router) send(ctx context.Context, id string, up upstream) (*http.Respo
 	}
 	resp, err := post(first)
 	if err == nil && up.probe != nil && unknownMolecule(resp) {
-		rt.met.probeMisses.Add(1)
-		if rt.cfg.Observe != nil {
-			rt.cfg.Observe.Counter("octgb_fabric_probe_misses_total", "", "Hash-only sends the worker did not hold; the body was re-sent to it.").Inc()
-		}
+		rt.met.probeMisses.Inc()
 		resp, err = post(up.body)
 	}
 	if err != nil {
@@ -375,7 +393,7 @@ func (rt *Router) send(ctx context.Context, id string, up upstream) (*http.Respo
 	}
 	d := time.Since(start)
 	rt.upstreamLat.Observe(d)
-	rt.workerLat(id).Observe(d)
+	info.lat.Observe(d)
 	return resp, nil
 }
 
@@ -394,22 +412,6 @@ func unknownMolecule(resp *http.Response) bool {
 	}
 	resp.Body = io.NopCloser(bytes.NewReader(b))
 	return false
-}
-
-// workerLat returns the per-shard upstream latency histogram (Observe
-// registry only — nil-safe no-op otherwise).
-func (rt *Router) workerLat(id string) *obs.Histogram {
-	if rt.cfg.Observe == nil {
-		return nil
-	}
-	rt.perWorkerMu.Lock()
-	defer rt.perWorkerMu.Unlock()
-	h, ok := rt.perWorkerLat[id]
-	if !ok {
-		h = rt.cfg.Observe.Histogram("octgb_fabric_upstream_seconds", `worker="`+id+`"`, "Upstream request latency by worker shard.")
-		rt.perWorkerLat[id] = h
-	}
-	return h
 }
 
 // retryableStatus reports admission rejects worth spilling to a replica:
@@ -431,10 +433,7 @@ func (rt *Router) tryEach(ctx context.Context, order []string, up upstream) (*ht
 			return nil, "", err
 		}
 		if i > 0 {
-			rt.met.retries.Add(1)
-			if rt.cfg.Observe != nil {
-				rt.cfg.Observe.Counter("octgb_fabric_retries_total", "", "Failover retries onto a replica shard.").Inc()
-			}
+			rt.met.retries.Inc()
 		}
 		resp, err := rt.send(ctx, id, up)
 		if err != nil {
@@ -457,7 +456,7 @@ func (rt *Router) tryEach(ctx context.Context, order []string, up upstream) (*ht
 // shard, optionally transforming the body.
 func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, worker string, transform func([]byte) []byte) {
 	defer resp.Body.Close()
-	rt.met.forwarded.Add(1)
+	rt.met.forwarded.Inc()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		writeRouterError(w, http.StatusBadGateway, "upstream_failed", "torn upstream response")
@@ -489,13 +488,13 @@ func (rt *Router) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	order := rt.plan(KeyHash(hash))
 	if len(order) == 0 {
-		rt.met.noWorkers.Add(1)
+		rt.met.noWorkers.Inc()
 		writeRouterError(w, http.StatusServiceUnavailable, "no_workers", "no workers registered")
 		return
 	}
 	resp, worker, err := rt.tryEach(r.Context(), order, up)
 	if err != nil {
-		rt.met.upstreamFailed.Add(1)
+		rt.met.upstreamFailed.Inc()
 		writeRouterError(w, http.StatusBadGateway, "upstream_failed", err.Error())
 		return
 	}
@@ -513,13 +512,14 @@ func (rt *Router) handleStreamSticky(w http.ResponseWriter, r *http.Request) {
 	routedID, suffix, _ := strings.Cut(rest, "/")
 	worker, sid, found := strings.Cut(routedID, sessionIDSep)
 	if !found || worker == "" || sid == "" {
-		rt.met.lostSessions.Add(1)
+		// Names no shard, so none was lost: the 404 a worker gives an
+		// unknown session, and no count.
 		writeRouterError(w, http.StatusNotFound, "not_found", "unknown session "+routedID)
 		return
 	}
-	if _, ok := rt.mem.Member(worker); !ok {
-		rt.met.lostSessions.Add(1)
-		rt.lostSessionCounter().Inc()
+	info, ok := rt.mem.Member(worker)
+	if !ok {
+		rt.met.lostSessions.Inc()
 		writeRouterError(w, http.StatusNotFound, "not_found", "session shard lost: "+routedID)
 		return
 	}
@@ -532,7 +532,6 @@ func (rt *Router) handleStreamSticky(w http.ResponseWriter, r *http.Request) {
 	if suffix != "" {
 		path += "/" + suffix
 	}
-	info, _ := rt.mem.Member(worker)
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, "http://"+info.Addr+path, bytes.NewReader(body))
 	if err != nil {
 		writeRouterError(w, http.StatusBadRequest, "bad_request", err.Error())
@@ -548,8 +547,7 @@ func (rt *Router) handleStreamSticky(w http.ResponseWriter, r *http.Request) {
 		// removal through membership) and report the loss with the same
 		// token an eviction uses.
 		rt.mem.Suspect(worker, err)
-		rt.met.lostSessions.Add(1)
-		rt.lostSessionCounter().Inc()
+		rt.met.lostSessions.Inc()
 		writeRouterError(w, http.StatusNotFound, "not_found", "session shard lost: "+routedID)
 		return
 	}
@@ -557,13 +555,6 @@ func (rt *Router) handleStreamSticky(w http.ResponseWriter, r *http.Request) {
 	rt.relay(w, resp, worker, func(b []byte) []byte {
 		return rewriteSessionID(b, func(string) string { return routedID })
 	})
-}
-
-func (rt *Router) lostSessionCounter() *obs.Counter {
-	if rt.cfg.Observe == nil {
-		return nil
-	}
-	return rt.cfg.Observe.Counter("octgb_fabric_lost_sessions_total", "", "Sticky stream requests whose owning shard was gone (404 not_found).")
 }
 
 // rewriteSessionID rewrites the "session_id" field of a JSON body through
@@ -636,23 +627,23 @@ type RouterStats struct {
 // Stats returns a point-in-time stats snapshot.
 func (rt *Router) Stats() RouterStats {
 	var out RouterStats
-	out.UptimeSeconds = time.Since(rt.met.start).Seconds()
+	out.UptimeSeconds = time.Since(rt.start).Seconds()
 	out.Workers = rt.mem.Snapshot()
 	out.Ring.Members = rt.mem.Ring().Size()
 	out.Ring.VNodes = rt.mem.Ring().vnodes
-	out.Requests.Forwarded = rt.met.forwarded.Load()
-	out.Requests.Retries = rt.met.retries.Load()
-	out.Requests.ProbeMisses = rt.met.probeMisses.Load()
-	out.Requests.Spills = rt.met.spills.Load()
-	out.Requests.HotSpreads = rt.met.hotSpreads.Load()
-	out.Requests.NoWorkers = rt.met.noWorkers.Load()
-	out.Requests.UpstreamFailed = rt.met.upstreamFailed.Load()
-	out.Requests.LostSessions = rt.met.lostSessions.Load()
+	out.Requests.Forwarded = rt.met.forwarded.Value()
+	out.Requests.Retries = rt.met.retries.Value()
+	out.Requests.ProbeMisses = rt.met.probeMisses.Value()
+	out.Requests.Spills = rt.met.spills.Value()
+	out.Requests.HotSpreads = rt.met.hotSpreads.Value()
+	out.Requests.NoWorkers = rt.met.noWorkers.Value()
+	out.Requests.UpstreamFailed = rt.met.upstreamFailed.Value()
+	out.Requests.LostSessions = rt.met.lostSessions.Value()
 	out.Membership.Joins, out.Membership.Goodbyes, out.Membership.Failures, out.Membership.Rejects = rt.mem.Counters()
-	out.Hedge.Launched = rt.met.hedgesLaunched.Load()
-	out.Hedge.Wins = rt.met.hedgeWins.Load()
-	out.Hedge.Deduped = rt.met.hedgesDeduped.Load()
-	out.Hedge.Canceled = rt.met.hedgesCanceled.Load()
+	out.Hedge.Launched = rt.met.hedgesLaunched.Value()
+	out.Hedge.Wins = rt.met.hedgeWins.Value()
+	out.Hedge.Deduped = rt.met.hedgesDeduped.Value()
+	out.Hedge.Canceled = rt.met.hedgesCanceled.Value()
 	out.Hedge.DelayMS = float64(rt.hedgeDelay()) / 1e6
 	return out
 }

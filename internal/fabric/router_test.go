@@ -201,7 +201,7 @@ func TestRouterFailover(t *testing.T) {
 	if got := resp.Header.Get(WorkerHeader); got != owners[1] {
 		t.Fatalf("served by %s, want replica %s", got, owners[1])
 	}
-	if rt.met.retries.Load() == 0 {
+	if rt.met.retries.Value() == 0 {
 		t.Fatal("no retry recorded")
 	}
 	// The transport error marked the primary suspect → declared failed
@@ -234,8 +234,8 @@ func TestRouterSpillsWhenPrimaryBusy(t *testing.T) {
 	if order[0] != owners[1] {
 		t.Fatalf("plan %v, want spill to %s", order, owners[1])
 	}
-	if rt.met.spills.Load() != 1 {
-		t.Fatalf("spills = %d, want 1", rt.met.spills.Load())
+	if rt.met.spills.Value() != 1 {
+		t.Fatalf("spills = %d, want 1", rt.met.spills.Value())
 	}
 	_ = workers
 }
@@ -252,7 +252,7 @@ func TestRouterHotSpread(t *testing.T) {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
 	}
-	if rt.met.hotSpreads.Load() == 0 {
+	if rt.met.hotSpreads.Value() == 0 {
 		t.Fatal("hot key never spread to its replica")
 	}
 	a, b := stubByID(t, workers, owners[0]).hits.Load(), stubByID(t, workers, owners[1]).hits.Load()
@@ -304,7 +304,7 @@ func TestHedgingWinsOverSlowPrimary(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	waitHedgeSettled(t, rt, 1)
-	if got := rt.met.hedgesCanceled.Load(); got == 0 {
+	if got := rt.met.hedgesCanceled.Value(); got == 0 {
 		t.Fatalf("hedgesCanceled = %d, want > 0", got)
 	}
 

@@ -105,16 +105,19 @@ func (w *Worker) WaitRegistered(timeout time.Duration) bool {
 
 // Close sends a best-effort Goodbye (so the router unmaps the shard
 // immediately rather than waiting out the heartbeat timeout) and stops
-// the agent.
+// the agent. The Goodbye goes out before the stop signal, or the session
+// could close the link first and the router would count a failure.
 func (w *Worker) Close() {
 	w.stop.Do(func() {
-		close(w.stopCh)
 		w.mu.Lock()
 		c := w.conn
 		w.mu.Unlock()
 		if c != nil {
 			c.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
 			_ = writeMessage(c, &Message{Type: MsgGoodbye, WorkerID: w.cfg.WorkerID})
+		}
+		close(w.stopCh)
+		if c != nil {
 			c.Close()
 		}
 	})

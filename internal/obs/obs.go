@@ -21,11 +21,18 @@
 // instrumented layers share: engine.Options.Observe, cluster.WithObserver
 // and serve.Config.Observe all accept/construct one. Every method of
 // Observer, Histogram, Counter and Tracer is nil-receiver safe and a
-// no-op, so instrumented code paths need no conditionals and the
+// no-op, so instrumented code paths need no conditionals and the engine's
 // observability-off path costs a nil check — no allocations, no atomics,
 // bitwise-identical numerical results (pinned by the engine golden tests).
 //
-// Metric name inventory (see DESIGN.md §10 for the full table):
+// The serving tier counts differently: each serve.Server and
+// fabric.Router owns a Registry of its own, records every event there
+// once whether or not an Observer is attached, and renders its /stats
+// from the same handles; with an Observer, /metrics renders that registry
+// and then the Observer's (Handler).
+//
+// Metric name inventory (see DESIGN.md §10 for the full table and the
+// /stats field each family backs):
 //
 //	octgb_engine_phase_seconds{phase,rank}        engine phase latency
 //	octgb_sched_{executed,steals,failed_steals,parks}_total
@@ -34,7 +41,11 @@
 //	octgb_cluster_heartbeat_gap_seconds{peer}     liveness signal spacing
 //	octgb_serve_request_seconds{endpoint}         end-to-end request latency
 //	octgb_serve_queue_wait_seconds                admission queue wait
-//	octgb_serve_stage_seconds{stage}              surface/prepare/eval stages
+//	octgb_serve_stage_seconds{stage[,mode]}       surface/prepare/eval/build/batch, stream create/frame
+//	octgb_serve_*_total, octgb_serve_* gauges     every /stats counter and gauge
+//	octgb_engine_recycled_bytes                   gauge: bytes core.Free holds
+//	octgb_fabric_*_total, octgb_fabric_workers    every router /stats counter and the ring size
+//	octgb_fabric_upstream_seconds[{worker}]       upstream latency
 package obs
 
 import "time"

@@ -256,12 +256,16 @@ func sanitizeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// Handler returns an http.Handler serving the registry in Prometheus text
-// format — the GET /metrics endpoint.
-func (r *Registry) Handler() http.Handler {
+// Handler returns an http.Handler serving regs in Prometheus text format,
+// one after the other — the GET /metrics endpoint. A server renders its own
+// registry, then the Observer's it shares with the engine; the two must
+// not hold the same family.
+func Handler(regs ...*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
+		for _, r := range regs {
+			_ = r.WritePrometheus(w) // a failed write is a scraper gone; nothing to tell it
+		}
 	})
 }
 

@@ -115,15 +115,20 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 }
 
 func TestRegistryHandler(t *testing.T) {
-	r := NewRegistry()
+	r, shared := NewRegistry(), NewRegistry()
 	r.Counter("octgb_req_total", "", "requests").Inc()
+	shared.Counter("octgb_shared_total", "", "shared").Add(2)
 	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	Handler(r, shared).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	if !strings.Contains(rec.Body.String(), "octgb_req_total 1") {
-		t.Errorf("handler body missing counter:\n%s", rec.Body.String())
+	body := rec.Body.String()
+	if i, j := strings.Index(body, "octgb_req_total 1"), strings.Index(body, "octgb_shared_total 2"); i < 0 || j < i {
+		t.Errorf("handler body does not render both registries in order:\n%s", body)
+	}
+	if err := ValidateExposition(strings.NewReader(body)); err != nil {
+		t.Errorf("two registries render an invalid exposition: %v", err)
 	}
 }
 

@@ -145,7 +145,7 @@ func (s *Server) runSweep(b *pendingSweep) {
 	for _, wt := range b.waiters {
 		totalPoses += len(wt.poses)
 	}
-	s.metrics.batchesRun.Add(1)
+	s.metrics.batchesRun.Inc()
 	s.metrics.batchedRequests.Add(int64(len(b.waiters)))
 	s.metrics.batchedPoses.Add(int64(totalPoses))
 
@@ -216,7 +216,7 @@ func (s *Server) runSweep(b *pendingSweep) {
 		}
 		for _, pose := range wt.poses {
 			if wt.ctx.Err() != nil {
-				s.metrics.canceled.Add(1)
+				s.metrics.canceled.Inc()
 				out.err = wt.ctx.Err()
 				break
 			}
@@ -235,7 +235,7 @@ func (s *Server) runSweep(b *pendingSweep) {
 		}
 		wt.out <- out
 	}
-	s.sobs.stage(s.sobs.batch, "serve.batch", 0, started, time.Since(started))
+	s.metrics.stage(s.metrics.batch, "serve.batch", 0, started, time.Since(started))
 }
 
 // evalPose scores one pose: assemble the complex (composed or re-sampled
@@ -282,11 +282,8 @@ func (s *Server) evalPose(b *pendingSweep, pc *surface.PoseComposer, pose geom.R
 	tm.SurfaceMS = msBetween(t0, t1)
 	tm.PrepareMS = msBetween(t1, t2)
 	tm.EvalMS = msBetween(t2, t3)
-	s.metrics.surfaceNS.Add(t1.Sub(t0).Nanoseconds())
-	s.metrics.prepareNS.Add(t2.Sub(t1).Nanoseconds())
-	s.recordEval(t3.Sub(t2).Nanoseconds())
-	s.sobs.stage(s.sobs.surface, "serve.surface", 0, t0, t1.Sub(t0))
-	s.sobs.stage(s.sobs.prepare, "serve.prepare", 0, t1, t2.Sub(t1))
-	s.sobs.stage(s.sobs.eval, "serve.eval", 0, t2, t3.Sub(t2))
+	s.metrics.stage(s.metrics.surface, "serve.surface", 0, t0, t1.Sub(t0))
+	s.metrics.stage(s.metrics.prepare, "serve.prepare", 0, t1, t2.Sub(t1))
+	s.metrics.stage(s.metrics.eval, "serve.eval", 0, t2, t3.Sub(t2))
 	return rep.Energy, tm, nil
 }

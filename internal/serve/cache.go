@@ -82,12 +82,12 @@ func (c *prepCache) get(key string, build func() (*built, error)) (*built, cache
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.mu.Unlock()
-		c.metrics.cacheHits.Add(1)
+		c.metrics.cacheHits.Inc()
 		return el.Value.(*cacheEntry).val, sourceHit, nil
 	}
 	if fc, ok := c.flight[key]; ok {
 		c.mu.Unlock()
-		c.metrics.cacheCoalesced.Add(1)
+		c.metrics.cacheCoalesced.Inc()
 		<-fc.done
 		return fc.val, sourceWait, fc.err
 	}
@@ -99,12 +99,12 @@ func (c *prepCache) get(key string, build func() (*built, error)) (*built, cache
 	c.flight[key] = fc
 	c.mu.Unlock()
 
-	c.metrics.cacheMisses.Add(1)
+	c.metrics.cacheMisses.Inc()
 	t0 := time.Now()
 	val, err := build()
 	if err == nil {
-		c.metrics.cacheBuilds.Add(1)
-		c.metrics.buildNS.Add(time.Since(t0).Nanoseconds())
+		c.metrics.cacheBuilds.Inc()
+		c.metrics.build.Observe(time.Since(t0))
 	}
 
 	c.mu.Lock()
@@ -133,7 +133,7 @@ func (c *prepCache) evictLocked() {
 		c.ll.Remove(el)
 		delete(c.items, ent.key)
 		c.bytes -= ent.val.bytes
-		c.metrics.cacheEvictions.Add(1)
+		c.metrics.cacheEvictions.Inc()
 	}
 }
 

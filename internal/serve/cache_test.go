@@ -36,7 +36,7 @@ func TestCacheSingleflightStress(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
 	baseline := runtime.NumGoroutine()
 
-	c := newPrepCache(1<<40, newMetrics())
+	c := newPrepCache(1<<40, newMetrics(nil))
 	const keys = 4
 	const goroutinesPerKey = 16
 
@@ -92,7 +92,7 @@ func TestCacheSingleflightStress(t *testing.T) {
 // concurrent waiter and leaves nothing resident, so a later call retries.
 func TestCacheBuildErrorNotCached(t *testing.T) {
 	defer testutil.Watchdog(t, time.Minute)()
-	c := newPrepCache(1<<40, newMetrics())
+	c := newPrepCache(1<<40, newMetrics(nil))
 	boom := fmt.Errorf("boom")
 	var calls atomic.Int64
 
@@ -136,7 +136,7 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 // used entries, never the most recent one, and the accounting stays
 // consistent.
 func TestCacheLRUEviction(t *testing.T) {
-	m := newMetrics()
+	m := newMetrics(nil)
 	// Build one entry to learn its size, then budget for exactly two.
 	probe, err := buildFor(t, 150, 1)()
 	if err != nil {
@@ -157,7 +157,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	if bytes > 2*one+one/2 {
 		t.Fatalf("resident bytes %d exceed budget", bytes)
 	}
-	if m.cacheEvictions.Load() == 0 {
+	if m.cacheEvictions.Value() == 0 {
 		t.Fatalf("no evictions recorded")
 	}
 	// Most recent key must still be a hit.

@@ -42,16 +42,20 @@ func finite(xs ...float64) bool {
 // TestServerDegenerateMolecules: /v1/energy and /v1/sweep answer each
 // degenerate molecule with finite energies or a typed 400 — never a 5xx,
 // a NaN or an empty 200 — at the prepared and another ε_E, as a sweep's
-// ligand beside a receptor and alone, twice over. The server evaluates
-// cold requests on two ranks, which release their solvers, so later
-// builds take degenerate donors; a normal molecule solved after them
-// gets the library's energy bit for bit.
+// ligand beside a receptor and alone, twice over. An evaluation at
+// another ε_E releases its E_pol solver, so later builds take degenerate
+// donors; a normal molecule solved after them gets the library's
+// Prepare + EvalEpol energy bit for bit.
 func TestServerDegenerateMolecules(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
-	_, ts := newTestServer(t, Config{Workers: 1, Threads: 1, Ranks: 2})
+	_, ts := newTestServer(t, Config{Workers: 1, Threads: 1})
 	normal := molecule.GenerateProtein("after-degenerate", 200, 82)
-	want, err := engine.RunReal(engine.NewProblem(normal, surface.Default()), engine.OctMPICilk,
-		engine.Options{Ranks: 2, Threads: 1, BornEps: 0.9, EpolEps: 0.9})
+	eo := engine.Options{Threads: 1, BornEps: 0.9, EpolEps: 0.9}
+	p, err := engine.Prepare(engine.NewProblem(normal, surface.Default()), eo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.EvalEpol(eo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ type energyOutcome struct {
 	atoms     int
 	bornRadii []float64
 	src       cacheSource
-	engine    string
 	startedAt time.Time
 	surfaceMS float64
 	prepareMS float64
@@ -38,12 +37,6 @@ func (s *Server) engineOpts(o evalOpts) engine.Options {
 	return eo
 }
 
-// recordEval charges one E_pol evaluation to the global counters.
-func (s *Server) recordEval(ns int64) {
-	s.metrics.evalNS.Add(ns)
-	s.metrics.evals.Add(1)
-}
-
 // buildPrepared is the cache-miss path: sample the surface, build the
 // trees, run the Born phase. Stage timings are recorded globally and on
 // the entry (cold responses echo them).
@@ -61,10 +54,8 @@ func (s *Server) buildPrepared(mol *molecule.Molecule, o evalOpts) (*built, erro
 		surfaceNS: t1.Sub(t0).Nanoseconds(),
 		prepareNS: t2.Sub(t1).Nanoseconds(),
 	}
-	s.metrics.surfaceNS.Add(b.surfaceNS)
-	s.metrics.prepareNS.Add(b.prepareNS)
-	s.sobs.stage(s.sobs.surface, "serve.surface", 0, t0, t1.Sub(t0))
-	s.sobs.stage(s.sobs.prepare, "serve.prepare", 0, t1, t2.Sub(t1))
+	s.metrics.stage(s.metrics.surface, "serve.surface", 0, t0, t1.Sub(t0))
+	s.metrics.stage(s.metrics.prepare, "serve.prepare", 0, t1, t2.Sub(t1))
 	return b, nil
 }
 
@@ -78,7 +69,7 @@ func (s *Server) buildPrepared(mol *molecule.Molecule, o evalOpts) (*built, erro
 func (s *Server) evalEnergy(ctx context.Context, key string, mol *molecule.Molecule, o evalOpts, span uint64) energyOutcome {
 	out := energyOutcome{startedAt: time.Now()}
 	if ctx.Err() != nil {
-		s.metrics.canceled.Add(1)
+		s.metrics.canceled.Inc()
 		out.err = ctx.Err()
 		return out
 	}
@@ -88,7 +79,7 @@ func (s *Server) evalEnergy(ctx context.Context, key string, mol *molecule.Molec
 		build = func() (*built, error) { return s.buildPrepared(mol, o) }
 	}
 	b, src, err := s.cache.get(key, build)
-	s.sobs.stage(nil, "serve.cache", span, cacheStart, time.Since(cacheStart))
+	s.metrics.stage(nil, "serve.cache", span, cacheStart, time.Since(cacheStart))
 	if err != nil {
 		out.err = err
 		return out
@@ -99,37 +90,17 @@ func (s *Server) evalEnergy(ctx context.Context, key string, mol *molecule.Molec
 		out.prepareMS = float64(b.prepareNS) / 1e6
 	}
 
-	eo := s.engineOpts(o)
+	// Cold and warm requests evaluate the same prepared entry, so they
+	// get the same bits.
 	t0 := time.Now()
-	if s.cfg.Ranks > 1 && src == sourceBuild {
-		// Ranks deployments evaluate cold requests with the hybrid engine
-		// (the configuration that fronts a cmd/epolnode mesh). The entry
-		// just built still serves warm requests through the prepared path.
-		// The two run different traversals — leaf-driven here, dual there —
-		// so their answers differ by more than rounding (1.77 % on one
-		// 1 000-atom molecule). Each is held to the paper's 1 % against the
-		// exact sum; the warm one does not yet hold it on every molecule
-		// (ROADMAP.md tracks the fix).
-		eo.Ranks = s.cfg.Ranks
-		rep, err := engine.RunReal(b.prep.Pr, engine.OctMPICilk, eo)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		out.energy, out.bornRadii = rep.Energy, rep.BornRadii
-		out.engine = engine.OctMPICilk.String()
-	} else {
-		rep, err := b.prep.EvalEpol(eo)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		out.energy, out.bornRadii = rep.Energy, rep.BornRadii
-		out.engine = engine.OctCilk.String()
+	rep, err := b.prep.EvalEpol(s.engineOpts(o))
+	if err != nil {
+		out.err = err
+		return out
 	}
-	evalNS := time.Since(t0).Nanoseconds()
-	out.evalMS = float64(evalNS) / 1e6
-	s.recordEval(evalNS)
-	s.sobs.stage(s.sobs.eval, "serve.eval", span, t0, time.Duration(evalNS))
+	out.energy, out.bornRadii = rep.Energy, rep.BornRadii
+	evalD := time.Since(t0)
+	out.evalMS = float64(evalD.Nanoseconds()) / 1e6
+	s.metrics.stage(s.metrics.eval, "serve.eval", span, t0, evalD)
 	return out
 }

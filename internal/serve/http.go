@@ -288,11 +288,8 @@ func writeError(w http.ResponseWriter, status int, reqID, token, detail string, 
 // before any evaluation has completed).
 func (s *Server) retryAfterHint() time.Duration {
 	mean := 250 * time.Millisecond
-	if n := s.metrics.evals.Load(); n > 0 {
-		mean = time.Duration(s.metrics.evalNS.Load() / n)
-		if mean < 50*time.Millisecond {
-			mean = 50 * time.Millisecond
-		}
+	if m := s.metrics.eval.Snapshot().Mean(); m > 0 {
+		mean = max(m, 50*time.Millisecond)
 	}
 	return time.Duration(len(s.queue)/s.cfg.Workers+1) * mean
 }
@@ -310,9 +307,9 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, reqID, "method_not_allowed", "POST required", 0)
 		return
 	}
-	s.metrics.energyRequests.Add(1)
+	s.metrics.energyRequests.Inc()
 	reqStart := time.Now()
-	span := s.sobs.spanID()
+	span := s.metrics.ob.NextID()
 
 	var req EnergyRequest
 	if _, err := ReadRequest(w, r, &req); err != nil {
@@ -348,25 +345,25 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case out := <-outCh:
-		s.sobs.stage(s.sobs.queueWait, "serve.queue", span, queued, out.startedAt.Sub(queued))
-		s.sobs.request(s.sobs.reqEnergy, "serve.energy", span, reqStart)
+		s.metrics.stage(s.metrics.queueWait, "serve.queue", span, queued, out.startedAt.Sub(queued))
+		s.metrics.request(s.metrics.reqEnergy, "serve.energy", span, reqStart)
 		if errors.Is(out.err, errUnknownMolecule) {
 			writeError(w, http.StatusNotFound, reqID, UnknownMolecule, "no prepared entry for this hash and these options; send the atoms", 0)
 			return
 		}
 		if out.err != nil {
-			s.metrics.failed.Add(1)
+			s.metrics.failed.Inc()
 			writeError(w, http.StatusInternalServerError, reqID, "eval_failed", out.err.Error(), 0)
 			return
 		}
-		s.metrics.completed.Add(1)
+		s.metrics.completed.Inc()
 		resp := EnergyResponse{
 			RequestID: reqID,
 			Name:      req.Molecule.Name,
 			Atoms:     out.atoms,
 			Energy:    out.energy,
 			Cache:     string(out.src),
-			Engine:    out.engine,
+			Engine:    engine.OctCilk.String(),
 			Timings: TimingsJSON{
 				QueueMS:   msBetween(queued, out.startedAt),
 				SurfaceMS: out.surfaceMS,
@@ -377,11 +374,11 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 		if req.IncludeRadii {
 			resp.BornRadii = out.bornRadii
 		}
-		s.logf("serve: %s energy %s atoms=%d cache=%s E=%.6g (%s)", reqID, req.Molecule.Name, out.atoms, out.src, out.energy, out.engine)
+		s.logf("serve: %s energy %s atoms=%d cache=%s E=%.6g", reqID, req.Molecule.Name, out.atoms, out.src, out.energy)
 		writeJSON(w, http.StatusOK, resp)
 	case <-ctx.Done():
-		s.metrics.deadlineMisses.Add(1)
-		s.sobs.request(s.sobs.reqEnergy, "serve.energy", span, reqStart)
+		s.metrics.deadlineMisses.Inc()
+		s.metrics.request(s.metrics.reqEnergy, "serve.energy", span, reqStart)
 		writeError(w, http.StatusGatewayTimeout, reqID, "deadline_exceeded",
 			"request deadline elapsed before evaluation completed", s.retryAfterHint())
 	}
@@ -393,9 +390,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, reqID, "method_not_allowed", "POST required", 0)
 		return
 	}
-	s.metrics.sweepRequests.Add(1)
+	s.metrics.sweepRequests.Inc()
 	reqStart := time.Now()
-	span := s.sobs.spanID()
+	span := s.metrics.ob.NextID()
 
 	var req SweepRequest
 	if _, err := ReadRequest(w, r, &req); err != nil {
@@ -458,14 +455,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	select {
 	case out := <-wt.out:
-		s.sobs.stage(s.sobs.queueWait, "serve.queue", span, wt.queuedAt, out.startedAt.Sub(wt.queuedAt))
-		s.sobs.request(s.sobs.reqSweep, "serve.sweep", span, reqStart)
+		s.metrics.stage(s.metrics.queueWait, "serve.queue", span, wt.queuedAt, out.startedAt.Sub(wt.queuedAt))
+		s.metrics.request(s.metrics.reqSweep, "serve.sweep", span, reqStart)
 		if out.err != nil {
-			s.metrics.failed.Add(1)
+			s.metrics.failed.Inc()
 			writeError(w, http.StatusInternalServerError, reqID, "eval_failed", out.err.Error(), 0)
 			return
 		}
-		s.metrics.completed.Add(1)
+		s.metrics.completed.Inc()
 		resp := SweepResponse{
 			RequestID:      reqID,
 			Poses:          len(out.energies),
@@ -486,8 +483,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.logf("serve: %s sweep poses=%d batch=%d/%d cache=%s", reqID, len(out.energies), out.batchRequests, out.batchPoses, out.cache)
 		writeJSON(w, http.StatusOK, resp)
 	case <-ctx.Done():
-		s.metrics.deadlineMisses.Add(1)
-		s.sobs.request(s.sobs.reqSweep, "serve.sweep", span, reqStart)
+		s.metrics.deadlineMisses.Inc()
+		s.metrics.request(s.metrics.reqSweep, "serve.sweep", span, reqStart)
 		writeError(w, http.StatusGatewayTimeout, reqID, "deadline_exceeded",
 			"request deadline elapsed before the sweep completed", s.retryAfterHint())
 	}

@@ -23,15 +23,16 @@
 //     fall back to re-sampling, which is valid for any rigid transform.
 //
 //   - Admission control and backpressure: evaluations run on a bounded
-//     worker pool (Config.Workers slots over the shared-memory engine;
-//     the hybrid OCT_MPI+CILK engine when Config.Ranks > 1) behind a
-//     bounded submission queue. A full queue yields a typed 429 with a
-//     Retry-After hint; a draining server yields 503; a missed deadline
-//     yields 504 and the queued work is abandoned before it runs.
+//     worker pool (Config.Workers slots over the shared-memory engine)
+//     behind a bounded submission queue. A full queue yields a typed 429
+//     with a Retry-After hint; a draining server yields 503; a missed
+//     deadline yields 504 and the queued work is abandoned before it runs.
 //
 //   - Observability: every request gets an ID; cache hits/misses, queue
 //     depth, rejections, batch coalescing and per-stage timings (surface /
-//     tree build / eval) are exposed on GET /stats and echoed per request.
+//     tree build / eval) are counted once, in the server's obs.Registry,
+//     rendered on GET /stats (and GET /metrics with Config.Observe) and
+//     echoed per request.
 //
 //   - Streaming sessions: POST /v1/stream creates a stateful incremental
 //     session (engine.Session) for a moving molecule; POST
@@ -75,13 +76,6 @@ type Config struct {
 	Workers int
 	// Threads is the work-stealing thread count per evaluation (default 2).
 	Threads int
-	// Ranks selects the engine for cold (uncached) evaluations: 1 (default)
-	// runs the shared-memory OCT_CILK path; > 1 runs the hybrid
-	// OCT_MPI+CILK engine with that many in-process ranks (the
-	// configuration used in front of a cmd/epolnode mesh deployment).
-	// Cached re-evaluations always use the prepared shared-memory path: within
-	// ~1e-12 of a cold answer at Ranks 1, 1.33–1.77 % at Ranks 2 (ROADMAP 23).
-	Ranks int
 	// MaxQueue is the submission-queue capacity (default 64). Requests
 	// beyond it are rejected with 429.
 	MaxQueue int
@@ -121,21 +115,20 @@ type Config struct {
 	ReadHeaderTimeout time.Duration
 	ReadTimeout       time.Duration
 	IdleTimeout       time.Duration
-	// Observe attaches metrics and tracing: request/queue/stage latency
-	// histograms on the registry, per-request spans on the tracer, and the
-	// /metrics, /debug/trace and /debug/pprof/* endpoints on the mux (kept
-	// outside the drain gate so scrapes survive shutdown). Engine runs
-	// triggered by requests share the same observer, so one scrape shows
-	// the serve, engine and scheduler layers together. Nil (the default)
-	// disables all of it at zero cost.
+	// Observe attaches tracing and the scrape endpoints: per-request spans
+	// on the tracer, the /stats latency block, and the /metrics,
+	// /debug/trace and /debug/pprof/* endpoints on the mux (kept outside
+	// the drain gate so scrapes survive shutdown). /metrics renders the
+	// server's own registry, then the observer's: engine runs triggered by
+	// requests share the observer, so one scrape shows the serve, engine
+	// and scheduler layers together. The server's counters and histograms
+	// record with or without it. Nil (the default) records no spans.
 	Observe *obs.Observer
 	// Tuner enables the closed-loop admission tuner: every Interval the
 	// server diffs its own latency histograms and adjusts the batch
 	// window, effective queue depth and shed-load threshold against the
-	// configured SLO (see TunerConfig). Requires observability — a nil
-	// Observe is promoted to a fresh obs.New() when a tuner is configured,
-	// because the control loop feeds on the histograms. Nil (the default)
-	// leaves all knobs at their configured values.
+	// configured SLO (see TunerConfig). Nil (the default) leaves all knobs
+	// at their configured values.
 	Tuner *TunerConfig
 }
 
@@ -151,9 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Threads <= 0 {
 		c.Threads = 2
-	}
-	if c.Ranks <= 0 {
-		c.Ranks = 1
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
@@ -188,11 +178,6 @@ func (c Config) withDefaults() Config {
 	c.ReadHeaderTimeout = resolveTimeout(c.ReadHeaderTimeout, 10*time.Second)
 	c.ReadTimeout = resolveTimeout(c.ReadTimeout, 5*time.Minute)
 	c.IdleTimeout = resolveTimeout(c.IdleTimeout, 2*time.Minute)
-	if c.Tuner != nil && c.Tuner.SLO.P99 > 0 && c.Observe == nil {
-		// The tuner reads the latency histograms; without an observer there
-		// is nothing to close the loop on.
-		c.Observe = obs.New()
-	}
 	return c
 }
 
@@ -216,7 +201,6 @@ type Server struct {
 	metrics *metrics
 	cache   *prepCache
 	mux     *http.ServeMux
-	sobs    serveObs
 
 	queue        chan func()
 	stopCh       chan struct{} // closed once by Shutdown after handlers drain
@@ -256,16 +240,16 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		metrics:  newMetrics(),
+		metrics:  newMetrics(cfg.Observe),
 		queue:    make(chan func(), cfg.MaxQueue),
 		stopCh:   make(chan struct{}),
 		pending:  make(map[string]*pendingSweep),
 		sessions: make(map[string]*streamSession),
 	}
 	s.cache = newPrepCache(cfg.MaxCacheBytes, s.metrics)
-	s.sobs = newServeObs(cfg.Observe)
 	s.batchWindowNS.Store(int64(cfg.BatchWindow))
 	s.queueLimit.Store(int64(cfg.MaxQueue))
+	s.registerGauges()
 	var nb [4]byte
 	_, _ = rand.Read(nb[:])
 	s.nonce = hex.EncodeToString(nb[:])
@@ -318,8 +302,8 @@ func (s *Server) Start() error {
 	}
 	srv := s.httpSrv
 	s.httpMu.Unlock()
-	s.logf("serve: listening on %s (workers=%d threads=%d ranks=%d queue=%d cache=%dMiB)",
-		ln.Addr(), s.cfg.Workers, s.cfg.Threads, s.cfg.Ranks, s.cfg.MaxQueue, s.cfg.MaxCacheBytes>>20)
+	s.logf("serve: listening on %s (workers=%d threads=%d queue=%d cache=%dMiB)",
+		ln.Addr(), s.cfg.Workers, s.cfg.Threads, s.cfg.MaxQueue, s.cfg.MaxCacheBytes>>20)
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			s.logf("serve: %v", err)
@@ -441,19 +425,18 @@ var (
 // the matching rejection metric; the caller maps the error onto HTTP.
 func (s *Server) admissionCheck() error {
 	if s.draining.Load() {
-		s.metrics.rejectedDraining.Add(1)
+		s.metrics.rejectedDraining.Inc()
 		return errDraining
 	}
 	depth := len(s.queue)
 	if depth >= int(s.queueLimit.Load()) {
-		s.metrics.rejectedQueueFull.Add(1)
+		s.metrics.rejectedQueueFull.Inc()
 		return errQueueFull
 	}
 	if shed := s.shedLatNS.Load(); shed > 0 && depth >= s.cfg.Workers {
-		if n := s.metrics.evals.Load(); n > 0 {
-			est := int64(depth/s.cfg.Workers) * (s.metrics.evalNS.Load() / n)
-			if est > shed {
-				s.metrics.shedLoad.Add(1)
+		if mean := s.metrics.eval.Snapshot().Mean(); mean > 0 {
+			if est := int64(depth/s.cfg.Workers) * int64(mean); est > shed {
+				s.metrics.shedLoad.Inc()
 				return errShedLoad
 			}
 		}
@@ -471,7 +454,7 @@ func (s *Server) submit(f func()) error {
 	case s.queue <- f:
 		return nil
 	default:
-		s.metrics.rejectedQueueFull.Add(1)
+		s.metrics.rejectedQueueFull.Inc()
 		return errQueueFull
 	}
 }
@@ -494,13 +477,13 @@ type tunerWindow struct {
 func (s *Server) tunerSample() tunerWindow {
 	return tunerWindow{
 		at:        time.Now(),
-		completed: s.metrics.completed.Load(),
-		rejected:  s.metrics.rejectedQueueFull.Load(),
-		shed:      s.metrics.shedLoad.Load(),
-		req: s.sobs.reqEnergy.Snapshot().
-			Add(s.sobs.reqSweep.Snapshot()).
-			Add(s.sobs.reqStream.Snapshot()),
-		queue: s.sobs.queueWait.Snapshot(),
+		completed: s.metrics.completed.Value(),
+		rejected:  s.metrics.rejectedQueueFull.Value(),
+		shed:      s.metrics.shedLoad.Value(),
+		req: s.metrics.reqEnergy.Snapshot().
+			Add(s.metrics.reqSweep.Snapshot()).
+			Add(s.metrics.reqStream.Snapshot()),
+		queue: s.metrics.queueWait.Snapshot(),
 	}
 }
 
@@ -607,7 +590,7 @@ func (s *Server) wrap(h http.HandlerFunc) http.HandlerFunc {
 		s.handlersLive.Add(1)
 		defer s.handlersLive.Add(-1)
 		if s.draining.Load() {
-			s.metrics.rejectedDraining.Add(1)
+			s.metrics.rejectedDraining.Inc()
 			writeError(w, http.StatusServiceUnavailable, s.nextReqID(), "draining", "server is shutting down", 0)
 			return
 		}

@@ -166,7 +166,7 @@ func TestServerEnergyCoalesced(t *testing.T) {
 	if misses != 1 {
 		t.Fatalf("%d requests reported cache=miss, want exactly 1 (singleflight)", misses)
 	}
-	if b := s.metrics.cacheBuilds.Load(); b != 1 {
+	if b := s.metrics.cacheBuilds.Value(); b != 1 {
 		t.Fatalf("cache ran %d builds, want 1", b)
 	}
 }
@@ -209,7 +209,7 @@ func TestServerSweep(t *testing.T) {
 			t.Fatalf("batch = %d requests / %d poses, want 2/3", r.BatchRequests, r.BatchPoses)
 		}
 	}
-	if b := s.metrics.batchesRun.Load(); b != 1 {
+	if b := s.metrics.batchesRun.Value(); b != 1 {
 		t.Fatalf("ran %d batches, want 1", b)
 	}
 	if len(respA.Energies) != 2 || len(respB.Energies) != 1 {
@@ -286,7 +286,7 @@ func TestServerAdmission(t *testing.T) {
 	if e.Error != "queue_full" {
 		t.Fatalf("sweep rejection: %+v", e)
 	}
-	if got := s.metrics.rejectedQueueFull.Load(); got != 2 {
+	if got := s.metrics.rejectedQueueFull.Value(); got != 2 {
 		t.Fatalf("rejected_queue_full = %d, want 2", got)
 	}
 	close(block)
@@ -318,17 +318,17 @@ func TestServerDeadline(t *testing.T) {
 
 	// The abandoned task must be discarded by the worker without building.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.metrics.canceled.Load() == 0 && time.Now().Before(deadline) {
+	for s.metrics.canceled.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if s.metrics.canceled.Load() != 1 {
-		t.Fatalf("canceled = %d, want 1", s.metrics.canceled.Load())
+	if s.metrics.canceled.Value() != 1 {
+		t.Fatalf("canceled = %d, want 1", s.metrics.canceled.Value())
 	}
-	if b := s.metrics.cacheBuilds.Load(); b != 0 {
+	if b := s.metrics.cacheBuilds.Value(); b != 0 {
 		t.Fatalf("expired request still built (%d builds)", b)
 	}
-	if s.metrics.deadlineMisses.Load() != 1 {
-		t.Fatalf("deadline_misses = %d, want 1", s.metrics.deadlineMisses.Load())
+	if s.metrics.deadlineMisses.Value() != 1 {
+		t.Fatalf("deadline_misses = %d, want 1", s.metrics.deadlineMisses.Value())
 	}
 }
 
@@ -392,7 +392,7 @@ func TestServerBadRequests(t *testing.T) {
 			}
 		}
 	}
-	if b, c := s.metrics.cacheBuilds.Load(), s.metrics.completed.Load(); b != 0 || c != 0 {
+	if b, c := s.metrics.cacheBuilds.Value(), s.metrics.completed.Value(); b != 0 || c != 0 {
 		t.Errorf("refused sampling options built %d entries and completed %d requests", b, c)
 	}
 	for level := 0; level <= maxSubdivLevel; level++ {
@@ -519,8 +519,8 @@ func TestServerEnergyByHash(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/energy", only(nil), &e); code != http.StatusNotFound || e.Error != UnknownMolecule {
 		t.Fatalf("hash of a molecule never sent: %d %q, want 404 %s", code, e.Error, UnknownMolecule)
 	}
-	if entries, _ := s.cache.stats(); entries != 0 || s.metrics.cacheBuilds.Load() != 0 || s.metrics.cacheMisses.Load() != 0 {
-		t.Fatalf("a hash-only request touched the cache: entries=%d builds=%d misses=%d", entries, s.metrics.cacheBuilds.Load(), s.metrics.cacheMisses.Load())
+	if entries, _ := s.cache.stats(); entries != 0 || s.metrics.cacheBuilds.Value() != 0 || s.metrics.cacheMisses.Value() != 0 {
+		t.Fatalf("a hash-only request touched the cache: entries=%d builds=%d misses=%d", entries, s.metrics.cacheBuilds.Value(), s.metrics.cacheMisses.Value())
 	}
 
 	var full EnergyResponse
@@ -540,14 +540,14 @@ func TestServerEnergyByHash(t *testing.T) {
 	}
 	// There is one arithmetic: a body that still carries the deleted
 	// "precision" option is answered from the same entry with the same bits.
-	hits, builds := s.metrics.cacheHits.Load(), s.metrics.cacheBuilds.Load()
+	hits, builds := s.metrics.cacheHits.Value(), s.metrics.cacheBuilds.Value()
 	var tiered EnergyResponse
 	if code := postJSON(t, ts.URL+"/v1/energy", map[string]any{
 		"molecule": FromMolecule(mol), "options": map[string]string{"precision": "f32"},
 	}, &tiered); code != http.StatusOK || math.Float64bits(tiered.Energy) != math.Float64bits(full.Energy) {
 		t.Errorf("with the deleted precision option: status %d energy %.17g, without %.17g", code, tiered.Energy, full.Energy)
 	}
-	if h, b := s.metrics.cacheHits.Load(), s.metrics.cacheBuilds.Load(); h != hits+1 || b != builds {
+	if h, b := s.metrics.cacheHits.Value(), s.metrics.cacheBuilds.Value(); h != hits+1 || b != builds {
 		t.Errorf("the deleted precision option cost %d hits and %d builds, want 1 and 0", h-hits, b-builds)
 	}
 	// Preparation options key the entry: the same hash under another ε_B
@@ -559,8 +559,8 @@ func TestServerEnergyByHash(t *testing.T) {
 			t.Errorf("by hash, other %s: %d %q, want 404 %s", name, code, e.Error, UnknownMolecule)
 		}
 	}
-	if entries, _ := s.cache.stats(); entries != 1 || s.metrics.cacheBuilds.Load() != 1 {
-		t.Errorf("entries=%d builds=%d after the hash-only misses, want 1 and 1", entries, s.metrics.cacheBuilds.Load())
+	if entries, _ := s.cache.stats(); entries != 1 || s.metrics.cacheBuilds.Value() != 1 {
+		t.Errorf("entries=%d builds=%d after the hash-only misses, want 1 and 1", entries, s.metrics.cacheBuilds.Value())
 	}
 
 	// A hash is never trusted over atoms that arrive with it.
@@ -604,7 +604,7 @@ func TestServerEnergyByHash(t *testing.T) {
 	go func() {
 		joined <- postJSON(t, ts.URL+"/v1/energy", EnergyRequest{Molecule: MoleculeJSON{Hash: slow.HashString()}}, &coalesced)
 	}()
-	for deadline := time.Now().Add(10 * time.Second); s.metrics.cacheCoalesced.Load() == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); s.metrics.cacheCoalesced.Value() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("hash-only request never joined the build in flight")
 		}

@@ -1,55 +1,10 @@
 package serve
 
 import (
-	"sync/atomic"
 	"time"
 
 	"octgb/internal/obs"
 )
-
-// metrics is the server's counter set. Everything is atomic so the hot
-// path never takes a lock to record.
-type metrics struct {
-	start time.Time
-
-	energyRequests atomic.Int64
-	sweepRequests  atomic.Int64
-	completed      atomic.Int64
-	failed         atomic.Int64
-
-	rejectedQueueFull atomic.Int64
-	rejectedDraining  atomic.Int64
-	shedLoad          atomic.Int64 // rejected by the shed-latency threshold
-	deadlineMisses    atomic.Int64
-	canceled          atomic.Int64 // queued work abandoned before running
-
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	cacheCoalesced atomic.Int64 // singleflight waiters
-	cacheBuilds    atomic.Int64
-	cacheEvictions atomic.Int64
-
-	batchesRun      atomic.Int64
-	batchedRequests atomic.Int64
-	batchedPoses    atomic.Int64
-
-	streamCreates     atomic.Int64
-	streamFrames      atomic.Int64
-	streamCloses      atomic.Int64
-	streamEvictedIdle atomic.Int64
-	streamEvictedLRU  atomic.Int64
-	streamFrameNS     atomic.Int64 // completed frame evaluation time
-
-	inflight atomic.Int64
-
-	surfaceNS atomic.Int64 // surface sampling (cold builds + exact sweep poses)
-	prepareNS atomic.Int64 // octree construction + Born phase
-	evalNS    atomic.Int64 // E_pol evaluation
-	buildNS   atomic.Int64 // whole cache builds (surface+prepare)
-	evals     atomic.Int64 // E_pol evaluations executed
-}
-
-func newMetrics() *metrics { return &metrics{start: time.Now()} }
 
 // StatsSnapshot is the GET /stats payload — a point-in-time copy of every
 // counter plus derived queue/cache occupancy.
@@ -178,77 +133,87 @@ type LoadStats struct {
 // LoadStats returns the current load view; safe for concurrent use.
 func (s *Server) LoadStats() LoadStats {
 	entries, _ := s.cache.stats()
-	s.sessMu.Lock()
-	live := len(s.sessions)
-	s.sessMu.Unlock()
 	return LoadStats{
 		Workers:      s.cfg.Workers,
 		QueueDepth:   len(s.queue),
 		Inflight:     s.metrics.inflight.Load(),
-		Sessions:     live,
+		Sessions:     s.liveSessions(),
 		CacheEntries: entries,
-		CacheHits:    s.metrics.cacheHits.Load(),
-		CacheMisses:  s.metrics.cacheMisses.Load(),
+		CacheHits:    s.metrics.cacheHits.Value(),
+		CacheMisses:  s.metrics.cacheMisses.Value(),
 	}
 }
 
+// liveSessions returns the number of live /v1/stream sessions.
+func (s *Server) liveSessions() int {
+	s.sessMu.Lock()
+	defer s.sessMu.Unlock()
+	return len(s.sessions)
+}
+
+// msTotal is a histogram's observed total in milliseconds.
+func msTotal(h *obs.Histogram) float64 {
+	return float64(h.Snapshot().Sum) / 1e6
+}
+
+// snapshot renders /stats from the server's metric handles: each counter
+// is the one /metrics exports, each timing a stage histogram's sum.
 func (s *Server) snapshot() StatsSnapshot {
 	m := s.metrics
 	var out StatsSnapshot
 	out.UptimeSeconds = time.Since(m.start).Seconds()
 	out.Draining = s.draining.Load()
 
-	out.Requests.Energy = m.energyRequests.Load()
-	out.Requests.Sweep = m.sweepRequests.Load()
-	out.Requests.Completed = m.completed.Load()
-	out.Requests.Failed = m.failed.Load()
+	out.Requests.Energy = m.energyRequests.Value()
+	out.Requests.Sweep = m.sweepRequests.Value()
+	out.Requests.Completed = m.completed.Value()
+	out.Requests.Failed = m.failed.Value()
 
 	out.Admission.QueueDepth = len(s.queue)
 	out.Admission.QueueCapacity = cap(s.queue)
 	out.Admission.QueueLimit = int(s.queueLimit.Load())
 	out.Admission.Inflight = m.inflight.Load()
 	out.Admission.Workers = s.cfg.Workers
-	out.Admission.RejectedQueueFull = m.rejectedQueueFull.Load()
-	out.Admission.RejectedDraining = m.rejectedDraining.Load()
-	out.Admission.ShedLoad = m.shedLoad.Load()
-	out.Admission.DeadlineMisses = m.deadlineMisses.Load()
-	out.Admission.Canceled = m.canceled.Load()
+	out.Admission.RejectedQueueFull = m.rejectedQueueFull.Value()
+	out.Admission.RejectedDraining = m.rejectedDraining.Value()
+	out.Admission.ShedLoad = m.shedLoad.Value()
+	out.Admission.DeadlineMisses = m.deadlineMisses.Value()
+	out.Admission.Canceled = m.canceled.Value()
 
 	entries, bytes := s.cache.stats()
-	out.Cache.Hits = m.cacheHits.Load()
-	out.Cache.Misses = m.cacheMisses.Load()
-	out.Cache.Coalesced = m.cacheCoalesced.Load()
-	out.Cache.Builds = m.cacheBuilds.Load()
-	out.Cache.Evictions = m.cacheEvictions.Load()
+	out.Cache.Hits = m.cacheHits.Value()
+	out.Cache.Misses = m.cacheMisses.Value()
+	out.Cache.Coalesced = m.cacheCoalesced.Value()
+	out.Cache.Builds = m.cacheBuilds.Value()
+	out.Cache.Evictions = m.cacheEvictions.Value()
 	out.Cache.Entries = entries
 	out.Cache.Bytes = bytes
 	out.Cache.MaxBytes = s.cfg.MaxCacheBytes
 
-	out.Batching.BatchesRun = m.batchesRun.Load()
-	out.Batching.BatchedRequests = m.batchedRequests.Load()
-	out.Batching.BatchedPoses = m.batchedPoses.Load()
+	out.Batching.BatchesRun = m.batchesRun.Value()
+	out.Batching.BatchedRequests = m.batchedRequests.Value()
+	out.Batching.BatchedPoses = m.batchedPoses.Value()
 
-	s.sessMu.Lock()
-	out.Streaming.Live = len(s.sessions)
-	s.sessMu.Unlock()
+	out.Streaming.Live = s.liveSessions()
 	out.Streaming.MaxSessions = s.cfg.MaxSessions
-	out.Streaming.Created = m.streamCreates.Load()
-	out.Streaming.Frames = m.streamFrames.Load()
-	out.Streaming.Closed = m.streamCloses.Load()
-	out.Streaming.EvictedIdle = m.streamEvictedIdle.Load()
-	out.Streaming.EvictedLRU = m.streamEvictedLRU.Load()
-	out.Streaming.FrameMSTotal = float64(m.streamFrameNS.Load()) / 1e6
+	out.Streaming.Created = m.streamCreates.Value()
+	out.Streaming.Frames = m.streamFrames.Value()
+	out.Streaming.Closed = m.streamCloses.Value()
+	out.Streaming.EvictedIdle = m.streamEvictedIdle.Value()
+	out.Streaming.EvictedLRU = m.streamEvictedLRU.Value()
+	out.Streaming.FrameMSTotal = msTotal(m.streamFrame)
 
-	out.Timings.SurfaceMSTotal = float64(m.surfaceNS.Load()) / 1e6
-	out.Timings.PrepareMSTotal = float64(m.prepareNS.Load()) / 1e6
-	out.Timings.EvalMSTotal = float64(m.evalNS.Load()) / 1e6
-	out.Timings.BuildMSTotal = float64(m.buildNS.Load()) / 1e6
-	out.Timings.Evals = m.evals.Load()
+	out.Timings.SurfaceMSTotal = msTotal(m.surface)
+	out.Timings.PrepareMSTotal = msTotal(m.prepare)
+	evals := m.eval.Snapshot()
+	out.Timings.EvalMSTotal = float64(evals.Sum) / 1e6
+	out.Timings.BuildMSTotal = msTotal(m.build)
+	out.Timings.Evals = int64(evals.Count)
 
-	if s.sobs.ob != nil {
+	if m.ob != nil {
 		out.Latency = &LatencySnapshot{
-			Energy: endpointLatency(s.sobs.reqEnergy),
-			Sweep:  endpointLatency(s.sobs.reqSweep),
+			Energy: endpointLatency(m.reqEnergy),
+			Sweep:  endpointLatency(m.reqSweep),
 		}
 	}
 	if s.tuner != nil {

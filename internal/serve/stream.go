@@ -66,7 +66,7 @@ func (s *Server) evictSessionsLocked(needRoom bool) (evicted []*streamSession) {
 		if now.Sub(st.lastUsed) > s.cfg.SessionIdle {
 			evicted = append(evicted, st)
 			delete(s.sessions, id)
-			s.metrics.streamEvictedIdle.Add(1)
+			s.metrics.streamEvictedIdle.Inc()
 			s.logf("serve: stream %s evicted (idle %v)", id, now.Sub(st.lastUsed).Round(time.Second))
 		}
 	}
@@ -79,7 +79,7 @@ func (s *Server) evictSessionsLocked(needRoom bool) (evicted []*streamSession) {
 		}
 		evicted = append(evicted, oldest)
 		delete(s.sessions, oldest.id)
-		s.metrics.streamEvictedLRU.Add(1)
+		s.metrics.streamEvictedLRU.Inc()
 		s.logf("serve: stream %s evicted (LRU, cap %d)", oldest.id, s.cfg.MaxSessions)
 	}
 	return evicted
@@ -117,9 +117,9 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, reqID, "method_not_allowed", "POST required", 0)
 		return
 	}
-	s.metrics.streamCreates.Add(1)
+	s.metrics.streamCreates.Inc()
 	reqStart := time.Now()
-	span := s.sobs.spanID()
+	span := s.metrics.ob.NextID()
 
 	var req StreamCreateRequest
 	if _, err := ReadRequest(w, r, &req); err != nil {
@@ -159,7 +159,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	if err := s.submit(func() {
 		out := createOut{startedAt: time.Now()}
 		if ctx.Err() != nil {
-			s.metrics.canceled.Add(1)
+			s.metrics.canceled.Inc()
 			out.err = ctx.Err()
 		} else {
 			out.ss, out.err = engine.NewSession(mol, so)
@@ -171,10 +171,10 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case out := <-outCh:
-		s.sobs.stage(s.sobs.queueWait, "serve.queue", span, queued, out.startedAt.Sub(queued))
-		s.sobs.request(s.sobs.reqStream, "serve.stream", span, reqStart)
+		s.metrics.stage(s.metrics.queueWait, "serve.queue", span, queued, out.startedAt.Sub(queued))
+		s.metrics.request(s.metrics.reqStream, "serve.stream", span, reqStart)
 		if out.err != nil {
-			s.metrics.failed.Add(1)
+			s.metrics.failed.Inc()
 			writeError(w, http.StatusInternalServerError, reqID, "eval_failed", out.err.Error(), 0)
 			return
 		}
@@ -192,8 +192,8 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		s.sessions[st.id] = st
 		s.sessMu.Unlock()
 		closeSessions(evicted)
-		s.metrics.completed.Add(1)
-		s.sobs.stage(s.sobs.streamCreate, "serve.stream.create", span, out.startedAt, time.Since(out.startedAt))
+		s.metrics.completed.Inc()
+		s.metrics.stage(s.metrics.streamCreate, "serve.stream.create", span, out.startedAt, time.Since(out.startedAt))
 		s.logf("serve: %s stream create %s atoms=%d qpts=%d E=%.6g", reqID, st.id, atoms, qpts, energy)
 		writeJSON(w, http.StatusOK, StreamCreateResponse{
 			RequestID: reqID,
@@ -208,8 +208,8 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 			},
 		})
 	case <-ctx.Done():
-		s.metrics.deadlineMisses.Add(1)
-		s.sobs.request(s.sobs.reqStream, "serve.stream", span, reqStart)
+		s.metrics.deadlineMisses.Inc()
+		s.metrics.request(s.metrics.reqStream, "serve.stream", span, reqStart)
 		writeError(w, http.StatusGatewayTimeout, reqID, "deadline_exceeded",
 			"request deadline elapsed before the session was built", s.retryAfterHint())
 	}
@@ -244,7 +244,7 @@ func (s *Server) handleStreamSub(w http.ResponseWriter, r *http.Request) {
 // lands in the mode="stream" histogram.
 func (s *Server) handleStreamFrame(w http.ResponseWriter, r *http.Request, reqID, id string) {
 	reqStart := time.Now()
-	span := s.sobs.spanID()
+	span := s.metrics.ob.NextID()
 
 	// One wire contract with the molecule-bearing bodies: nothing but
 	// whitespace after the object, a short body is 400, only an over-limit
@@ -266,7 +266,7 @@ func (s *Server) handleStreamFrame(w http.ResponseWriter, r *http.Request, reqID
 	}
 	// Counted once the frame holds its session: a close from here on can
 	// remove the id from the store but not take the session from the frame.
-	s.metrics.streamFrames.Add(1)
+	s.metrics.streamFrames.Inc()
 	delta := engine.FrameDelta{Moves: make([]engine.AtomMove, len(req.Moves))}
 	for i, mv := range req.Moves {
 		for _, c := range mv.Pos {
@@ -293,7 +293,7 @@ func (s *Server) handleStreamFrame(w http.ResponseWriter, r *http.Request, reqID
 		defer st.mu.Unlock()
 		out := frameOut{startedAt: time.Now()}
 		if ctx.Err() != nil {
-			s.metrics.canceled.Add(1)
+			s.metrics.canceled.Inc()
 			out.err = ctx.Err()
 		} else {
 			out.rep, out.err = st.ss.Step(delta)
@@ -305,8 +305,8 @@ func (s *Server) handleStreamFrame(w http.ResponseWriter, r *http.Request, reqID
 	}
 	select {
 	case out := <-outCh:
-		s.sobs.stage(s.sobs.queueWait, "serve.queue", span, queued, out.startedAt.Sub(queued))
-		s.sobs.request(s.sobs.reqStream, "serve.stream", span, reqStart)
+		s.metrics.stage(s.metrics.queueWait, "serve.queue", span, queued, out.startedAt.Sub(queued))
+		s.metrics.request(s.metrics.reqStream, "serve.stream", span, reqStart)
 		if out.err != nil {
 			if errors.Is(out.err, engine.ErrSessionClosed) {
 				// Dispatched before a close and run after it.
@@ -315,21 +315,20 @@ func (s *Server) handleStreamFrame(w http.ResponseWriter, r *http.Request, reqID
 				return
 			}
 			if out.err == context.DeadlineExceeded || out.err == context.Canceled {
-				s.metrics.deadlineMisses.Add(1)
+				s.metrics.deadlineMisses.Inc()
 				writeError(w, http.StatusGatewayTimeout, reqID, "deadline_exceeded",
 					"frame deadline elapsed while queued", s.retryAfterHint())
 				return
 			}
 			// Step validates before mutating: a rejected frame leaves the
 			// session usable, so the error is the client's.
-			s.metrics.failed.Add(1)
+			s.metrics.failed.Inc()
 			writeError(w, http.StatusBadRequest, reqID, "bad_request", out.err.Error(), 0)
 			return
 		}
-		frameNS := time.Since(out.startedAt).Nanoseconds()
-		s.metrics.completed.Add(1)
-		s.metrics.streamFrameNS.Add(frameNS)
-		s.sobs.stage(s.sobs.streamFrame, "serve.stream.frame", span, out.startedAt, time.Duration(frameNS))
+		frameD := time.Since(out.startedAt)
+		s.metrics.completed.Inc()
+		s.metrics.stage(s.metrics.streamFrame, "serve.stream.frame", span, out.startedAt, frameD)
 		writeJSON(w, http.StatusOK, StreamFrameResponse{
 			RequestID:        reqID,
 			SessionID:        id,
@@ -344,12 +343,12 @@ func (s *Server) handleStreamFrame(w http.ResponseWriter, r *http.Request, reqID
 			Refreshed:        out.rep.Refreshed,
 			Timings: TimingsJSON{
 				QueueMS: msBetween(queued, out.startedAt),
-				EvalMS:  float64(frameNS) / 1e6,
+				EvalMS:  float64(frameD.Nanoseconds()) / 1e6,
 			},
 		})
 	case <-ctx.Done():
-		s.metrics.deadlineMisses.Add(1)
-		s.sobs.request(s.sobs.reqStream, "serve.stream", span, reqStart)
+		s.metrics.deadlineMisses.Inc()
+		s.metrics.request(s.metrics.reqStream, "serve.stream", span, reqStart)
 		writeError(w, http.StatusGatewayTimeout, reqID, "deadline_exceeded",
 			"frame deadline elapsed before evaluation completed", s.retryAfterHint())
 	}
@@ -368,7 +367,7 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request, reqID
 			fmt.Sprintf("session %s does not exist (closed or evicted)", id), 0)
 		return
 	}
-	s.metrics.streamCloses.Add(1)
+	s.metrics.streamCloses.Inc()
 	// The close wins the map race and waits for a frame holding st.mu.
 	closeSessions([]*streamSession{st})
 	frames, energy := st.ss.Frame(), st.ss.Energy() // kept by a closed session

@@ -43,10 +43,10 @@ func grabSession(t *testing.T, s *Server, id string) *streamSession {
 func waitFrameDispatched(t *testing.T, s *Server, frames int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.metrics.streamFrames.Load() < frames || len(s.queue) > 0 {
+	for s.metrics.streamFrames.Value() < frames || len(s.queue) > 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("frame never dispatched: frames=%d queue=%d",
-				s.metrics.streamFrames.Load(), len(s.queue))
+				s.metrics.streamFrames.Value(), len(s.queue))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -147,7 +147,7 @@ func TestStreamEvictionRecyclesSession(t *testing.T) {
 	go func() {
 		frameDone <- postJSON(t, ts.URL+"/v1/stream/"+a.SessionID+"/frame", StreamFrameRequest{Moves: wire[0]}, &gone)
 	}()
-	for deadline := time.Now().Add(10 * time.Second); s.metrics.streamFrames.Load() < 1 || len(s.queue) < 1; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); s.metrics.streamFrames.Value() < 1 || len(s.queue) < 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the frame was never queued")
 		}
@@ -274,7 +274,7 @@ func TestStreamRaceFramesAcrossClose(t *testing.T) {
 		const clients, frames = 3, 6
 		var ok, gone atomic.Int64
 		var wg sync.WaitGroup
-		counted := s.metrics.streamFrames.Load()
+		counted := s.metrics.streamFrames.Value()
 		for c := 0; c < clients; c++ {
 			wg.Add(1)
 			go func() {
@@ -297,7 +297,7 @@ func TestStreamRaceFramesAcrossClose(t *testing.T) {
 		}
 		// Close once the first frames hold the session, while later ones
 		// are queued on its lock or still on their way.
-		for deadline := time.Now().Add(10 * time.Second); s.metrics.streamFrames.Load() < counted+2; time.Sleep(100 * time.Microsecond) {
+		for deadline := time.Now().Add(10 * time.Second); s.metrics.streamFrames.Value() < counted+2; time.Sleep(100 * time.Microsecond) {
 			if time.Now().After(deadline) {
 				t.Fatal("no frame reached the session")
 			}

@@ -197,8 +197,7 @@ func TestServerShedLoad(t *testing.T) {
 
 	// Pretend history: evaluations average 1s, shed anything estimated
 	// over 100ms.
-	s.metrics.evals.Store(1)
-	s.metrics.evalNS.Store(int64(time.Second))
+	s.metrics.eval.Observe(time.Second)
 	s.applyKnobs(Knobs{BatchWindow: 5 * time.Millisecond, QueueLimit: 8, ShedLatency: 100 * time.Millisecond})
 
 	mol := molecule.GenerateProtein("shed", 60, 2)
@@ -226,7 +225,8 @@ func TestServerShedLoad(t *testing.T) {
 // TestServerTunerLoop boots a server with an unmeetable SLO and checks the
 // live control loop reacts: decisions accumulate, a tighten lands, and the
 // knobs published to the admission atomics moved off their configured
-// defaults. /stats carries the tuner block.
+// defaults. /stats carries the tuner block. The server has no Observer:
+// the loop closes on the histograms every server records.
 func TestServerTunerLoop(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
 	s, ts := newTestServer(t, Config{
@@ -238,8 +238,8 @@ func TestServerTunerLoop(t *testing.T) {
 			Interval: 25 * time.Millisecond,
 		},
 	})
-	if s.cfg.Observe == nil {
-		t.Fatal("tuner config did not promote an observer")
+	if s.cfg.Observe != nil {
+		t.Fatal("tuner config attached an observer")
 	}
 
 	mol := molecule.GenerateProtein("tune", 150, 4)
