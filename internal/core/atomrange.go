@@ -36,18 +36,17 @@ func (s *BornSolver) approxIntegralsRange(a, q, lo, hi int32, sNode, sAtom []flo
 	if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
 		if an.Start >= lo && an.Start+an.Count <= hi {
 			// Node fully owned: collect at the node as usual.
-			diff := qn.Center.Sub(an.Center)
-			sNode[a] += s.nodeWN(q).Dot(diff) * s.kernel(d2)
+			s.AddBornFarTerm(a, q, sNode)
 			st.FarEval++
 			return
 		}
-		// Straddling node: approximate per owned atom against the
-		// pseudo q-point. The approximation point differs from the node
-		// center, so the result (and error) depends on the boundary.
+		// Straddling node: approximate per owned atom against Q's far
+		// term. The approximation point differs from the node center, so
+		// the result (and error) depends on the boundary.
 		from, to := clampRange(an.Start, an.Start+an.Count, lo, hi)
 		for i := from; i < to; i++ {
-			dv := qn.Center.Sub(s.TA.Points[i])
-			sAtom[i] += s.nodeWN(q).Dot(dv) * s.kernel(dv.Norm2())
+			v, _, _, _ := s.farTerm(q, s.TQ.CX[q]-s.TA.X[i], s.TQ.CY[q]-s.TA.Y[i], s.TQ.CZ[q]-s.TA.Z[i])
+			sAtom[i] += v
 			st.FarEval++
 		}
 		return

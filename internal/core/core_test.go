@@ -21,9 +21,17 @@ func relErr(a, b float64) float64 {
 }
 
 func TestWellSeparated(t *testing.T) {
-	c := sepRatio(0.9, 1) // 1.9
-	k2 := sepFactor2(c)   // ((c+1)/(c-1))²
-	// d=10, r=1+1: ratio (10+2)/(10-2) = 1.5 ≤ 1.9 → separated.
+	c := sepRatio(0.9, 1)  // 1.9
+	k2 := sepFactor2(c, 1) // (1 + farReach·2/(c−1))²
+	if k := math.Sqrt(k2); math.Abs(k-2.2) > 1e-12 {
+		t.Errorf("default criterion at ε = 0.9: k = %v, want 2.2", k)
+	}
+	// The printed criterion keeps the distance-ratio form (c+1)/(c−1).
+	c6 := sepRatio(0.9, 6)
+	if k6 := math.Sqrt(sepFactor2(c6, 6)); math.Abs(k6-(c6+1)/(c6-1)) > 1e-12 {
+		t.Errorf("printed criterion: k = %v, want %v", k6, (c6+1)/(c6-1))
+	}
+	// d=10, r=1+1: d/r = 5 ≥ 2.2 → separated.
 	if !wellSeparated2(100, 1, 1, k2) {
 		t.Error("clearly separated pair rejected")
 	}
@@ -31,7 +39,7 @@ func TestWellSeparated(t *testing.T) {
 	if wellSeparated2(1.5*1.5, 1, 1, k2) {
 		t.Error("overlapping pair accepted")
 	}
-	// d=3, r=2: ratio 5/1 = 5 > 1.9 → not separated.
+	// d=3, r=2: d/r = 1.5 < 2.2 → not separated.
 	if wellSeparated2(9, 1, 1, k2) {
 		t.Error("close pair accepted")
 	}
@@ -40,12 +48,12 @@ func TestWellSeparated(t *testing.T) {
 	if wellSeparated2(0, 0, 0, k2) {
 		t.Error("coincident degenerate pair accepted")
 	}
-	// The squared form must agree with the (d+r) ≤ c·(d−r) definition
-	// across the acceptance boundary.
-	for _, d := range []float64{2.0, 4.0, 6.0, 6.55, 6.56, 6.6, 8.0, 50.0} {
+	// The squared form must agree with the linear d ≥ r·k across the
+	// acceptance boundary (r = 2.05: d = 4.51).
+	for _, d := range []float64{2.0, 4.0, 4.5, 4.509, 4.511, 4.6, 6.6, 8.0, 50.0} {
 		ra, rq := 1.25, 0.8
 		r := ra + rq
-		lin := d-r > 0 && d+r <= c*(d-r)
+		lin := d > 0 && d >= r*math.Sqrt(k2)
 		if got := wellSeparated2(d*d, ra, rq, k2); got != lin {
 			t.Errorf("d=%v: squared form %v, linear form %v", d, got, lin)
 		}

@@ -18,8 +18,8 @@ import (
 //     SetAtomPoint, SetQPoint, SetPointMirrors, SetRadius, RefreshGeometry;
 //   - per-entry scalar evaluators with the exact arithmetic of the flat
 //     Range kernels, so a value recomputed alone is bitwise the value a
-//     full sweep produces: BornFarTerm, BornRadiusFromSums (EvalEpolFarPair
-//     in lists.go already qualifies);
+//     full sweep produces: BornRadiusFromSums (AddBornFarTerm in born.go
+//     and EvalEpolFarPair in lists.go already qualify);
 //   - the row-major batched near evaluator EvalBornRowBlocks, which fills
 //     one T_A leaf's block against each of a list of q-leaves with the
 //     bits EvalBornNearRange gives the same entry alone;
@@ -55,11 +55,11 @@ func (s *BornSolver) SetQPoint(i int32, p geom.Vec3) {
 }
 
 // RefreshGeometry refits both octrees' node bounds to the current point
-// positions and repacks the mirror derived from node geometry (the
-// far-kernel center table). Per-node ñ_Q aggregates are position
-// independent and stay. This is the structural-refresh step of
-// a session epoch: after it, far-field classifications and cached far
-// values must be rebuilt by the caller.
+// positions and rebuilds what derives from node geometry: the far-kernel
+// center table and the T_Q nodes' first moments, which are taken about the
+// node centers (ñ_Q is position independent and comes out the same). This
+// is the structural-refresh step of a session epoch: after it, far-field
+// classifications and cached far values must be rebuilt by the caller.
 func (s *BornSolver) RefreshGeometry() {
 	s.TA.RefitAll()
 	s.TQ.RefitAll()
@@ -67,28 +67,17 @@ func (s *BornSolver) RefreshGeometry() {
 		c := s.TA.Nodes[n].Center
 		s.aCent[4*n], s.aCent[4*n+1], s.aCent[4*n+2] = c.X, c.Y, c.Z
 	}
+	s.sumQNodes()
 }
 
-// BornFarTerm evaluates one far-field list entry — the pseudo q-point ñ_Q
-// at Q's frozen center against the pseudo atom at A's frozen center — with
-// exactly the arithmetic of EvalBornFarRange, so a term recomputed in
-// isolation is bitwise the term a full far sweep contributes.
-func (s *BornSolver) BornFarTerm(a, q int32) float64 {
-	dx := s.TQ.CX[q] - s.TA.CX[a]
-	dy := s.TQ.CY[q] - s.TA.CY[a]
-	dz := s.TQ.CZ[q] - s.TA.CZ[a]
-	d2 := dx*dx + dy*dy + dz*dz
-	if s.r4 {
-		return (s.wnNX[q]*dx + s.wnNY[q]*dy + s.wnNZ[q]*dz) * (1 / (d2 * d2))
-	}
-	return (s.wnNX[q]*dx + s.wnNY[q]*dy + s.wnNZ[q]*dz) * (1 / (d2 * d2 * d2))
-}
-
-// BornRadiusFromSums converts atom i's accumulated integral (near row +
-// pushed-down far total) into its Born radius — the per-atom arithmetic of
-// PushIntegrals, exposed so the session can recompute radii from cached
+// BornRadiusFromSums converts atom i's sums — its near row and the pushed
+// far total of its leaf (FarTotals' four floats for the leaf), read at the
+// atom's current position — into its Born radius: the per-atom arithmetic
+// of PushIntegrals, exposed so the session can recompute radii from cached
 // partial sums.
-func (s *BornSolver) BornRadiusFromSums(i int32, sum float64) float64 {
+func (s *BornSolver) BornRadiusFromSums(i, leaf int32, near float64, far []float64) float64 {
+	ta := s.TA
+	sum := near + farAt(far, ta.CX[leaf], ta.CY[leaf], ta.CZ[leaf], ta.X[i], ta.Y[i], ta.Z[i])
 	if s.r4 {
 		return gb.BornFromIntegralR4(sum, s.atomR[i], s.rcap)
 	}
@@ -127,18 +116,19 @@ func (s *BornSolver) EvalBornRowBlocks(a, lo, hi int32, qLeaves []int32, out []f
 	}
 }
 
-// FarTotals pushes per-node far sums down T_A: out[n] = out[parent] +
-// sNode[n], the cumulative ancestor total pushDown carries, computed for
-// every node in one forward sweep (parents precede children in the
-// linearized layout). Atom i's Born integral is then sAtom[i] +
-// out[leaf(i)], exactly as PushIntegrals forms it.
+// FarTotals pushes per-node far sums (four floats a node, as in
+// NewAccumulators) down T_A: out[4n : 4n+4] is the cumulative ancestor
+// total pushDown carries to node n, computed for every node in one forward
+// sweep (parents precede children in the linearized layout). Atom i's
+// Born radius is then BornRadiusFromSums(i, leaf(i), sAtom[i], out[4·leaf(i):]),
+// exactly as PushIntegrals forms it.
 func (s *BornSolver) FarTotals(sNode, out []float64) {
 	for n := range s.TA.Nodes {
-		t := sNode[n]
+		var par []float64
 		if p := s.TA.Nodes[n].Parent; p != octree.NoChild {
-			t += out[p]
+			par = out[4*p : 4*p+4]
 		}
-		out[n] = t
+		s.pushTotal(int32(n), par, sNode, out[4*n:4*n+4])
 	}
 }
 

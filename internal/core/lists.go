@@ -356,45 +356,16 @@ func (s *BornSolver) evalBornNearRows(q, alo, ahi int32, sAtom []float64, base i
 }
 
 // EvalBornFarRange evaluates the far entries [lo, hi) of the list: each
-// entry is one pseudo q-point (Q's aggregate ñ_Q at its center) against
-// the pseudo atom at A's center, into sNode[A]. Single-tree lists emit
-// runs of entries sharing a q-leaf, so the q-side loads are cached across
-// the run; the squared distance is formed directly from the SoA center
-// mirrors rather than via the recursion's sqrt (the values differ from
-// the oracle only in the last couple of ulps).
+// entry adds Q's far term at A's center and its gradient (farTerm) into
+// sNode[4A : 4A+4]. Single-tree lists emit runs of entries sharing a
+// q-leaf; the vector kernel takes four entries of a run at a time.
 func (s *BornSolver) EvalBornFarRange(l *InteractionList, lo, hi int, sNode []float64) {
 	if hasAVX2FMA && lo < hi {
 		s.evalBornFarRangeVec(l.Far[lo:hi], sNode)
 		return
 	}
-	far := l.Far[lo:hi]
-	acx, acy, acz := s.TA.CX, s.TA.CY, s.TA.CZ
-	qcx, qcy, qcz := s.TQ.CX, s.TQ.CY, s.TQ.CZ
-	wqx, wqy, wqz := s.wnNX, s.wnNY, s.wnNZ
-	lastQ := int32(-1)
-	var cqx, cqy, cqz, nx, ny, nz float64
-	if s.r4 {
-		for _, p := range far {
-			if p.B != lastQ {
-				lastQ = p.B
-				cqx, cqy, cqz = qcx[p.B], qcy[p.B], qcz[p.B]
-				nx, ny, nz = wqx[p.B], wqy[p.B], wqz[p.B]
-			}
-			dx, dy, dz := cqx-acx[p.A], cqy-acy[p.A], cqz-acz[p.A]
-			d2 := dx*dx + dy*dy + dz*dz
-			sNode[p.A] += (nx*dx + ny*dy + nz*dz) * (1 / (d2 * d2))
-		}
-		return
-	}
-	for _, p := range far {
-		if p.B != lastQ {
-			lastQ = p.B
-			cqx, cqy, cqz = qcx[p.B], qcy[p.B], qcz[p.B]
-			nx, ny, nz = wqx[p.B], wqy[p.B], wqz[p.B]
-		}
-		dx, dy, dz := cqx-acx[p.A], cqy-acy[p.A], cqz-acz[p.A]
-		d2 := dx*dx + dy*dy + dz*dz
-		sNode[p.A] += (nx*dx + ny*dy + nz*dz) * (1 / (d2 * d2 * d2))
+	for _, p := range l.Far[lo:hi] {
+		s.AddBornFarTerm(p.A, p.B, sNode)
 	}
 }
 

@@ -91,10 +91,9 @@ func (s *BornSolver) approxIntegrals(a, q int32, sNode, sAtom []float64, st *Sta
 	qn := &s.TQ.Nodes[q]
 	d2 := an.Center.Dist2(qn.Center)
 	if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
-		// Far enough: one pseudo q-point at Q's center against one pseudo
-		// atom at A's center. s_A += ñ_Q·(c_Q − c_A) / r_AQ⁶.
-		diff := qn.Center.Sub(an.Center)
-		sNode[a] += s.nodeWN(q).Dot(diff) * s.kernel(d2)
+		// Far enough: Q's far term to first order at A's center, and its
+		// gradient (farTerm).
+		s.AddBornFarTerm(a, q, sNode)
 		st.FarEval++
 		return
 	}
@@ -144,8 +143,7 @@ func (s *BornSolver) approxIntegralsDual(a, q int32, sNode, sAtom []float64, st 
 	qn := &s.TQ.Nodes[q]
 	d2 := an.Center.Dist2(qn.Center)
 	if wellSeparated2(d2, an.Radius, qn.Radius, s.sepK2) {
-		diff := qn.Center.Sub(an.Center)
-		sNode[a] += s.nodeWN(q).Dot(diff) * s.kernel(d2)
+		s.AddBornFarTerm(a, q, sNode)
 		st.FarEval++
 		return
 	}

@@ -35,11 +35,14 @@ import (
 //     of its current points; a non-driver (internal) node exceeding its
 //     margin triggers a full structural refresh (refit + rebuild).
 //   - Far fields. Far-entry values depend only on epoch-frozen node
-//     geometry and aggregates (ñ_Q is position independent; the energy
-//     phase's charge bins are frozen per epoch), so a far sum changes only
-//     when its segment is re-derived. The Born phase does not store its
-//     terms: it recomputes each where it adds it (sumFarNodes), the same
-//     bits in the same order. The energy phase keeps one sum per driver.
+//     geometry and aggregates (ñ_Q is position independent, the T_Q first
+//     moments are rebuilt with the geometry, the energy phase's charge
+//     bins are frozen per epoch), so a far sum changes only when its
+//     segment is re-derived. A Born far sum is linear about its node's
+//     center and is read at each atom's current position. The Born phase
+//     does not store its terms: it recomputes each where it adds it
+//     (sumFarNodes), the same bits in the same order. The energy phase
+//     keeps one sum per driver.
 //   - Per-frame values, cached at PAIR granularity. The Born phase keeps
 //     one row block per (T_A leaf, driver) near entry — the driver's
 //     contribution to each atom of the leaf — and the energy phase one
@@ -150,8 +153,8 @@ type sessionStores struct {
 	rowGrp   [][]float64 // per T_A leaf node id: ⌈P/bornGroup⌉ group sums
 	grpDirty [][]bool    // per T_A leaf node id: groups to re-add
 
-	sNodeFar  []float64 // per T_A node: canonical far sums
-	farTotal  []float64 // per T_A node: pushed-down ancestor totals
+	sNodeFar  []float64 // 4 per T_A node: canonical far sums and gradients
+	farTotal  []float64 // 4 per T_A node: pushed-down ancestor totals
 	sAtomNear []float64 // per atom (tree order): near-field rows
 	rTree     []float64 // per atom (tree order): exact current Born radii
 	rPushed   []float64 // per atom (tree order): radius the energy solver holds
@@ -476,8 +479,8 @@ func (ss *Session) sizeStores(qpts []surface.QPoint, owners []int32) {
 	ss.rowGrp = core.Resize(ss.rowGrp, nodesA)
 	ss.grpDirty = core.Resize(ss.grpDirty, nodesA)
 	ss.bornPartners = core.Resize(ss.bornPartners, nodesA)
-	ss.sNodeFar = core.Resize(ss.sNodeFar, nodesA)
-	ss.farTotal = core.Resize(ss.farTotal, nodesA)
+	ss.sNodeFar = core.Resize(ss.sNodeFar, 4*nodesA)
+	ss.farTotal = core.Resize(ss.farTotal, 4*nodesA)
 	ss.sAtomNear = core.Resize(ss.sAtomNear, nA)
 	ss.rTree = core.Resize(ss.rTree, nA)
 	ss.rPushed = core.Resize(ss.rPushed, nA)
@@ -1001,7 +1004,7 @@ func (ss *Session) rebuildStructure() {
 		ss.resumBornRow(a)
 	}
 	for i := range ss.rTree {
-		ss.rTree[i] = ss.bs.BornRadiusFromSums(int32(i), ss.sAtomNear[i]+ss.farTotal[ss.aLeafOf[i]])
+		ss.rTree[i] = ss.bornRadius(i)
 	}
 	copy(ss.rPushed, ss.rTree)
 

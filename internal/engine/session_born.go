@@ -25,7 +25,7 @@ func (ss *Session) pushRadii(markLeaves bool) int {
 	rtol := ss.opts.RadiusTolerance
 	pushed := 0
 	for i := range ss.rTree {
-		r := ss.bs.BornRadiusFromSums(int32(i), ss.sAtomNear[i]+ss.farTotal[ss.aLeafOf[i]])
+		r := ss.bornRadius(i)
 		ss.rTree[i] = r
 		d := r - ss.rPushed[i]
 		if d < 0 {
@@ -41,6 +41,13 @@ func (ss *Session) pushRadii(markLeaves bool) int {
 		}
 	}
 	return pushed
+}
+
+// bornRadius is atom i's (tree order) exact Born radius from its near row
+// and its leaf's pushed far total, read at the atom's current position.
+func (ss *Session) bornRadius(i int) float64 {
+	leaf := ss.aLeafOf[i]
+	return ss.bs.BornRadiusFromSums(int32(i), leaf, ss.sAtomNear[i], ss.farTotal[4*leaf:4*leaf+4])
 }
 
 // rederiveBorn rebuilds one Born driver segment against the refit ball of
@@ -213,13 +220,14 @@ func (ss *Session) rebuildRowStores() {
 	}
 }
 
-// sumFarNodes rebuilds the canonical per-node far sums (drivers ascending,
-// entries in traversal order) and pushes them down the atoms tree: every
-// node's with all set, otherwise those of the nodes re-derivations marked
-// (markFarDirty) — each in the same order, so a partial rebuild leaves the
-// bits a full one would. A term reads only node centres, which move only
-// with a structural refresh, and ñ_Q, fixed for the session, so it is
-// computed where it is added rather than stored.
+// sumFarNodes rebuilds the canonical per-node far sums and gradients
+// (drivers ascending, entries in traversal order) and pushes them down the
+// atoms tree: every node's with all set, otherwise those of the nodes
+// re-derivations marked (markFarDirty) — each in the same order, so a
+// partial rebuild leaves the bits a full one would. A term reads only node
+// centres and the T_Q moments, which move only with a structural refresh,
+// and ñ_Q, fixed for the session, so it is computed where it is added
+// rather than stored.
 func (ss *Session) sumFarNodes(all bool) {
 	if !all && len(ss.farDirty) == 0 {
 		return
@@ -228,13 +236,13 @@ func (ss *Session) sumFarNodes(all bool) {
 		clear(ss.sNodeFar)
 	}
 	for _, a := range ss.farDirty {
-		ss.sNodeFar[a] = 0
+		clear(ss.sNodeFar[4*a : 4*a+4])
 	}
 	for ql, far := range ss.bornFar {
 		qLeaf := ss.bs.TQ.LeafIdx[ql]
 		for _, a := range far {
 			if all || ss.markFar[a] {
-				ss.sNodeFar[a] += ss.bs.BornFarTerm(a, qLeaf)
+				ss.bs.AddBornFarTerm(a, qLeaf, ss.sNodeFar)
 			}
 		}
 	}

@@ -264,7 +264,7 @@ func TestBornRowSumShape(t *testing.T) {
 // single block.
 func TestSessionGroupBoundaryRows(t *testing.T) {
 	covered := map[int]bool{}
-	for _, n := range []int{8, 10, 25} {
+	for _, n := range []int{8, 10, 25, 54} {
 		mol := molecule.GenerateProtein("tiny", n, 5)
 		o := SessionOptions{
 			Surf: surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
@@ -321,7 +321,7 @@ func checkBornStores(t *testing.T, ss *Session) {
 	far := make([]float64, len(ss.sNodeFar))
 	for ql, nodes := range ss.bornFar {
 		for _, a := range nodes {
-			far[a] += ss.bs.BornFarTerm(a, ss.bs.TQ.LeafIdx[ql])
+			ss.bs.AddBornFarTerm(a, ss.bs.TQ.LeafIdx[ql], far)
 		}
 	}
 	if !sameBits(ss.sNodeFar, far) {

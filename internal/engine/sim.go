@@ -246,9 +246,9 @@ func (sm *SimModel) Time(P, threads int, m simtime.Machine, seed int64) SimTimin
 				m.StealOverheadSec*float64(len(w))/float64(threads)
 			clocks.Advance(r, jit(t, computeAmp))
 		}
-		// Phase 3: Allreduce of partial integrals (s_A per node + s_a per
-		// atom).
-		sync("allreduce", len(sm.prep.bs.TA.Nodes)+sm.numAtoms)
+		// Phase 3: Allreduce of partial integrals (s_A and its gradient per
+		// node + s_a per atom).
+		sync("allreduce", 4*len(sm.prep.bs.TA.Nodes)+sm.numAtoms)
 	}
 
 	// Phase 4: push integrals to atoms (atom segments).
@@ -353,7 +353,7 @@ func (sm *SimModel) TimeAtomBased(P, threads int, m simtime.Machine) (SimTiming,
 		}
 		clocks.Advance(r, sm.oc.BornWork(st)/float64(threads)*overhead*pen)
 	}
-	sync("allreduce", len(bs.TA.Nodes)+n)
+	sync("allreduce", 4*len(bs.TA.Nodes)+n)
 
 	rTree := make([]float64, n)
 	for r := 0; r < P; r++ {

@@ -60,11 +60,15 @@ type RouterConfig struct {
 	Logger *log.Logger
 }
 
-// upstreamMetric is the upstream latency family: one series across all
-// workers (it feeds the p95-derived hedge delay) and one per worker.
+// upstreamMetric is the upstream latency family, one series per worker;
+// hedgeMetric is the same observations across all workers, the sample the
+// p95-derived hedge delay is taken from. Two families, so a query over
+// either counts every upstream request once.
 const (
 	upstreamMetric = "octgb_fabric_upstream_seconds"
-	upstreamHelp   = "Upstream request latency, across all workers and by worker shard."
+	upstreamHelp   = "Upstream request latency by worker shard."
+	hedgeMetric    = "octgb_fabric_hedge_upstream_seconds"
+	hedgeHelp      = "Upstream request latency across all workers: the hedge delay's p95 sample."
 )
 
 // routerCounters are the router's counter handles, resolved once in
@@ -119,8 +123,8 @@ type Router struct {
 
 	start time.Time
 	met   routerCounters
-	// upstreamLat is the all-worker series of octgb_fabric_upstream_seconds;
-	// it feeds the p95-derived hedge delay.
+	// upstreamLat is the all-worker upstream latency (hedgeMetric); it
+	// feeds the p95-derived hedge delay.
 	upstreamLat *obs.Histogram
 
 	httpSrv *http.Server
@@ -150,7 +154,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		hot:         newHotTracker(hotWindow, hotThreshold),
 		start:       time.Now(),
 		met:         newRouterCounters(reg),
-		upstreamLat: reg.Histogram(upstreamMetric, "", upstreamHelp),
+		upstreamLat: reg.Histogram(hedgeMetric, "", hedgeHelp),
 	}
 	if rt.client == nil {
 		rt.client = &http.Client{Transport: &http.Transport{
@@ -551,7 +555,9 @@ func (rt *Router) handleStreamSticky(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, http.StatusNotFound, "not_found", "session shard lost: "+routedID)
 		return
 	}
-	rt.upstreamLat.Observe(time.Since(start))
+	d := time.Since(start)
+	rt.upstreamLat.Observe(d)
+	info.lat.Observe(d)
 	rt.relay(w, resp, worker, func(b []byte) []byte {
 		return rewriteSessionID(b, func(string) string { return routedID })
 	})

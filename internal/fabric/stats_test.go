@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,6 +86,22 @@ func TestRouterStatsAgreesWithMetrics(t *testing.T) {
 	} {
 		if got, ok := samples[r.series]; !ok || got != float64(r.v) {
 			t.Errorf("/stats %s = %d, /metrics %s = %g (present %v)", r.field, r.v, r.series, got, ok)
+		}
+	}
+
+	// Every upstream send that came back is relayed (forwarded) or, as a
+	// hedge's second answer, dropped (deduped); each latency family counts
+	// it once, whichever series it lands in.
+	sends := float64(st.Requests.Forwarded + st.Hedge.Deduped)
+	for _, family := range []string{"octgb_fabric_upstream_seconds", "octgb_fabric_hedge_upstream_seconds"} {
+		var count float64
+		for series, v := range samples {
+			if series == family+"_count" || strings.HasPrefix(series, family+"_count{") {
+				count += v
+			}
+		}
+		if count != sends {
+			t.Errorf("%s: summed _count %g over its series, want one per upstream send (%g)", family, count, sends)
 		}
 	}
 }

@@ -45,7 +45,8 @@
 //	octgb_serve_*_total, octgb_serve_* gauges     every /stats counter and gauge
 //	octgb_engine_recycled_bytes                   gauge: bytes core.Free holds
 //	octgb_fabric_*_total, octgb_fabric_workers    every router /stats counter and the ring size
-//	octgb_fabric_upstream_seconds[{worker}]       upstream latency
+//	octgb_fabric_upstream_seconds{worker}         upstream latency by shard
+//	octgb_fabric_hedge_upstream_seconds           upstream latency, all shards (hedge delay)
 package obs
 
 import "time"
