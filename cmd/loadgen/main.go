@@ -11,7 +11,8 @@
 //	            admission loop — and reports both.
 //	-mode live  wall-clock replay against a real in-process serve.Server
 //	            (its own listener on 127.0.0.1:0). Honest end-to-end
-//	            latencies, but wall-time expensive: keep live traces small.
+//	            latencies, reported as exact nearest-rank p50/p95/p99, but
+//	            wall-time expensive: keep live traces small.
 //	-mode both  live smoke after the sim pair.
 //	-target URL router mode: drive an already-running deployment — an
 //	            epolrouter front end or a bare epolserve — instead of
@@ -123,8 +124,8 @@ func run(tracePath, mode string, interval time.Duration, speed float64, target, 
 		if doc.Live, err = runLive(spec, reqs, interval, speed, target); err != nil {
 			return err
 		}
-		fmt.Printf("live:        p99=%.1fms qps=%.1f completed=%d rejected=%d shed=%d failed=%d\n",
-			doc.Live.P99MS, doc.Live.AdmittedQPS, doc.Live.Completed,
+		fmt.Printf("live:        p50=%.1fms p95=%.1fms p99=%.1fms qps=%.1f completed=%d rejected=%d shed=%d failed=%d\n",
+			doc.Live.P50MS, doc.Live.P95MS, doc.Live.P99MS, doc.Live.AdmittedQPS, doc.Live.Completed,
 			doc.Live.RejectedQueueFull, doc.Live.Shed, doc.Live.Failed)
 		if len(doc.Live.PerShardQPS) > 0 {
 			shards := make([]string, 0, len(doc.Live.PerShardQPS))

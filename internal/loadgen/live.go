@@ -12,7 +12,6 @@ import (
 
 	"octgb/internal/fabric"
 	"octgb/internal/molecule"
-	"octgb/internal/obs"
 	"octgb/internal/serve"
 )
 
@@ -31,30 +30,28 @@ type LiveOptions struct {
 // liveCounters collects the run's outcome across request goroutines.
 type liveCounters struct {
 	admitted, completed, rejected, shed, failed, aborted atomic.Int64
-	reqHist, queueHist                                   *obs.Histogram
-	// measured counts completions inside the measurement window (after
-	// warmAt); the histograms likewise only see post-warm-up latencies.
-	measured atomic.Int64
-	warmAt   time.Time
-	// shardMu guards shard: post-warm completions per serving shard, keyed
-	// by the fabric router's WorkerHeader. Stays empty against a bare
-	// server, which never sets the header.
-	shardMu sync.Mutex
-	shard   map[string]int64
+	warmAt                                               time.Time
+	// mu guards lats, the latency of every completion inside the
+	// measurement window (after warmAt), and shard, those completions per
+	// serving shard keyed by the fabric router's WorkerHeader. shard stays
+	// empty against a bare server, which never sets the header.
+	mu    sync.Mutex
+	lats  []time.Duration
+	shard map[string]int64
 }
 
-// countShard attributes one measured completion to the shard that served
-// it.
-func (ctr *liveCounters) countShard(worker string) {
+// measure records one completion inside the measurement window.
+func (ctr *liveCounters) measure(lat time.Duration, worker string) {
+	ctr.mu.Lock()
+	defer ctr.mu.Unlock()
+	ctr.lats = append(ctr.lats, lat)
 	if worker == "" {
 		return
 	}
-	ctr.shardMu.Lock()
 	if ctr.shard == nil {
 		ctr.shard = make(map[string]int64)
 	}
 	ctr.shard[worker]++
-	ctr.shardMu.Unlock()
 }
 
 // RunLive replays the arrival sequence against a live server, open-loop:
@@ -85,7 +82,7 @@ func RunLive(spec *TraceSpec, reqs []Request, opt LiveOptions) (*Report, error) 
 		}
 	}
 
-	ctr := &liveCounters{reqHist: &obs.Histogram{}, queueHist: &obs.Histogram{}}
+	ctr := &liveCounters{}
 	start := time.Now()
 	// Warm-up is specified in trace time, so it dilates with Speed like
 	// the arrival schedule does.
@@ -121,15 +118,13 @@ func RunLive(spec *TraceSpec, reqs []Request, opt LiveOptions) (*Report, error) 
 		span -= w
 		rep.WarmupS = w.Seconds()
 	}
-	rep.fillLatencyWindow(ctr.reqHist.Snapshot(), ctr.queueHist.Snapshot(), ctr.measured.Load(), span)
-	ctr.shardMu.Lock()
+	rep.fillExactWindow(ctr.lats, span)
 	if len(ctr.shard) > 0 && span > 0 {
 		rep.PerShardQPS = make(map[string]float64, len(ctr.shard))
 		for worker, n := range ctr.shard {
 			rep.PerShardQPS[worker] = float64(n) / span.Seconds()
 		}
 	}
-	ctr.shardMu.Unlock()
 	return rep, nil
 }
 
@@ -197,13 +192,8 @@ func post(opt LiveOptions, ctr *liveCounters, path string, body, out any) bool {
 	lat := time.Since(t0)
 
 	if resp.StatusCode == http.StatusOK {
-		ctr.admitted.Add(1)
-		ctr.completed.Add(1)
-		if t0.After(ctr.warmAt) || time.Now().After(ctr.warmAt) {
-			ctr.measured.Add(1)
-			ctr.reqHist.Observe(lat)
-			ctr.countShard(resp.Header.Get(fabric.WorkerHeader))
-		}
+		// A 200 whose body does not decode is a failure, not also an
+		// admission and a completion.
 		if out != nil {
 			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 				ctr.failed.Add(1)
@@ -211,6 +201,11 @@ func post(opt LiveOptions, ctr *liveCounters, path string, body, out any) bool {
 			}
 		} else {
 			io.Copy(io.Discard, resp.Body)
+		}
+		ctr.admitted.Add(1)
+		ctr.completed.Add(1)
+		if t0.After(ctr.warmAt) || time.Now().After(ctr.warmAt) {
+			ctr.measure(lat, resp.Header.Get(fabric.WorkerHeader))
 		}
 		return true
 	}

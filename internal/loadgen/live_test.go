@@ -119,3 +119,79 @@ func TestRunLivePerShard(t *testing.T) {
 		t.Fatalf("per-shard sum %.6f != admitted %.6f", sum, rep.AdmittedQPS)
 	}
 }
+
+// TestRunLiveExactQuantiles: the report's quantiles are nearest-rank
+// values of the measured latencies, not histogram bucket edges. The fake
+// server holds its k-th request for k·gap, so the measured latencies are
+// those delays plus loopback overhead, and the nearest-rank p50, p95 and
+// p99 of twenty requests are the 10th, 19th and 20th delays.
+func TestRunLiveExactQuantiles(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	const gap = 40 * time.Millisecond
+	var n atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(time.Duration(n.Add(1)) * gap)
+		w.Write([]byte("{}"))
+	}))
+	defer ts.Close()
+
+	spec := &TraceSpec{
+		Name:     "exact-quantiles",
+		Seed:     3,
+		Requests: 20,
+		Arrivals: ArrivalSpec{Process: ProcPoisson, RateHz: 1000},
+		Classes:  []ClassSpec{{Kind: KindEnergy, Weight: 1, Atoms: 20}},
+	}
+	reqs, err := Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunLive(spec, reqs, LiveOptions{BaseURL: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 20 || rep.Failed != 0 {
+		t.Fatalf("run unhealthy: %+v", rep)
+	}
+	for _, c := range []struct {
+		name string
+		got  float64
+		rank int
+	}{{"p50", rep.P50MS, 10}, {"p95", rep.P95MS, 19}, {"p99", rep.P99MS, 20}} {
+		want := float64(time.Duration(c.rank)*gap) / 1e6
+		// Overhead only adds; half a gap of it would already blur two ranks.
+		if c.got < want || c.got >= want+float64(gap/2)/1e6 {
+			t.Errorf("%s = %.3fms, want the rank-%d delay %.0fms (+ < %v overhead)", c.name, c.got, c.rank, want, gap/2)
+		}
+	}
+}
+
+// TestRunLiveBadBodyCountsAsFailure: a 200 whose body does not decode is
+// one failure — not also an admission and a completion.
+func TestRunLiveBadBodyCountsAsFailure(t *testing.T) {
+	defer testutil.Watchdog(t, time.Minute)()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("not json"))
+	}))
+	defer ts.Close()
+
+	spec := &TraceSpec{
+		Name:     "bad-body",
+		Seed:     5,
+		Requests: 1,
+		Arrivals: ArrivalSpec{Process: ProcPoisson, RateHz: 100},
+		Classes:  []ClassSpec{{Kind: KindStream, Weight: 1, Atoms: 20, Frames: 2, Movers: 1}},
+	}
+	reqs, err := Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunLive(spec, reqs, LiveOptions{BaseURL: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed != 1 || rep.Admitted != 0 || rep.Completed != 0 || rep.P99MS != 0 {
+		t.Fatalf("stream create answered 200 with a bad body: got failed=%d admitted=%d completed=%d p99=%v, want 1/0/0/0",
+			rep.Failed, rep.Admitted, rep.Completed, rep.P99MS)
+	}
+}

@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"octgb/internal/obs"
@@ -35,14 +37,20 @@ type Report struct {
 	// AbortedSessions counts stream sessions ended early by a rejected
 	// frame.
 	AbortedSessions int64 `json:"aborted_sessions,omitempty"`
-	// Failed counts live-mode transport or 5xx failures.
+	// Failed counts live-mode transport failures, error statuses other
+	// than 429, and 200s whose body does not decode.
 	Failed int64 `json:"failed,omitempty"`
 
+	// AdmittedQPS and the quantiles cover the completions measured after
+	// the warm-up. Live quantiles are nearest-rank over every measured
+	// latency; simulated ones are histogram bucket upper bounds (a factor
+	// of 2 apart). QueueP99MS is simulated only: a live client cannot see
+	// the server's queue.
 	AdmittedQPS float64 `json:"admitted_qps"`
 	P50MS       float64 `json:"p50_ms"`
 	P95MS       float64 `json:"p95_ms"`
 	P99MS       float64 `json:"p99_ms"`
-	QueueP99MS  float64 `json:"queue_p99_ms"`
+	QueueP99MS  float64 `json:"queue_p99_ms,omitempty"`
 
 	// PerShardQPS breaks AdmittedQPS down by serving shard when the live
 	// run targets a fabric router (keyed by the X-Octgb-Worker response
@@ -55,9 +63,10 @@ type Report struct {
 	FinalKnobs *serve.Knobs `json:"final_knobs,omitempty"`
 }
 
-// fillLatencyWindow derives the quantile and throughput fields from the
-// completed-request and queue-wait histograms of a measurement window —
-// post-warm-up snapshot diffs with their own completion count and span.
+// fillLatencyWindow derives the simulator's quantile and throughput fields
+// from the completed-request and queue-wait histograms of a measurement
+// window — post-warm-up snapshot diffs with their own completion count and
+// span.
 func (r *Report) fillLatencyWindow(req, queue obs.HistSnapshot, completed int64, span time.Duration) {
 	r.P50MS = float64(req.Quantile(0.50)) / 1e6
 	r.P95MS = float64(req.Quantile(0.95)) / 1e6
@@ -66,6 +75,29 @@ func (r *Report) fillLatencyWindow(req, queue obs.HistSnapshot, completed int64,
 	if s := span.Seconds(); s > 0 {
 		r.AdmittedQPS = float64(completed) / s
 	}
+}
+
+// fillExactWindow derives the quantile and throughput fields from the
+// latencies measured in a window of the given span. It sorts lats.
+func (r *Report) fillExactWindow(lats []time.Duration, span time.Duration) {
+	slices.Sort(lats)
+	r.P50MS = nearestRankMS(lats, 0.50)
+	r.P95MS = nearestRankMS(lats, 0.95)
+	r.P99MS = nearestRankMS(lats, 0.99)
+	if s := span.Seconds(); s > 0 {
+		r.AdmittedQPS = float64(len(lats)) / s
+	}
+}
+
+// nearestRankMS is the nearest-rank q-quantile (0 < q ≤ 1) of an
+// ascending slice, in milliseconds: the ⌈q·n⌉-th smallest value. Empty
+// input reads 0.
+func nearestRankMS(sorted []time.Duration, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	return float64(sorted[rank-1]) / 1e6
 }
 
 // CheckSLO verifies a report against the objective: admitted p99 at or
