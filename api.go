@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"octgb/internal/engine"
-	"octgb/internal/gb"
 	"octgb/internal/geom"
 	"octgb/internal/molecule"
 	"octgb/internal/obs"
@@ -48,7 +47,7 @@ type (
 	SurfaceOptions = surface.Options
 	// Problem bundles a molecule with its sampled surface.
 	Problem = engine.Problem
-	// EngineOptions configures an engine run (ranks, threads, ε, math).
+	// EngineOptions configures an engine run (ranks, threads, ε).
 	EngineOptions = engine.Options
 	// Kind selects an engine (OctCilk, OctMPI, OctMPICilk, Naive).
 	Kind = engine.Kind
@@ -78,9 +77,6 @@ type Options struct {
 	// BornEps and EpolEps are the approximation parameters (default 0.9,
 	// the paper's operating point). Smaller is more accurate and slower.
 	BornEps, EpolEps float64
-	// ApproximateMath enables the fast inverse-sqrt/exp kernels
-	// (~1.4× faster, few-percent energy shift).
-	ApproximateMath bool
 	// Surface controls surface sampling (zero value = defaults).
 	Surface SurfaceOptions
 }
@@ -122,9 +118,6 @@ func Compute(mol *Molecule, o Options) (*Result, error) {
 		Threads: o.Threads,
 		BornEps: o.BornEps,
 		EpolEps: o.EpolEps,
-	}
-	if o.ApproximateMath {
-		eo.Math = gb.Approximate
 	}
 	rep, err := engine.RunReal(pr, o.Engine, eo)
 	if err != nil {

@@ -77,8 +77,8 @@ func TestComputePartialOptionsKeepTheirFields(t *testing.T) {
 		name           string
 		short, spelled Options
 	}{
-		{"ApproximateMath", Options{ApproximateMath: true},
-			Options{Engine: OctMPICilk, Ranks: 2, Threads: 2, BornEps: 0.9, EpolEps: 0.9, ApproximateMath: true}},
+		{"BornEps", Options{BornEps: 0.5},
+			Options{Engine: OctMPICilk, Ranks: 2, Threads: 2, BornEps: 0.5, EpolEps: 0.9}},
 		{"EpolEps", Options{EpolEps: 0.3},
 			Options{Engine: OctMPICilk, Ranks: 2, Threads: 2, BornEps: 0.9, EpolEps: 0.3}},
 	} {

@@ -160,16 +160,6 @@ func BenchmarkAblationStealing(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationApproxMath(b *testing.B) {
-	r := runner()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(r.AblationApproxMath().Rows) == 0 {
-			b.Fatal("empty ablation")
-		}
-	}
-}
-
 func BenchmarkAblationStaticBalance(b *testing.B) {
 	r := runner()
 	b.ResetTimer()

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"octgb/internal/bench"
-	"octgb/internal/gb"
 )
 
 func main() {
@@ -30,7 +29,6 @@ func main() {
 		suite   = flag.Int("suite", 21, "number of ZDock-like suite molecules (paper: 84)")
 		runs    = flag.Int("runs", 20, "jittered repetitions for figure 6")
 		exact   = flag.Bool("exact", false, "force naive exact reference even on very large molecules")
-		approx  = flag.Bool("approx", false, "use approximate math in the octree engines (figures 8/9/11)")
 		csvDir  = flag.String("csv", "", "directory to also write per-figure CSV files into")
 		quiet   = flag.Bool("q", false, "suppress progress logging")
 		maxAtom = flag.Int("maxatoms", 0, "filter suite molecules above this atom count (0 = none)")
@@ -43,9 +41,6 @@ func main() {
 		Runs:      *runs,
 		Exact:     *exact,
 		MaxAtoms:  *maxAtom,
-	}
-	if *approx {
-		cfg.Math = gb.Approximate
 	}
 	if !*quiet {
 		cfg.Log = os.Stderr
@@ -99,7 +94,6 @@ func main() {
 			r.AblationOctreeVsNblist(),
 			r.AblationEnergyBinning(),
 			r.AblationStealing(),
-			r.AblationApproxMath(),
 			r.AblationStaticBalance(),
 			r.AblationDataDistribution(),
 			r.AblationCriterion(),

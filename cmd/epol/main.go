@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"octgb/internal/engine"
-	"octgb/internal/gb"
 	"octgb/internal/molecule"
 	"octgb/internal/simtime"
 	"octgb/internal/surface"
@@ -33,7 +32,6 @@ func main() {
 		threads = flag.Int("threads", 2, "threads per rank (cilk/hybrid/naive)")
 		bornEps = flag.Float64("borneps", 0.9, "Born-radius approximation parameter ε")
 		epolEps = flag.Float64("epoleps", 0.9, "energy approximation parameter ε")
-		approx  = flag.Bool("approx", false, "use approximate (fast) sqrt/exp")
 		subdiv  = flag.Int("subdiv", 1, "surface icosphere subdivision level")
 		degree  = flag.Int("degree", 1, "Dunavant quadrature degree (1-5)")
 		sim     = flag.Bool("sim", false, "also report the virtual-time estimate on the modeled cluster")
@@ -60,9 +58,6 @@ func main() {
 	opts := engine.Options{
 		Ranks: *ranks, Threads: *threads,
 		BornEps: *bornEps, EpolEps: *epolEps,
-	}
-	if *approx {
-		opts.Math = gb.Approximate
 	}
 
 	rep, err := engine.RunReal(pr, kind, opts)

@@ -28,7 +28,6 @@ import (
 
 	"octgb/internal/cluster"
 	"octgb/internal/engine"
-	"octgb/internal/gb"
 	"octgb/internal/molecule"
 	"octgb/internal/obs"
 	"octgb/internal/surface"
@@ -46,7 +45,6 @@ func main() {
 		threads = flag.Int("threads", 1, "threads per rank (1 = pure distributed)")
 		bornEps = flag.Float64("borneps", 0.9, "Born ε")
 		epolEps = flag.Float64("epoleps", 0.9, "E_pol ε")
-		approx  = flag.Bool("approx", false, "approximate math")
 		timeout = flag.Duration("commtimeout", 30*time.Second, "failure-detection timeout: a rank silent this long is reported failed (same value on every rank; 0 disables detection and blocks forever)")
 		obsAddr = flag.String("obs", "", "debug listener address (e.g. 127.0.0.1:6060) exposing /metrics, /debug/trace and /debug/pprof/*; empty disables instrumentation")
 	)
@@ -58,9 +56,6 @@ func main() {
 	}
 	pr := engine.NewProblem(mol, surface.Default())
 	opts := engine.Options{Threads: *threads, BornEps: *bornEps, EpolEps: *epolEps}
-	if *approx {
-		opts.Math = gb.Approximate
-	}
 
 	// -obs turns on instrumentation for this rank — engine phase
 	// histograms, collective latency/bytes, heartbeat gaps, trace spans —

@@ -124,9 +124,9 @@ func run(tracePath, mode string, interval time.Duration, speed float64, target, 
 		if doc.Live, err = runLive(spec, reqs, interval, speed, target); err != nil {
 			return err
 		}
-		fmt.Printf("live:        p50=%.1fms p95=%.1fms p99=%.1fms qps=%.1f completed=%d rejected=%d shed=%d failed=%d\n",
+		fmt.Printf("live:        p50=%.1fms p95=%.1fms p99=%.1fms qps=%.1f completed=%d rejected=%d shed=%d failed=%d evicted=%d\n",
 			doc.Live.P50MS, doc.Live.P95MS, doc.Live.P99MS, doc.Live.AdmittedQPS, doc.Live.Completed,
-			doc.Live.RejectedQueueFull, doc.Live.Shed, doc.Live.Failed)
+			doc.Live.RejectedQueueFull, doc.Live.Shed, doc.Live.Failed, doc.Live.EvictedSessions)
 		if len(doc.Live.PerShardQPS) > 0 {
 			shards := make([]string, 0, len(doc.Live.PerShardQPS))
 			for s := range doc.Live.PerShardQPS {

@@ -28,7 +28,7 @@ func main() {
 
 	// Exact reference.
 	R := gb.BornRadiiR6(mol, pr.QPts)
-	exact := gb.EpolNaive(mol, R, gb.Exact)
+	exact := gb.EpolNaive(mol, R)
 	fmt.Printf("exact E_pol: %.3f kcal/mol\n\n", exact)
 
 	// Build the Born phase once (ε fixed at 0.9), then sweep the energy ε

@@ -20,7 +20,6 @@ package baselines
 import (
 	"fmt"
 
-	"octgb/internal/gb"
 	"octgb/internal/gbmodels"
 	"octgb/internal/molecule"
 	"octgb/internal/simtime"
@@ -138,7 +137,7 @@ type Report struct {
 // replaces the package's default cutoff (the paper does this for Gromacs
 // and NAMD on the CMV shell). It returns ErrOutOfMemory exactly where the
 // paper reports the real package failing.
-func Run(p Package, mol *molecule.Molecule, mode gb.MathMode, cutoffOverride float64) (*Report, error) {
+func Run(p Package, mol *molecule.Molecule, cutoffOverride float64) (*Report, error) {
 	spec := p.Spec()
 	if cutoffOverride > 0 {
 		spec.Cutoff = cutoffOverride
@@ -149,7 +148,7 @@ func Run(p Package, mol *molecule.Molecule, mode gb.MathMode, cutoffOverride flo
 	}
 
 	rres := gbmodels.Radii(spec.Model, mol, gbmodels.Params{Cutoff: spec.Cutoff})
-	energy, epairs := gbmodels.EpolCutoff(mol, rres.R, spec.Cutoff, mode)
+	energy, epairs := gbmodels.EpolCutoff(mol, rres.R, spec.Cutoff)
 
 	rep := &Report{
 		Spec:        spec,
@@ -180,16 +179,16 @@ func Run(p Package, mol *molecule.Molecule, mode gb.MathMode, cutoffOverride flo
 // computation the real package performs. This substitution — execute
 // truncated, account untruncated — is recorded in DESIGN.md; for molecules
 // under the threshold it falls back to the exact Run.
-func RunLarge(p Package, mol *molecule.Molecule, mode gb.MathMode) (*Report, error) {
+func RunLarge(p Package, mol *molecule.Molecule) (*Report, error) {
 	n := mol.N()
 	if n <= LargeThreshold {
-		return Run(p, mol, mode, 0)
+		return Run(p, mol, 0)
 	}
 	spec := p.Spec()
 	if spec.MaxAtoms > 0 && n > spec.MaxAtoms {
 		return nil, &ErrOutOfMemory{Pkg: spec.Name, Atoms: n, Limit: spec.MaxAtoms}
 	}
-	rep, err := Run(p, mol, mode, 25)
+	rep, err := Run(p, mol, 25)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +238,7 @@ func pairCost(m gbmodels.Model, oc simtime.OpCosts) float64 {
 // SimTime assembles the virtual-time run of a baseline for P ranks ×
 // threads on machine m (shared-only packages clamp P to 1; serial ones use
 // one core).
-func (r *Report) SimTime(P, threads int, m simtime.Machine, oc simtime.OpCosts, mode gb.MathMode) Timing {
+func (r *Report) SimTime(P, threads int, m simtime.Machine, oc simtime.OpCosts) Timing {
 	spec := r.Spec
 	if spec.Serial {
 		P, threads = 1, 1
@@ -269,10 +268,6 @@ func (r *Report) SimTime(P, threads int, m simtime.Machine, oc simtime.OpCosts, 
 
 	pc := pairCost(spec.Model, oc) * spec.KernelFactor * spec.FrameworkFactor
 	ec := oc.EpolNearPairSec * spec.KernelFactor * spec.FrameworkFactor
-	if mode == gb.Approximate {
-		pc /= simtime.ApproxMathFactor
-		ec /= simtime.ApproxMathFactor
-	}
 
 	compute := (float64(r.RadiiPairs)*pc +
 		float64(r.EnergyPairs)*ec +

@@ -29,7 +29,7 @@ func TestSpecsSane(t *testing.T) {
 func TestAllBaselinesProduceNegativeEnergy(t *testing.T) {
 	m := molecule.GenerateProtein("b", 900, 61)
 	for _, p := range All() {
-		rep, err := Run(p, m, gb.Exact, 0)
+		rep, err := Run(p, m, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -48,10 +48,10 @@ func TestEnergiesTrackReference(t *testing.T) {
 	m := molecule.GenerateProtein("f9", 900, 62)
 	q := surface.Sample(m, surface.Default())
 	Rref := gb.BornRadiiR6(m, q)
-	eRef := gb.EpolNaive(m, Rref, gb.Exact)
+	eRef := gb.EpolNaive(m, Rref)
 
 	close := func(p Package, lo, hi float64) {
-		rep, err := Run(p, m, gb.Exact, 0)
+		rep, err := Run(p, m, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -70,28 +70,28 @@ func TestEnergiesTrackReference(t *testing.T) {
 func TestOutOfMemoryLimits(t *testing.T) {
 	big := molecule.GenerateProtein("big", 14000, 63)
 	var oom *ErrOutOfMemory
-	if _, err := Run(TinkerLike, big, gb.Exact, 0); !errors.As(err, &oom) {
+	if _, err := Run(TinkerLike, big, 0); !errors.As(err, &oom) {
 		t.Error("Tinker did not OOM at 14k atoms")
 	}
-	if _, err := Run(GBr6Like, big, gb.Exact, 0); !errors.As(err, &oom) {
+	if _, err := Run(GBr6Like, big, 0); !errors.As(err, &oom) {
 		t.Error("GBr6 did not OOM at 14k atoms")
 	}
-	if _, err := Run(AmberLike, big, gb.Exact, 0); err != nil {
+	if _, err := Run(AmberLike, big, 0); err != nil {
 		t.Errorf("Amber should handle 14k atoms: %v", err)
 	}
 	mid := molecule.GenerateProtein("mid", 11000, 64)
-	if _, err := Run(TinkerLike, mid, gb.Exact, 0); err != nil {
+	if _, err := Run(TinkerLike, mid, 0); err != nil {
 		t.Errorf("Tinker should handle 11k atoms: %v", err)
 	}
 }
 
 func TestCutoffOverride(t *testing.T) {
 	m := molecule.GenerateProtein("c", 800, 65)
-	def, err := Run(GromacsLike, m, gb.Exact, 0)
+	def, err := Run(GromacsLike, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := Run(GromacsLike, m, gb.Exact, 2)
+	small, err := Run(GromacsLike, m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,81 +111,65 @@ func TestSimTimeShapes(t *testing.T) {
 	mach := simtime.Lonestar4()
 	oc := simtime.DefaultOpCosts()
 
-	amber, err := Run(AmberLike, m, gb.Exact, 0)
+	amber, err := Run(AmberLike, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1 := amber.SimTime(1, 1, mach, oc, gb.Exact)
-	t12 := amber.SimTime(12, 1, mach, oc, gb.Exact)
+	t1 := amber.SimTime(1, 1, mach, oc)
+	t12 := amber.SimTime(12, 1, mach, oc)
 	if t12.TotalSec >= t1.TotalSec {
 		t.Errorf("Amber 12 ranks (%v) not faster than 1 (%v)", t12.TotalSec, t1.TotalSec)
 	}
 
 	// Gromacs' faster kernels: quicker than Amber at equal core counts.
-	gro, err := Run(GromacsLike, m, gb.Exact, 0)
+	gro, err := Run(GromacsLike, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := gro.SimTime(12, 1, mach, oc, gb.Exact); g.TotalSec >= t12.TotalSec {
+	if g := gro.SimTime(12, 1, mach, oc); g.TotalSec >= t12.TotalSec {
 		t.Errorf("Gromacs (%v) not faster than Amber (%v)", g.TotalSec, t12.TotalSec)
 	}
 
 	// NAMD's framework overhead: slower than Amber.
-	namd, err := Run(NAMDLike, m, gb.Exact, 0)
+	namd, err := Run(NAMDLike, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nm := namd.SimTime(12, 1, mach, oc, gb.Exact); nm.TotalSec <= t12.TotalSec {
+	if nm := namd.SimTime(12, 1, mach, oc); nm.TotalSec <= t12.TotalSec {
 		t.Errorf("NAMD (%v) not slower than Amber (%v)", nm.TotalSec, t12.TotalSec)
 	}
 
 	// Shared-only packages ignore extra ranks.
-	tink, err := Run(TinkerLike, m, gb.Exact, 0)
+	tink, err := Run(TinkerLike, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tk := tink.SimTime(12, 1, mach, oc, gb.Exact); tk.Cores != 1 {
+	if tk := tink.SimTime(12, 1, mach, oc); tk.Cores != 1 {
 		t.Errorf("Tinker used %d cores with 12 ranks × 1 thread", tk.Cores)
 	}
-	if tk := tink.SimTime(1, 12, mach, oc, gb.Exact); tk.Cores != 12 {
+	if tk := tink.SimTime(1, 12, mach, oc); tk.Cores != 12 {
 		t.Errorf("Tinker OpenMP should use 12 threads, got %d cores", tk.Cores)
 	}
-	gbr, err := Run(GBr6Like, m, gb.Exact, 0)
+	gbr, err := Run(GBr6Like, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := gbr.SimTime(12, 12, mach, oc, gb.Exact); g.Cores != 1 {
+	if g := gbr.SimTime(12, 12, mach, oc); g.Cores != 1 {
 		t.Errorf("GBr6 is serial but used %d cores", g.Cores)
 	}
 }
 
 func TestAmberRankCap(t *testing.T) {
 	m := molecule.GenerateProtein("cap", 1000, 67)
-	rep, err := Run(AmberLike, m, gb.Exact, 0)
+	rep, err := Run(AmberLike, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mach := simtime.Lonestar4()
 	oc := simtime.DefaultOpCosts()
-	at256 := rep.SimTime(256, 1, mach, oc, gb.Exact)
-	at512 := rep.SimTime(512, 1, mach, oc, gb.Exact)
+	at256 := rep.SimTime(256, 1, mach, oc)
+	at512 := rep.SimTime(512, 1, mach, oc)
 	if at512.Cores != 256 || at256.Cores != 256 {
 		t.Errorf("Amber rank cap: %d / %d", at256.Cores, at512.Cores)
-	}
-}
-
-func TestApproximateMathSpeedsUpSim(t *testing.T) {
-	m := molecule.GenerateProtein("am", 1500, 68)
-	rep, err := Run(AmberLike, m, gb.Exact, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach := simtime.Lonestar4()
-	oc := simtime.DefaultOpCosts()
-	ex := rep.SimTime(12, 1, mach, oc, gb.Exact)
-	ap := rep.SimTime(12, 1, mach, oc, gb.Approximate)
-	ratio := ex.ComputeSec / ap.ComputeSec
-	if ratio < 1.3 || ratio > 1.55 {
-		t.Errorf("approximate-math speedup %v, want ≈1.42", ratio)
 	}
 }

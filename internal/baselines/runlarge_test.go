@@ -5,18 +5,17 @@ import (
 	"math"
 	"testing"
 
-	"octgb/internal/gb"
 	"octgb/internal/molecule"
 	"octgb/internal/simtime"
 )
 
 func TestRunLargeSmallMoleculeIdenticalToRun(t *testing.T) {
 	m := molecule.GenerateProtein("rl", 700, 81)
-	a, err := Run(AmberLike, m, gb.Exact, 0)
+	a, err := Run(AmberLike, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunLarge(AmberLike, m, gb.Exact)
+	b, err := RunLarge(AmberLike, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func TestRunLargeChargesAllPairsWork(t *testing.T) {
 	defer func(old int) { LargeThreshold = old }(LargeThreshold)
 	LargeThreshold = 4000
 	m := molecule.GenerateCapsid("rlbig", 6000, 10, 82)
-	rep, err := RunLarge(AmberLike, m, gb.Exact)
+	rep, err := RunLarge(AmberLike, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestRunLargeChargesAllPairsWork(t *testing.T) {
 func TestRunLargeStillOOMs(t *testing.T) {
 	m := molecule.GenerateCapsid("rloom", 14000, 20, 83)
 	var oom *ErrOutOfMemory
-	if _, err := RunLarge(TinkerLike, m, gb.Exact); !errors.As(err, &oom) {
+	if _, err := RunLarge(TinkerLike, m); !errors.As(err, &oom) {
 		t.Error("Tinker did not OOM via RunLarge")
 	}
 }
@@ -70,11 +69,11 @@ func TestFig8bEndpointCalibration(t *testing.T) {
 	oc := simtime.DefaultOpCosts()
 
 	timeOf := func(p Package, ranks, threads int) float64 {
-		rep, err := Run(p, m, gb.Exact, 0)
+		rep, err := Run(p, m, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep.SimTime(ranks, threads, mach, oc, gb.Exact).TotalSec
+		return rep.SimTime(ranks, threads, mach, oc).TotalSec
 	}
 	amber := timeOf(AmberLike, 12, 1)
 
@@ -95,7 +94,7 @@ func TestFig8bEndpointCalibration(t *testing.T) {
 func TestAllPackagesEnergiesFinite(t *testing.T) {
 	m := molecule.GenerateCapsid("fin", 2000, 8, 85)
 	for _, p := range All() {
-		rep, err := Run(p, m, gb.Exact, 0)
+		rep, err := Run(p, m, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}

@@ -12,7 +12,6 @@ import (
 	"octgb/internal/octree"
 	"octgb/internal/partition"
 	"octgb/internal/sched"
-	"octgb/internal/simtime"
 	"octgb/internal/surface"
 )
 
@@ -78,7 +77,7 @@ func (r *Runner) AblationEnergyBinning() *Table {
 	mol := molecule.GenerateProtein("ablation_bin", r.ablationAtoms(3000), 303)
 	pr := engine.NewProblem(mol, surface.Default())
 	R := gb.BornRadiiR6(mol, pr.QPts)
-	exact := gb.EpolNaive(mol, R, gb.Exact)
+	exact := gb.EpolNaive(mol, R)
 
 	base := engine.BuildSimModel(pr, engine.OctMPI, engine.Options{BornEps: 0.9, EpolEps: 0.9}, cfg.Costs)
 	t := &Table{
@@ -127,26 +126,6 @@ func (r *Runner) AblationStealing() *Table {
 		}
 		t.AddRow(fmt.Sprint(p), Seconds(steal), Seconds(static), Fmt(static/steal))
 	}
-	return t
-}
-
-// AblationApproxMath compares exact and approximate math: modeled time and
-// energy shift (§V-E: ≈1.42× faster, 4–5 % energy shift).
-func (r *Runner) AblationApproxMath() *Table {
-	cfg := r.Cfg
-	mol := molecule.GenerateProtein("ablation_am", r.ablationAtoms(4000), 305)
-	pr := engine.NewProblem(mol, surface.Default())
-	ex := engine.BuildSimModel(pr, engine.OctMPI, engine.Options{Math: gb.Exact}, cfg.Costs)
-	ap := engine.BuildSimModel(pr, engine.OctMPI, engine.Options{Math: gb.Approximate}, apxCosts(cfg.Costs))
-
-	t := &Table{
-		Name:   "Ablation: approximate math (fast invsqrt/exp) on vs off",
-		Header: []string{"math", "energy", "shift %", "12-core time"},
-	}
-	te := ex.Time(12, 1, cfg.Machine, -1)
-	ta := ap.Time(12, 1, cfg.Machine, -1)
-	t.AddRow("exact", Fmt(ex.Energy), "0", Seconds(te.TotalSec))
-	t.AddRow("approximate", Fmt(ap.Energy), Fmt(pctErr(ap.Energy, ex.Energy)), Seconds(ta.TotalSec))
 	return t
 }
 
@@ -226,12 +205,4 @@ func (r *Runner) AblationCriterion() *Table {
 			fmt.Sprint(nm), Seconds(tm.TotalSec))
 	}
 	return t
-}
-
-// apxCosts scales the transcendental-heavy kernel costs by the measured
-// approximate-math factor (§V-E: 1.42× on average).
-func apxCosts(oc simtime.OpCosts) simtime.OpCosts {
-	oc.EpolNearPairSec /= simtime.ApproxMathFactor
-	oc.FarEvalSec /= simtime.ApproxMathFactor
-	return oc
 }

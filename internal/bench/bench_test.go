@@ -154,7 +154,6 @@ func TestAblationsSmoke(t *testing.T) {
 		"nblist":   r.AblationOctreeVsNblist(),
 		"binning":  r.AblationEnergyBinning(),
 		"stealing": r.AblationStealing(),
-		"approx":   r.AblationApproxMath(),
 		"balance":  r.AblationStaticBalance(),
 		"distdata": r.AblationDataDistribution(),
 		"crit":     r.AblationCriterion(),

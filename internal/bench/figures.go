@@ -32,11 +32,7 @@ type Config struct {
 	// Exact forces a naive reference even on the large molecules; when
 	// false, molecules above 100k atoms use the ε=0.01 treecode as
 	// reference (documented substitution).
-	Exact bool
-	// Math selects exact or approximate arithmetic for the octree engines
-	// (the paper runs Figure 7 with approximate math on, Figure 10 with it
-	// off).
-	Math    gb.MathMode
+	Exact   bool
 	Machine simtime.Machine
 	Costs   simtime.OpCosts
 	// Log receives progress lines (nil discards them).
@@ -92,7 +88,7 @@ func (r *Runner) baseline(p baselines.Package, it SuiteItem) (*baselines.Report,
 	if rep, ok := r.baseCache[key]; ok {
 		return rep, nil
 	}
-	rep, err := baselines.Run(p, it.Prob.Mol, gb.Exact, 0)
+	rep, err := baselines.Run(p, it.Prob.Mol, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +125,7 @@ func (r *Runner) Suite() []SuiteItem {
 		item := SuiteItem{
 			Entry:       e,
 			Prob:        pr,
-			NaiveEnergy: gb.EpolNaive(mol, R, gb.Exact),
+			NaiveEnergy: gb.EpolNaive(mol, R),
 		}
 		r.suite = append(r.suite, item)
 	}
@@ -144,7 +140,7 @@ func (r *Runner) Suite() []SuiteItem {
 func (r *Runner) referenceEnergy(pr *engine.Problem) (float64, string) {
 	if r.Cfg.Exact || pr.Mol.N() <= 100000 {
 		R := gb.BornRadiiR6(pr.Mol, pr.QPts)
-		return gb.EpolNaive(pr.Mol, R, gb.Exact), "naive"
+		return gb.EpolNaive(pr.Mol, R), "naive"
 	}
 	sm := engine.BuildSimModel(pr, engine.OctMPI, engine.Options{BornEps: 0.3, EpolEps: 0.3}, r.Cfg.Costs)
 	return sm.Energy, "treecode ε=0.3"
@@ -193,9 +189,9 @@ func (r *Runner) btvModels() (mpi, hyb *engine.SimModel) {
 	pr := engine.NewProblem(mol, surface.Options{SubdivLevel: 0, Degree: 1})
 	r.btvName, r.btvAtoms, r.btvQPts = mol.Name, mol.N(), len(pr.QPts)
 	r.Cfg.logf("fig5/6: building OCT_MPI model")
-	r.btvMPI = engine.BuildSimModel(pr, engine.OctMPI, engine.Options{Math: r.Cfg.Math}, r.Cfg.Costs)
+	r.btvMPI = engine.BuildSimModel(pr, engine.OctMPI, engine.Options{}, r.Cfg.Costs)
 	r.Cfg.logf("fig5/6: building OCT_MPI+CILK model")
-	r.btvHyb = engine.BuildSimModel(pr, engine.OctMPICilk, engine.Options{Math: r.Cfg.Math}, r.Cfg.Costs)
+	r.btvHyb = engine.BuildSimModel(pr, engine.OctMPICilk, engine.Options{}, r.Cfg.Costs)
 	return r.btvMPI, r.btvHyb
 }
 
@@ -256,11 +252,12 @@ func (r *Runner) Fig6MinMax() *Table {
 
 // Fig7Engines regenerates Figure 7: the three octree engines across the
 // ZDock-like suite on one 12-core node, sorted by OCT_CILK time. The
-// paper runs this experiment with approximate math on.
+// paper runs this experiment with approximate math on; this code has one
+// math mode, exact (see EXPERIMENTS.md for why).
 func (r *Runner) Fig7Engines() *Table {
 	cfg := r.Cfg
 	t := &Table{
-		Name:   "Figure 7: octree engines on one 12-core node (approximate math on)",
+		Name:   "Figure 7: octree engines on one 12-core node",
 		Header: []string{"molecule", "atoms", "OCT_CILK", "OCT_MPI(12)", "OCT_MPI+CILK(2x6)"},
 	}
 	type row struct {
@@ -269,7 +266,7 @@ func (r *Runner) Fig7Engines() *Table {
 	}
 	var rows []row
 	for _, it := range r.Suite() {
-		o := engine.Options{Math: gb.Approximate}
+		var o engine.Options
 		cilk := engine.BuildSimModel(it.Prob, engine.OctCilk, o, cfg.Costs)
 		mpi := engine.BuildSimModel(it.Prob, engine.OctMPI, o, cfg.Costs)
 		hyb := engine.BuildSimModel(it.Prob, engine.OctMPICilk, o, cfg.Costs)
@@ -308,7 +305,7 @@ func (r *Runner) Fig8Baselines() (*Table, *Table) {
 		Header: []string{"molecule", "atoms", "OCT_MPI", "OCT_MPI+CILK", "Gromacs", "NAMD", "Tinker", "GBr6"},
 	}
 	for _, it := range r.Suite() {
-		o := engine.Options{Math: cfg.Math}
+		var o engine.Options
 		mpi := engine.BuildSimModel(it.Prob, engine.OctMPI, o, cfg.Costs).Time(12, 1, cfg.Machine, -1).TotalSec
 		hyb := engine.BuildSimModel(it.Prob, engine.OctMPICilk, o, cfg.Costs).Time(2, 6, cfg.Machine, -1).TotalSec
 		cilk := engine.BuildSimModel(it.Prob, engine.OctCilk, o, cfg.Costs).Time(1, 12, cfg.Machine, -1).TotalSec
@@ -323,11 +320,11 @@ func (r *Runner) Fig8Baselines() (*Table, *Table) {
 			}
 			switch p {
 			case baselines.TinkerLike:
-				times[p] = rep.SimTime(1, 12, cfg.Machine, cfg.Costs, cfg.Math).TotalSec
+				times[p] = rep.SimTime(1, 12, cfg.Machine, cfg.Costs).TotalSec
 			case baselines.GBr6Like:
-				times[p] = rep.SimTime(1, 1, cfg.Machine, cfg.Costs, cfg.Math).TotalSec
+				times[p] = rep.SimTime(1, 1, cfg.Machine, cfg.Costs).TotalSec
 			default:
-				times[p] = rep.SimTime(12, 1, cfg.Machine, cfg.Costs, cfg.Math).TotalSec
+				times[p] = rep.SimTime(12, 1, cfg.Machine, cfg.Costs).TotalSec
 			}
 		}
 		fmtT := func(s float64) string {
@@ -367,7 +364,7 @@ func (r *Runner) Fig9Energy() *Table {
 		Header: []string{"molecule", "atoms", "Naive", "OCT(all)", "oct%", "Amber", "amber%", "Gromacs", "gro%", "NAMD", "namd%", "Tinker", "tink%", "GBr6", "gbr6%"},
 	}
 	for _, it := range r.Suite() {
-		oct := engine.BuildSimModel(it.Prob, engine.OctMPI, engine.Options{Math: cfg.Math}, cfg.Costs)
+		oct := engine.BuildSimModel(it.Prob, engine.OctMPI, engine.Options{}, cfg.Costs)
 		cells := []string{it.Entry.Name, fmt.Sprint(it.Entry.Atoms),
 			Fmt(it.NaiveEnergy), Fmt(oct.Energy), Fmt(pctErr(oct.Energy, it.NaiveEnergy))}
 		for _, p := range []baselines.Package{baselines.AmberLike, baselines.GromacsLike, baselines.NAMDLike, baselines.TinkerLike, baselines.GBr6Like} {
@@ -386,18 +383,18 @@ func (r *Runner) Fig9Energy() *Table {
 
 // Fig10Epsilon regenerates Figure 10: percent error (avg ± std across the
 // suite) and average running time of OCT_MPI+CILK as the E_pol ε varies
-// from 0.1 to 0.9 with the Born ε fixed at 0.9 (approximate math off).
+// from 0.1 to 0.9 with the Born ε fixed at 0.9.
 func (r *Runner) Fig10Epsilon() *Table {
 	cfg := r.Cfg
 	t := &Table{
-		Name:   "Figure 10: error and time vs E_pol approximation parameter (Born ε = 0.9, exact math)",
+		Name:   "Figure 10: error and time vs E_pol approximation parameter (Born ε = 0.9)",
 		Header: []string{"epsilon", "avg err %", "std err %", "avg time", "max err %"},
 	}
 	// Build the Born phase once per molecule; sweep the energy ε.
 	bases := make([]*engine.SimModel, len(r.Suite()))
 	for i, it := range r.Suite() {
 		bases[i] = engine.BuildSimModel(it.Prob, engine.OctMPICilk,
-			engine.Options{BornEps: 0.9, EpolEps: 0.9, Math: gb.Exact}, cfg.Costs)
+			engine.Options{BornEps: 0.9, EpolEps: 0.9}, cfg.Costs)
 	}
 	for _, eps := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
 		var errs, times []float64
@@ -429,18 +426,18 @@ func (r *Runner) Fig11CMV() *Table {
 	ref, refKind := r.referenceEnergy(pr)
 	cfg.logf("fig11: reference energy %.4g kcal/mol (%s)", ref, refKind)
 
-	o := engine.Options{Math: cfg.Math}
+	var o engine.Options
 	cilk := engine.BuildSimModel(pr, engine.OctCilk, o, cfg.Costs)
 	cfg.logf("fig11: OCT_CILK model built")
 	mpi := engine.BuildSimModel(pr, engine.OctMPI, o, cfg.Costs)
 	hyb := engine.BuildSimModel(pr, engine.OctMPICilk, o, cfg.Costs)
 	cfg.logf("fig11: octree models built")
 
-	amberRep, amberErr := baselines.RunLarge(baselines.AmberLike, mol, cfg.Math)
+	amberRep, amberErr := baselines.RunLarge(baselines.AmberLike, mol)
 	var amber12, amber144, amberE float64
 	if amberErr == nil {
-		amber12 = amberRep.SimTime(12, 1, cfg.Machine, cfg.Costs, cfg.Math).TotalSec
-		amber144 = amberRep.SimTime(144, 1, cfg.Machine, cfg.Costs, cfg.Math).TotalSec
+		amber12 = amberRep.SimTime(12, 1, cfg.Machine, cfg.Costs).TotalSec
+		amber144 = amberRep.SimTime(144, 1, cfg.Machine, cfg.Costs).TotalSec
 		amberE = amberRep.Energy
 	}
 	cfg.logf("fig11: Amber baseline done")

@@ -126,7 +126,7 @@ func (s *EpolSolver) epolVisitRows(u, v int32, vAnc []int32, from, to int32, st 
 					sum += qi * qi / ri
 					continue
 				}
-				sum += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j], s.cfg.Math)
+				sum += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j])
 			}
 		}
 		st.NearPairs += int64(uhi-ulo) * int64(to-from)
@@ -134,7 +134,7 @@ func (s *EpolSolver) epolVisitRows(u, v int32, vAnc []int32, from, to int32, st 
 	}
 	d2 := un.Center.Dist2(vn.Center)
 	if epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
-		return s.binApproxRows(u, v, d2, from, to, st)
+		return s.binApproxRows(u, v, from, to, st)
 	}
 	var sum float64
 	for _, ch := range un.Children {
@@ -146,28 +146,24 @@ func (s *EpolSolver) epolVisitRows(u, v int32, vAnc []int32, from, to int32, st 
 }
 
 // binApproxRows is the far-field bin-pair approximation of Fig. 3 step 2
-// with the V-side bins built from only the owned rows of the leaf.
-func (s *EpolSolver) binApproxRows(u, v int32, d2 float64, from, to int32, st *Stats) float64 {
-	// Build the partial V bins on the stack (M is small).
+// with the V-side bins built from only the owned rows [from, to) of the
+// leaf v.
+func (s *EpolSolver) binApproxRows(u, v int32, from, to int32, st *Stats) float64 {
 	vb := make([]float64, s.M)
 	for j := from; j < to; j++ {
 		vb[s.binIndex(j)] += s.q[j]
 	}
-	ub := s.bins[int(u)*s.M : (int(u)+1)*s.M]
-	var sum float64
-	for i := 0; i < s.M; i++ {
-		qi := ub[i]
-		if qi == 0 {
-			continue
-		}
-		for j := 0; j < s.M; j++ {
-			qj := vb[j]
-			if qj == 0 {
-				continue
-			}
-			sum += s.binPairTerm(d2, i+j, qi, qj)
-			st.FarEval++
+	// u's occupied bins, then the occupied partial bins, side by side.
+	uLo, uHi := s.nzStart[u], s.nzStart[u+1]
+	bins := append([]int32(nil), s.nzBin[uLo:uHi]...)
+	qs := append([]float64(nil), s.nzQ[uLo:uHi]...)
+	for k, q := range vb {
+		if q != 0 {
+			bins = append(bins, int32(k))
+			qs = append(qs, q)
 		}
 	}
-	return sum
+	start := []int32{0, uHi - uLo, int32(len(qs))}
+	st.FarEval += int64(start[1]) * int64(start[2]-start[1])
+	return s.farPair(u, v, bins, qs, start, 0, 1)
 }

@@ -171,7 +171,7 @@ func TestPushIntegralsSegmentsCompose(t *testing.T) {
 func TestEpolTreecodeMatchesNaiveSmallEps(t *testing.T) {
 	m, q := testMol(500, 25)
 	R := gb.BornRadiiR6(m, q)
-	naive := gb.EpolNaive(m, R, gb.Exact)
+	naive := gb.EpolNaive(m, R)
 
 	res := ComputeSerial(m, q, BornConfig{Eps: 0.05}, EpolConfig{Eps: 0.05})
 	if e := relErr(res.Epol, naive); e > 0.01 {
@@ -185,7 +185,7 @@ func TestEpolPaperOperatingPoint(t *testing.T) {
 	// ZDock).
 	m, q := testMol(800, 26)
 	R := gb.BornRadiiR6(m, q)
-	naive := gb.EpolNaive(m, R, gb.Exact)
+	naive := gb.EpolNaive(m, R)
 	res := ComputeSerial(m, q, BornConfig{Eps: 0.9}, EpolConfig{Eps: 0.9})
 	if e := relErr(res.Epol, naive); e > 0.05 {
 		t.Errorf("ε=0.9 error %v too large (%v vs %v)", e, res.Epol, naive)
@@ -308,15 +308,6 @@ func TestTreecodeNearFractionShrinksWithSize(t *testing.T) {
 	small, large := frac(1500), frac(6000)
 	if large >= small {
 		t.Errorf("near-pair fraction grew with size: %v -> %v", small, large)
-	}
-}
-
-func TestApproximateMathCloseToExact(t *testing.T) {
-	m, q := testMol(400, 32)
-	exact := ComputeSerial(m, q, BornConfig{Eps: 0.9}, EpolConfig{Eps: 0.9, Math: gb.Exact})
-	approx := ComputeSerial(m, q, BornConfig{Eps: 0.9}, EpolConfig{Eps: 0.9, Math: gb.Approximate})
-	if e := relErr(approx.Epol, exact.Epol); e > 0.08 {
-		t.Errorf("approximate math shifted energy by %v", e)
 	}
 }
 

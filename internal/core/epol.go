@@ -15,8 +15,6 @@ type EpolConfig struct {
 	// r_UV > (r_U + r_V)(1 + 2/ε) and the Born-radius bin width (bins are
 	// geometric with ratio 1+ε).
 	Eps float64
-	// Math selects exact or approximate sqrt/exp.
-	Math gb.MathMode
 	// LeafSize is the octree leaf capacity (≤0 → default). Ignored when
 	// the solver is built from an existing tree.
 	LeafSize int
@@ -289,14 +287,37 @@ func OwnsMutualBlock(u, v int32) bool {
 	return ((u+v)&1 == 1) == (v > u)
 }
 
-// binPairTerm evaluates one bin-pair far-field term:
-// q_U[i]·q_V[j] / f_GB with R_u·R_v ≈ R_min²(1+ε)^(i+j).
-func (s *EpolSolver) binPairTerm(d2 float64, binSum int, qi, qj float64) float64 {
-	rr := s.binRR[binSum]
-	if s.cfg.Math == gb.Approximate {
-		return qi * qj * gb.FastInvSqrt(d2+rr*gb.FastExp(-d2/(4*rr)))
+// farPair is the one far-field form, Fig. 3 step 2: the bin-pair terms
+// q_U[i]·q_V[j] / f_GB between nodes u and v, with R_u·R_v ≈ binRR[i+j] =
+// R_min²(1+ε)^(i+j). Each side's occupied Born-radius bins (bin index
+// ascending) and charge sums are bins and qs over [start[k], start[k+1])
+// for k = ku, kv: the nodes' compressed layout (EvalEpolFarPair), or u's
+// bins and the partial bins of a leaf's owned rows side by side
+// (binApproxRows). One pair of arrays for both sides keeps the inner
+// loop's operands in registers. The squared centre distance comes straight
+// from the SoA node-centre mirrors (no sqrt), and the exponential is the
+// near kernels' expNeg (its argument is never positive), within 1e-15
+// relative of math.Exp.
+//
+// It is a loop, not a scalar term called per bin pair: a term that
+// inlines expNeg is over the compiler's inlining budget, and calling one
+// per bin pair made the far entries a quarter slower.
+func (s *EpolSolver) farPair(u, v int32, bins []int32, qs []float64, start []int32, ku, kv int32) float64 {
+	cx, cy, cz := s.T.CX, s.T.CY, s.T.CZ
+	ddx, ddy, ddz := cx[u]-cx[v], cy[u]-cy[v], cz[u]-cz[v]
+	d2 := ddx*ddx + ddy*ddy + ddz*ddz
+	uLo, uHi := start[ku], start[ku+1]
+	vLo, vHi := start[kv], start[kv+1]
+	binRR := s.binRR
+	var sum float64
+	for a := uLo; a < uHi; a++ {
+		qi, bi := qs[a], bins[a]
+		for b := vLo; b < vHi; b++ {
+			rr := binRR[bi+bins[b]]
+			sum += qi * qs[b] / math.Sqrt(d2+rr*expNeg(-d2/(4*rr)))
+		}
 	}
-	return qi * qj / math.Sqrt(d2+rr*math.Exp(-d2/(4*rr)))
+	return sum
 }
 
 // binIndex returns the Born-radius bin of atom i (tree order).

@@ -37,7 +37,7 @@ func (s *EpolSolver) epolDualOrdered(u, v int32, st *Stats) float64 {
 					sum += qi * qi / ri
 					continue
 				}
-				sum += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j], s.cfg.Math)
+				sum += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j])
 			}
 		}
 		st.NearPairs += int64(uhi-ulo) * int64(vhi-vlo)
@@ -129,8 +129,8 @@ func clumpedMol(n, clump int, seed int64) *molecule.Molecule {
 // TestSymmetricDualMatchesOrdered holds the symmetric dual traversal to the
 // ordered one it replaced: the same energy up to reassociation, exactly
 // half the far-field work, and the near-field work halved but for the
-// leaves' diagonal blocks — in the recursion and in the list, for both
-// math modes. "Up to reassociation" is 1e-12.
+// leaves' diagonal blocks — in the recursion and in the list. "Up to
+// reassociation" is 1e-12.
 func TestSymmetricDualMatchesOrdered(t *testing.T) {
 	type input struct {
 		name string
@@ -155,61 +155,60 @@ func TestSymmetricDualMatchesOrdered(t *testing.T) {
 		inputs = append(inputs, protein(n))
 	}
 	for _, in := range inputs {
-		for _, mode := range []gb.MathMode{gb.Exact, gb.Approximate} {
-			// "prec=0" is float64, the one arithmetic; the case names stay stable.
-			t.Run(fmt.Sprintf("%s/math=%d/prec=0", in.name, mode), func(t *testing.T) {
-				es := NewEpolSolverFromMolecule(in.mol, in.R, EpolConfig{Eps: 0.9, Math: mode})
-				var leafSq int64
-				widest := int32(0)
-				for _, n := range es.T.LeafIdx {
-					c := es.T.Nodes[n].Count
-					leafSq += int64(c) * int64(c)
-					widest = max(widest, c)
+		// "math=0/prec=0" is exact float64, the one arithmetic; the case
+		// names stay stable.
+		t.Run(fmt.Sprintf("%s/math=0/prec=0", in.name), func(t *testing.T) {
+			es := NewEpolSolverFromMolecule(in.mol, in.R, EpolConfig{Eps: 0.9})
+			var leafSq int64
+			widest := int32(0)
+			for _, n := range es.T.LeafIdx {
+				c := es.T.Nodes[n].Count
+				leafSq += int64(c) * int64(c)
+				widest = max(widest, c)
+			}
+			switch in.name {
+			case "one-leaf":
+				if len(es.T.Nodes) != 1 {
+					t.Fatalf("one-leaf molecule has %d nodes", len(es.T.Nodes))
 				}
-				switch in.name {
-				case "one-leaf":
-					if len(es.T.Nodes) != 1 {
-						t.Fatalf("one-leaf molecule has %d nodes", len(es.T.Nodes))
-					}
-				case "wide-leaf":
-					if widest <= epolTileCap {
-						t.Fatalf("widest leaf holds %d atoms, want > %d", widest, epolTileCap)
-					}
+			case "wide-leaf":
+				if widest <= epolTileCap {
+					t.Fatalf("widest leaf holds %d atoms, want > %d", widest, epolTileCap)
 				}
-				counters := func(label string, sym, ord Stats) {
-					t.Helper()
-					if 2*sym.FarEval != ord.FarEval {
-						t.Errorf("%s: FarEval %d, ordered %d, want exactly half", label, sym.FarEval, ord.FarEval)
-					}
-					if 2*sym.NearPairs-leafSq != ord.NearPairs {
-						t.Errorf("%s: NearPairs %d (Σ leaf n² = %d), ordered %d", label, sym.NearPairs, leafSq, ord.NearPairs)
-					}
+			}
+			counters := func(label string, sym, ord Stats) {
+				t.Helper()
+				if 2*sym.FarEval != ord.FarEval {
+					t.Errorf("%s: FarEval %d, ordered %d, want exactly half", label, sym.FarEval, ord.FarEval)
 				}
-				energy := func(label string, sym, ord float64) {
-					t.Helper()
-					if e := relErr(sym, ord); e > 1e-12 || math.IsNaN(sym) {
-						t.Errorf("%s: energy %v, ordered %v (rel %v)", label, sym, ord, e)
-					}
+				if 2*sym.NearPairs-leafSq != ord.NearPairs {
+					t.Errorf("%s: NearPairs %d (Σ leaf n² = %d), ordered %d", label, sym.NearPairs, leafSq, ord.NearPairs)
 				}
+			}
+			energy := func(label string, sym, ord float64) {
+				t.Helper()
+				if e := relErr(sym, ord); e > 1e-12 || math.IsNaN(sym) {
+					t.Errorf("%s: energy %v, ordered %v (rel %v)", label, sym, ord, e)
+				}
+			}
 
-				ordList := es.buildEpolDualOrderedList()
-				ordRaw, ordSt := es.EvalEpolList(ordList)
-				symRaw, symSt := es.EvalEpolList(es.BuildEpolDualList())
-				counters("list", symSt, ordSt)
-				energy("list", symRaw, ordRaw)
+			ordList := es.buildEpolDualOrderedList()
+			ordRaw, ordSt := es.EvalEpolList(ordList)
+			symRaw, symSt := es.EvalEpolList(es.BuildEpolDualList())
+			counters("list", symSt, ordSt)
+			energy("list", symRaw, ordRaw)
 
-				var recSt Stats
-				recRaw := es.epolDualOrdered(0, 0, &recSt)
-				if recSt != ordSt {
-					t.Fatalf("oracle: ordered recursion %+v, ordered list %+v", recSt, ordSt)
-				}
-				dRaw, dSt := es.EnergyDual()
-				if dSt != symSt {
-					t.Errorf("stats: recursion %+v, list %+v", dSt, symSt)
-				}
-				energy("recursion", dRaw, recRaw)
-			})
-		}
+			var recSt Stats
+			recRaw := es.epolDualOrdered(0, 0, &recSt)
+			if recSt != ordSt {
+				t.Fatalf("oracle: ordered recursion %+v, ordered list %+v", recSt, ordSt)
+			}
+			dRaw, dSt := es.EnergyDual()
+			if dSt != symSt {
+				t.Errorf("stats: recursion %+v, list %+v", dSt, symSt)
+			}
+			energy("recursion", dRaw, recRaw)
+		})
 	}
 }
 
@@ -272,7 +271,7 @@ func TestDualListMatchesStreamed(t *testing.T) {
 	for _, n := range []int{300, 1200} {
 		m, q := testMol(n, 79)
 		R := treecodeRadii(m, q)
-		for _, cfg := range []EpolConfig{{Eps: 0.9}, {Eps: 0.5, Math: gb.Approximate}} {
+		for _, cfg := range []EpolConfig{{Eps: 0.9}, {Eps: 0.5}} {
 			es := NewEpolSolverFromMolecule(m, R, cfg)
 			whole := es.BuildEpolDualList()
 			for _, minRoots := range []int{1, 32, 96, 1 << 20} {
@@ -340,7 +339,7 @@ func TestStreamedEpolMatchesMaterialised(t *testing.T) {
 	R := treecodeRadii(m, q)
 	for _, cfg := range []EpolConfig{
 		{Eps: 0.9},
-		{Eps: 0.5, Math: gb.Approximate},
+		{Eps: 0.5},
 	} {
 		es := NewEpolSolverFromMolecule(m, R, cfg)
 		want, wantSt := es.EvalEpolList(es.BuildEpolDualList())

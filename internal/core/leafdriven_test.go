@@ -114,7 +114,7 @@ func (s *EpolSolver) epolVisitOrdered(u, v, from, to int32, st *Stats) float64 {
 					sum += qi * qi / ri
 					continue
 				}
-				sum += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j], s.cfg.Math)
+				sum += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j])
 			}
 		}
 		st.NearPairs += int64(uhi-ulo) * int64(to-from)
@@ -122,7 +122,7 @@ func (s *EpolSolver) epolVisitOrdered(u, v, from, to int32, st *Stats) float64 {
 	}
 	d2 := un.Center.Dist2(vn.Center)
 	if epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
-		return s.binApproxRows(u, v, d2, from, to, st)
+		return s.binApproxRows(u, v, from, to, st)
 	}
 	var sum float64
 	for _, ch := range un.Children {
@@ -215,111 +215,110 @@ func (s *EpolSolver) pairsOf(near []NodePair) int64 {
 // evaluated exactly once, 2·pairs(Mutual) + pairs(Near) is the ordered
 // NearPairs, and the energy is the ordered energy up to reassociation —
 // through the list kernels, the stream, the recursion and its row-restricted
-// form, in both math modes.
+// form.
 func TestMutualOnceListMatchesOrdered(t *testing.T) {
 	for _, in := range leafInputs(t) {
-		for _, mode := range []gb.MathMode{gb.Exact, gb.Approximate} {
-			t.Run(fmt.Sprintf("%s/math=%d", in.name, mode), func(t *testing.T) {
-				es := NewEpolSolverFromMolecule(in.mol, in.R, EpolConfig{Eps: 0.9, Math: mode})
-				nl := es.NumLeaves()
-				ord := es.buildEpolLeafListOrdered(0, nl)
-				got := es.BuildEpolList(0, nl)
+		// "math=0" names the one arithmetic; the case names stay stable.
+		t.Run(fmt.Sprintf("%s/math=0", in.name), func(t *testing.T) {
+			es := NewEpolSolverFromMolecule(in.mol, in.R, EpolConfig{Eps: 0.9})
+			nl := es.NumLeaves()
+			ord := es.buildEpolLeafListOrdered(0, nl)
+			got := es.BuildEpolList(0, nl)
 
-				if !slices.Equal(got.Far, ord.Far) {
-					t.Fatalf("far entries differ from the ordered walk's (%d vs %d)", len(got.Far), len(ord.Far))
+			if !slices.Equal(got.Far, ord.Far) {
+				t.Fatalf("far entries differ from the ordered walk's (%d vs %d)", len(got.Far), len(ord.Far))
+			}
+			inOrd := make(map[NodePair]bool, len(ord.Near))
+			for _, p := range ord.Near {
+				inOrd[p] = true
+			}
+			leafNo := make(map[int32]int, nl)
+			for i, n := range es.T.LeafIdx {
+				leafNo[n] = i
+			}
+			var wantNear, wantMutual []NodePair
+			for _, p := range ord.Near {
+				i, j := leafNo[p.A], leafNo[p.B]
+				switch {
+				case i == j || !inOrd[NodePair{p.B, p.A}]:
+					wantNear = append(wantNear, p)
+				case (i+j)%2 == 1 && j > i, (i+j)%2 == 0 && j < i:
+					wantMutual = append(wantMutual, p)
 				}
-				inOrd := make(map[NodePair]bool, len(ord.Near))
-				for _, p := range ord.Near {
-					inOrd[p] = true
-				}
-				leafNo := make(map[int32]int, nl)
-				for i, n := range es.T.LeafIdx {
-					leafNo[n] = i
-				}
-				var wantNear, wantMutual []NodePair
-				for _, p := range ord.Near {
-					i, j := leafNo[p.A], leafNo[p.B]
-					switch {
-					case i == j || !inOrd[NodePair{p.B, p.A}]:
-						wantNear = append(wantNear, p)
-					case (i+j)%2 == 1 && j > i, (i+j)%2 == 0 && j < i:
-						wantMutual = append(wantMutual, p)
-					}
-				}
-				if !slices.Equal(got.Near, wantNear) || !slices.Equal(got.Mutual, wantMutual) {
-					t.Fatalf("near %d / mutual %d entries, the ordered list classifies %d / %d",
-						len(got.Near), len(got.Mutual), len(wantNear), len(wantMutual))
-				}
-				n1, n2 := es.pairsOf(got.Near), es.pairsOf(got.Mutual)
-				if 2*n2+n1 != ord.stats.NearPairs {
-					t.Errorf("2·%d + %d near pairs, ordered %d", n2, n1, ord.stats.NearPairs)
-				}
-				want := Stats{FarEval: ord.stats.FarEval, NearPairs: n1 + n2, NodesVisited: ord.stats.NodesVisited}
-				if got.stats != want {
-					t.Errorf("stats %+v, want %+v (ordered %+v)", got.stats, want, ord.stats)
-				}
-				if in.name == "protein-2000" && 4*len(got.Mutual) < len(ord.Near) {
-					t.Errorf("only %d of %d ordered blocks are owned mutual ones", len(got.Mutual), len(ord.Near))
-				}
+			}
+			if !slices.Equal(got.Near, wantNear) || !slices.Equal(got.Mutual, wantMutual) {
+				t.Fatalf("near %d / mutual %d entries, the ordered list classifies %d / %d",
+					len(got.Near), len(got.Mutual), len(wantNear), len(wantMutual))
+			}
+			n1, n2 := es.pairsOf(got.Near), es.pairsOf(got.Mutual)
+			if 2*n2+n1 != ord.stats.NearPairs {
+				t.Errorf("2·%d + %d near pairs, ordered %d", n2, n1, ord.stats.NearPairs)
+			}
+			want := Stats{FarEval: ord.stats.FarEval, NearPairs: n1 + n2, NodesVisited: ord.stats.NodesVisited}
+			if got.stats != want {
+				t.Errorf("stats %+v, want %+v (ordered %+v)", got.stats, want, ord.stats)
+			}
+			if in.name == "protein-2000" && 4*len(got.Mutual) < len(ord.Near) {
+				t.Errorf("only %d of %d ordered blocks are owned mutual ones", len(got.Mutual), len(ord.Near))
+			}
 
-				ordRaw, _ := es.EvalEpolList(ord)
-				energy := func(label string, raw float64, st Stats) {
-					t.Helper()
-					if e := relErr(raw, ordRaw); (e > 1e-12 && ordRaw != 0) || math.IsNaN(raw) {
-						t.Errorf("%s: raw sum %v, ordered %v (rel %v)", label, raw, ordRaw, e)
-					}
-					if st != want {
-						t.Errorf("%s: stats %+v, want %+v", label, st, want)
-					}
+			ordRaw, _ := es.EvalEpolList(ord)
+			energy := func(label string, raw float64, st Stats) {
+				t.Helper()
+				if e := relErr(raw, ordRaw); (e > 1e-12 && ordRaw != 0) || math.IsNaN(raw) {
+					t.Errorf("%s: raw sum %v, ordered %v (rel %v)", label, raw, ordRaw, e)
 				}
-				raw, st := es.EvalEpolList(got)
-				energy("list", raw, st)
+				if st != want {
+					t.Errorf("%s: stats %+v, want %+v", label, st, want)
+				}
+			}
+			raw, st := es.EvalEpolList(got)
+			energy("list", raw, st)
 
-				var tile InteractionList
-				var streamed float64
-				st = es.StreamEpolLeaves(&tile, 0, nl, &streamed)
-				energy("stream", streamed, st)
-				// Any cut of the range into calls on one accumulator is the
-				// same additions in the same order.
-				var chunked float64
-				var cst Stats
-				for _, seg := range [][2]int{{0, nl / 3}, {nl / 3, nl / 3}, {nl / 3, nl - nl/4}, {nl - nl/4, nl}} {
-					cst.Add(es.StreamEpolLeaves(&tile, seg[0], seg[1], &chunked))
-				}
-				if math.Float64bits(chunked) != math.Float64bits(streamed) || cst != st {
-					t.Errorf("stream in four calls: %v %+v, in one %v %+v", chunked, cst, streamed, st)
-				}
+			var tile InteractionList
+			var streamed float64
+			st = es.StreamEpolLeaves(&tile, 0, nl, &streamed)
+			energy("stream", streamed, st)
+			// Any cut of the range into calls on one accumulator is the
+			// same additions in the same order.
+			var chunked float64
+			var cst Stats
+			for _, seg := range [][2]int{{0, nl / 3}, {nl / 3, nl / 3}, {nl / 3, nl - nl/4}, {nl - nl/4, nl}} {
+				cst.Add(es.StreamEpolLeaves(&tile, seg[0], seg[1], &chunked))
+			}
+			if math.Float64bits(chunked) != math.Float64bits(streamed) || cst != st {
+				t.Errorf("stream in four calls: %v %+v, in one %v %+v", chunked, cst, streamed, st)
+			}
 
-				var rec, recOrd, rows float64
-				var recSt, recOrdSt, rowsSt Stats
-				na := int32(in.mol.N())
-				for l := 0; l < nl; l++ {
-					e, s := es.LeafEnergy(l)
-					rec += e
-					recSt.Add(s)
-					vlo, vhi := es.T.PointRange(es.T.LeafIdx[l])
-					recOrd += es.epolVisitOrdered(0, es.T.LeafIdx[l], vlo, vhi, &recOrdSt)
-					for _, r := range [][2]int32{{0, na / 3}, {na / 3, na}} {
-						e, s = es.LeafEnergyRows(l, r[0], r[1])
-						rows += e
-						rowsSt.Add(s)
-					}
+			var rec, recOrd, rows float64
+			var recSt, recOrdSt, rowsSt Stats
+			na := int32(in.mol.N())
+			for l := 0; l < nl; l++ {
+				e, s := es.LeafEnergy(l)
+				rec += e
+				recSt.Add(s)
+				vlo, vhi := es.T.PointRange(es.T.LeafIdx[l])
+				recOrd += es.epolVisitOrdered(0, es.T.LeafIdx[l], vlo, vhi, &recOrdSt)
+				for _, r := range [][2]int32{{0, na / 3}, {na / 3, na}} {
+					e, s = es.LeafEnergyRows(l, r[0], r[1])
+					rows += e
+					rowsSt.Add(s)
 				}
-				if recOrdSt != ord.stats {
-					t.Fatalf("oracle: ordered recursion %+v, ordered list %+v", recOrdSt, ord.stats)
-				}
-				if e := relErr(recOrd, ordRaw); e > 1e-12 && ordRaw != 0 {
-					t.Fatalf("oracle: ordered recursion %v, ordered list %v", recOrd, ordRaw)
-				}
-				energy("recursion", rec, recSt)
-				if e := relErr(rows, ordRaw); e > 1e-12 && ordRaw != 0 {
-					t.Errorf("row-restricted recursion: raw sum %v, ordered %v (rel %v)", rows, ordRaw, e)
-				}
-				if rowsSt.FarEval < want.FarEval || rowsSt.NearPairs != want.NearPairs {
-					t.Errorf("row-restricted recursion: stats %+v, whole leaves %+v", rowsSt, want)
-				}
-			})
-		}
+			}
+			if recOrdSt != ord.stats {
+				t.Fatalf("oracle: ordered recursion %+v, ordered list %+v", recOrdSt, ord.stats)
+			}
+			if e := relErr(recOrd, ordRaw); e > 1e-12 && ordRaw != 0 {
+				t.Fatalf("oracle: ordered recursion %v, ordered list %v", recOrd, ordRaw)
+			}
+			energy("recursion", rec, recSt)
+			if e := relErr(rows, ordRaw); e > 1e-12 && ordRaw != 0 {
+				t.Errorf("row-restricted recursion: raw sum %v, ordered %v (rel %v)", rows, ordRaw, e)
+			}
+			if rowsSt.FarEval < want.FarEval || rowsSt.NearPairs != want.NearPairs {
+				t.Errorf("row-restricted recursion: stats %+v, whole leaves %+v", rowsSt, want)
+			}
+		})
 	}
 }
 

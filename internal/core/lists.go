@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"octgb/internal/gb"
 	"octgb/internal/octree"
 )
 
@@ -19,8 +18,7 @@ import (
 //  1. the evaluation loops stream contiguous float64 arrays with the
 //     traversal control flow hoisted out entirely;
 //  2. a built list is reusable across repeated evaluations over the same
-//     geometry (the engines evaluate it with work-stealing workers, and a
-//     list built once serves every math mode);
+//     geometry (the engines evaluate it with work-stealing workers);
 //  3. list entries are uniform, independent work items — exactly the
 //     fine-grained tasks the Chase–Lev scheduler load-balances well.
 //
@@ -559,16 +557,8 @@ func (s *EpolSolver) nnz(n int32) int64 {
 	return int64(s.nzStart[n+1] - s.nzStart[n])
 }
 
-// evalEpolNearRunScalar is the non-vector run kernel in the configured math.
-func (s *EpolSolver) evalEpolNearRunScalar(entries []NodePair, v int32) float64 {
-	if s.cfg.Math == gb.Approximate {
-		return s.evalEpolNearRunApprox(entries, v)
-	}
-	return s.evalEpolNearRun(entries, v)
-}
-
-// evalEpolNearRun evaluates a run of near entries sharing the v-leaf v in
-// Exact math. The v-side tile (positions, charges, Born radii — ≤ LeafSize
+// evalEpolNearRun evaluates a run of near entries sharing the v-leaf v on
+// the scalar path. The v-side tile (positions, charges, Born radii — ≤ LeafSize
 // atoms, L1-resident) is sliced once per run; u-leaf rows are unrolled
 // two-wide with independent accumulator chains so the sqrt/divide unit
 // pipelines across rows (wider jams lose to register spills: every lane's
@@ -641,101 +631,10 @@ func (s *EpolSolver) evalEpolNearRun(entries []NodePair, v int32) float64 {
 	return sum
 }
 
-// evalEpolNearRunApprox is evalEpolNearRun in Approximate math
-// (rsqrt-seeded Newton inverse square root and the table-free exp
-// surrogate from internal/gb).
-func (s *EpolSolver) evalEpolNearRunApprox(entries []NodePair, v int32) float64 {
-	vlo, vhi := s.T.PointRange(v)
-	x, y, z := s.T.X, s.T.Y, s.T.Z
-	xv := x[vlo:vhi]
-	n := len(xv)
-	yv := y[vlo:vhi][:n]
-	zv := z[vlo:vhi][:n]
-	qv := s.q[vlo:vhi][:n]
-	Rv := s.R[vlo:vhi][:n]
-	iv := s.invR[vlo:vhi][:n]
-	var sum float64
-	for _, p := range entries {
-		ulo, uhi := s.T.PointRange(p.A)
-		i := ulo
-		for ; i+2 <= uhi; i += 2 {
-			px0, py0, pz0, q0, r0 := x[i], y[i], z[i], s.q[i], s.R[i]
-			px1, py1, pz1, q1, r1 := x[i+1], y[i+1], z[i+1], s.q[i+1], s.R[i+1]
-			g0 := -0.25 * s.invR[i]
-			g1 := -0.25 * s.invR[i+1]
-			d0 := int(i - vlo)
-			var c0, c1 float64
-			for j := 0; j < n; j++ {
-				xj, yj, zj := xv[j], yv[j], zv[j]
-				qj, rj, irj := qv[j], Rv[j], iv[j]
-				dx, dy, dz := px0-xj, py0-yj, pz0-zj
-				d2 := dx*dx + dy*dy + dz*dz
-				t := q0 * qj * gb.FastInvSqrt(d2+r0*rj*gb.FastExp(d2*g0*irj))
-				if j == d0 {
-					t = q0 * q0 / r0
-				}
-				c0 += t
-				dx, dy, dz = px1-xj, py1-yj, pz1-zj
-				d2 = dx*dx + dy*dy + dz*dz
-				t = q1 * qj * gb.FastInvSqrt(d2+r1*rj*gb.FastExp(d2*g1*irj))
-				if j == d0+1 {
-					t = q1 * q1 / r1
-				}
-				c1 += t
-			}
-			sum += c0 + c1
-		}
-		for ; i < uhi; i++ {
-			px, py, pz, qi, ri := x[i], y[i], z[i], s.q[i], s.R[i]
-			gi := -0.25 * s.invR[i]
-			diag := int(i - vlo)
-			var acc float64
-			for j := 0; j < n; j++ {
-				dx, dy, dz := px-xv[j], py-yv[j], pz-zv[j]
-				d2 := dx*dx + dy*dy + dz*dz
-				t := qi * qv[j] * gb.FastInvSqrt(d2+ri*Rv[j]*gb.FastExp(d2*gi*iv[j]))
-				if j == diag {
-					t = qi * qi / ri
-				}
-				acc += t
-			}
-			sum += acc
-		}
-	}
-	return sum
-}
-
 // EvalEpolFarPair evaluates one far-field bin-pair entry over the
-// compressed nonzero-bin layout. Returns the raw sum. The squared center
-// distance comes straight from the SoA node-center mirrors (no sqrt), and
-// the exponential is the near kernels' expNeg (its argument is never
-// positive), within 1e-15 relative of math.Exp.
+// compressed nonzero-bin layout (farPair). Returns the raw sum.
 func (s *EpolSolver) EvalEpolFarPair(u, v int32) float64 {
-	cx, cy, cz := s.T.CX, s.T.CY, s.T.CZ
-	ddx, ddy, ddz := cx[u]-cx[v], cy[u]-cy[v], cz[u]-cz[v]
-	d2 := ddx*ddx + ddy*ddy + ddz*ddz
-	uLo, uHi := s.nzStart[u], s.nzStart[u+1]
-	vLo, vHi := s.nzStart[v], s.nzStart[v+1]
-	nzBin, nzQ, binRR := s.nzBin, s.nzQ, s.binRR
-	var sum float64
-	if s.cfg.Math == gb.Approximate {
-		for a := uLo; a < uHi; a++ {
-			qi, bi := nzQ[a], nzBin[a]
-			for b := vLo; b < vHi; b++ {
-				rr := binRR[bi+nzBin[b]]
-				sum += qi * nzQ[b] * gb.FastInvSqrt(d2+rr*gb.FastExp(-d2/(4*rr)))
-			}
-		}
-		return sum
-	}
-	for a := uLo; a < uHi; a++ {
-		qi, bi := nzQ[a], nzBin[a]
-		for b := vLo; b < vHi; b++ {
-			rr := binRR[bi+nzBin[b]]
-			sum += qi * nzQ[b] / math.Sqrt(d2+rr*expNeg(-d2/(4*rr)))
-		}
-	}
-	return sum
+	return s.farPair(u, v, s.nzBin, s.nzQ, s.nzStart, u, v)
 }
 
 // EvalEpolNearRange sums the near entries [lo, hi) of the list. The
@@ -750,14 +649,14 @@ func (s *EpolSolver) EvalEpolNearRange(l *InteractionList, lo, hi int) float64 {
 // evalEpolNear sums near entries, run by run, on the vector or the scalar
 // path.
 func (s *EpolSolver) evalEpolNear(near []NodePair, symmetric bool) float64 {
-	if hasAVX2FMA && s.cfg.Math != gb.Approximate && len(near) > 0 && len(s.uPos) > 0 {
+	if hasAVX2FMA && len(near) > 0 && len(s.uPos) > 0 {
 		return s.evalEpolNearRangeVec(near, symmetric)
 	}
 	var sum float64
 	for len(near) > 0 {
 		v := near[0].B
 		run, w := epolRun(near, symmetric)
-		sum += w * s.evalEpolNearRunScalar(near[:run], v)
+		sum += w * s.evalEpolNearRun(near[:run], v)
 		near = near[run:]
 	}
 	return sum
@@ -797,19 +696,19 @@ func (s *EpolSolver) EvalEpolNearEntryValues(near []NodePair, idxs []int32, out 
 	if len(near) == 0 {
 		return
 	}
-	if hasAVX2FMA && s.cfg.Math != gb.Approximate && len(s.uPos) > 0 {
+	if hasAVX2FMA && len(s.uPos) > 0 {
 		s.evalEpolNearEntryValuesVec(near, idxs, out)
 		return
 	}
 	v := near[0].B
 	if idxs == nil {
 		for k := range near {
-			out[k] = s.evalEpolNearRunScalar(near[k:k+1], v)
+			out[k] = s.evalEpolNearRun(near[k:k+1], v)
 		}
 		return
 	}
 	for _, k := range idxs {
-		out[k] = s.evalEpolNearRunScalar(near[k:k+1], v)
+		out[k] = s.evalEpolNearRun(near[k:k+1], v)
 	}
 }
 

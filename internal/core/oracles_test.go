@@ -40,7 +40,7 @@ func (s *EpolSolver) BuildEpolList(vLo, vHi int) *InteractionList {
 // counts for in its list is applied by the range kernels.
 func (s *EpolSolver) EvalEpolNearPair(u, v int32) float64 {
 	one := [1]NodePair{{u, v}}
-	return s.evalEpolNearRunScalar(one[:], v)
+	return s.evalEpolNearRun(one[:], v)
 }
 
 // AccumulateDualPair runs the dual-tree Born recursion from the given

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"octgb/internal/gb"
 	"octgb/internal/molecule"
 	"octgb/internal/surface"
 )
@@ -25,7 +24,7 @@ type solveRun struct {
 // (nil: none) and runs the Born phase both ways, the push, and the dual,
 // leaf-driven and held-list dual energy traversals. It returns the solvers
 // so that a caller can release them or look at their storage.
-func solveOn(mol *molecule.Molecule, qpts []surface.QPoint, mode gb.MathMode, bd *BornSolver, ed *EpolSolver) (solveRun, *BornSolver, *EpolSolver) {
+func solveOn(mol *molecule.Molecule, qpts []surface.QPoint, bd *BornSolver, ed *EpolSolver) (solveRun, *BornSolver, *EpolSolver) {
 	var r solveRun
 	Free.Drain()
 	bd.Release()
@@ -43,7 +42,7 @@ func solveOn(mol *molecule.Molecule, qpts []surface.QPoint, mode gb.MathMode, bd
 	for i := range mol.Atoms {
 		charges[i] = mol.Atoms[i].Charge
 	}
-	es := NewEpolSolver(bs.TA, charges, r.radii, EpolConfig{Eps: 0.9, Math: mode})
+	es := NewEpolSolver(bs.TA, charges, r.radii, EpolConfig{Eps: 0.9})
 	r.energy[0], r.stats[2] = es.EnergyDual()
 	r.stats[3] = es.StreamEpolLeaves(tile, 0, es.NumLeaves(), &r.energy[1])
 	d := es.BuildDualList(8)
@@ -72,8 +71,7 @@ func sameRun(t *testing.T, what string, got, want solveRun) {
 // TestRecycledSolversMatchFresh: solvers built in a released pair's storage
 // — of a molecule of the same size, a larger and a smaller one, one more
 // than twice as large, and a one-atom molecule without q-points — give the
-// radii, energies and work counters of fresh solvers bit for bit, in both
-// math modes. Storage that fits is reused; an oversized donor is not.
+// radii, energies and work counters of fresh solvers bit for bit. Storage that fits is reused; an oversized donor is not.
 func TestRecycledSolversMatchFresh(t *testing.T) {
 	mol, qpts := testMol(300, 61)
 	one := &molecule.Molecule{Name: "one", Atoms: []molecule.Atom{{Radius: 1.5, Charge: 0.4}}}
@@ -89,32 +87,30 @@ func TestRecycledSolversMatchFresh(t *testing.T) {
 		{"oversized", molecule.GenerateProtein("oversized", 900, 65), nil, false},
 		{"degenerate", one, []surface.QPoint{}, true},
 	}
-	for _, mode := range []gb.MathMode{gb.Exact, gb.Approximate} {
-		want, _, _ := solveOn(mol, qpts, mode, nil, nil)
-		for _, d := range donors {
-			dq := d.qpts
-			if dq == nil {
-				dq = surface.Sample(d.mol, surface.Default())
-			}
-			_, bd, ed := solveOn(d.mol, dq, mode, nil, nil)
-			ta, x, q := bd.TA, bd.TQ.X, ed.q
-			got, bs, es := solveOn(mol, qpts, mode, bd, ed)
-			sameRun(t, d.name+" donor", got, want)
-			// A donor's storage is reused when it fits: its trees and
-			// streams when they are large enough, its solver object always.
-			reused := bs == bd && es == ed
-			if reused != d.reused {
-				t.Errorf("%s donor: reused %v, want %v", d.name, reused, d.reused)
-			}
-			if reused && bs.TA != ta {
-				t.Errorf("%s donor: the atoms tree was not rebuilt in place", d.name)
-			}
-			if reused && cap(x) >= len(qpts) && &bs.TQ.X[0] != &x[0] {
-				t.Errorf("%s donor: the q-point mirrors were not reused", d.name)
-			}
-			if reused && cap(q) >= mol.N() && &es.q[0] != &q[0] {
-				t.Errorf("%s donor: the charge stream was not reused", d.name)
-			}
+	want, _, _ := solveOn(mol, qpts, nil, nil)
+	for _, d := range donors {
+		dq := d.qpts
+		if dq == nil {
+			dq = surface.Sample(d.mol, surface.Default())
+		}
+		_, bd, ed := solveOn(d.mol, dq, nil, nil)
+		ta, x, q := bd.TA, bd.TQ.X, ed.q
+		got, bs, es := solveOn(mol, qpts, bd, ed)
+		sameRun(t, d.name+" donor", got, want)
+		// A donor's storage is reused when it fits: its trees and
+		// streams when they are large enough, its solver object always.
+		reused := bs == bd && es == ed
+		if reused != d.reused {
+			t.Errorf("%s donor: reused %v, want %v", d.name, reused, d.reused)
+		}
+		if reused && bs.TA != ta {
+			t.Errorf("%s donor: the atoms tree was not rebuilt in place", d.name)
+		}
+		if reused && cap(x) >= len(qpts) && &bs.TQ.X[0] != &x[0] {
+			t.Errorf("%s donor: the q-point mirrors were not reused", d.name)
+		}
+		if reused && cap(q) >= mol.N() && &es.q[0] != &q[0] {
+			t.Errorf("%s donor: the charge stream was not reused", d.name)
 		}
 	}
 }
@@ -124,7 +120,7 @@ func TestRecycledSolversMatchFresh(t *testing.T) {
 // as before. The recycled-through-the-free-list path gives fresh bits too.
 func TestRestrictedSolverIsNotReleased(t *testing.T) {
 	mol, qpts := testMol(300, 66)
-	want, bs, es := solveOn(mol, qpts, gb.Exact, nil, nil)
+	want, bs, es := solveOn(mol, qpts, nil, nil)
 	Free.Drain()
 	es.Restrict(bs.TA.LeafIdx[:1]).Release()
 	if Free.Held() != 0 {
@@ -138,7 +134,7 @@ func TestRestrictedSolverIsNotReleased(t *testing.T) {
 	es.Release()
 	bs.Release()
 	for i := 0; i < 2; i++ {
-		got, bs, es := solveOn(mol, qpts, gb.Exact, Take[BornSolver](&Free, mol.N()+len(qpts)), Take[EpolSolver](&Free, mol.N()))
+		got, bs, es := solveOn(mol, qpts, Take[BornSolver](&Free, mol.N()+len(qpts)), Take[EpolSolver](&Free, mol.N()))
 		sameRun(t, "recycled", got, want)
 		es.Release()
 		bs.Release()
@@ -150,10 +146,10 @@ func TestRestrictedSolverIsNotReleased(t *testing.T) {
 func TestMemoryBytesCountsCapacity(t *testing.T) {
 	mol, qpts := testMol(300, 67)
 	big := molecule.GenerateProtein("big", 500, 68)
-	_, fbs, fes := solveOn(mol, qpts, gb.Exact, nil, nil)
-	_, bd, ed := solveOn(big, surface.Sample(big, surface.Default()), gb.Exact, nil, nil)
+	_, fbs, fes := solveOn(mol, qpts, nil, nil)
+	_, bd, ed := solveOn(big, surface.Sample(big, surface.Default()), nil, nil)
 	donorB, donorE := bd.MemoryBytes(), ed.MemoryBytes()
-	_, bs, es := solveOn(mol, qpts, gb.Exact, bd, ed)
+	_, bs, es := solveOn(mol, qpts, bd, ed)
 	if bs != bd || es != ed {
 		t.Fatal("the donor was not reused")
 	}

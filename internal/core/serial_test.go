@@ -219,7 +219,7 @@ func (s *EpolSolver) epolVisit(u, v int32, vAnc []int32, st *Stats) float64 {
 					sum += qi * qi / ri
 					continue
 				}
-				sum += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j], s.cfg.Math)
+				sum += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j])
 			}
 		}
 		st.NearPairs += int64(uhi-ulo) * int64(vhi-vlo)
@@ -254,7 +254,7 @@ func (s *EpolSolver) binApprox(u, v int32, d2 float64, st *Stats) float64 {
 			if qj == 0 {
 				continue
 			}
-			sum += s.binPairTerm(d2, i+j, qi, qj)
+			sum += gb.PairTerm(qi, qj, d2, s.binRR[i+j], 1) // exact f_GB, math.Exp
 			st.FarEval++
 		}
 	}
@@ -307,7 +307,7 @@ func (s *EpolSolver) epolDual(p NodePair, st *Stats) float64 {
 					e += qi * qi / ri
 					continue
 				}
-				e += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j], s.cfg.Math)
+				e += gb.PairTerm(qi, s.q[j], pi.Dist2(s.T.Points[j]), ri, s.R[j])
 			}
 		}
 		st.NearPairs += int64(uhi-ulo) * int64(vhi-vlo)

@@ -20,7 +20,7 @@ func TestBornStageWithinNaive(t *testing.T) {
 	for _, n := range []int{700, 1000, 1500} {
 		for seed := int64(7); seed <= 9; seed++ {
 			pr := testProblem(n, seed)
-			want := gb.EpolNaive(pr.Mol, gb.BornRadiiR6(pr.Mol, pr.QPts), gb.Exact)
+			want := gb.EpolNaive(pr.Mol, gb.BornRadiiR6(pr.Mol, pr.QPts))
 			hybrid, err := RunReal(pr, OctMPICilk, Options{Ranks: 2, Threads: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -38,7 +38,7 @@ func TestBornStageWithinNaive(t *testing.T) {
 				"OCT_CILK":     cilk.BornRadii,
 				"Prepared":     p.BornRadii,
 			} {
-				got := gb.EpolNaive(pr.Mol, radii, gb.Exact)
+				got := gb.EpolNaive(pr.Mol, radii)
 				if e := relErr(got, want); e > bound {
 					t.Errorf("%d atoms seed %d %s: exact E_pol on its radii %.4f%% off naive, want ≤ %.2f%%",
 						n, seed, name, 100*e, 100*bound)

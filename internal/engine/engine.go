@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"octgb/internal/core"
-	"octgb/internal/gb"
 	"octgb/internal/molecule"
 	"octgb/internal/obs"
 	"octgb/internal/surface"
@@ -63,8 +62,6 @@ type Options struct {
 	// BornEps and EpolEps are the two approximation parameters
 	// (paper default 0.9 / 0.9).
 	BornEps, EpolEps float64
-	// Math selects exact or approximate sqrt/exp.
-	Math gb.MathMode
 	// LeafSize is the octree leaf capacity (0 = default).
 	LeafSize int
 	// CriterionPower selects the Born well-separatedness criterion
@@ -115,7 +112,7 @@ func (o Options) bornConfig() core.BornConfig {
 }
 
 func (o Options) epolConfig() core.EpolConfig {
-	return core.EpolConfig{Eps: o.EpolEps, Math: o.Math}
+	return core.EpolConfig{Eps: o.EpolEps}
 }
 
 // Validate rejects inconsistent option combinations early.

@@ -296,7 +296,7 @@ func TestNaiveParallelRowsMatchSerial(t *testing.T) {
 	}
 	// Cross-check against the gb reference.
 	R := gb.BornRadiiR6(pr.Mol, pr.QPts)
-	want := gb.EpolNaive(pr.Mol, R, gb.Exact)
+	want := gb.EpolNaive(pr.Mol, R)
 	if e := relErr(a.Energy, want); e > 1e-12 {
 		t.Errorf("naive engine %v vs gb reference %v", a.Energy, want)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"octgb/internal/core"
-	"octgb/internal/gb"
 )
 
 // The engine-level equivalence suite: every real engine — streamed Born
@@ -29,7 +28,7 @@ type serialResult struct {
 
 // serialReference runs the serial pipeline at the engines' default ε: the
 // dual-tree traversals for OctCilk, the leaf-driven ones otherwise.
-func serialReference(pr *Problem, k Kind, mode gb.MathMode) serialResult {
+func serialReference(pr *Problem, k Kind) serialResult {
 	var ref serialResult
 	bs := core.NewBornSolver(pr.Mol, pr.QPts, core.BornConfig{Eps: 0.9})
 	sNode, sAtom := bs.NewAccumulators()
@@ -42,7 +41,7 @@ func serialReference(pr *Problem, k Kind, mode gb.MathMode) serialResult {
 	rTree := make([]float64, pr.Mol.N())
 	bs.PushIntegrals(sNode, sAtom, 0, int32(len(rTree)), rTree)
 	ref.BornRadii = bs.RadiiToOriginal(rTree)
-	es := core.NewEpolSolver(bs.TA, pr.Charges, ref.BornRadii, core.EpolConfig{Eps: 0.9, Math: mode})
+	es := core.NewEpolSolver(bs.TA, pr.Charges, ref.BornRadii, core.EpolConfig{Eps: 0.9})
 	var raw float64
 	if k == OctCilk {
 		raw, ref.EpolStats = es.EvalEpolList(es.BuildEpolDualList())
@@ -52,11 +51,6 @@ func serialReference(pr *Problem, k Kind, mode gb.MathMode) serialResult {
 	ref.Epol = raw * core.EnergyScale()
 	return ref
 }
-
-var mathModes = []struct {
-	name string
-	mode gb.MathMode
-}{{"exact", gb.Exact}, {"approx", gb.Approximate}}
 
 func TestFlatMatchesRecursiveAcrossEngines(t *testing.T) {
 	pr := testProblem(900, 71)
@@ -71,29 +65,26 @@ func TestFlatMatchesRecursiveAcrossEngines(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%v/P=%d/p=%d", c.kind, c.o.Ranks, c.o.Threads), func(t *testing.T) {
-			for _, m := range mathModes {
-				t.Run(m.name, func(t *testing.T) {
-					o := c.o
-					o.Math = m.mode
-					got, err := RunReal(pr, c.kind, o)
-					if err != nil {
-						t.Fatal(err)
+			// "exact" names the one arithmetic; the case names stay stable.
+			t.Run("exact", func(t *testing.T) {
+				got, err := RunReal(pr, c.kind, c.o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := serialReference(pr, c.kind)
+				if e := relErr(got.Energy, want.Epol); e > 1e-12 {
+					t.Errorf("energy: engine %v vs reference %v (rel %v)", got.Energy, want.Epol, e)
+				}
+				for i := range want.BornRadii {
+					if e := relErr(got.BornRadii[i], want.BornRadii[i]); e > 1e-12 {
+						t.Fatalf("radius[%d]: engine %v vs reference %v", i, got.BornRadii[i], want.BornRadii[i])
 					}
-					want := serialReference(pr, c.kind, m.mode)
-					if e := relErr(got.Energy, want.Epol); e > 1e-12 {
-						t.Errorf("energy: engine %v vs reference %v (rel %v)", got.Energy, want.Epol, e)
-					}
-					for i := range want.BornRadii {
-						if e := relErr(got.BornRadii[i], want.BornRadii[i]); e > 1e-12 {
-							t.Fatalf("radius[%d]: engine %v vs reference %v", i, got.BornRadii[i], want.BornRadii[i])
-						}
-					}
-					if got.BornStats != want.BornStats || got.EpolStats != want.EpolStats {
-						t.Errorf("stats: engine %+v/%+v vs reference %+v/%+v",
-							got.BornStats, got.EpolStats, want.BornStats, want.EpolStats)
-					}
-				})
-			}
+				}
+				if got.BornStats != want.BornStats || got.EpolStats != want.EpolStats {
+					t.Errorf("stats: engine %+v/%+v vs reference %+v/%+v",
+						got.BornStats, got.EpolStats, want.BornStats, want.EpolStats)
+				}
+			})
 		})
 	}
 }
@@ -103,13 +94,11 @@ func TestFlatMatchesRecursiveAcrossEngines(t *testing.T) {
 // residency contract as the recursion.
 func TestFlatDistributedDataEnergy(t *testing.T) {
 	pr := testProblem(600, 72)
-	for _, m := range mathModes {
-		got, err := RunDistributedDataEnergy(pr, 3, Options{Math: m.mode})
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		if want := serialReference(pr, OctMPI, m.mode).Epol; relErr(got, want) > 1e-12 {
-			t.Errorf("%s: distributed-data energy %v vs reference %v (rel %v)", m.name, got, want, relErr(got, want))
-		}
+	got, err := RunDistributedDataEnergy(pr, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := serialReference(pr, OctMPI).Epol; relErr(got, want) > 1e-12 {
+		t.Errorf("distributed-data energy %v vs reference %v (rel %v)", got, want, relErr(got, want))
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"testing"
 
-	"octgb/internal/gb"
 	"octgb/internal/surface"
 )
 
@@ -29,24 +28,6 @@ func TestRunRealRejectsInvalidOptions(t *testing.T) {
 	pr := testProblem(100, 301)
 	if _, err := RunReal(pr, OctMPI, Options{BornEps: -1}); err == nil {
 		t.Error("RunReal accepted invalid options")
-	}
-}
-
-func TestApproximateMathThroughEngines(t *testing.T) {
-	pr := testProblem(400, 302)
-	exact, err := RunReal(pr, OctMPI, Options{Ranks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := RunReal(pr, OctMPI, Options{Ranks: 2, Math: gb.Approximate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.Energy == approx.Energy {
-		t.Error("approximate math had no effect")
-	}
-	if e := relErr(approx.Energy, exact.Energy); e > 0.08 {
-		t.Errorf("approximate math shifted energy by %v", e)
 	}
 }
 

@@ -15,13 +15,13 @@ import (
 // molecule geometry, the surface sampling, and the Born-phase parameters.
 // None of that changes across repeated energy evaluations, so a Prepared
 // can be cached and re-evaluated with different E_pol parameters (ε_E,
-// math mode, thread count) without re-sampling the surface or rebuilding
+// thread count) without re-sampling the surface or rebuilding
 // the trees. This is the paper's §IV-C "octree construction as a
 // preprocessing step", promoted to a first-class value; internal/serve
 // keys an LRU of these by molecule content hash.
 //
-// Prepare also builds the E_pol solver for its own E_pol settings (ε_E and
-// math mode) and, in the solver's storage, the dual E_pol interaction list
+// Prepare also builds the E_pol solver for its own E_pol setting (ε_E)
+// and, in the solver's storage, the dual E_pol interaction list
 // (core.DualList): the Born-radius bins of Fig. 3 and the node pairs the
 // traversal decides depend only on the tree, the charges, the Born radii
 // and ε_E, so an EvalEpol at those settings only evaluates. An EvalEpol at
@@ -130,7 +130,7 @@ func (p *Prepared) epolSolver(o Options) *core.EpolSolver {
 
 // EvalEpol evaluates the polarization energy (step 6) over the prebuilt
 // trees and Born radii. o supplies only the evaluation-time knobs —
-// EpolEps, Math, Threads; the Born-phase fields are fixed
+// EpolEps, Threads; the Born-phase fields are fixed
 // at Prepare time and ignored here. The returned report echoes the
 // prepared BornRadii/BornStats so warm and cold reports have the same
 // shape; Wall covers only this evaluation.

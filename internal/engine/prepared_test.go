@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"octgb/internal/core"
-	"octgb/internal/gb"
 	"octgb/internal/geom"
 	"octgb/internal/molecule"
 	"octgb/internal/surface"
@@ -270,7 +269,7 @@ func TestPreparedOtherEpsIsFreshBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []Options{{Threads: 1, EpolEps: 0.5}, {Threads: 1, Math: gb.Approximate}} {
+	for _, o := range []Options{{Threads: 1, EpolEps: 0.5}, {Threads: 1, EpolEps: 0.7}} {
 		got, err := p.EvalEpol(o)
 		if err != nil {
 			t.Fatal(err)
@@ -344,37 +343,31 @@ func checkHeldList(t *testing.T, p *Prepared, o Options) RealReport {
 // TestPreparedHeldListMatchesStreamed: the list Prepare holds, and the
 // traversal an evaluation at other E_pol settings builds root by root for
 // itself, answer what the streamed dual traversal they replaced answers —
-// across molecule sizes, thread counts, both math modes, the prepared ε_E
-// and another — and repeat bit for bit, at the prepared thread count and
-// at any other.
+// across molecule sizes, thread counts, the prepared ε_E and another — and
+// repeat bit for bit, at the prepared thread count and at any other.
 func TestPreparedHeldListMatchesStreamed(t *testing.T) {
 	for _, n := range []int{300, 1000, 2500} {
 		pr := testProblem(n, 41)
 		for _, threads := range []int{1, 2, 3} {
-			for _, m := range mathModes {
-				t.Run(fmt.Sprintf("n=%d/p=%d/%s", n, threads, m.name), func(t *testing.T) {
-					p, err := Prepare(pr, Options{Threads: threads, Math: m.mode})
+			// "exact" names the one arithmetic; the case names stay stable.
+			t.Run(fmt.Sprintf("n=%d/p=%d/exact", n, threads), func(t *testing.T) {
+				p, err := Prepare(pr, Options{Threads: threads})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, o := range []Options{{}, {EpolEps: 0.5}} {
+					o.Threads = threads
+					base := checkHeldList(t, p, o)
+					o.Threads = threads%3 + 1
+					rep, err := p.EvalEpol(o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					other := gb.Approximate
-					if m.mode == gb.Approximate {
-						other = gb.Exact
+					if math.Float64bits(rep.Energy) != math.Float64bits(base.Energy) {
+						t.Errorf("%+v: %.17g, at %d threads %.17g", o, rep.Energy, threads, base.Energy)
 					}
-					for _, o := range []Options{{Math: m.mode}, {Math: m.mode, EpolEps: 0.5}, {Math: other}} {
-						o.Threads = threads
-						base := checkHeldList(t, p, o)
-						o.Threads = threads%3 + 1
-						rep, err := p.EvalEpol(o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if math.Float64bits(rep.Energy) != math.Float64bits(base.Energy) {
-							t.Errorf("%+v: %.17g, at %d threads %.17g", o, rep.Energy, threads, base.Energy)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -384,7 +377,7 @@ func TestPreparedHeldListMatchesStreamed(t *testing.T) {
 // molecules of up to 64 atoms read from the input, eight bytes an atom:
 // three coordinates of two bytes each, within ±12.7 Å on a 0.1 Å grid
 // (coincident atoms included), a radius of 1–3.55 Å and a charge of
-// ±1.28 e. The first byte picks the thread count and the math mode.
+// ±1.28 e. The first byte's low bit picks the thread count.
 func FuzzPreparedEvalEpol(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 0, 0, 0, 0, 50, 200})
 	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 20, 100, 0, 15, 0, 0, 0, 0, 20, 156, 0, 0, 0, 15, 0, 0, 20, 100})
@@ -399,9 +392,6 @@ func FuzzPreparedEvalEpol(f *testing.F) {
 			return
 		}
 		o := Options{Threads: 1 + int(data[0]&1)}
-		if data[0]&2 != 0 {
-			o.Math = gb.Approximate
-		}
 		coord := func(b []byte) float64 { return float64(int16(uint16(b[0])<<8|uint16(b[1]))%128) / 10 }
 		mol := &molecule.Molecule{Name: "fuzz"}
 		for a := data[1:]; len(a) >= 8 && len(mol.Atoms) < 64; a = a[8:] {
@@ -416,7 +406,7 @@ func FuzzPreparedEvalEpol(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkHeldList(t, p, o)
-		checkHeldList(t, p, Options{Threads: o.Threads, Math: o.Math, EpolEps: 0.5})
+		checkHeldList(t, p, Options{Threads: o.Threads, EpolEps: 0.5})
 	})
 }
 

@@ -85,7 +85,7 @@ func runNaiveReal(pr *Problem, o Options) RealReport {
 			sum += ai.Charge * ai.Charge / R[i]
 			for j := i + 1; j < n; j++ {
 				aj := &pr.Mol.Atoms[j]
-				sum += 2 * gb.PairTerm(ai.Charge, aj.Charge, ai.Pos.Dist2(aj.Pos), R[i], R[j], o.Math)
+				sum += 2 * gb.PairTerm(ai.Charge, aj.Charge, ai.Pos.Dist2(aj.Pos), R[i], R[j])
 			}
 		}
 		partial[w] += sum

@@ -279,9 +279,9 @@ func cut[T any](buf *[]T, n int) []T {
 type SessionOptions struct {
 	// Surf is the surface sampling used once at session creation.
 	Surf surface.Options
-	// Eval supplies the engine parameters (BornEps, EpolEps, Math,
-	// LeafSize, CriterionPower). Parallel/distributed fields are ignored —
-	// a session evaluates serially, its work being O(dirty).
+	// Eval supplies the engine parameters (BornEps, EpolEps, LeafSize,
+	// CriterionPower). Parallel/distributed fields are ignored — a
+	// session evaluates serially, its work being O(dirty).
 	Eval Options
 	// ResweepEvery forces a full value resweep every k-th frame (≤0 → 64).
 	// The resweep recomputes every cached value from current positions in

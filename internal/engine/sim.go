@@ -58,7 +58,7 @@ func BuildSimModel(pr *Problem, k Kind, o Options, oc simtime.OpCosts) *SimModel
 
 	if k == Naive {
 		sm.BornRadii = gb.BornRadiiR6(pr.Mol, pr.QPts)
-		sm.Energy = gb.EpolNaive(pr.Mol, sm.BornRadii, o.Math)
+		sm.Energy = gb.EpolNaive(pr.Mol, sm.BornRadii)
 		n, m := int64(sm.numAtoms), int64(sm.numQPts)
 		sm.BornStats = core.Stats{NearPairs: n * m}
 		sm.EpolStats = core.Stats{NearPairs: n * n}

@@ -1,9 +1,7 @@
 // Package gb implements the Generalized-Born physics shared by every engine
 // in the library: the GB pair function f_GB, the STILL-style polarization
 // energy (Eq. 2 of the paper), the surface-based r⁶/r⁴ Born-radius
-// integrals (Eqs. 3–4), naïve exact reference evaluators, and the
-// "approximate math" fast square-root / exponential the paper toggles in
-// its experiments.
+// integrals (Eqs. 3–4) and naïve exact reference evaluators.
 package gb
 
 import (
@@ -24,19 +22,6 @@ const CoulombConstant = 332.0636
 // is E_pol = −(τ/2)·k_e·Σ q_i q_j / f_GB.
 func Tau(epsSolv float64) float64 { return 1 - 1/epsSolv }
 
-// MathMode selects exact or approximate (fast) math for sqrt/exp, matching
-// the paper's "approximate math on/off" experiment dimension.
-type MathMode int
-
-const (
-	// Exact uses math.Sqrt and math.Exp.
-	Exact MathMode = iota
-	// Approximate uses bit-trick inverse square root (two Newton steps)
-	// and a Schraudolph-style exponential. Error is a few percent; the
-	// paper reports a 4–5% error shift and ~1.42× speedup.
-	Approximate
-)
-
 // FGB evaluates the GB pair function
 //
 //	f_GB(i,j) = sqrt(r_ij² + R_i·R_j·exp(−r_ij²/(4·R_i·R_j)))
@@ -47,46 +32,11 @@ func FGB(rij2, Ri, Rj float64) float64 {
 	return math.Sqrt(rij2 + rr*math.Exp(-rij2/(4*rr)))
 }
 
-// PairTerm returns q_i·q_j / f_GB for one ordered pair, with the selected
-// math mode. Multiply by −τ·k_e/2 and sum over all ordered pairs (including
-// i=j, whose f_GB is R_i) to obtain E_pol.
-func PairTerm(qi, qj, rij2, Ri, Rj float64, mode MathMode) float64 {
-	rr := Ri * Rj
-	if mode == Approximate {
-		return qi * qj * FastInvSqrt(rij2+rr*FastExp(-rij2/(4*rr)))
-	}
-	return qi * qj / math.Sqrt(rij2+rr*math.Exp(-rij2/(4*rr)))
-}
-
-// FastInvSqrt is the 64-bit variant of the bit-trick inverse square root
-// with two Newton–Raphson refinements (relative error < 5e-6, enough that
-// the remaining approximate-math error budget is dominated by FastExp).
-func FastInvSqrt(x float64) float64 {
-	i := math.Float64bits(x)
-	i = 0x5FE6EB50C7B537A9 - (i >> 1)
-	y := math.Float64frombits(i)
-	y = y * (1.5 - 0.5*x*y*y)
-	y = y * (1.5 - 0.5*x*y*y)
-	return y
-}
-
-// FastExp is a Schraudolph-style exponential: it manufactures the IEEE-754
-// exponent field directly. Relative error is ≈±4% over the GB-relevant
-// range, mirroring the 4–5% energy shift the paper attributes to
-// approximate math.
-func FastExp(x float64) float64 {
-	// Clamp to the range where the trick is valid.
-	if x < -700 {
-		return 0
-	}
-	if x > 700 {
-		return math.Inf(1)
-	}
-	// Standard Schraudolph on the high 32 bits of the double.
-	const a = 1048576 / math.Ln2 // 2^20 / ln 2
-	const b = 1072693248 - 60801 // bias<<20 minus error-minimizing shift
-	hi := int64(a*x) + b
-	return math.Float64frombits(uint64(hi) << 32)
+// PairTerm returns q_i·q_j / f_GB for one ordered pair. Multiply by
+// −τ·k_e/2 and sum over all ordered pairs (including i=j, whose f_GB is
+// R_i) to obtain E_pol.
+func PairTerm(qi, qj, rij2, Ri, Rj float64) float64 {
+	return qi * qj / FGB(rij2, Ri, Rj)
 }
 
 // BornFromIntegral converts the accumulated surface integral
@@ -189,7 +139,7 @@ func bornCap(mol *molecule.Molecule) float64 {
 
 // EpolNaive computes the exact GB polarization energy (kcal/mol) by the
 // full double sum of Eq. 2, including self terms (f_GB(i,i) = R_i).
-func EpolNaive(mol *molecule.Molecule, R []float64, mode MathMode) float64 {
+func EpolNaive(mol *molecule.Molecule, R []float64) float64 {
 	tau := Tau(SolventDielectric)
 	var sum float64
 	n := mol.N()
@@ -199,21 +149,9 @@ func EpolNaive(mol *molecule.Molecule, R []float64, mode MathMode) float64 {
 		sum += ai.Charge * ai.Charge / R[i]
 		for j := i + 1; j < n; j++ {
 			aj := &mol.Atoms[j]
-			t := PairTerm(ai.Charge, aj.Charge, ai.Pos.Dist2(aj.Pos), R[i], R[j], mode)
+			t := PairTerm(ai.Charge, aj.Charge, ai.Pos.Dist2(aj.Pos), R[i], R[j])
 			sum += 2 * t // ordered pairs (i,j) and (j,i)
 		}
-	}
-	return -0.5 * tau * CoulombConstant * sum
-}
-
-// SelfEnergy returns only the diagonal of Eq. 2 — useful for separating the
-// pair contribution in tests.
-func SelfEnergy(mol *molecule.Molecule, R []float64) float64 {
-	tau := Tau(SolventDielectric)
-	var sum float64
-	for i := range mol.Atoms {
-		q := mol.Atoms[i].Charge
-		sum += q * q / R[i]
 	}
 	return -0.5 * tau * CoulombConstant * sum
 }

@@ -61,50 +61,6 @@ func TestFGBMonotoneInDistance(t *testing.T) {
 	}
 }
 
-func TestFastInvSqrtAccuracy(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 2000; i++ {
-		x := math.Exp(r.Float64()*20 - 5) // 6.7e-3 … 3e6
-		got := FastInvSqrt(x)
-		want := 1 / math.Sqrt(x)
-		if rel := math.Abs(got-want) / want; rel > 1e-5 {
-			t.Fatalf("FastInvSqrt(%v): rel err %v", x, rel)
-		}
-	}
-}
-
-func TestFastExpAccuracy(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	for i := 0; i < 2000; i++ {
-		x := r.Float64()*20 - 19 // GB exponents are in [-inf, 0]; test [-19,1]
-		got := FastExp(x)
-		want := math.Exp(x)
-		if rel := math.Abs(got-want) / want; rel > 0.07 {
-			t.Fatalf("FastExp(%v): rel err %v", x, rel)
-		}
-	}
-	if FastExp(-1000) != 0 {
-		t.Error("FastExp(-1000) should underflow to 0")
-	}
-	if !math.IsInf(FastExp(1000), 1) {
-		t.Error("FastExp(1000) should overflow to +Inf")
-	}
-}
-
-func TestPairTermApproximateClose(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		rij2 := r.Float64() * 400
-		ri := 1 + r.Float64()*5
-		rj := 1 + r.Float64()*5
-		e := PairTerm(1, -1, rij2, ri, rj, Exact)
-		a := PairTerm(1, -1, rij2, ri, rj, Approximate)
-		if rel := math.Abs(e-a) / math.Abs(e); rel > 0.05 {
-			t.Fatalf("approximate pair term off by %v at r²=%v", rel, rij2)
-		}
-	}
-}
-
 func TestBornFromIntegral(t *testing.T) {
 	// s for an isolated sphere of radius r is 4π/r³ ⇒ R = r.
 	r := 1.7
@@ -180,7 +136,7 @@ func TestEpolNaiveSingleCharge(t *testing.T) {
 	// Single ion: E = -τ/2 · k_e · q²/R (the Born equation).
 	m := singleAtom(2.0)
 	R := []float64{2.0}
-	got := EpolNaive(m, R, Exact)
+	got := EpolNaive(m, R)
 	want := -0.5 * Tau(SolventDielectric) * CoulombConstant * 1.0 / 2.0
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("Born ion energy %v, want %v", got, want)
@@ -191,12 +147,12 @@ func TestEpolNaiveNegativeForRealisticMolecule(t *testing.T) {
 	m := molecule.GenerateProtein("e", 400, 5)
 	q := surface.Sample(m, surface.Default())
 	R := BornRadiiR6(m, q)
-	e := EpolNaive(m, R, Exact)
+	e := EpolNaive(m, R)
 	if e >= 0 {
 		t.Errorf("E_pol = %v, expected negative (relaxation lowers energy)", e)
 	}
 	// Self energy alone must also be negative and dominate the sign.
-	if se := SelfEnergy(m, R); se >= 0 || se < e*2 {
+	if se := selfEnergy(m, R); se >= 0 || se < e*2 {
 		t.Errorf("self energy %v implausible vs total %v", se, e)
 	}
 }
@@ -206,7 +162,7 @@ func TestEpolNaiveSymmetryUnderRelabeling(t *testing.T) {
 	m := molecule.GenerateProtein("s", 120, 8)
 	q := surface.Sample(m, surface.Default())
 	R := BornRadiiR6(m, q)
-	e1 := EpolNaive(m, R, Exact)
+	e1 := EpolNaive(m, R)
 
 	// Reverse atom order.
 	rev := &molecule.Molecule{Name: "rev", Atoms: make([]molecule.Atom, m.N())}
@@ -216,7 +172,7 @@ func TestEpolNaiveSymmetryUnderRelabeling(t *testing.T) {
 		rev.Atoms[i] = m.Atoms[j]
 		Rrev[i] = R[j]
 	}
-	e2 := EpolNaive(rev, Rrev, Exact)
+	e2 := EpolNaive(rev, Rrev)
 	if math.Abs(e1-e2) > 1e-9*math.Abs(e1) {
 		t.Errorf("energy changed under relabeling: %v vs %v", e1, e2)
 	}
@@ -228,14 +184,14 @@ func TestEpolRigidInvariance(t *testing.T) {
 	m := molecule.GenerateProtein("ri", 200, 9)
 	q := surface.Sample(m, surface.Default())
 	R := BornRadiiR6(m, q)
-	e1 := EpolNaive(m, R, Exact)
+	e1 := EpolNaive(m, R)
 
 	tr := geom.RotationAxisAngle(geom.V(0, 1, 1), 0.8)
 	tr.T = geom.V(100, -30, 7)
 	mt := m.Transform(tr)
 	qt := surface.Sample(mt, surface.Default())
 	Rt := BornRadiiR6(mt, qt)
-	e2 := EpolNaive(mt, Rt, Exact)
+	e2 := EpolNaive(mt, Rt)
 	// The icosphere sampling directions are lab-frame-fixed, so rotating
 	// the molecule changes the surface discretization slightly; only the
 	// discretization noise (≲1–2% at default resolution) may differ.
@@ -250,18 +206,24 @@ func BenchmarkEpolNaive1000(b *testing.B) {
 	R := BornRadiiR6(m, q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EpolNaive(m, R, Exact)
+		EpolNaive(m, R)
 	}
 }
 
-func BenchmarkPairTermExact(b *testing.B) {
+func BenchmarkPairTerm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		PairTerm(0.3, -0.2, 55, 2, 3, Exact)
+		PairTerm(0.3, -0.2, 55, 2, 3)
 	}
 }
 
-func BenchmarkPairTermApprox(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		PairTerm(0.3, -0.2, 55, 2, 3, Approximate)
+// selfEnergy returns only the diagonal of Eq. 2, to separate the pair
+// contribution.
+func selfEnergy(mol *molecule.Molecule, R []float64) float64 {
+	tau := Tau(SolventDielectric)
+	var sum float64
+	for i := range mol.Atoms {
+		q := mol.Atoms[i].Charge
+		sum += q * q / R[i]
 	}
+	return -0.5 * tau * CoulombConstant * sum
 }

@@ -46,7 +46,7 @@ func TestPropertyFGBBounds(t *testing.T) {
 func TestPropertyPairTermSign(t *testing.T) {
 	f := func(qi, qj, r2, ri, rj float64) bool {
 		qi -= 25 // allow negative charges
-		term := PairTerm(qi, qj, r2, ri, rj, Exact)
+		term := PairTerm(qi, qj, r2, ri, rj)
 		want := qi * qj
 		return (term > 0) == (want > 0) || term == 0 || want == 0
 	}
@@ -99,23 +99,6 @@ func TestPropertyBornConversionRange(t *testing.T) {
 	}
 	cfg := &quick.Config{MaxCount: 600, Rand: rand.New(rand.NewSource(36)), Values: posGen(20)}
 	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: FastExp stays within its documented error band on the GB
-// operating range for random inputs.
-func TestPropertyFastExpBand(t *testing.T) {
-	f := func(x float64) bool {
-		x = -math.Mod(math.Abs(x), 30) // GB exponents are ≤ 0
-		got := FastExp(x)
-		want := math.Exp(x)
-		if want == 0 {
-			return got == 0
-		}
-		return math.Abs(got-want)/want < 0.07
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(37))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -233,13 +233,13 @@ func clampRadius(r, lo, hi float64) float64 {
 // which is their source of error for large molecules). cutoff ≤ 0 means no
 // truncation. It returns the energy (kcal/mol) and the number of pair
 // terms evaluated.
-func EpolCutoff(mol *molecule.Molecule, R []float64, cutoff float64, mode gb.MathMode) (float64, int64) {
+func EpolCutoff(mol *molecule.Molecule, R []float64, cutoff float64) (float64, int64) {
 	n := mol.N()
 	tau := gb.Tau(gb.SolventDielectric)
 	var sum float64
 	var pairs int64
 	if cutoff <= 0 {
-		return gb.EpolNaive(mol, R, mode), int64(n) * int64(n-1) / 2
+		return gb.EpolNaive(mol, R), int64(n) * int64(n-1) / 2
 	}
 	pts := make([]geom.Vec3, n)
 	for i := range mol.Atoms {
@@ -254,7 +254,7 @@ func EpolCutoff(mol *molecule.Molecule, R []float64, cutoff float64, mode gb.Mat
 				return // each unordered pair once
 			}
 			aj := &mol.Atoms[j]
-			sum += 2 * gb.PairTerm(ai.Charge, aj.Charge, ai.Pos.Dist2(aj.Pos), R[i], R[j], mode)
+			sum += 2 * gb.PairTerm(ai.Charge, aj.Charge, ai.Pos.Dist2(aj.Pos), R[i], R[j])
 			pairs++
 		})
 	}

@@ -121,10 +121,10 @@ func TestSTILLGivesSmallerEnergyMagnitude(t *testing.T) {
 	m := molecule.GenerateProtein("s", 800, 8)
 	q := surface.Sample(m, surface.Default())
 	Rref := gb.BornRadiiR6(m, q)
-	eRef := gb.EpolNaive(m, Rref, gb.Exact)
+	eRef := gb.EpolNaive(m, Rref)
 
 	Rstill := Radii(STILL, m, Params{}).R
-	eStill := gb.EpolNaive(m, Rstill, gb.Exact)
+	eStill := gb.EpolNaive(m, Rstill)
 
 	ratio := eStill / eRef
 	if ratio < 0.45 || ratio > 0.92 {
@@ -139,10 +139,10 @@ func TestHCTEnergyCloseToReference(t *testing.T) {
 	m := molecule.GenerateProtein("h", 800, 9)
 	q := surface.Sample(m, surface.Default())
 	Rref := gb.BornRadiiR6(m, q)
-	eRef := gb.EpolNaive(m, Rref, gb.Exact)
+	eRef := gb.EpolNaive(m, Rref)
 
 	Rhct := Radii(HCT, m, Params{}).R
-	eHct := gb.EpolNaive(m, Rhct, gb.Exact)
+	eHct := gb.EpolNaive(m, Rhct)
 	if ratio := eHct / eRef; ratio < 0.8 || ratio > 1.25 {
 		t.Errorf("HCT/naive energy ratio %v too far from 1", ratio)
 	}
@@ -152,11 +152,11 @@ func TestEpolCutoffConvergesToNaive(t *testing.T) {
 	m := molecule.GenerateProtein("e", 500, 10)
 	q := surface.Sample(m, surface.Default())
 	R := gb.BornRadiiR6(m, q)
-	exact := gb.EpolNaive(m, R, gb.Exact)
+	exact := gb.EpolNaive(m, R)
 
 	prevErr := math.Inf(1)
 	for _, cutoff := range []float64{8, 16, 32, 64} {
-		e, _ := EpolCutoff(m, R, cutoff, gb.Exact)
+		e, _ := EpolCutoff(m, R, cutoff)
 		err := math.Abs(e - exact)
 		if err > prevErr+1e-9 {
 			t.Errorf("cutoff %v: error %v did not shrink (prev %v)", cutoff, err, prevErr)
@@ -167,7 +167,7 @@ func TestEpolCutoffConvergesToNaive(t *testing.T) {
 		t.Errorf("cutoff-64 error %v still large", prevErr)
 	}
 	// cutoff ≤ 0 = exact.
-	e0, _ := EpolCutoff(m, R, 0, gb.Exact)
+	e0, _ := EpolCutoff(m, R, 0)
 	if e0 != exact {
 		t.Errorf("no-cutoff path %v != naive %v", e0, exact)
 	}

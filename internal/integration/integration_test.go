@@ -210,7 +210,7 @@ func TestR4VsR6Pipeline(t *testing.T) {
 	}
 	// Cross-check r4 against the naive r4 reference.
 	R4 := gb.BornRadiiR4(mol, q)
-	naive4 := gb.EpolNaive(mol, R4, gb.Exact)
+	naive4 := gb.EpolNaive(mol, R4)
 	if e := relErr(e4, naive4); e > 0.03 {
 		t.Errorf("r4 treecode %v vs naive r4 %v (rel %v)", e4, naive4, e)
 	}
@@ -255,7 +255,7 @@ func TestEndToEndErrorBudget(t *testing.T) {
 	for _, mol := range cases {
 		pr := engine.NewProblem(mol, surface.Default())
 		R := gb.BornRadiiR6(mol, pr.QPts)
-		naive := gb.EpolNaive(mol, R, gb.Exact)
+		naive := gb.EpolNaive(mol, R)
 		for _, k := range []engine.Kind{engine.OctCilk, engine.OctMPI, engine.OctMPICilk} {
 			rep, err := engine.RunReal(pr, k, engine.Options{Ranks: 2, Threads: 2})
 			if err != nil {

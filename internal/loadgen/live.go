@@ -29,8 +29,8 @@ type LiveOptions struct {
 
 // liveCounters collects the run's outcome across request goroutines.
 type liveCounters struct {
-	admitted, completed, rejected, shed, failed, aborted atomic.Int64
-	warmAt                                               time.Time
+	admitted, completed, rejected, shed, failed, aborted, evicted atomic.Int64
+	warmAt                                                        time.Time
 	// mu guards lats, the latency of every completion inside the
 	// measurement window (after warmAt), and shard, those completions per
 	// serving shard keyed by the fabric router's WorkerHeader. shard stays
@@ -111,6 +111,7 @@ func RunLive(spec *TraceSpec, reqs []Request, opt LiveOptions) (*Report, error) 
 		Shed:              ctr.shed.Load(),
 		Failed:            ctr.failed.Load(),
 		AbortedSessions:   ctr.aborted.Load(),
+		EvictedSessions:   ctr.evicted.Load(),
 		DurationS:         time.Since(start).Seconds(),
 	}
 	span := time.Since(start)
@@ -146,10 +147,10 @@ func fire(opt LiveOptions, ctr *liveCounters, mol serve.MoleculeJSON, r Request)
 
 // runSession is one closed-loop stream client: create, then frames
 // back-to-back. A rejected create or frame ends the session, like the
-// simulator's abort semantics.
+// simulator's abort semantics, and so does an evicted session's frame.
 func runSession(opt LiveOptions, ctr *liveCounters, mol serve.MoleculeJSON, r Request) {
 	var created serve.StreamCreateResponse
-	if !post(opt, ctr, "/v1/stream", serve.StreamCreateRequest{Molecule: mol}, &created) {
+	if ok, _ := post(opt, ctr, "/v1/stream", serve.StreamCreateRequest{Molecule: mol}, &created); !ok {
 		return
 	}
 	for f := 0; f < r.Frames; f++ {
@@ -160,8 +161,10 @@ func runSession(opt LiveOptions, ctr *liveCounters, mol serve.MoleculeJSON, r Re
 				a[0] + 0.01*float64(f+1), a[1], a[2],
 			}}
 		}
-		if !post(opt, ctr, "/v1/stream/"+created.SessionID+"/frame", serve.StreamFrameRequest{Moves: moves}, nil) {
-			ctr.aborted.Add(1)
+		if ok, evicted := post(opt, ctr, "/v1/stream/"+created.SessionID+"/frame", serve.StreamFrameRequest{Moves: moves}, nil); !ok {
+			if !evicted {
+				ctr.aborted.Add(1)
+			}
 			return
 		}
 	}
@@ -175,18 +178,19 @@ func runSession(opt LiveOptions, ctr *liveCounters, mol serve.MoleculeJSON, r Re
 }
 
 // post sends one JSON request, classifies the outcome into the counters,
-// and reports whether it succeeded.
-func post(opt LiveOptions, ctr *liveCounters, path string, body, out any) bool {
+// and reports whether it succeeded and whether it was answered 404
+// not_found, which only a stream frame is: the server evicted its session.
+func post(opt LiveOptions, ctr *liveCounters, path string, body, out any) (ok, evicted bool) {
 	buf, err := json.Marshal(body)
 	if err != nil {
 		ctr.failed.Add(1)
-		return false
+		return false, false
 	}
 	t0 := time.Now()
 	resp, err := opt.Client.Post(opt.BaseURL+path, "application/json", bytes.NewReader(buf))
 	if err != nil {
 		ctr.failed.Add(1)
-		return false
+		return false, false
 	}
 	defer resp.Body.Close()
 	lat := time.Since(t0)
@@ -197,7 +201,7 @@ func post(opt LiveOptions, ctr *liveCounters, path string, body, out any) bool {
 		if out != nil {
 			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 				ctr.failed.Add(1)
-				return false
+				return false, false
 			}
 		} else {
 			io.Copy(io.Discard, resp.Body)
@@ -207,7 +211,7 @@ func post(opt LiveOptions, ctr *liveCounters, path string, body, out any) bool {
 		if t0.After(ctr.warmAt) || time.Now().After(ctr.warmAt) {
 			ctr.measure(lat, resp.Header.Get(fabric.WorkerHeader))
 		}
-		return true
+		return true, false
 	}
 
 	var e serve.ErrorResponse
@@ -217,8 +221,11 @@ func post(opt LiveOptions, ctr *liveCounters, path string, body, out any) bool {
 		ctr.shed.Add(1)
 	case resp.StatusCode == http.StatusTooManyRequests:
 		ctr.rejected.Add(1)
+	case resp.StatusCode == http.StatusNotFound && e.Error == "not_found":
+		ctr.evicted.Add(1)
+		return false, true
 	default:
 		ctr.failed.Add(1)
 	}
-	return false
+	return false, false
 }

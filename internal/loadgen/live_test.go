@@ -195,3 +195,40 @@ func TestRunLiveBadBodyCountsAsFailure(t *testing.T) {
 			rep.Failed, rep.Admitted, rep.Completed, rep.P99MS)
 	}
 }
+
+// TestRunLiveEvictedSessionIsNotAFailure: a frame answered 404 not_found
+// ends its session, which the server evicted, and counts in
+// EvictedSessions, not in Failed or AbortedSessions.
+func TestRunLiveEvictedSessionIsNotAFailure(t *testing.T) {
+	defer testutil.Watchdog(t, time.Minute)()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/stream":
+			w.Write([]byte(`{"session_id":"s1","energy":-1}`))
+		default:
+			w.WriteHeader(http.StatusNotFound)
+			w.Write([]byte(`{"error":"not_found","message":"no such session"}`))
+		}
+	}))
+	defer ts.Close()
+
+	spec := &TraceSpec{
+		Name:     "evicted",
+		Seed:     6,
+		Requests: 1,
+		Arrivals: ArrivalSpec{Process: ProcPoisson, RateHz: 100},
+		Classes:  []ClassSpec{{Kind: KindStream, Weight: 1, Atoms: 20, Frames: 3, Movers: 1}},
+	}
+	reqs, err := Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunLive(spec, reqs, LiveOptions{BaseURL: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.EvictedSessions != 1 || rep.Failed != 0 || rep.AbortedSessions != 0 || rep.Completed != 1 {
+		t.Fatalf("evicted session: got evicted=%d failed=%d aborted=%d completed=%d, want 1/0/0/1",
+			rep.EvictedSessions, rep.Failed, rep.AbortedSessions, rep.Completed)
+	}
+}

@@ -37,8 +37,13 @@ type Report struct {
 	// AbortedSessions counts stream sessions ended early by a rejected
 	// frame.
 	AbortedSessions int64 `json:"aborted_sessions,omitempty"`
+	// EvictedSessions counts stream sessions ended by a frame answered
+	// 404 not_found: the server evicted the session (its session cap) or
+	// lost it with its shard. They are not failures.
+	EvictedSessions int64 `json:"evicted_sessions,omitempty"`
 	// Failed counts live-mode transport failures, error statuses other
-	// than 429, and 200s whose body does not decode.
+	// than 429 and an evicted session's 404, and 200s whose body does not
+	// decode.
 	Failed int64 `json:"failed,omitempty"`
 
 	// AdmittedQPS and the quantiles cover the completions measured after

@@ -69,8 +69,8 @@ func sweepKey(rec, lig *molecule.Molecule, o evalOpts, exact bool) string {
 	if rec != nil {
 		recHash = rec.HashString()
 	}
-	return fmt.Sprintf("%s|%s|b%g|e%g|a%v|s%d|d%d|r%g|x%v",
-		recHash, lig.HashString(), o.bornEps, o.epolEps, o.approx,
+	return fmt.Sprintf("%s|%s|b%g|e%g|s%d|d%d|r%g|x%v",
+		recHash, lig.HashString(), o.bornEps, o.epolEps,
 		o.surf.SubdivLevel, o.surf.Degree, o.surf.RadiusScale, exact)
 }
 

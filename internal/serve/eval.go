@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"octgb/internal/engine"
-	"octgb/internal/gb"
 	"octgb/internal/molecule"
 )
 
@@ -25,16 +24,12 @@ type energyOutcome struct {
 
 // engineOpts maps resolved request options onto the engine layer.
 func (s *Server) engineOpts(o evalOpts) engine.Options {
-	eo := engine.Options{
+	return engine.Options{
 		Threads: s.cfg.Threads,
 		BornEps: o.bornEps,
 		EpolEps: o.epolEps,
 		Observe: s.cfg.Observe,
 	}
-	if o.approx {
-		eo.Math = gb.Approximate
-	}
-	return eo
 }
 
 // buildPrepared is the cache-miss path: sample the surface, build the

@@ -90,11 +90,10 @@ func (p PoseJSON) ToRigid() geom.Rigid {
 // back to the server's configured defaults. SubdivLevel and Degree are
 // bounded (CheckSampling).
 type OptionsJSON struct {
-	BornEps         float64 `json:"born_eps,omitempty"`
-	EpolEps         float64 `json:"epol_eps,omitempty"`
-	ApproximateMath bool    `json:"approximate_math,omitempty"`
-	SubdivLevel     int     `json:"subdiv_level,omitempty"`
-	Degree          int     `json:"degree,omitempty"`
+	BornEps     float64 `json:"born_eps,omitempty"`
+	EpolEps     float64 `json:"epol_eps,omitempty"`
+	SubdivLevel int     `json:"subdiv_level,omitempty"`
+	Degree      int     `json:"degree,omitempty"`
 }
 
 // EnergyRequest is the POST /v1/energy payload.
@@ -544,7 +543,6 @@ func (s *Server) resolveOpts(o *OptionsJSON) (evalOpts, error) {
 		if o.EpolEps > 0 {
 			e.epolEps = o.EpolEps
 		}
-		e.approx = o.ApproximateMath
 		if o.SubdivLevel > 0 {
 			e.surf.SubdivLevel = o.SubdivLevel
 		}
@@ -557,11 +555,10 @@ func (s *Server) resolveOpts(o *OptionsJSON) (evalOpts, error) {
 
 // evalOpts are the resolved per-request evaluation parameters. The
 // Born-phase subset (bornEps + surface options) keys the prepared cache;
-// epolEps and approx apply at evaluation time only.
+// epolEps applies at evaluation time only.
 type evalOpts struct {
 	bornEps float64
 	epolEps float64
-	approx  bool
 	surf    surface.Options
 }
 

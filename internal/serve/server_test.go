@@ -617,3 +617,56 @@ func TestServerEnergyByHash(t *testing.T) {
 		t.Errorf("hash-only during the build: status %d %+v, want 200 coalesced", code, coalesced)
 	}
 }
+
+// TestDeletedApproximateMathIsIgnored: there is one math mode, so a body
+// that still carries the deleted "approximate_math" option is an unknown
+// member, ignored like any other: /v1/energy, /v1/sweep and /v1/stream
+// (create and frame) answer the same energy bits with it as without it.
+func TestDeletedApproximateMathIsIgnored(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	_, ts := newTestServer(t, Config{Workers: 2, Threads: 1})
+	mol := molecule.GenerateProtein("onemath", 400, 23)
+	wire, _ := jitterMoves(mol, 1, 5, 0.2, 9)
+	same := func(what string, with, without float64) {
+		t.Helper()
+		if math.Float64bits(with) != math.Float64bits(without) {
+			t.Errorf("%s: %.17g with approximate_math, %.17g without", what, with, without)
+		}
+	}
+	options := func(approx bool) map[string]any {
+		o := map[string]any{"epol_eps": 0.9}
+		if approx {
+			o["approximate_math"] = true
+		}
+		return o
+	}
+
+	var energy [2]EnergyResponse
+	var sweep [2]SweepResponse
+	var created [2]StreamCreateResponse
+	var frame [2]StreamFrameResponse
+	for i, approx := range []bool{true, false} {
+		if code := postJSON(t, ts.URL+"/v1/energy", map[string]any{
+			"molecule": FromMolecule(mol), "options": options(approx),
+		}, &energy[i]); code != http.StatusOK {
+			t.Fatalf("energy approx=%v: status %d", approx, code)
+		}
+		if code := postJSON(t, ts.URL+"/v1/sweep", map[string]any{
+			"ligand": FromMolecule(mol), "poses": []PoseJSON{{T: [3]float64{1, 2, 3}}}, "options": options(approx),
+		}, &sweep[i]); code != http.StatusOK || len(sweep[i].Energies) != 1 {
+			t.Fatalf("sweep approx=%v: status %d, %d energies", approx, code, len(sweep[i].Energies))
+		}
+		if code := postJSON(t, ts.URL+"/v1/stream", map[string]any{
+			"molecule": FromMolecule(mol), "options": options(approx),
+		}, &created[i]); code != http.StatusOK {
+			t.Fatalf("stream create approx=%v: status %d", approx, code)
+		}
+		if code := postJSON(t, ts.URL+"/v1/stream/"+created[i].SessionID+"/frame", StreamFrameRequest{Moves: wire[0]}, &frame[i]); code != http.StatusOK {
+			t.Fatalf("stream frame approx=%v: status %d", approx, code)
+		}
+	}
+	same("/v1/energy", energy[0].Energy, energy[1].Energy)
+	same("/v1/sweep", sweep[0].Energies[0], sweep[1].Energies[0])
+	same("/v1/stream create", created[0].Energy, created[1].Energy)
+	same("/v1/stream frame", frame[0].Energy, frame[1].Energy)
+}

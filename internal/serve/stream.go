@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"octgb/internal/engine"
-	"octgb/internal/gb"
 	"octgb/internal/geom"
 )
 
@@ -42,9 +41,6 @@ func (s *Server) streamOptions(o evalOpts, so *StreamOptionsJSON) engine.Session
 			EpolEps: o.epolEps,
 			Observe: s.cfg.Observe,
 		},
-	}
-	if o.approx {
-		out.Eval.Math = gb.Approximate
 	}
 	if so != nil {
 		out.ResweepEvery = so.ResweepEvery

@@ -261,6 +261,7 @@ var decodeSeeds = []string{
 	`{"molecule":{"name":"m","atoms":[[1,2,3,1.5,0.25],[-0.0,1e-3,2E+2,1.25,-1]]},"options":{"born_eps":0.5,"precision":"f32"},"deadline_ms":250,"include_radii":true}`,
 	`{"receptor":{"name":"r","atoms":[[0,0,0,2,1]]},"ligand":{"atoms":[[9,0,0,1,-1]]},"poses":[{"t":[1,2,3]},{"rot":[1,0,0,0,1,0,0,0,1],"t":[0,0,0]}],"exact_surface":true}`,
 	`{"molecule":{"atoms":[[1,2,3,4,5]]},"options":{"born_eps":0.7,"resweep_every":8,"min_slack":0.5},"deadline_ms":9}`,
+	`{"molecule":{"atoms":[[1,2,3,4,5]]},"options":{"epol_eps":0.5,"approximate_math":true}}`,
 	`{"molecule":{"hash":"00ff","name":"h"},"deadline_ms":1}`,
 	" \n{ \"molecule\" : { \"atoms\" : [ [ 1 , 2 , 3 , 4 , 5 ] , [ 6 , 7 , 8 , 9 , 10 ] ] } } \r\n",
 	`{"MOLECULE":{"ATOMS":[[1,2,3,4,5]],"Name":"x","HASH":"y"},"Deadline_MS":3}`,

@@ -31,12 +31,6 @@ func TestHybridOverheadInRange(t *testing.T) {
 	}
 }
 
-func TestApproxMathFactor(t *testing.T) {
-	if ApproxMathFactor != 1.42 {
-		t.Errorf("ApproxMathFactor = %v, paper reports 1.42", ApproxMathFactor)
-	}
-}
-
 func TestMemoryPenaltyMonotoneInBytes(t *testing.T) {
 	m := Lonestar4()
 	prev := 0.0

@@ -84,9 +84,7 @@ type OpCosts struct {
 	NblistStepSec   float64
 }
 
-// DefaultOpCosts returns the calibrated defaults described above. With
-// MathMode Approximate the engines scale the transcendental-heavy entries
-// by ≈1/1.42, matching the paper's measured approximate-math speedup.
+// DefaultOpCosts returns the calibrated defaults described above.
 func DefaultOpCosts() OpCosts {
 	return OpCosts{
 		BornNearPairSec: 8e-9,
@@ -100,10 +98,6 @@ func DefaultOpCosts() OpCosts {
 		NblistStepSec:   7e-9,
 	}
 }
-
-// ApproxMathFactor is the speedup of approximate math on
-// transcendental-dominated inner loops (paper §V-E: 1.42× on average).
-const ApproxMathFactor = 1.42
 
 // BornWork converts Born-phase counters to seconds.
 func (oc OpCosts) BornWork(st core.Stats) float64 {
