@@ -6,10 +6,10 @@ GO ?= go
 ## tests, race-test the concurrency-bearing packages (scheduler, surface
 ## sampler, treecode kernels, cluster transports, distributed engines, observability,
 ## serving, fabric, load harness), smoke the /metrics
-## exposition, replay the committed load trace through the virtual-time
-## simulator and gate on its SLO, then run the fabric worker-crash matrix.
-## load-check joins verify because the simulation is deterministic — it
-## cannot flake on a loaded machine. Timing is judged separately: run
+## exposition, replay the admission tuner through a committed live decision
+## log, then run the fabric worker-crash matrix. load-check joins verify
+## because the replay is deterministic — it cannot flake on a loaded
+## machine. Timing is judged separately: run
 ## `make bench-compare BASE=<parent>` before merging kernel-touching changes.
 verify: build vet fmt staticcheck test race obs-smoke load-check fabric-chaos
 
@@ -75,27 +75,30 @@ chaos:
 fabric-chaos:
 	FABRIC_CHAOS=1 $(GO) test ./internal/fabric/ -run TestChaosWorkerCrashMatrix -count=1 -timeout 10m
 
-## load-check: SLO regression gate — replay the committed steady-mixed
-## trace through the virtual-time simulator, untuned then with the
-## admission tuner, and fail if the tuned run misses the trace's SLO,
-## admits less throughput than the untuned baseline, or drifts >15% from
-## the committed BENCH_slo.json (p99 up or admitted qps down). Pure
-## simulation: deterministic, seconds of wall time, safe under CI load.
+## load-check: the admission tuner's regression gate — step a fresh
+## serve.Tuner through every window of a committed live run's decision log
+## (internal/serve/testdata/tuner-live-steady-mixed.json) and require the
+## same decisions and the documented control law. Deterministic, under a
+## second.
 load-check:
-	$(GO) run ./cmd/loadgen -trace traces/steady-mixed.json -check BENCH_slo.json
+	$(GO) test ./internal/serve -run '^TestTunerReplaysLiveLog$$' -count=1
 
-## load-bench: regenerate the committed BENCH_slo.json baseline from the
-## steady-mixed trace. Commit the result alongside any intentional change
-## to the trace, the tuner, or the simulator's cost model.
+## load-bench: re-record that log from an in-process live replay of the
+## steady-mixed trace (~25 s of wall time). The binary is built, not run
+## with `go run`, so the file carries its commit; it also carries
+## GOMAXPROCS. Commit the result with any intentional change to the trace
+## or the tuner.
 load-bench:
-	$(GO) run ./cmd/loadgen -trace traces/steady-mixed.json -o BENCH_slo.json
+	mkdir -p .bench_build
+	$(GO) build -o .bench_build/loadgen ./cmd/loadgen
+	.bench_build/loadgen -trace traces/steady-mixed.json -o internal/serve/testdata/tuner-live-steady-mixed.json
 
 ## load-live: wall-clock smoke of the live replay path — boots a real
 ## server on a loopback port and drives the small committed live trace
 ## through it. Latencies are honest but machine-dependent; nothing is
 ## gated on them.
 load-live:
-	$(GO) run ./cmd/loadgen -trace traces/live-smoke.json -mode live
+	$(GO) run ./cmd/loadgen -trace traces/live-smoke.json
 
 ## bench: every figure/table benchmark at reduced scale.
 bench:

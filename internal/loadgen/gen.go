@@ -9,8 +9,7 @@ import (
 )
 
 // Request is one generated arrival: what to send and when. Times are
-// offsets from the trace start; the live runner maps them onto the wall
-// clock, the simulator uses them as virtual time directly.
+// offsets from the trace start; RunLive maps them onto the wall clock.
 type Request struct {
 	// ID is the arrival index (0-based, in time order).
 	ID int

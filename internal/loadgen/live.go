@@ -21,11 +21,14 @@ type LiveOptions struct {
 	BaseURL string
 	// Client is the HTTP client (default: http.DefaultClient).
 	Client *http.Client
-	// Speed dilates the trace's virtual timeline: 2 replays arrivals
-	// twice as fast, 0.5 half speed (default 1). The single-core dev box
-	// runs live smokes at low speed; CI gates run the simulator instead.
+	// Speed dilates the trace's timeline: 2 replays arrivals twice as
+	// fast, 0.5 half speed (default 1).
 	Speed float64
 }
+
+// molKey names one molecule of the trace: a class and one of its
+// variants.
+type molKey struct{ class, variant int }
 
 // liveCounters collects the run's outcome across request goroutines.
 type liveCounters struct {
@@ -56,8 +59,8 @@ func (ctr *liveCounters) measure(lat time.Duration, worker string) {
 
 // RunLive replays the arrival sequence against a live server, open-loop:
 // each arrival fires at its scheduled wall time whether or not earlier
-// requests have answered. Stream sessions are closed-loop internally
-// (frame n+1 posts when frame n returns), matching the simulator's model.
+// requests have answered. Stream sessions are closed-loop internally:
+// frame n+1 posts when frame n returns.
 func RunLive(spec *TraceSpec, reqs []Request, opt LiveOptions) (*Report, error) {
 	if opt.BaseURL == "" {
 		return nil, fmt.Errorf("loadgen: live run needs a BaseURL")
@@ -72,9 +75,9 @@ func RunLive(spec *TraceSpec, reqs []Request, opt LiveOptions) (*Report, error) 
 	// Molecules are deterministic per (class, variant) and generated
 	// before the clock starts so construction cost never pollutes the
 	// measured latencies.
-	mols := make(map[batchKey]serve.MoleculeJSON)
+	mols := make(map[molKey]serve.MoleculeJSON)
 	for _, r := range reqs {
-		k := batchKey{r.Class, r.Variant}
+		k := molKey{r.Class, r.Variant}
 		if _, ok := mols[k]; !ok {
 			name := fmt.Sprintf("%s-c%d-v%d", spec.Name, r.Class, r.Variant)
 			seed := spec.Seed + int64(r.Class)*1009 + int64(r.Variant)
@@ -96,14 +99,13 @@ func RunLive(spec *TraceSpec, reqs []Request, opt LiveOptions) (*Report, error) 
 		wg.Add(1)
 		go func(r Request) {
 			defer wg.Done()
-			fire(opt, ctr, mols[batchKey{r.Class, r.Variant}], r)
+			fire(opt, ctr, mols[molKey{r.Class, r.Variant}], r)
 		}(r)
 	}
 	wg.Wait()
 
 	rep := &Report{
 		Trace:             spec.Name,
-		Mode:              "live",
 		Offered:           int64(len(reqs)),
 		Admitted:          ctr.admitted.Load(),
 		Completed:         ctr.completed.Load(),
@@ -146,8 +148,8 @@ func fire(opt LiveOptions, ctr *liveCounters, mol serve.MoleculeJSON, r Request)
 }
 
 // runSession is one closed-loop stream client: create, then frames
-// back-to-back. A rejected create or frame ends the session, like the
-// simulator's abort semantics, and so does an evicted session's frame.
+// back-to-back. A rejected create or frame ends the session and counts it
+// aborted; an evicted session's frame ends it too and counts it evicted.
 func runSession(opt LiveOptions, ctr *liveCounters, mol serve.MoleculeJSON, r Request) {
 	var created serve.StreamCreateResponse
 	if ok, _ := post(opt, ctr, "/v1/stream", serve.StreamCreateRequest{Molecule: mol}, &created); !ok {

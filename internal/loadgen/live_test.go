@@ -46,7 +46,7 @@ func TestRunLiveSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Mode != "live" || rep.Offered != 6 {
+	if rep.Trace != spec.Name || rep.Offered != 6 {
 		t.Fatalf("report header off: %+v", rep)
 	}
 	if rep.Failed != 0 {

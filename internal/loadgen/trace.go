@@ -1,18 +1,15 @@
 // Package loadgen is the trace-driven load harness for the serving tier:
-// a deterministic, seeded, open-loop request generator plus two replay
-// backends — a wall-clock runner that drives a real serve.Server over
-// HTTP, and a virtual-time simulator (internal/simtime.ServeCosts) that
-// replays the same trace against a queueing model of the tier, so
-// cluster-scale what-if experiments run in milliseconds on the single-core
-// development box.
+// a deterministic, seeded, open-loop request generator and one replay,
+// RunLive, which drives a real serve.Server (or a fabric router) over HTTP
+// on the wall clock.
 //
 // A trace is a JSON TraceSpec: a seed, an arrival process (heavy-tailed
 // Pareto or lognormal, or Poisson), and a weighted mix of request classes
 // (single-molecule evaluations, pose sweeps, incremental stream sessions).
-// The same spec replays to the byte: Generate is a pure function of the
-// spec, and the simulator — including the serve.Tuner admission control
-// loop it can host — is deterministic, which is what makes SLO regression
-// checkable in CI (cmd/loadgen -check against BENCH_slo.json).
+// Generate is a pure function of the spec, so every run offers the same
+// request sequence. Latencies are measured, not modelled: the tuner's
+// regression gate replays a live run's decision log (internal/serve's
+// TestTunerReplaysLiveLog).
 package loadgen
 
 import (
@@ -48,8 +45,8 @@ type ArrivalSpec struct {
 	// Process is "pareto" (heavy-tailed bursts), "lognormal" (skewed but
 	// lighter tail) or "poisson" (memoryless baseline).
 	Process string `json:"process"`
-	// RateHz is the mean offered rate in requests per second of virtual
-	// (or wall) time.
+	// RateHz is the mean offered rate in requests per second of trace
+	// time.
 	RateHz float64 `json:"rate_hz"`
 	// Shape is the Pareto tail index α (> 1 so the mean exists;
 	// default 1.5 — bursty). Smaller α → heavier tail.
@@ -77,14 +74,15 @@ type ClassSpec struct {
 	Variants int `json:"variants,omitempty"`
 }
 
-// SimSpec configures the modeled serving tier for virtual-time replay.
-// Zero fields default to the serve layer's own defaults.
+// SimSpec sizes the server cmd/loadgen boots in-process for a live
+// replay. Zero fields default to the serve layer's own defaults. The JSON
+// name "sim" is kept so committed traces still parse.
 type SimSpec struct {
-	// Workers is the modeled worker-pool size.
+	// Workers is the worker-pool size.
 	Workers int `json:"workers,omitempty"`
-	// Queue is the modeled submission-queue capacity.
+	// Queue is the submission-queue capacity.
 	Queue int `json:"queue,omitempty"`
-	// BatchWindowMS is the modeled sweep coalescing window.
+	// BatchWindowMS is the sweep coalescing window.
 	BatchWindowMS float64 `json:"batch_window_ms,omitempty"`
 }
 

@@ -270,13 +270,9 @@ func New(cfg Config) *Server {
 		go s.worker()
 	}
 	if cfg.Tuner != nil && cfg.Tuner.SLO.P99 > 0 {
-		tc := cfg.Tuner.withDefaults(cfg.Workers, cfg.MaxQueue, cfg.BatchWindow)
-		s.tuner = NewTuner(tc, Knobs{
-			BatchWindow: cfg.BatchWindow,
-			QueueLimit:  cfg.MaxQueue,
-		})
+		s.tuner = newTuner(cfg)
 		s.workers.Add(1)
-		go s.tunerLoop(tc)
+		go s.tunerLoop(s.tuner.cfg.Interval)
 	}
 	return s
 }
@@ -469,16 +465,15 @@ func (s *Server) batchWindow() time.Duration {
 // histogram snapshots, diffed against the previous sample to produce the
 // window the tuner decides on.
 type tunerWindow struct {
-	at                        time.Time
-	completed, rejected, shed int64
-	req, queue                obs.HistSnapshot
+	at              time.Time
+	completed, shed int64
+	req, queue      obs.HistSnapshot
 }
 
 func (s *Server) tunerSample() tunerWindow {
 	return tunerWindow{
 		at:        time.Now(),
 		completed: s.metrics.completed.Value(),
-		rejected:  s.metrics.rejectedQueueFull.Value(),
 		shed:      s.metrics.shedLoad.Value(),
 		req: s.metrics.reqEnergy.Snapshot().
 			Add(s.metrics.reqSweep.Snapshot()).
@@ -489,22 +484,23 @@ func (s *Server) tunerSample() tunerWindow {
 
 // diff converts two samples into the tuner's window observations.
 func (w tunerWindow) diff(prev tunerWindow) TunerInputs {
-	return TunerInputs{
-		Elapsed:   w.at.Sub(prev.at),
-		Completed: uint64(w.completed - prev.completed),
-		Rejected:  uint64(w.rejected - prev.rejected),
-		Shed:      uint64(w.shed - prev.shed),
-		Request:   w.req.Sub(prev.req),
-		Queue:     w.queue.Sub(prev.queue),
+	in := TunerInputs{
+		P99:      w.req.Sub(prev.req).Quantile(0.99),
+		QueueP99: w.queue.Sub(prev.queue).Quantile(0.99),
+		Shed:     uint64(w.shed - prev.shed),
 	}
+	if s := w.at.Sub(prev.at).Seconds(); s > 0 {
+		in.AdmittedQPS = float64(w.completed-prev.completed) / s
+	}
+	return in
 }
 
 // tunerLoop is the control loop: every Interval it feeds the window diff
 // to the tuner and publishes the resulting knobs to the admission atomics.
 // Exits when the server stops.
-func (s *Server) tunerLoop(tc TunerConfig) {
+func (s *Server) tunerLoop(interval time.Duration) {
 	defer s.workers.Done()
-	tick := time.NewTicker(tc.Interval)
+	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	prev := s.tunerSample()
 	for {

@@ -3,8 +3,6 @@ package serve
 import (
 	"fmt"
 	"time"
-
-	"octgb/internal/obs"
 )
 
 // SLO is an explicit service-level objective for the admitted request
@@ -27,13 +25,14 @@ type SLO struct {
 // Interval and adjusts three knobs against the SLO: the sweep batch
 // window, the effective submission-queue depth, and the shed-load
 // threshold. Decisions use integer/bucket arithmetic only and are appended
-// to a deterministic decision log, so a replayed trace produces an
-// identical log (pinned by loadgen's determinism tests under simtime).
+// to a decision log that records every input as well: stepping a fresh
+// tuner through a live run's logged windows reproduces its log (pinned by
+// TestTunerReplaysLiveLog on a committed live run).
 type TunerConfig struct {
 	// SLO is the objective; a zero P99 disables the tuner.
 	SLO SLO
 	// Interval is how often the control loop samples and decides
-	// (default 1s of wall time; in simtime runs, 1s of virtual time).
+	// (default 1s).
 	Interval time.Duration
 	// Hysteresis is how many consecutive breach (or slack) intervals must
 	// accumulate before the tuner acts (default 2). One noisy window never
@@ -94,23 +93,24 @@ type Knobs struct {
 	ShedLatency time.Duration `json:"shed_latency"`
 }
 
-// TunerInputs is one control window's observations: snapshot diffs of the
-// latency histograms plus the admission counters accumulated during the
-// window. Both the live server loop and the loadgen virtual-time simulator
-// construct these, which is what makes the decision sequence replayable.
+// TunerInputs is one control window's observations, which the server
+// derives from the window diffs of its histograms and counters. The
+// window's Decision prints every field, so a decision log is also the
+// record of what the tuner saw, and replays.
 type TunerInputs struct {
-	// Elapsed is the window length (wall or virtual).
-	Elapsed time.Duration
-	// Completed / Rejected / Shed are the window's admission counters.
-	Completed, Rejected, Shed uint64
-	// Request is the window diff of the pooled request-latency histogram
-	// (all endpoints), Queue the diff of the queue-wait histogram.
-	Request, Queue obs.HistSnapshot
+	// P99 is the window's request-latency p99 over all endpoints, a
+	// histogram bucket bound; it is zero only when no request finished,
+	// which makes the window idle. QueueP99 is the queue-wait p99.
+	P99, QueueP99 time.Duration
+	// AdmittedQPS is the window's completions per second.
+	AdmittedQPS float64
+	// Shed is the window's shed_load rejection count.
+	Shed uint64
 }
 
 // Decision is one tuner step's outcome, recorded in the decision log. The
-// String form is the replay contract: two runs over the same trace must
-// produce byte-identical logs.
+// String form is the replay contract: a fresh tuner stepped through the
+// inputs a log prints must print the same log.
 type Decision struct {
 	Step        int           `json:"step"`
 	P99         time.Duration `json:"p99"`
@@ -133,8 +133,7 @@ func (d Decision) String() string {
 
 // Tuner is the closed-loop admission controller: a pure, deterministic
 // state machine over window observations. It is not safe for concurrent
-// use — the server serializes Step calls on its control goroutine, and the
-// simulator is single-threaded.
+// use: the server serializes Step calls on its control goroutine.
 //
 // The control law is additive-increase/multiplicative-decrease with
 // hysteresis, split by where the latency lives:
@@ -170,20 +169,28 @@ func NewTuner(cfg TunerConfig, initial Knobs) *Tuner {
 	return &Tuner{cfg: cfg, knobs: initial}
 }
 
+// newTuner builds the tuner a server with the defaulted configuration cfg
+// runs: its config resolved against the server's sizing, its knobs
+// starting at the configured batch window and queue depth.
+func newTuner(cfg Config) *Tuner {
+	tc := cfg.Tuner.withDefaults(cfg.Workers, cfg.MaxQueue, cfg.BatchWindow)
+	return NewTuner(tc, Knobs{BatchWindow: cfg.BatchWindow, QueueLimit: cfg.MaxQueue})
+}
+
 // Knobs returns the current knob settings.
 func (t *Tuner) Knobs() Knobs { return t.knobs }
 
 // Log returns the decision log (every Step appends exactly one entry).
 func (t *Tuner) Log() []Decision { return t.log }
 
-// Step consumes one window's observations, possibly moves the knobs, and
-// returns (and logs) the decision. Deterministic: equal input sequences
-// yield equal logs.
 // maxTunerLog bounds the in-memory decision log of a long-running server:
 // past it the older half is dropped. Far above any load-harness run, so
 // replay comparisons always see complete logs.
 const maxTunerLog = 4096
 
+// Step consumes one window's observations, possibly moves the knobs, and
+// returns (and logs) the decision. Deterministic: equal input sequences
+// yield equal logs.
 func (t *Tuner) Step(in TunerInputs) Decision {
 	t.step++
 	d := Decision{Step: t.step, Shed: in.Shed, Knobs: t.knobs}
@@ -194,17 +201,13 @@ func (t *Tuner) Step(in TunerInputs) Decision {
 		t.log = append(t.log, d)
 	}()
 
-	if in.Request.Count == 0 {
+	if in.P99 == 0 {
 		// Nothing completed this window: no evidence, no action. Streaks
 		// hold — an idle gap inside a breach should not launder it.
 		d.Action, d.Reason = "idle", "no completions in window"
 		return d
 	}
-	d.P99 = in.Request.Quantile(0.99)
-	d.QueueP99 = in.Queue.Quantile(0.99)
-	if s := in.Elapsed.Seconds(); s > 0 {
-		d.AdmittedQPS = float64(in.Completed) / s
-	}
+	d.P99, d.QueueP99, d.AdmittedQPS = in.P99, in.QueueP99, in.AdmittedQPS
 
 	switch {
 	case d.P99 > t.cfg.SLO.P99:
