@@ -146,24 +146,13 @@ func (s *EpolSolver) epolVisitRows(u, v int32, vAnc []int32, from, to int32, st 
 }
 
 // binApproxRows is the far-field bin-pair approximation of Fig. 3 step 2
-// with the V-side bins built from only the owned rows [from, to) of the
-// leaf v.
+// with the V-side bin moments built from only the owned rows [from, to) of
+// the leaf v, about v's centre.
 func (s *EpolSolver) binApproxRows(u, v int32, from, to int32, st *Stats) float64 {
-	vb := make([]float64, s.M)
-	for j := from; j < to; j++ {
-		vb[s.binIndex(j)] += s.q[j]
-	}
-	// u's occupied bins, then the occupied partial bins, side by side.
-	uLo, uHi := s.nzStart[u], s.nzStart[u+1]
-	bins := append([]int32(nil), s.nzBin[uLo:uHi]...)
-	qs := append([]float64(nil), s.nzQ[uLo:uHi]...)
-	for k, q := range vb {
-		if q != 0 {
-			bins = append(bins, int32(k))
-			qs = append(qs, q)
-		}
-	}
-	start := []int32{0, uHi - uLo, int32(len(qs))}
-	st.FarEval += int64(start[1]) * int64(start[2]-start[1])
-	return s.farPair(u, v, bins, qs, start, 0, 1)
+	// u's bins, then the owned rows' partial bins, side by side.
+	m := binMoments{start: []int32{0}}
+	m.appendGroup(&s.nz, u)
+	m.appendMoments(s, make([]float64, momentFloats*s.M), from, to, v)
+	st.FarEval += int64(m.start[1]) * int64(m.start[2]-m.start[1])
+	return s.farPair(u, v, &m, 0, 1)
 }

@@ -93,13 +93,18 @@ func sepRatio(eps float64, power int) float64 {
 }
 
 // farReach scales the separation constant's excess over 1 for the
-// first-order far term (farTerm): its error falls with the square of the
-// node sizes over the distance, not linearly, so pairs may be accepted
-// closer. At ε = 0.9 it takes k from 3.22 to 2.2, the loosest of the
-// candidates 2.8, 2.5 and 2.2, and the only one whose suite energy error
-// against naive stayed no higher than the zeroth-order term's at 3.22 on
-// both seed sets measured (EXPERIMENTS.md, "the Born far field carries
-// first moments").
+// far terms that carry moments, the Born side's first-order farTerm and
+// the energy side's second-order farPair (epolFar2): their errors fall
+// faster than linearly with the node sizes over the distance, so pairs
+// may be accepted closer. At ε = 0.9 it takes k from 3.22 to 2.2. On the
+// Born side that was the loosest of the candidates 2.8, 2.5 and 2.2, and
+// the only one whose suite energy error against naive stayed no higher
+// than the zeroth-order term's at 3.22 on both seed sets measured
+// (EXPERIMENTS.md, "the Born far field carries first moments"). On the
+// energy side 2.2 holds the dual traversal within 0.18 % of naive on
+// seeds 7–12 at 400–4 000 atoms, where 1.8, which would need a constant of
+// its own, doubles the median error (EXPERIMENTS.md, "the E_pol far
+// field carries charge moments").
 const farReach = 0.54
 
 // sepFactor2 is the squared-form separation constant k² for the

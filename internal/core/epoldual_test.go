@@ -23,7 +23,7 @@ func (s *EpolSolver) epolDualOrdered(u, v int32, st *Stats) float64 {
 	un := &s.T.Nodes[u]
 	vn := &s.T.Nodes[v]
 	d2 := un.Center.Dist2(vn.Center)
-	if u != v && epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
+	if u != v && !s.smallBlock(un, vn) && epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
 		return s.binApprox(u, v, d2, st)
 	}
 	if un.Leaf && vn.Leaf {
@@ -77,7 +77,7 @@ func (s *EpolSolver) buildEpolDualOrderedList() *InteractionList {
 		un := &s.T.Nodes[u]
 		vn := &s.T.Nodes[v]
 		d2 := un.Center.Dist2(vn.Center)
-		if u != v && epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
+		if u != v && !s.smallBlock(un, vn) && epolFar2(d2, un.Radius, vn.Radius, s.sep2) {
 			l.Far = append(l.Far, p)
 			l.stats.FarEval += s.nnz(u) * s.nnz(v)
 			continue

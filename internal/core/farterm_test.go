@@ -8,6 +8,7 @@ import (
 
 	"octgb/internal/geom"
 	"octgb/internal/molecule"
+	"octgb/internal/octree"
 	"octgb/internal/surface"
 )
 
@@ -86,6 +87,95 @@ func TestFarTermIsSecondOrder(t *testing.T) {
 			}
 			prev0, prev1 = e0, e1
 		}
+	}
+}
+
+// epolFarClusters builds an energy solver over two leaves of 12 atoms
+// each in 1.8 Å boxes about ∓(sep/2, −sep/10, −sep/10) — one the point
+// reflection of the other, so the root's octant split parts them and the
+// direction between them stays put as sep grows — with charges of both
+// signs and Born radii from 1 to 8 Å, which span several of ε = 0.9's
+// bins. It returns the solver and the two leaves.
+func epolFarClusters(sep float64) (*EpolSolver, int32, int32) {
+	r := rand.New(rand.NewSource(5))
+	var pts []geom.Vec3
+	for i := 0; i < 12; i++ {
+		pts = append(pts, geom.Vec3{X: -sep/2 + 1.8*r.Float64() - 0.9, Y: sep/10 + 1.8*r.Float64() - 0.9, Z: sep/10 + 1.8*r.Float64() - 0.9})
+	}
+	for i := 0; i < 12; i++ {
+		pts = append(pts, pts[i].Scale(-1))
+	}
+	q, R := make([]float64, len(pts)), make([]float64, len(pts))
+	for i := range pts {
+		q[i] = 1.5*r.Float64() - 0.5
+		R[i] = math.Pow(8, r.Float64())
+	}
+	s := NewEpolSolver(octree.Build(pts, 16), q, R, EpolConfig{Eps: 0.9})
+	var kids []int32
+	for _, c := range s.T.Nodes[0].Children {
+		if c != octree.NoChild {
+			kids = append(kids, c)
+		}
+	}
+	if len(kids) != 2 || !s.T.Nodes[kids[0]].Leaf || !s.T.Nodes[kids[1]].Leaf {
+		panic(fmt.Sprintf("sep %v: root children %v, want two leaves", sep, kids))
+	}
+	return s, kids[0], kids[1]
+}
+
+// epolFarErrors returns, for the pair of leaves u, v, the relative error of
+// the zeroth-order bin-pair term (each bin's charge at its node's centre)
+// and of farPair, both against the atom-pair sum with the same bin R·R.
+func epolFarErrors(s *EpolSolver, u, v int32) (zeroth, second float64) {
+	f := func(d2, rr float64) float64 { return math.Sqrt(d2 + rr*math.Exp(-d2/(4*rr))) }
+	ulo, uhi := s.T.PointRange(u)
+	vlo, vhi := s.T.PointRange(v)
+	var exact float64
+	for i := ulo; i < uhi; i++ {
+		for j := vlo; j < vhi; j++ {
+			exact += s.q[i] * s.q[j] / f(s.T.Points[i].Dist2(s.T.Points[j]), s.binRR[s.binOf[i]+s.binOf[j]])
+		}
+	}
+	d2 := s.T.Nodes[u].Center.Dist2(s.T.Nodes[v].Center)
+	var zero float64
+	for a := s.nz.start[u]; a < s.nz.start[u+1]; a++ {
+		for b := s.nz.start[v]; b < s.nz.start[v+1]; b++ {
+			zero += s.nz.mom[momentFloats*a] * s.nz.mom[momentFloats*b] / f(d2, s.binRR[s.nz.bin[a]+s.nz.bin[b]])
+		}
+	}
+	return math.Abs(zero-exact) / math.Abs(exact), math.Abs(s.EvalEpolFarPair(u, v)-exact) / math.Abs(exact)
+}
+
+// TestEpolFarPairIsSecondOrder holds the E_pol far term to its order
+// against the atom-pair sum with the bin R·R, two leaves spanning several
+// Born-radius bins at 10 to 80 Å: each doubling of the separation cuts
+// farPair's relative error about 8× (its remainder is third order in size
+// over distance; observed 7.3×, 8.2×, 8.0×), the zeroth-order term's by
+// at most about 2× (its error is first order; observed 0.66×, 1.55×,
+// 1.80×, since at 10 Å the largest bins' exp(−d²/4RR) still shapes it),
+// and farPair is the more accurate at every separation.
+func TestEpolFarPairIsSecondOrder(t *testing.T) {
+	var prev0, prev2 float64
+	for k, sep := range []float64{10, 20, 40, 80} {
+		s, u, v := epolFarClusters(sep)
+		if s.nnz(u) < 3 || s.nnz(v) < 3 {
+			t.Fatalf("sep %v: occupied bins %d and %d, want several", sep, s.nnz(u), s.nnz(v))
+		}
+		e0, e2 := epolFarErrors(s, u, v)
+		t.Logf("sep=%v: zeroth-order %.3e, second-order %.3e", sep, e0, e2)
+		if e2 >= e0 {
+			t.Errorf("sep=%v: second-order error %.3e not below zeroth-order %.3e", sep, e2, e0)
+		}
+		if k > 0 {
+			r0, r2 := prev0/e0, prev2/e2
+			if r0 > 2.6 {
+				t.Errorf("sep %v→%v: zeroth-order error fell %.2f×, want at most about 2×", sep/2, sep, r0)
+			}
+			if r2 < 6.5 || r2 > 9.5 {
+				t.Errorf("sep %v→%v: second-order error fell %.2f×, want about 8×", sep/2, sep, r2)
+			}
+		}
+		prev0, prev2 = e0, e2
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 // This file holds the solver-side primitives of incremental (streaming)
 // evaluation — engine.Session drives them. A session freezes the octree
 // TOPOLOGY and, between structural refreshes, the node GEOMETRY (centers,
-// radii, far-field aggregates) of both trees, then lets point positions
-// drift under per-leaf slack margins. The primitives fall into three
+// radii, far-field aggregates, the energy side's bin moments among them)
+// of both trees, then lets point positions drift under per-leaf slack
+// margins. The primitives fall into three
 // groups:
 //
 //   - in-place mutators that keep every storage mirror (SoA, vector row
@@ -186,10 +187,12 @@ func (s *EpolSolver) SetPointMirrors(i int32, p geom.Vec3) {
 }
 
 // SetRadius overwrites atom i's Born radius (tree order), keeping invR and
-// the vector row table coherent. The charge-by-radius BINS are deliberately
-// left at their epoch values: bins are a coarse geometric aggregation
-// (ratio 1+ε) and rebinning mid-epoch would make far-field values depend on
-// update history; the session rebuilds the solver — fresh binning
+// the vector row table coherent. The charge-by-radius BINS and their
+// moments are deliberately left at their epoch values, as are the
+// positions the moments were taken at: bins are a coarse geometric
+// aggregation (ratio 1+ε), and rebinning or re-taking moments mid-epoch
+// would make far-field values depend on update history; the session
+// rebuilds the solver — fresh bins and moments about the refitted centres
 // included — at every structural refresh instead.
 func (s *EpolSolver) SetRadius(i int32, r float64) {
 	s.R[i] = r

@@ -554,7 +554,7 @@ func (s *EpolSolver) BuildDualRootInto(tile *InteractionList, root NodePair) *In
 // nnz returns the number of occupied Born-radius bins of a node — the
 // number of far-field terms a bin-pair approximation against it costs.
 func (s *EpolSolver) nnz(n int32) int64 {
-	return int64(s.nzStart[n+1] - s.nzStart[n])
+	return int64(s.nz.start[n+1] - s.nz.start[n])
 }
 
 // evalEpolNearRun evaluates a run of near entries sharing the v-leaf v on
@@ -631,10 +631,10 @@ func (s *EpolSolver) evalEpolNearRun(entries []NodePair, v int32) float64 {
 	return sum
 }
 
-// EvalEpolFarPair evaluates one far-field bin-pair entry over the
-// compressed nonzero-bin layout (farPair). Returns the raw sum.
+// EvalEpolFarPair evaluates one far-field entry over the nodes' bin
+// moments (farPair). Returns the raw sum.
 func (s *EpolSolver) EvalEpolFarPair(u, v int32) float64 {
-	return s.farPair(u, v, s.nzBin, s.nzQ, s.nzStart, u, v)
+	return s.farPair(u, v, &s.nz, u, v)
 }
 
 // EvalEpolNearRange sums the near entries [lo, hi) of the list. The

@@ -69,8 +69,9 @@ func NewEpolSolverFromMolecule(mol *molecule.Molecule, bornR []float64, cfg Epol
 // (must equal the total charge under the node).
 func (s *EpolSolver) BinChargeSum(node int32) float64 {
 	var sum float64
-	for _, q := range s.bins[int(node)*s.M : (int(node)+1)*s.M] {
-		sum += q
+	lo, hi := s.nz.group(node)
+	for e := lo; e < hi; e++ {
+		sum += s.nz.mom[momentFloats*e]
 	}
 	return sum
 }

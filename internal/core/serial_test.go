@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math"
+
 	"octgb/internal/gb"
+	"octgb/internal/geom"
 	"octgb/internal/molecule"
 	"octgb/internal/octree"
 	"octgb/internal/surface"
@@ -239,26 +242,71 @@ func (s *EpolSolver) epolVisit(u, v int32, vAnc []int32, st *Stats) float64 {
 }
 
 // binApprox evaluates the far-field bin-pair approximation of Fig. 3 step 2
-// for nodes u, v at squared center distance d2.
+// for nodes u, v at squared center distance d2: farPair's second-order
+// form, with each node's bin moments summed here from its atoms (binSums)
+// and f_GB's derivatives taken through math.Exp and math.Pow.
 func (s *EpolSolver) binApprox(u, v int32, d2 float64, st *Stats) float64 {
-	ub := s.bins[int(u)*s.M : (int(u)+1)*s.M]
-	vb := s.bins[int(v)*s.M : (int(v)+1)*s.M]
+	r := s.T.Nodes[u].Center.Sub(s.T.Nodes[v].Center)
+	ub, vb := s.binSums(u), s.binSums(v)
 	var sum float64
-	for i := 0; i < s.M; i++ {
-		qi := ub[i]
-		if qi == 0 {
+	for i, a := range ub {
+		if a == (binSum{}) {
 			continue
 		}
-		for j := 0; j < s.M; j++ {
-			qj := vb[j]
-			if qj == 0 {
+		rDa, rSa := r.Dot(a.D), a.S.quad(r)
+		for j, b := range vb {
+			if b == (binSum{}) {
 				continue
 			}
-			sum += gb.PairTerm(qi, qj, d2, s.binRR[i+j], 1) // exact f_GB, math.Exp
+			rr := s.binRR[i+j]
+			e := math.Exp(-d2 / (4 * rr))
+			h, hp, hpp := d2+rr*e, 1-e/4, e/(16*rr)
+			g0 := 1 / math.Sqrt(h)
+			g1 := -0.5 * math.Pow(h, -1.5) * hp
+			g2 := 0.75*math.Pow(h, -2.5)*hp*hp - 0.5*math.Pow(h, -1.5)*hpp
+			rDb, rSb := r.Dot(b.D), b.S.quad(r)
+			sum += g0*a.Q*b.Q +
+				g1*(2*(b.Q*rDa-a.Q*rDb)+b.Q*a.S.trace()+a.Q*b.S.trace()-2*a.D.Dot(b.D)) +
+				2*g2*(b.Q*rSa+a.Q*rSb-2*rDa*rDb)
 			st.FarEval++
 		}
 	}
 	return sum
+}
+
+// binSum is one Born-radius bin's charge, dipole and second moment about
+// its node's centre.
+type binSum struct {
+	Q float64
+	D geom.Vec3
+	S sym3
+}
+
+// sym3 is a symmetric 3×3 matrix: xx, yy, zz, xy, xz, yz.
+type sym3 [6]float64
+
+func (m sym3) trace() float64 { return m[0] + m[1] + m[2] }
+
+// quad is rᵀ·m·r.
+func (m sym3) quad(r geom.Vec3) float64 {
+	return r.X*r.X*m[0] + r.Y*r.Y*m[1] + r.Z*r.Z*m[2] + 2*(r.X*r.Y*m[3]+r.X*r.Z*m[4]+r.Y*r.Z*m[5])
+}
+
+// binSums returns node n's bin moments, bin by bin, from its atoms.
+func (s *EpolSolver) binSums(n int32) []binSum {
+	out := make([]binSum, s.M)
+	c := s.T.Nodes[n].Center
+	lo, hi := s.T.PointRange(n)
+	for i := lo; i < hi; i++ {
+		q, x := s.q[i], s.T.Points[i].Sub(c)
+		b := &out[s.binOf[i]]
+		b.Q += q
+		b.D = b.D.Add(x.Scale(q))
+		for k, p := range [6]float64{x.X * x.X, x.Y * x.Y, x.Z * x.Z, x.X * x.Y, x.X * x.Z, x.Y * x.Z} {
+			b.S[k] += q * p
+		}
+	}
+	return out
 }
 
 // EnergyDual runs the dual-tree variant — the OCT_CILK algorithm — from the

@@ -964,7 +964,8 @@ func (ss *Session) resweep() {
 // refresh is the structural-refresh path: refit both trees' node geometry
 // to the current points, then rebuild every segment, aggregate and value —
 // including a fresh energy solver whose charge bins re-bin against the
-// current Born radii — and reset every slack budget.
+// current Born radii and take their moments about the refitted centres —
+// and reset every slack budget.
 func (ss *Session) refresh() {
 	ss.bs.RefreshGeometry()
 	ss.rebuildStructure()

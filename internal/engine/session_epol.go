@@ -177,8 +177,8 @@ func (ss *Session) resumEpolNear(vl int) {
 }
 
 // recomputeEpolFar resums one energy driver's far sum; all inputs (node
-// centers, charge bins) are epoch-frozen, so between re-derivations the
-// cached value never changes.
+// centers, the charge bins and their moments) are epoch-frozen, so
+// between re-derivations the cached value never changes.
 func (ss *Session) recomputeEpolFar(vl int) {
 	vNode := ss.bs.TA.LeafIdx[vl]
 	var sum float64
