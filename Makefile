@@ -36,8 +36,11 @@ staticcheck:
 test:
 	$(GO) test ./...
 
+## race: the race detector over the concurrency-bearing packages. One pass
+## of internal/engine alone takes ~6 minutes under -race on two cores, near
+## go test's 10-minute default, so the timeout is stated.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/surface/... ./internal/core/... ./internal/cluster/... ./internal/engine/... ./internal/serve/... ./internal/obs/... ./internal/loadgen/... ./internal/fabric/...
+	$(GO) test -race -timeout 30m ./internal/sched/... ./internal/surface/... ./internal/core/... ./internal/cluster/... ./internal/engine/... ./internal/serve/... ./internal/obs/... ./internal/loadgen/... ./internal/fabric/...
 
 ## obs-smoke: boot the instrumented serving stack on a loopback port, drive
 ## requests through it and fail on any malformed /metrics exposition line

@@ -188,9 +188,6 @@ type StreamOptionsJSON struct {
 	// re-derive (0 → 0.05 / 0.25 Å).
 	SlackFactor float64 `json:"slack_factor,omitempty"`
 	MinSlack    float64 `json:"min_slack,omitempty"`
-	// RadiusTolerance is the relative staleness budget of the Born radii
-	// the energy phase evaluates with (0 → 1e-6; negative → exact).
-	RadiusTolerance float64 `json:"radius_tolerance,omitempty"`
 }
 
 // StreamCreateResponse is the POST /v1/stream result. Timings.PrepareMS

@@ -46,7 +46,6 @@ func (s *Server) streamOptions(o evalOpts, so *StreamOptionsJSON) engine.Session
 		out.ResweepEvery = so.ResweepEvery
 		out.SlackFactor = so.SlackFactor
 		out.MinSlack = so.MinSlack
-		out.RadiusTolerance = so.RadiusTolerance
 	}
 	return out
 }

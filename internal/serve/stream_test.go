@@ -265,6 +265,52 @@ func TestStreamLifecycle(t *testing.T) {
 	}
 }
 
+// TestStreamIgnoresRadiusTolerance: the wire carries no Born-radius
+// staleness knob. A create that still sends "radius_tolerance" (1e300
+// would stop every radius push) gets the engine default, so its frames
+// push the same radii and answer the same energy bits as a session created
+// without the field.
+func TestStreamIgnoresRadiusTolerance(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	_, ts := newTestServer(t, Config{Workers: 2, Threads: 1})
+
+	mol := molecule.GenerateProtein("rtol-wire", 240, 19)
+	create := func(options map[string]any) string {
+		t.Helper()
+		var created StreamCreateResponse
+		req := map[string]any{"molecule": FromMolecule(mol)}
+		if options != nil {
+			req["options"] = options
+		}
+		if code := postJSON(t, ts.URL+"/v1/stream", req, &created); code != http.StatusOK {
+			t.Fatalf("create %v: status %d", options, code)
+		}
+		return ts.URL + "/v1/stream/" + created.SessionID + "/frame"
+	}
+	plain := create(nil)
+	loose := create(map[string]any{"radius_tolerance": 1e300})
+
+	wire, _ := jitterMoves(mol, 6, 4, 0.08, 23)
+	pushed := 0
+	for f := range wire {
+		var want, got StreamFrameResponse
+		if code := postJSON(t, plain, StreamFrameRequest{Moves: wire[f]}, &want); code != http.StatusOK {
+			t.Fatalf("frame %d: status %d", f, code)
+		}
+		if code := postJSON(t, loose, StreamFrameRequest{Moves: wire[f]}, &got); code != http.StatusOK {
+			t.Fatalf("frame %d with radius_tolerance: status %d", f, code)
+		}
+		if math.Float64bits(got.Energy) != math.Float64bits(want.Energy) || got.PushedRadii != want.PushedRadii {
+			t.Fatalf("frame %d: with radius_tolerance E=%.17g pushed %d, without E=%.17g pushed %d",
+				f, got.Energy, got.PushedRadii, want.Energy, want.PushedRadii)
+		}
+		pushed += want.PushedRadii
+	}
+	if pushed == 0 {
+		t.Fatal("no frame pushed a radius: the stream cannot tell a stopped gate from the default")
+	}
+}
+
 // TestStreamEviction exercises both store-eviction paths: LRU when a
 // create needs room past MaxSessions, and idle expiry after SessionIdle.
 func TestStreamEviction(t *testing.T) {
