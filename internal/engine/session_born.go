@@ -14,15 +14,15 @@ import (
 const bornGroup = 16
 
 // pushRadii recomputes every Born radius exactly from the cached sums and
-// re-pushes to the energy solver the ones that drifted past
-// RadiusTolerance relative to their pushed value, returning the push
-// count. With markLeaves set, the owning leaf of every push is added to
-// the frame's changed-input set; the resweep path recomputes every energy
+// re-pushes to the energy solver the ones that drifted past the radius
+// tolerance relative to their pushed value, returning the push count.
+// With markLeaves set, the owning leaf of every push is added to the
+// frame's changed-input set; the resweep path recomputes every energy
 // entry anyway and skips the marking. The push RULE is identical on both
 // paths — pushes depend only on the frame stream, which is what keeps
 // oracle and incremental sessions bitwise aligned.
 func (ss *Session) pushRadii(markLeaves bool) int {
-	rtol := ss.opts.RadiusTolerance
+	rtol := ss.opts.radiusTolerance
 	pushed := 0
 	for i := range ss.rTree {
 		r := ss.bornRadius(i)
