@@ -16,8 +16,11 @@ verify: build vet fmt staticcheck test race obs-smoke load-check fabric-chaos
 build:
 	$(GO) build ./...
 
+## vet: go vet for this machine and for arm64, so that code and tests
+## build off amd64 too (the vector kernels are amd64-only).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 ## fmt: every tracked Go file is gofmt-clean; any name printed fails.
 fmt:
@@ -52,8 +55,9 @@ obs-smoke:
 ## fuzz: short smoke of the native fuzz targets (wire-frame decoder, PQR
 ## parser, load-trace spec, fabric membership wire, molecule-bearing HTTP
 ## request decoder, stream-frame bodies against a live session, the held
-## E_pol list against its streamed oracle) on top of their seed corpora. CI-friendly budget; run with a larger -fuzztime
-## locally to dig.
+## E_pol list against its streamed oracle, a session stream against its
+## every-frame resweep) on top of their seed corpora. CI-friendly budget;
+## run with a larger -fuzztime locally to dig.
 fuzz:
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/molecule/ -run '^$$' -fuzz FuzzParsePQR -fuzztime 10s
@@ -62,6 +66,7 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeEnergyRequest -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzStreamFrameBody -fuzztime 10s
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzPreparedEvalEpol -fuzztime 10s
+	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzSessionStream -fuzztime 10s
 
 ## chaos: the full TCP fault matrix — every byte-level fault class (stall,
 ## duplicate, flip, truncate, blackhole) × P ∈ {2,4,8} × 8 seeds, for the

@@ -211,8 +211,8 @@ func Prepare(pr *Problem, o EngineOptions) (*Prepared, error) {
 type (
 	// Session is a resident incremental evaluation state for one molecule.
 	Session = engine.Session
-	// SessionOptions configures a Session (resweep cadence, slack margins,
-	// radius staleness tolerance).
+	// SessionOptions configures a Session: its surface sampling and
+	// evaluation parameters, and the test oracle's resweep cadence.
 	SessionOptions = engine.SessionOptions
 	// AtomMove is one atom's new absolute position within a FrameDelta.
 	AtomMove = engine.AtomMove

@@ -5,12 +5,6 @@ package core
 // this path repacks each run's q-tile into a zero-padded stack block and
 // hands whole runs to the AVX2+FMA kernel in bornnear_amd64.s.
 
-// bornTileCap is the per-row capacity of the packed q-tile, in elements.
-// Leaves normally hold ≤ LeafSize (16) points; depth-capped degenerate
-// leaves (or large configured LeafSize) can exceed it, and those runs
-// fall back to the scalar kernel.
-const bornTileCap = 64
-
 // bornNearArgs is the argument block for bornNearRunAVX2. Field offsets
 // are hard-coded in bornnear_amd64.s — keep the layouts in sync.
 type bornNearArgs struct {

@@ -9,12 +9,6 @@ import "math"
 // evaluates exp(−d²/4RᵢRⱼ) four lanes at a time with a VGATHERQPD table
 // lookup against the same exp2Bits table expNeg uses.
 
-// epolTileCap is the per-row capacity of the packed v-tile, in elements.
-// Leaves normally hold ≤ LeafSize (16) points; depth-capped degenerate
-// leaves (or large configured LeafSize) can exceed it, and those runs fall
-// back to the scalar kernel.
-const epolTileCap = 64
-
 // epolNearArgs is the argument block for epolNearRunAVX2. Field offsets
 // are hard-coded in epolnear_amd64.s — keep the layouts in sync.
 type epolNearArgs struct {

@@ -29,12 +29,19 @@ import (
 //     slack margin, so every far decision stays valid while geometry
 //     drifts within slack: BuildBornDriverSlack, BuildEpolDriverSlack.
 
+// slackFactor and minSlack size the drift margin of an enclosing ball: a
+// twentieth of its radius plus a quarter of an ångström.
+const (
+	slackFactor = 0.05
+	minSlack    = 0.25 // Å
+)
+
 // SlackMargin is the drift budget granted to an enclosing ball of radius r:
 // slackFactor·r + minSlack. Both the session's re-derivation triggers and
 // the inflated classification radii of the driver builders use it, which
 // is what makes "points moved less than the margin" imply "every recorded
 // far decision still satisfies the plain separation criterion".
-func SlackMargin(r, slackFactor, minSlack float64) float64 {
+func SlackMargin(r float64) float64 {
 	return slackFactor*r + minSlack
 }
 
@@ -142,14 +149,14 @@ func (s *BornSolver) FarTotals(sNode, out []float64) {
 // decision valid. Visit order is that of StreamBornLeaves' traversal, so
 // near entries come out in the canonical (ascending) order the session's
 // row resums rely on.
-func (s *BornSolver) BuildBornDriverSlack(l *InteractionList, qLeaf int32, ballC geom.Vec3, ballR, slackFactor, minSlack float64) *InteractionList {
+func (s *BornSolver) BuildBornDriverSlack(l *InteractionList, qLeaf int32, ballC geom.Vec3, ballR float64) *InteractionList {
 	l.reset()
 	if len(s.TA.Nodes) == 0 {
 		return l
 	}
 	qlo, qhi := s.TQ.PointRange(qLeaf)
 	qCount := int64(qhi - qlo)
-	rq := ballR + SlackMargin(ballR, slackFactor, minSlack)
+	rq := ballR + SlackMargin(ballR)
 	stack := &l.stack // the list's own stack: no allocation once it has grown
 	stack.push(0, qLeaf)
 	for len(*stack) > 0 {
@@ -158,7 +165,7 @@ func (s *BornSolver) BuildBornDriverSlack(l *InteractionList, qLeaf int32, ballC
 		l.stats.NodesVisited++
 		an := &s.TA.Nodes[a]
 		d2 := an.Center.Dist2(ballC)
-		ra := an.Radius + SlackMargin(an.Radius, slackFactor, minSlack)
+		ra := an.Radius + SlackMargin(an.Radius)
 		if wellSeparated2(d2, ra, rq, s.sepK2) {
 			l.Far = append(l.Far, NodePair{a, qLeaf})
 			l.stats.FarEval++
@@ -206,13 +213,13 @@ func (s *EpolSolver) SetRadius(i int32, r float64) {
 // BuildBornDriverSlack. Leaf u-nodes go to the near list unconditionally
 // (matching buildEpolLeafList), so inflation again only trades far entries
 // for exact near ones.
-func (s *EpolSolver) BuildEpolDriverSlack(l *InteractionList, vLeaf int32, ballC geom.Vec3, ballR, slackFactor, minSlack float64) *InteractionList {
+func (s *EpolSolver) BuildEpolDriverSlack(l *InteractionList, vLeaf int32, ballC geom.Vec3, ballR float64) *InteractionList {
 	l.reset()
 	if len(s.T.Nodes) == 0 {
 		return l
 	}
 	vCount := int64(s.T.Nodes[vLeaf].Count)
-	rv := ballR + SlackMargin(ballR, slackFactor, minSlack)
+	rv := ballR + SlackMargin(ballR)
 	stack := &l.stack
 	stack.push(0, vLeaf)
 	for len(*stack) > 0 {
@@ -226,7 +233,7 @@ func (s *EpolSolver) BuildEpolDriverSlack(l *InteractionList, vLeaf int32, ballC
 			continue
 		}
 		d2 := un.Center.Dist2(ballC)
-		ru := un.Radius + SlackMargin(un.Radius, slackFactor, minSlack)
+		ru := un.Radius + SlackMargin(un.Radius)
 		if epolFar2(d2, ru, rv, s.sep2) {
 			l.Far = append(l.Far, NodePair{u, vLeaf})
 			l.stats.FarEval += s.nnz(u) * s.nnz(vLeaf)

@@ -58,16 +58,6 @@ func TestFlatKernelsTileBoundarySizes(t *testing.T) {
 	}
 }
 
-// forceScalar disables the vector dispatch for the duration of fn.
-// Package tests run sequentially, so flipping the cached feature flag is
-// race-free.
-func forceScalar(fn func()) {
-	saved := hasAVX2FMA
-	hasAVX2FMA = false
-	defer func() { hasAVX2FMA = saved }()
-	fn()
-}
-
 // TestBornNearVecMatchesScalar pins the AVX2 Born near kernel against the
 // pure-Go scalar kernel on the same list: per-element agreement to 1e-12.
 // The near integrand subtracts two nearby reciprocals, so this is the

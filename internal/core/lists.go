@@ -270,6 +270,18 @@ func (s *BornSolver) evalBornTile(tile *InteractionList, sNode, sAtom []float64)
 	tile.Near, tile.Far = tile.Near[:0], tile.Far[:0]
 }
 
+// bornTileCap and epolTileCap are the per-row capacities of the vector
+// kernels' packed q- and v-tiles (bornnear_amd64.go, epolnear_amd64.go), in
+// elements. Leaves normally hold ≤ LeafSize (16) points; depth-capped
+// degenerate leaves (or large configured LeafSize) can exceed them, and
+// those runs fall back to the scalar kernel. They are declared here, not
+// beside the kernels, so that the tests sizing a leaf past them build on
+// every architecture.
+const (
+	bornTileCap = 64
+	epolTileCap = 64
+)
+
 // EvalBornNearRange evaluates the near entries [lo, hi) of the list.
 // Entries accumulate into disjoint sAtom rows only when their T_A leaves
 // are disjoint; parallel callers must partition entries, not rows.

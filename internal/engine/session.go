@@ -70,10 +70,9 @@ import (
 //     BITWISE the value a full recompute would produce: a session with
 //     ResweepEvery=1 (every frame recomputes every value from current
 //     state) is the from-scratch oracle, and the incremental path must
-//     match it exactly, not merely within a drift tolerance.
-//     ResweepEvery's periodic full resweep therefore re-verifies rather
-//     than repairs; it bounds the blast radius of any dirty-tracking
-//     defect.
+//     match it exactly, not merely within a drift tolerance. A production
+//     session never resweeps: the property tests and FuzzSessionStream
+//     hold every frame to that oracle instead.
 //
 // The per-driver and per-row stores are capacity-capped views cut from a
 // few large allocations (sessionArenas), not individually grown slices: a
@@ -283,19 +282,12 @@ type SessionOptions struct {
 	// CriterionPower). Parallel/distributed fields are ignored — a
 	// session evaluates serially, its work being O(dirty).
 	Eval Options
-	// ResweepEvery forces a full value resweep every k-th frame (≤0 → 64).
-	// The resweep recomputes every cached value from current positions in
-	// canonical order; with sound dirty tracking it is a bitwise no-op, so
-	// it bounds the damage of a tracking defect rather than accumulated
-	// float drift (the zero-and-resum design has none). 1 = every frame
-	// (the from-scratch oracle the property tests compare against).
+	// ResweepEvery, when k ≥ 1, recomputes every cached value from current
+	// positions in canonical order on every k-th frame; ≤ 0 never does.
+	// With sound dirty tracking a resweep is a bitwise no-op, so k = 1 —
+	// every frame from scratch — is the oracle the tests hold the
+	// incremental path to.
 	ResweepEvery int
-	// SlackFactor and MinSlack define the drift margin
-	// core.SlackMargin(r) = SlackFactor·r + MinSlack granted to enclosing
-	// balls before lists are re-derived (driver leaves) or the structure
-	// is refreshed (any node). Defaults 0.05 and 0.25 Å.
-	SlackFactor float64
-	MinSlack    float64
 	// radiusTolerance is the relative staleness budget of the Born radii
 	// the energy phase evaluates with: the energy solver's copy of a
 	// radius is re-pushed only when |r_exact - r_pushed| >
@@ -315,15 +307,6 @@ type SessionOptions struct {
 const defaultRadiusTolerance = 3e-5
 
 func (o SessionOptions) withDefaults() SessionOptions {
-	if o.ResweepEvery <= 0 {
-		o.ResweepEvery = 64
-	}
-	if o.SlackFactor <= 0 {
-		o.SlackFactor = 0.05
-	}
-	if o.MinSlack <= 0 {
-		o.MinSlack = 0.25
-	}
 	switch {
 	case o.radiusTolerance == 0:
 		o.radiusTolerance = defaultRadiusTolerance
@@ -390,7 +373,7 @@ type FrameReport struct {
 	EpolNearPairs int64
 	// Rederived counts driver segments re-derived after a slack breach.
 	Rederived int
-	// Resweep / Refreshed mark frames that took the periodic full resweep
+	// Resweep / Refreshed mark frames that took the ResweepEvery resweep
 	// or the structural-refresh path.
 	Resweep   bool
 	Refreshed bool
@@ -756,14 +739,14 @@ func (ss *Session) Step(d FrameDelta) (FrameReport, error) {
 	// budget. Only moved leaves can newly breach.
 	bornStruct, epolStruct := false, false
 	for _, l := range ss.movedQ {
-		if ss.dispRefQ[l] > rederiveFraction*core.SlackMargin(ss.refBallRQ[l], ss.opts.SlackFactor, ss.opts.MinSlack) {
+		if ss.dispRefQ[l] > rederiveFraction*core.SlackMargin(ss.refBallRQ[l]) {
 			ss.rederiveBorn(l)
 			bornStruct = true
 			rep.Rederived++
 		}
 	}
 	for _, l := range ss.movedA {
-		if ss.dispRefA[l] > rederiveFraction*core.SlackMargin(ss.refBallRA[l], ss.opts.SlackFactor, ss.opts.MinSlack) {
+		if ss.dispRefA[l] > rederiveFraction*core.SlackMargin(ss.refBallRA[l]) {
 			ss.rederiveEpol(l)
 			epolStruct = true
 			rep.Rederived++
@@ -789,10 +772,10 @@ func (ss *Session) Step(d FrameDelta) (FrameReport, error) {
 		ss.cutDirtyEntries()
 	}
 
-	// Periodic full resweep: recompute EVERY cached value from current
+	// The oracle's full resweep: recompute EVERY cached value from current
 	// positions in canonical order. Bitwise a no-op when dirty tracking is
 	// sound — the property tests pin exactly that.
-	if ss.frame%ss.opts.ResweepEvery == 0 {
+	if k := ss.opts.ResweepEvery; k > 0 && ss.frame%k == 0 {
 		ss.resweep()
 		rep.Resweep = true
 		rep.Energy = ss.energy
@@ -939,8 +922,7 @@ func (ss *Session) markULeaf(l int32) {
 // precede parents in reverse index order) and reports whether any node's
 // displacement exceeds its frozen ball's slack margin.
 func (ss *Session) epochBreach() bool {
-	return bubbleBreach(ss.bs.TA, ss.dispEpochA, ss.nodeDispA, ss.opts.SlackFactor, ss.opts.MinSlack) ||
-		bubbleBreach(ss.bs.TQ, ss.dispEpochQ, ss.nodeDispQ, ss.opts.SlackFactor, ss.opts.MinSlack)
+	return bubbleBreach(ss.bs.TA, ss.dispEpochA, ss.nodeDispA) || bubbleBreach(ss.bs.TQ, ss.dispEpochQ, ss.nodeDispQ)
 }
 
 // resweep recomputes every cached value — far entries, far sums, every
@@ -979,7 +961,6 @@ func (ss *Session) refresh() {
 // current (frozen-as-of-now) node geometry. Used at creation and after
 // every refresh.
 func (ss *Session) rebuildStructure() {
-	sf, ms := ss.opts.SlackFactor, ss.opts.MinSlack
 	ta, tq := ss.bs.TA, ss.bs.TQ
 	ar := &ss.arenas
 	ar.near.reset(len(tq.LeafIdx))
@@ -990,7 +971,7 @@ func (ss *Session) rebuildStructure() {
 	maxNear := 0
 	for ql, qLeaf := range tq.LeafIdx {
 		c, r := currentBall(tq, qLeaf)
-		ss.bs.BuildBornDriverSlack(&ss.scratch, qLeaf, c, r, sf, ms)
+		ss.bs.BuildBornDriverSlack(&ss.scratch, qLeaf, c, r)
 		ss.bornNear[ql] = appendANodes(ar.near.take(len(ss.scratch.Near))[:0], ss.scratch.Near)
 		ss.bornFar[ql] = appendANodes(ar.far.take(len(ss.scratch.Far))[:0], ss.scratch.Far)
 		ss.refBallRQ[qLeaf] = r
@@ -1021,7 +1002,7 @@ func (ss *Session) rebuildStructure() {
 	nVals := 0
 	for vl, aLeaf := range ta.LeafIdx {
 		c, r := currentBall(ta, aLeaf)
-		ss.es.BuildEpolDriverSlack(&ss.scratch, aLeaf, c, r, sf, ms)
+		ss.es.BuildEpolDriverSlack(&ss.scratch, aLeaf, c, r)
 		ss.epolNear[vl] = append(ar.epolNear.take(len(ss.scratch.Near))[:0], ss.scratch.Near...)
 		ss.epolFar[vl] = appendANodes(ar.epolFar.take(len(ss.scratch.Far))[:0], ss.scratch.Far)
 		ss.refBallRA[aLeaf] = r
@@ -1103,7 +1084,7 @@ func leafDisp(t *octree.Tree, leaf int32, ref, epoch []geom.Vec3) (dRef, dEpoch 
 // linearized layout puts children after parents, so a reverse sweep sees
 // children first) and reports whether any node's maximum point
 // displacement exceeds the slack margin of its frozen ball.
-func bubbleBreach(t *octree.Tree, leafDisp, nodeDisp []float64, sf, ms float64) bool {
+func bubbleBreach(t *octree.Tree, leafDisp, nodeDisp []float64) bool {
 	breach := false
 	for n := len(t.Nodes) - 1; n >= 0; n-- {
 		nd := &t.Nodes[n]
@@ -1118,7 +1099,7 @@ func bubbleBreach(t *octree.Tree, leafDisp, nodeDisp []float64, sf, ms float64) 
 			}
 		}
 		nodeDisp[n] = d
-		if d > core.SlackMargin(nd.Radius, sf, ms) {
+		if d > core.SlackMargin(nd.Radius) {
 			breach = true
 		}
 	}

@@ -62,7 +62,7 @@ func (ss *Session) rederiveBorn(qLeaf int32) {
 	ss.oldSlot = append(ss.oldSlot[:0], ss.bornEntrySlot[ql]...)
 	ss.oldFar = append(ss.oldFar[:0], ss.bornFar[ql]...)
 	c, r := currentBall(ss.bs.TQ, qLeaf)
-	ss.bs.BuildBornDriverSlack(&ss.scratch, qLeaf, c, r, ss.opts.SlackFactor, ss.opts.MinSlack)
+	ss.bs.BuildBornDriverSlack(&ss.scratch, qLeaf, c, r)
 	ss.bornNear[ql] = appendANodes(ss.bornNear[ql][:0], ss.scratch.Near)
 	ss.bornFar[ql] = appendANodes(ss.bornFar[ql][:0], ss.scratch.Far)
 	ss.markFarChanges(ss.oldFar, ss.bornFar[ql])

@@ -17,7 +17,7 @@ import (
 func (ss *Session) rederiveEpol(aLeaf int32) {
 	vl := int(ss.aDense[aLeaf])
 	c, r := currentBall(ss.bs.TA, aLeaf)
-	ss.es.BuildEpolDriverSlack(&ss.scratch, aLeaf, c, r, ss.opts.SlackFactor, ss.opts.MinSlack)
+	ss.es.BuildEpolDriverSlack(&ss.scratch, aLeaf, c, r)
 	ss.epolNear[vl] = append(ss.epolNear[vl][:0], ss.scratch.Near...)
 	ss.epolFar[vl] = appendANodes(ss.epolFar[vl][:0], ss.scratch.Far)
 	ss.epolNearVal[vl] = core.Resize(ss.epolNearVal[vl], len(ss.epolNear[vl]))

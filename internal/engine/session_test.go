@@ -543,21 +543,27 @@ func TestSessionRadiusToleranceDrift(t *testing.T) {
 	}
 }
 
-// TestSessionRefreshPath forces displacements large enough to breach an
-// internal node's slack margin, which must take the structural-refresh
-// path — here between two forced resweeps, so the rebuilt stores are summed
-// once by the refresh and then by the incremental path before a resweep
-// re-verifies them — and still match the oracle session bit for bit
-// (refresh is geometry driven, so both sessions refresh on the same frame).
+// TestSessionRefreshPath kicks the atoms farthest from atom 0 by 1.5 Å on
+// frames 2 and 5 — past any leaf's slack margin, which must take the
+// structural-refresh path — while a small jitter near atom 0 keeps the
+// other frames incremental. The refresh of frame 5 falls between two
+// forced resweeps, so the rebuilt stores are summed once by the refresh and
+// then by the incremental path before a resweep re-verifies them; every
+// frame must still match the oracle session bit for bit (refresh is
+// geometry driven, so both sessions refresh on the same frame).
 func TestSessionRefreshPath(t *testing.T) {
 	mol := molecule.GenerateProtein("refresh", 500, 77)
 	o := SessionOptions{
-		Surf:        surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
-		Eval:        Options{Threads: 1},
-		SlackFactor: 0.01,
-		MinSlack:    0.05, // tight margins so modest jitter forces a refresh
+		Surf: surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
+		Eval: Options{Threads: 1},
 	}
-	frames := jitterFrames(mol, 10, 25, 0, 0.5, 3)
+	frames := jitterFrames(mol, 10, 7, 48, 0.02, 3)
+	far := nearestAtoms(mol, mol.N())[mol.N()-10:]
+	for kick, f := range []int{1, 4} {
+		for _, i := range far {
+			frames[f].Moves = append(frames[f].Moves, AtomMove{Index: i, Pos: mol.Atoms[i].Pos.Add(geom.V(1.5*float64(kick+1), 0, 0))})
+		}
+	}
 
 	oracle := o
 	oracle.ResweepEvery = 1
@@ -566,20 +572,103 @@ func TestSessionRefreshPath(t *testing.T) {
 
 	want, wantReps := runStream(t, mol, oracle, frames)
 	got, gotReps := runStream(t, mol, incr, frames)
-	refreshed, between := 0, false
+	refreshed, between, summed := 0, false, false
 	for f := range wantReps {
 		if wantReps[f].Refreshed != gotReps[f].Refreshed {
 			t.Fatalf("frame %d: refresh divergence (oracle %v, incremental %v) — refresh must be geometry driven", f+1, wantReps[f].Refreshed, gotReps[f].Refreshed)
 		}
-		if gotReps[f].Refreshed {
+		if fr := gotReps[f].Frame; gotReps[f].Refreshed {
 			refreshed++
-			between = between || (gotReps[f].Frame > 4 && gotReps[f].Frame < 8)
+			between = between || (fr > 4 && fr < 8)
+		} else {
+			summed = summed || (between && fr < 8)
 		}
 	}
-	if refreshed == 0 || !between {
-		t.Fatalf("%d refreshes, one between the resweeps of frames 4 and 8: %v; structural path untested", refreshed, between)
+	if refreshed == 0 || !between || !summed {
+		t.Fatalf("%d refreshes, one between the resweeps of frames 4 and 8: %v, an incremental frame after it: %v; structural path untested", refreshed, between, summed)
 	}
 	sameEnergies(t, got, want)
+}
+
+// FuzzSessionStream holds the production session — no resweep — to the
+// every-frame resweep oracle, bit for bit, on every frame of a stream read
+// from the input, and then holds a session created on the closed one's
+// stores to the same energies. The first byte picks the molecule (its high
+// five bits seed a 160-atom protein) and the movers per frame (its low
+// three bits, plus one); every four bytes after it are one move: an atom
+// index and three per-axis steps added to where the atom is, byte b a step
+// of 2·(b/127)³ Å — from 1e-6 Å, which pushes no radius, to 2 Å, past any
+// leaf's slack margin. Steps compound, so a stream also walks drivers
+// through re-derivation.
+func FuzzSessionStream(f *testing.F) {
+	// stream is a seed of n moves after the head byte, move k from mv(k).
+	stream := func(head byte, n int, mv func(k int) [4]int8) []byte {
+		b := []byte{head}
+		for k := 0; k < n; k++ {
+			m := mv(k)
+			b = append(b, byte(m[0]), byte(m[1]), byte(m[2]), byte(m[3]))
+		}
+		return b
+	}
+	// Steps of up to 0.03 Å: the incremental path only.
+	f.Add(stream(0x02, 72, func(k int) [4]int8 { return [4]int8{int8(k * 37), int8(k%60 - 30), 2, int8(-k % 2)} }))
+	// Six atoms drifting 0.046 Å a move along x: re-derivations, then refreshes.
+	f.Add(stream(0x0a, 96, func(k int) [4]int8 { return [4]int8{int8(k % 6), 36, 0, 0} }))
+	// Jitter with a 1.5 Å kick every tenth move.
+	f.Add(stream(0x13, 60, func(k int) [4]int8 {
+		if k%10 == 9 {
+			return [4]int8{int8(k * 11), 115, -115, 0}
+		}
+		return [4]int8{int8(k * 7), int8(k%5 - 2), int8(k%3 - 1), 20}
+	}))
+	// Steps of up to 2 Å: a refresh on every frame.
+	f.Add([]byte{0x27, 33, 127, 129, 0, 77, 1, 1, 1, 33, 127, 129, 0, 78, 255, 255, 255, 140, 10, 20, 30})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		mol := molecule.GenerateProtein("fuzz-stream", 160, int64(data[0]>>3))
+		movers := 1 + int(data[0]&7)
+		var frames []FrameDelta
+		pos := make([]geom.Vec3, mol.N())
+		for i := range mol.Atoms {
+			pos[i] = mol.Atoms[i].Pos
+		}
+		step := func(b byte) float64 {
+			s := float64(int8(b)) / 127
+			return 2 * s * s * s
+		}
+		for m := data[1:]; len(m) >= 4 && len(frames) < 32; {
+			var d FrameDelta
+			for ; len(m) >= 4 && len(d.Moves) < movers; m = m[4:] {
+				i := int(m[0]) % mol.N()
+				pos[i] = pos[i].Add(geom.V(step(m[1]), step(m[2]), step(m[3])))
+				d.Moves = append(d.Moves, AtomMove{Index: i, Pos: pos[i]})
+			}
+			frames = append(frames, d)
+		}
+		o := SessionOptions{
+			Surf: surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
+			Eval: Options{Threads: 1},
+		}
+		oo := o
+		oo.ResweepEvery = 1
+		want, _ := runStream(t, mol, oo, frames)
+		ss, err := NewSession(mol, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, _ := streamEnergies(t, ss, frames)
+		sameEnergies(t, got, want)
+		ss.Close()
+		ss, err = NewSession(mol, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, _ = streamEnergies(t, ss, frames)
+		sameEnergies(t, got, want)
+		ss.Close()
+	})
 }
 
 // TestSessionAgreesWithPrepared sanity-checks the session's absolute

@@ -168,26 +168,14 @@ type SweepResponse struct {
 }
 
 // StreamCreateRequest is the POST /v1/stream payload: the molecule to
-// open an incremental session for. The response carries the session ID
-// every subsequent frame and close call addresses.
+// open an incremental session for, with the evaluation parameters every
+// endpoint takes. A session has no parameters of its own. The response
+// carries the session ID every subsequent frame and close call addresses.
 type StreamCreateRequest struct {
-	Molecule MoleculeJSON       `json:"molecule"`
-	Options  *StreamOptionsJSON `json:"options,omitempty"`
+	Molecule MoleculeJSON `json:"molecule"`
+	Options  *OptionsJSON `json:"options,omitempty"`
 	// DeadlineMS bounds queue wait + session construction.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-}
-
-// StreamOptionsJSON extends the per-request evaluation parameters with the
-// incremental-session knobs (engine.SessionOptions); zero fields use the
-// engine defaults.
-type StreamOptionsJSON struct {
-	OptionsJSON
-	// ResweepEvery forces a full value resweep every k-th frame (0 → 64).
-	ResweepEvery int `json:"resweep_every,omitempty"`
-	// SlackFactor / MinSlack set the drift margin before interaction lists
-	// re-derive (0 → 0.05 / 0.25 Å).
-	SlackFactor float64 `json:"slack_factor,omitempty"`
-	MinSlack    float64 `json:"min_slack,omitempty"`
 }
 
 // StreamCreateResponse is the POST /v1/stream result. Timings.PrepareMS
@@ -229,7 +217,6 @@ type StreamFrameResponse struct {
 	DirtyEpolDrivers int         `json:"dirty_epol_drivers"`
 	PushedRadii      int         `json:"pushed_radii"`
 	Rederived        int         `json:"rederived"`
-	Resweep          bool        `json:"resweep,omitempty"`
 	Refreshed        bool        `json:"refreshed,omitempty"`
 	Timings          TimingsJSON `json:"timings"`
 }

@@ -385,7 +385,7 @@ func TestServerBadRequests(t *testing.T) {
 		for path, body := range map[string]any{
 			"/v1/energy": EnergyRequest{Molecule: pair, Options: &o},
 			"/v1/sweep":  SweepRequest{Ligand: pair, Poses: []PoseJSON{{T: [3]float64{9, 0, 0}}}, Options: &o},
-			"/v1/stream": StreamCreateRequest{Molecule: pair, Options: &StreamOptionsJSON{OptionsJSON: o}},
+			"/v1/stream": StreamCreateRequest{Molecule: pair, Options: &o},
 		} {
 			if code := postJSON(t, ts.URL+path, body, &e); code != http.StatusBadRequest || e.Error != "bad_request" {
 				t.Errorf("%s with %+v: %d %q, want 400 bad_request", path, o, code, e.Error)

@@ -32,8 +32,8 @@ type streamSession struct {
 }
 
 // streamOptions maps resolved request options onto the engine session.
-func (s *Server) streamOptions(o evalOpts, so *StreamOptionsJSON) engine.SessionOptions {
-	out := engine.SessionOptions{
+func (s *Server) streamOptions(o evalOpts) engine.SessionOptions {
+	return engine.SessionOptions{
 		Surf: o.surf,
 		Eval: engine.Options{
 			Threads: s.cfg.Threads,
@@ -42,12 +42,6 @@ func (s *Server) streamOptions(o evalOpts, so *StreamOptionsJSON) engine.Session
 			Observe: s.cfg.Observe,
 		},
 	}
-	if so != nil {
-		out.ResweepEvery = so.ResweepEvery
-		out.SlackFactor = so.SlackFactor
-		out.MinSlack = so.MinSlack
-	}
-	return out
 }
 
 // evictSessionsLocked removes idle-expired sessions and, while the store
@@ -131,16 +125,12 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d atoms exceeds limit %d", mol.N(), s.cfg.MaxAtoms), 0)
 		return
 	}
-	var base *OptionsJSON
-	if req.Options != nil {
-		base = &req.Options.OptionsJSON
-	}
-	opts, err := s.resolveOpts(base)
+	opts, err := s.resolveOpts(req.Options)
 	if err != nil {
 		s.reject(w, reqID, err)
 		return
 	}
-	so := s.streamOptions(opts, req.Options)
+	so := s.streamOptions(opts)
 
 	ctx, cancel := s.requestContext(r, req.DeadlineMS)
 	defer cancel()
@@ -334,7 +324,6 @@ func (s *Server) handleStreamFrame(w http.ResponseWriter, r *http.Request, reqID
 			DirtyEpolDrivers: out.rep.DirtyEpolDrivers,
 			PushedRadii:      out.rep.PushedRadii,
 			Rederived:        out.rep.Rederived,
-			Resweep:          out.rep.Resweep,
 			Refreshed:        out.rep.Refreshed,
 			Timings: TimingsJSON{
 				QueueMS: msBetween(queued, out.startedAt),

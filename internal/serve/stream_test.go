@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"net/http"
@@ -265,17 +266,20 @@ func TestStreamLifecycle(t *testing.T) {
 	}
 }
 
-// TestStreamIgnoresRadiusTolerance: the wire carries no Born-radius
-// staleness knob. A create that still sends "radius_tolerance" (1e300
-// would stop every radius push) gets the engine default, so its frames
-// push the same radii and answer the same energy bits as a session created
-// without the field.
-func TestStreamIgnoresRadiusTolerance(t *testing.T) {
+// TestStreamIgnoresRetiredOptions: a session has no parameters of its own
+// on the wire. A create that still sends one of the retired session fields
+// — each at a value that would change what a frame does — gets the engine
+// defaults: its frames answer the same energy bits, push the same radii and
+// re-derive the same drivers as a session created without the field, and
+// no frame carries a "resweep" member.
+func TestStreamIgnoresRetiredOptions(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
 	_, ts := newTestServer(t, Config{Workers: 2, Threads: 1})
 
-	mol := molecule.GenerateProtein("rtol-wire", 240, 19)
-	create := func(options map[string]any) string {
+	mol := molecule.GenerateProtein("retired-wire", 240, 19)
+	wire, _ := jitterMoves(mol, 6, 4, 0.12, 23)
+	// stream creates a session with options and returns its frames as sent.
+	stream := func(t *testing.T, options map[string]any) []StreamFrameResponse {
 		t.Helper()
 		var created StreamCreateResponse
 		req := map[string]any{"molecule": FromMolecule(mol)}
@@ -285,29 +289,50 @@ func TestStreamIgnoresRadiusTolerance(t *testing.T) {
 		if code := postJSON(t, ts.URL+"/v1/stream", req, &created); code != http.StatusOK {
 			t.Fatalf("create %v: status %d", options, code)
 		}
-		return ts.URL + "/v1/stream/" + created.SessionID + "/frame"
+		frames := make([]StreamFrameResponse, len(wire))
+		for f := range wire {
+			var raw json.RawMessage
+			var members map[string]any
+			url := ts.URL + "/v1/stream/" + created.SessionID + "/frame"
+			if code := postJSON(t, url, StreamFrameRequest{Moves: wire[f]}, &raw); code != http.StatusOK {
+				t.Fatalf("%v, frame %d: status %d", options, f, code)
+			}
+			if err := errors.Join(json.Unmarshal(raw, &frames[f]), json.Unmarshal(raw, &members)); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := members["resweep"]; ok {
+				t.Fatalf("%v, frame %d: the response carries a resweep member", options, f)
+			}
+		}
+		return frames
 	}
-	plain := create(nil)
-	loose := create(map[string]any{"radius_tolerance": 1e300})
-
-	wire, _ := jitterMoves(mol, 6, 4, 0.08, 23)
-	pushed := 0
-	for f := range wire {
-		var want, got StreamFrameResponse
-		if code := postJSON(t, plain, StreamFrameRequest{Moves: wire[f]}, &want); code != http.StatusOK {
-			t.Fatalf("frame %d: status %d", f, code)
-		}
-		if code := postJSON(t, loose, StreamFrameRequest{Moves: wire[f]}, &got); code != http.StatusOK {
-			t.Fatalf("frame %d with radius_tolerance: status %d", f, code)
-		}
-		if math.Float64bits(got.Energy) != math.Float64bits(want.Energy) || got.PushedRadii != want.PushedRadii {
-			t.Fatalf("frame %d: with radius_tolerance E=%.17g pushed %d, without E=%.17g pushed %d",
-				f, got.Energy, got.PushedRadii, want.Energy, want.PushedRadii)
-		}
-		pushed += want.PushedRadii
+	want := stream(t, nil)
+	pushed, rederived := 0, 0
+	for _, fr := range want {
+		pushed += fr.PushedRadii
+		rederived += fr.Rederived
 	}
-	if pushed == 0 {
-		t.Fatal("no frame pushed a radius: the stream cannot tell a stopped gate from the default")
+	if pushed == 0 || rederived == 0 {
+		t.Fatalf("the stream pushed %d radii and re-derived %d drivers: it cannot tell a retired field from the default", pushed, rederived)
+	}
+	for _, c := range []struct {
+		field string
+		value any
+	}{
+		{"radius_tolerance", 1e300},
+		{"resweep_every", 1},
+		{"slack_factor", 1e300},
+		{"min_slack", 1e300},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			for f, got := range stream(t, map[string]any{c.field: c.value}) {
+				if math.Float64bits(got.Energy) != math.Float64bits(want[f].Energy) ||
+					got.PushedRadii != want[f].PushedRadii || got.Rederived != want[f].Rederived {
+					t.Fatalf("frame %d: E=%.17g pushed %d rederived %d; without the field E=%.17g pushed %d rederived %d",
+						f, got.Energy, got.PushedRadii, got.Rederived, want[f].Energy, want[f].PushedRadii, want[f].Rederived)
+				}
+			}
+		})
 	}
 }
 
