@@ -56,7 +56,8 @@ obs-smoke:
 ## parser, load-trace spec, fabric membership wire, molecule-bearing HTTP
 ## request decoder, stream-frame bodies against a live session, the held
 ## E_pol list against its streamed oracle, a session stream against its
-## every-frame resweep) on top of their seed corpora. CI-friendly budget;
+## every-frame resweep, the E_pol far kernel against farPair) on top of
+## their seed corpora. CI-friendly budget;
 ## run with a larger -fuzztime locally to dig.
 fuzz:
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
@@ -67,6 +68,7 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzStreamFrameBody -fuzztime 10s
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzPreparedEvalEpol -fuzztime 10s
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzSessionStream -fuzztime 10s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzEpolFarKernel -fuzztime 10s
 
 ## chaos: the full TCP fault matrix — every byte-level fault class (stall,
 ## duplicate, flip, truncate, blackhole) × P ∈ {2,4,8} × 8 seeds, for the

@@ -29,3 +29,13 @@ func (s *EpolSolver) evalEpolNearRangeVec(near []NodePair, symmetric bool) float
 func (s *EpolSolver) evalEpolNearEntryValuesVec(near []NodePair, idxs []int32, out []float64) {
 	panic("core: vector kernel dispatched without AVX2 support")
 }
+
+// Stubs for the amd64-only energy far-field vector paths; likewise
+// unreachable.
+func (s *EpolSolver) evalEpolFarVec(far []NodePair) float64 {
+	panic("core: vector kernel dispatched without AVX2 support")
+}
+
+func (s *EpolSolver) evalEpolFarNodesVec(us []int32, v int32) float64 {
+	panic("core: vector kernel dispatched without AVX2 support")
+}

@@ -206,7 +206,7 @@ func TestEpolDualMatchesLeafDriven(t *testing.T) {
 	for i := range m.Atoms {
 		charges[i] = m.Atoms[i].Charge
 	}
-	es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.5})
+	es := NewEpolSolverFromMolecule(m, R, 0, EpolConfig{Eps: 0.5})
 	var raw1 float64
 	for l := 0; l < es.NumLeaves(); l++ {
 		e, _ := es.LeafEnergy(l)
@@ -225,7 +225,7 @@ func TestEpolLeafPartitionSumsInvariant(t *testing.T) {
 	// the property node-based MPI division depends on.
 	m, q := testMol(350, 28)
 	R := gb.BornRadiiR6(m, q)
-	es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9})
+	es := NewEpolSolverFromMolecule(m, R, 0, EpolConfig{Eps: 0.9})
 	var total float64
 	partial := make([]float64, 4)
 	for l := 0; l < es.NumLeaves(); l++ {
@@ -245,7 +245,7 @@ func TestEpolLeafPartitionSumsInvariant(t *testing.T) {
 func TestBinsConserveCharge(t *testing.T) {
 	m, q := testMol(300, 29)
 	R := gb.BornRadiiR6(m, q)
-	es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9})
+	es := NewEpolSolverFromMolecule(m, R, 0, EpolConfig{Eps: 0.9})
 	// Root bins sum to total charge.
 	if e := math.Abs(es.BinChargeSum(0) - m.TotalCharge()); e > 1e-9 {
 		t.Errorf("root bin charge off by %v", e)
@@ -271,8 +271,8 @@ func TestBinsConserveCharge(t *testing.T) {
 func TestNumBinsGrowsAsEpsShrinks(t *testing.T) {
 	m, q := testMol(300, 30)
 	R := gb.BornRadiiR6(m, q)
-	mFine := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.1})
-	mCoarse := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9})
+	mFine := NewEpolSolverFromMolecule(m, R, 0, EpolConfig{Eps: 0.1})
+	mCoarse := NewEpolSolverFromMolecule(m, R, 0, EpolConfig{Eps: 0.9})
 	if mFine.NumBins() <= mCoarse.NumBins() {
 		t.Errorf("bins: ε=0.1 %d ≤ ε=0.9 %d", mFine.NumBins(), mCoarse.NumBins())
 	}
@@ -345,7 +345,7 @@ func BenchmarkBornTreecode2000(b *testing.B) {
 func BenchmarkEpolTreecode2000(b *testing.B) {
 	m, q := testMol(2000, 1)
 	R := gb.BornRadiiR6(m, q)
-	es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9})
+	es := NewEpolSolverFromMolecule(m, R, 0, EpolConfig{Eps: 0.9})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var raw float64

@@ -9,16 +9,15 @@ import (
 	"octgb/internal/octree"
 )
 
-// EpolConfig controls the APPROX-EPOL treecode.
+// EpolConfig controls the APPROX-EPOL treecode. The solver is always
+// built over an existing atoms octree (NewEpolSolver), so the tree's leaf
+// size is the tree's, not the config's.
 type EpolConfig struct {
 	// Eps is the energy approximation parameter ε (>0); paper uses 0.9.
 	// It controls both the well-separatedness test
 	// r_UV > (r_U + r_V)(1 + farReach·2/ε) (epolFar2) and the Born-radius
 	// bin width (bins are geometric with ratio 1+ε).
 	Eps float64
-	// LeafSize is the octree leaf capacity (≤0 → default). Ignored when
-	// the solver is built from an existing tree.
-	LeafSize int
 }
 
 func (c EpolConfig) withDefaults() EpolConfig {
@@ -56,6 +55,13 @@ type EpolSolver struct {
 	// zero-skip branches. acc is the per-node scratch it is built in.
 	nz  binMoments
 	acc []float64
+	// farBlk is nz again as lane blocks for the amd64 far kernel
+	// (epolfar_amd64.s): node n's farBlockFloats floats hold, for each of
+	// the ten moments and then the bin id (its int64 bits), one vector of
+	// farSlots slots, one per occupied bin in nz's order, zero past the
+	// last. A node of more than farSlots bins has an empty block, and its
+	// entries take farPair.
+	farBlk []float64
 
 	// AoS row tables for the amd64 near-field vector kernel
 	// (epolnear_amd64.go). uRange packs each node's [start, end) atom
@@ -95,6 +101,32 @@ func (s *EpolSolver) buildVecTables() {
 	for i := range s.q {
 		s.uPos[4*i], s.uPos[4*i+1], s.uPos[4*i+2], s.uPos[4*i+3] = s.T.X[i], s.T.Y[i], s.T.Z[i], 0
 		s.uQRG[4*i], s.uQRG[4*i+1], s.uQRG[4*i+2], s.uQRG[4*i+3] = s.q[i], s.R[i], -0.25*s.invR[i], 0
+	}
+}
+
+// farSlots is the most bins a far lane block holds, and farBlockFloats a
+// block's size: eleven vectors of farSlots.
+const (
+	farSlots       = 4
+	farBlockFloats = (momentFloats + 1) * farSlots
+)
+
+// buildFarBlocks packs nz into farBlk.
+func (s *EpolSolver) buildFarBlocks() {
+	s.farBlk = Resize(s.farBlk, farBlockFloats*len(s.T.Nodes))
+	clear(s.farBlk)
+	for n := range s.T.Nodes {
+		lo, hi := s.nz.group(int32(n))
+		if hi-lo > farSlots {
+			continue
+		}
+		blk := s.farBlk[farBlockFloats*n:][:farBlockFloats]
+		for e := lo; e < hi; e++ {
+			for j, m := range s.nz.mom[momentFloats*e:][:momentFloats] {
+				blk[farSlots*j+e-lo] = m
+			}
+			blk[farSlots*momentFloats+e-lo] = math.Float64frombits(uint64(s.nz.bin[e]))
+		}
 	}
 }
 
@@ -177,6 +209,7 @@ func NewEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig) 
 		lo, hi := tree.PointRange(int32(ni))
 		s.nz.appendMoments(s, s.acc, lo, hi, int32(ni))
 	}
+	s.buildFarBlocks()
 	s.buildVecTables()
 	s.leafNo = Resize(s.leafNo, len(tree.Nodes)) // read at leaves only
 	for i, n := range tree.LeafIdx {
@@ -191,7 +224,7 @@ func NewEpolSolver(tree *octree.Tree, charges, bornR []float64, cfg EpolConfig) 
 // the held dual list's store.
 func (s *EpolSolver) MemoryBytes() int64 {
 	floats := cap(s.q) + cap(s.R) + cap(s.invR) + cap(s.binRR) + cap(s.invRR4) + cap(s.acc) +
-		cap(s.nz.mom) + cap(s.uRange) + cap(s.uPos) + cap(s.uQRG)
+		cap(s.nz.mom) + cap(s.farBlk) + cap(s.uRange) + cap(s.uPos) + cap(s.uQRG)
 	ints := cap(s.binOf) + cap(s.nz.start) + cap(s.nz.bin) + cap(s.leafNo)
 	return 8*int64(floats) + 4*int64(ints) + s.dual.bytes()
 }
@@ -321,8 +354,8 @@ func (m *binMoments) appendMoments(s *EpolSolver, acc []float64, lo, hi, c int32
 // farPair is the one far-field form, Fig. 3 step 2: the bin-pair terms
 // between nodes u and v, with R_u·R_v ≈ binRR[i+j] = R_min²(1+ε)^(i+j).
 // Each side's bins are groups ku and kv of m: the nodes' own layout
-// (EvalEpolFarPair), or u's bins and the partial bins of a leaf's owned
-// rows side by side (binApproxRows). The squared centre distance comes
+// (evalEpolFar), or u's bins and the partial bins of a leaf's owned rows
+// side by side (binApproxRows). The squared centre distance comes
 // straight from the SoA node-centre mirrors.
 //
 // Each bin pair's term is second order in the node sizes over their
@@ -337,22 +370,23 @@ func (m *binMoments) appendMoments(s *EpolSolver, acc []float64, lo, hi, c int32
 //
 // whose remainder is third order (TestEpolFarPairIsSecondOrder). With
 // h = d² + RR·e, e = exp(−d²/4RR): g = h^−½, g′ = −½h^−³ᐟ²·(1 − e/4) and
-// g″ = ¾h^−⁵ᐟ²·(1 − e/4)² − ½h^−³ᐟ²·e/(16RR), from the near kernels'
-// expNeg (within 1e-15 relative of math.Exp; invRR4 spares its argument a
-// divide) and one square root and one divide that do not wait on each
-// other. u's per-bin products with r are taken once per bin, and the sums
-// are bracketed as trees, which keeps the chains a term waits on short:
-// the form costs about 2.3× the zeroth-order term per bin pair.
+// g″ = ¾h^−⁵ᐟ²·(1 − e/4)² − ½h^−³ᐟ²·e/(16RR), from one square root and
+// one divide that do not wait on each other (invRR4 spares the
+// exponential's argument a divide). A bin's projections on r
+// (farFrame.bin) enter the pair terms, which need no other product with r.
 //
-// It is a loop, not a scalar term called per bin pair: a term that
-// inlines expNeg is over the compiler's inlining budget, and calling one
-// per bin pair made the far entries a quarter slower.
+// It is the scalar twin of the amd64 far kernel (epolfar_amd64.s), which
+// gives the same bits on any CPU: every multiply-add is an explicit
+// math.FMA where the kernel fuses, a product added by a plain + is
+// converted (float64) so the compiler cannot fuse it, and the exponential
+// is expNegFMA.
 func (s *EpolSolver) farPair(u, v int32, m *binMoments, ku, kv int32) float64 {
 	cx, cy, cz := s.T.CX, s.T.CY, s.T.CZ
-	rx, ry, rz := cx[u]-cx[v], cy[u]-cy[v], cz[u]-cz[v]
-	d2 := rx*rx + ry*ry + rz*rz
-	// rᵀSr = Σ w·S over (xx, yy, zz, xy, xz, yz).
-	wxx, wyy, wzz, wxy, wxz, wyz := rx*rx, ry*ry, rz*rz, 2*rx*ry, 2*rx*rz, 2*ry*rz
+	var f farFrame
+	f.rx, f.ry, f.rz = cx[u]-cx[v], cy[u]-cy[v], cz[u]-cz[v]
+	d2 := math.FMA(f.rz, f.rz, math.FMA(f.ry, f.ry, f.rx*f.rx))
+	f.wxx, f.wyy, f.wzz = f.rx*f.rx, f.ry*f.ry, f.rz*f.rz
+	f.wxy, f.wxz, f.wyz = 2*f.rx*f.ry, 2*f.rx*f.rz, 2*f.ry*f.rz
 	bins, mom := m.bin, m.mom
 	binRR, invRR4 := s.binRR, s.invRR4
 	uLo, uHi := m.group(ku)
@@ -360,30 +394,46 @@ func (s *EpolSolver) farPair(u, v int32, m *binMoments, ku, kv int32) float64 {
 	var sum float64
 	for a := uLo; a < uHi; a++ {
 		ma := mom[momentFloats*a:][:momentFloats]
-		qa, dax, day, daz := ma[0], ma[1], ma[2], ma[3]
-		rda := rx*dax + ry*day + rz*daz
-		ua1 := 2*rda + ma[4] + ma[5] + ma[6]
-		ua2 := 2 * ((wxx*ma[4] + wyy*ma[5]) + (wzz*ma[6] + wxy*ma[7]) + (wxz*ma[8] + wyz*ma[9]))
-		ra4, ba := 4*rda, bins[a]
+		ca, sa, tra := f.bin(ma)
+		u1, ca4 := math.FMA(2, ca, tra), 4*ca
+		qa, ba := ma[0], bins[a]
 		for b := vLo; b < vHi; b++ {
 			mb := mom[momentFloats*b:][:momentFloats]
-			qb, dbx, dby, dbz := mb[0], mb[1], mb[2], mb[3]
-			rdb := rx*dbx + ry*dby + rz*dbz
-			sb := (wxx*mb[4] + wyy*mb[5]) + (wzz*mb[6] + wxy*mb[7]) + (wxz*mb[8] + wyz*mb[9])
-			x1 := (qb*ua1 - 2*(dax*dbx+day*dby+daz*dbz)) + qa*((mb[4]+mb[5])+(mb[6]-2*rdb))
-			x2 := (qb*ua2 - ra4*rdb) + 2*qa*sb
+			cb, sb, trb := f.bin(mb)
+			v1, qb := math.FMA(-2, cb, trb), mb[0]
+			dd := math.FMA(ma[3], mb[3], math.FMA(ma[2], mb[2], ma[1]*mb[1]))
+			x1 := math.FMA(qa, v1, math.FMA(qb, u1, -2*dd))
+			x2 := math.FMA(-ca4, cb, 2*math.FMA(qa, sb, qb*sa))
 			t := ba + bins[b]
 			c4 := invRR4[t]
-			e := expNeg(-d2 * c4)
-			h := d2 + binRR[t]*e
-			hp := 1 - 0.25*e
-			p, q := hp*hp*(0.75*x2), hp*(0.5*x1)+e*(0.125*c4*x2)
+			e := expNegFMA(-d2 * c4)
+			h := math.FMA(binRR[t], e, d2)
+			hp := math.FMA(-0.25, e, 1)
 			ih := 1 / h
 			g0 := math.Sqrt(h) * ih
-			sum += g0 * (qa*qb + ih*(ih*p-q))
+			p := 0.75 * (hp * hp) * x2
+			q := math.FMA(0.5*hp, x1, e*(0.125*c4)*x2)
+			sum += float64(g0 * math.FMA(ih, math.FMA(ih, p, -q), qa*qb))
 		}
 	}
 	return sum
+}
+
+// farFrame is one far entry's r = c_u − c_v and the weights w of rᵀSr =
+// Σ w·S over (xx, yy, zz, xy, xz, yz).
+type farFrame struct {
+	rx, ry, rz                   float64
+	wxx, wyy, wzz, wxy, wxz, wyz float64
+}
+
+// bin returns a bin's projections on the frame: c = r·D, s = rᵀSr and
+// tr S, from its moments mo (binMoments' order).
+func (f *farFrame) bin(mo []float64) (c, s, tr float64) {
+	mo = mo[:momentFloats]
+	c = math.FMA(f.rz, mo[3], math.FMA(f.ry, mo[2], f.rx*mo[1]))
+	s = math.FMA(f.wyz, mo[9], math.FMA(f.wxz, mo[8], math.FMA(f.wxy, mo[7],
+		math.FMA(f.wzz, mo[6], math.FMA(f.wyy, mo[5], f.wxx*mo[4])))))
+	return c, s, (mo[4] + mo[5]) + mo[6]
 }
 
 // epolPairKind is what the dual traversal does with a node pair.

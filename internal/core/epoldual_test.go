@@ -158,7 +158,7 @@ func TestSymmetricDualMatchesOrdered(t *testing.T) {
 		// "math=0/prec=0" is exact float64, the one arithmetic; the case
 		// names stay stable.
 		t.Run(fmt.Sprintf("%s/math=0/prec=0", in.name), func(t *testing.T) {
-			es := NewEpolSolverFromMolecule(in.mol, in.R, EpolConfig{Eps: 0.9})
+			es := NewEpolSolverFromMolecule(in.mol, in.R, 0, EpolConfig{Eps: 0.9})
 			var leafSq int64
 			widest := int32(0)
 			for _, n := range es.T.LeafIdx {
@@ -272,7 +272,7 @@ func TestDualListMatchesStreamed(t *testing.T) {
 		m, q := testMol(n, 79)
 		R := treecodeRadii(m, q)
 		for _, cfg := range []EpolConfig{{Eps: 0.9}, {Eps: 0.5}} {
-			es := NewEpolSolverFromMolecule(m, R, cfg)
+			es := NewEpolSolverFromMolecule(m, R, 0, cfg)
 			whole := es.BuildEpolDualList()
 			for _, minRoots := range []int{1, 32, 96, 1 << 20} {
 				name := fmt.Sprintf("n=%d/%+v/roots=%d", n, cfg, minRoots)
@@ -324,7 +324,7 @@ func TestDualListMatchesStreamed(t *testing.T) {
 			}
 		}
 	}
-	empty := NewEpolSolverFromMolecule(&molecule.Molecule{}, nil, EpolConfig{})
+	empty := NewEpolSolverFromMolecule(&molecule.Molecule{}, nil, 0, EpolConfig{})
 	if d := empty.BuildDualList(8); d.Roots() != 0 || d.Stats() != (Stats{}) {
 		t.Errorf("empty tree: %d roots, stats %+v", d.Roots(), d.Stats())
 	}
@@ -341,7 +341,7 @@ func TestStreamedEpolMatchesMaterialised(t *testing.T) {
 		{Eps: 0.9},
 		{Eps: 0.5},
 	} {
-		es := NewEpolSolverFromMolecule(m, R, cfg)
+		es := NewEpolSolverFromMolecule(m, R, 0, cfg)
 		want, wantSt := es.EvalEpolList(es.BuildEpolDualList())
 		front, expand := es.EpolDualFrontier(64)
 		for _, limit := range []int{1, 7, bornTileEntries, math.MaxInt} {
@@ -381,7 +381,7 @@ func TestStreamedEpolMatchesMaterialised(t *testing.T) {
 // range evaluated through the public kernels needs no caller-side weight.
 func TestEpolDualListCarriesItsWeight(t *testing.T) {
 	m, q := testMol(300, 5)
-	es := NewEpolSolverFromMolecule(m, treecodeRadii(m, q), EpolConfig{Eps: 0.9})
+	es := NewEpolSolverFromMolecule(m, treecodeRadii(m, q), 0, EpolConfig{Eps: 0.9})
 	l := es.BuildEpolDualList()
 	var self, mutual float64
 	for k, p := range l.Near {
@@ -417,7 +417,7 @@ func TestEpolDualListCarriesItsWeight(t *testing.T) {
 func TestEpolDualFrontierCompletes(t *testing.T) {
 	m, q := testMol(400, 93)
 	R := gb.BornRadiiR6(m, q)
-	es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9})
+	es := NewEpolSolverFromMolecule(m, R, 0, EpolConfig{Eps: 0.9})
 
 	full, fullSt := es.EnergyDual()
 	whole := es.BuildEpolDualList()
@@ -464,7 +464,7 @@ func TestEpolDualFrontierCompletes(t *testing.T) {
 		}
 	}
 
-	empty := NewEpolSolverFromMolecule(&molecule.Molecule{}, nil, EpolConfig{})
+	empty := NewEpolSolverFromMolecule(&molecule.Molecule{}, nil, 0, EpolConfig{})
 	if fr, st := empty.EpolDualFrontier(8); fr != nil || st != (Stats{}) {
 		t.Errorf("empty tree: frontier %v, stats %+v", fr, st)
 	}

@@ -114,7 +114,7 @@ func TestLeafEnergyRowsPartition(t *testing.T) {
 	// full leaf-driven sum (linearity of the far field in row charges).
 	m, q := testMol(350, 95)
 	R := gb.BornRadiiR6(m, q)
-	es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9})
+	es := NewEpolSolverFromMolecule(m, R, 0, EpolConfig{Eps: 0.9})
 
 	var full float64
 	for l := 0; l < es.NumLeaves(); l++ {

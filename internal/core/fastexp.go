@@ -62,6 +62,21 @@ func expNeg(x float64) float64 {
 	return sc + sc*p
 }
 
+// expNegFMA is expNeg with the reduction and the tail fused as the amd64
+// vector kernels fuse them: the far kernel (epolfar_amd64.s) repeats it
+// bit for bit, so farPair, its scalar twin, calls it. The float64
+// conversion keeps the reduction's product rounded on its own.
+func expNegFMA(x float64) float64 {
+	if x < expNegCut {
+		return 0
+	}
+	ki := int64(float64(x*expInvL) - 0.5)
+	r := math.FMA(-float64(ki), expL, x)
+	sc := math.Float64frombits(uint64(ki&^127)<<45 + exp2Bits[ki&127])
+	p := math.FMA(r*r, math.FMA(r, math.FMA(r, 1.0/24, 1.0/6), 0.5), r)
+	return math.FMA(sc, p, sc)
+}
+
 // exp2Bits[j] = bits of 2^(j/128), correctly rounded.
 var exp2Bits = [128]uint64{
 	0x3ff0000000000000, 0x3ff0163da9fb3335, 0x3ff02c9a3e778061, 0x3ff04315e86e7f85,

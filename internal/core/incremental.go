@@ -20,7 +20,8 @@ import (
 //   - per-entry scalar evaluators with the exact arithmetic of the flat
 //     Range kernels, so a value recomputed alone is bitwise the value a
 //     full sweep produces: BornRadiusFromSums (AddBornFarTerm in born.go
-//     and EvalEpolFarPair in lists.go already qualify);
+//     and EvalEpolFarDriver, a driver's far list, in lists.go already
+//     qualify);
 //   - the row-major batched near evaluator EvalBornRowBlocks, which fills
 //     one T_A leaf's block against each of a list of q-leaves with the
 //     bits EvalBornNearRange gives the same entry alone;

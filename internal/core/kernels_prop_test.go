@@ -42,7 +42,7 @@ func TestFlatKernelsTileBoundarySizes(t *testing.T) {
 				}
 
 				R := treecodeRadii(m, q)
-				es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9, LeafSize: leaf})
+				es := NewEpolSolverFromMolecule(m, R, leaf, EpolConfig{Eps: 0.9})
 				var rRaw float64
 				for l := 0; l < es.NumLeaves(); l++ {
 					e, _ := es.LeafEnergy(l)
@@ -227,7 +227,7 @@ func TestEpolNearVecMatchesScalar(t *testing.T) {
 	}
 	m, q := testMol(2000, 79)
 	R := treecodeRadii(m, q)
-	es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9})
+	es := NewEpolSolverFromMolecule(m, R, 0, EpolConfig{Eps: 0.9})
 	list := es.BuildEpolList(0, es.NumLeaves())
 
 	vec := es.EvalEpolNearRange(list, 0, len(list.Near))
@@ -252,7 +252,7 @@ func TestKernelEvalZeroAllocs(t *testing.T) {
 		t.Errorf("EvalBornList: %v allocs/op, want 0", allocs)
 	}
 
-	es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9})
+	es := NewEpolSolverFromMolecule(m, R, 0, EpolConfig{Eps: 0.9})
 	eList := es.BuildEpolList(0, es.NumLeaves())
 	if allocs := testing.AllocsPerRun(3, func() {
 		raw, _ := es.EvalEpolList(eList)

@@ -220,7 +220,7 @@ func TestMutualOnceListMatchesOrdered(t *testing.T) {
 	for _, in := range leafInputs(t) {
 		// "math=0" names the one arithmetic; the case names stay stable.
 		t.Run(fmt.Sprintf("%s/math=0", in.name), func(t *testing.T) {
-			es := NewEpolSolverFromMolecule(in.mol, in.R, EpolConfig{Eps: 0.9})
+			es := NewEpolSolverFromMolecule(in.mol, in.R, 0, EpolConfig{Eps: 0.9})
 			nl := es.NumLeaves()
 			ord := es.buildEpolLeafListOrdered(0, nl)
 			got := es.BuildEpolList(0, nl)

@@ -643,12 +643,6 @@ func (s *EpolSolver) evalEpolNearRun(entries []NodePair, v int32) float64 {
 	return sum
 }
 
-// EvalEpolFarPair evaluates one far-field entry over the nodes' bin
-// moments (farPair). Returns the raw sum.
-func (s *EpolSolver) EvalEpolFarPair(u, v int32) float64 {
-	return s.farPair(u, v, &s.nz, u, v)
-}
-
 // EvalEpolNearRange sums the near entries [lo, hi) of the list. The
 // builders emit near entries in runs sharing a v-leaf, so entries are
 // processed run-blocked: the v-side tile is sliced once per run and swept
@@ -727,12 +721,36 @@ func (s *EpolSolver) EvalEpolNearEntryValues(near []NodePair, idxs []int32, out 
 // EvalEpolFarRange sums the far entries [lo, hi) of the list — twice over
 // in a symmetric list, whose far entries are all mutual pairs.
 func (s *EpolSolver) EvalEpolFarRange(l *InteractionList, lo, hi int) float64 {
-	var sum float64
-	for _, p := range l.Far[lo:hi] {
-		sum += s.EvalEpolFarPair(p.A, p.B)
-	}
+	sum := s.evalEpolFar(l.Far[lo:hi])
 	if l.symmetric {
 		sum *= 2
+	}
+	return sum
+}
+
+// evalEpolFar sums farPair over far entries in order, on the vector or
+// the scalar path; the two give the same bits (epolfar_amd64.s).
+func (s *EpolSolver) evalEpolFar(far []NodePair) float64 {
+	if hasAVX2FMA && len(far) > 0 {
+		return s.evalEpolFarVec(far)
+	}
+	var sum float64
+	for _, p := range far {
+		sum += s.farPair(p.A, p.B, &s.nz, p.A, p.B)
+	}
+	return sum
+}
+
+// EvalEpolFarDriver sums the far terms of the nodes us against node v, in
+// order: a leaf-driven driver's far list, held as its u nodes. It is
+// EvalEpolFarRange of the entries {u, v}, bit for bit.
+func (s *EpolSolver) EvalEpolFarDriver(us []int32, v int32) float64 {
+	if hasAVX2FMA && len(us) > 0 {
+		return s.evalEpolFarNodesVec(us, v)
+	}
+	var sum float64
+	for _, u := range us {
+		sum += s.farPair(u, v, &s.nz, u, v)
 	}
 	return sum
 }

@@ -83,7 +83,7 @@ func TestEpolFlatListMatchesRecursive(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d/math=0", n), func(t *testing.T) {
 			m, q := testMol(n, int64(61+n))
 			R := treecodeRadii(m, q)
-			es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9})
+			es := NewEpolSolverFromMolecule(m, R, 0, EpolConfig{Eps: 0.9})
 
 			// Leaf-driven variant.
 			var rRaw float64
@@ -166,7 +166,7 @@ func benchSetup(b *testing.B) {
 		benchSolver.bs = NewBornSolver(m, q, BornConfig{Eps: 0.9})
 		benchSolver.born = benchSolver.bs.BuildBornList(0, benchSolver.bs.NumQLeaves())
 		R := treecodeRadii(m, q)
-		benchSolver.es = NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9})
+		benchSolver.es = NewEpolSolverFromMolecule(m, R, 0, EpolConfig{Eps: 0.9})
 		benchSolver.epol = benchSolver.es.BuildEpolList(0, benchSolver.es.NumLeaves())
 	}
 	b.ResetTimer()

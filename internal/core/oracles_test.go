@@ -52,17 +52,23 @@ func (s *BornSolver) AccumulateDualPair(a, q int32, sNode, sAtom []float64) Stat
 }
 
 // NewEpolSolverFromMolecule builds the octree internally from the molecule
-// (charges from the atoms, Born radii supplied in original order).
-func NewEpolSolverFromMolecule(mol *molecule.Molecule, bornR []float64, cfg EpolConfig) *EpolSolver {
-	cfg = cfg.withDefaults()
+// with leaves of leafSize atoms (≤0 → default), charges from the atoms and
+// Born radii supplied in original order.
+func NewEpolSolverFromMolecule(mol *molecule.Molecule, bornR []float64, leafSize int, cfg EpolConfig) *EpolSolver {
 	positions := make([]geom.Vec3, mol.N())
 	charges := make([]float64, mol.N())
 	for i := range mol.Atoms {
 		positions[i] = mol.Atoms[i].Pos
 		charges[i] = mol.Atoms[i].Charge
 	}
-	tree := octree.Build(positions, cfg.LeafSize)
+	tree := octree.Build(positions, leafSize)
 	return NewEpolSolver(tree, charges, bornR, cfg)
+}
+
+// EvalEpolFarPair evaluates one far-field entry over the nodes' bin
+// moments on the scalar form (farPair). Returns the raw sum.
+func (s *EpolSolver) EvalEpolFarPair(u, v int32) float64 {
+	return s.farPair(u, v, &s.nz, u, v)
 }
 
 // BinChargeSum returns Σ_k q_U[k] for a node — used by invariant tests

@@ -96,8 +96,10 @@ func TestObservedDistributedRecordsCollectives(t *testing.T) {
 }
 
 // TestLeafEvalHotPathAllocs pins the acceptance criterion that the
-// leaf-evaluation hot path performs zero allocations per call — the
-// instrumentation lives at phase granularity, never inside the kernels.
+// leaf-evaluation hot paths perform zero allocations per call — the
+// instrumentation lives at phase granularity, never inside the kernels:
+// the near and far ranges of a dual list, a held root's whole list, and
+// the streamed leaf-driven traversal over a reused tile.
 func TestLeafEvalHotPathAllocs(t *testing.T) {
 	pr := testProblem(300, 7)
 	p, err := Prepare(pr, Options{Threads: 1})
@@ -106,15 +108,29 @@ func TestLeafEvalHotPathAllocs(t *testing.T) {
 	}
 	es := core.NewEpolSolver(p.bs.TA, pr.Charges, p.BornRadii, core.EpolConfig{Eps: 0.9})
 	list := es.BuildEpolDualList()
-	if len(list.Near) == 0 {
-		t.Fatal("empty near list")
+	if len(list.Near) == 0 || len(list.Far) == 0 {
+		t.Fatalf("list of %d near and %d far entries", len(list.Near), len(list.Far))
 	}
+	held := es.BuildDualList(4)
+	root := held.Root(0)
+	var tile core.InteractionList
 	var sink float64
-	allocs := testing.AllocsPerRun(50, func() {
-		sink += es.EvalEpolNearRange(list, 0, len(list.Near))
-	})
-	if allocs != 0 {
-		t.Errorf("leaf-eval hot path allocates %v per run, want 0", allocs)
+	es.StreamEpolLeaves(&tile, 0, es.NumLeaves(), &sink) // grows the tile
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"EvalEpolNearRange", func() { sink += es.EvalEpolNearRange(list, 0, len(list.Near)) }},
+		{"EvalEpolFarRange", func() { sink += es.EvalEpolFarRange(list, 0, len(list.Far)) }},
+		{"EvalEpolList of a held root", func() {
+			raw, _ := es.EvalEpolList(&root)
+			sink += raw
+		}},
+		{"StreamEpolLeaves", func() { es.StreamEpolLeaves(&tile, 0, es.NumLeaves(), &sink) }},
+	} {
+		if allocs := testing.AllocsPerRun(50, c.run); allocs != 0 {
+			t.Errorf("%s allocates %v per run, want 0", c.name, allocs)
+		}
 	}
 	_ = sink
 }

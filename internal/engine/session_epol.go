@@ -180,12 +180,7 @@ func (ss *Session) resumEpolNear(vl int) {
 // centers, the charge bins and their moments) are epoch-frozen, so
 // between re-derivations the cached value never changes.
 func (ss *Session) recomputeEpolFar(vl int) {
-	vNode := ss.bs.TA.LeafIdx[vl]
-	var sum float64
-	for _, u := range ss.epolFar[vl] {
-		sum += ss.es.EvalEpolFarPair(u, vNode)
-	}
-	ss.farVal[vl] = sum
+	ss.farVal[vl] = ss.es.EvalEpolFarDriver(ss.epolFar[vl], ss.bs.TA.LeafIdx[vl])
 }
 
 func (ss *Session) sumEnergy() float64 {
