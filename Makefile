@@ -54,7 +54,8 @@ obs-smoke:
 
 ## fuzz: short smoke of the native fuzz targets (wire-frame decoder, PQR
 ## parser, load-trace spec, fabric membership wire, molecule-bearing HTTP
-## request decoder, stream-frame bodies against a live session, the held
+## request decoder, its number scanner against strconv.ParseFloat and the
+## RFC 8259 grammar, stream-frame bodies against a live session, the held
 ## E_pol list against its streamed oracle, a session stream against its
 ## every-frame resweep, the E_pol far kernel against farPair) on top of
 ## their seed corpora. CI-friendly budget;
@@ -65,6 +66,7 @@ fuzz:
 	$(GO) test ./internal/loadgen/ -run '^$$' -fuzz FuzzTraceSpec -fuzztime 10s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeEnergyRequest -fuzztime 10s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzWireNumber -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzStreamFrameBody -fuzztime 10s
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzPreparedEvalEpol -fuzztime 10s
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzSessionStream -fuzztime 10s

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"strconv"
 	"strings"
 
 	"octgb/internal/molecule"
@@ -24,13 +23,13 @@ import (
 // through encoding/json.
 //
 // Against encoding/json the decoder is stricter in three documented ways
-// and otherwise identical (same strconv.ParseFloat on the same digits, same
-// case-folded key matching): an atom row is exactly five JSON numbers
-// (encoding/json zero-fills a short row and drops a sixth number); a
-// molecule, and each of its name, atoms and hash, appears at most once
-// (encoding/json keeps the last, and every repeat here would cost another
-// atoms allocation); and nothing but whitespace may follow the request
-// object.
+// and otherwise identical (the same float64 bits for the same digits — see
+// number, in wirenum.go — and the same case-folded key matching): an atom
+// row is exactly five JSON numbers (encoding/json zero-fills a short row
+// and drops a sixth number); a molecule, and each of its name, atoms and
+// hash, appears at most once (encoding/json keeps the last, and every
+// repeat here would cost another atoms allocation); and nothing but
+// whitespace may follow the request object.
 
 // maxBodyBytes bounds a request body on both tiers (a 200k-atom molecule
 // is ~20 MB of JSON; leave generous headroom).
@@ -498,44 +497,4 @@ func (d *wireDec) atoms(dst *[][5]float64) error {
 			return d.errorf("want ',' or ']' after atom %d", len(atoms)-1)
 		}
 	}
-}
-
-// number consumes one JSON number. The RFC 8259 grammar is checked before
-// strconv.ParseFloat sees the digits, because ParseFloat alone also takes
-// hex floats, "Inf", digit-separating underscores, a leading '+' and a bare
-// leading or trailing '.'.
-func (d *wireDec) number() (float64, error) {
-	b, start, i := d.b, d.i, d.i // the cursor in a local: this is the hot loop
-	eat := func(c, or byte) bool {
-		if i < len(b) && (b[i] == c || b[i] == or) {
-			i++
-			return true
-		}
-		return false
-	}
-	digits := func() bool { // at least one
-		from := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > from
-	}
-	eat('-', '-')
-	ok := eat('0', '0') || digits()
-	if ok && eat('.', '.') {
-		ok = digits()
-	}
-	if ok && eat('e', 'E') {
-		eat('+', '-')
-		ok = digits()
-	}
-	d.i = i
-	if !ok {
-		return 0, d.errorf("want a JSON number")
-	}
-	v, err := strconv.ParseFloat(string(b[start:i]), 64)
-	if err != nil {
-		return 0, d.errorf("number %s: out of range", b[start:i])
-	}
-	return v, nil
 }
